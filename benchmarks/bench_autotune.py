@@ -5,8 +5,8 @@ Two parts:
 * **Parametric sweep** — the headline of the parametric-footprint engine:
   one symbolic footprint per group serves every tile-size candidate, so an
   autotune sweep re-specializes instead of recompiling.  The bench sweeps
-  >= 8 candidates per workload with the engine off (``REPRO_PARAMETRIC_FP=0``,
-  the per-candidate seed path) and on, asserts the chosen sizes,
+  >= 8 candidates per workload with the engine off (``parametric_binding``
+  patched to decline: the per-candidate seed path) and on, asserts the chosen sizes,
   evaluation landscape and generated C are byte-identical, and reports the
   wall-clock speedup (>= 1.5x expected on the stencil pipelines).
 
@@ -26,9 +26,11 @@ jobs execute.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
+from unittest import mock
 
 from common import image_program, print_table, save_results
 from repro import CompileOptions
@@ -49,17 +51,25 @@ SWEEP_CANDIDATES = (4, 8, 16, 32, 128)
 SWEEP_SIZE = 256
 SWEEP_SPEEDUP = 1.5
 SWEEP_MIN_WORKLOADS = 3
-ENV = "REPRO_PARAMETRIC_FP"
 
 
-def _sweep_once(prog, flag: str):
-    """One cold autotune sweep plus the best candidate's generated C."""
-    os.environ[ENV] = flag
+def _sweep_once(prog, parametric: bool):
+    """One cold autotune sweep plus the best candidate's generated C.
+
+    ``parametric=False`` is the seed oracle: ``parametric_binding`` declines
+    (as it does for symbolic sizes), so every candidate takes the direct
+    per-size footprint path."""
     memo.clear_all()
-    t0 = time.perf_counter()
-    result = autotune_tile_sizes(prog, options=CompileOptions(target="cpu", mode="serial"), threads=32, candidates=SWEEP_CANDIDATES, dims=2)
-    elapsed = time.perf_counter() - t0
-    best = optimize(prog, CompileOptions(target="cpu", tile_sizes=result.best_sizes))
+    with contextlib.ExitStack() as stack:
+        if not parametric:
+            for mod in ("footprint", "tile_shapes"):
+                stack.enter_context(mock.patch(
+                    f"repro.core.{mod}.parametric_binding", return_value=None
+                ))
+        t0 = time.perf_counter()
+        result = autotune_tile_sizes(prog, options=CompileOptions(target="cpu", mode="serial"), threads=32, candidates=SWEEP_CANDIDATES, dims=2)
+        elapsed = time.perf_counter() - t0
+        best = optimize(prog, CompileOptions(target="cpu", tile_sizes=result.best_sizes))
     code = print_tree(best.tree, prog, style="openmp")
     return result, code, elapsed
 
@@ -68,15 +78,14 @@ def compute_parametric_sweep(workloads=SWEEP_WORKLOADS, reps: int = 3):
     from repro.api import get_workload
 
     rows, raw = [], {}
-    old = os.environ.get(ENV)
     try:
         for name in workloads:
             prog = get_workload(name, SWEEP_SIZE)
             seed_t = par_t = float("inf")
             for _ in range(reps):
-                seed, seed_code, t = _sweep_once(prog, "0")
+                seed, seed_code, t = _sweep_once(prog, parametric=False)
                 seed_t = min(seed_t, t)
-                par, par_code, t = _sweep_once(prog, "1")
+                par, par_code, t = _sweep_once(prog, parametric=True)
                 par_t = min(par_t, t)
             assert par.best_sizes == seed.best_sizes, (
                 f"{name}: parametric best {par.best_sizes} != "
@@ -108,10 +117,6 @@ def compute_parametric_sweep(workloads=SWEEP_WORKLOADS, reps: int = 3):
                 ]
             )
     finally:
-        if old is None:
-            os.environ.pop(ENV, None)
-        else:
-            os.environ[ENV] = old
         memo.clear_all()
     return rows, raw
 

@@ -25,16 +25,15 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from common import save_results
-from repro import CompileOptions
+from repro import CompileOptions, obs
 from repro.core import optimize
 from repro.presburger import memo
-from repro.service import instrument
 
 #: The budget the instrumentation must stay under on a cold compile.
 OVERHEAD_BUDGET = 0.02
 
 
-class CallCounter(instrument.CompileReport):
+class CallCounter(obs.CompileReport):
     """A report that counts instrumentation *calls* instead of contents."""
 
     def __init__(self):
@@ -64,22 +63,22 @@ def noop_cost(fn, iters):
 
 
 def _span_noop():
-    with instrument.span("bench_overhead"):
+    with obs.span("bench_overhead"):
         pass
 
 
 def _count_noop():
-    instrument.count("bench_overhead")
+    obs.count("bench_overhead")
 
 
 def _observe_noop():
-    instrument.observe("bench_overhead", 3)
+    obs.observe("bench_overhead", 3)
 
 
 def run_bench(workload: str, size: int, iters: int):
     from repro.api import default_tile_sizes, get_workload
 
-    assert not instrument.active(), "benchmark needs the disabled path"
+    assert not obs.active(), "benchmark needs the disabled path"
     prog = get_workload(workload, size)
     tiles = default_tile_sizes(workload)
 
@@ -90,7 +89,7 @@ def run_bench(workload: str, size: int, iters: int):
 
     memo.clear_all()
     counter = CallCounter()
-    with instrument.collect(report=counter):
+    with obs.collect(report=counter):
         optimize(prog, CompileOptions(tile_sizes=tiles))
 
     c_span = noop_cost(_span_noop, iters)
@@ -195,7 +194,7 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     # Deterministic additive cost of the sampled path, against the real
     # payload this workload produces.
     events = distributed.wire_to_events(payload)
-    report = instrument.CompileReport(record_events=True)
+    report = obs.CompileReport(record_events=True)
     for e in events:
         report.add_event(e)
         report.add_span(e.name, e.duration)

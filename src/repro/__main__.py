@@ -50,6 +50,7 @@ import argparse
 import sys
 from typing import Optional
 
+from . import obs
 from .codegen import print_tree
 from .core import optimize
 from .machine import analyze_optimized, analyze_scheduled, cpu_time, gpu_time
@@ -81,14 +82,13 @@ def cmd_list(_args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .obs import write_trace
-    from .service import cached_optimize, default_cache, instrument
+    from .service import cached_optimize, default_cache
 
     prog = _build_workload(args.workload, args.size)
     tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
     cache = None if args.no_cache else default_cache()
     options = CompileOptions(target=args.target, tile_sizes=tiles, cache=cache)
-    with instrument.collect(trace=bool(args.trace)) as report:
+    with obs.collect(trace=bool(args.trace)) as report:
         if cache is None:
             result = optimize(prog, options)
         else:
@@ -100,7 +100,7 @@ def cmd_optimize(args) -> int:
           + (" (served from cache)" if cached else ""))
     print(f"fusion:       {result.fusion_summary()}")
     if args.trace:
-        write_trace(report, args.trace)
+        obs.write_trace(report, args.trace)
         print(f"trace:        {args.trace} ({len(report.events)} spans)")
     if args.stats:
         if cache is not None:
@@ -121,14 +121,12 @@ def _traced_compile(args):
     """
     from time import perf_counter
 
-    from .obs import collect, span
-
     prog = _build_workload(args.workload, args.size)
     tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
     style = "cuda" if args.target == "gpu" else "openmp"
     t0 = perf_counter()
-    with collect(trace=True) as report:
-        with span("compile", workload=args.workload, target=args.target):
+    with obs.collect(trace=True) as report:
+        with obs.span("compile", workload=args.workload, target=args.target):
             result = optimize(
                 prog, CompileOptions(target=args.target, tile_sizes=tiles)
             )
@@ -136,22 +134,20 @@ def _traced_compile(args):
                 from .codegen.gpu_mapping import map_to_gpu
 
                 map_to_gpu(result)
-            with span("codegen"):
+            with obs.span("codegen"):
                 print_tree(result.tree, prog, style=style)
     return prog, report, perf_counter() - t0
 
 
 def cmd_trace(args) -> int:
-    from .obs import chrome_trace, trace_nesting_depth, write_trace
-
     if args.request:
         return _cmd_trace_request(args)
     if not args.workload:
         raise SystemExit("trace: need a workload (or --request <trace-id>)")
     prog, report, wall = _traced_compile(args)
-    write_trace(report, args.output, format=args.format)
+    obs.write_trace(report, args.output, format=args.format)
     depth = (
-        trace_nesting_depth(chrome_trace(report))
+        obs.trace_nesting_depth(obs.chrome_trace(report))
         if args.format == "chrome"
         else "-"
     )
@@ -167,12 +163,10 @@ def _cmd_trace_request(args) -> int:
     """Stitch one distributed request's spans out of event-log files."""
     import json
 
-    from .obs import stitch_event_logs
-
     logs = args.log or []
     if not logs:
         raise SystemExit("trace --request: need at least one --log PATH")
-    chrome, n_streams = stitch_event_logs(logs, args.request)
+    chrome, n_streams = obs.stitch_event_logs(logs, args.request)
     if n_streams == 0:
         print(
             f"no trace records for {args.request} in {len(logs)} log(s)",
@@ -191,15 +185,13 @@ def _cmd_trace_request(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .obs import format_profile, profile_tree
-
     if args.critical_path:
         return _cmd_profile_critical_path(args)
     prog, report, wall = _traced_compile(args)
-    roots = profile_tree(report)
+    roots = obs.profile_tree(report)
     print(f"{prog.name} compile profile ({args.target}):")
     print(
-        format_profile(
+        obs.format_profile(
             roots, top=args.top, max_depth=args.depth, wall_seconds=wall
         )
     )
@@ -209,7 +201,6 @@ def cmd_profile(args) -> int:
 def _cmd_profile_critical_path(args) -> int:
     """Partition the workload, run it, and report the critical path —
     measured span durations next to the partitioner's analytical model."""
-    from .obs import collect, critical_path
     from .options import PartitionOptions
     from .partition import partition_pipeline
     from .partition.host import execute_partitioned
@@ -220,7 +211,7 @@ def _cmd_profile_critical_path(args) -> int:
         tile_sizes=_default_tiles(args.workload),
     )
     sched = partition_pipeline(prog, options=options)
-    with collect(trace=True) as report:
+    with obs.collect(trace=True) as report:
         execute_partitioned(sched)
 
     measured_nodes: dict = {}
@@ -243,8 +234,8 @@ def _cmd_profile_critical_path(args) -> int:
             transfers.get((cut.tensor, "host", cut.dst), 0.0)
         measured_edges.append((cut.src, cut.dst, measured))
 
-    meas_total, meas_path = critical_path(measured_nodes, measured_edges)
-    model_total, model_path = critical_path(modeled_nodes, modeled_edges)
+    meas_total, meas_path = obs.critical_path(measured_nodes, measured_edges)
+    model_total, model_path = obs.critical_path(modeled_nodes, modeled_edges)
 
     print(f"{prog.name} critical path "
           f"({', '.join(options.target_names)} partitioning):")
@@ -267,20 +258,18 @@ def _cmd_profile_critical_path(args) -> int:
 def cmd_stats(args) -> int:
     import json
 
-    from .obs import diff_snapshots, format_diff, validate_metrics_snapshot
-
     snaps = []
     for path in (args.a, args.b):
         with open(path) as f:
             snap = json.load(f)
-        errors = validate_metrics_snapshot(snap)
+        errors = obs.validate_metrics_snapshot(snap)
         if errors:
             for e in errors:
                 print(f"{path}: {e}", file=sys.stderr)
             return 2
         snaps.append(snap)
-    deltas = diff_snapshots(snaps[0], snaps[1])
-    print(format_diff(deltas, only_changed=not args.all))
+    deltas = obs.diff_snapshots(snaps[0], snaps[1])
+    print(obs.format_diff(deltas, only_changed=not args.all))
     return 0
 
 
@@ -316,8 +305,8 @@ def cmd_time(args) -> int:
         hwork = analyze_scheduled(sched, tiles)
         t = gpu_time(hwork) if args.target == "gpu" else cpu_time(hwork, args.threads)
         rows.append((heuristic, t))
-    print(f"{prog.name} on modeled {args.target} "
-          f"({args.threads} threads):" if args.target == "cpu" else "")
+    threads = f" ({args.threads} threads)" if args.target == "cpu" else ""
+    print(f"{prog.name} on modeled {args.target}{threads}:")
     for name, t in rows:
         text = "failed" if t is None else f"{t * 1e3:10.3f} ms"
         print(f"  {name:12s} {text}")
@@ -376,7 +365,7 @@ def _parse_targets(text):
 def cmd_partition(args) -> int:
     from .options import PartitionOptions
     from .partition import partition_pipeline
-    from .service import default_cache, instrument
+    from .service import default_cache
 
     prog = _build_workload(args.workload, args.size)
     options = PartitionOptions(
@@ -384,7 +373,7 @@ def cmd_partition(args) -> int:
         tile_sizes=_default_tiles(args.workload),
         cache=None if args.no_cache else default_cache(),
     )
-    with instrument.collect() as report:
+    with obs.collect() as report:
         sched = partition_pipeline(prog, options=options)
     mixed = sched.modeled["mixed"]
     single = sched.modeled["single"]
@@ -636,16 +625,30 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _client_compile(client, args) -> int:
-    if getattr(args, "trace", None):
-        return _client_compile_traced(client, args)
-    out = client.compile(
-        args.workload,
-        size=args.size,
-        target=args.target,
-        tile_sizes=args.tile,
-        startup=args.startup,
-    )
+#: ``repro client`` subcommand -> the wire verb it sends.
+_CLIENT_VERBS = {"compile": "compile", "tune": "autotune", "partition": "partition"}
+
+
+def _client_work(client, args) -> int:
+    """Send one work verb: every flag generated from the verb's row of
+    ``protocol.PARAMS`` (see ``main``) becomes a param; unset ones are
+    left to the server's defaults."""
+    from .serve import protocol
+
+    verb = _CLIENT_VERBS[args.client_command]
+    params = {
+        name: getattr(args, name)
+        for name in protocol.PARAMS[verb]
+        if name != "workload" and hasattr(args, name)
+    }
+    if getattr(args, "trace_out", None):
+        return _client_compile_traced(client, args, params)
+    out = client.work(verb, args.workload, **params)
+    _CLIENT_PRINTERS[verb](out)
+    return 0
+
+
+def _print_client_compile(out) -> None:
     print(f"workload:     {out['workload']}")
     print(f"fingerprint:  {out['fingerprint']}")
     print(f"tile sizes:   {out.get('tile_sizes')}")
@@ -654,10 +657,9 @@ def _client_compile(client, args) -> int:
     print(f"deduped:      {'yes' if out.get('deduped') else 'no'}")
     if out.get("fusion"):
         print(f"fusion:       {out['fusion']}")
-    return 0
 
 
-def _client_compile_traced(client, args) -> int:
+def _client_compile_traced(client, args, params) -> int:
     """One traced compile RPC, stitched into a Perfetto-loadable file.
 
     The client lane comes from a local tracing collector around the RPC;
@@ -667,25 +669,14 @@ def _client_compile_traced(client, args) -> int:
     """
     import json
 
-    from .obs import collect, span
     from .obs.distributed import derive_store_stream, stitch, stream_from_report
 
     ctx = client.new_trace(sampled=True)
-    with collect(trace=True) as report:
-        with span(
-            "client.request",
-            workload=args.workload,
-            target=args.target,
-            trace_id=ctx.trace_id,
+    with obs.collect(trace=True) as report:
+        with obs.span(
+            "client.request", workload=args.workload, trace_id=ctx.trace_id
         ):
-            out = client.compile(
-                args.workload,
-                size=args.size,
-                target=args.target,
-                tile_sizes=args.tile,
-                startup=args.startup,
-                trace=ctx,
-            )
+            out = client.compile(args.workload, trace=ctx, **params)
     streams = [stream_from_report(report, "client", ctx)]
     daemon = out.get("trace")
     if daemon:
@@ -694,7 +685,7 @@ def _client_compile_traced(client, args) -> int:
         if store:
             streams.append(store)
     chrome = stitch(streams, trace_id=ctx.trace_id)
-    with open(args.trace, "w", encoding="utf-8") as f:
+    with open(args.trace_out, "w", encoding="utf-8") as f:
         json.dump(chrome, f)
     other = chrome["otherData"]
     print(f"workload:     {out['workload']}")
@@ -703,37 +694,22 @@ def _client_compile_traced(client, args) -> int:
     print(f"from cache:   {'yes' if out['from_cache'] else 'no'}")
     print(f"trace id:     {ctx.trace_id}")
     print(f"trace:        {other['spans']} spans across "
-          f"{', '.join(other['services'])} -> {args.trace}")
+          f"{', '.join(other['services'])} -> {args.trace_out}")
     if not daemon:
         print("note: daemon returned no span payload (sampled out?)",
               file=sys.stderr)
     return 0
 
 
-def _client_tune(client, args) -> int:
-    out = client.autotune(
-        args.workload,
-        size=args.size,
-        target=args.target,
-        threads=args.threads,
-        candidates=args.candidates,
-        startup=args.startup,
-    )
+def _print_client_tune(out) -> None:
     print(f"workload:        {out['workload']}")
     print(f"searched:        {out['evaluations']} tilings "
           f"({out['failures']} infeasible) in {out['tuning_seconds']:.1f} s")
     print(f"best tile sizes: {tuple(out['best_tile_sizes'])} "
           f"({out['best_time_ms']:.3f} ms modeled)")
-    return 0
 
 
-def _client_partition(client, args) -> int:
-    out = client.partition(
-        args.workload,
-        size=args.size,
-        targets=_parse_targets(args.targets),
-        startup=args.startup,
-    )
+def _print_client_partition(out) -> None:
     mixed = out["modeled"]["mixed"]
     print(f"workload:    {out['workload']}")
     print(f"targets:     {', '.join(out['targets_used'])}"
@@ -750,7 +726,13 @@ def _client_partition(client, args) -> int:
         print(f"             single {target:4s} {text}")
     print(f"server time: {out['compile_ms']:.1f} ms")
     print(f"deduped:     {'yes' if out.get('deduped') else 'no'}")
-    return 0
+
+
+_CLIENT_PRINTERS = {
+    "compile": _print_client_compile,
+    "autotune": _print_client_tune,
+    "partition": _print_client_partition,
+}
 
 
 def _client_stats(client, args) -> int:
@@ -776,8 +758,6 @@ def _client_stats_watch(client, args) -> int:
     """Poll the server's metrics and print what changed between polls."""
     import time as _time
 
-    from .obs import diff_snapshots, format_diff
-
     prev = client.stats()
     print(f"watching {prev.get('schema')} every {args.interval:.1f}s "
           "(ctrl-c to stop)")
@@ -786,8 +766,8 @@ def _client_stats_watch(client, args) -> int:
         while args.count is None or frames < args.count:
             _time.sleep(args.interval)
             cur = client.stats()
-            deltas = diff_snapshots(prev, cur)
-            text = format_diff(deltas, only_changed=True)
+            deltas = obs.diff_snapshots(prev, cur)
+            text = obs.format_diff(deltas, only_changed=True)
             stamp = _time.strftime("%H:%M:%S")
             if text.strip():
                 print(f"-- {stamp}")
@@ -914,9 +894,7 @@ def cmd_client(args) -> int:
 
         socket_path = default_socket_path()
     handlers = {
-        "compile": _client_compile,
-        "tune": _client_tune,
-        "partition": _client_partition,
+        **dict.fromkeys(_CLIENT_VERBS, _client_work),
         "stats": _client_stats,
         "health": _client_health,
         "shutdown": _client_shutdown,
@@ -1151,30 +1129,38 @@ def main(argv=None) -> int:
     client_p.add_argument("--timeout", type=float, default=600.0,
                           help="socket timeout in seconds")
     client_sub = client_p.add_subparsers(dest="client_command", required=True)
-    for verb in ("compile", "tune"):
-        vp = client_sub.add_parser(verb)
+    from .serve import protocol
+
+    # One flag per param of the verb's row in ``protocol.PARAMS``, spelled
+    # from the param's checker; ``--<param>`` unless renamed here, and
+    # ``None`` for a param the CLI never offered.
+    flag_kwargs = {
+        protocol.POS_INT: {"type": int},
+        protocol.POS_INTS: {"type": int, "nargs": "+"},
+        protocol.STR: {},
+        protocol.TARGET: {"choices": protocol.TARGETS},
+        protocol.TARGET_LIST: {
+            "type": _parse_targets,
+            "help": "comma-separated target set (default cpu,gpu,npu)",
+        },
+    }
+    flag_names = {"tile_sizes": "--tile", "dims": None}
+    for command, verb in _CLIENT_VERBS.items():
+        vp = client_sub.add_parser(command)
         vp.add_argument("workload")
-        vp.add_argument("--size", type=int, default=None)
-        vp.add_argument("--target", choices=["cpu", "gpu", "npu"],
-                        default="cpu")
-        vp.add_argument("--startup", default="smartfuse")
-        if verb == "compile":
-            vp.add_argument("--tile", type=int, nargs="+", default=None)
+        for name, (check, _default) in protocol.PARAMS[verb].items():
+            flag = flag_names.get(name, "--" + name.replace("_", "-"))
+            if flag and check in flag_kwargs:
+                vp.add_argument(
+                    flag, dest=name, default=None, **flag_kwargs[check]
+                )
+        if command == "compile":
             vp.add_argument(
-                "--trace", nargs="?", const="stitched-trace.json",
-                default=None, metavar="OUT.json",
+                "--trace", dest="trace_out", nargs="?",
+                const="stitched-trace.json", default=None, metavar="OUT.json",
                 help="trace the request end to end and write one stitched "
                 "Perfetto-loadable file (client + daemon + store lanes)",
             )
-        else:
-            vp.add_argument("--threads", type=int, default=None)
-            vp.add_argument("--candidates", type=int, nargs="+", default=None)
-    part_cp = client_sub.add_parser("partition")
-    part_cp.add_argument("workload")
-    part_cp.add_argument("--size", type=int, default=None)
-    part_cp.add_argument("--targets", default="cpu,gpu,npu",
-                         help="comma-separated target set (default cpu,gpu,npu)")
-    part_cp.add_argument("--startup", default="smartfuse")
     stats_cp = client_sub.add_parser("stats")
     stats_cp.add_argument(
         "--json", action="store_true",

@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..ir import Affine, BinOp, Call, Const, Expr, Load, Program, REDUCE, TensorStore
 from ..presburger import Constraint, LinExpr
 from ..schedule import (
@@ -137,9 +138,7 @@ def generate_c(
     Tensors are read from ``<name>.bin`` (row-major float64) and live-out
     tensors are written back to ``<name>.out.bin``.
     """
-    from ..service import instrument
-
-    with instrument.span("codegen.generate_c"):
+    with obs.span("codegen.generate_c"):
         return _generate_c(tree, program, params)
 
 

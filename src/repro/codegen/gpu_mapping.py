@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .. import obs
 from ..core import OptimizeResult
 from ..schedule import (
     BandNode,
@@ -46,13 +47,12 @@ def map_to_gpu(result: OptimizeResult) -> List[KernelInfo]:
 
     The tree is modified in place (idempotent: existing marks are reused).
     """
-    from ..service import instrument
     from .promotion import promoted_buffers
 
-    with instrument.span("codegen.gpu_mapping"):
+    with obs.span("codegen.gpu_mapping"):
         buffers = promoted_buffers(result)
         kernels = _map_kernels(result, buffers)
-        instrument.annotate(kernels=len(kernels))
+        obs.annotate(kernels=len(kernels))
         return kernels
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
+from .. import obs
 from ..ir import Program
 from ..scheduler import FusionGroup
 
@@ -79,11 +80,9 @@ def promoted_buffers(
     A tensor is promoted when it is produced by a fused (extension) space
     and consumed inside the same cluster's tiles.
     """
-    from ..service import instrument
-
-    with instrument.span("codegen.promotion"):
+    with obs.span("codegen.promotion"):
         out = _promoted_buffers(result, params)
-        instrument.annotate(
+        obs.annotate(
             clusters=len(out), buffers=sum(len(b) for b in out.values())
         )
         return out

@@ -13,27 +13,14 @@ tiles (the stencil halo).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import Program
 from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, UnionMap, memo
 from ..scheduler import FusionGroup
-from ..service import instrument
+from .. import obs
 
 TILE_TUPLE = "_tile"
-
-#: Gate for the parametric-footprint engine: when enabled (the default),
-#: footprints requested with concrete integer tile sizes are computed once
-#: with *symbolic* sizes (Section V-A: tile-origin coordinates keep the
-#: containment constraints affine in a symbolic ``T``) and then specialized
-#: per size vector.  ``REPRO_PARAMETRIC_FP=0`` restores the per-candidate
-#: seed behavior — the autotune-parity CI job diffs the two.
-ENV_PARAMETRIC = "REPRO_PARAMETRIC_FP"
-
-
-def parametric_enabled() -> bool:
-    return os.environ.get(ENV_PARAMETRIC, "1").lower() not in ("0", "false", "no")
 
 
 def parametric_size_names(n: int) -> Tuple[str, ...]:
@@ -49,14 +36,15 @@ def parametric_binding(
 ) -> Optional[Tuple[Tuple[str, ...], Dict[str, int]]]:
     """``(names, {name: size})`` when the parametric engine applies.
 
-    Applies when the engine is enabled, every tile size is a concrete int
-    and the canonical symbolic names are fresh in the program (no clash
-    with statement dims/params, program params or the tile dims).  Returns
-    ``None`` otherwise, which keeps symbolic callers and exotic programs on
-    the direct path.
+    Footprints requested with concrete integer tile sizes are computed
+    once with *symbolic* sizes (Section V-A: tile-origin coordinates keep
+    the containment constraints affine in a symbolic ``T``) and then
+    specialized per size vector.  That applies when every tile size is a
+    concrete int and the canonical symbolic names are fresh in the program
+    (no clash with statement dims/params, program params or the tile
+    dims).  Returns ``None`` otherwise, which keeps symbolic callers and
+    exotic programs on the direct path.
     """
-    if not parametric_enabled():
-        return None
     sizes = tuple(tile_sizes)
     if not sizes or not all(type(s) is int for s in sizes):
         return None
@@ -148,7 +136,7 @@ def tile_to_instances(
     cached = _T2I_MEMO.get(key)
     if cached is not memo.MISS:
         return cached
-    with instrument.span("tile_to_instances", group=group.name):
+    with obs.span("tile_to_instances", group=group.name):
         return _tile_to_instances_miss(program, group, tile_sizes, tdims, key)
 
 
@@ -203,11 +191,11 @@ def tile_footprint(
     Only reads of the listed ``tensors`` (the upwards-exposed data) are
     included; results are keyed ``(TILE_TUPLE, tensor)``.
     """
-    with instrument.span("footprint", group=group.name, tensors=len(tensors)):
+    with obs.span("footprint", group=group.name, tensors=len(tensors)):
         fp = _tile_footprint(program, group, tile_sizes, tensors, tile_dims)
-        instrument.annotate(relations=len(fp.maps))
+        obs.annotate(relations=len(fp.maps))
         for m in fp.maps.values():
-            instrument.observe(
+            obs.observe(
                 "footprint.pieces", len(m.pieces), buckets=(1, 2, 4, 8, 16, 32)
             )
         return fp
@@ -257,7 +245,7 @@ def _tile_footprint(
                 out[tensor] = prev.union(fp.rename_dims(rename))
             else:
                 out[tensor] = fp
-    instrument.count("footprint.relations", len(out))
+    obs.count("footprint.relations", len(out))
     return _FOOTPRINT_MEMO.put(key, UnionMap(list(out.values())))
 
 
@@ -266,7 +254,7 @@ def footprint_size(
 ) -> int:
     """Exact number of elements a concrete tile touches."""
     n = fp.fix_params(params).image_of_point(tile_origin).count_points()
-    instrument.observe(
+    obs.observe(
         "footprint.size_elements",
         n,
         buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1048576),
@@ -353,7 +341,7 @@ def write_footprint(
     tile_dims: Optional[Sequence[str]] = None,
 ) -> UnionMap:
     """Like :func:`tile_footprint` but for writes (used for store traffic)."""
-    with instrument.span("write_footprint", group=group.name):
+    with obs.span("write_footprint", group=group.name):
         return _write_footprint(program, group, tile_sizes, tensors, tile_dims)
 
 

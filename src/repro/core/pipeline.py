@@ -28,7 +28,7 @@ from ..scheduler import (
     Scheduled,
     schedule_program,
 )
-from ..service import instrument
+from .. import obs
 from .compose import composite_tiling_fusion
 from .post_fusion import apply_mixed_schedules
 from .tile_shapes import MixedSchedules, TargetSpec
@@ -50,9 +50,6 @@ class OptimizeResult:
     def clusters(self) -> List[List[FusionGroup]]:
         """Final fusion clusters: each tiling entry plus its extensions."""
         return self.mixed.fused_groups()
-
-    def cluster_names(self) -> List[List[str]]:
-        return [[g.name for g in cluster] for cluster in self.clusters]
 
     def fusion_summary(self) -> List[List[str]]:
         """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``."""
@@ -89,28 +86,28 @@ def optimize(
     opts = resolve_options(options, "optimize", **removed)
     spec = opts.target
     t0 = time.perf_counter()
-    with instrument.span(
+    with obs.span(
         "optimize",
         target=spec.name,
         startup=opts.startup,
         statements=len(program.statements),
         tile_sizes=str(opts.tile_sizes) if opts.tile_sizes else "auto",
     ) as root:
-        if root is not None and instrument.tracing():
+        if root is not None and obs.tracing():
             # The fingerprint hash is only worth paying for in a trace.
             from ..service.fingerprint import fingerprint_program
 
             root.annotate(fingerprint=fingerprint_program(program)[:12])
-        with instrument.span("startup_fusion", heuristic=opts.startup):
+        with obs.span("startup_fusion", heuristic=opts.startup):
             scheduled = schedule_program(program, opts.startup)
-        with instrument.span("tile_shapes"):
+        with obs.span("tile_shapes"):
             mixed = composite_tiling_fusion(
                 program, scheduled, opts.tile_sizes, spec
             )
-        with instrument.span("post_fusion"):
+        with obs.span("post_fusion"):
             tree = apply_mixed_schedules(program, scheduled, mixed)
     elapsed = time.perf_counter() - t0
-    instrument.gauge("optimize.compile_seconds", elapsed)
+    obs.gauge("optimize.compile_seconds", elapsed)
     # Report the tile sizes the pass actually used: the first tiled
     # live-out entry carries the effective (clipped or defaulted) vector,
     # which differs from the caller's request when sizes were omitted

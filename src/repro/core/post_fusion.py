@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .. import obs
 from ..ir import Program
 from ..presburger import UnionMap
 from ..schedule import (
@@ -41,14 +42,12 @@ def apply_mixed_schedules(
 
     The tree held by ``scheduled`` is mutated in place and returned.
     """
-    from ..service import instrument
-
     tree = scheduled.tree
     for entry in mixed.tiling_entries():
         group = entry.group
         if not entry.is_tiled:
             continue  # untiled live-out space: leave its subtree alone
-        with instrument.span(
+        with obs.span(
             "tile_group", group=group.name, sizes=str(entry.tile_sizes)
         ):
             tile = tile_group(tree, group, entry.tile_sizes)
@@ -58,9 +57,9 @@ def apply_mixed_schedules(
                 "permutable"
             )
         for ext in mixed.extensions_of(group):
-            with instrument.span("splice_extension", group=ext.group.name):
+            with obs.span("splice_extension", group=ext.group.name):
                 _splice_extension(program, tree, tile, entry, ext)
-            instrument.count("post_fusion.extensions_spliced")
+            obs.count("post_fusion.extensions_spliced")
     return tree
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..ir import Program
 from ..presburger import Map, UnionMap
 from ..scheduler import FusionGroup
-from ..service import instrument
+from .. import obs
 from .exposed import exposed_tensors
 from .footprint import (
     TILE_TUPLE,
@@ -118,12 +118,6 @@ class MixedSchedules:
             if isinstance(e, ExtensionScheduleEntry) and e.target is group
         ]
 
-    def entry_of(self, group: FusionGroup) -> Optional[MixedEntry]:
-        for e in self.entries:
-            if e.group is group:
-                return e
-        return None
-
     def fused_groups(self) -> List[List[FusionGroup]]:
         """The fusion groups Algorithm 1 implies (one per tiling entry)."""
         out = []
@@ -146,7 +140,7 @@ def construct_tile_shapes(
     """
     mixed = MixedSchedules()
     _algorithm1(program, liveout, list(intermediates), tile_sizes, target, mixed)
-    instrument.count("tile_shapes.entries", len(mixed.entries))
+    obs.count("tile_shapes.entries", len(mixed.entries))
     return mixed
 
 
@@ -180,7 +174,7 @@ def _algorithm1(
     target: TargetSpec,
     mixed: MixedSchedules,
 ) -> None:
-    with instrument.span(
+    with obs.span(
         "algorithm1", liveout=liveout.name, intermediates=len(intermediates)
     ):
         _algorithm1_step(
@@ -253,7 +247,7 @@ def _algorithm1_step(
         if m > n:
             untiled.append(space)
             continue
-        with instrument.span("fuse_space", space=space.name):
+        with obs.span("fuse_space", space=space.name):
             entry = _fuse_space(
                 program,
                 space,
@@ -266,12 +260,12 @@ def _algorithm1_step(
                 budget,
                 binding,
             )
-            instrument.annotate(fused=entry is not None)
+            obs.annotate(fused=entry is not None)
         if entry is None:
-            instrument.count("tile_shapes.rejected_spaces")
+            obs.count("tile_shapes.rejected_spaces")
             untiled.append(space)
             continue
-        instrument.count("tile_shapes.fused_spaces")
+        obs.count("tile_shapes.fused_spaces")
         mixed.entries.append(entry)
 
     # Line 17: recursively handle the spaces left untiled.

@@ -29,6 +29,8 @@ import os
 import threading
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .. import obs
+
 #: Bump on any change to the record layout.
 DATASET_SCHEMA = "repro-autotune-dataset/1"
 
@@ -202,9 +204,7 @@ class Dataset:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(payload)
-        from ..service import instrument
-
-        instrument.count("data.records_appended", len(lines))
+        obs.count("data.records_appended", len(lines))
         return len(lines)
 
     # -- reading -----------------------------------------------------------

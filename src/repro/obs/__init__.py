@@ -1,7 +1,5 @@
-"""``repro.obs`` — the observability subsystem.
-
-Grown out of ``repro.service.instrument`` (which remains as a
-backwards-compatible alias):
+"""``repro.obs`` — the observability subsystem, and the one module every
+layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
 
 * :mod:`trace` — hierarchical spans with parent/child links and
   attributes, counters, gauges, histograms, per-compile

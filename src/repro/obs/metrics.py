@@ -227,17 +227,6 @@ class MetricsRegistry:
             "meta": dict(self.meta),
         }
 
-    @classmethod
-    def from_snapshot(cls, snap: Mapping[str, object]) -> "MetricsRegistry":
-        if snap.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"unsupported metrics snapshot schema {snap.get('schema')!r}"
-            )
-        reg = cls()
-        reg.merge_snapshot(snap)
-        reg.meta = dict(snap.get("meta", {}))
-        return reg
-
 
 @dataclass
 class MetricDelta:

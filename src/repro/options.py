@@ -40,10 +40,7 @@ class CompileOptions:
     cache directory, a directory path, a ``tiered:<local>|<remote>`` /
     ``http://host:port`` fabric spec, or a ``{"local": ..., "remote":
     ...}`` mapping (all resolved via
-    :func:`~repro.service.cache.resolve_cache`).  ``trace_sample`` is the
-    head-sampling probability for distributed traces minted on behalf of
-    this compile (1.0 = always trace, 0.0 = never; sampled-out requests
-    pay only the null-span fast path).
+    :func:`~repro.service.cache.resolve_cache`).
     """
 
     target: Union[str, object] = "cpu"
@@ -52,7 +49,6 @@ class CompileOptions:
     mode: str = "auto"
     jobs: Optional[int] = None
     cache: Optional[object] = None
-    trace_sample: float = 1.0
 
     def __post_init__(self):
         from .core.tile_shapes import TARGETS, TargetSpec
@@ -99,13 +95,6 @@ class CompileOptions:
             from .service.cache import resolve_cache
 
             object.__setattr__(self, "cache", resolve_cache(self.cache))
-
-        rate = float(self.trace_sample)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(
-                f"trace_sample must be in [0, 1], got {self.trace_sample!r}"
-            )
-        object.__setattr__(self, "trace_sample", rate)
 
     @property
     def target_name(self) -> str:

@@ -2,7 +2,7 @@
 
 :func:`partition_pipeline` assigns each pipeline stage to one of the
 ``cpu``/``gpu``/``npu`` targets (beam search over per-stage analytical
-costs, :mod:`repro.scheduler.partition_search`), groups contiguous
+costs, :mod:`repro.partition.search`), groups contiguous
 same-target runs into partitions, compiles every partition through the
 standard :func:`repro.core.optimize` pass for its target, and prices each
 cut edge with the transfer model on the **exact** Presburger footprint of
@@ -29,14 +29,9 @@ from ..core import OptimizeResult
 from ..ir import Program
 from ..machine import ITEMSIZE, analyze_optimized, program_cost, transfer_time
 from ..options import CompileOptions, PartitionOptions
-from ..scheduler.partition_search import (
-    beam_assign,
-    legal_targets,
-    score_assignment,
-    stage_infos,
-)
 from ..service.driver import cached_optimize
 from ..service.fingerprint import fingerprint_request
+from .search import beam_assign, legal_targets, score_assignment, stage_infos
 
 
 @dataclass(frozen=True)

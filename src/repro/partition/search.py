@@ -25,13 +25,12 @@ never assigned there — the NPU-offload-with-CPU-fallback scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import ASSIGN, Program
-
-if TYPE_CHECKING:  # repro.machine imports the scheduler; defer to call time
-    from ..machine.cost import ClusterWork
-    from ..machine.transfer import TransferSpec
+from ..machine.cost import ITEMSIZE, ClusterWork
+from ..machine.targets import cluster_cost
+from ..machine.transfer import TransferSpec, transfer_time
 
 #: Nominal tile edge used for the search's parallelism estimate.
 _EST_TILE = 32
@@ -49,15 +48,13 @@ class StageInfo:
     #: plus the accumulator footprint of a reduction — data that must be
     #: resident before the stage runs).
     consumes: Dict[str, int] = field(default_factory=dict)
-    work: Optional["ClusterWork"] = None
+    work: Optional[ClusterWork] = None
 
 
 def stage_infos(
     program: Program, params: Optional[Mapping[str, int]] = None
 ) -> List[StageInfo]:
     """Per-statement features for the whole pipeline, in program order."""
-    from ..machine.cost import ClusterWork, ITEMSIZE
-
     params = dict(program.params, **(params or {}))
     stages: List[StageInfo] = []
     for i, stmt in enumerate(program.statements):
@@ -124,13 +121,10 @@ def legal_targets(stage: StageInfo, targets: Sequence[str]) -> List[str]:
 def score_assignment(
     stages: Sequence[StageInfo],
     assignment: Sequence[str],
-    transfer: "TransferSpec",
+    transfer: TransferSpec,
     threads: int = 32,
 ) -> float:
     """The search's modeled total of one explicit assignment."""
-    from ..machine.targets import cluster_cost
-    from ..machine.transfer import transfer_time
-
     producer: Dict[str, int] = {}
     total = 0.0
     for stage, target in zip(stages, assignment):
@@ -149,7 +143,7 @@ def score_assignment(
 def beam_assign(
     stages: Sequence[StageInfo],
     targets: Sequence[str],
-    transfer: "TransferSpec",
+    transfer: TransferSpec,
     threads: int = 32,
     beam_width: int = 8,
 ) -> Tuple[List[str], float]:
@@ -159,9 +153,6 @@ def beam_assign(
     and the search's modeled total (per-stage compute + cut transfers).
     Deterministic: ties break on the assignment tuple.
     """
-    from ..machine.targets import cluster_cost
-    from ..machine.transfer import transfer_time
-
     # Latest producer of each tensor, as a stage index.
     producer: Dict[str, int] = {}
     producers_before: List[Dict[str, int]] = []

@@ -173,18 +173,3 @@ class ImagePipeline:
         prog = self.b.build()
         prog.stages = [list(s) for s in self.stages]  # type: ignore[attr-defined]
         return prog
-
-
-def crop_to(pipe: ImagePipeline, label: str, src: Image, h: int, w: int) -> Image:
-    """Pointwise copy into a smaller valid region (aligns pyramid levels)."""
-    out = Image(pipe.b.tensor(f"t_{label}", (h, w)), h, w)
-    hi, wi = pipe.b.iters("h", "w")
-    stmt = pipe.b.assign(
-        pipe._sname(label),
-        (hi, wi),
-        f"0 <= h < {h} and 0 <= w < {w}",
-        out.tensor[hi, wi],
-        src.tensor[hi, wi],
-    )
-    pipe.stages.append([stmt.name])
-    return out

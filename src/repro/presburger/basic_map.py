@@ -184,10 +184,6 @@ class BasicMap:
         )
         return _APPLY_MEMO.put(key, BasicMap(out_space, projected.constraints))
 
-    def apply_domain(self, other: "BasicMap") -> "BasicMap":
-        """``{ y -> z : exists x. self(x,z) and other(x,y) }``."""
-        return self.reverse().apply_range(other).reverse()
-
     def apply_to_set(self, bset: BasicSet) -> BasicSet:
         """Image of ``bset`` under the relation."""
         if len(bset.space.dims) != self.space.n_in:

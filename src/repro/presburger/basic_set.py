@@ -226,13 +226,6 @@ class BasicSet:
 
     # -- bounds / counting -------------------------------------------------
 
-    def dim_bounds(
-        self, dim: str, binding: Mapping[str, int]
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Integer bounds of ``dim`` once all other symbols are bound."""
-        lo, hi, _ = bounds_for_symbol(list(self.constraints), dim, dict(binding))
-        return lo, hi
-
     def bounding_box(
         self, params: Mapping[str, int] | None = None
     ) -> Dict[str, Tuple[Optional[int], Optional[int]]]:

@@ -29,7 +29,7 @@ survive a fresh process with a fresh symbol table) and
 are counted separately so ``optimize --stats`` can attribute speedups to
 cross-process warm-starts.
 
-Hit/miss counts are forwarded to :mod:`repro.service.instrument` (visible
+Hit/miss counts are forwarded to :mod:`repro.obs` (visible
 under ``optimize --stats`` as ``presburger.memo.<op>.hit/miss/warm_hit``)
 and kept process-wide for :func:`stats`.  Memoization is an optimisation
 only, so losing entries — to eviction or a failed spill — is always safe.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..service import instrument
+from .. import obs
 
 #: Sentinel distinguishing "no entry" from a cached ``None``/``False``.
 MISS = object()
@@ -84,13 +84,13 @@ class MemoTable:
                 self.data[key] = value
         if value is MISS:
             self.misses += 1
-            instrument.count(self._miss_counter)
+            obs.count(self._miss_counter)
         else:
             self.hits += 1
-            instrument.count(self._hit_counter)
+            obs.count(self._hit_counter)
             if key in self._warm:
                 self.warm_hits += 1
-                instrument.count(self._warm_counter)
+                obs.count(self._warm_counter)
         return value
 
     def put(self, key, value):

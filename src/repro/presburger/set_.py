@@ -239,23 +239,6 @@ class Set:
             mkey, Set(self.space, [p for p, d in zip(live, dropped) if not d])
         )
 
-    def coalesce_exact(self) -> "Set":
-        """Integer-exact coalescing (original semantics; O(n^2) searches)."""
-        live = [p for p in self.pieces if not p.is_empty()]
-        dropped = [False] * len(live)
-        for i, p in enumerate(live):
-            for j, q in enumerate(live):
-                if i == j or dropped[i] or dropped[j]:
-                    continue
-                if p.is_subset(q):
-                    if j > i and q.is_subset(p):
-                        # Equal pieces: keep the earlier one, drop the later
-                        # when its turn comes.
-                        continue
-                    dropped[i] = True
-                    break
-        return Set(self.space, [p for p, d in zip(live, dropped) if not d])
-
     def project_out(self, dims: Sequence[str]) -> "Set":
         pieces = [p.project_out(dims) for p in self.pieces]
         space = self.space.drop_dims(dims)

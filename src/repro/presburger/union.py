@@ -197,16 +197,6 @@ class UnionMap:
     def __len__(self) -> int:
         return len(self.maps)
 
-    def with_in_name(self, name: str) -> "UnionMap":
-        return UnionMap(
-            {k: m for k, m in self.maps.items() if k[0] == name}
-        )
-
-    def with_out_name(self, name: str) -> "UnionMap":
-        return UnionMap(
-            {k: m for k, m in self.maps.items() if k[1] == name}
-        )
-
     # -- queries -----------------------------------------------------------
 
     def is_empty(self) -> bool:

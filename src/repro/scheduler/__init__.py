@@ -13,7 +13,6 @@ from .fusion import (
 from .parallelism import band_attributes, fusion_preserves_parallelism, required_shifts
 from .stages import FusionGroup, group_band, group_of_statement, groups_tree, identity_rows
 from .autotune import TuneResult, autotune_tile_sizes
-from .partition_search import StageInfo, beam_assign, legal_targets, stage_infos
 from .tiling import (
     tile_all_groups,
     tile_band,
@@ -39,12 +38,8 @@ __all__ = [
     "identity_rows",
     "required_shifts",
     "schedule_program",
-    "StageInfo",
     "TuneResult",
     "autotune_tile_sizes",
-    "beam_assign",
-    "legal_targets",
-    "stage_infos",
     "tile_all_groups",
     "tile_band",
     "tile_band_multilevel",

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..ir import Program
 
 CANDIDATE_SIZES = (8, 16, 32, 64, 128, 256, 512)
@@ -141,7 +142,6 @@ def autotune_tile_sizes(
     """
     from ..data import resolve_dataset
     from ..options import resolve_options
-    from ..service import instrument
 
     if search not in SEARCH_MODES:
         raise ValueError(
@@ -179,23 +179,23 @@ def autotune_tile_sizes(
                 f"extent {bounds[over]} in dim {over}"
             )
 
-    with instrument.span("autotune", search=search, candidates=len(combos)):
-        instrument.count("autotune.requests")
+    with obs.span("autotune", search=search, candidates=len(combos)):
+        obs.count("autotune.requests")
         chosen = combos
         if search == "pruned":
-            instrument.count("autotune.pruned.requests")
+            obs.count("autotune.pruned.requests")
             chosen = _rank_and_cut(
                 program, combos, dims, threads, spec.name, bounds,
                 model, top_k, result,
             )
             if result.fallback_reason is not None:
-                instrument.count("autotune.pruned.fallbacks")
+                obs.count("autotune.pruned.fallbacks")
                 result.search = "exhaustive"
                 chosen = combos
             else:
                 result.pruned_out = len(combos) - len(chosen)
-                instrument.count("autotune.pruned.exact_evals", len(chosen))
-                instrument.count("autotune.pruned.pruned_out", result.pruned_out)
+                obs.count("autotune.pruned.exact_evals", len(chosen))
+                obs.count("autotune.pruned.pruned_out", result.pruned_out)
 
         _evaluate(program, chosen, threads, spec, opts, result, works)
         if (
@@ -206,14 +206,14 @@ def autotune_tile_sizes(
             # Every ranked candidate was infeasible: rescue with the rest
             # of the grid rather than failing a search the exhaustive
             # sweep would have completed.
-            instrument.count("autotune.pruned.rescues")
+            obs.count("autotune.pruned.rescues")
             result.fallback_reason = "all top-k candidates infeasible"
             result.search = "exhaustive"
             result.pruned_out = 0
             kept = set(chosen)
             remaining = [c for c in combos if c not in kept]
             _evaluate(program, remaining, threads, spec, opts, result, works)
-        instrument.count("autotune.exact_evals", len(result.evaluations))
+        obs.count("autotune.exact_evals", len(result.evaluations))
 
     result.tuning_seconds = time.perf_counter() - t0
     if not result.evaluations:

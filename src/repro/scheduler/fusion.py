@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..deps import Dependence, memory_deps
+from .. import obs
 from ..ir import Program
 from ..presburger import LinExpr, memo
 from ..schedule import DomainNode
@@ -70,18 +71,17 @@ def schedule_program(program: Program, heuristic: str = SMARTFUSE) -> Scheduled:
     """Apply a start-up fusion heuristic and build the schedule tree."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; choose from {HEURISTICS}")
-    from ..service import instrument
     from ..service.fingerprint import fingerprint_program
 
-    with instrument.span("scheduler", heuristic=heuristic):
+    with obs.span("scheduler", heuristic=heuristic):
         key = (fingerprint_program(program), heuristic)
         cached = _STARTUP_MEMO.get(key)
         if cached is not memo.MISS:
             deps, groups = cached
-            instrument.count("scheduler.startup_memo.hit")
+            obs.count("scheduler.startup_memo.hit")
         else:
-            instrument.count("scheduler.startup_memo.miss")
-            with instrument.span("scheduler.analyze", heuristic=heuristic):
+            obs.count("scheduler.startup_memo.miss")
+            with obs.span("scheduler.analyze", heuristic=heuristic):
                 deps = memory_deps(program)
                 if heuristic == MINFUSE:
                     groups = _minfuse(program, deps)
@@ -92,8 +92,8 @@ def schedule_program(program: Program, heuristic: str = SMARTFUSE) -> Scheduled:
                 else:
                     groups = _hybridfuse(program, deps)
             _STARTUP_MEMO.put(key, (deps, groups))
-        instrument.annotate(groups=len(groups), deps=len(deps))
-        with instrument.span("scheduler.build_tree"):
+        obs.annotate(groups=len(groups), deps=len(deps))
+        with obs.span("scheduler.build_tree"):
             tree = groups_tree(program, groups)
     return Scheduled(
         program, heuristic, groups, deps, tree, hybrid_inner=heuristic == HYBRIDFUSE

@@ -14,7 +14,7 @@ metrics registry hot, deduplicates identical in-flight requests
   and a background-thread harness (:class:`ServerThread`);
 * :mod:`client` — the blocking :class:`ServeClient` library.
 
-``protocol`` is imported eagerly (tiny, stdlib-only); the server and
+``protocol`` is imported eagerly (tiny; stdlib plus ``repro.obs``); the server and
 client load lazily on first attribute access so ``import repro.serve``
 stays cheap.
 """

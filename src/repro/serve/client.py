@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from functools import partialmethod
 from typing import Mapping, Optional
 
 from . import protocol
@@ -102,70 +103,27 @@ class ServeClient:
 
     # -- verbs -------------------------------------------------------------
 
-    def compile(
-        self,
-        workload: str,
-        size: Optional[int] = None,
-        target: str = "cpu",
-        tile_sizes=None,
-        startup: str = "smartfuse",
-        trace: Optional[distributed.TraceContext] = None,
-    ) -> dict:
-        """Compile via the daemon.
+    def work(self, verb: str, workload: str, **params) -> dict:
+        """One work-verb request.  The keyword params are the verb's row
+        of :data:`protocol.PARAMS`; ``None`` (like leaving one out) means
+        the server's default.
 
         ``trace`` attaches a distributed-trace context (mint one with
         :meth:`new_trace`); a sampled context makes the daemon return its
         span tree in the result's ``trace`` field for stitching.
         """
-        params = {"workload": workload, "target": target, "startup": startup}
-        if size is not None:
-            params["size"] = size
-        if tile_sizes is not None:
-            params["tile_sizes"] = list(tile_sizes)
-        if trace is not None:
-            params["trace"] = trace.to_wire()
-        return self.call("compile", params)
+        unknown = sorted(set(params) - set(protocol.PARAMS[verb]))
+        if unknown:
+            raise TypeError(f"{verb} takes no param {', '.join(unknown)}")
+        wire = {"workload": workload}
+        for name, value in params.items():
+            if value is not None:
+                wire[name] = value.to_wire() if name == "trace" else value
+        return self.call(verb, wire)
 
-    def autotune(
-        self,
-        workload: str,
-        size: Optional[int] = None,
-        target: str = "cpu",
-        threads: Optional[int] = None,
-        candidates=None,
-        dims: Optional[int] = None,
-        startup: str = "smartfuse",
-        trace: Optional[distributed.TraceContext] = None,
-    ) -> dict:
-        params = {"workload": workload, "target": target, "startup": startup}
-        if size is not None:
-            params["size"] = size
-        if threads is not None:
-            params["threads"] = threads
-        if candidates is not None:
-            params["candidates"] = list(candidates)
-        if dims is not None:
-            params["dims"] = dims
-        if trace is not None:
-            params["trace"] = trace.to_wire()
-        return self.call("autotune", params)
-
-    def partition(
-        self,
-        workload: str,
-        size: Optional[int] = None,
-        targets=None,
-        startup: str = "smartfuse",
-        trace: Optional[distributed.TraceContext] = None,
-    ) -> dict:
-        params = {"workload": workload, "startup": startup}
-        if size is not None:
-            params["size"] = size
-        if targets is not None:
-            params["targets"] = list(targets)
-        if trace is not None:
-            params["trace"] = trace.to_wire()
-        return self.call("partition", params)
+    compile = partialmethod(work, "compile")
+    autotune = partialmethod(work, "autotune")
+    partition = partialmethod(work, "partition")
 
     @staticmethod
     def new_trace(sampled: bool = True) -> distributed.TraceContext:

@@ -21,13 +21,16 @@ Responses::
 Validation is hand-rolled (error lists, same style as
 :mod:`repro.obs.schema`) and runs on *both* ends: the server validates
 every request before touching the compiler, the client validates every
-response before trusting it.
+response before trusting it.  What each method's params may be is one
+table, :data:`PARAMS`.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List, Mapping, Optional, Union
+
+from ..obs.distributed import validate_trace_field
 
 #: Protocol tag carried by every message; bump the suffix on any
 #: incompatible change to the message or params layout.
@@ -61,11 +64,82 @@ ERROR_CODES = (
 #: a stats reply a few hundred KB — anything near this is abuse.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-_TARGETS = ("cpu", "gpu", "npu")
+TARGETS = ("cpu", "gpu", "npu")
 
 
 class ProtocolError(ValueError):
     """A message violated the repro-serve/1 framing or schema."""
+
+
+# -- params ----------------------------------------------------------------
+
+
+def _must(ok, what: str):
+    """A checker: ``check(name, value)`` -> error list with one
+    ``<name> must be <what>`` line when ``ok(value)`` is false."""
+
+    def check(name: str, value: object) -> List[str]:
+        return [] if ok(value) else [f"{name} must be {what}, got {value!r}"]
+
+    return check
+
+
+def _is_int(v: object, minimum: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
+def _is_array_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(ok, v))
+
+
+def _check_trace(_name: str, value: object) -> List[str]:
+    # Optional distributed-trace context; an absent field is the
+    # pre-trace wire format and stays valid (back-compat).
+    return validate_trace_field(value)
+
+
+NAME = _must(lambda v: isinstance(v, str) and bool(v), "a non-empty string")
+STR = _must(lambda v: isinstance(v, str), "a string")
+POS_INT = _must(_is_int, "an int >= 1")
+NONNEG_INT = _must(lambda v: _is_int(v, 0), "an int >= 0")
+POS_INTS = _must(_is_array_of(_is_int), "a non-empty array of positive ints")
+TARGET = _must(lambda v: v in TARGETS, f"one of {TARGETS}")
+TARGET_LIST = _must(
+    _is_array_of(lambda v: v in TARGETS), f"a non-empty array drawn from {TARGETS}"
+)
+
+#: Default marker of a param the request must carry.
+REQUIRED = object()
+
+_WORK = {
+    "workload": (NAME, REQUIRED),
+    "size": (POS_INT, None),
+    "startup": (STR, "smartfuse"),
+    "trace": (_check_trace, None),
+}
+
+#: method -> param name -> (checker, default): the one description of what
+#: each method accepts.  :func:`validate_params` runs the checkers, the
+#: server fills absent/``null`` params with the defaults, and
+#: ``ServeClient.work`` and the ``repro client`` flags are generated from
+#: the rows of the work verbs (``compile`` / ``autotune`` / ``partition``)
+#: — a new param is one new entry here.
+PARAMS: Dict[str, Dict[str, tuple]] = {
+    "compile": {
+        **_WORK,
+        "target": (TARGET, "cpu"),
+        "tile_sizes": (POS_INTS, None),  # None: the workload's default tiles
+    },
+    "autotune": {
+        **_WORK,
+        "target": (TARGET, "cpu"),
+        "threads": (POS_INT, 32),
+        "dims": (POS_INT, 2),
+        "candidates": (POS_INTS, (8, 16, 32, 64, 128)),
+    },
+    "partition": {**_WORK, "targets": (TARGET_LIST, TARGETS)},
+    "watch": {"since": (NONNEG_INT, 0), "limit": (POS_INT, None)},
+}
 
 
 # -- construction ----------------------------------------------------------
@@ -159,83 +233,24 @@ def validate_request(obj: object) -> List[str]:
 
 
 def validate_params(method: str, params: Mapping) -> List[str]:
-    """Errors in one method's params (empty list = valid)."""
+    """Errors in one method's params (empty list = valid).
+
+    Absent and ``null`` are the same thing for an optional param."""
     errors: List[str] = []
-
-    def _opt_int(key, minimum=1):
-        v = params.get(key)
-        if v is None:
-            return
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            errors.append(f"{key} must be an int >= {minimum}, got {v!r}")
-
-    if method in ("compile", "autotune", "partition"):
-        workload = params.get("workload")
-        if not isinstance(workload, str) or not workload:
-            errors.append(f"workload must be a non-empty string, got {workload!r}")
-        _opt_int("size")
-        target = params.get("target", "cpu")
-        if target not in _TARGETS:
-            errors.append(f"target must be one of {_TARGETS}, got {target!r}")
-        startup = params.get("startup", "smartfuse")
-        if not isinstance(startup, str):
-            errors.append(f"startup must be a string, got {startup!r}")
-        trace = params.get("trace")
-        if trace is not None:
-            # Optional distributed-trace context; an absent field is the
-            # pre-trace wire format and stays valid (back-compat).
-            from ..obs.distributed import validate_trace_field
-
-            errors.extend(validate_trace_field(trace))
-    if method == "watch":
-        _opt_int("since", minimum=0)
-        limit = params.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-        ):
-            errors.append(f"limit must be an int >= 1, got {limit!r}")
-    if method == "compile":
-        tiles = params.get("tile_sizes")
-        if tiles is not None and (
-            not isinstance(tiles, (list, tuple))
-            or not tiles
-            or any(
-                not isinstance(t, int) or isinstance(t, bool) or t <= 0
-                for t in tiles
-            )
-        ):
-            errors.append(
-                f"tile_sizes must be a non-empty array of positive ints, "
-                f"got {tiles!r}"
-            )
-    if method == "partition":
-        targets = params.get("targets")
-        if targets is not None and (
-            not isinstance(targets, (list, tuple))
-            or not targets
-            or any(t not in _TARGETS for t in targets)
-        ):
-            errors.append(
-                f"targets must be a non-empty array drawn from {_TARGETS}, "
-                f"got {targets!r}"
-            )
-    if method == "autotune":
-        candidates = params.get("candidates")
-        if candidates is not None and (
-            not isinstance(candidates, (list, tuple))
-            or not candidates
-            or any(
-                not isinstance(c, int) or isinstance(c, bool) or c <= 0
-                for c in candidates
-            )
-        ):
-            errors.append(
-                f"candidates must be a non-empty array of positive ints, "
-                f"got {candidates!r}"
-            )
-        _opt_int("threads")
-        _opt_int("dims")
+    for name, (check, default) in PARAMS.get(method, {}).items():
+        value = params.get(name)
+        if value is not None or default is REQUIRED:
+            errors.extend(check(name, value))
     return errors
+
+
+def fill_defaults(method: str, params: Mapping) -> Dict[str, object]:
+    """Every param of ``method``'s row, absent and ``null`` ones replaced
+    by their default (a validated request has no ``REQUIRED`` left)."""
+    return {
+        name: default if params.get(name) is None else params[name]
+        for name, (_check, default) in PARAMS[method].items()
+    }
 
 
 def validate_response(obj: object) -> List[str]:

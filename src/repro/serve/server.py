@@ -45,7 +45,6 @@ needs a lock.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import os
 import signal
@@ -54,11 +53,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from ..obs import MetricsRegistry
-from ..obs import distributed
+from .. import obs
+from ..obs import MetricsRegistry, distributed
 from ..obs.events import EventLog, SampleRing
 from . import protocol
 from .singleflight import SingleFlight
@@ -137,14 +137,13 @@ class ServeConfig:
 
 
 class CompileServer:
-    """The daemon.  ``compile_fn``/``autotune_fn`` are injectable for
-    tests: synchronous callables run on the worker pool, taking the
-    normalized params dict and returning ``(summary_dict, report|None)``."""
+    """The daemon.  ``work_fns`` maps a work verb to a replacement for its
+    built-in work fn (tests inject fakes): a synchronous callable run on
+    the worker pool as ``fn(norm, report)`` — the normalized params dict
+    and the already-active tracing collector to reuse, or ``None`` —
+    returning ``(summary_dict, report|None)``."""
 
-    def __init__(
-        self, config: ServeConfig, compile_fn=None, autotune_fn=None,
-        partition_fn=None,
-    ):
+    def __init__(self, config: ServeConfig, work_fns=None):
         self.config = config
         if config.cache is None:
             self.cache = None
@@ -157,11 +156,16 @@ class CompileServer:
         self.ring = SampleRing(config.ring_size)
         self._prev_sample: Optional[Dict[str, float]] = None
         self._sampler: Optional[asyncio.Task] = None
-        self._compile_fn = compile_fn or self._compile_workload
-        self._autotune_fn = autotune_fn or self._autotune_workload
-        self._partition_fn = partition_fn or self._partition_workload
+        bodies = {
+            "compile": self._compile,
+            "autotune": self._autotune,
+            "partition": self._partition,
+        }
+        self._work_fns = {
+            verb: partial(self._work, body) for verb, body in bodies.items()
+        }
+        self._work_fns.update(work_fns or {})
         self._flight = SingleFlight()
-        self._shares_report: Dict[object, bool] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._servers = []
         self._writers = set()
@@ -370,10 +374,10 @@ class CompileServer:
 
     def _watch(self, params: dict) -> dict:
         """Telemetry samples newer than ``since`` plus recent events."""
-        samples, missed = self.ring.since(int(params.get("since", 0)))
-        limit = params.get("limit")
-        if limit is not None:
-            samples = samples[-int(limit):]
+        params = protocol.fill_defaults("watch", params)
+        samples, missed = self.ring.since(params["since"])
+        if params["limit"] is not None:
+            samples = samples[-params["limit"]:]
         return {
             "interval": self.config.sample_interval,
             "samples": samples,
@@ -479,7 +483,7 @@ class CompileServer:
             return self._watch(params)
         if method == "shutdown":
             return self._shutdown()
-        # compile / autotune: real work, subject to draining and limits.
+        # A work verb: real work, subject to draining and limits.
         ctx = distributed.TraceContext.from_wire(params.get("trace"))
         if ctx is not None and ctx.sampled:
             # Head-sampling is re-decided here so ``--trace-sample`` can
@@ -512,73 +516,35 @@ class CompileServer:
             )
         client["inflight"] += 1
         try:
-            if method == "compile":
-                return await self._rpc_compile(params, ctx)
-            if method == "partition":
-                return await self._rpc_partition(params, ctx)
-            return await self._rpc_autotune(params, ctx)
+            return await self._rpc_work(method, params, ctx)
         finally:
             client["inflight"] -= 1
 
     # -- methods -----------------------------------------------------------
 
-    def _normalize_compile(self, params: dict) -> Dict[str, object]:
+    def _normalize(self, method: str, params: dict) -> Dict[str, object]:
+        """The verb's params with every default filled in, minus the trace
+        context — what the work fn sees and the flight key is made of."""
         from ..scheduler import HEURISTICS
         from ..workloads import default_tile_sizes, is_workload
 
-        name = params["workload"]
-        if not is_workload(name):
-            raise RequestError("bad-request", f"unknown workload {name!r}")
-        startup = params.get("startup", "smartfuse")
-        if startup not in HEURISTICS:
+        norm = protocol.fill_defaults(method, params)
+        del norm["trace"]
+        if not is_workload(norm["workload"]):
+            raise RequestError(
+                "bad-request", f"unknown workload {norm['workload']!r}"
+            )
+        if norm["startup"] not in HEURISTICS:
             raise RequestError(
                 "bad-request",
-                f"unknown startup heuristic {startup!r}; "
+                f"unknown startup heuristic {norm['startup']!r}; "
                 f"choose from {HEURISTICS}",
             )
-        tiles = params.get("tile_sizes")
-        if tiles is None:
-            tiles = default_tile_sizes(name)
-        return {
-            "workload": name,
-            "size": params.get("size"),
-            "target": params.get("target", "cpu"),
-            "tile_sizes": list(tiles) if tiles is not None else None,
-            "startup": startup,
-        }
+        if method == "compile" and norm["tile_sizes"] is None:
+            norm["tile_sizes"] = default_tile_sizes(norm["workload"])
+        return norm
 
-    async def _rpc_compile(self, params: dict, ctx=None) -> dict:
-        norm = self._normalize_compile(params)
-        return await self._run_flight(
-            "compile", norm, self._compile_fn, ctx, "compile-error"
-        )
-
-    async def _rpc_autotune(self, params: dict, ctx=None) -> dict:
-        norm = self._normalize_compile({**params, "tile_sizes": None})
-        norm.pop("tile_sizes")
-        norm["threads"] = params.get("threads", 32)
-        norm["dims"] = params.get("dims", 2)
-        candidates = params.get("candidates")
-        norm["candidates"] = (
-            list(candidates) if candidates is not None else [8, 16, 32, 64, 128]
-        )
-        return await self._run_flight(
-            "autotune", norm, self._autotune_fn, ctx, "autotune-error"
-        )
-
-    async def _rpc_partition(self, params: dict, ctx=None) -> dict:
-        norm = self._normalize_compile({**params, "tile_sizes": None})
-        norm.pop("tile_sizes")
-        norm.pop("target", None)
-        targets = params.get("targets")
-        norm["targets"] = (
-            list(targets) if targets is not None else ["cpu", "gpu", "npu"]
-        )
-        return await self._run_flight(
-            "partition", norm, self._partition_fn, ctx, "partition-error"
-        )
-
-    async def _run_flight(self, method, norm, fn, ctx, error_code) -> dict:
+    async def _rpc_work(self, method: str, params: dict, ctx) -> dict:
         """Single-flight dedup + trace/lifecycle bookkeeping for one verb.
 
         The flight key ignores the trace context on purpose: identical
@@ -586,6 +552,8 @@ class CompileServer:
         leader's request gets its span tree back (followers see
         ``deduped: true`` and can re-request untraced work).
         """
+        norm = self._normalize(method, params)
+        fn = self._work_fns[method]
         key = method + ":" + json.dumps(norm, sort_keys=True)
         task, leader = self._flight.task(key, lambda: self._lead(norm, fn, ctx))
         if not leader:
@@ -605,7 +573,7 @@ class CompileServer:
                 method=method,
                 error=summary["error"],
             )
-            raise RequestError(error_code, summary["error"])
+            raise RequestError(f"{method}-error", summary["error"])
         result = dict(summary)
         trace_payload = result.pop("_trace", None)
         result["deduped"] = not leader
@@ -675,37 +643,23 @@ class CompileServer:
 
         Returns ``(summary, report, wire_spans|None)``.  Unsampled (or
         untraced) requests skip the collector entirely — the null-span
-        fast path.  The server's own workload fns accept ``report=`` and
-        reuse the tracing collector instead of opening their usual inner
-        one — two stacked collectors would double the dispatch cost of
-        every hot-loop counter, which is exactly the overhead the traced
-        budget in ``bench_obs_overhead --serve`` polices.  Injected test
-        ``compile_fn``\\ s keep their one-argument signature and simply
-        nest."""
-        from ..service import instrument
-
+        fast path.  A traced request hands its collector to ``fn`` to
+        reuse instead of opening an inner one — two stacked collectors
+        would double the dispatch cost of every hot-loop counter, which
+        is exactly the overhead the traced budget in
+        ``bench_obs_overhead --serve`` polices."""
         if ctx is None or not ctx.sampled:
-            summary, report = fn(norm)
+            summary, report = fn(norm, None)
             return summary, report, None
-        shares_report = self._shares_report.get(fn)
-        if shares_report is None:
-            try:
-                shares_report = "report" in inspect.signature(fn).parameters
-            except (TypeError, ValueError):  # builtins, odd callables
-                shares_report = False
-            self._shares_report[fn] = shares_report
         with distributed.use_context(ctx):
-            with instrument.collect(trace=True) as traced:
-                with instrument.span(
+            with obs.collect(trace=True) as traced:
+                with obs.span(
                     "serve.request",
                     trace_id=ctx.trace_id,
                     parent_span_id=ctx.span_id,
                     workload=norm.get("workload"),
                 ):
-                    if shares_report:
-                        summary, report = fn(norm, report=traced)
-                    else:
-                        summary, report = fn(norm)
+                    summary, report = fn(norm, traced)
         wire = distributed.report_to_wire(traced, service="daemon", ctx=ctx)
         return summary, report, wire
 
@@ -755,42 +709,52 @@ class CompileServer:
 
     # -- the real work (worker-pool threads) --------------------------------
 
-    def _compile_workload(self, norm: dict, report=None):
-        """Compile one normalized request through the batch driver.
-
-        Runs on a worker thread; returns ``(summary, report)``.  The
-        driver sees the shared thread-safe cache, so a warm fingerprint
-        never compiles and a fresh result is stored for every later
-        request (and process).  ``report`` is an already-active tracing
-        collector to reuse (see ``_call_traced``)."""
-        from ..options import CompileOptions
-        from ..service import instrument
-        from ..service.driver import CompileRequest, compile_batch
+    def _work(self, body, norm: dict, report):
+        """The built-in work fn of every verb, on a worker thread: open a
+        collector (or reuse ``report``, see ``_call_traced``), build the
+        workload, run the verb's ``body(norm, program)``, time it.  A body
+        that raises answers ``<verb>-error`` rather than taking the
+        request down."""
         from ..workloads import build_workload
 
         t0 = perf_counter()
-        with (
-            instrument.collect() if report is None else nullcontext(report)
-        ) as report:
+        with obs.collect() if report is None else nullcontext(report) as report:
             program = build_workload(norm["workload"], norm["size"])
-            request = CompileRequest(
-                program,
-                target=norm["target"],
-                tile_sizes=norm["tile_sizes"],
-                startup=norm["startup"],
-            )
-            (outcome,) = compile_batch(
-                [request],
-                options=CompileOptions(mode="serial", cache=self.cache),
-            )
+            try:
+                summary = body(norm, program)
+            except Exception as exc:
+                summary = {"error": f"{type(exc).__name__}: {exc}"}
         summary = {
             "workload": norm["workload"],
             "size": norm["size"],
+            "from_cache": False,
+            "error": None,
+            **summary,
+            "compile_ms": (perf_counter() - t0) * 1e3,
+        }
+        return summary, report
+
+    def _compile(self, norm: dict, program) -> dict:
+        """One compile through the batch driver, which sees the shared
+        thread-safe cache: a warm fingerprint never compiles and a fresh
+        result is stored for every later request (and process)."""
+        from ..options import CompileOptions
+        from ..service.driver import CompileRequest, compile_batch
+
+        request = CompileRequest(
+            program,
+            target=norm["target"],
+            tile_sizes=norm["tile_sizes"],
+            startup=norm["startup"],
+        )
+        (outcome,) = compile_batch(
+            [request], options=CompileOptions(mode="serial", cache=self.cache)
+        )
+        summary = {
             "target": norm["target"],
             "startup": norm["startup"],
             "fingerprint": outcome.fingerprint,
             "from_cache": outcome.from_cache,
-            "compile_ms": (perf_counter() - t0) * 1e3,
             "error": outcome.error,
         }
         if outcome.ok:
@@ -800,100 +764,54 @@ class CompileServer:
                 else None
             )
             summary["fusion"] = outcome.result.fusion_summary()
-        return summary, report
+        return summary
 
-    def _partition_workload(self, norm: dict, report=None):
-        """Multi-target partitioning for one normalized request.
-
-        Runs on a worker thread; every partition compiles through
+    def _partition(self, norm: dict, program) -> dict:
+        """Multi-target partitioning; every partition compiles through
         ``cached_optimize`` against the shared cache, so repeated
         partitions of the same pipeline are warm."""
         from ..options import PartitionOptions
         from ..partition import partition_pipeline
-        from ..service import instrument
-        from ..workloads import build_workload
 
-        t0 = perf_counter()
-        with (
-            instrument.collect() if report is None else nullcontext(report)
-        ) as report:
-            program = build_workload(norm["workload"], norm["size"])
-            try:
-                sched = partition_pipeline(
-                    program,
-                    options=PartitionOptions(
-                        targets=tuple(norm["targets"]),
-                        startup=norm["startup"],
-                        cache=self.cache,
-                    ),
-                )
-            except Exception as exc:
-                summary = {
-                    "workload": norm["workload"],
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "compile_ms": (perf_counter() - t0) * 1e3,
-                }
-                return summary, report
-        summary = dict(sched.summary())
-        summary.update(
-            {
-                "workload": norm["workload"],
-                "size": norm["size"],
-                "targets_used": list(sched.targets_used),
-                "degenerate": sched.is_degenerate,
-                "from_cache": False,
-                "compile_ms": (perf_counter() - t0) * 1e3,
-                "error": None,
-            }
+        sched = partition_pipeline(
+            program,
+            options=PartitionOptions(
+                targets=tuple(norm["targets"]),
+                startup=norm["startup"],
+                cache=self.cache,
+            ),
         )
-        return summary, report
+        return {
+            **sched.summary(),
+            "targets_used": list(sched.targets_used),
+            "degenerate": sched.is_degenerate,
+        }
 
-    def _autotune_workload(self, norm: dict, report=None):
-        """Tile-size search for one normalized request (worker thread)."""
+    def _autotune(self, norm: dict, program) -> dict:
+        """Tile-size search against the machine model."""
         from ..options import CompileOptions
         from ..scheduler.autotune import autotune_tile_sizes
-        from ..service import instrument
-        from ..workloads import build_workload
 
-        t0 = perf_counter()
-        with (
-            instrument.collect() if report is None else nullcontext(report)
-        ) as report:
-            program = build_workload(norm["workload"], norm["size"])
-            try:
-                tuned = autotune_tile_sizes(
-                    program,
-                    threads=norm["threads"],
-                    candidates=tuple(norm["candidates"]),
-                    dims=norm["dims"],
-                    options=CompileOptions(
-                        target=norm["target"],
-                        startup=norm["startup"],
-                        mode="serial",
-                        cache=self.cache,
-                    ),
-                )
-            except Exception as exc:
-                summary = {
-                    "workload": norm["workload"],
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "compile_ms": (perf_counter() - t0) * 1e3,
-                }
-                return summary, report
-        summary = {
-            "workload": norm["workload"],
-            "size": norm["size"],
+        tuned = autotune_tile_sizes(
+            program,
+            threads=norm["threads"],
+            candidates=tuple(norm["candidates"]),
+            dims=norm["dims"],
+            options=CompileOptions(
+                target=norm["target"],
+                startup=norm["startup"],
+                mode="serial",
+                cache=self.cache,
+            ),
+        )
+        return {
             "target": norm["target"],
             "best_tile_sizes": list(tuned.best_sizes),
             "best_time_ms": tuned.best_time * 1e3,
             "evaluations": len(tuned.evaluations),
             "failures": len(tuned.failures),
             "tuning_seconds": tuned.tuning_seconds,
-            "from_cache": False,
-            "compile_ms": (perf_counter() - t0) * 1e3,
-            "error": None,
         }
-        return summary, report
 
 
 class ServerThread:

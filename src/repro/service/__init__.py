@@ -6,17 +6,14 @@ Turns the one-shot ``repro.core.optimize`` pass into a reusable service:
 * :mod:`cache` — the tiered result cache (LRU memory over a store fabric);
 * :mod:`stores` — pluggable persistent tiers: local directory, shared
   HTTP remote, layered local+remote with write-behind;
-* :mod:`driver` — deduplicating, parallel batch-compile driver;
-* :mod:`instrument` — pass-level spans/counters and per-compile reports.
+* :mod:`driver` — deduplicating, parallel batch-compile driver.
 
-Only :mod:`instrument` is imported eagerly — it is dependency-free, so
-the lowest layers (``repro.presburger``) can bump counters without an
-import cycle.  Everything else loads lazily on first attribute access.
+Names load lazily on first attribute access: the compiler reaches
+:mod:`fingerprint` on every compile, and that must not drag the cache,
+the stores and the driver (which imports the compiler) in with it.
 """
 
 from __future__ import annotations
-
-from . import instrument
 
 __all__ = [
     "CacheStats",
@@ -34,9 +31,7 @@ __all__ = [
     "default_cache_dir",
     "fingerprint_program",
     "fingerprint_request",
-    "instrument",
     "load_program_memos",
-    "memo_spill_enabled",
     "reset_default_cache",
     "resolve_cache",
     "resolve_store",
@@ -61,7 +56,6 @@ _LAZY = {
     "cached_optimize": ("driver", "cached_optimize"),
     "compile_batch": ("driver", "compile_batch"),
     "load_program_memos": ("driver", "load_program_memos"),
-    "memo_spill_enabled": ("driver", "memo_spill_enabled"),
     "spill_program_memos": ("driver", "spill_program_memos"),
     "fingerprint_program": ("fingerprint", "fingerprint_program"),
     "fingerprint_request": ("fingerprint", "fingerprint_request"),

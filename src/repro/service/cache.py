@@ -356,16 +356,6 @@ class CompileCache:
             with self._lock:
                 self.stats.skipped_stores += 1
 
-    # -- compat shims -------------------------------------------------------
-
-    def _local_store(self):
-        """The local tier (tests poke at on-disk paths directly)."""
-        store = self.store
-        return getattr(store, "local", store)
-
-    def _path(self, key: str, kind: str = "results") -> str:
-        return self._local_store().path(kind, key)
-
     # -- maintenance -------------------------------------------------------
 
     def clear(self, results: bool = True, memos: bool = True, remote: bool = False) -> int:

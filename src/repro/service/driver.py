@@ -13,8 +13,7 @@ snapshot for their program (keyed by program fingerprint): the snapshot is
 loaded into the presburger memo tables before compiling — in the worker
 process itself under the process pool — and the (now larger) hot set is
 spilled back afterwards.  Compiles are byte-deterministic, so entries
-produced by any process are interchangeable.  Set ``REPRO_MEMO_SPILL=0``
-to disable the round-trip.
+produced by any process are interchangeable.
 
 ``cached_optimize`` is the single-request convenience wrapper the CLI
 uses: a memoized drop-in for :func:`repro.core.optimize`.
@@ -31,25 +30,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir import Program
 from ..obs import distributed
-from . import instrument
+from .. import obs
 from .cache import CompileCache
 from .fingerprint import fingerprint_program, fingerprint_request
 
 #: Dispatch strategies for :func:`compile_batch`.
 MODES = ("auto", "process", "thread", "serial")
 
-ENV_MEMO_SPILL = "REPRO_MEMO_SPILL"
-
-
-def memo_spill_enabled() -> bool:
-    """Whether memo snapshots round-trip through the disk cache."""
-    return os.environ.get(ENV_MEMO_SPILL, "1").lower() not in ("0", "false", "no")
-
 
 def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """The cache to spill memos through, or ``None`` when the round-trip
-    is off (no cache, memory-only cache, or env-disabled)."""
-    if cache is None or not cache.persistent or not memo_spill_enabled():
+    """The cache to spill memos through, or ``None`` when there is nowhere
+    durable to spill to (no cache, or a memory-only one)."""
+    if cache is None or not cache.persistent:
         return None
     return cache
 
@@ -72,8 +64,8 @@ def load_program_memos(cache: CompileCache, program_fp: str) -> int:
         return 0
     loaded = memo.load_snapshot(snap)
     if loaded:
-        instrument.count("driver.memo_entries_loaded", loaded)
-        instrument.count("driver.memo_warm_starts")
+        obs.count("driver.memo_entries_loaded", loaded)
+        obs.count("driver.memo_warm_starts")
     return loaded
 
 
@@ -84,7 +76,7 @@ def spill_program_memos(cache: CompileCache, program_fp: str) -> None:
     snap = memo.snapshot()
     if snap:
         cache.put_memos(program_fp, snap)
-        instrument.count("driver.memo_spills")
+        obs.count("driver.memo_spills")
 
 
 def _batch_program_fps(requests: Sequence["CompileRequest"]) -> List[str]:
@@ -103,8 +95,8 @@ def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
     for snap in snaps.values():
         loaded = memo.load_snapshot(snap)
         if loaded:
-            instrument.count("driver.memo_entries_loaded", loaded)
-            instrument.count("driver.memo_warm_starts")
+            obs.count("driver.memo_entries_loaded", loaded)
+            obs.count("driver.memo_warm_starts")
 
 
 def _spill_batch_memos(requests, cache: Optional[CompileCache]) -> None:
@@ -230,12 +222,12 @@ def _worker(payload: bytes) -> bytes:
         os.environ[distributed.ENV_VAR] = ctx.to_header()
     if observe:
         with distributed.use_context(ctx):
-            with instrument.collect(trace=trace) as report:
+            with obs.collect(trace=trace) as report:
                 attrs = {"fingerprint": request.fingerprint[:12]}
                 if ctx is not None:
                     attrs["trace_id"] = ctx.trace_id
                     attrs["parent_span_id"] = ctx.span_id
-                with instrument.span("compile_worker", **attrs):
+                with obs.span("compile_worker", **attrs):
                     result, error = _worker_body(request, memo_spec)
     else:
         report = None
@@ -297,7 +289,7 @@ def _dispatch(
         _spill_batch_memos(requests, memo_cache)
         return results
 
-    observe, trace = instrument.active(), instrument.tracing()
+    observe, trace = obs.active(), obs.tracing()
     ctx = distributed.current_context()
     ctx_header = ctx.to_header() if ctx is not None else None
     workers = max_workers or _default_workers(len(requests))
@@ -335,8 +327,8 @@ def _dispatch(
                     if report is not None:
                         # Worker-process perf_counter epochs are not
                         # comparable to ours: rebase onto the dispatch start.
-                        instrument.merge_report(report, at=t0)
-                        instrument.count("driver.worker_reports_merged")
+                        obs.merge_report(report, at=t0)
+                        obs.count("driver.worker_reports_merged")
                     results.append((result, error))
                 return results
     # Threads share the process-wide memo tables: load once, spill once.
@@ -348,12 +340,12 @@ def _dispatch(
         # Worker threads have fresh thread-locals: re-enter the driver's
         # trace context so store hops under this compile stay linked.
         with distributed.use_context(ctx):
-            with instrument.collect(trace=trace) as report:
+            with obs.collect(trace=trace) as report:
                 attrs = {"fingerprint": request.fingerprint[:12]}
                 if ctx is not None:
                     attrs["trace_id"] = ctx.trace_id
                     attrs["parent_span_id"] = ctx.span_id
-                with instrument.span("compile_worker", **attrs):
+                with obs.span("compile_worker", **attrs):
                     result, error = _run_request(request)
         return result, error, report
 
@@ -368,8 +360,8 @@ def _dispatch(
     for result, error, report in triples:
         if report is not None:
             # Same process, same clock: no rebase needed.
-            instrument.merge_report(report)
-            instrument.count("driver.worker_reports_merged")
+            obs.merge_report(report)
+            obs.count("driver.worker_reports_merged")
         results.append((result, error))
     _spill_batch_memos(requests, memo_cache)
     return results
@@ -401,7 +393,7 @@ def compile_batch(
 
     opts = resolve_options(options, "compile_batch", **removed)
     mode, max_workers, cache = opts.mode, opts.jobs, opts.cache
-    with instrument.span("compile_batch", mode=mode, requests=len(requests)):
+    with obs.span("compile_batch", mode=mode, requests=len(requests)):
         outcomes: List[CompileOutcome] = [
             CompileOutcome(request=r, fingerprint=r.fingerprint) for r in requests
         ]
@@ -410,8 +402,8 @@ def compile_batch(
         unique: Dict[str, int] = {}
         for i, out in enumerate(outcomes):
             unique.setdefault(out.fingerprint, i)
-        instrument.count("driver.requests", len(outcomes))
-        instrument.count("driver.unique_requests", len(unique))
+        obs.count("driver.requests", len(outcomes))
+        obs.count("driver.unique_requests", len(unique))
 
         # Warm fingerprints are served from the cache.
         cached: Dict[str, object] = {}
@@ -446,7 +438,7 @@ def compile_batch(
                 out.result, out.error = result, error
                 out.seconds = elapsed / max(len(to_compile), 1)
         if cache is not None:
-            instrument.count("driver.cache_hits", len(cached))
+            obs.count("driver.cache_hits", len(cached))
         _collect_batch_records(outcomes)
     return outcomes
 

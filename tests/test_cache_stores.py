@@ -333,7 +333,7 @@ def test_cache_info_uses_running_counters_not_walks(tmp_path, monkeypatch):
     def boom(kind):
         raise AssertionError("info() walked the tree")
 
-    monkeypatch.setattr(cache._local_store(), "entries", boom)
+    monkeypatch.setattr(cache.store, "entries", boom)
     cache.put(KEY_B, {"v": 2})
     info = cache.info()
     assert info["disk_entries"] == 2

@@ -81,6 +81,18 @@ def test_code_openmp(cache_dir, capsys):
     assert "omp" in out.lower()
 
 
+@pytest.mark.parametrize(
+    "target,header",
+    [("cpu", "conv2d on modeled cpu (32 threads):"), ("gpu", "conv2d on modeled gpu:")],
+)
+def test_time_prints_header_for_every_target(target, header, capsys):
+    rc = main(["time", "conv2d", "--size", "32", "--tile", "8", "8", "--target", target])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert lines[1].split()[0] == "ours"
+
+
 def test_tune(cache_dir, capsys):
     rc = main(["tune", "conv2d", "--size", "32", "--candidates", "8", "16"])
     assert rc == 0

@@ -21,6 +21,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.obs import distributed
 from repro.obs.distributed import (
     HEADER,
@@ -40,7 +41,7 @@ from repro.obs.schema import validate_chrome_trace
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
-from repro.service import CompileCache, instrument
+from repro.service import CompileCache
 
 
 # -- trace context ---------------------------------------------------------
@@ -99,12 +100,12 @@ def test_ambient_context_nests_and_tolerates_none():
 
 
 def _traced_report():
-    with instrument.collect(trace=True) as report:
-        with instrument.span("outer", phase="demo"):
-            instrument.count("presburger.memo.hit", 3)
-            with instrument.span("inner"):
-                instrument.count("presburger.memo.hit", 2)
-                instrument.count("other.counter")
+    with obs.collect(trace=True) as report:
+        with obs.span("outer", phase="demo"):
+            obs.count("presburger.memo.hit", 3)
+            with obs.span("inner"):
+                obs.count("presburger.memo.hit", 2)
+                obs.count("other.counter")
     return report
 
 
@@ -129,9 +130,9 @@ def test_report_to_wire_round_trip():
 
 
 def test_report_to_wire_caps_spans():
-    with instrument.collect(trace=True) as report:
+    with obs.collect(trace=True) as report:
         for i in range(20):
-            with instrument.span(f"s{i}"):
+            with obs.span(f"s{i}"):
                 pass
     wire = report_to_wire(report, "daemon", limit=5)
     assert len(wire["spans"]) == 5
@@ -393,7 +394,7 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
     ctx = new_context()
     try:
         with distributed.use_context(ctx):
-            with instrument.collect(trace=True) as report:
+            with obs.collect(trace=True) as report:
                 outs = compile_batch(
                     reqs, options=CompileOptions(mode="process", jobs=2)
                 )
@@ -449,7 +450,7 @@ def test_http_store_spans_carry_server_ms(tmp_path):
         store = HTTPStore(srv.url)
         ctx = new_context()
         with distributed.use_context(ctx):
-            with instrument.collect(trace=True) as report:
+            with obs.collect(trace=True) as report:
                 store.put("results", "cafebabe" * 8, b"v")
                 store.get("results", "cafebabe" * 8)
     spans = [e for e in report.events if e.name.startswith("store.")]

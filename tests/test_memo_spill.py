@@ -149,7 +149,7 @@ def test_cache_clear_selectors(tmp_path):
 def test_corrupt_memo_snapshot_is_evicted_not_fatal(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     cache.put_memos("c" * 64, {"t": [(1, 2)]})
-    path = cache._path("c" * 64, kind="memos")
+    path = cache.store.path("memos", "c" * 64)
     with open(path, "wb") as f:
         f.write(b"garbage")
     assert cache.get_memos("c" * 64) is None
@@ -203,12 +203,10 @@ def test_spilled_memos_warm_start_a_fresh_process(tmp_path):
     assert proc.stdout.startswith(b"warm_hits")
 
 
-def test_spill_disabled_by_env(tmp_path, monkeypatch):
-    from repro.service.driver import memo_spill_enabled
-
-    monkeypatch.setenv("REPRO_MEMO_SPILL", "0")
-    assert not memo_spill_enabled()
+def test_memory_only_cache_never_spills(tmp_path):
     prog = conv2d.build({"H": 40, "W": 40, "KH": 3, "KW": 3})
-    cache = CompileCache(cache_dir=str(tmp_path))
+    cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
     cached_optimize(prog, options=CompileOptions(target="cpu", tile_sizes=(16, 16), cache=cache))
+    assert cache.stats.memo_stores == 0
     assert cache.info()["memo_entries"] == 0
+    assert os.listdir(tmp_path) == []

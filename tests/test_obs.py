@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 import time
@@ -27,27 +28,26 @@ from repro.obs import (
     validate_metrics_snapshot,
     write_trace,
 )
-from repro.service import instrument
 
 
 class TestSpans:
     def test_noop_without_collector(self):
         # Must not raise, must not record anywhere.
-        with instrument.span("orphan"):
-            instrument.count("orphan.events")
-            instrument.observe("orphan.hist", 1)
-            instrument.gauge("orphan.gauge", 2.0)
-        assert not instrument.active()
-        assert not instrument.tracing()
+        with obs.span("orphan"):
+            obs.count("orphan.events")
+            obs.observe("orphan.hist", 1)
+            obs.gauge("orphan.gauge", 2.0)
+        assert not obs.active()
+        assert not obs.tracing()
 
     def test_nested_collect_blocks(self):
         with collect() as outer:
-            with instrument.span("a"):
+            with obs.span("a"):
                 pass
             with collect() as inner:
-                with instrument.span("b"):
+                with obs.span("b"):
                     pass
-            with instrument.span("c"):
+            with obs.span("c"):
                 pass
         # Inner sees only what ran inside it; outer sees everything.
         assert set(inner.spans) == {"b"}
@@ -56,7 +56,7 @@ class TestSpans:
     def test_exception_in_span_still_records(self):
         with collect(trace=True) as report:
             with pytest.raises(ValueError):
-                with instrument.span("doomed"):
+                with obs.span("doomed"):
                     time.sleep(0.01)
                     raise ValueError("boom")
         assert report.spans["doomed"].calls == 1
@@ -67,11 +67,11 @@ class TestSpans:
 
     def test_parent_child_links(self):
         with collect(trace=True) as report:
-            with instrument.span("parent"):
-                with instrument.span("child"):
-                    with instrument.span("grandchild"):
+            with obs.span("parent"):
+                with obs.span("child"):
+                    with obs.span("grandchild"):
                         pass
-                with instrument.span("child2"):
+                with obs.span("child2"):
                     pass
         by_name = {e.name: e for e in report.events}
         assert by_name["parent"].parent is None
@@ -81,18 +81,18 @@ class TestSpans:
 
     def test_span_attrs_and_annotate(self):
         with collect(trace=True) as report:
-            with instrument.span("pass", phase=1) as sp:
+            with obs.span("pass", phase=1) as sp:
                 sp.annotate(pieces=7)
-                instrument.annotate(late=True)
+                obs.annotate(late=True)
         (event,) = report.events
         assert event.attrs == {"phase": 1, "pieces": 7, "late": True}
 
     def test_per_span_counter_deltas(self):
         with collect(trace=True) as report:
-            with instrument.span("outer"):
-                instrument.count("hits", 2)
-                with instrument.span("inner"):
-                    instrument.count("hits", 5)
+            with obs.span("outer"):
+                obs.count("hits", 2)
+                with obs.span("inner"):
+                    obs.count("hits", 5)
         by_name = {e.name: e for e in report.events}
         # Deltas attribute to the innermost open span only.
         assert by_name["inner"].counters == {"hits": 5}
@@ -104,7 +104,7 @@ class TestSpans:
 
         def worker():
             with collect() as r:
-                with instrument.span("worker_span"):
+                with obs.span("worker_span"):
                     pass
             seen["worker"] = set(r.spans)
 
@@ -112,7 +112,7 @@ class TestSpans:
             t = threading.Thread(target=worker)
             t.start()
             t.join()
-            with instrument.span("main_span"):
+            with obs.span("main_span"):
                 pass
         assert seen["worker"] == {"worker_span"}
         assert set(main_report.spans) == {"main_span"}
@@ -120,7 +120,7 @@ class TestSpans:
     def test_event_cap_increments_dropped(self):
         with collect(trace=True, max_events=3) as report:
             for _ in range(5):
-                with instrument.span("s"):
+                with obs.span("s"):
                     pass
         assert len(report.events) == 3
         assert report.dropped_events == 2
@@ -131,12 +131,12 @@ class TestMergeReport:
     def test_merge_renumbers_and_reparents(self):
         worker = CompileReport(record_events=True)
         with collect(report=worker, trace=True):
-            with instrument.span("work"):
-                with instrument.span("sub"):
+            with obs.span("work"):
+                with obs.span("sub"):
                     pass
         with collect(trace=True) as driver:
-            with instrument.span("dispatch"):
-                instrument.merge_report(worker)
+            with obs.span("dispatch"):
+                obs.merge_report(worker)
         by_name = {e.name: e for e in driver.events}
         assert by_name["work"].parent == by_name["dispatch"].id
         assert by_name["sub"].parent == by_name["work"].id
@@ -146,14 +146,14 @@ class TestMergeReport:
     def test_merge_rebases_cross_process_times(self):
         worker = CompileReport(record_events=True)
         with collect(report=worker, trace=True):
-            with instrument.span("work"):
+            with obs.span("work"):
                 pass
         # Pretend the worker's clock is wildly different.
         for e in worker.events:
             e.start += 1e6
         with collect(trace=True) as driver:
             at = time.perf_counter()
-            instrument.merge_report(worker, at=at)
+            obs.merge_report(worker, at=at)
         (event,) = driver.events
         # Rebased onto the driver's epoch: starts near `at`, not at 1e6.
         assert 0 <= event.start < 10
@@ -164,8 +164,8 @@ class TestMergeReport:
         worker.observe("h", 5, buckets=(1, 10))
         worker.set_gauge("g", 1.5)
         with collect() as driver:
-            instrument.count("n", 1)
-            instrument.merge_report(worker)
+            obs.count("n", 1)
+            obs.merge_report(worker)
         assert driver.counters["n"] == 4
         assert driver.histograms["h"].count == 1
         assert driver.gauges["g"] == 1.5
@@ -246,9 +246,9 @@ class TestMetrics:
 class TestExport:
     def _traced_report(self):
         with collect(trace=True) as report:
-            with instrument.span("root", workload="t"):
-                instrument.count("k", 2)
-                with instrument.span("leaf"):
+            with obs.span("root", workload="t"):
+                obs.count("k", 2)
+                with obs.span("leaf"):
                     pass
         return report
 
@@ -280,10 +280,10 @@ class TestExport:
 
     def test_profile_tree_math(self):
         with collect(trace=True) as report:
-            with instrument.span("root"):
+            with obs.span("root"):
                 for _ in range(3):
-                    with instrument.span("leaf"):
-                        instrument.count("k")
+                    with obs.span("leaf"):
+                        obs.count("k")
         (root,) = profile_tree(report)
         assert root.name == "root" and root.calls == 1
         leaf = root.children["leaf"]
@@ -335,9 +335,12 @@ class TestPipelineTrace:
 
 
 class TestPackage:
-    def test_instrument_is_an_alias(self):
-        assert instrument.CompileReport is obs.CompileReport
-        assert instrument.span is obs.span
+    def test_instrument_shim_is_gone(self):
+        import repro.service
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.service.instrument")
+        assert not hasattr(repro.service, "instrument")
 
     def test_all_exports_resolve(self):
         for name in obs.__all__:

@@ -3,7 +3,7 @@ operation memo tables, and their instrumentation wiring."""
 
 import pickle
 
-from repro import CompileOptions
+from repro import CompileOptions, obs
 from repro.core import optimize
 from repro.pipelines import conv2d
 from repro.presburger import (
@@ -16,7 +16,6 @@ from repro.presburger import (
     parse_set,
 )
 from repro.presburger.linexpr import clear_intern_table, intern_table_size
-from repro.service import instrument
 
 
 def build_conv(h=16, w=16):
@@ -140,7 +139,7 @@ class TestMemoTables:
 class TestStatsWiring:
     def test_optimize_reports_memo_counters(self):
         prog = build_conv()
-        with instrument.collect() as report:
+        with obs.collect() as report:
             optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 8)))
         hits = [k for k in report.counters if k.startswith("presburger.memo.")]
         assert hits, "no presburger.memo.* counters reached the collector"

@@ -189,9 +189,9 @@ def test_compile_and_warm_repeat(tmp_path):
 
 
 def _blocking_fn(release, calls, lock, result=None, error=None):
-    """A fake compile_fn: waits for ``release``, counts invocations."""
+    """A fake compile work fn: waits for ``release``, counts invocations."""
 
-    def fn(norm):
+    def fn(norm, report):
         with lock:
             calls.append(dict(norm))
         assert release.wait(10), "test never released the compile"
@@ -213,7 +213,7 @@ def test_eight_concurrent_identical_requests_compile_once(tmp_path):
     release = threading.Event()
     calls, lock = [], threading.Lock()
     config = _config(tmp_path)
-    with ServerThread(config, compile_fn=_blocking_fn(release, calls, lock)):
+    with ServerThread(config, work_fns={"compile": _blocking_fn(release, calls, lock)}):
         results, errors = [], []
 
         def one():
@@ -256,7 +256,7 @@ def test_failed_compile_reaches_every_waiter_without_poisoning(tmp_path):
     release = threading.Event()
     release.set()  # no blocking needed; concurrency comes from dedup
 
-    def fn(norm):
+    def fn(norm, report):
         if state["fail"]:
             return {"workload": norm["workload"], "error": "infeasible tiling",
                     "from_cache": False}, None
@@ -264,7 +264,7 @@ def test_failed_compile_reaches_every_waiter_without_poisoning(tmp_path):
                 "from_cache": False, "error": None}, None
 
     config = _config(tmp_path)
-    with ServerThread(config, compile_fn=fn):
+    with ServerThread(config, work_fns={"compile": fn}):
         failures = []
 
         def one():
@@ -298,7 +298,7 @@ def test_request_timeout_answers_structured_error(tmp_path):
     release = threading.Event()
     calls, lock = [], threading.Lock()
     config = _config(tmp_path, request_timeout=0.1)
-    with ServerThread(config, compile_fn=_blocking_fn(release, calls, lock)):
+    with ServerThread(config, work_fns={"compile": _blocking_fn(release, calls, lock)}):
         try:
             with ServeClient(socket_path=config.socket_path) as c:
                 with pytest.raises(ServeError) as exc_info:
@@ -314,7 +314,7 @@ def test_per_client_limit_answers_overloaded(tmp_path):
     release = threading.Event()
     calls, lock = [], threading.Lock()
     config = _config(tmp_path, client_limit=1)
-    with ServerThread(config, compile_fn=_blocking_fn(release, calls, lock)):
+    with ServerThread(config, work_fns={"compile": _blocking_fn(release, calls, lock)}):
         try:
             # Pipeline two *different* compiles on one raw connection; the
             # second must bounce off the per-client limit immediately.
@@ -390,7 +390,7 @@ def test_health_draining_and_graceful_drain(tmp_path):
     release = threading.Event()
     calls, lock = [], threading.Lock()
     config = _config(tmp_path)
-    st = ServerThread(config, compile_fn=_blocking_fn(release, calls, lock))
+    st = ServerThread(config, work_fns={"compile": _blocking_fn(release, calls, lock)})
     st.start()
     inflight_result = {}
 
@@ -446,6 +446,34 @@ def test_autotune_over_the_wire(tmp_path):
                 c.autotune("no-such-workload")
             assert e.value.code == "bad-request"
     assert st.server.registry.counters["serve.requests.autotune"] == 2
+
+
+@pytest.mark.parametrize(
+    "method,optional",
+    [
+        ("compile", ["size", "target", "startup", "tile_sizes", "trace"]),
+        ("autotune", ["size", "target", "startup", "threads", "dims",
+                      "candidates", "trace"]),
+        ("partition", ["size", "startup", "targets", "trace"]),
+    ],
+)
+def test_null_param_means_default(tmp_path, method, optional):
+    """An explicit JSON ``null`` and an absent param are the same request:
+    both validate, both take the table's default, both land on one key."""
+    assert sorted(optional + ["workload"]) == sorted(protocol.PARAMS[method])
+    config = _config(tmp_path)
+    with ServerThread(config) as st:
+        with ServeClient(socket_path=config.socket_path) as c:
+            absent = c.call(method, {"workload": "conv2d"})
+            nulls = c.call(
+                method, {"workload": "conv2d", **dict.fromkeys(optional)}
+            )
+    for reply in (absent, nulls):
+        for volatile in ("compile_ms", "tuning_seconds", "from_cache", "deduped"):
+            reply.pop(volatile, None)
+    assert nulls == absent
+    assert st.server.registry.counters.get("serve.bad_requests", 0) == 0
+    assert st.server.registry.counters.get("serve.compile_errors", 0) == 0
 
 
 def test_partition_over_the_wire(tmp_path):

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import CompileOptions
+from repro import CompileOptions, obs
 from repro.core import optimize
 from repro.pipelines import conv2d, polybench
 from repro.scheduler.autotune import autotune_tile_sizes
@@ -26,7 +26,6 @@ from repro.service import (
     compile_batch,
     fingerprint_program,
     fingerprint_request,
-    instrument,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -121,7 +120,7 @@ def test_corrupted_entry_is_evicted_not_fatal(tmp_path):
     p = build_conv()
     key = fingerprint_request(p, "cpu", (16, 16))
     cached_optimize(p, options=CompileOptions(target="cpu", tile_sizes=(16, 16), cache=cache))
-    path = cache._path(key)
+    path = cache.store.path("results", key)
     assert os.path.exists(path)
     with open(path, "wb") as f:
         f.write(b"this is not a pickle")
@@ -138,7 +137,7 @@ def test_corrupted_entry_is_evicted_not_fatal(tmp_path):
 def test_stale_schema_entry_is_evicted(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     key = "ab" + "0" * 62
-    path = cache._path(key)
+    path = cache.store.path("results", key)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         pickle.dump(("repro-cache", -1, key, b"payload"), f)
@@ -265,7 +264,7 @@ def test_instrument_collects_pass_spans_and_counters():
     # earlier tests would otherwise absorb the FM work this test asserts on.
     memo.clear_all()
     p = build_conv()
-    with instrument.collect() as report:
+    with obs.collect() as report:
         optimize(p, CompileOptions(target="cpu", tile_sizes=(16, 16)))
     assert {"startup_fusion", "tile_shapes", "post_fusion"} <= set(report.spans)
     assert all(s.seconds >= 0 and s.calls == 1 for s in report.spans.values())
@@ -275,17 +274,17 @@ def test_instrument_collects_pass_spans_and_counters():
 
 
 def test_instrument_noop_when_inactive():
-    assert not instrument.active()
-    with instrument.span("nothing"):
-        instrument.count("nothing")
-    assert not instrument.active()
+    assert not obs.active()
+    with obs.span("nothing"):
+        obs.count("nothing")
+    assert not obs.active()
 
 
 def test_instrument_nested_collectors():
-    with instrument.collect() as outer:
-        with instrument.collect() as inner:
-            with instrument.span("x"):
-                instrument.count("c", 2)
+    with obs.collect() as outer:
+        with obs.collect() as inner:
+            with obs.span("x"):
+                obs.count("c", 2)
     assert outer.spans["x"].calls == 1
     assert inner.spans["x"].calls == 1
     assert outer.counters["c"] == inner.counters["c"] == 2

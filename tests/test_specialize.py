@@ -10,7 +10,6 @@ every workload.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -226,33 +225,33 @@ ALL_WORKLOADS = [
 
 
 @pytest.mark.parametrize("name,size", ALL_WORKLOADS)
-def test_parametric_footprint_code_parity(name, size):
+def test_parametric_footprint_code_parity(name, size, monkeypatch):
     """The parametric engine must generate byte-identical code on every
-    workload — tile selections and C output are the oracle."""
+    workload — tile selections and C output are the oracle.  The seed
+    (per-candidate, direct) path is reached by making
+    ``parametric_binding`` decline, as it does for symbolic sizes."""
     from repro.__main__ import _build_workload, _default_tiles
     from repro.codegen import print_tree
-    from repro.core import optimize
+    from repro.core import footprint, optimize, tile_shapes
 
-    outs = {}
-    old = os.environ.get("REPRO_PARAMETRIC_FP")
-    try:
-        for flag in ("0", "1"):
-            os.environ["REPRO_PARAMETRIC_FP"] = flag
-            memo.clear_all()
-            prog = _build_workload(name, size)
-            res = optimize(prog, CompileOptions(target="cpu", tile_sizes=_default_tiles(name)))
-            outs[flag] = (
-                print_tree(res.tree, prog, style="openmp"),
-                res.fusion_summary(),
-                res.tile_sizes,
-            )
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_PARAMETRIC_FP", None)
-        else:
-            os.environ["REPRO_PARAMETRIC_FP"] = old
+    def compile_once():
         memo.clear_all()
-    assert outs["0"] == outs["1"]
+        prog = _build_workload(name, size)
+        res = optimize(prog, CompileOptions(target="cpu", tile_sizes=_default_tiles(name)))
+        return (
+            print_tree(res.tree, prog, style="openmp"),
+            res.fusion_summary(),
+            res.tile_sizes,
+        )
+
+    try:
+        parametric = compile_once()
+        for mod in (footprint, tile_shapes):
+            monkeypatch.setattr(mod, "parametric_binding", lambda *a, **k: None)
+        seed = compile_once()
+    finally:
+        memo.clear_all()
+    assert seed == parametric
 
 
 def test_parametric_footprint_memo_reused_across_sizes():
@@ -260,8 +259,6 @@ def test_parametric_footprint_memo_reused_across_sizes():
     from repro.__main__ import _build_workload
     from repro.core import optimize
 
-    old = os.environ.get("REPRO_PARAMETRIC_FP")
-    os.environ["REPRO_PARAMETRIC_FP"] = "1"
     try:
         memo.clear_all()
         prog = _build_workload("unsharp_mask", 128)
@@ -273,8 +270,4 @@ def test_parametric_footprint_memo_reused_across_sizes():
         # symbolic result: strictly fewer fresh computations than the first.
         assert second - first < first
     finally:
-        if old is None:
-            os.environ.pop("REPRO_PARAMETRIC_FP", None)
-        else:
-            os.environ["REPRO_PARAMETRIC_FP"] = old
         memo.clear_all()

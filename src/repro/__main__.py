@@ -93,6 +93,8 @@ def cmd_optimize(args) -> int:
             result = optimize(prog, options)
         else:
             result = cached_optimize(prog, options=options)
+        if args.stats:
+            _emit_c(result, prog)
     cached = cache is not None and cache.stats.hits > 0
     print(f"workload:     {prog.name} ({len(prog.statements)} statements)")
     print(f"target:       {result.target.name}, tile sizes {tiles}")
@@ -136,7 +138,24 @@ def _traced_compile(args):
                 map_to_gpu(result)
             with obs.span("codegen"):
                 print_tree(result.tree, prog, style=style)
+                _emit_c(result, prog)
     return prog, report, perf_counter() - t0
+
+
+def _emit_c(result, prog) -> None:
+    """Run the compilable C backend for what it records: the
+    ``codegen.generate_c`` span and the ``codegen.c.*`` counters say which
+    guards and bounds it elided, which tensors got per-tile buffers and
+    why the others did not.  Only the cpu target has such a backend, and a
+    program it cannot emit (a tensor of extent 0) has nothing to report."""
+    from .codegen.cbackend import CBackendError, generate_c
+
+    if result.target.name != "cpu":
+        return
+    try:
+        generate_c(result.tree, prog)
+    except (CBackendError, ValueError):
+        pass
 
 
 def cmd_trace(args) -> int:

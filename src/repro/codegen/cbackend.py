@@ -3,26 +3,46 @@
 Where :mod:`repro.codegen.printer` renders display code, this backend emits
 a complete, compiling C program from a schedule tree and (when a C
 compiler is available) builds and runs it, exchanging tensors with Python
-through raw ``float64`` files.  Exactness is guaranteed by construction:
+through raw ``float64`` files.  The emitted code is exact *and* is what the
+optimizer decided, by three cooperating rules:
 
-* loop bounds are the Fourier–Motzkin union bounds of the member
-  statements (possibly over-approximate);
-* every statement instance is guarded by its full constraint system, so
-  over-approximated loops simply skip non-instances;
-* statement dimensions are recovered from the band pin equalities.
+* **Loops and guards.**  Loop bounds are the Fourier–Motzkin bounds of the
+  member statements: per member the ``max`` of its lower bounds, over
+  members the ``min`` of those (a union, possibly over-approximate; pieces
+  of one statement are made disjoint first).  A statement instance runs
+  iff its whole constraint system holds, and the walker knows what its
+  open loops already guarantee (every ``max``/``min`` operand it emitted;
+  a tile loop's aligned start and stride as ``T = size * q``, so that
+  ``T <= 255`` becomes ``T <= 224``).  A conjunct ``c`` is emitted as a
+  guard only when ``context ∧ ¬c`` has a rational point, and a bound
+  operand only when the other operands do not imply it: what is elided is
+  implied, so over-approximated loops still skip exactly the non-instances
+  and rectangular full-tile nests carry no ``if`` at all.
+* **Promotion.**  A tensor written only by one extension node's
+  statements, read only beneath that node, and neither live-in nor
+  live-out (:func:`repro.codegen.promotion.scratch_sites`) is a
+  thread-private buffer the size of its per-tile footprint box, indexed
+  ``idx - origin(tile)`` (:func:`repro.codegen.promotion.tile_box`).  It
+  stays a global array when no affine origin exists or the box would be as
+  large as the tensor.
+* **Liveness.**  Only tensors whose initial contents the program can
+  observe (:func:`repro.codegen.promotion.live_in_tensors`) are read from
+  ``<name>.bin``; everything else starts zeroed.
 
-The round trip (generate → gcc -fopenmp → run → compare with the
-interpreter) is exercised by the test suite, making this the repository's
-"the generated code really runs" proof.
+Statement dimensions are recovered from the band pin equalities.  The
+round trip (generate → gcc -fopenmp → run → compare with the interpreter)
+is exercised by the test suite, making this the repository's "the
+generated code really runs" proof.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import tempfile
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +60,8 @@ from ..schedule import (
     SequenceNode,
     SKIPPED,
 )
-from .printer import _bound_exprs
+from .printer import projected_bounds
+from .promotion import TileBox, entails, live_in_tensors, scratch_sites, tile_box
 
 HEADER = """\
 #include <stdio.h>
@@ -75,37 +96,86 @@ INTRINSIC_C = {
     "clamp01": "clamp01_fn",
 }
 
+# Identifiers a tensor may not use in the emitted translation unit: C
+# keywords, what HEADER declares or defines, and the file-scope names of
+# <stdio.h>, <stdlib.h>, <string.h> and <math.h> (glibc, default feature
+# set; tests/test_cbackend.py checks the list against the headers here).
+_MATH = (
+    "acos acosh asin asinh atan atan2 atanh cbrt ceil copysign cos cosh drem "
+    "erf erfc exp exp2 expm1 fabs fdim finite floor fma fmax fmin fmod frexp "
+    "gamma hypot ilogb isinf isnan j0 j1 jn ldexp lgamma llrint llround log "
+    "log10 log1p log2 logb lrint lround modf nan nearbyint nextafter "
+    "nexttoward pow remainder remquo rint round scalb scalbln scalbn "
+    "significand sin sinh sqrt tan tanh tgamma trunc y0 y1 yn"
+)
+_RESERVED = frozenset(
+    """
+    auto break case char const continue default do double else enum extern
+    float for goto if inline int long register restrict return short signed
+    sizeof static struct switch typedef union unsigned void volatile while
+    main ceild floord max min relu_fn quant_fn clamp01_fn safe_log safe_sqrt
+    sigmoid_fn read_tensor write_tensor
+    FILE EOF NULL BUFSIZ RAND_MAX INFINITY NAN HUGE_VAL errno
+    a64l abort abs aligned_alloc alloca arc4random arc4random_buf
+    arc4random_uniform at_quick_exit atexit atof atoi atol atoll bcmp bcopy
+    bsearch bzero calloc clearenv clearerr ctermid div dprintf drand48 ecvt
+    erand48 exit explicit_bzero fclose fcvt fd_mask fd_set fdopen feof
+    ferror fflush ffs ffsl ffsll fgetc fgetpos fgets fileno flockfile
+    fmemopen fopen fprintf fputc fputs fread free freopen fscanf fseek
+    fseeko fsetpos ftell ftello ftrylockfile funlockfile fwrite gcvt getc
+    getchar getdelim getenv getline getloadavg getsubopt getw index
+    initstate jrand48 l64a labs lcong48 ldiv llabs lldiv lrand48 malloc
+    mblen mbstowcs mbtowc memccpy memchr memcmp memcpy memmove memset
+    mkdtemp mkstemp mkstemps mktemp mrand48 nrand48 on_exit open_memstream
+    pclose perror popen posix_memalign printf pselect putc putchar putenv
+    puts putw qecvt qfcvt qgcvt qsort quick_exit rand random realloc
+    reallocarray realpath remove rename renameat rewind rindex rpmatch scanf
+    seed48 select setbuf setbuffer setenv setlinebuf setstate setvbuf
+    signgam snprintf sprintf srand srand48 srandom sscanf stderr stdin
+    stdout stpcpy stpncpy strcasecmp strcat strchr strcmp strcoll strcpy
+    strcspn strdup strerror strlen strncasecmp strncat strncmp strncpy
+    strndup strnlen strpbrk strrchr strsep strsignal strspn strstr strtod
+    strtof strtok strtol strtold strtoll strtoq strtoul strtoull strtouq
+    strxfrm system tempnam tmpfile tmpnam u_char u_int u_long u_short uint
+    ulong ungetc unsetenv ushort va_list valloc vdprintf vfprintf vfscanf
+    vprintf vscanf vsnprintf vsprintf vsscanf wcstombs wctomb
+    drand48_r ecvt_r erand48_r fcvt_r initstate_r jrand48_r lcong48_r
+    lgamma_r lgammaf_r lgammal_r lrand48_r mrand48_r nrand48_r qecvt_r
+    qfcvt_r rand_r random_r seed48_r setstate_r srand48_r srandom_r
+    strerror_r strtok_r tmpnam_r strcasecmp_l strcoll_l strerror_l
+    strncasecmp_l strxfrm_l
+    """.split()
+) | {base + suffix for base in _MATH.split() for suffix in ("", "f", "l")}
+# Whole families: implementation names, OpenMP and pthread, POSIX's
+# ``*_t`` types and stdio's ``*_unlocked`` variants, our own loop vars.
+_RESERVED_SHAPE = re.compile(r"_|omp_|pthread_|c\d+_|.*_(t|unlocked)$")
+
+
+def is_reserved(name: str) -> bool:
+    """Whether a tensor called ``name`` would not compile under its own name."""
+    return name in _RESERVED or _RESERVED_SHAPE.match(name) is not None
+
+
+def c_names(tensors: Iterable[str]) -> Dict[str, str]:
+    """The C identifier of each tensor: its own name, or — the one mangling
+    rule — ``t_<name>_`` (more underscores while that is taken) when the
+    name is reserved.  File names keep the tensor's name."""
+    tensors = list(tensors)
+    taken = set(tensors)
+    out: Dict[str, str] = {}
+    for name in tensors:
+        ident = name
+        if is_reserved(name):
+            ident = f"t_{name}_"
+            while ident in taken:
+                ident += "_"
+            taken.add(ident)
+        out[name] = ident
+    return out
+
 
 class CBackendError(RuntimeError):
     pass
-
-
-def render_expr_c(expr: Expr, env: Mapping[str, str], program: Program) -> str:
-    """Render a statement RHS as a C expression.
-
-    ``env`` maps iterator names to C expressions (loop vars or solved
-    affine forms).
-    """
-    if isinstance(expr, Const):
-        return repr(float(expr.value))
-    if isinstance(expr, Affine):
-        return _linexpr_c(expr.expr, env)
-    if isinstance(expr, Load):
-        idx = "".join(f"[{_linexpr_c(i, env)}]" for i in expr.indices)
-        return f"{expr.tensor}{idx}"
-    if isinstance(expr, BinOp):
-        lhs = render_expr_c(expr.lhs, env, program)
-        rhs = render_expr_c(expr.rhs, env, program)
-        if expr.op in ("min", "max"):
-            return f"f{expr.op}({lhs}, {rhs})"
-        return f"({lhs} {expr.op} {rhs})"
-    if isinstance(expr, Call):
-        fn = INTRINSIC_C.get(expr.fn)
-        if fn is None:
-            raise CBackendError(f"no C lowering for intrinsic {expr.fn!r}")
-        args = ", ".join(render_expr_c(a, env, program) for a in expr.args)
-        return f"{fn}({args})"
-    raise CBackendError(f"cannot lower {type(expr).__name__} to C")
 
 
 def _linexpr_c(e: LinExpr, env: Mapping[str, str]) -> str:
@@ -135,84 +205,133 @@ def generate_c(
 ) -> str:
     """A complete C program implementing the tree's schedule.
 
-    Tensors are read from ``<name>.bin`` (row-major float64) and live-out
-    tensors are written back to ``<name>.out.bin``.
+    Live-in tensors are read from ``<name>.bin`` (row-major float64) and
+    live-out tensors are written back to ``<name>.out.bin``.
     """
-    with obs.span("codegen.generate_c"):
-        return _generate_c(tree, program, params)
+    return _generate_c(tree, program, params)[0]
 
 
 def _generate_c(
     tree: DomainNode,
     program: Program,
     params: Optional[Mapping[str, int]] = None,
-) -> str:
-    params = dict(program.params, **(params or {}))
-    lines: List[str] = [HEADER]
-
-    # Tensor declarations (static arrays; sizes are concrete).
-    shapes: Dict[str, Tuple[int, ...]] = {
-        name: t.concrete_shape(params) for name, t in program.tensors.items()
-    }
-    for name, shape in shapes.items():
-        dims = "".join(f"[{e}]" for e in shape)
-        lines.append(f"static double {name}{dims};")
-    lines.append("")
-    lines.append("static void read_tensor(const char *path, double *buf, long n) {")
-    lines.append('  FILE *f = fopen(path, "rb");')
-    lines.append('  if (!f) { fprintf(stderr, "missing %s\\n", path); exit(2); }')
-    lines.append("  if (fread(buf, sizeof(double), n, f) != (size_t)n) exit(3);")
-    lines.append("  fclose(f);")
-    lines.append("}")
-    lines.append("static void write_tensor(const char *path, double *buf, long n) {")
-    lines.append('  FILE *f = fopen(path, "wb");')
-    lines.append("  fwrite(buf, sizeof(double), n, f);")
-    lines.append("  fclose(f);")
-    lines.append("}")
-    lines.append("")
-    lines.append("int main(void) {")
-
-    for name, shape in shapes.items():
-        n = int(np.prod(shape))
-        lines.append(
-            f'  read_tensor("{name}.bin", (double *){name}, {n}L);'
+) -> Tuple[str, Tuple[str, ...]]:
+    """The source, and the tensors it reads from disk."""
+    with obs.span("codegen.generate_c"):
+        params = dict(program.params, **(params or {}))
+        live_in = live_in_tensors(program, params)
+        sites, kept = scratch_sites(tree, program, live_in)
+        active = {
+            s.name: [list(p.constraints) for p in _run_once(s, s.domain.fix_params(params))]
+            for s in program.statements
+        }
+        while True:
+            body = _CBody(program, params, sites, dict(kept))
+            body.walk(tree.child, active, 1)
+            if not body.demoted:
+                break
+            # FM could not bound some load inside the buffer: keep the
+            # tensor global and emit again.
+            for tensor in body.demoted:
+                del sites[tensor]
+                kept[tensor] = "read not provably inside its box"
+        source = body.source(live_in)
+        scratch_bytes = 8 * sum(box.elems for box in body.scratch.values())
+        obs.annotate(
+            guards_kept=body.guards_kept,
+            guards_elided=body.guards_elided,
+            bounds_simplified=body.bounds_simplified,
+            promoted_buffers=len(body.scratch),
+            scratch_bytes=scratch_bytes,
+            tensors_read=len(live_in),
+            not_promoted="; ".join(f"{t}: {why}" for t, why in body.kept.items()),
         )
-    lines.append("")
+        obs.count("codegen.c.guards_kept", body.guards_kept)
+        obs.count("codegen.c.guards_elided", body.guards_elided)
+        obs.count("codegen.c.bounds_simplified", body.bounds_simplified)
+        obs.count("codegen.c.promoted_buffers", len(body.scratch))
+        obs.count("codegen.c.scratch_bytes", scratch_bytes)
+        obs.count("codegen.c.tensors_read", len(live_in))
+        for why in body.kept.values():
+            obs.count(f"codegen.c.not_promoted.{why.replace(' ', '_')}")
+        return source, live_in
 
-    body = _CBody(program, params)
-    active = {
-        s.name: [
-            [c.substitute(params) for c in p.constraints]
-            for p in s.domain.fix_params(params).pieces
+
+def _run_once(stmt, instances):
+    """The pieces of ``instances`` (a Set or Map of ``stmt``'s instances) to
+    emit one after the other.  A statement that reads the tensor it writes
+    (a reduction, an in-place update) must not run an instance twice, so
+    its pieces are made pairwise disjoint: each minus the earlier ones it
+    overlaps.  For any other statement a repeat rewrites the same value."""
+    if stmt.tensor_written() not in stmt.tensors_read():
+        return list(instances.pieces)
+    make = type(instances)
+    out = []
+    for i, piece in enumerate(instances.pieces):
+        overlapped = [
+            p for p in instances.pieces[:i] if not piece.intersect(p).is_empty()
         ]
-        for s in program.statements
-    }
-    body.walk(tree.child, active, [], 1)
-    lines.extend(body.lines)
+        if not overlapped:
+            out.append(piece)
+            continue
+        rest = make(instances.space, [piece]).subtract(make(instances.space, overlapped))
+        out.extend(p for p in rest.pieces if not p.is_empty())
+    return out
 
-    lines.append("")
-    for t in program.liveout:
-        n = int(np.prod(shapes[t]))
-        lines.append(
-            f'  write_tensor("{t}.out.bin", (double *){t}, {n}L);'
-        )
-    lines.append("  return 0;")
-    lines.append("}")
-    return "\n".join(lines)
+
+def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constraint]:
+    """The hypotheses that share symbols with ``c``, transitively: the rest
+    cannot take part in a refutation of ``¬c``."""
+    syms = set(c.expr.symbols())
+    picked: List[Constraint] = []
+    pool = [(h, h.expr.symbols()) for h in hypotheses]
+    grew = True
+    while grew and pool:
+        grew = False
+        rest = []
+        for h, h_syms in pool:
+            if syms.isdisjoint(h_syms):
+                rest.append((h, h_syms))
+            else:
+                picked.append(h)
+                syms.update(h_syms)
+                grew = True
+        pool = rest
+    return picked
 
 
 class _CBody:
-    """Tree walker emitting exact guarded loop nests."""
+    """Tree walker emitting exact loop nests with only the needed guards."""
 
-    def __init__(self, program: Program, params: Mapping[str, int]):
+    def __init__(
+        self,
+        program: Program,
+        params: Mapping[str, int],
+        sites: Mapping[str, ExtensionNode],
+        kept: Dict[str, str],
+    ):
         self.program = program
         self.params = dict(params)
+        self.names = c_names(program.tensors)
+        self.sites = sites
+        self.kept = kept                      # tensor -> why it stays global
+        self.scratch: Dict[str, TileBox] = {}  # promoted, origin in loop vars
+        self.demoted: List[str] = []
         self.lines: List[str] = []
         self.counter = 0
         self.loop_vars: List[str] = []
         # band dim name -> the C loop variable that carries it (extension
         # relations refer to enclosing bands by their dim names)
         self.band_map: Dict[str, str] = {}
+        # What the open loops guarantee, over loop vars; a tile loop var T
+        # appears as size * q (self.tiles[T] = (q, size)), so that GCD
+        # normalisation sees the stride.
+        self.context: List[Constraint] = []
+        self.tiles: Dict[str, Tuple[str, int]] = {}
+        self._strided_memo: Dict[Constraint, Constraint] = {}
+        self.guards_kept = 0
+        self.guards_elided = 0
+        self.bounds_simplified = 0
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
@@ -221,9 +340,62 @@ class _CBody:
         self.counter += 1
         return f"c{self.counter}_{_sanitize(base)}"
 
+    # -- what the context implies -------------------------------------------
+
+    def _strided(self, c: Constraint) -> Constraint:
+        """``c`` with every tile loop var ``T`` written as ``size * q``."""
+        out = self._strided_memo.get(c)
+        if out is None:
+            out = self._strided_memo[c] = c.substitute(
+                {var: LinExpr({q: size}) for var, (q, size) in self.tiles.items()}
+            )
+        return out
+
+    def implies(self, c: Constraint, extra: Sequence[Constraint] = ()) -> bool:
+        """Whether the open loops (and ``extra``) guarantee ``c``."""
+        c = self._strided(c)
+        if c.is_trivially_true():
+            return True
+        hypotheses = self.context + [self._strided(e) for e in extra]
+        # Most queries repeat a loop bound, possibly with a weaker constant.
+        if c.kind == ">=" and any(
+            h.kind == ">="
+            and h.expr.terms == c.expr.terms
+            and h.expr.const <= c.expr.const
+            for h in hypotheses
+        ):
+            return True
+        return entails(_connected(hypotheses, c), c)
+
+    def _needed(
+        self, bounds: Sequence[Constraint], others: Sequence[Constraint]
+    ) -> List[Constraint]:
+        """``bounds`` minus every operand the remaining ones, ``others`` (the
+        opposite side) and the context imply: same iterations, fewer terms."""
+        kept = list(bounds)
+        for b in bounds:
+            rest = [k for k in kept if k is not b]
+            if rest and self.implies(b, rest + list(others)):
+                kept = rest
+                self.bounds_simplified += 1
+        return kept
+
+    def _extreme(
+        self, members: Sequence[Tuple[Constraint, ...]]
+    ) -> List[Tuple[Constraint, ...]]:
+        """The members that can set one side of a union's range: a member
+        is dropped when its operands imply all of another's (its lower
+        bound is never the smallest, its upper bound never the largest)."""
+        kept = list(dict.fromkeys(members))
+        for m in list(kept):
+            others = [o for o in kept if o is not m]
+            if any(all(self.implies(a, m) for a in o) for o in others):
+                kept = others
+        return kept
+
     # -- walking -----------------------------------------------------------
 
-    def walk(self, node: Optional[Node], active, path: List[str], depth: int) -> None:
+    def walk(self, node: Optional[Node], active, depth: int) -> None:
         if node is None or isinstance(node, LeafNode):
             for sname, disjuncts in active.items():
                 for cons in disjuncts:
@@ -232,23 +404,23 @@ class _CBody:
         if isinstance(node, MarkNode):
             if node.mark == SKIPPED:
                 return
-            self.walk(node.child, active, path, depth)
+            self.walk(node.child, active, depth)
             return
         if isinstance(node, FilterNode):
             sub = {s: c for s, c in active.items() if s in node.statements}
             if sub:
-                self.walk(node.child, sub, path, depth)
+                self.walk(node.child, sub, depth)
             return
         if isinstance(node, SequenceNode):
             for filt in node.filters:
-                self.walk(filt, active, path, depth)
+                self.walk(filt, active, depth)
             return
         if isinstance(node, ExtensionNode):
             new_active = dict(active)
             for (_, sname), m in node.extension.maps.items():
                 stmt = self.program.statement(sname)
                 disjuncts = []
-                for bm in m.fix_params(self.params).pieces:
+                for bm in _run_once(stmt, m.fix_params(self.params)):
                     rename = dict(zip(bm.space.out_dims, stmt.dims))
                     for in_dim in bm.space.in_dims:
                         if in_dim not in self.band_map:
@@ -259,86 +431,139 @@ class _CBody:
                         rename[in_dim] = self.band_map[in_dim]
                     disjuncts.append([c.rename(rename) for c in bm.constraints])
                 new_active[sname] = disjuncts
-            self.walk(node.child, new_active, path, depth)
+            for tensor, site in self.sites.items():
+                if site is node:
+                    self._promote(tensor, new_active)
+            self.walk(node.child, new_active, depth)
             return
         if isinstance(node, BandNode):
-            self._emit_band(node, active, path, depth)
+            self._emit_band(node, active, depth)
             return
         raise CBackendError(f"unexpected node {type(node).__name__}")
 
-    def _emit_band(self, band: BandNode, active, path, depth) -> None:
+    def _promote(self, tensor: str, active) -> None:
+        """Give ``tensor`` a per-tile buffer if its footprint has a box."""
+        writes = [
+            (
+                [self._strided(c) for c in cons],
+                [i.substitute(self.params) for i in stmt.lhs.indices],
+            )
+            for stmt in self.program.writers_of(tensor)
+            for cons in active[stmt.name]
+        ]
+        outer = [self.tiles[v][0] if v in self.tiles else v for v in self.loop_vars]
+        box = tile_box(writes, outer)
+        full = self.program.tensors[tensor].size_elems(self.params)
+        if box is None:
+            self.kept[tensor] = "non-affine origin"
+        elif box.elems >= full:
+            self.kept[tensor] = "box as large as the tensor"
+        else:
+            self.scratch[tensor] = TileBox(
+                tuple(self._unstrided(o) for o in box.origin), box.shape
+            )
+
+    def _unstrided(self, e: LinExpr) -> LinExpr:
+        """``e`` with ``size * q`` folded back into the tile loop var; a
+        ``q`` that is left renders as ``T / size``."""
+        for var, (q, size) in self.tiles.items():
+            k = e.coeff(q)
+            if k and k % size == 0:
+                e = e + LinExpr({var: k // size, q: -k})
+        return e
+
+    def _bounds(
+        self, system: Sequence[Constraint], var: str
+    ) -> Tuple[Tuple[Constraint, ...], Tuple[Constraint, ...]]:
+        """The needed lower and upper bounds of ``var`` under ``system``."""
+        lowers: List[Constraint] = []
+        uppers: List[Constraint] = []
+        for c in projected_bounds(system, var, self.loop_vars):
+            a = c.coeff(var)
+            if c.kind == "==" or a > 0:
+                lowers.append(Constraint(c.expr if a > 0 else -c.expr, ">="))
+            if c.kind == "==" or a < 0:
+                uppers.append(Constraint(c.expr if a < 0 else -c.expr, ">="))
+        lowers = self._needed(lowers, uppers)
+        uppers = self._needed(uppers, lowers)
+        return tuple(lowers), tuple(uppers)
+
+    def _emit_band(self, band: BandNode, active, depth) -> None:
         new_active = {s: [list(c) for c in d] for s, d in active.items()}
-        opened: List[str] = []
+        saved = (dict(self.band_map), dict(self.tiles), len(self.context), len(self.loop_vars))
         d0 = depth
-        saved_band_map = dict(self.band_map)
         for d in range(band.n_dims):
             var = self.fresh(band.dim_names[d])
             self.band_map[band.dim_names[d]] = var
             size = None if band.tile_sizes is None else band.tile_sizes[d]
-            lowers: List[str] = []
-            uppers: List[str] = []
-            for sname, disjuncts in new_active.items():
-                if sname not in band.schedules:
-                    continue
-                row = band.schedules[sname][d]
-                for cons in disjuncts:
-                    eq = Constraint.eq(LinExpr.var(var) - row)
-                    lo, hi = _bound_exprs(cons + [eq], var, self.loop_vars)
-                    lowers.extend(lo)
-                    uppers.extend(hi)
-            lowers = list(dict.fromkeys(lowers))
-            uppers = list(dict.fromkeys(uppers))
-            if not lowers or not uppers:
+            kv = LinExpr.var(var)
+            rows = {
+                sname: band.schedules[sname][d].substitute(self.params)
+                for sname in new_active
+                if sname in band.schedules
+            }
+            # One member per statement piece the dimension scans: the loop
+            # covers the union of their ranges.
+            members = [
+                self._bounds(cons + [Constraint.eq(kv - row)], var)
+                for sname, row in rows.items()
+                for cons in new_active[sname]
+            ]
+            if not members or any(not lo or not hi for lo, hi in members):
                 raise CBackendError(
                     f"unbounded band dimension {band.dim_names[d]}"
                 )
-            lo_text = _combine_c(lowers, "max")
-            hi_text = _combine_c(uppers, "min")
+            lowers = self._extreme([lo for lo, _ in members])
+            uppers = self._extreme([hi for _, hi in members])
+            lo_text = _union_c(lowers, var, "max", "min")
+            hi_text = _union_c(uppers, var, "min", "max")
             init = lo_text
             if size is not None:
                 # align tile origins to the global grid
                 init = f"floord({lo_text}, {size}) * {size}"
             step = f" += {size}" if size else "++"
-            pragma = None
             if band.coincident[d] and not self.loop_vars:
-                pragma = "#pragma omp parallel for"
-            if pragma:
-                self.emit(d0, pragma)
+                self.emit(d0, "#pragma omp parallel for")
             self.emit(
                 d0,
                 f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{",
             )
+            # Only what every member guarantees holds in every iteration.
+            lows = [c for c in lowers[0] if all(c in m for m in lowers)]
+            highs = [c for c in uppers[0] if all(c in m for m in uppers)]
+            if size is not None:
+                # var + size - 1 >= each lower bound; var is a multiple of size
+                lows = [c.substitute({var: kv + (size - 1)}) for c in lows]
+                self.tiles[var] = (f"{var}_q", size)
+                self._strided_memo = {}
+            self.context.extend(self._strided(c) for c in lows + highs)
             self.loop_vars.append(var)
-            opened.append(var)
             d0 += 1
-            kv = LinExpr.var(var)
-            for sname, disjuncts in new_active.items():
-                if sname not in band.schedules:
-                    continue
-                row = band.schedules[sname][d]
-                for cons in disjuncts:
+            for sname, row in rows.items():
+                for cons in new_active[sname]:
                     if size is None:
                         cons.append(Constraint.eq(kv - row))
                     else:
                         cons.append(Constraint.le(kv, row))
                         cons.append(Constraint.lt(row, kv + size))
-        self.walk(band.child, new_active, path, d0)
-        self.band_map = saved_band_map
-        for var in reversed(opened):
-            self.loop_vars.pop()
+        self.walk(band.child, new_active, d0)
+        self.band_map, self.tiles, n_context, n_loops = saved
+        self._strided_memo = {}
+        del self.context[n_context:]
+        for _ in self.loop_vars[n_loops:]:
             d0 -= 1
             self.emit(d0, "}")
+        del self.loop_vars[n_loops:]
 
     def _emit_statement(self, sname: str, cons: Sequence[Constraint], depth: int) -> None:
         stmt = self.program.statement(sname)
         solved: Dict[str, LinExpr] = {}
         # Iteratively solve pin equalities (a dim may be defined via another
         # solved dim, e.g. upsample's h through 2h + dh == k).
-        remaining = list(cons)
         changed = True
         while changed:
             changed = False
-            for c in remaining:
+            for c in cons:
                 if c.kind != "==":
                     continue
                 unsolved = [
@@ -352,10 +577,7 @@ class _CBody:
                 a = c.coeff(dim)
                 if abs(a) != 1:
                     continue
-                rest = c.expr - LinExpr({dim: a})
-                rest = rest.substitute(
-                    {k: v for k, v in solved.items()}
-                )
+                rest = (c.expr - LinExpr({dim: a})).substitute(solved)
                 solved[dim] = (-rest) if a == 1 else rest
                 changed = True
         missing = [d for d in stmt.dims if d not in solved]
@@ -363,23 +585,129 @@ class _CBody:
             raise CBackendError(
                 f"cannot solve dims {missing} of {sname} from band equalities"
             )
+        facts = list(dict.fromkeys(c.substitute(solved) for c in cons))
+        if any(c.is_trivially_false() for c in facts):
+            return  # statically infeasible piece
+        facts = [c for c in facts if not c.is_trivially_true()]
+        guards = [c for c in facts if not self.implies(c)]
+        self.guards_kept += len(guards)
+        self.guards_elided += len(facts) - len(guards)
+
+        q_text = {q: f"{var} / {size}" for var, (q, size) in self.tiles.items()}
+
+        def ref(load: Load) -> str:
+            index = [i.substitute(self.params).substitute(solved) for i in load.indices]
+            box = self.scratch.get(load.tensor)
+            if box is not None:
+                index = [i - o for i, o in zip(index, box.origin)]
+                if load is not stmt.lhs and not all(
+                    self.implies(Constraint.ge(i), facts)
+                    and self.implies(Constraint.le(i, extent - 1), facts)
+                    for i, extent in zip(index, box.shape)
+                ) and load.tensor not in self.demoted:
+                    self.demoted.append(load.tensor)
+            return self.names[load.tensor] + "".join(
+                f"[{_linexpr_c(i, q_text)}]" for i in index
+            )
+
         env = {d: _linexpr_c(e, {}) for d, e in solved.items()}
-        guards: List[str] = []
-        for c in cons:
-            expr = c.expr.substitute(solved)
-            if expr.is_constant():
-                if (c.kind == "==" and expr.const != 0) or (
-                    c.kind == ">=" and expr.const < 0
-                ):
-                    return  # statically infeasible piece
-                continue
-            text = _linexpr_c(expr, {})
-            guards.append(f"({text}) {'==' if c.kind == '==' else '>='} 0")
-        guard_text = " && ".join(dict.fromkeys(guards)) if guards else "1"
-        lhs_idx = "".join(f"[{_linexpr_c(i.substitute(solved), {})}]" for i in stmt.lhs.indices)
-        rhs = render_expr_c(stmt.rhs, env, self.program)
+        rhs = self._render(stmt.rhs, env, ref)
         op = "+=" if stmt.kind == REDUCE else "="
-        self.emit(depth, f"if ({guard_text}) {stmt.lhs.tensor}{lhs_idx} {op} {rhs};")
+        guard = " && ".join(
+            f"({_linexpr_c(c.expr, {})}) {c.kind} 0" for c in guards
+        )
+        prefix = f"if ({guard}) " if guards else ""
+        self.emit(depth, f"{prefix}{ref(stmt.lhs)} {op} {rhs};")
+
+    def _render(self, expr: Expr, env: Mapping[str, str], ref) -> str:
+        """A statement RHS as a C expression: ``env`` maps iterator names
+        to C expressions, ``ref`` renders a tensor element."""
+        if isinstance(expr, Const):
+            return repr(float(expr.value))
+        if isinstance(expr, Affine):
+            return _linexpr_c(expr.expr, env)
+        if isinstance(expr, Load):
+            return ref(expr)
+        if isinstance(expr, BinOp):
+            lhs = self._render(expr.lhs, env, ref)
+            rhs = self._render(expr.rhs, env, ref)
+            if expr.op in ("min", "max"):
+                return f"f{expr.op}({lhs}, {rhs})"
+            return f"({lhs} {expr.op} {rhs})"
+        if isinstance(expr, Call):
+            fn = INTRINSIC_C.get(expr.fn)
+            if fn is None:
+                raise CBackendError(f"no C lowering for intrinsic {expr.fn!r}")
+            args = ", ".join(self._render(a, env, ref) for a in expr.args)
+            return f"{fn}({args})"
+        raise CBackendError(f"cannot lower {type(expr).__name__} to C")
+
+    # -- the translation unit ------------------------------------------------
+
+    def source(self, live_in: Sequence[str]) -> str:
+        """Declarations, I/O helpers and ``main`` around the walked body."""
+        program, params = self.program, self.params
+        lines: List[str] = [HEADER]
+        sizes: Dict[str, int] = {}
+        for name, t in program.tensors.items():
+            box = self.scratch.get(name)
+            shape = box.shape if box is not None else t.concrete_shape(params)
+            sizes[name] = int(np.prod(shape))
+            dims = "".join(f"[{e}]" for e in shape)
+            lines.append(f"static double {self.names[name]}{dims};")
+            if box is not None:
+                # one buffer per thread: a tile runs on one thread
+                lines.append(f"#pragma omp threadprivate({self.names[name]})")
+        lines.append("")
+        lines.append("static void read_tensor(const char *path, double *buf, long n) {")
+        lines.append('  FILE *f = fopen(path, "rb");')
+        lines.append('  if (!f) { fprintf(stderr, "missing %s\\n", path); exit(2); }')
+        lines.append("  if (fread(buf, sizeof(double), n, f) != (size_t)n) exit(3);")
+        lines.append("  fclose(f);")
+        lines.append("}")
+        lines.append("static void write_tensor(const char *path, double *buf, long n) {")
+        lines.append('  FILE *f = fopen(path, "wb");')
+        lines.append("  fwrite(buf, sizeof(double), n, f);")
+        lines.append("  fclose(f);")
+        lines.append("}")
+        lines.append("")
+        lines.append("int main(void) {")
+        for name in live_in:
+            lines.append(
+                f'  read_tensor("{name}.bin", (double *){self.names[name]}, {sizes[name]}L);'
+            )
+        lines.append("")
+        lines.extend(self.lines)
+        lines.append("")
+        for name in program.liveout:
+            lines.append(
+                f'  write_tensor("{name}.out.bin", (double *){self.names[name]}, {sizes[name]}L);'
+            )
+        lines.append("  return 0;")
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def _bound_c(c: Constraint, var: str) -> str:
+    """The bound ``c`` puts on ``var`` (``a * var + rest >= 0``) as C."""
+    a = c.coeff(var)
+    rest = c.expr - LinExpr({var: a})
+    if a > 0:
+        text = _linexpr_c(-rest, {})
+        return text if a == 1 else f"ceild({text}, {a})"
+    text = _linexpr_c(rest, {})
+    return text if a == -1 else f"floord({text}, {-a})"
+
+
+def _union_c(
+    members: Sequence[Tuple[Constraint, ...]], var: str, within: str, across: str
+) -> str:
+    """One side of a loop covering every member's range: ``within`` (max
+    for lower bounds) combines one member's operands, ``across`` (min)
+    the members."""
+    return _combine_c(
+        [_combine_c([_bound_c(c, var) for c in m], within) for m in members], across
+    )
 
 
 def _combine_c(parts: List[str], fn: str) -> str:
@@ -417,7 +745,7 @@ def compile_and_run(
     re-writes of identical values are benign races under OpenMP).
     """
     params = dict(program.params, **(params or {}))
-    source = generate_c(tree, program, params)
+    source, live_in = _generate_c(tree, program, params)
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise CBackendError("no C compiler available")
@@ -433,8 +761,11 @@ def compile_and_run(
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise CBackendError(f"compilation failed:\n{proc.stderr}\n--- source ---\n{source}")
-    for name in program.tensors:
-        store[name].astype(np.float64).tofile(os.path.join(workdir, f"{name}.bin"))
+    for name in live_in:
+        # no copy when the store already holds float64
+        np.asarray(store[name], dtype=np.float64).tofile(
+            os.path.join(workdir, f"{name}.bin")
+        )
     proc = subprocess.run([exe], cwd=workdir, capture_output=True, text=True)
     if proc.returncode != 0:
         raise CBackendError(f"execution failed ({proc.returncode}): {proc.stderr}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CompileOptions
 from repro.codegen import execute_naive, make_store, run_program
+from repro.codegen.cbackend import compile_and_run, compiler_available
 from repro.core import optimize
 from repro.core.validate import validate_tree
 from repro.pipelines.common import ImagePipeline
@@ -88,3 +89,20 @@ def test_fuzzed_pipeline_gpu_target(prog):
     store, _ = run_program(prog, result.tree)
     out = prog.liveout[0]
     np.testing.assert_allclose(store[out], ref[out], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.skipif(not compiler_available(), reason="no C compiler on this machine")
+@settings(max_examples=12, deadline=None)
+@given(pipelines(), st.sampled_from([(2, 2), (4, 4), (4, 8), (8, 8)]))
+def test_fuzzed_pipeline_compiled_c_agrees(prog, tiles):
+    """Interpreter == naive order == compiled C: the emitted per-tile
+    buffers, elided guards and skipped reads hold on arbitrary DAGs (up- and
+    downsampling give non-unit strides, diamonds several readers)."""
+    ref = make_store(prog)
+    execute_naive(prog, ref)
+    result = optimize(prog, CompileOptions(target="cpu", tile_sizes=tiles))
+    store, _ = run_program(prog, result.tree)
+    got = compile_and_run(result.tree, prog, make_store(prog), openmp=False)
+    out = prog.liveout[0]
+    np.testing.assert_allclose(store[out], ref[out], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got[out], ref[out], rtol=1e-12)

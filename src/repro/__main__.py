@@ -146,16 +146,17 @@ def _emit_c(result, prog) -> None:
     """Run the compilable C backend for what it records: the
     ``codegen.generate_c`` span and the ``codegen.c.*`` counters say which
     guards and bounds it elided, which tensors got per-tile buffers and
-    why the others did not.  Only the cpu target has such a backend, and a
-    program it cannot emit (a tensor of extent 0) has nothing to report."""
+    why the others did not.  Only the cpu target has such a backend; when
+    it refuses a program (a tensor of extent 0) the reason goes to stderr."""
     from .codegen.cbackend import CBackendError, generate_c
 
     if result.target.name != "cpu":
         return
     try:
         generate_c(result.tree, prog)
-    except (CBackendError, ValueError):
-        pass
+    except CBackendError as exc:
+        obs.count("codegen.c.refused")
+        print(f"note: no C emitted for {prog.name}: {exc}", file=sys.stderr)
 
 
 def cmd_trace(args) -> int:

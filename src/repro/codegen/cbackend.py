@@ -219,6 +219,13 @@ def _generate_c(
     """The source, and the tensors it reads from disk."""
     with obs.span("codegen.generate_c"):
         params = dict(program.params, **(params or {}))
+        try:
+            shapes = {
+                name: t.concrete_shape(params) for name, t in program.tensors.items()
+            }
+        except ValueError as exc:
+            # e.g. a pyramid level that collapses to extent 0 at this size
+            raise CBackendError(f"cannot allocate: {exc}") from exc
         live_in = live_in_tensors(program, params)
         sites, kept = scratch_sites(tree, program, live_in)
         active = {
@@ -226,7 +233,7 @@ def _generate_c(
             for s in program.statements
         }
         while True:
-            body = _CBody(program, params, sites, dict(kept))
+            body = _CBody(program, params, shapes, sites, dict(kept))
             body.walk(tree.child, active, 1)
             if not body.demoted:
                 break
@@ -307,11 +314,13 @@ class _CBody:
         self,
         program: Program,
         params: Mapping[str, int],
+        shapes: Mapping[str, Tuple[int, ...]],
         sites: Mapping[str, ExtensionNode],
         kept: Dict[str, str],
     ):
         self.program = program
         self.params = dict(params)
+        self.shapes = shapes
         self.names = c_names(program.tensors)
         self.sites = sites
         self.kept = kept                      # tensor -> why it stays global
@@ -453,7 +462,7 @@ class _CBody:
         ]
         outer = [self.tiles[v][0] if v in self.tiles else v for v in self.loop_vars]
         box = tile_box(writes, outer)
-        full = self.program.tensors[tensor].size_elems(self.params)
+        full = int(np.prod(self.shapes[tensor]))
         if box is None:
             self.kept[tensor] = "non-affine origin"
         elif box.elems >= full:
@@ -646,12 +655,12 @@ class _CBody:
 
     def source(self, live_in: Sequence[str]) -> str:
         """Declarations, I/O helpers and ``main`` around the walked body."""
-        program, params = self.program, self.params
+        program = self.program
         lines: List[str] = [HEADER]
         sizes: Dict[str, int] = {}
-        for name, t in program.tensors.items():
+        for name in program.tensors:
             box = self.scratch.get(name)
-            shape = box.shape if box is not None else t.concrete_shape(params)
+            shape = box.shape if box is not None else self.shapes[name]
             sizes[name] = int(np.prod(shape))
             dims = "".join(f"[{e}]" for e in shape)
             lines.append(f"static double {self.names[name]}{dims};")

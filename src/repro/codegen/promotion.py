@@ -3,18 +3,20 @@
 Values produced by an intermediate computation space fused into a tile are
 only used within that tile, so they can live in a small scratchpad (CPU),
 shared memory (GPU) or a unified buffer (NPU) and be discarded when the
-tile completes.  Two consumers share this module:
+tile completes.  A buffer is the bounding box of a footprint (PPCG's
+rectangular over-approximation), and :func:`tile_box` is the one place a
+box is computed:
 
 * the cost model and the display printers ask :func:`promoted_buffers`
   what the paper promotes, per fusion cluster: every tensor a fused
-  (extension) space produces, with its bounding box (PPCG's rectangular
-  over-approximation of possibly non-rectangular footprints) evaluated at
-  a representative interior tile;
-* the compilable C backend really allocates the buffers, so it also needs
-  to know that doing so is unobservable (:func:`live_in_tensors`,
-  :func:`scratch_sites`) and where a buffer sits for *every* tile, as a
-  layout relation ``element -> slot`` derived from the footprint
-  (:func:`tile_box`).  On full interior tiles the two boxes agree.
+  (extension) space produces, boxed at a representative interior tile
+  (nothing left symbolic, so the box is a constant);
+* the compilable C backend really allocates the buffers, so it boxes the
+  write footprint with the enclosing loop symbols left free (the layout
+  relation ``element -> slot`` for *every* tile) and first asks whether a
+  buffer is unobservable: :func:`scratch_sites`, over the same tensors,
+  with :func:`live_in_tensors`.  The model asks no such question — it
+  prices conv2d's in-place ``A`` as promoted, C must keep it global.
 """
 
 from __future__ import annotations
@@ -26,8 +28,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set as PySet, Tuple
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
 from .. import obs
 from ..ir import Program
-from ..presburger import BasicSet, Constraint, LinExpr, Map, Set, memo
-from ..presburger.fm import implied_by_intervals, interval_bounds, rational_feasible
+from ..presburger import BasicSet, Constraint, LinExpr, Map, Set, SetSpace
+from ..presburger.fm import (
+    eliminate_symbols,
+    implied_by_intervals,
+    interval_bounds,
+    rational_feasible,
+)
 from ..schedule import (
     DomainNode,
     ExtensionNode,
@@ -130,56 +137,45 @@ def _promoted_buffers(
         fp = tile_footprint(
             program, entry.group, entry.tile_sizes, fused_tensors, entry.tile_dims
         )
-        # Fused producers may feed each other; include footprints seen from
-        # the producer side too (reads of fused statements).
         buffers: List[PromotedBuffer] = []
         origin = representative_tile_origin(
             program, entry.group, entry.tile_sizes, entry.tile_dims, params
         )
         for tensor in fused_tensors:
             m = fp.get((TILE_TUPLE, tensor))
-            if m is None:
+            if m is not None:
+                touched = m.fix_params(params).image_of_point(origin)
+            else:
                 # Produced and consumed only among the fused spaces; size it
                 # by the producer's extension instances instead.
-                buffers.append(
-                    _buffer_from_extension(program, exts, tensor, origin, params)
-                )
-                continue
-            image = m.fix_params(params).image_of_point(origin)
-            box = image.bounding_box()
-            shape = tuple(
-                (hi - lo + 1) if lo is not None and hi is not None else 0
-                for lo, hi in box.values()
-            )
-            buffers.append(
-                PromotedBuffer(tensor, shape, image.count_points())
-            )
+                touched = _written_by_extension(program, exts, tensor, origin, params)
+            buffers.append(_boxed(tensor, touched))
         out[entry.group.name] = buffers
     return out
 
 
-def _buffer_from_extension(
+def _written_by_extension(
     program: Program, exts, tensor: str, origin, params
-) -> PromotedBuffer:
+) -> Optional[Set]:
     for e in exts:
         for s in e.group.statements:
             stmt = program.statement(s)
-            if stmt.tensor_written() != tensor:
-                continue
             m = e.relation.get((TILE_TUPLE, s))
-            if m is None:
-                continue
-            inst = m.fix_params(params).image_of_point(origin)
-            elems = inst.count_points()
-            writes = stmt.write_relation().fix_params(params)
-            touched = writes.apply_to_set(inst)
-            box = touched.bounding_box()
-            shape = tuple(
-                (hi - lo + 1) if lo is not None and hi is not None else 0
-                for lo, hi in box.values()
-            )
-            return PromotedBuffer(tensor, shape, touched.count_points())
-    return PromotedBuffer(tensor, (0,), 0)
+            if stmt.tensor_written() == tensor and m is not None:
+                inst = m.fix_params(params).image_of_point(origin)
+                return stmt.write_relation().fix_params(params).apply_to_set(inst)
+    return None
+
+
+def _boxed(tensor: str, touched: Optional[Set]) -> PromotedBuffer:
+    """The buffer for one tile's ``touched`` elements: :func:`tile_box`
+    with nothing left symbolic, so the box is a constant."""
+    if touched is None:
+        return PromotedBuffer(tensor, (0,), 0)
+    at = [LinExpr.var(d) for d in touched.space.dims]
+    box = tile_box([(p.constraints, at) for p in touched.pieces], ())
+    shape = box.shape if box is not None else (0,) * len(at)
+    return PromotedBuffer(tensor, shape, touched.count_points())
 
 
 def total_scratch_bytes(
@@ -267,10 +263,70 @@ def _elem_dims(ndim: int) -> Tuple[str, ...]:
 
 
 def _footprint(access: Map, params: Mapping[str, int]) -> Set:
-    """The elements an access relation touches, over ``_elem_dims``."""
+    """The elements an access relation touches, over ``_elem_dims`` (FM's
+    rational projection: it may hold elements no instance touches)."""
     touched = access.fix_params(params).range()
     dims = _elem_dims(len(touched.space.dims))
     return touched.rename_dims(dict(zip(touched.space.dims, dims)))
+
+
+def _projected_exactly(
+    system: Sequence[Constraint], dims: Sequence[str]
+) -> Optional[List[Constraint]]:
+    """``system`` with ``dims`` eliminated, or ``None`` when FM's (rational)
+    projection may hold integer points the integer projection lacks.
+
+    A dim goes exactly when an equality with a unit coefficient defines
+    it, or when no equality mentions it and every pair of a lower bound
+    ``a*x >= l`` and an upper bound ``b*x <= u`` with ``a, b > 1`` has its
+    dark shadow ``a*u - b*l >= (a-1)(b-1)`` (Pugh's Omega test: an integer
+    ``x`` then exists) implied by what remains.
+    """
+    system, todo = list(system), list(dims)
+    while todo:
+        in_eq = {d for d in todo for c in system if c.kind == "==" and c.coeff(d)}
+        dim = next(
+            (d for d in todo if any(
+                c.kind == "==" and abs(c.coeff(d)) == 1 for c in system
+            )),
+            None,
+        ) or next((d for d in todo if d not in in_eq), None)
+        if dim is None:
+            return None  # x = 2*y: the image skips elements
+        rest = eliminate_symbols(system, [dim])
+        if dim not in in_eq:
+            for lo in system:
+                for up in system:
+                    a, b = lo.coeff(dim), -up.coeff(dim)
+                    if a > 1 and b > 1:
+                        shadow = (lo.expr - LinExpr({dim: a})) * b + (
+                            up.expr + LinExpr({dim: b})
+                        ) * a
+                        dark = Constraint(shadow - (a - 1) * (b - 1), ">=")
+                        if not dark.is_trivially_true() and not entails(rest, dark):
+                            return None
+        system = rest
+        todo.remove(dim)
+    return system
+
+
+def _certainly_written(stmt, params: Mapping[str, int]) -> Set:
+    """Elements ``stmt`` writes, over ``_elem_dims``, leaving out every
+    domain piece whose image FM cannot project exactly: a cover must not
+    hold an element nobody wrote (``Y[2*i]`` leaves the odd ones alone,
+    though the rational projection contains them)."""
+    dims = _elem_dims(len(stmt.lhs.indices))
+    space = SetSpace(stmt.lhs.tensor, dims)
+    pieces: List[BasicSet] = []
+    for piece in stmt.domain.pieces:
+        system = [c.substitute(params) for c in piece.constraints] + [
+            Constraint.eq(LinExpr.var(d) - i.substitute(params))
+            for d, i in zip(dims, stmt.lhs.indices)
+        ]
+        image = _projected_exactly(system, stmt.dims)
+        if image is not None:
+            pieces.append(BasicSet(space, image))
+    return Set(space, pieces)
 
 
 def _within_one_piece(
@@ -285,44 +341,19 @@ def _within_one_piece(
     )
 
 
-#: Liveness depends on the program alone, and one program is emitted under
-#: many trees (fused and original order; a tile-size sweep).  Programs are
-#: mutable, so the key is structural.
-_LIVE_IN_MEMO = memo.table("live_in_tensors")
-
-
 def live_in_tensors(
     program: Program, params: Optional[Mapping[str, int]] = None
 ) -> Tuple[str, ...]:
     """The tensors whose initial contents the program can observe.
 
     One rule, in program order: a tensor is live-in when some statement
-    reads an element that no *earlier* statement wrote (a reduction reads
-    its own target, an in-place update reads what it overwrites), or when
-    it is live-out and not written everywhere.  Every other tensor may
-    start with any contents, so the C backend neither reads it from disk
-    nor keeps it in memory between tiles.
+    reads an element that no *earlier* statement certainly wrote (a
+    reduction reads its own target, an in-place update reads what it
+    overwrites), or when it is live-out and not written everywhere.  Every
+    other tensor may start with any contents, so the C backend neither
+    reads it from disk nor keeps it in memory between tiles.
     """
     params = dict(program.params, **(params or {}))
-    key = (
-        tuple(
-            (
-                tuple(p.constraints for p in s.domain.pieces),
-                tuple((l.tensor, tuple(l.indices)) for l in (s.lhs, *s.read_loads())),
-            )
-            for s in program.statements
-        ),
-        tuple((t, program.tensors[t].concrete_shape(params)) for t in program.liveout),
-        tuple(program.tensors),
-        tuple(sorted(params.items())),
-    )
-    cached = _LIVE_IN_MEMO.get(key)
-    if cached is memo.MISS:
-        cached = _LIVE_IN_MEMO.put(key, _live_in_tensors(program, params))
-    return cached
-
-
-def _live_in_tensors(program: Program, params: Mapping[str, int]) -> Tuple[str, ...]:
     written: Dict[str, Set] = {}
     live: PySet[str] = set()
     for stmt in program.statements:
@@ -352,10 +383,11 @@ def _live_in_tensors(program: Program, params: Mapping[str, int]) -> Tuple[str, 
             if not _footprint(reads, params).is_subset(cover):
                 live.add(tensor)
         target = stmt.tensor_written()
-        touched = _footprint(stmt.write_relation(), params)
-        written[target] = (
-            written[target].union(touched) if target in written else touched
-        )
+        if target not in live:
+            touched = _certainly_written(stmt, params)
+            written[target] = (
+                written[target].union(touched) if target in written else touched
+            )
     for tensor in program.liveout:
         if tensor in live:
             continue
@@ -452,31 +484,32 @@ class TileBox:
 
 
 def tile_box(
-    writes: Sequence[Tuple[Sequence[Constraint], Sequence[LinExpr]]],
+    accesses: Sequence[Tuple[Sequence[Constraint], Sequence[LinExpr]]],
     outer: Sequence[str],
 ) -> Optional[TileBox]:
-    """The smallest box ``origin + [0, shape)`` holding every written
-    element, for every value of the ``outer`` symbols (all tiles at once).
+    """The smallest box ``origin + [0, shape)`` holding every accessed
+    element, for every value of the ``outer`` symbols (all tiles at once;
+    with no ``outer`` symbol, the constant bounding box).
 
-    ``writes`` lists ``(instances, indices)``: a constraint system over
+    ``accesses`` lists ``(instances, indices)``: a constraint system over
     ``outer`` and statement dims, and the affine index of the element each
-    instance writes.  Per tensor dimension the bounds of the index are
+    instance touches.  Per tensor dimension the bounds of the index are
     projected onto ``outer``; an origin must be a lower bound with unit
     divisor in every piece, and its extent is the tightest upper bound at
     constant distance from it.  ``None`` when some dimension has no such
     origin (a ``ceild`` of the tile origin, a union with no common corner)
-    or nothing is written at all.
+    or nothing is accessed at all.
     """
-    if not writes:
+    if not accesses:
         return None
-    ndim = len(writes[0][1])
+    ndim = len(accesses[0][1])
     origin: List[LinExpr] = []
     shape: List[int] = []
     for k in range(ndim):
         e = "_e"
         lowers: List[List[LinExpr]] = []          # per piece: e >= l
         uppers: List[List[Tuple[LinExpr, int]]] = []  # per piece: a*e <= u
-        for instances, indices in writes:
+        for instances, indices in accesses:
             system = [*instances, Constraint.eq(LinExpr.var(e) - indices[k])]
             lo: List[LinExpr] = []
             hi: List[Tuple[LinExpr, int]] = []

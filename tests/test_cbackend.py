@@ -22,6 +22,7 @@ import pytest
 from repro import CompileOptions
 from repro.codegen import execute_naive, make_store, print_tree, promoted_buffers
 from repro.codegen.cbackend import (
+    CBackendError,
     HEADER,
     c_names,
     compile_and_run,
@@ -301,6 +302,22 @@ class TestEmittedStructure:
         }
         assert emitted == modelled
 
+    @pytest.mark.parametrize("name,size", [("harris", 64), ("conv2d", 48), ("camera_pipeline", 128), ("covariance", 48)])
+    def test_model_and_backend_consider_the_same_tensors(self, name, size):
+        """``promoted_buffers`` prices every tensor an extension writes; the
+        backend's legality walk sorts exactly those into sites and kept."""
+        prog, res = fused(name, size)
+        sites, kept = scratch_sites(res.tree, prog, live_in_tensors(prog))
+        modelled = {b.tensor for bufs in promoted_buffers(res).values() for b in bufs}
+        assert modelled == set(sites) | set(kept)
+
+    def test_empty_tensor_is_refused(self):
+        """A pyramid level of extent 0: the backend's own error, not a
+        ValueError from somewhere inside it."""
+        prog, res = fused("multiscale_interp", 64)
+        with pytest.raises(CBackendError, match="cannot allocate"):
+            generate_c(res.tree, prog)
+
     def test_non_unit_scaling_origin(self):
         """Tile 8 over an 8x downsampled grid: the origin is T/8 - 0."""
         prog, res = fused("bilateral_grid", 64, (8, 16))
@@ -392,6 +409,49 @@ class TestLiveness:
     def test_reduction_target_initialised_first_is_not_live_in(self):
         prog = polybench.build_gemver(8)
         assert "x1" not in live_in_tensors(prog) and "w" not in live_in_tensors(prog)
+
+    @staticmethod
+    def strided(reader_index, liveout):
+        """``Y[2*i] = ...`` then a read of ``Y[reader_index(i)]``."""
+        b = ProgramBuilder("strided")
+        X, Y, Z = b.tensor("X", (8,)), b.tensor("Y", (16,)), b.tensor("Z", (8,))
+        (i,) = b.iters("i")
+        b.assign("S0", [i], "0 <= i <= 7", Y[2 * i], X[i] * 2.0)
+        b.assign("S1", [i], "0 <= i <= 7", Z[i], Y[reader_index(i)] + 1.0)
+        return b.set_liveout(*liveout).build()
+
+    def test_strided_write_covers_only_what_it_writes(self):
+        """FM's rational projection of ``{2*i}`` holds the odd elements
+        too; they are not written, so reading one (or writing ``Y`` back)
+        observes the initial contents."""
+        assert live_in_tensors(self.strided(lambda i: 2 * i + 1, ["Z"])) == ("X", "Y")
+        assert live_in_tensors(self.strided(lambda i: 2 * i, ["Y", "Z"])) == ("X", "Y")
+
+    @needs_cc
+    def test_strided_write_keeps_the_other_elements(self, tmp_path):
+        prog = self.strided(lambda i: 2 * i + 1, ["Y", "Z"])
+        expected = make_store(prog)
+        execute_naive(prog, expected)
+        out = compile_and_run(
+            initial_tree(prog), prog, make_store(prog), keep_dir=str(tmp_path), openmp=False
+        )
+        assert np.any(expected["Y"][1::2] != 0.0)
+        for t in prog.liveout:
+            np.testing.assert_allclose(out[t], expected[t], rtol=1e-12)
+
+    def test_dense_non_unit_write_is_a_cover(self):
+        """``up[2*h + dh]`` with ``dh`` in 0..1 writes every element: both
+        bounds on ``h`` have coefficient 2 and the dark shadow still holds,
+        so bilateral_grid's and local_laplacian's upsampled stages are not
+        mistaken for live-in."""
+        b = ProgramBuilder("upsample")
+        X, U, Z = b.tensor("X", (8,)), b.tensor("U", (16,)), b.tensor("Z", (16,))
+        h, dh, k = b.iters("h", "dh", "k")
+        b.assign("S0", [h, dh], "0 <= h <= 7 and 0 <= dh <= 1", U[2 * h + dh], X[h] * 2.0)
+        b.assign("S1", [k], "0 <= k <= 15", Z[k], U[k] + 1.0)
+        assert live_in_tensors(b.set_liveout("Z").build()) == ("X",)
+        assert live_in_tensors(get_workload("local_laplacian", 64)) == ("in_img",)
+        assert live_in_tensors(get_workload("bilateral_grid", 64)) == ("in_img",)
 
     def test_entails_is_sound(self):
         """Interval propagation and FM against brute force on small boxes."""

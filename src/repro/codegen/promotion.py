@@ -4,19 +4,19 @@ Values produced by an intermediate computation space fused into a tile are
 only used within that tile, so they can live in a small scratchpad (CPU),
 shared memory (GPU) or a unified buffer (NPU) and be discarded when the
 tile completes.  A buffer is the bounding box of a footprint (PPCG's
-rectangular over-approximation), and :func:`tile_box` is the one place a
-box is computed:
+rectangular over-approximation).  Two consumers:
 
 * the cost model and the display printers ask :func:`promoted_buffers`
   what the paper promotes, per fusion cluster: every tensor a fused
-  (extension) space produces, boxed at a representative interior tile
-  (nothing left symbolic, so the box is a constant);
-* the compilable C backend really allocates the buffers, so it boxes the
-  write footprint with the enclosing loop symbols left free (the layout
-  relation ``element -> slot`` for *every* tile) and first asks whether a
-  buffer is unobservable: :func:`scratch_sites`, over the same tensors,
-  with :func:`live_in_tensors`.  The model asks no such question — it
-  prices conv2d's in-place ``A`` as promoted, C must keep it global.
+  (extension) space produces, boxed at a representative interior tile,
+  where the box is a constant (``Set.bounding_box``);
+* the compilable C backend really allocates the buffers, so it needs the
+  box with the enclosing loop symbols left free (:func:`tile_box`: the
+  layout relation ``element -> slot`` for *every* tile; with no symbol
+  free it is the constant box above) and first asks whether a buffer is
+  unobservable: :func:`scratch_sites`, over the same tensors, with
+  :func:`live_in_tensors`.  The model asks no such question — it prices
+  conv2d's in-place ``A`` as promoted, C must keep it global.
 """
 
 from __future__ import annotations
@@ -168,13 +168,16 @@ def _written_by_extension(
 
 
 def _boxed(tensor: str, touched: Optional[Set]) -> PromotedBuffer:
-    """The buffer for one tile's ``touched`` elements: :func:`tile_box`
-    with nothing left symbolic, so the box is a constant."""
+    """The buffer for one tile's ``touched`` elements.  ``bounding_box`` on
+    purpose, not :func:`tile_box` with nothing left symbolic (same shapes):
+    ``count_points`` and the cost model box the same sets through the same
+    memo table, and a tile-size sweep calls this per candidate."""
     if touched is None:
         return PromotedBuffer(tensor, (0,), 0)
-    at = [LinExpr.var(d) for d in touched.space.dims]
-    box = tile_box([(p.constraints, at) for p in touched.pieces], ())
-    shape = box.shape if box is not None else (0,) * len(at)
+    shape = tuple(
+        (hi - lo + 1) if lo is not None and hi is not None else 0
+        for lo, hi in touched.bounding_box().values()
+    )
     return PromotedBuffer(tensor, shape, touched.count_points())
 
 

@@ -63,15 +63,33 @@ class Tensor:
         return f"Tensor({self.name}, shape=({', '.join(str(s) for s in self.shape)}))"
 
 
+class _ZeroedOnDemand(dict):
+    """``name -> array``; an array is allocated, zeroed, when first asked for."""
+
+    def __init__(self, shapes: Mapping[str, Tuple[int, ...]], tensors: Mapping[str, Tensor]):
+        super().__init__()
+        self.shapes = shapes
+        self.tensors = tensors
+
+    def __missing__(self, name: str) -> np.ndarray:
+        array = self[name] = np.zeros(self.shapes[name], dtype=self.tensors[name].dtype)
+        return array
+
+
 class TensorStore:
-    """Concrete storage for a set of tensors during interpretation."""
+    """Concrete storage for a set of tensors during interpretation.
+
+    Every tensor starts zeroed, but its array exists only once somebody
+    reads or writes it: ``set_input`` replaces an array, so a store being
+    filled never holds the zeros as well, and the C backend asks a store
+    for the live-in tensors alone.
+    """
 
     def __init__(self, tensors: Mapping[str, Tensor], params: Mapping[str, int]):
         self.params = dict(params)
-        self.arrays: Dict[str, np.ndarray] = {}
         self.tensors = dict(tensors)
-        for name, t in tensors.items():
-            self.arrays[name] = np.zeros(t.concrete_shape(params), dtype=t.dtype)
+        self.shapes = {name: t.concrete_shape(params) for name, t in tensors.items()}
+        self.arrays: Dict[str, np.ndarray] = _ZeroedOnDemand(self.shapes, self.tensors)
 
     def read(self, tensor: str, idx: Tuple[int, ...]) -> float:
         return self.arrays[tensor][idx]
@@ -83,7 +101,7 @@ class TensorStore:
         self.arrays[tensor][idx] += value
 
     def set_input(self, tensor: str, array: np.ndarray) -> None:
-        expected = self.arrays[tensor].shape
+        expected = self.shapes[tensor]
         if tuple(array.shape) != expected:
             raise ValueError(
                 f"input {tensor} has shape {array.shape}, expected {expected}"

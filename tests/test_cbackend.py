@@ -32,7 +32,7 @@ from repro.codegen.cbackend import (
 )
 from repro.codegen.promotion import entails, live_in_tensors, scratch_sites
 from repro.core import optimize
-from repro.ir import ProgramBuilder
+from repro.ir import ProgramBuilder, TensorStore
 from repro.pipelines import conv2d, polybench, unsharp_mask
 from repro.presburger import Constraint, LinExpr
 from repro.schedule import (
@@ -387,6 +387,19 @@ class TestLiveness:
         prog, res = fused("harris", 64)
         assert live_in_tensors(prog) == ("in_img",)
         assert generate_c(res.tree, prog).count("  read_tensor(") == 1
+
+    @needs_cc
+    def test_only_live_in_tensors_are_taken_from_the_store(self):
+        """A store that holds only the input never grows the other arrays."""
+        prog, res = fused("harris", 64)
+        store = TensorStore(prog.tensors, prog.params)
+        store.set_input("in_img", make_store(prog)["in_img"])
+        out = compile_and_run(res.tree, prog, store, openmp=False)
+        assert list(store.arrays) == ["in_img"]
+        ref = make_store(prog)
+        execute_naive(prog, ref)
+        for t in prog.liveout:
+            np.testing.assert_allclose(out[t], ref[t], rtol=1e-12)
 
     def test_in_place_update_stays_read_and_unpromoted(self):
         """conv2d's ``A = quant(A)`` reads what it overwrites."""

@@ -72,6 +72,19 @@ class TestTensor:
         with pytest.raises(ValueError):
             store.set_input("A", np.zeros(5))
 
+    def test_store_allocates_a_tensor_when_first_used(self):
+        store = TensorStore({"A": Tensor("A", (4,)), "B": Tensor("B", ("N", 2))}, {"N": 3})
+        assert store.arrays == {}
+        assert store["B"].shape == (3, 2) and not store["B"].any()
+        store.write("B", (1, 1), 2.0)
+        assert store.read("B", (1, 1)) == 2.0 and list(store.arrays) == ["B"]
+        with pytest.raises(KeyError):
+            store["C"]
+
+    def test_store_refuses_an_empty_tensor_up_front(self):
+        with pytest.raises(ValueError):
+            TensorStore({"A": Tensor("A", (LinExpr.var("N") - 4,))}, {"N": 4})
+
 
 class TestStatementAccessRelations:
     def test_conv2d_write_relations(self):

@@ -819,7 +819,9 @@ def _format_top_frame(sample, recent_events) -> str:
     lines.append(
         f"  compile p50 {sample.get('compile_p50_ms', 0.0):8.1f} ms   "
         f"p99 {sample.get('compile_p99_ms', 0.0):8.1f} ms   "
-        f"errors {sample.get('compile_errors', 0)}"
+        f"errors {sample.get('compile_errors', 0)}   "
+        f"cache hits {sample.get('cache_hits', 0)} "
+        f"({sample.get('cache_decodes', 0)} decodes)"
     )
     extra = []
     if "flush_queue_depth" in sample:

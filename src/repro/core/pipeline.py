@@ -17,7 +17,7 @@ Table I/III compilation-time comparison).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..ir import Program
@@ -36,7 +36,13 @@ from .tile_shapes import MixedSchedules, TargetSpec
 
 @dataclass
 class OptimizeResult:
-    """Everything produced by one run of the pass."""
+    """Everything produced by one run of the pass.
+
+    Immutable once built, like the :class:`Program` it holds, except for
+    ``tree``: the compile cache hands the same ``program``, ``scheduled``
+    and ``mixed`` to every hit and a :meth:`fresh` tree to each.
+    :meth:`fresh` is the only sanctioned way to get another rewritable tree.
+    """
 
     program: Program
     target: TargetSpec
@@ -50,6 +56,11 @@ class OptimizeResult:
     def clusters(self) -> List[List[FusionGroup]]:
         """Final fusion clusters: each tiling entry plus its extensions."""
         return self.mixed.fused_groups()
+
+    def fresh(self) -> "OptimizeResult":
+        """A result whose ``tree`` is an unshared copy: the schedule tree is
+        the one part a consumer rewrites in place (``map_to_gpu``)."""
+        return replace(self, tree=self.tree.copy())
 
     def fusion_summary(self) -> List[List[str]]:
         """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``."""

@@ -24,7 +24,11 @@ from .tensor import Tensor
 
 
 class Program:
-    """An ordered statement list with tensors and live-out information."""
+    """An ordered statement list with tensors and live-out information.
+
+    Immutable once built: ``build_workload``, the fingerprint memo and the
+    compile cache all hand one instance to many callers.
+    """
 
     def __init__(
         self,

@@ -349,6 +349,8 @@ class CompileServer:
             "inflight_compiles": self._active_compiles,
             "connections": self._connections,
             "compile_errors": cur["errors"],
+            "cache_hits": cur["cache_hits"],
+            "cache_decodes": c.get("service.cache.decode", 0),
             "compile_p50_ms": compile_ms.quantile(0.5) if compile_ms else 0.0,
             "compile_p99_ms": compile_ms.quantile(0.99) if compile_ms else 0.0,
             "events_dropped": self.events.stats()["dropped"],

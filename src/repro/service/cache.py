@@ -2,10 +2,17 @@
 
 Keys are the content-addressed fingerprints of
 :mod:`repro.service.fingerprint`; values are pickled
-:class:`~repro.core.pipeline.OptimizeResult` objects.  The memory tier
-holds pickled bytes (bounded by entry count and total size) so cached
-results are never shared mutably between callers — every hit unpickles a
-fresh copy.
+:class:`~repro.core.pipeline.OptimizeResult` objects.  A memory-tier entry
+(bounded by entry count and total encoded size) keeps the encoded bytes
+and, for a value that says how to hand out an unshared copy (``fresh()``),
+the instance decoded from them, at most once; a hit returns
+``instance.fresh()``, so the part a caller may rewrite is never shared.
+``put`` keeps bytes only and never the caller's object, and a value without
+``fresh()`` is decoded again on every hit.  Every decode goes through
+:func:`~repro.service.stores.base.restricted_loads` with
+:data:`BLOB_GLOBALS` and counts ``service.cache.decode``: a blob naming
+anything but the compiler's own value classes is an error, an eviction and
+a miss, on every tier.
 
 Below the memory tier, :class:`CompileCache` is a *policy* over one
 :class:`~repro.service.stores.CacheStore` — the cache fabric:
@@ -36,7 +43,8 @@ A single :class:`CompileCache` instance is safe to share across threads:
 the memory tier (the LRU ``OrderedDict`` and its byte accounting) and
 the stats counters are guarded by an internal lock; stores are
 thread-safe themselves.  Disk/network I/O and (un)pickling happen
-outside the lock.
+outside the lock, so two threads racing on an entry's first hit may both
+decode it; each publishes a whole instance.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .. import obs
 from .fingerprint import SCHEMA_VERSION
 from .stores import (
     TIERED_PREFIX,
@@ -57,7 +66,13 @@ from .stores import (
     default_gc_budget,
     resolve_store,
 )
-from .stores.base import GCReport, TierStats
+from .stores.base import GCReport, TierStats, restricted_loads
+
+#: What a result or memo blob may name: the compiler's own value classes.
+BLOB_GLOBALS = tuple(
+    f"repro.{pkg}."
+    for pkg in ("presburger", "ir", "deps", "schedule", "scheduler", "core")
+) + ("numpy.float64.", "numpy.dtype.")
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_REMOTE = "REPRO_CACHE_REMOTE"
@@ -73,6 +88,29 @@ def default_cache_dir() -> str:
 def default_remote_spec() -> Optional[str]:
     """The fleet-wide shared tier, when ``$REPRO_CACHE_REMOTE`` is set."""
     return os.environ.get(ENV_CACHE_REMOTE) or None
+
+
+def _decode(blob: bytes):
+    obs.count("service.cache.decode")
+    return restricted_loads(blob, BLOB_GLOBALS)
+
+
+class _Entry:
+    """A memory-tier slot: the encoded bytes and, after the first hit on a
+    value with ``fresh()``, the tier's own instance decoded from them."""
+
+    __slots__ = ("blob", "obj")
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.obj = None
+
+    def hand_out(self, value):
+        """What a hit that decoded (or found) ``value`` returns."""
+        if not hasattr(value, "fresh"):
+            return value
+        self.obj = value
+        return value.fresh()
 
 
 @dataclass
@@ -152,7 +190,7 @@ class CompileCache:
             self.store = None
         elif self.store is None:
             self.store = self._build_store()
-        self._mem: "OrderedDict[str, bytes]" = OrderedDict()
+        self._mem: "OrderedDict[str, _Entry]" = OrderedDict()
         self._mem_bytes = 0
         self._lock = threading.RLock()
 
@@ -165,7 +203,13 @@ class CompileCache:
         )
 
     def __getstate__(self):
-        state = self.__dict__.copy()
+        """Ships the memory tier as encoded entries only: the other side
+        decodes its own instances."""
+        with self._lock:
+            state = self.__dict__.copy()
+            state["_mem"] = OrderedDict(
+                (key, _Entry(entry.blob)) for key, entry in self._mem.items()
+            )
         del state["_lock"]
         # Stores hold locks, sockets and flush threads; rebuild from the
         # spec fields on the other side.
@@ -196,14 +240,17 @@ class CompileCache:
                 self.stats.disk_evictions += log.evictions
 
     def get(self, key: str):
-        """Return a fresh copy of the cached value, or ``None`` on miss."""
+        """The cached value, or ``None`` on a miss.  A value with
+        ``fresh()`` is decoded once per entry and handed out as
+        ``fresh()`` copies; any other value is decoded anew for every hit.
+        A store hit inserts what it decoded, so it is not decoded again."""
         with self._lock:
-            blob = self._mem.get(key)
-            if blob is not None:
+            entry = self._mem.get(key)
+            if entry is not None:
                 self._mem.move_to_end(key)
-        if blob is not None:
+        if entry is not None:
             try:
-                value = pickle.loads(blob)
+                value = entry.obj if entry.obj is not None else _decode(entry.blob)
             except Exception:
                 with self._lock:
                     self._evict_memory(key)
@@ -211,14 +258,14 @@ class CompileCache:
             else:
                 with self._lock:
                     self.stats.memory_hits += 1
-                return value
+                return entry.hand_out(value)
         if self.store is not None:
             log = OpLog()
             blob = self.store.get("results", key, log)
             self._ledger(log)
             if blob is not None:
                 try:
-                    value = pickle.loads(blob)
+                    value = _decode(blob)
                 except Exception:
                     self.store.delete("results", key)
                     with self._lock:
@@ -229,8 +276,8 @@ class CompileCache:
                         self.stats.disk_hits += 1
                         if log.tier == "remote":
                             self.stats.remote_hits += 1
-                        self._insert_memory(key, blob)
-                    return value
+                        entry = self._insert_memory(key, blob)
+                    return entry.hand_out(value)
         with self._lock:
             self.stats.misses += 1
         return None
@@ -261,25 +308,26 @@ class CompileCache:
 
     # -- memory tier -------------------------------------------------------
 
-    def _insert_memory(self, key: str, blob: bytes) -> None:
+    def _insert_memory(self, key: str, blob: bytes) -> _Entry:
         with self._lock:
             if key in self._mem:
-                self._mem_bytes -= len(self._mem.pop(key))
-            self._mem[key] = blob
+                self._mem_bytes -= len(self._mem.pop(key).blob)
+            entry = self._mem[key] = _Entry(blob)
             self._mem_bytes += len(blob)
             while self._mem and (
                 len(self._mem) > self.max_entries
                 or self._mem_bytes > self.max_bytes
             ):
-                old_key, old_blob = self._mem.popitem(last=False)
-                self._mem_bytes -= len(old_blob)
+                _, old = self._mem.popitem(last=False)
+                self._mem_bytes -= len(old.blob)
                 self.stats.memory_evictions += 1
+            return entry
 
     def _evict_memory(self, key: str) -> None:
         with self._lock:
-            blob = self._mem.pop(key, None)
-            if blob is not None:
-                self._mem_bytes -= len(blob)
+            entry = self._mem.pop(key, None)
+            if entry is not None:
+                self._mem_bytes -= len(entry.blob)
                 self.stats.memory_evictions += 1
 
     # -- memo store --------------------------------------------------------
@@ -295,7 +343,7 @@ class CompileCache:
         self._ledger(log)
         if blob is not None:
             try:
-                value = pickle.loads(blob)
+                value = _decode(blob)
             except Exception:
                 self.store.delete("memos", key)
                 with self._lock:
@@ -325,7 +373,7 @@ class CompileCache:
         out: Dict[str, object] = {}
         for key, blob in blobs.items():
             try:
-                out[key] = pickle.loads(blob)
+                out[key] = _decode(blob)
             except Exception:
                 self.store.delete("memos", key)
                 with self._lock:

@@ -375,8 +375,9 @@ def compile_batch(
     """Compile many requests; one outcome per request, same order.
 
     Identical fingerprints are compiled once and the result fanned back
-    out.  With a cache, warm fingerprints skip compilation entirely
-    and fresh results are stored for the next batch (or process).
+    out, each duplicate with its own ``fresh()`` tree.  With a cache,
+    warm fingerprints skip compilation entirely and fresh results are
+    stored for the next batch (or process).
 
     A :class:`repro.CompileOptions` supplies the driver knobs —
     ``mode``/``jobs``/``cache`` — in one validated bundle (``None`` uses
@@ -429,7 +430,7 @@ def compile_batch(
             if cache is not None and error is None:
                 cache.put(fp, result)
 
-        for out in outcomes:
+        for i, out in enumerate(outcomes):
             if out.fingerprint in cached:
                 out.result = cached[out.fingerprint]
                 out.from_cache = True
@@ -437,6 +438,9 @@ def compile_batch(
                 result, error = compiled[out.fingerprint]
                 out.result, out.error = result, error
                 out.seconds = elapsed / max(len(to_compile), 1)
+            if i != unique[out.fingerprint] and hasattr(out.result, "fresh"):
+                # Duplicates of one fingerprint each get their own tree.
+                out.result = out.result.fresh()
         if cache is not None:
             obs.count("driver.cache_hits", len(cached))
         _collect_batch_records(outcomes)

@@ -30,7 +30,8 @@ from ..presburger import Set
 #: v3: byte-stable codegen (sorted FM elimination order) + memo spill store.
 #: v4: OptimizeResult.tile_sizes now reports the effective (clipped or
 #: defaulted) sizes, so v3 cached results deserialize with stale fields.
-SCHEMA_VERSION = 4
+#: v5: request keys hash the program's digest, not the program again.
+SCHEMA_VERSION = 5
 
 _SALT = f"repro-compile-v{SCHEMA_VERSION}"
 
@@ -114,7 +115,7 @@ def canonical_request(
 ) -> Dict[str, object]:
     return {
         "salt": _SALT,
-        "program": canonical_program(program),
+        "program": fingerprint_program(program),
         "target": canonical_target(target),
         "tile_sizes": list(tile_sizes) if tile_sizes is not None else None,
         "startup": startup,

@@ -29,6 +29,8 @@ instead of raising: a cache tier must never take a compile down.
 
 from __future__ import annotations
 
+import io
+import pickle
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -48,6 +50,31 @@ def check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"unknown cache entry kind {kind!r}; expected one of {KINDS}")
     return kind
+
+
+class _RestrictedUnpickler(pickle.Unpickler):
+    def __init__(self, file, allowed: Tuple[str, ...]):
+        super().__init__(file)
+        self.allowed = allowed
+
+    def find_class(self, module: str, name: str):
+        if f"{module}.{name}.".startswith(self.allowed):
+            obj = super().find_class(module, name)
+            if isinstance(obj, type) and obj.__module__ == module:
+                return obj
+        raise pickle.UnpicklingError(f"{module}.{name} is not allowed in a cache blob")
+
+
+def restricted_loads(blob: bytes, allowed: Tuple[str, ...] = ()):
+    """``pickle.loads`` for bytes some other process may have written.
+
+    A global resolves only if it is a class, defined in the module the
+    blob names, whose dotted name starts with one of ``allowed`` (each
+    ending in ``"."``: ``"repro.ir."`` admits a package, ``"numpy.dtype."``
+    one class).  Anything else raises before it is called, so a hostile
+    blob fails to decode like a truncated one and runs nothing.
+    """
+    return _RestrictedUnpickler(io.BytesIO(blob), allowed).load()
 
 
 @dataclass
@@ -301,4 +328,5 @@ __all__ = [
     "StoreUnavailable",
     "TierStats",
     "check_kind",
+    "restricted_loads",
 ]

@@ -45,6 +45,7 @@ from .base import (
     GCReport,
     OpLog,
     check_kind,
+    restricted_loads,
 )
 
 _MAGIC = "repro-cache"
@@ -114,7 +115,8 @@ class LocalStore(CacheStore):
         path = self.path(kind, key)
         try:
             with open(path, "rb") as f:
-                entry = pickle.load(f)
+                # The envelope is plain data: no global may be named.
+                entry = restricted_loads(f.read())
             magic, schema, stored_key, blob = entry
             if magic != _MAGIC or schema != SCHEMA_VERSION or stored_key != key:
                 raise ValueError("stale or foreign cache entry")

@@ -11,6 +11,7 @@ it into a structured ``bad-request`` reply.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .pipelines import IMAGE_PIPELINES, conv2d, equake, mixed, polybench, resnet
@@ -40,11 +41,20 @@ def is_workload(name: str) -> bool:
 
 
 def build_workload(name: str, size: Optional[int] = None):
-    """Build the named workload's :class:`~repro.ir.Program`.
+    """The named workload's :class:`~repro.ir.Program`.
 
     ``size`` scales the iteration space; each family has its own default.
-    Raises :class:`UnknownWorkloadError` for unregistered names.
+    Name and size determine the program and programs are immutable, so
+    equal arguments return the same object (the 64 most recently used
+    are kept), which is also what lets the per-object digest memo of
+    :mod:`repro.service.fingerprint` hit.
+    Raises :class:`UnknownWorkloadError` for unregistered names, every time.
     """
+    return _build(name, size)
+
+
+@lru_cache(maxsize=64)
+def _build(name: str, size: Optional[int]):
     if name in IMAGE_PIPELINES:
         return IMAGE_PIPELINES[name].build(size or 512)
     if name == "conv2d":

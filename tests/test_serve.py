@@ -184,6 +184,8 @@ def test_compile_and_warm_repeat(tmp_path):
             snap = client.stats()
             assert snap["counters"]["serve.compiles"] == 1
             assert snap["counters"]["serve.cache_hits"] == 3
+            # three hits, one decode: the tier's own instance on the first
+            assert snap["counters"]["service.cache.decode"] == 1
     assert not os.path.exists(config.socket_path)  # unlinked at drain
     assert st.server._connections == 0
 

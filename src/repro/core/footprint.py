@@ -62,9 +62,10 @@ def parametric_binding(
 
 # The footprint relation is recomputed for every tile-size candidate the
 # autotuner probes and for every pass that needs it (cost model, promotion,
-# extension), usually with identical inputs.  Programs and groups are
-# mutable, so the memo keys are structural: statement domains, band rows
-# and access loads, never object identities.
+# extension), usually with identical inputs.  Groups are mutable (programs
+# are not: see :class:`~repro.ir.program.Program`) and entries outlive both,
+# so the memo keys are structural: statement domains, band rows and access
+# loads, never object identities.
 _T2I_MEMO = memo.table("tile_to_instances")
 # The footprint tables (and BasicMap.apply_range) are *spillable*: their
 # keys and values pickle by symbol name, so hot entries round-trip through

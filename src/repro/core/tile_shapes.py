@@ -162,10 +162,6 @@ def effective_tile_sizes(
     return sizes if sizes else None
 
 
-#: Backwards-compatible alias for the pre-promotion private name.
-_effective_tile_sizes = effective_tile_sizes
-
-
 def _algorithm1(
     program: Program,
     liveout: FusionGroup,
@@ -317,9 +313,7 @@ def _fuse_space(
     if not written & set(footprints):
         return None
 
-    producers = {
-        program.statement(s).tensor_written() for s in program.statement_names
-    }
+    producers = program.written_tensors()
 
     def _conc(m: Map) -> Map:
         return m.specialize(binding) if binding else m

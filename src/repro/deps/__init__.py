@@ -10,6 +10,7 @@ from .analysis import (
     flow_deps,
     memory_deps,
     producer_consumer_tensors,
+    row_distance,
     statement_row_map,
 )
 
@@ -23,5 +24,6 @@ __all__ = [
     "flow_deps",
     "memory_deps",
     "producer_consumer_tensors",
+    "row_distance",
     "statement_row_map",
 ]

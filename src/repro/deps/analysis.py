@@ -85,18 +85,23 @@ def memory_deps(
     kinds = set(kinds)
     deps: List[Dependence] = []
     stmts = program.statements
+    writes = [{s.tensor_written(): s.write_relation()} for s in stmts]
+    reads = [
+        {key[1]: m for key, m in s.read_relations().maps.items()} for s in stmts
+    ]
     for i, src in enumerate(stmts):
-        src_writes = {src.tensor_written(): src.write_relation()}
-        src_reads = {
-            key[1]: m for key, m in src.read_relations().maps.items()
-        }
-        for j in range(i, len(stmts)):
+        src_writes, src_reads = writes[i], reads[i]
+        # Only a statement that reads or writes what src writes, or writes
+        # what src reads, can depend on it.
+        written = src.tensor_written()
+        sharing = program.readers_of(written) + program.writers_of(written)
+        for t in src_reads:
+            sharing += program.writers_of(t)
+        later = {program.statement_index(s.name) for s in sharing}
+        for j in sorted(j for j in later if j >= i):
             dst = stmts[j]
             same = i == j
-            dst_write = {dst.tensor_written(): dst.write_relation()}
-            dst_reads = {
-                key[1]: m for key, m in dst.read_relations().maps.items()
-            }
+            dst_write, dst_reads = writes[j], reads[j]
             pairs = []
             if FLOW in kinds:
                 pairs += [
@@ -152,33 +157,39 @@ def dep_distance_bounds(
     statements, aligned positionally (the fused loop dimensions).  ``None``
     bounds mean unbounded.  An empty dependence yields ``(0, 0)`` rows.
     """
-    out: List[Tuple[Optional[int], Optional[int]]] = []
-    for s_row, d_row in zip(src_rows, dst_rows):
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        nonempty = False
-        for bm in dep.relation.fix_params(params).pieces:
-            in_rename = dict(zip(dep.src_dims, bm.space.in_dims))
-            out_rename = dict(zip(dep.dst_dims, bm.space.out_dims))
-            delta = d_row.rename(out_rename) - s_row.rename(in_rename)
-            all_dims = list(bm.space.in_dims) + list(bm.space.out_dims)
-            cons = list(bm.constraints) + [
-                Constraint.eq(LinExpr.var("__delta") - delta)
-            ]
-            projected = eliminate_symbols(cons, all_dims)
-            if any(c.is_trivially_false() for c in projected):
-                continue
-            plo, phi, _ = bounds_for_symbol(projected, "__delta", {})
-            if plo is not None and phi is not None and plo > phi:
-                continue
-            nonempty = True
-            lo = plo if lo is None else (None if plo is None else min(lo, plo))
-            hi = phi if hi is None else (None if phi is None else max(hi, phi))
-        if not nonempty:
-            out.append((0, 0))
-        else:
-            out.append((lo, hi))
-    return out
+    pieces = dep.relation.fix_params(params).pieces
+    return [
+        row_distance(dep, pieces, s_row, d_row)
+        for s_row, d_row in zip(src_rows, dst_rows)
+    ]
+
+
+def row_distance(
+    dep: Dependence, pieces: Sequence, s_row: LinExpr, d_row: LinExpr
+) -> Tuple[Optional[int], Optional[int]]:
+    """One row of :func:`dep_distance_bounds` over the relation's ``pieces``
+    (parameters already fixed).  Rows are independent of each other."""
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    nonempty = False
+    for bm in pieces:
+        in_rename = dict(zip(dep.src_dims, bm.space.in_dims))
+        out_rename = dict(zip(dep.dst_dims, bm.space.out_dims))
+        delta = d_row.rename(out_rename) - s_row.rename(in_rename)
+        all_dims = list(bm.space.in_dims) + list(bm.space.out_dims)
+        cons = list(bm.constraints) + [
+            Constraint.eq(LinExpr.var("__delta") - delta)
+        ]
+        projected = eliminate_symbols(cons, all_dims)
+        if any(c.is_trivially_false() for c in projected):
+            continue
+        plo, phi, _ = bounds_for_symbol(projected, "__delta", {})
+        if plo is not None and phi is not None and plo > phi:
+            continue
+        nonempty = True
+        lo = plo if lo is None else (None if plo is None else min(lo, plo))
+        hi = phi if hi is None else (None if phi is None else max(hi, phi))
+    return (lo, hi) if nonempty else (0, 0)
 
 
 def statement_row_map(stmt: Statement, depth: int) -> List[LinExpr]:

@@ -13,7 +13,7 @@ written in::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,11 +23,33 @@ from .statement import ASSIGN, REDUCE, Statement
 from .tensor import Tensor
 
 
+class _Index:
+    """name -> (position, statement), tensor -> readers, tensor -> writers."""
+
+    __slots__ = ("by_name", "readers", "writers")
+
+    def __init__(self, statements: Sequence[Statement]):
+        self.by_name = {s.name: (i, s) for i, s in enumerate(statements)}
+        self.readers: Dict[str, List[Statement]] = {}
+        self.writers: Dict[str, List[Statement]] = {}
+        for s in statements:
+            self.writers.setdefault(s.tensor_written(), []).append(s)
+            for t in s.tensors_read():
+                self.readers.setdefault(t, []).append(s)
+
+
 class Program:
     """An ordered statement list with tensors and live-out information.
 
-    Immutable once built: ``build_workload``, the fingerprint memo and the
-    compile cache all hand one instance to many callers.
+    **Immutability contract.**  A program and its statements are never
+    changed after construction: no field of a :class:`Program` or
+    :class:`Statement` is assigned, no statement or tensor added.
+    ``workloads._build``'s ``lru_cache``, ``fingerprint_program``'s digest
+    memo, the structural access memos in :mod:`.statement`, the compile
+    cache and the lookup index below all hand out or key on one instance
+    on that assumption.  The index (name -> position and statement, tensor
+    -> readers / writers) is built on first use and never pickled, so cache
+    blobs and fingerprints do not see it.
     """
 
     def __init__(
@@ -59,17 +81,22 @@ class Program:
 
     # -- lookups -----------------------------------------------------------
 
+    def _index(self) -> _Index:
+        index = self.__dict__.get("_lookup")
+        if index is None:
+            index = self._lookup = _Index(self.statements)
+        return index
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_lookup", None)
+        return state
+
     def statement(self, name: str) -> Statement:
-        for s in self.statements:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._index().by_name[name][1]
 
     def statement_index(self, name: str) -> int:
-        for i, s in enumerate(self.statements):
-            if s.name == name:
-                return i
-        raise KeyError(name)
+        return self._index().by_name[name][0]
 
     @property
     def statement_names(self) -> Tuple[str, ...]:
@@ -101,10 +128,13 @@ class Program:
         return UnionMap([s.write_relation() for s in self.statements])
 
     def writers_of(self, tensor: str) -> List[Statement]:
-        return [s for s in self.statements if s.tensor_written() == tensor]
+        return list(self._index().writers.get(tensor, ()))
 
     def readers_of(self, tensor: str) -> List[Statement]:
-        return [s for s in self.statements if tensor in s.tensors_read()]
+        return list(self._index().readers.get(tensor, ()))
+
+    def written_tensors(self) -> AbstractSet[str]:
+        return self._index().writers.keys()
 
     def total_instances(self, params: Optional[Mapping[str, int]] = None) -> int:
         params = dict(self.params, **(params or {}))

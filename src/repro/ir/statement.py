@@ -27,9 +27,10 @@ REDUCE = "reduce"
 
 # Access relations are derived per call, but dependence analysis probes the
 # same statement pair many times and the autotuner replays whole passes, so
-# the derivations repeat verbatim.  Statements are mutable; the memo keys
-# are therefore structural (domain space + constraints + access exprs),
-# never the statement object itself.
+# the derivations repeat verbatim.  Statements are immutable (the contract
+# is stated once, in :class:`~repro.ir.program.Program`); the memo keys are
+# structural (domain space + constraints + access exprs) all the same, so
+# that equal statements of separately built programs share one entry.
 _ACCESS_MEMO = memo.table("access_map")
 _READS_MEMO = memo.table("read_relations")
 

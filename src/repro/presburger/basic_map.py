@@ -26,8 +26,8 @@ class BasicMap:
         constraints = tuple(c for c in constraints if not c.is_trivially_true())
         allowed = set(space.in_dims) | set(space.out_dims) | set(space.params)
         for c in constraints:
-            bad = [s for s in c.expr.symbols() if s not in allowed]
-            if bad:
+            if not allowed.issuperset(c.expr.coeffs):
+                bad = [s for s in c.expr.symbols() if s not in allowed]
                 raise ValueError(f"constraint {c} mentions {bad} outside {space}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "constraints", constraints)
@@ -153,28 +153,22 @@ class BasicMap:
         cached = _APPLY_MEMO.get(key)
         if cached is not memo.MISS:
             return cached
+        # Name other's in-dims after our out-dims (the shared middle tuple)
+        # and its out-dims away from ours, then project the middle out.
         taken = set(self.space.in_dims) | set(self.space.out_dims) | set(self.space.params)
-        # Rename other's dims away from ours, then equate mid dims.
-        other_in = fresh_names([f"m_{d}" for d in other.space.in_dims], taken)
-        taken |= set(other_in)
         other_out = fresh_names(list(other.space.out_dims), taken)
-        rename = dict(zip(other.space.in_dims, other_in))
+        rename = dict(zip(other.space.in_dims, self.space.out_dims))
         rename.update(zip(other.space.out_dims, other_out))
-        other_cons = [c.rename(rename) for c in other.constraints]
-        mid_eqs = [
-            Constraint.eq(LinExpr.var(a) - LinExpr.var(b))
-            for a, b in zip(self.space.out_dims, other_in)
-        ]
         params = tuple(dict.fromkeys(self.space.params + other.space.params))
-        joint_space = SetSpace(
-            "_join",
-            self.space.in_dims + self.space.out_dims + tuple(other_in) + tuple(other_out),
-            params,
-        )
         joint = BasicSet(
-            joint_space, list(self.constraints) + other_cons + mid_eqs
+            SetSpace(
+                "_join",
+                self.space.in_dims + self.space.out_dims + tuple(other_out),
+                params,
+            ),
+            self.constraints + tuple(c.rename(rename) for c in other.constraints),
         )
-        projected = joint.project_out(self.space.out_dims + tuple(other_in))
+        projected = joint.project_out(self.space.out_dims)
         out_space = MapSpace(
             self.space.in_name,
             self.space.in_dims,

@@ -39,8 +39,8 @@ class BasicSet:
         constraints = tuple(c for c in constraints if not c.is_trivially_true())
         allowed = set(space.dims) | set(space.params)
         for c in constraints:
-            bad = [s for s in c.expr.symbols() if s not in allowed]
-            if bad:
+            if not allowed.issuperset(c.expr.coeffs):
+                bad = [s for s in c.expr.symbols() if s not in allowed]
                 raise ValueError(
                     f"constraint {c} mentions {bad} outside space {space} "
                     f"(params {space.params})"

@@ -92,10 +92,12 @@ class Constraint:
     # -- transforms --------------------------------------------------------
 
     def substitute(self, binding: Mapping[str, Union[LinExpr, int]]) -> "Constraint":
-        return Constraint(self.expr.substitute(binding), self.kind)
+        expr = self.expr.substitute(binding)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
+        expr = self.expr.rename(mapping)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def negated(self) -> tuple:
         """The negation as a tuple of constraints whose *union* is ¬self.

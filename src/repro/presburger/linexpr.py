@@ -243,11 +243,13 @@ class LinExpr:
             new = mapping.get(name, name)
             if new != name:
                 changed = True
-            # Overwrite on collision (renames are injective in practice).
-            out[sym_id(new)] = c
+            # Two symbols renamed to one name add up, as in substitute().
+            sid = sym_id(new)
+            out[sid] = out.get(sid, 0) + c
         if not changed:
             return self
-        return LinExpr._make(tuple(sorted(out.items())), self.const)
+        terms = tuple(sorted((s, c) for s, c in out.items() if c))
+        return LinExpr._make(terms, self.const)
 
     def eval(self, binding: Mapping[str, int]) -> int:
         total = self.const

@@ -10,7 +10,7 @@ from .fusion import (
     SchedulerError,
     schedule_program,
 )
-from .parallelism import band_attributes, fusion_preserves_parallelism, required_shifts
+from .parallelism import band_attributes, required_shifts
 from .stages import FusionGroup, group_band, group_of_statement, groups_tree, identity_rows
 from .autotune import TuneResult, autotune_tile_sizes
 from .tiling import (
@@ -31,7 +31,6 @@ __all__ = [
     "Scheduled",
     "SchedulerError",
     "band_attributes",
-    "fusion_preserves_parallelism",
     "group_band",
     "group_of_statement",
     "groups_tree",

@@ -28,7 +28,7 @@ from .. import obs
 from ..ir import Program
 from ..presburger import LinExpr, memo
 from ..schedule import DomainNode
-from .parallelism import band_attributes, fusion_preserves_parallelism, required_shifts
+from .parallelism import BandDistances, required_shifts
 from .stages import FusionGroup, groups_tree, identity_rows
 
 # Start-up fusion depends only on the program and the heuristic — never on
@@ -83,14 +83,15 @@ def schedule_program(program: Program, heuristic: str = SMARTFUSE) -> Scheduled:
             obs.count("scheduler.startup_memo.miss")
             with obs.span("scheduler.analyze", heuristic=heuristic):
                 deps = memory_deps(program)
+                dist = BandDistances(deps, program.params)
                 if heuristic == MINFUSE:
-                    groups = _minfuse(program, deps)
+                    groups = _minfuse(program, dist)
                 elif heuristic == SMARTFUSE:
-                    groups = _smartfuse(program, deps)
+                    groups = _smartfuse(program, dist)
                 elif heuristic == MAXFUSE:
-                    groups = _maxfuse(program, deps)
+                    groups = _maxfuse(program, dist)
                 else:
-                    groups = _hybridfuse(program, deps)
+                    groups = _hybridfuse(program, dist)
             _STARTUP_MEMO.put(key, (deps, groups))
         obs.annotate(groups=len(groups), deps=len(deps))
         with obs.span("scheduler.build_tree"):
@@ -104,7 +105,7 @@ def schedule_program(program: Program, heuristic: str = SMARTFUSE) -> Scheduled:
 # minfuse
 
 
-def _singleton_group(program: Program, stmt, deps, name: str) -> FusionGroup:
+def _singleton_group(stmt, dist: BandDistances, name: str) -> FusionGroup:
     """A one-statement group whose band is the largest permutable prefix.
 
     Mirrors Pluto/PPCG band splitting: for a reduction nest like conv2d's
@@ -114,58 +115,24 @@ def _singleton_group(program: Program, stmt, deps, name: str) -> FusionGroup:
     """
     full = len(stmt.dims)
     rows_full = {stmt.name: identity_rows(stmt.dims, full)}
-    coincident, _perm = band_attributes(
-        deps, [stmt.name], rows_full, full, program.params
-    )
-    depth = _largest_permutable_prefix(
-        deps, [stmt.name], rows_full, full, program.params
-    )
-    if depth == 0:
+    coincident, forward = dist.scan([stmt.name], rows_full, full)
+    depth = forward.index(False) if False in forward else full
+    permutable = depth > 0
+    if not permutable:
         depth = full
-        permutable = False
-        coin = coincident
-    else:
-        permutable = True
-        coin = coincident[:depth]
-    rows = {stmt.name: identity_rows(stmt.dims, depth)}
     return FusionGroup(
         name=name,
         statements=[stmt.name],
         depth=depth,
-        rows=rows,
-        coincident=list(coin),
+        rows={stmt.name: identity_rows(stmt.dims, depth)},
+        coincident=coincident[:depth],
         permutable=permutable,
     )
 
 
-def _largest_permutable_prefix(deps, members, rows, maxdepth, params) -> int:
-    from ..deps import dep_distance_bounds
-
-    member_set = set(members)
-    lows = [0] * maxdepth  # most negative lower bound seen per dim
-    for dep in deps:
-        if dep.source not in member_set or dep.target not in member_set:
-            continue
-        bounds = dep_distance_bounds(
-            dep, list(rows[dep.source]), list(rows[dep.target]), params
-        )
-        for d in range(maxdepth):
-            lo, _ = bounds[d]
-            if lo is None:
-                lows[d] = -1
-            else:
-                lows[d] = min(lows[d], lo)
-    depth = 0
-    for d in range(maxdepth):
-        if lows[d] < 0:
-            break
-        depth += 1
-    return depth
-
-
-def _minfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
+def _minfuse(program: Program, dist: BandDistances) -> List[FusionGroup]:
     return [
-        _singleton_group(program, stmt, deps, f"G{gi}")
+        _singleton_group(stmt, dist, f"G{gi}")
         for gi, stmt in enumerate(program.statements)
     ]
 
@@ -174,7 +141,8 @@ def _minfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
 # smartfuse
 
 
-def _smartfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
+def _smartfuse(program: Program, dist: BandDistances) -> List[FusionGroup]:
+    deps = dist.deps
     groups: List[FusionGroup] = []
     stmt_group: Dict[str, int] = {}
     for stmt in program.statements:
@@ -186,32 +154,24 @@ def _smartfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup
             if new_depth > 0 and _no_interfering_groups(
                 stmt.name, deps, stmt_group, candidate_idx
             ):
+                # The smartfuse criterion: fusion may not introduce any
+                # non-zero dependence distance at the fused dimensions.
                 trial_rows = {
                     s: tuple(g.rows[s][:new_depth]) for s in g.statements
                 }
-                cand_rows = identity_rows(stmt.dims, new_depth)
-                if fusion_preserves_parallelism(
-                    deps,
-                    g.statements,
-                    trial_rows,
-                    stmt.name,
-                    cand_rows,
-                    new_depth,
-                    program.params,
-                ):
+                trial_rows[stmt.name] = identity_rows(stmt.dims, new_depth)
+                coincident, permutable = dist.band_attributes(
+                    g.statements + [stmt.name], trial_rows, new_depth
+                )
+                if all(coincident) and permutable:
                     g.statements.append(stmt.name)
                     g.depth = new_depth
-                    g.rows = dict(trial_rows)
-                    g.rows[stmt.name] = tuple(cand_rows)
-                    g.coincident, g.permutable = band_attributes(
-                        deps, g.statements, g.rows, new_depth, program.params
-                    )
+                    g.rows = trial_rows
+                    g.coincident, g.permutable = coincident, permutable
                     stmt_group[stmt.name] = candidate_idx
                     fused = True
         if not fused:
-            groups.append(
-                _singleton_group(program, stmt, deps, f"G{len(groups)}")
-            )
+            groups.append(_singleton_group(stmt, dist, f"G{len(groups)}"))
             stmt_group[stmt.name] = len(groups) - 1
     return groups
 
@@ -250,7 +210,8 @@ def _no_interfering_groups(
 # maxfuse
 
 
-def _maxfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
+def _maxfuse(program: Program, dist: BandDistances) -> List[FusionGroup]:
+    deps = dist.deps
     # Union-find over flow dependences (undirected connectivity).
     parent: Dict[str, str] = {s.name: s.name for s in program.statements}
 
@@ -282,9 +243,7 @@ def _maxfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
         for s in members:
             base = identity_rows(dims_of[s], depth)
             rows[s] = tuple(r + shifts[s][i] for i, r in enumerate(base))
-        coincident, permutable = band_attributes(
-            deps, members, rows, depth, program.params
-        )
+        coincident, permutable = dist.band_attributes(members, rows, depth)
         groups.append(
             FusionGroup(
                 name=f"G{gi}",
@@ -302,7 +261,7 @@ def _maxfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
 # hybridfuse
 
 
-def _hybridfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGroup]:
+def _hybridfuse(program: Program, dist: BandDistances) -> List[FusionGroup]:
     """Pluto's hybrid heuristic: smartfuse outer, maximal inner fusion.
 
     Inner-level fusion requires rectangular inner domains; a domain whose
@@ -319,4 +278,4 @@ def _hybridfuse(program: Program, deps: Sequence[Dependence]) -> List[FusionGrou
                         f"hybridfuse: non-rectangular domain in {stmt.name} "
                         f"(constraint {c}); inner-level fusion unsupported"
                     )
-    return _smartfuse(program, deps)
+    return _smartfuse(program, dist)

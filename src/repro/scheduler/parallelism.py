@@ -9,10 +9,65 @@ dependence relations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..deps import Dependence, dep_distance_bounds
+from ..deps import Dependence, dep_distance_bounds, row_distance
 from ..presburger import LinExpr
+
+
+class BandDistances:
+    """Band queries over one dependence list, each row distance computed once.
+
+    The distance of a dependence at one band row does not depend on the
+    other rows, so a result kept per (position in ``deps``, source row,
+    target row) serves every prefix depth and every candidate group that
+    asks again.  Made per scheduling call; never part of a result.
+    """
+
+    def __init__(self, deps: Sequence[Dependence], params: Mapping[str, int]):
+        self.deps = deps
+        self.params = params
+        self._pieces: Dict[int, Sequence] = {}
+        self._rows: Dict[tuple, Tuple[Optional[int], Optional[int]]] = {}
+
+    def _distance(self, k: int, s_row: LinExpr, d_row: LinExpr):
+        key = (k, s_row, d_row)
+        found = self._rows.get(key)
+        if found is None:
+            dep = self.deps[k]
+            if k not in self._pieces:
+                self._pieces[k] = dep.relation.fix_params(self.params).pieces
+            found = self._rows[key] = row_distance(
+                dep, self._pieces[k], s_row, d_row
+            )
+        return found
+
+    def scan(
+        self,
+        members: Sequence[str],
+        rows: Mapping[str, Sequence[LinExpr]],
+        depth: int,
+    ) -> Tuple[List[bool], List[bool]]:
+        """Per band dimension, over the dependences inside ``members``:
+        is every distance zero, and is every distance non-negative?"""
+        members = set(members)
+        zero = [True] * depth
+        forward = [True] * depth
+        for k, dep in enumerate(self.deps):
+            if dep.source not in members or dep.target not in members:
+                continue
+            src_rows, dst_rows = rows[dep.source], rows[dep.target]
+            for d in range(depth):
+                lo, hi = self._distance(k, src_rows[d], dst_rows[d])
+                if lo != 0 or hi != 0:
+                    zero[d] = False
+                if lo is None or lo < 0:
+                    forward[d] = False
+        return zero, forward
+
+    def band_attributes(self, members, rows, depth) -> Tuple[List[bool], bool]:
+        coincident, forward = self.scan(members, rows, depth)
+        return coincident, all(forward)
 
 
 def band_attributes(
@@ -28,45 +83,7 @@ def band_attributes(
     band; dependences crossing group boundaries are satisfied by the group
     sequence order.
     """
-    members = set(members)
-    coincident = [True] * depth
-    permutable = True
-    for dep in deps:
-        if dep.source not in members or dep.target not in members:
-            continue
-        bounds = dep_distance_bounds(
-            dep, list(rows[dep.source]), list(rows[dep.target]), params
-        )
-        for d in range(depth):
-            lo, hi = bounds[d]
-            if lo != 0 or hi != 0:
-                coincident[d] = False
-            if lo is None or lo < 0:
-                permutable = False
-    return coincident, permutable
-
-
-def fusion_preserves_parallelism(
-    deps: Sequence[Dependence],
-    group_members: Sequence[str],
-    group_rows: Mapping[str, Sequence[LinExpr]],
-    candidate: str,
-    candidate_rows: Sequence[LinExpr],
-    depth: int,
-    params: Mapping[str, int],
-) -> bool:
-    """Would adding ``candidate`` keep every band dimension coincident?
-
-    This is the smartfuse criterion: fusion may not introduce any non-zero
-    dependence distance at the fused dimensions.
-    """
-    new_members = list(group_members) + [candidate]
-    new_rows = dict(group_rows)
-    new_rows[candidate] = tuple(candidate_rows)
-    coincident, permutable = band_attributes(
-        deps, new_members, new_rows, depth, params
-    )
-    return all(coincident) and permutable
+    return BandDistances(deps, params).band_attributes(members, rows, depth)
 
 
 def required_shifts(

@@ -31,7 +31,8 @@ from ..presburger import Set
 #: v4: OptimizeResult.tile_sizes now reports the effective (clipped or
 #: defaulted) sizes, so v3 cached results deserialize with stale fields.
 #: v5: request keys hash the program's digest, not the program again.
-SCHEMA_VERSION = 5
+#: v6: apply_range lists a composition's constraints in another order.
+SCHEMA_VERSION = 6
 
 _SALT = f"repro-compile-v{SCHEMA_VERSION}"
 
@@ -127,8 +128,8 @@ def _digest(obj: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-#: Programs are treated as immutable once built (the compile cache already
-#: depends on that), so the structural digest can be memoized per object.
+#: Programs are immutable once built (:class:`~repro.ir.program.Program`
+#: states the contract), so the structural digest can be memoized per object.
 #: Weak keys keep the memo from pinning programs or surviving id reuse.
 _program_digests: "weakref.WeakKeyDictionary[Program, str]" = (
     weakref.WeakKeyDictionary()

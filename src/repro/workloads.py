@@ -44,9 +44,10 @@ def build_workload(name: str, size: Optional[int] = None):
     """The named workload's :class:`~repro.ir.Program`.
 
     ``size`` scales the iteration space; each family has its own default.
-    Name and size determine the program and programs are immutable, so
-    equal arguments return the same object (the 64 most recently used
-    are kept), which is also what lets the per-object digest memo of
+    Name and size determine the program and programs are immutable (the
+    contract is in :class:`~repro.ir.Program`'s docstring), so equal
+    arguments return the same object (the 64 most recently used are kept),
+    which is also what lets the per-object digest memo of
     :mod:`repro.service.fingerprint` hit.
     Raises :class:`UnknownWorkloadError` for unregistered names, every time.
     """

@@ -1,12 +1,22 @@
 """Tests for dependence analysis on the paper's running example."""
 
+import pickle
+
+import pytest
+
+from repro.api import get_workload, workload_names
 from repro.deps import (
+    ANTI,
+    FLOW,
+    OUTPUT,
+    Dependence,
     dep_distance_bounds,
     flow_deps,
     memory_deps,
     producer_consumer_tensors,
     statement_row_map,
 )
+from repro.deps.analysis import _join, _lex_lt_pieces
 from repro.pipelines import conv2d
 
 
@@ -97,3 +107,91 @@ class TestKindsAndGraph:
         table = producer_consumer_tensors(prog)
         assert table[("S0", "S2")] == ["A"]
         assert "C" in table[("S2", "S3")]
+
+
+# -- the sharing-pairs walk and the Program index against plain scans --------
+
+
+def memory_deps_all_pairs(program, kinds=(FLOW, ANTI, OUTPUT)):
+    """Reference: every pair ``j >= i``, access relations looked up per pair
+    (the loop ``memory_deps`` was before it visited sharing pairs only)."""
+    kinds = set(kinds)
+    deps = []
+    stmts = program.statements
+    for i, src in enumerate(stmts):
+        src_writes = {src.tensor_written(): src.write_relation()}
+        src_reads = {key[1]: m for key, m in src.read_relations().maps.items()}
+        for j in range(i, len(stmts)):
+            dst = stmts[j]
+            dst_write = {dst.tensor_written(): dst.write_relation()}
+            dst_reads = {key[1]: m for key, m in dst.read_relations().maps.items()}
+            pairs = []
+            if FLOW in kinds:
+                pairs += [(FLOW, t, src_writes[t], dst_reads[t]) for t in src_writes if t in dst_reads]
+            if ANTI in kinds:
+                pairs += [(ANTI, t, src_reads[t], dst_write[t]) for t in src_reads if t in dst_write]
+            if OUTPUT in kinds:
+                pairs += [(OUTPUT, t, src_writes[t], dst_write[t]) for t in src_writes if t in dst_write]
+            for kind, tensor, a_map, b_map in pairs:
+                rel = _join(a_map, b_map)
+                if i == j:
+                    if kind == OUTPUT:
+                        continue
+                    rel = _lex_lt_pieces(rel)
+                if not rel.is_empty():
+                    deps.append(Dependence(src.name, dst.name, tensor, kind, rel, src.dims, dst.dims))
+    return deps
+
+
+def dep_facts(dep):
+    """Everything a dependence says, relation by structure (stricter and
+    far cheaper than the semantic ``Map.__eq__``)."""
+    rel = dep.relation
+    return (
+        dep.source, dep.target, dep.tensor, dep.kind, dep.src_dims, dep.dst_dims,
+        rel.space, [(bm.space, bm.constraints) for bm in rel.pieces],
+    )
+
+
+@pytest.fixture(scope="module", params=workload_names())
+def named_program(request):
+    return get_workload(request.param)
+
+
+class TestSharingPairsAndIndex:
+    def test_memory_deps_equals_the_all_pairs_reference(self, named_program):
+        got = memory_deps(named_program)
+        want = memory_deps_all_pairs(named_program)
+        assert [dep_facts(d) for d in got] == [dep_facts(d) for d in want]
+        flow = [dep_facts(d) for d in flow_deps(named_program)]
+        assert flow == [f for f in map(dep_facts, want) if f[3] == FLOW]
+
+    def test_index_lookups_equal_linear_scans(self, named_program):
+        p = named_program
+        for i, s in enumerate(p.statements):
+            assert p.statement(s.name) is s
+            assert p.statement_index(s.name) == i
+        for t in list(p.tensors) + ["no_such_tensor"]:
+            readers = [s for s in p.statements if t in s.tensors_read()]
+            writers = [s for s in p.statements if s.tensor_written() == t]
+            assert p.readers_of(t) == readers
+            assert p.writers_of(t) == writers
+            assert (t in p.written_tensors()) == bool(writers)
+        for lookup in (p.statement, p.statement_index):
+            with pytest.raises(KeyError) as err:
+                lookup("no_such_statement")
+            assert err.value.args == ("no_such_statement",)
+        # A caller may do what it likes with the list it is handed.
+        p.writers_of(p.statements[0].tensor_written()).clear()
+        assert p.writers_of(p.statements[0].tensor_written())
+
+
+def test_index_is_never_pickled():
+    program = conv2d.build({"H": 8, "W": 8, "KH": 3, "KW": 3})
+    before = pickle.dumps(program)
+    program.statement("S2"), program.readers_of("A")
+    assert "_lookup" in vars(program)
+    assert pickle.dumps(program) == before
+    clone = pickle.loads(before)
+    assert "_lookup" not in vars(clone)
+    assert clone.statement_index("S3") == 3

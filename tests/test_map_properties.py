@@ -88,36 +88,43 @@ def test_domain_and_range_project_graph(m):
         assert m.range().contains({"y": b})
 
 
+#: Dim names the second map of a composition is given: apart from the
+#: first's, the first's own (left un-renamed), and an out-dim named like
+#: the first's in-dim.
+SECOND_MAP_DIMS = (("u", "v"), ("x", "y"), ("u", "x"))
+
+
 @settings(max_examples=20, deadline=None)
 @given(affine_maps(), affine_maps())
 def test_composition_matches_pointwise(f, g):
     """(f . g)(x) = g's image of f's image, pointwise."""
-    g_renamed = Map(
-        MapSpace("T", ("u",), "U", ("v",)),
-        [
-            BasicMap(
-                MapSpace("T", ("u",), "U", ("v",)),
-                [c.rename({"x": "u", "y": "v"}) for c in bm.constraints],
-            )
-            for bm in g.pieces
-        ],
-    )
-    comp = f.apply_range(g_renamed)
     gf = graph_of(f)
     gg = graph_of(g)
     expected = {
         (a, c) for a, b in gf for b2, c in gg if b == b2
     }
-    got = set()
-    in_dim = comp.space.in_dims[0]
-    out_dim = comp.space.out_dims[0]
-    for x, z in itertools.product(range(LO * 3, HI * 3 + 1), repeat=2):
-        if any(
-            all(c.satisfied_by({in_dim: x, out_dim: z}) for c in bm.constraints)
-            for bm in comp.pieces
-        ):
-            got.add((x, z))
-    assert got == expected
+    for u, v in SECOND_MAP_DIMS:
+        g_renamed = Map(
+            MapSpace("T", (u,), "U", (v,)),
+            [
+                BasicMap(
+                    MapSpace("T", (u,), "U", (v,)),
+                    [c.rename({"x": u, "y": v}) for c in bm.constraints],
+                )
+                for bm in g.pieces
+            ],
+        )
+        comp = f.apply_range(g_renamed)
+        got = set()
+        in_dim = comp.space.in_dims[0]
+        out_dim = comp.space.out_dims[0]
+        for x, z in itertools.product(range(LO * 3, HI * 3 + 1), repeat=2):
+            if any(
+                all(c.satisfied_by({in_dim: x, out_dim: z}) for c in bm.constraints)
+                for bm in comp.pieces
+            ):
+                got.add((x, z))
+        assert got == expected, (u, v)
 
 
 @settings(max_examples=20, deadline=None)

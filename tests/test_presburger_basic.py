@@ -3,6 +3,7 @@
 import pytest
 
 from repro.presburger import (
+    BasicMap,
     BasicSet,
     Constraint,
     LinExpr,
@@ -38,6 +39,17 @@ class TestLinExpr:
     def test_substitute_with_int(self):
         e = 2 * V("x") + V("y")
         assert e.substitute({"x": 5}) == V("y") + 10
+
+    def test_rename_onto_a_present_symbol_adds_up(self):
+        # A non-injective rename is exact: it agrees with substitute().
+        e = V("a") + 2 * V("b") + 5
+        assert e.rename({"a": "b"}) == 3 * V("b") + 5
+        assert e.rename({"a": "b"}) == e.substitute({"a": V("b")})
+        # ... and a cancelling collision leaves the constant alone.
+        gone = (V("a") - V("b") + 4).rename({"a": "b"})
+        assert gone.is_constant() and gone.const == 4
+        # A swap is simultaneous, not sequential.
+        assert (V("a") - 2 * V("b")).rename({"a": "b", "b": "a"}) == V("b") - 2 * V("a")
 
     def test_eval(self):
         e = 3 * V("a") - V("b") + 2
@@ -95,6 +107,12 @@ class TestConstraint:
         assert lo.satisfied_by({"x": 4}) or hi.satisfied_by({"x": 4})
         assert lo.satisfied_by({"x": 2}) or hi.satisfied_by({"x": 2})
         assert not (lo.satisfied_by({"x": 3}) or hi.satisfied_by({"x": 3}))
+
+    def test_unchanged_constraint_is_returned_as_is(self):
+        c = Constraint.ge(2 * V("i") - V("N"), 3)
+        assert c.rename({"unrelated": "zz"}) is c
+        assert c.substitute({"unrelated": 7}) is c
+        assert c.rename({"i": "j"}) == Constraint.ge(2 * V("j") - V("N"), 3)
 
 
 class TestBasicSet:
@@ -271,3 +289,18 @@ class TestSpaces:
         space = SetSpace("S", ("i",))
         with pytest.raises(ValueError):
             BasicSet(space, [Constraint.ge(V("zz"), 0)])
+
+    def test_outside_symbols_are_named_in_sorted_order(self):
+        stray = Constraint.ge(V("zz") + V("i") + V("aa"), 0)
+        with pytest.raises(ValueError) as err:
+            BasicSet(SetSpace("S", ("i",), ("N",)), [stray])
+        assert str(err.value) == (
+            f"constraint {stray} mentions ['aa', 'zz'] outside space S[i] "
+            "(params ('N',))"
+        )
+        mspace = MapSpace("S", ("i",), "T", ("o",))
+        with pytest.raises(ValueError) as err:
+            BasicMap(mspace, [stray])
+        assert str(err.value) == (
+            f"constraint {stray} mentions ['aa', 'zz'] outside {mspace}"
+        )

@@ -17,7 +17,7 @@ Table I/III compilation-time comparison).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..ir import Program
@@ -42,6 +42,15 @@ class OptimizeResult:
     ``tree``: the compile cache hands the same ``program``, ``scheduled``
     and ``mixed`` to every hit and a :meth:`fresh` tree to each.
     :meth:`fresh` is the only sanctioned way to get another rewritable tree.
+
+    ``work_summary`` holds the machine model's answer for this schedule at
+    the program's own parameter values, as plain builtins (one dict per
+    cluster); it is empty until :func:`repro.machine.analyze_optimized`
+    first computes that and fills it *in place*.  The list is pickled with
+    the result and is the same object on every :meth:`fresh` copy, so an
+    answer computed on any copy, before or after the result was cached,
+    reaches the cache's own instance and is never computed again; this
+    layer never reads it.
     """
 
     program: Program
@@ -51,6 +60,7 @@ class OptimizeResult:
     mixed: MixedSchedules
     tree: DomainNode
     compile_seconds: float
+    work_summary: List[dict] = field(default_factory=list)
 
     @property
     def clusters(self) -> List[List[FusionGroup]]:
@@ -61,6 +71,11 @@ class OptimizeResult:
         """A result whose ``tree`` is an unshared copy: the schedule tree is
         the one part a consumer rewrites in place (``map_to_gpu``)."""
         return replace(self, tree=self.tree.copy())
+
+    def __setstate__(self, state):
+        # An entry pickled before ``work_summary`` existed loads as uncosted.
+        self.__dict__.update(state)
+        self.__dict__.setdefault("work_summary", [])
 
     def fusion_summary(self) -> List[List[str]]:
         """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``."""

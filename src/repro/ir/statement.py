@@ -60,6 +60,14 @@ class Statement:
         self.kind = kind
         self.reduce_op = reduce_op
 
+    def __getstate__(self):
+        # What the expression tree says (`_ops`, `_tensors_read`) is derived
+        # on first use and never pickled, like the program's lookup index.
+        state = self.__dict__.copy()
+        state.pop("_ops", None)
+        state.pop("_tensors_read", None)
+        return state
+
     # -- shape queries -----------------------------------------------------
 
     @property
@@ -71,10 +79,13 @@ class Statement:
         return self.domain.space.params
 
     def ops_per_instance(self) -> int:
-        base = self.rhs.op_count()
-        if self.kind == REDUCE:
-            base += 1  # the accumulate
-        return max(base, 1)
+        ops = self.__dict__.get("_ops")
+        if ops is None:
+            base = self.rhs.op_count()
+            if self.kind == REDUCE:
+                base += 1  # the accumulate
+            ops = self._ops = max(base, 1)
+        return ops
 
     # -- access relations ---------------------------------------------------
 
@@ -141,7 +152,12 @@ class Statement:
         return _READS_MEMO.put(key, UnionMap(list(by_tensor.values())))
 
     def tensors_read(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(l.tensor for l in self.read_loads()))
+        read = self.__dict__.get("_tensors_read")
+        if read is None:
+            read = self._tensors_read = tuple(
+                dict.fromkeys(l.tensor for l in self.read_loads())
+            )
+        return read
 
     def tensor_written(self) -> str:
         return self.lhs.tensor

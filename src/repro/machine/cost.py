@@ -19,11 +19,12 @@ cost independent of problem size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..codegen.promotion import promoted_buffers, representative_tile_origin
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
 from ..ir import Program
@@ -69,6 +70,17 @@ class ProgramWork:
 
     def total_recompute(self) -> float:
         return sum(c.recompute_ops for c in self.clusters)
+
+    def as_builtins(self) -> List[dict]:
+        """The clusters as plain dicts: what ``OptimizeResult.work_summary``
+        holds, so a cache blob names no class of this package."""
+        return [asdict(c) for c in self.clusters]
+
+    @classmethod
+    def from_builtins(cls, summary: Sequence[Mapping]) -> "ProgramWork":
+        return cls(
+            [ClusterWork(**dict(c, statements=list(c["statements"]))) for c in summary]
+        )
 
 
 def work_features(work: ProgramWork) -> Dict[str, float]:
@@ -180,9 +192,6 @@ def _per_tile_read_bytes(
             out[tensor] = 0.0
             continue
         image = m.fix_params(params).image_of_point(origin)
-        vol = 0
-        for piece in image.pieces:
-            vol = max(vol, piece.box_volume()) if piece.constraints else vol
         # Union box across pieces:
         box = image.bounding_box()
         total = 1
@@ -213,14 +222,27 @@ def analyze_optimized(
     * ``"box_total"`` — PolyMage-style over-approximation: every fused
       stage is grown to the widest per-dimension halo of the whole group
       (tiling-after-fusion cannot see per-stage footprints).
+
+    A result is costed once: the answer for the program's own parameter
+    values under ``"exact"`` is written into ``result.work_summary`` (one
+    list shared by the cache entry and every ``fresh()`` copy of it) and
+    returned from there when present.  Any other ``params`` or ``overlap``
+    neither reads nor writes it, and a baseline's result has none.
+    ``machine.analyze.computed`` / ``.reused`` count the two.
     """
     if overlap not in ("exact", "box_total"):
         raise ValueError(f"unknown overlap policy {overlap!r}")
     program = result.program
     params = dict(program.params, **(params or {}))
+    summary = None  # the list to read or fill, when this call may
+    if overlap == "exact" and params == program.params:
+        summary = getattr(result, "work_summary", None)
+    if summary:
+        obs.count("machine.analyze.reused")
+        return ProgramWork.from_builtins(summary)
+    obs.count("machine.analyze.computed")
     buffers = promoted_buffers(result, params)
     clusters: List[ClusterWork] = []
-    readers_by_tensor = _readers_by_cluster(program, result)
     for entry in result.mixed.tiling_entries():
         group = entry.group
         exts = result.mixed.extensions_of(group)
@@ -357,8 +379,7 @@ def analyze_optimized(
         for t in sorted(written_here):
             if t in promoted:
                 continue  # handled below via buffers
-            external_reader = readers_by_tensor.get(t, set()) - set(cluster_stmts)
-            if t in program.liveout or external_reader:
+            if t in program.liveout or _read_outside(program, t, cluster_stmts):
                 dram_write += _tensor_bytes(program, t, params)
         bufs = buffers.get(group.name, [])
         scratch_per_tile = int(
@@ -383,15 +404,15 @@ def analyze_optimized(
                 vectorizable=any(group.coincident) or group.permutable,
             )
         )
-    return ProgramWork(clusters)
+    work = ProgramWork(clusters)
+    if summary is not None:
+        summary[:] = work.as_builtins()
+    return work
 
 
-def _readers_by_cluster(program: Program, result) -> Dict[str, set]:
-    readers: Dict[str, set] = {}
-    for s in program.statements:
-        for t in s.tensors_read():
-            readers.setdefault(t, set()).add(s.name)
-    return readers
+def _read_outside(program: Program, tensor: str, stmts: Sequence[str]) -> bool:
+    """Whether a statement not among ``stmts`` reads ``tensor``."""
+    return any(s.name not in stmts for s in program.readers_of(tensor))
 
 
 def analyze_scheduled(
@@ -407,11 +428,6 @@ def analyze_scheduled(
     """
     program = scheduled.program
     params = dict(program.params, **(params or {}))
-    all_stmts = {s.name for s in program.statements}
-    readers: Dict[str, set] = {}
-    for s in program.statements:
-        for t in s.tensors_read():
-            readers.setdefault(t, set()).add(s.name)
 
     clusters: List[ClusterWork] = []
     for group in scheduled.groups:
@@ -484,8 +500,7 @@ def analyze_scheduled(
         scratch_traffic = 0.0
         scratch_per_tile = 0
         for t in sorted(written_here):
-            external = readers.get(t, set()) - set(group.statements)
-            if t in program.liveout or external:
+            if t in program.liveout or _read_outside(program, t, group.statements):
                 dram_write += _tensor_bytes(program, t, params)
             else:
                 size = _tensor_bytes(program, t, params)

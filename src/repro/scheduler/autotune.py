@@ -241,9 +241,14 @@ def _evaluate(
 ) -> None:
     """Exactly specialize and cost ``combos``, folding into ``result``.
 
+    The requests are tagged as candidates, so the driver costs each where
+    it compiles it and stores it with its ``work_summary``;
+    ``analyze_optimized`` below reads that on a miss and on every later hit
+    (or raises again what the driver swallowed: same failure string).
+
     When ``works`` is given (dataset collection is on), the cost-model
     internals of each analyzed schedule are captured alongside — the
-    compile is in hand here, so this costs a few sums, not a recompile.
+    summary is in hand here, so this costs a few sums.
     """
     from ..machine import analyze_optimized, cpu_time, gpu_time, work_features
     from ..service.driver import CompileRequest, compile_batch

@@ -129,6 +129,12 @@ class CompileRequest:
             )
         return self._fingerprint
 
+    @property
+    def is_candidate(self) -> bool:
+        """Whether the autotuner sent this request: its result will be
+        costed, and the tuner records it in the dataset itself."""
+        return self.tag == "autotune"
+
 
 @dataclass
 class CompileOutcome:
@@ -148,7 +154,12 @@ class CompileOutcome:
 
 def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[str]]:
     """Compile one request in-process; error strings match the serial
-    autotuner's ``f"{type}: {exc}"`` format exactly."""
+    autotuner's ``f"{type}: {exc}"`` format exactly.
+
+    A sweep candidate is also costed here, wherever "here" runs (driver
+    thread, pool thread or worker process), so the entry ``compile_batch``
+    stores already carries its ``work_summary`` and no later hit analyses.
+    """
     from ..core import optimize
     from ..options import CompileOptions
 
@@ -163,6 +174,15 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
         )
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
+    if request.is_candidate:
+        from ..machine import analyze_optimized
+
+        try:
+            analyze_optimized(result)
+        except Exception:
+            # The compile stands; the tuner's own call raises this again
+            # and reports it against the candidate.
+            pass
     return result, None
 
 
@@ -468,7 +488,7 @@ def _collect_batch_records(outcomes: Sequence[CompileOutcome]) -> None:
         for out in outcomes:
             r = out.request
             if (
-                r.tag == "autotune"
+                r.is_candidate
                 or r.tile_sizes is None
                 or not out.ok
                 or out.result is None

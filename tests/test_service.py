@@ -247,8 +247,11 @@ def test_autotune_warm_cache_reuses_results(tmp_path):
     cold = autotune_tile_sizes(p, options=CompileOptions(cache=cache, mode="serial"), candidates=(8, 16), dims=2)
     stores = cache.stats.stores
     assert stores > 0
-    warm = autotune_tile_sizes(p, options=CompileOptions(cache=cache, mode="serial"), candidates=(8, 16), dims=2)
+    with obs.collect() as report:
+        warm = autotune_tile_sizes(p, options=CompileOptions(cache=cache, mode="serial"), candidates=(8, 16), dims=2)
     assert cache.stats.stores == stores  # nothing recompiled
+    assert "machine.analyze.computed" not in report.counters  # nor costed again
+    assert report.counters["machine.analyze.reused"] == stores
     assert cache.stats.hits >= stores
     assert warm.best_sizes == cold.best_sizes
     assert warm.best_time == cold.best_time

@@ -186,6 +186,28 @@ def test_compile_batch_duplicates_each_get_their_own_tree(tmp_path):
         assert len({print_tree(o.result.tree, program) for o in outcomes}) == 1
 
 
+def test_memory_tier_copies_share_the_summary_and_not_the_tree(tmp_path, decodes):
+    cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
+    program = build_workload("conv2d", 24)
+    request = CompileRequest(program, tile_sizes=(8, 8), tag="autotune")
+    (miss,) = compile_batch([request], CompileOptions(mode="serial", cache=cache))
+    with obs.collect() as report:
+        a, b = (
+            compile_batch([request], CompileOptions(mode="serial", cache=cache))[0].result
+            for _ in range(2)
+        )
+        assert analyze_optimized(a) == analyze_optimized(b) == analyze_optimized(miss.result)
+    assert len(decodes) == 1 and cache.stats.memory_hits == 2
+    assert "machine.analyze.computed" not in report.counters
+    assert a.work_summary is b.work_summary is cache._mem[request.fingerprint].obj.work_summary
+    assert a.work_summary == miss.result.work_summary
+    assert a.tree is not b.tree
+    map_to_gpu(a)
+    assert print_tree(b.tree, program, style="cuda") == print_tree(
+        miss.result.tree, program, style="cuda"
+    )
+
+
 def test_pickled_cache_ships_encoded_entries_only(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
     program = build_workload("conv2d", 24)

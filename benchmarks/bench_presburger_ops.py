@@ -259,10 +259,10 @@ def run_promotion_sweep(
 
 
 def perf_gauges(raw):
-    """Flatten the raw results into per-rep gauges for the regression gate.
+    """Flatten the raw results into per-rep gauges for ``repro stats diff``.
 
     Per-rep normalisation keeps snapshots comparable across ``--reps``
-    choices; the gate still assumes matching ``--size``.
+    choices; a diff still assumes matching ``--size``.
     """
     reps = max(1, raw["reps"])
     gauges = {}

@@ -124,8 +124,7 @@ def save_perf_snapshot(name: str, gauges: Dict[str, float], **meta) -> str:
     """Write a ``repro-metrics/1`` snapshot of benchmark timings.
 
     ``gauges`` maps metric names to seconds (or other numeric readings);
-    the result is what ``benchmarks/check_regression.py`` and ``repro
-    stats diff`` consume.  The snapshot lands in
+    the result is what ``repro stats diff`` consumes.  The snapshot lands in
     ``benchmarks/results/<name>.json``.
     """
     from repro.obs import MetricsRegistry

@@ -1,7 +1,8 @@
 """A *compilable* OpenMP C backend.
 
 Where :mod:`repro.codegen.printer` renders display code, this backend emits
-a complete, compiling C program from a schedule tree and (when a C
+a complete, compiling C program from a schedule tree's executable loop nest
+(:func:`repro.codegen.nest.scan` with the parameters fixed) and (when a C
 compiler is available) builds and runs it, exchanging tensors with Python
 through raw ``float64`` files.  The emitted code is exact *and* is what the
 optimizer decided, by three cooperating rules:
@@ -10,7 +11,7 @@ optimizer decided, by three cooperating rules:
   member statements: per member the ``max`` of its lower bounds, over
   members the ``min`` of those (a union, possibly over-approximate; pieces
   of one statement are made disjoint first).  A statement instance runs
-  iff its whole constraint system holds, and the walker knows what its
+  iff its whole constraint system holds, and the renderer knows what its
   open loops already guarantee (every ``max``/``min`` operand it emitted;
   a tile loop's aligned start and stride as ``T = size * q``, so that
   ``T <= 255`` becomes ``T <= 224``).  A conjunct ``c`` is emitted as a
@@ -49,19 +50,10 @@ import numpy as np
 from .. import obs
 from ..ir import Affine, BinOp, Call, Const, Expr, Load, Program, REDUCE, TensorStore
 from ..presburger import Constraint, LinExpr
-from ..schedule import (
-    BandNode,
-    DomainNode,
-    ExtensionNode,
-    FilterNode,
-    LeafNode,
-    MarkNode,
-    Node,
-    SequenceNode,
-    SKIPPED,
-)
-from .printer import projected_bounds
-from .promotion import TileBox, entails, live_in_tensors, scratch_sites, tile_box
+from ..presburger.fm import projected_bounds
+from ..schedule import DomainNode
+from .nest import Extension, Leaf, Loop, Nest, inner, scan
+from .promotion import TileBox, entails, live_in_tensors, sites_in, tile_box
 
 HEADER = """\
 #include <stdio.h>
@@ -227,14 +219,11 @@ def _generate_c(
             # e.g. a pyramid level that collapses to extent 0 at this size
             raise CBackendError(f"cannot allocate: {exc}") from exc
         live_in = live_in_tensors(program, params)
-        sites, kept = scratch_sites(tree, program, live_in)
-        active = {
-            s.name: [list(p.constraints) for p in _run_once(s, s.domain.fix_params(params))]
-            for s in program.statements
-        }
+        nest = scan(tree, program, params)
+        sites, kept = sites_in(nest, program, live_in)
         while True:
             body = _CBody(program, params, shapes, sites, dict(kept))
-            body.walk(tree.child, active, 1)
+            body.render(nest, 1)
             if not body.demoted:
                 break
             # FM could not bound some load inside the buffer: keep the
@@ -264,28 +253,6 @@ def _generate_c(
         return source, live_in
 
 
-def _run_once(stmt, instances):
-    """The pieces of ``instances`` (a Set or Map of ``stmt``'s instances) to
-    emit one after the other.  A statement that reads the tensor it writes
-    (a reduction, an in-place update) must not run an instance twice, so
-    its pieces are made pairwise disjoint: each minus the earlier ones it
-    overlaps.  For any other statement a repeat rewrites the same value."""
-    if stmt.tensor_written() not in stmt.tensors_read():
-        return list(instances.pieces)
-    make = type(instances)
-    out = []
-    for i, piece in enumerate(instances.pieces):
-        overlapped = [
-            p for p in instances.pieces[:i] if not piece.intersect(p).is_empty()
-        ]
-        if not overlapped:
-            out.append(piece)
-            continue
-        rest = make(instances.space, [piece]).subtract(make(instances.space, overlapped))
-        out.extend(p for p in rest.pieces if not p.is_empty())
-    return out
-
-
 def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constraint]:
     """The hypotheses that share symbols with ``c``, transitively: the rest
     cannot take part in a refutation of ``¬c``."""
@@ -308,14 +275,14 @@ def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constrai
 
 
 class _CBody:
-    """Tree walker emitting exact loop nests with only the needed guards."""
+    """Renders a loop nest as exact C loops with only the needed guards."""
 
     def __init__(
         self,
         program: Program,
         params: Mapping[str, int],
         shapes: Mapping[str, Tuple[int, ...]],
-        sites: Mapping[str, ExtensionNode],
+        sites: Mapping[str, Extension],
         kept: Dict[str, str],
     ):
         self.program = program
@@ -327,11 +294,6 @@ class _CBody:
         self.scratch: Dict[str, TileBox] = {}  # promoted, origin in loop vars
         self.demoted: List[str] = []
         self.lines: List[str] = []
-        self.counter = 0
-        self.loop_vars: List[str] = []
-        # band dim name -> the C loop variable that carries it (extension
-        # relations refer to enclosing bands by their dim names)
-        self.band_map: Dict[str, str] = {}
         # What the open loops guarantee, over loop vars; a tile loop var T
         # appears as size * q (self.tiles[T] = (q, size)), so that GCD
         # normalisation sees the stride.
@@ -344,10 +306,6 @@ class _CBody:
 
     def emit(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
-
-    def fresh(self, base: str) -> str:
-        self.counter += 1
-        return f"c{self.counter}_{_sanitize(base)}"
 
     # -- what the context implies -------------------------------------------
 
@@ -402,65 +360,34 @@ class _CBody:
                 kept = others
         return kept
 
-    # -- walking -----------------------------------------------------------
+    # -- rendering ---------------------------------------------------------
 
-    def walk(self, node: Optional[Node], active, depth: int) -> None:
-        if node is None or isinstance(node, LeafNode):
-            for sname, disjuncts in active.items():
-                for cons in disjuncts:
-                    self._emit_statement(sname, cons, depth)
-            return
-        if isinstance(node, MarkNode):
-            if node.mark == SKIPPED:
-                return
-            self.walk(node.child, active, depth)
-            return
-        if isinstance(node, FilterNode):
-            sub = {s: c for s, c in active.items() if s in node.statements}
-            if sub:
-                self.walk(node.child, sub, depth)
-            return
-        if isinstance(node, SequenceNode):
-            for filt in node.filters:
-                self.walk(filt, active, depth)
-            return
-        if isinstance(node, ExtensionNode):
-            new_active = dict(active)
-            for (_, sname), m in node.extension.maps.items():
-                stmt = self.program.statement(sname)
-                disjuncts = []
-                for bm in _run_once(stmt, m.fix_params(self.params)):
-                    rename = dict(zip(bm.space.out_dims, stmt.dims))
-                    for in_dim in bm.space.in_dims:
-                        if in_dim not in self.band_map:
-                            raise CBackendError(
-                                f"extension tile dim {in_dim!r} is not an "
-                                "enclosing band dimension"
-                            )
-                        rename[in_dim] = self.band_map[in_dim]
-                    disjuncts.append([c.rename(rename) for c in bm.constraints])
-                new_active[sname] = disjuncts
-            for tensor, site in self.sites.items():
-                if site is node:
-                    self._promote(tensor, new_active)
-            self.walk(node.child, new_active, depth)
-            return
-        if isinstance(node, BandNode):
-            self._emit_band(node, active, depth)
-            return
-        raise CBackendError(f"unexpected node {type(node).__name__}")
+    def render(self, node: Nest, depth: int) -> None:
+        if isinstance(node, Leaf):
+            for piece in node.pieces:
+                self._emit_statement(piece.stmt, piece.system, depth)
+        elif isinstance(node, Loop):
+            self._emit_loop(node, depth)
+        else:
+            if isinstance(node, Extension):
+                for tensor, site in self.sites.items():
+                    if site is node:
+                        self._promote(tensor, node)
+            for child in inner(node):
+                self.render(child, depth)
 
-    def _promote(self, tensor: str, active) -> None:
+    def _promote(self, tensor: str, scope: Extension) -> None:
         """Give ``tensor`` a per-tile buffer if its footprint has a box."""
         writes = [
             (
-                [self._strided(c) for c in cons],
+                [self._strided(c) for c in piece.system],
                 [i.substitute(self.params) for i in stmt.lhs.indices],
             )
             for stmt in self.program.writers_of(tensor)
-            for cons in active[stmt.name]
+            for piece in scope.pieces
+            if piece.stmt == stmt.name
         ]
-        outer = [self.tiles[v][0] if v in self.tiles else v for v in self.loop_vars]
+        outer = [self.tiles[v][0] if v in self.tiles else v for v in scope.outer]
         box = tile_box(writes, outer)
         full = int(np.prod(self.shapes[tensor]))
         if box is None:
@@ -482,12 +409,12 @@ class _CBody:
         return e
 
     def _bounds(
-        self, system: Sequence[Constraint], var: str
+        self, system: Sequence[Constraint], var: str, outer: Sequence[str]
     ) -> Tuple[Tuple[Constraint, ...], Tuple[Constraint, ...]]:
         """The needed lower and upper bounds of ``var`` under ``system``."""
         lowers: List[Constraint] = []
         uppers: List[Constraint] = []
-        for c in projected_bounds(system, var, self.loop_vars):
+        for c in projected_bounds(system, var, outer):
             a = c.coeff(var)
             if c.kind == "==" or a > 0:
                 lowers.append(Constraint(c.expr if a > 0 else -c.expr, ">="))
@@ -497,72 +424,47 @@ class _CBody:
         uppers = self._needed(uppers, lowers)
         return tuple(lowers), tuple(uppers)
 
-    def _emit_band(self, band: BandNode, active, depth) -> None:
-        new_active = {s: [list(c) for c in d] for s, d in active.items()}
-        saved = (dict(self.band_map), dict(self.tiles), len(self.context), len(self.loop_vars))
-        d0 = depth
-        for d in range(band.n_dims):
-            var = self.fresh(band.dim_names[d])
-            self.band_map[band.dim_names[d]] = var
-            size = None if band.tile_sizes is None else band.tile_sizes[d]
-            kv = LinExpr.var(var)
-            rows = {
-                sname: band.schedules[sname][d].substitute(self.params)
-                for sname in new_active
-                if sname in band.schedules
-            }
-            # One member per statement piece the dimension scans: the loop
-            # covers the union of their ranges.
-            members = [
-                self._bounds(cons + [Constraint.eq(kv - row)], var)
-                for sname, row in rows.items()
-                for cons in new_active[sname]
-            ]
-            if not members or any(not lo or not hi for lo, hi in members):
-                raise CBackendError(
-                    f"unbounded band dimension {band.dim_names[d]}"
-                )
-            lowers = self._extreme([lo for lo, _ in members])
-            uppers = self._extreme([hi for _, hi in members])
-            lo_text = _union_c(lowers, var, "max", "min")
-            hi_text = _union_c(uppers, var, "min", "max")
-            init = lo_text
-            if size is not None:
-                # align tile origins to the global grid
-                init = f"floord({lo_text}, {size}) * {size}"
-            step = f" += {size}" if size else "++"
-            if band.coincident[d] and not self.loop_vars:
-                self.emit(d0, "#pragma omp parallel for")
-            self.emit(
-                d0,
-                f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{",
-            )
-            # Only what every member guarantees holds in every iteration.
-            lows = [c for c in lowers[0] if all(c in m for m in lowers)]
-            highs = [c for c in uppers[0] if all(c in m for m in uppers)]
-            if size is not None:
-                # var + size - 1 >= each lower bound; var is a multiple of size
-                lows = [c.substitute({var: kv + (size - 1)}) for c in lows]
-                self.tiles[var] = (f"{var}_q", size)
-                self._strided_memo = {}
-            self.context.extend(self._strided(c) for c in lows + highs)
-            self.loop_vars.append(var)
-            d0 += 1
-            for sname, row in rows.items():
-                for cons in new_active[sname]:
-                    if size is None:
-                        cons.append(Constraint.eq(kv - row))
-                    else:
-                        cons.append(Constraint.le(kv, row))
-                        cons.append(Constraint.lt(row, kv + size))
-        self.walk(band.child, new_active, d0)
-        self.band_map, self.tiles, n_context, n_loops = saved
-        self._strided_memo = {}
+    def _emit_loop(self, loop: Loop, depth: int) -> None:
+        var, size = loop.var, loop.size
+        kv = LinExpr.var(var)
+        # One member per statement piece the dimension scans: the loop
+        # covers the union of their ranges.
+        members = [
+            self._bounds([*m.system, Constraint.eq(kv - m.row)], var, loop.outer)
+            for m in loop.members
+        ]
+        if not members or any(not lo or not hi for lo, hi in members):
+            raise CBackendError(f"unbounded band dimension {loop.dim}")
+        lowers = self._extreme([lo for lo, _ in members])
+        uppers = self._extreme([hi for _, hi in members])
+        lo_text = _union_c(lowers, var, "max", "min")
+        hi_text = _union_c(uppers, var, "min", "max")
+        init = lo_text
+        if size is not None:
+            # align tile origins to the global grid
+            init = f"floord({lo_text}, {size}) * {size}"
+        step = f" += {size}" if size else "++"
+        if loop.parallel:
+            self.emit(depth, "#pragma omp parallel for")
+        self.emit(
+            depth,
+            f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{",
+        )
+        # Only what every member guarantees holds in every iteration.
+        lows = [c for c in lowers[0] if all(c in m for m in lowers)]
+        highs = [c for c in uppers[0] if all(c in m for m in uppers)]
+        if size is not None:
+            # var + size - 1 >= each lower bound; var is a multiple of size
+            lows = [c.substitute({var: kv + (size - 1)}) for c in lows]
+            self.tiles[var] = (f"{var}_q", size)
+            self._strided_memo = {}
+        n_context = len(self.context)
+        self.context.extend(self._strided(c) for c in lows + highs)
+        self.render(loop.body, depth + 1)
         del self.context[n_context:]
-        for _ in self.loop_vars[n_loops:]:
-            d0 -= 1
-            self.emit(d0, "}")
-        del self.loop_vars[n_loops:]
+        if self.tiles.pop(var, None):
+            self._strided_memo = {}
+        self.emit(depth, "}")
 
     def _emit_statement(self, sname: str, cons: Sequence[Constraint], depth: int) -> None:
         stmt = self.program.statement(sname)
@@ -726,10 +628,6 @@ def _combine_c(parts: List[str], fn: str) -> str:
     return out
 
 
-def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in name)
-
-
 # ---------------------------------------------------------------------------
 # compile & run
 
@@ -750,8 +648,10 @@ def compile_and_run(
 
     ``store`` provides the input tensor contents; the returned dict maps
     live-out tensor names to the arrays the C program produced.  Tests
-    pass ``openmp=False`` for strictly deterministic comparisons (halo
-    re-writes of identical values are benign races under OpenMP).
+    pass ``openmp=False`` for strictly deterministic comparisons: under
+    OpenMP a tensor that stays global while every tile recomputes it
+    (covariance's ``mean``) is written by one tile as a neighbour reads
+    it, a real data race (ROADMAP item 1), not a benign one.
     """
     params = dict(program.params, **(params or {}))
     source, live_in = _generate_c(tree, program, params)
@@ -759,31 +659,33 @@ def compile_and_run(
     if cc is None:
         raise CBackendError("no C compiler available")
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_c_")
-    os.makedirs(workdir, exist_ok=True)
-    src_path = os.path.join(workdir, "kernel.c")
-    with open(src_path, "w") as f:
-        f.write(source)
-    exe = os.path.join(workdir, "kernel")
-    cmd = [cc, "-O2", src_path, "-o", exe, "-lm"]
-    if openmp:
-        cmd.insert(2, "-fopenmp")
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CBackendError(f"compilation failed:\n{proc.stderr}\n--- source ---\n{source}")
-    for name in live_in:
-        # no copy when the store already holds float64
-        np.asarray(store[name], dtype=np.float64).tofile(
-            os.path.join(workdir, f"{name}.bin")
-        )
-    proc = subprocess.run([exe], cwd=workdir, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CBackendError(f"execution failed ({proc.returncode}): {proc.stderr}")
-    out: Dict[str, np.ndarray] = {}
-    for t in program.liveout:
-        shape = program.tensors[t].concrete_shape(params)
-        out[t] = np.fromfile(
-            os.path.join(workdir, f"{t}.out.bin"), dtype=np.float64
-        ).reshape(shape)
-    if keep_dir is None:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return out
+    try:
+        os.makedirs(workdir, exist_ok=True)
+        src_path = os.path.join(workdir, "kernel.c")
+        with open(src_path, "w") as f:
+            f.write(source)
+        exe = os.path.join(workdir, "kernel")
+        cmd = [cc, "-O2", src_path, "-o", exe, "-lm"]
+        if openmp:
+            cmd.insert(2, "-fopenmp")
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise CBackendError(f"compilation failed:\n{proc.stderr}\n--- source ---\n{source}")
+        for name in live_in:
+            # no copy when the store already holds float64
+            np.asarray(store[name], dtype=np.float64).tofile(
+                os.path.join(workdir, f"{name}.bin")
+            )
+        proc = subprocess.run([exe], cwd=workdir, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise CBackendError(f"execution failed ({proc.returncode}): {proc.stderr}")
+        out: Dict[str, np.ndarray] = {}
+        for t in program.liveout:
+            shape = program.tensors[t].concrete_shape(params)
+            out[t] = np.fromfile(
+                os.path.join(workdir, f"{t}.out.bin"), dtype=np.float64
+            ).reshape(shape)
+        return out
+    finally:
+        if keep_dir is None:
+            shutil.rmtree(workdir, ignore_errors=True)

@@ -1,15 +1,16 @@
 """Executable backend: interprets schedule trees over NumPy tensors.
 
-The interpreter flattens the tree into per-statement *streams*.  A stream is
-an augmented integer set over ``(key dims..., statement dims...)``:
+The interpreter flattens the tree's executable loop nest
+(:func:`repro.codegen.nest.scan`) into per-statement *streams*.  A stream
+is an augmented integer set over ``(key dims..., statement dims...)``:
 
-* every band dimension along the statement's path contributes a key dim
-  (constrained ``k == row`` for point bands, ``k <= row < k + T`` with
+* every loop along the statement's path contributes a key dim, its
+  variable (pinned ``k == row`` for point bands, ``k <= row < k + T`` with
   ``k`` stepping over tile origins for tile bands);
-* sequence nodes contribute constant key components;
-* extension nodes contribute the extension relation's constraints, so an
-  added statement's instances are exactly the per-tile images of relation
-  (6), recomputation included.
+* sequence positions contribute constant key components;
+* beneath an extension scope the added statements carry the extension
+  relation's constraints, so their instances are exactly the per-tile
+  images of relation (6), recomputation included.
 
 Executing the program is then: enumerate every stream, tag each instance
 with its key, sort, and run the statement bodies in key order.  This is
@@ -30,24 +31,12 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..ir import Program, REDUCE, Statement, TensorStore
-from ..presburger import Constraint, LinExpr
+from ..presburger import Constraint
 from ..presburger.fm import bounds_for_symbol, eliminate_symbols
-from ..schedule import (
-    BandNode,
-    DomainNode,
-    ExtensionNode,
-    FilterNode,
-    LeafNode,
-    MarkNode,
-    Node,
-    SequenceNode,
-    SKIPPED,
-)
+from ..schedule import DomainNode
+from .nest import Leaf, Loop, Nest, Seq, scan
 
 KeyComponent = Tuple[str, object]  # ("const", int) or ("dim", aug_dim_name)
-
-# Per-statement state while walking: a list of disjuncts, each a conjunction.
-Disjuncts = List[List[Constraint]]
 
 
 @dataclass
@@ -71,112 +60,30 @@ class ExecutionError(RuntimeError):
 def build_streams(
     tree: DomainNode, program: Program, params: Mapping[str, int]
 ) -> List[Stream]:
+    """One stream per statement piece at each leaf of the tree's executable
+    loop nest (:func:`repro.codegen.nest.scan`): its key reads off the path
+    to the leaf, a constant per sequence position and a dim per loop."""
     streams: List[Stream] = []
-    counter = [0]
 
-    def fresh(name: str) -> str:
-        counter[0] += 1
-        return f"__k{counter[0]}_{name}"
-
-    def visit(
-        node: Optional[Node],
-        active: Dict[str, Disjuncts],
-        template: List[KeyComponent],
-        aug: List[str],
-        steps: Dict[str, int],
-        band_dim_to_aug: Dict[str, str],
-    ) -> None:
-        if node is None or isinstance(node, LeafNode):
-            for sname, disjuncts in active.items():
-                for cons in disjuncts:
-                    streams.append(
-                        Stream(
-                            program.statement(sname),
-                            list(cons),
-                            list(template),
-                            list(aug),
-                            dict(steps),
-                        )
-                    )
-            return
-        if isinstance(node, MarkNode):
-            if node.mark == SKIPPED:
-                return
-            visit(node.child, active, template, aug, steps, band_dim_to_aug)
-            return
-        if isinstance(node, FilterNode):
-            sub = {s: c for s, c in active.items() if s in node.statements}
-            if sub:
-                visit(node.child, sub, template, aug, steps, band_dim_to_aug)
-            return
-        if isinstance(node, SequenceNode):
-            for i, filt in enumerate(node.filters):
-                visit(
-                    filt,
-                    active,
-                    template + [("const", i)],
-                    aug,
-                    steps,
-                    band_dim_to_aug,
+    def flatten(node: Nest, template: List[KeyComponent], steps: Dict[str, int]) -> None:
+        if isinstance(node, Leaf):
+            aug = [val for kind, val in template if kind == "dim"]
+            for piece in node.pieces:
+                stmt = program.statement(piece.stmt)
+                streams.append(
+                    Stream(stmt, list(piece.system), list(template), list(aug), dict(steps))
                 )
-            return
-        if isinstance(node, BandNode):
-            new_active = {s: [list(c) for c in d] for s, d in active.items()}
-            new_template = list(template)
-            new_aug = list(aug)
-            new_steps = dict(steps)
-            new_map = dict(band_dim_to_aug)
-            for d in range(node.n_dims):
-                k = fresh(node.dim_names[d])
-                new_map[node.dim_names[d]] = k
-                new_template.append(("dim", k))
-                new_aug.append(k)
-                size = None if node.tile_sizes is None else node.tile_sizes[d]
-                if size is not None:
-                    new_steps[k] = size
-                kv = LinExpr.var(k)
-                for sname, disjuncts in new_active.items():
-                    if sname not in node.schedules:
-                        continue
-                    row = node.schedules[sname][d]
-                    for cons in disjuncts:
-                        if size is None:
-                            cons.append(Constraint.eq(kv - row))
-                        else:
-                            cons.append(Constraint.le(kv, row))
-                            cons.append(Constraint.lt(row, kv + size))
-            visit(node.child, new_active, new_template, new_aug, new_steps, new_map)
-            return
-        if isinstance(node, ExtensionNode):
-            new_active = {s: [list(c) for c in d] for s, d in active.items()}
-            for (_, sname), m in node.extension.maps.items():
-                stmt = program.statement(sname)
-                disjuncts: Disjuncts = []
-                for bm in m.fix_params(params).pieces:
-                    rename = {}
-                    for in_dim in bm.space.in_dims:
-                        if in_dim not in band_dim_to_aug:
-                            raise ExecutionError(
-                                f"extension tile dim {in_dim!r} does not match "
-                                f"any enclosing band dim ({list(band_dim_to_aug)})"
-                            )
-                        rename[in_dim] = band_dim_to_aug[in_dim]
-                    rename.update(zip(bm.space.out_dims, stmt.dims))
-                    disjuncts.append([c.rename(rename) for c in bm.constraints])
-                new_active[sname] = disjuncts
-            visit(node.child, new_active, template, aug, steps, band_dim_to_aug)
-            return
-        if isinstance(node, DomainNode):
-            base: Dict[str, Disjuncts] = {}
-            for s in node.domain.names():
-                stmt = program.statement(s)
-                dom = stmt.domain.fix_params(params)
-                base[s] = [list(p.constraints) for p in dom.pieces]
-            visit(node.child, base, template, aug, steps, band_dim_to_aug)
-            return
-        raise ExecutionError(f"unknown node type {type(node).__name__}")
+        elif isinstance(node, Loop):
+            if node.size is not None:
+                steps = {**steps, node.var: node.size}
+            flatten(node.body, template + [("dim", node.var)], steps)
+        elif isinstance(node, Seq):
+            for i, child in enumerate(node.children):
+                flatten(child, template + [("const", i)], steps)
+        else:  # a mark or an extension scope: its body, under the same key
+            flatten(node.body, template, steps)
 
-    visit(tree, {}, [], [], {}, {})
+    flatten(scan(tree, program, params), [], {})
     return streams
 
 
@@ -228,6 +135,21 @@ def _enumerate_stream(stream: Stream) -> Iterator[Tuple[tuple, Dict[str, int]]]:
     yield from walk(0)
 
 
+def ordered_events(
+    tree: DomainNode, program: Program, params: Mapping[str, int]
+) -> List[Tuple[tuple, int, Statement, Dict[str, int]]]:
+    """Every instance the tree runs as ``(key, stream, statement, env)``, in
+    execution order: all streams enumerated, sorted by key and, within one
+    key, by stream.  An instance two overlapping pieces cover under one key
+    appears once per piece."""
+    events: List[Tuple[tuple, int, Statement, Dict[str, int]]] = []
+    for si, stream in enumerate(build_streams(tree, program, params)):
+        for key, env in _enumerate_stream(stream):
+            events.append((key, si, stream.stmt, env))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return events
+
+
 def execute_tree(
     tree: DomainNode,
     program: Program,
@@ -240,15 +162,9 @@ def execute_tree(
     verify the footprint arithmetic.
     """
     params = dict(program.params, **(params or {}))
-    streams = build_streams(tree, program, params)
-    events: List[Tuple[tuple, int, Statement, Dict[str, int]]] = []
-    for si, stream in enumerate(streams):
-        for key, env in _enumerate_stream(stream):
-            events.append((key, si, stream.stmt, env))
-    events.sort(key=lambda e: (e[0], e[1]))
     counts: Dict[str, int] = {}
     seen_at_key: set = set()
-    for key, _si, stmt, env in events:
+    for key, _si, stmt, env in ordered_events(tree, program, params):
         # Overlapping extension pieces may cover an instance more than once
         # under the same tile; execute it once per schedule-key context
         # (matching what generated code with a unioned iteration set does).

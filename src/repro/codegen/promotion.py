@@ -14,9 +14,10 @@ rectangular over-approximation).  Two consumers:
   box with the enclosing loop symbols left free (:func:`tile_box`: the
   layout relation ``element -> slot`` for *every* tile; with no symbol
   free it is the constant box above) and first asks whether a buffer is
-  unobservable: :func:`scratch_sites`, over the same tensors, with
-  :func:`live_in_tensors`.  The model asks no such question — it prices
-  conv2d's in-place ``A`` as promoted, C must keep it global.
+  unobservable: :func:`sites_in` its loop nest (:func:`scratch_sites`
+  for a tree), over the same tensors, with :func:`live_in_tensors`.  The
+  model asks no such question — it prices conv2d's in-place ``A`` as
+  promoted, C must keep it global.
 """
 
 from __future__ import annotations
@@ -33,20 +34,12 @@ from ..presburger.fm import (
     eliminate_symbols,
     implied_by_intervals,
     interval_bounds,
+    projected_bounds,
     rational_feasible,
 )
-from ..schedule import (
-    DomainNode,
-    ExtensionNode,
-    FilterNode,
-    LeafNode,
-    MarkNode,
-    Node,
-    SequenceNode,
-    SKIPPED,
-)
+from ..schedule import DomainNode
 from ..scheduler import FusionGroup
-from .printer import projected_bounds
+from .nest import Extension, Leaf, Nest, inner, scan
 
 
 @dataclass
@@ -411,48 +404,47 @@ def live_in_tensors(
 
 def scratch_sites(
     tree: DomainNode, program: Program, live_in: Sequence[str]
-) -> Tuple[Dict[str, ExtensionNode], Dict[str, str]]:
+) -> Tuple[Dict[str, Extension], Dict[str, str]]:
+    """:func:`sites_in` the tree's executable loop nest."""
+    return sites_in(scan(tree, program, program.params), program, live_in)
+
+
+def sites_in(
+    nest: Nest, program: Program, live_in: Sequence[str]
+) -> Tuple[Dict[str, Extension], Dict[str, str]]:
     """Where each fused intermediate may live in a per-tile buffer.
 
-    Returns ``(sites, kept)``.  ``sites[tensor]`` is the extension node
+    Returns ``(sites, kept)``.  ``sites[tensor]`` is the extension scope
     beneath which ``tensor`` can be private to one tile: every statement
-    writing it is introduced by that node and runs nowhere else, every
-    statement reading it runs beneath the node, and neither its initial
+    writing it is introduced by that scope and runs nowhere else, every
+    statement reading it runs beneath the scope, and neither its initial
     nor its final contents are observable.  ``kept[tensor]`` says why a
     tensor some extension writes stays a global array.
     """
-    introduced: Dict[str, List[ExtensionNode]] = {}
-    runs_under: Dict[str, List[Tuple[ExtensionNode, ...]]] = {}
+    introduced: Dict[str, List[Extension]] = {}
+    runs_under: Dict[str, List[Tuple[Extension, ...]]] = {}
 
-    def visit(node: Optional[Node], active: Tuple[str, ...], above) -> None:
-        if node is None or isinstance(node, LeafNode):
-            for name in active:
+    def collect(node: Nest, above: Tuple[Extension, ...]) -> None:
+        if isinstance(node, Leaf):
+            for name in dict.fromkeys(p.stmt for p in node.pieces):
                 runs_under.setdefault(name, []).append(above)
-        elif isinstance(node, MarkNode) and node.mark == SKIPPED:
-            return
-        elif isinstance(node, SequenceNode):
-            for filt in node.filters:
-                visit(filt, active, above)
-        elif isinstance(node, FilterNode):
-            visit(node.child, tuple(s for s in active if s in node.statements), above)
-        elif isinstance(node, ExtensionNode):
-            added = node.added_statements()
-            for name in added:
+        elif isinstance(node, Extension):
+            for name in node.added:
                 introduced.setdefault(name, []).append(node)
-            visit(node.child, tuple(dict.fromkeys(active + added)), above + (node,))
-        else:
-            visit(node.child, active, above)
+            above += (node,)
+        for child in inner(node):
+            collect(child, above)
 
-    visit(tree.child, program.statement_names, ())
+    collect(nest, ())
 
-    def beneath(node: ExtensionNode, names: Sequence[str]) -> bool:
+    def beneath(node: Extension, names: Sequence[str]) -> bool:
         return all(
             any(n is node for n in above)
             for name in names
             for above in runs_under.get(name, ())
         )
 
-    sites: Dict[str, ExtensionNode] = {}
+    sites: Dict[str, Extension] = {}
     kept: Dict[str, str] = {}
     for tensor in dict.fromkeys(
         program.statement(name).tensor_written() for name in introduced

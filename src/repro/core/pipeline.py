@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..ir import Program
+from ..ir.fingerprint import fingerprint_program
 from ..schedule import DomainNode
 from ..scheduler import (
     SMARTFUSE,
@@ -121,8 +122,6 @@ def optimize(
     ) as root:
         if root is not None and obs.tracing():
             # The fingerprint hash is only worth paying for in a trace.
-            from ..service.fingerprint import fingerprint_program
-
             root.annotate(fingerprint=fingerprint_program(program)[:12])
         with obs.span("startup_fusion", heuristic=opts.startup):
             scheduled = schedule_program(program, opts.startup)

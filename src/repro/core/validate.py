@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..codegen.interp import _enumerate_stream, build_streams
+from ..codegen.interp import ordered_events
 from ..deps import Dependence, memory_deps
 from ..ir import Program
 from ..schedule import DomainNode
@@ -67,13 +67,8 @@ def _execution_index(
     extremes are recorded.
     """
     table: Dict[str, Dict[Tuple[int, ...], Tuple[tuple, tuple]]] = {}
-    streams = build_streams(tree, program, params)
-    events = []
-    for si, stream in enumerate(streams):
-        for key, env in _enumerate_stream(stream):
-            events.append((key, si, stream.stmt, env))
-    events.sort(key=lambda e: (e[0], e[1]))
-    for rank, (key, _si, stmt, env) in enumerate(events):
+    events = ordered_events(tree, program, params)
+    for rank, (_key, _si, stmt, env) in enumerate(events):
         inst = tuple(env[d] for d in stmt.dims)
         per = table.setdefault(stmt.name, {})
         if inst in per:

@@ -9,7 +9,7 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
 * :mod:`export` — Chrome trace-event JSON / JSONL exporters and the
   profile-tree view;
 * :mod:`schema` — validators for every exported artifact (used by the CI
-  ``trace-smoke`` job and the perf-regression gate).
+  ``trace-smoke`` job).
 
 Only the stdlib is imported here, so the lowest layers of the package
 (``repro.presburger``) instrument themselves without import cycles.

@@ -8,8 +8,8 @@ from batch worker threads, or unpickled from worker processes — into one
 coherent set of metrics with a stable JSON snapshot schema.
 
 Snapshots are plain dicts (``schema`` ``repro-metrics/1``) so they can be
-written next to benchmark results, diffed run-to-run (``repro stats diff``)
-and checked by the perf-regression gate (``benchmarks/check_regression.py``).
+written next to benchmark results and diffed run-to-run (``repro stats
+diff``).
 
 This module is deliberately standalone: it imports nothing from the rest
 of the package so the lowest layers can use it without import cycles.

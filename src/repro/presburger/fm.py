@@ -195,6 +195,24 @@ def eliminate_symbols_for_bounds(
     return cur
 
 
+def projected_bounds(
+    constraints: Sequence[Constraint],
+    var: str,
+    keep: Sequence[str],
+) -> List[Constraint]:
+    """The constraints bounding ``var`` once everything but ``var`` and
+    ``keep`` (outer loop vars and params) is projected away."""
+    syms = set()
+    for c in constraints:
+        syms.update(c.expr.symbols())
+    # Sorted, not set order: the FM elimination order decides which derived
+    # constraints survive and hence the operand order of the emitted
+    # max()/min()/ceild()/floord() — it must not depend on PYTHONHASHSEED.
+    eliminate = sorted(s for s in syms if s != var and s not in keep)
+    projected = eliminate_symbols(list(constraints), eliminate)
+    return [c for c in projected if c.coeff(var)]
+
+
 def constraint_symbols(constraints: Iterable[Constraint]) -> List[str]:
     seen: Dict[str, None] = {}
     for c in constraints:

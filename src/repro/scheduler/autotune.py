@@ -304,7 +304,7 @@ def _rank_and_cut(
     """Rank the grid with the model; returns the top-k cut, or flags a
     fallback on ``result`` (missing/stale model, thin coverage)."""
     from ..learn.model import RankModel, load_model
-    from ..service.fingerprint import fingerprint_program
+    from ..ir.fingerprint import fingerprint_program
 
     if not combos:
         result.fallback_reason = "empty candidate grid"
@@ -356,7 +356,7 @@ def _collect_records(
     """Append one dataset record per exact evaluation (best effort)."""
     from ..data import make_record
     from ..learn.features import ranking_features
-    from ..service.fingerprint import fingerprint_program
+    from ..ir.fingerprint import fingerprint_program
 
     fp = fingerprint_program(program)
     records = [

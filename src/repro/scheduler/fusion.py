@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..deps import Dependence, memory_deps
 from .. import obs
 from ..ir import Program
+from ..ir.fingerprint import fingerprint_program
 from ..presburger import LinExpr, memo
 from ..schedule import DomainNode
 from .parallelism import BandDistances, required_shifts
@@ -71,8 +72,6 @@ def schedule_program(program: Program, heuristic: str = SMARTFUSE) -> Scheduled:
     """Apply a start-up fusion heuristic and build the schedule tree."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; choose from {HEURISTICS}")
-    from ..service.fingerprint import fingerprint_program
-
     with obs.span("scheduler", heuristic=heuristic):
         key = (fingerprint_program(program), heuristic)
         cached = _STARTUP_MEMO.get(key)

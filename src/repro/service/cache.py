@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import obs
-from .fingerprint import SCHEMA_VERSION
+from ..ir.fingerprint import SCHEMA_VERSION
 from .stores import (
     TIERED_PREFIX,
     CacheStore,

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
-from ..fingerprint import SCHEMA_VERSION
+from ...ir.fingerprint import SCHEMA_VERSION
 from .base import (
     KINDS,
     CacheStore,

@@ -48,7 +48,7 @@ def build_workload(name: str, size: Optional[int] = None):
     contract is in :class:`~repro.ir.Program`'s docstring), so equal
     arguments return the same object (the 64 most recently used are kept),
     which is also what lets the per-object digest memo of
-    :mod:`repro.service.fingerprint` hit.
+    :mod:`repro.ir.fingerprint` hit.
     Raises :class:`UnknownWorkloadError` for unregistered names, every time.
     """
     return _build(name, size)

@@ -10,17 +10,20 @@ reference.
 import hashlib
 import inspect
 import itertools
+import json
 import os
 import random
 import re
 import shutil
 import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro import CompileOptions
-from repro.codegen import execute_naive, make_store, print_tree, promoted_buffers
+from repro.codegen import execute_naive, make_store, print_tree, promoted_buffers, run_program
 from repro.codegen.cbackend import (
     CBackendError,
     HEADER,
@@ -30,6 +33,7 @@ from repro.codegen.cbackend import (
     generate_c,
     is_reserved,
 )
+from repro.codegen.gpu_mapping import map_to_gpu
 from repro.codegen.promotion import entails, live_in_tensors, scratch_sites
 from repro.core import optimize
 from repro.ir import ProgramBuilder, TensorStore
@@ -71,25 +75,130 @@ SMALL = [
     ("equake", 500, None),
 ]
 
-#: sha256[:16] of ``print_tree`` at the parent commit (aaed83c) for the 15
-#: benchmark workloads: this PR changes the C backend, not the printer.
-PRINT_TREE_AT_PARENT = {
-    "bilateral_grid": "e51ff3b3dbce8ca6",
-    "camera_pipeline": "92176355761b1ac1",
-    "harris": "ebe0183c733f2f64",
-    "local_laplacian": "92114ccc06874e30",
-    "multiscale_interp": "958db219e3cc43f1",
-    "unsharp_mask": "002aa77fb670ca0d",
-    "2mm": "05d16a47d91c7d8a",
-    "3mm": "d1f4b29745f960f0",
-    "atax": "7b8a2c63fbc5e962",
-    "bicg": "c5be7611c838d7ea",
-    "covariance": "afeef0bb701b9fc1",
-    "doitgen": "9bbcf50e08cb358b",
-    "gemver": "e502c8daa508deed",
-    "mvt": "0fb049225fd8c97a",
-    "conv2d": "a7af8797476fd422",
+#: What every reader of the schedule tree produced at the parent commit
+#: (be42ec4, before the four tree walkers became readers of one loop nest):
+#: sha256[:16] of ``print_tree`` for the cpu tree (openmp) and for the
+#: gpu-mapped tree (cuda), of ``generate_c`` for the fused tree and for
+#: ``initial_tree``, and, for the ``SMALL`` rows, of the interpreter's
+#: live-out bytes and of its ``counts``.  Rows: the 15 benchmark workloads
+#: at ``ALL_WORKLOADS``' sizes, every ``workload_names()`` entry the C
+#: backend accepts at its CLI default size (``None``; not multiscale_interp,
+#: whose 512 leaves a level empty), and the tile-crossing ``SMALL`` cases.
+#: A refactor of the readers is done when this table is untouched.
+AT_PARENT = {
+    ("bilateral_grid", 128, None):
+        "e51ff3b3dbce8ca6 cda57dddd396855b df01d1d0d427c41d 2795dd7a73c02b6c",
+    ("camera_pipeline", 128, None):
+        "92176355761b1ac1 88c2ba0b175a0fc9 e41081b989c1b381 16d65177740aa70c",
+    ("harris", 128, None):
+        "ebe0183c733f2f64 fd403e2a2b76e7d8 72eee79d7d71dfff 2f56f4e73ecdf5fa",
+    ("local_laplacian", 128, None):
+        "92114ccc06874e30 28e5df8b60f5a662 5b351428496da346 de03e27358c8291b",
+    ("multiscale_interp", 2048, None):
+        "958db219e3cc43f1 9cdb43b863983bcd 9010e542f13c4588 6b3c8566bf908715",
+    ("unsharp_mask", 128, None):
+        "002aa77fb670ca0d 5c91986755b58f93 c66ae1e67653a8b2 f1293b15bea7a20d",
+    ("2mm", 64, None):
+        "05d16a47d91c7d8a df5aecbe076f376b fc9fadd7c1f1f50e 69d6efc6544612f7",
+    ("3mm", 64, None):
+        "d1f4b29745f960f0 88a41cbf12c95f84 d10be1af062717b8 d38b90878028522f",
+    ("atax", 64, None):
+        "7b8a2c63fbc5e962 66c5eb1dd475833f 1f349bb8e948f7c9 1a08292c5063032d",
+    ("bicg", 64, None):
+        "c5be7611c838d7ea 0dbef20b5475d199 8d4735b930c0baa4 9756888f590e8f46",
+    ("covariance", 64, None):
+        "afeef0bb701b9fc1 60d9b1b907601c1d 54ed78ccda3457e4 1d18ff1288e888fb",
+    ("doitgen", 16, None):
+        "9bbcf50e08cb358b be3c4ed8b1895c09 becc54568ce80fe6 f1c8c10d9993f198",
+    ("gemver", 64, None):
+        "e502c8daa508deed 0364af9483647bc7 0dcbc79082eba010 41934deedd2ca17a",
+    ("mvt", 64, None):
+        "0fb049225fd8c97a 028e2bada65f4baf fb526b5ba07ccadc 01a4755a9566304c",
+    ("conv2d", 48, None):
+        "a7af8797476fd422 392fe521094d8a5c cee6c18a86353425 f4887011837d35e5",
+    ("2mm", None, None):
+        "d8e3cdbe16fbf3fa 82dd4d9431b1a014 ba64eb0de36d438e 970cc80f01155a83",
+    ("3mm", None, None):
+        "46b06a766d446c03 111a98ad9d8f917e a925d50bfd73cd3d 910101382b0e8c13",
+    ("atax", None, None):
+        "78d6b7d21f42b962 1d86bbb80292818e d431fe18c5ae13be 97e9372ddf2bd1b2",
+    ("bicg", None, None):
+        "fbfa09dee931674a d438399b8346b19e ccd7ce5d0c16fce4 431c22b8c1612249",
+    ("bilateral_grid", None, None):
+        "3c2d734ec5bc83d6 7442afc99b578db9 5f78cc3b5acd8f91 3aa35fcc8002647d",
+    ("camera_pipeline", None, None):
+        "057546209897db52 fead7cf19c3063a0 f3aae4b7da5995b0 0bcaf8e464c16385",
+    ("camera_resnet", None, None):
+        "2451337da858a43e f97a3ed4d0d375b9 6f0e087e0a9465f5 4585e3610452a791",
+    ("conv2d", None, None):
+        "a7af8797476fd422 392fe521094d8a5c 58b0762cfa141d15 39f5184434d72173",
+    ("conv_bn", None, None):
+        "08a94c3aced594a4 cb92d9c0a7a2a04b e03b0691c5187f18 195058dea873fb9a",
+    ("covariance", None, None):
+        "bab7fe0b3026fc9d 70e4246fe95add78 d74aeb1246b2377f dfa4318c7c085f58",
+    ("doitgen", None, None):
+        "b3854e2c47bf9f15 623bbcfe82b1e5ff 55596dba3ca53f25 ee6ea5f67f17459b",
+    ("edge_infer", None, None):
+        "df06e32421a7c280 09786a76e808f3dc 971fa14611fa8ba9 07780bd17a6ea32f",
+    ("equake", None, None):
+        "c514218703d5d760 d9475a8c292628c0 e5bd9700d26891fa 63b351e3fa1496c3",
+    ("gemver", None, None):
+        "81448912859915f2 0d4ee4d7114c4b54 2268a1e8546923a3 79bc9f2c9081c1b5",
+    ("harris", None, None):
+        "b53d75660266220a 1a78b40197b37709 6c980c2c6c55835d 4a0c8bf50ddf03dd",
+    ("local_laplacian", None, None):
+        "a5783729a4db9ce5 6ed62011e956b726 34e98ab261492414 90bb477b8f026ad6",
+    ("mvt", None, None):
+        "40fa2906480a9ed5 563d6274ffb986ef a74fd7ebb0bf45c5 2bef402f427b8c3e",
+    ("unsharp_mask", None, None):
+        "de5c7531e618ac6a e769344d2f655a90 11cf1be20c128905 da5c417622d5d383",
+    ("harris", 32, (4, 8)):
+        "71bdcc87aa0d79b7 e7ef1ee5c1d0468b 5d337b6777af82ca 8e8834ce6e8e3cc8 0e156f814c2a2777 db7c838e001879a5",
+    ("bilateral_grid", 32, (8, 16)):
+        "9735c613d41cde02 110b3702f8db4ca4 f1b83176d2f4ac76 faba925dd8cc89a4 e286b098a73b327e c09575b3e5e3dc67",
+    ("bilateral_grid", 32, (4, 4)):
+        "cb262661e126e351 75e4bd3c62d131e8 2ce2402708713144 faba925dd8cc89a4 e286b098a73b327e 395ab5d4e68e6083",
+    ("unsharp_mask", 32, (4, 8)):
+        "ed4db339d082b541 225c81695b59c1b1 416bcb95878f6da9 448b2afbb6352625 844415082ca29839 d8b6c69e3d7233f9",
+    ("covariance", 48, (32, 32)):
+        "417da55b2c642c30 9406e983be085850 3355bd996683cf58 ff1a2521cdfd376c 689dc0025ff51c70 129e22253e60a066",
+    ("covariance", 20, (4, 8)):
+        "175c41938ef9d0dc cfa275d66de0c667 855a3cfc5f533c5a f513f94a114a4bfa 39a980e68c7a0b67 516c85d3d63c9e45",
+    ("conv_bn", 32, (32, 32)):
+        "08a94c3aced594a4 cb92d9c0a7a2a04b e03b0691c5187f18 195058dea873fb9a 0870af09b9f3d48a bd8d18c930a143a2",
+    ("gemver", 24, (4, 8)):
+        "8ea5dfee3e1e4373 5eb88c66c56ccb01 8cbe1cc75d3be285 ff3ee43c7e2ffbfb d8a5a4b248fa23c1 7245affbe22962fb",
+    ("2mm", 24, (4, 8)):
+        "f78c8d2b94af21e5 d7a88296f0d6a7a2 42c12dfec77ef73c 514fe78607194f1f 492451c1aa1f4ff1 1bbc56b5274bda78",
+    ("equake", 500, None):
+        "13807a1fc3c9c11b 1185fb34fc6e93bf b0433b1323e024f3 44f30344575e5a25 68199789f9bbf944 b38c29e22eec7254",
 }
+
+
+def reader_digests(name, size, tiles):
+    """One row of ``AT_PARENT`` as this checkout computes it."""
+
+    def h(data):
+        return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()[:16]
+
+    prog = get_workload(name, size)
+    with_interp = (name, size, tiles) in SMALL
+    tiles = tiles or default_tile_sizes(name)
+    cpu = optimize(prog, CompileOptions(target="cpu", tile_sizes=tiles))
+    gpu = optimize(prog, CompileOptions(target="gpu", tile_sizes=tiles))
+    map_to_gpu(gpu)
+    out = [
+        h(print_tree(cpu.tree, prog, style="openmp")),
+        h(print_tree(gpu.tree, prog, style="cuda")),
+        h(generate_c(cpu.tree, prog)),
+        h(generate_c(initial_tree(prog), prog)),
+    ]
+    if with_interp:
+        store, counts = run_program(prog, cpu.tree)
+        live_out = b"".join(t.encode() + store[t].tobytes() for t in sorted(prog.liveout))
+        out += [h(live_out), h(repr(sorted(counts.items())))]
+    return " ".join(out)
+
 
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 
@@ -176,6 +285,21 @@ class TestSourceGeneration:
         src = generate_c(res.tree, prog)
         assert 'write_tensor("x1.out.bin"' in src
         assert 'write_tensor("w.out.bin"' in src
+
+
+def test_failed_compile_leaves_no_temp_dir(tmp_path, monkeypatch):
+    """Every failure path of ``compile_and_run`` removes its work dir."""
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "tmp").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text("#!/bin/sh\necho no >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    prog = conv2d.build(PARAMS)
+    with pytest.raises(CBackendError, match="compilation failed"):
+        compile_and_run(initial_tree(prog), prog, make_store(prog))
+    assert os.listdir(tmp_path / "tmp") == []
 
 
 @needs_cc
@@ -491,4 +615,23 @@ class TestUnchangedElsewhere:
     def test_print_tree_is_the_parents(self, name, size):
         prog, res = fused(name, size)
         digest = hashlib.sha256(print_tree(res.tree, prog).encode()).hexdigest()[:16]
-        assert digest == PRINT_TREE_AT_PARENT[name]
+        assert digest == AT_PARENT[name, size, None].split()[0]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_every_reader_is_the_parents(self, seed):
+        """The whole table, in a fresh process under each hash seed."""
+        child = (
+            "import json; from tests.test_cbackend import AT_PARENT, reader_digests; "
+            "print(json.dumps([reader_digests(*row) for row in AT_PARENT]))"
+        )
+        root = os.path.join(os.path.dirname(__file__), "..")
+        env = dict(
+            os.environ, PYTHONHASHSEED=str(seed),
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], cwd=root, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        got = dict(zip(AT_PARENT, json.loads(proc.stdout)))
+        assert {row: d for row, d in got.items() if d != AT_PARENT[row]} == {}

@@ -23,8 +23,6 @@ UPPER = ("service", "serve", "partition", "learn", "data")
 #: allows the whole file (the autotuner orchestrates driver, dataset and
 #: ranker by design).
 ALLOWED = {
-    "scheduler/fusion.py": {("repro.service.fingerprint", "fingerprint_program")},
-    "core/pipeline.py": {("repro.service.fingerprint", "fingerprint_program")},
     "scheduler/autotune.py": None,
 }
 

@@ -48,6 +48,20 @@ def test_fingerprint_is_content_addressed():
     )
 
 
+def test_fingerprints_are_the_ones_caches_already_hold():
+    """Digests as of schema 6, recorded before ``fingerprint_program`` moved
+    to ``repro.ir.fingerprint``: a key that moves orphans every entry."""
+    from repro.workloads import get_workload
+
+    harris = get_workload("harris", 512)
+    assert fingerprint_program(harris) == (
+        "c83b4a7f93ee5037e77a1acf22b877e2a6830ccd1b1bc4116fbdc11573bd96ee"
+    )
+    assert fingerprint_request(harris, "cpu", (32, 256), "smartfuse") == (
+        "5cc2de615d8a3a4f58193cc9a9c593167b7338db38fbd31abea665ac859bc67e"
+    )
+
+
 def test_fingerprint_sensitivity():
     p = build_conv()
     base = fingerprint_request(p, "cpu", (16, 16))

@@ -19,7 +19,7 @@ from repro.codegen.printer import print_tree
 from repro.core import optimize
 from repro.machine import analyze_optimized, cpu_time
 from repro.service import cache as cache_mod
-from repro.service import fingerprint as fp_mod
+from repro.ir import fingerprint as fp_mod
 from repro.service.cache import CompileCache, resolve_cache
 from repro.service.driver import CompileRequest, cached_optimize, compile_batch
 from repro.service.fingerprint import fingerprint_request

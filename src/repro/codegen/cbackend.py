@@ -3,9 +3,11 @@
 Where :mod:`repro.codegen.printer` renders display code, this backend emits
 a complete, compiling C program from a schedule tree's executable loop nest
 (:func:`repro.codegen.nest.scan` with the parameters fixed) and (when a C
-compiler is available) builds and runs it, exchanging tensors with Python
-through raw ``float64`` files.  The emitted code is exact *and* is what the
-optimizer decided, by three cooperating rules:
+compiler is available) builds and runs it.  Python and the executable
+exchange tensors as raw row-major ``float64`` files, ``<name>.bin`` in and
+``<name>.out.bin`` out, which the executable maps instead of copying, so
+that its run time is the loop nest's.  The emitted code is exact *and* is
+what the optimizer decided, by five cooperating rules:
 
 * **Loops and guards.**  Loop bounds are the Fourier–Motzkin bounds of the
   member statements: per member the ``max`` of its lower bounds, over
@@ -27,8 +29,27 @@ optimizer decided, by three cooperating rules:
   stays a global array when no affine origin exists or the box would be as
   large as the tensor.
 * **Liveness.**  Only tensors whose initial contents the program can
-  observe (:func:`repro.codegen.promotion.live_in_tensors`) are read from
+  observe (:func:`repro.codegen.promotion.live_in_tensors`) are taken from
   ``<name>.bin``; everything else starts zeroed.
+* **Exchange.**  Tensors are mapped, not copied.  A live-in is a private
+  mapping of its file (read-only and ``const`` unless a statement writes
+  it, then copy-on-write: the file is never modified); a live-out is
+  computed in a shared mapping of ``<name>.out.bin``, sized by
+  ``ftruncate`` and first filled from ``<name>.bin`` when it is live-in
+  too (a live-out is written everywhere or live-in, so a stale file needs
+  no clearing).  Intermediates and per-tile buffers stay static arrays.
+  The nest is one function, ``nest``, over the mapped tensors as
+  ``restrict`` pointers to whole arrays (``double (*restrict A)[N][M]``,
+  used as ``(*A)[i][j]``): gcc keeps what it knew of static arrays, that
+  no two tensors overlap, and ``-fsanitize=bounds`` still checks every
+  dimension.  ``main`` maps, calls ``nest`` and, given any argument,
+  prints the call's duration as ``nest_ms <float>`` on stderr.  A failed
+  exchange is an exit code with a message: 2 a missing input, 3 an input
+  of the wrong size, 4 a mapping the system refused.
+* **Parallel loops.**  A coincident outermost loop is ``#pragma omp
+  parallel for`` unless an extension beneath it writes a tensor that stays
+  a global array: every tile would rewrite it while a neighbour reads it,
+  so that loop runs serially (``codegen.c.parallel_dropped.<why>``).
 
 Statement dimensions are recovered from the band pin equalities.  The
 round trip (generate → gcc -fopenmp → run → compare with the interpreter)
@@ -38,6 +59,7 @@ generated code really runs" proof.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import shutil
@@ -52,7 +74,7 @@ from ..ir import Affine, BinOp, Call, Const, Expr, Load, Program, REDUCE, Tensor
 from ..presburger import Constraint, LinExpr
 from ..presburger.fm import projected_bounds
 from ..schedule import DomainNode
-from .nest import Extension, Leaf, Loop, Nest, inner, scan
+from .nest import Extension, Leaf, Loop, Mark, Nest, Seq, inner, scan
 from .promotion import TileBox, entails, live_in_tensors, sites_in, tile_box
 
 HEADER = """\
@@ -60,6 +82,11 @@ HEADER = """\
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
+#include <time.h>
+#include <fcntl.h>
+#include <unistd.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -75,6 +102,35 @@ static double clamp01_fn(double x) { return x < 0 ? 0 : (x > 1 ? 1 : x); }
 static double safe_log(double x) { return x > 0 ? log(x) : 0.0; }
 static double safe_sqrt(double x) { return x > 0 ? sqrt(x) : 0.0; }
 static double sigmoid_fn(double x) { return 1.0 / (1.0 + exp(-x)); }
+
+static void *map_in(const char *path, long bytes, int prot) {
+  struct stat st;
+  int fd = open(path, O_RDONLY);
+  if (fd < 0 || fstat(fd, &st) != 0) { fprintf(stderr, "missing %s\\n", path); exit(2); }
+  if (st.st_size != bytes) {
+    fprintf(stderr, "%s: expected %ld bytes, found %ld\\n", path, bytes, (long)st.st_size);
+    exit(3);
+  }
+  void *at = mmap(NULL, bytes, prot, MAP_PRIVATE, fd, 0);
+  if (at == MAP_FAILED) { perror(path); exit(4); }
+  close(fd);
+  return at;
+}
+static void *map_out(const char *path, long bytes, const char *init) {
+  void *at = MAP_FAILED;
+  int fd = open(path, O_RDWR | O_CREAT, 0644);
+  if (fd >= 0 && ftruncate(fd, bytes) == 0)
+    at = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  if (at == MAP_FAILED) { perror(path); exit(4); }
+  close(fd);
+  if (init) memcpy(at, map_in(init, bytes, PROT_READ), bytes);
+  return at;
+}
+static double now_ms(void) {
+  struct timespec t;
+  clock_gettime(CLOCK_MONOTONIC, &t);
+  return 1e3 * t.tv_sec + 1e-6 * t.tv_nsec;
+}
 """
 
 INTRINSIC_C = {
@@ -89,9 +145,10 @@ INTRINSIC_C = {
 }
 
 # Identifiers a tensor may not use in the emitted translation unit: C
-# keywords, what HEADER declares or defines, and the file-scope names of
-# <stdio.h>, <stdlib.h>, <string.h> and <math.h> (glibc, default feature
-# set; tests/test_cbackend.py checks the list against the headers here).
+# keywords, what HEADER declares or defines, ``nest`` and ``main``'s locals,
+# and the file-scope names of the headers HEADER includes (glibc, default
+# feature set; tests/test_cbackend.py checks the list against the headers
+# here).
 _MATH = (
     "acos acosh asin asinh atan atan2 atanh cbrt ceil copysign cos cosh drem "
     "erf erfc exp exp2 expm1 fabs fdim finite floor fma fmax fmin fmod frexp "
@@ -106,7 +163,7 @@ _RESERVED = frozenset(
     float for goto if inline int long register restrict return short signed
     sizeof static struct switch typedef union unsigned void volatile while
     main ceild floord max min relu_fn quant_fn clamp01_fn safe_log safe_sqrt
-    sigmoid_fn read_tensor write_tensor
+    sigmoid_fn map_in map_out now_ms nest argc argv nest_ms
     FILE EOF NULL BUFSIZ RAND_MAX INFINITY NAN HUGE_VAL errno
     a64l abort abs aligned_alloc alloca arc4random arc4random_buf
     arc4random_uniform at_quick_exit atexit atof atoi atol atoll bcmp bcopy
@@ -136,11 +193,37 @@ _RESERVED = frozenset(
     qfcvt_r rand_r random_r seed48_r setstate_r srand48_r srandom_r
     strerror_r strtok_r tmpnam_r strcasecmp_l strcoll_l strerror_l
     strncasecmp_l strxfrm_l
+    access acct alarm asctime asctime_r brk chdir chmod chown chroot clock
+    clock_getcpuclockid clock_getres clock_gettime clock_nanosleep
+    clock_settime close closefrom confstr creat crypt ctime ctime_r daemon
+    daylight difftime dup dup2 dysize endusershell execl execle execlp execv
+    execve execvp faccessat fchdir fchmod fchmodat fchown fchownat fcntl
+    fdatasync fexecve fork fpathconf fstat fstatat fsync ftruncate futimens
+    getcwd getdomainname getdtablesize getegid getentropy geteuid getgid
+    getgroups gethostid gethostname getlogin getlogin_r getopt getpagesize
+    getpass getpgid getpgrp getpid getppid getsid getuid getusershell getwd
+    gmtime gmtime_r isatty lchmod lchown link linkat localtime localtime_r
+    lockf lseek lstat madvise mincore mkdir mkdirat mkfifo mkfifoat mknod
+    mknodat mktime mlock mlockall mmap mprotect msync munlock munlockall
+    munmap nanosleep nice open openat optarg opterr optind optopt pathconf
+    pause pipe posix_fadvise posix_fallocate posix_madvise pread profil
+    pwrite read readlink readlinkat revoke rmdir sbrk setdomainname setegid
+    seteuid setgid sethostid sethostname setlogin setpgid setpgrp setregid
+    setreuid setsid setuid setusershell shm_open shm_unlink sleep stat
+    strftime strftime_l symlink symlinkat sync syscall sysconf tcgetpgrp
+    tcsetpgrp time timegm timelocal timer_create timer_delete
+    timer_getoverrun timer_gettime timer_settime timespec_get timezone
+    truncate ttyname ttyname_r ttyslot tzname tzset ualarm umask unlink
+    unlinkat usleep utimensat vfork vhangup write
     """.split()
 ) | {base + suffix for base in _MATH.split() for suffix in ("", "f", "l")}
 # Whole families: implementation names, OpenMP and pthread, POSIX's
-# ``*_t`` types and stdio's ``*_unlocked`` variants, our own loop vars.
-_RESERVED_SHAPE = re.compile(r"_|omp_|pthread_|c\d+_|.*_(t|unlocked)$")
+# ``*_t`` types and stdio's ``*_unlocked`` variants, our own loop vars, the
+# flag macros of <fcntl.h>, <sys/mman.h>, <sys/stat.h> and <time.h>.
+_RESERVED_SHAPE = re.compile(
+    r"_|omp_|pthread_|c\d+_|.*_(t|unlocked)$"
+    r"|(O|F|FD|AT|S|PROT|MAP|MADV|MS|MCL|CLOCK|TIMER)_[A-Z0-9_]+$"
+)
 
 
 def is_reserved(name: str) -> bool:
@@ -197,8 +280,8 @@ def generate_c(
 ) -> str:
     """A complete C program implementing the tree's schedule.
 
-    Live-in tensors are read from ``<name>.bin`` (row-major float64) and
-    live-out tensors are written back to ``<name>.out.bin``.
+    Live-in tensors are mapped from ``<name>.bin`` (row-major float64) and
+    live-out tensors are computed in place in ``<name>.out.bin``.
     """
     return _generate_c(tree, program, params)[0]
 
@@ -219,18 +302,24 @@ def _generate_c(
             # e.g. a pyramid level that collapses to extent 0 at this size
             raise CBackendError(f"cannot allocate: {exc}") from exc
         live_in = live_in_tensors(program, params)
+        mapped = [t for t in program.tensors if t in live_in or t in program.liveout]
         nest = scan(tree, program, params)
         sites, kept = sites_in(nest, program, live_in)
+        dropped: Dict[str, List[str]] = {}
         while True:
-            body = _CBody(program, params, shapes, sites, dict(kept))
+            body = _CBody(program, params, shapes, sites, dict(kept), mapped)
             body.render(nest, 1)
-            if not body.demoted:
+            if body.demoted:
+                # FM could not bound some load inside the buffer: keep the
+                # tensor global and emit again.
+                for tensor in body.demoted:
+                    del sites[tensor]
+                    kept[tensor] = "read not provably inside its box"
+                continue
+            serial = _race_free(nest, program, body.kept, dropped)
+            if serial is nest:
                 break
-            # FM could not bound some load inside the buffer: keep the
-            # tensor global and emit again.
-            for tensor in body.demoted:
-                del sites[tensor]
-                kept[tensor] = "read not provably inside its box"
+            nest = serial
         source = body.source(live_in)
         scratch_bytes = 8 * sum(box.elems for box in body.scratch.values())
         obs.annotate(
@@ -241,6 +330,7 @@ def _generate_c(
             scratch_bytes=scratch_bytes,
             tensors_read=len(live_in),
             not_promoted="; ".join(f"{t}: {why}" for t, why in body.kept.items()),
+            parallel_dropped="; ".join(f"{v}: {', '.join(ts)}" for v, ts in dropped.items()),
         )
         obs.count("codegen.c.guards_kept", body.guards_kept)
         obs.count("codegen.c.guards_elided", body.guards_elided)
@@ -250,7 +340,40 @@ def _generate_c(
         obs.count("codegen.c.tensors_read", len(live_in))
         for why in body.kept.values():
             obs.count(f"codegen.c.not_promoted.{why.replace(' ', '_')}")
+        for shared in dropped.values():
+            obs.count(f"codegen.c.parallel_dropped.{body.kept[shared[0]].replace(' ', '_')}")
         return source, live_in
+
+
+def _race_free(
+    node: Nest, program: Program, kept: Mapping[str, str], dropped: Dict[str, List[str]]
+) -> Nest:
+    """``node`` with every parallel loop made serial beneath which an
+    extension's added statements write a tensor that stays global: each
+    tile would rewrite it while a neighbour reads it.  ``dropped`` gains
+    loop var -> those tensors.  Only sequences and marks are rebuilt: a
+    parallel loop has no enclosing loop and an extension scope has one."""
+    if isinstance(node, Loop) and node.parallel:
+        written = _extension_writes(node.body, program)
+        shared = [t for t in kept if t in written]
+        if shared:
+            dropped[node.var] = shared
+            return dataclasses.replace(node, parallel=False)
+    elif isinstance(node, (Seq, Mark)):
+        below = tuple(_race_free(c, program, kept, dropped) for c in inner(node))
+        if any(a is not b for a, b in zip(below, inner(node))):
+            return Seq(below) if isinstance(node, Seq) else Mark(node.mark, *below)
+    return node
+
+
+def _extension_writes(node: Nest, program: Program) -> List[str]:
+    """The tensors that extension scopes in ``node`` write."""
+    found: List[str] = []
+    if isinstance(node, Extension):
+        found += [program.statement(s).tensor_written() for s in node.added]
+    for child in inner(node):
+        found += _extension_writes(child, program)
+    return found
 
 
 def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constraint]:
@@ -284,11 +407,13 @@ class _CBody:
         shapes: Mapping[str, Tuple[int, ...]],
         sites: Mapping[str, Extension],
         kept: Dict[str, str],
+        mapped: Sequence[str],
     ):
         self.program = program
         self.params = dict(params)
         self.shapes = shapes
         self.names = c_names(program.tensors)
+        self.mapped = mapped                  # parameters of ``nest``
         self.sites = sites
         self.kept = kept                      # tensor -> why it stays global
         self.scratch: Dict[str, TileBox] = {}  # promoted, origin in loop vars
@@ -443,6 +568,8 @@ class _CBody:
         if size is not None:
             # align tile origins to the global grid
             init = f"floord({lo_text}, {size}) * {size}"
+            if re.fullmatch(r"-?\d+", lo_text):
+                init = str(int(lo_text) // size * size)
         step = f" += {size}" if size else "++"
         if loop.parallel:
             self.emit(depth, "#pragma omp parallel for")
@@ -517,9 +644,10 @@ class _CBody:
                     for i, extent in zip(index, box.shape)
                 ) and load.tensor not in self.demoted:
                     self.demoted.append(load.tensor)
-            return self.names[load.tensor] + "".join(
-                f"[{_linexpr_c(i, q_text)}]" for i in index
-            )
+            name = self.names[load.tensor]
+            if load.tensor in self.mapped:
+                name = f"(*{name})"
+            return name + "".join(f"[{_linexpr_c(i, q_text)}]" for i in index)
 
         env = {d: _linexpr_c(e, {}) for d, e in solved.items()}
         rhs = self._render(stmt.rhs, env, ref)
@@ -556,44 +684,45 @@ class _CBody:
     # -- the translation unit ------------------------------------------------
 
     def source(self, live_in: Sequence[str]) -> str:
-        """Declarations, I/O helpers and ``main`` around the walked body."""
+        """The unmapped arrays, ``nest`` around the walked body, and a
+        ``main`` that maps the other tensors, calls it and times the call."""
         program = self.program
+
+        def pointer(name: str, qualifier: str = "") -> str:
+            const = "" if program.writers_of(name) else "const "
+            dims = "".join(f"[{e}]" for e in self.shapes[name])
+            return f"{const}double (*{qualifier}{self.names[name]}){dims}"
+
         lines: List[str] = [HEADER]
-        sizes: Dict[str, int] = {}
         for name in program.tensors:
+            if name in self.mapped:
+                continue
             box = self.scratch.get(name)
-            shape = box.shape if box is not None else self.shapes[name]
-            sizes[name] = int(np.prod(shape))
-            dims = "".join(f"[{e}]" for e in shape)
+            dims = "".join(f"[{e}]" for e in (box.shape if box else self.shapes[name]))
             lines.append(f"static double {self.names[name]}{dims};")
             if box is not None:
                 # one buffer per thread: a tile runs on one thread
                 lines.append(f"#pragma omp threadprivate({self.names[name]})")
         lines.append("")
-        lines.append("static void read_tensor(const char *path, double *buf, long n) {")
-        lines.append('  FILE *f = fopen(path, "rb");')
-        lines.append('  if (!f) { fprintf(stderr, "missing %s\\n", path); exit(2); }')
-        lines.append("  if (fread(buf, sizeof(double), n, f) != (size_t)n) exit(3);")
-        lines.append("  fclose(f);")
-        lines.append("}")
-        lines.append("static void write_tensor(const char *path, double *buf, long n) {")
-        lines.append('  FILE *f = fopen(path, "wb");')
-        lines.append("  fwrite(buf, sizeof(double), n, f);")
-        lines.append("  fclose(f);")
-        lines.append("}")
-        lines.append("")
-        lines.append("int main(void) {")
-        for name in live_in:
-            lines.append(
-                f'  read_tensor("{name}.bin", (double *){self.names[name]}, {sizes[name]}L);'
-            )
-        lines.append("")
+        params = ", ".join(pointer(name, "restrict ") for name in self.mapped)
+        lines.append(f"static void nest({params}) {{")
         lines.extend(self.lines)
+        lines.append("}")
         lines.append("")
-        for name in program.liveout:
-            lines.append(
-                f'  write_tensor("{name}.out.bin", (double *){self.names[name]}, {sizes[name]}L);'
-            )
+        lines.append("int main(int argc, char **argv) {")
+        for name in self.mapped:
+            size = f"{8 * int(np.prod(self.shapes[name]))}L"
+            if name in program.liveout:
+                init = f'"{name}.bin"' if name in live_in else "NULL"
+                mapping = f'map_out("{name}.out.bin", {size}, {init})'
+            else:
+                prot = "PROT_READ | PROT_WRITE" if program.writers_of(name) else "PROT_READ"
+                mapping = f'map_in("{name}.bin", {size}, {prot})'
+            lines.append(f"  {pointer(name)} = {mapping};")
+        lines.append("  double nest_ms = now_ms();")
+        lines.append(f"  nest({', '.join(self.names[name] for name in self.mapped)});")
+        lines.append("  nest_ms = now_ms() - nest_ms;")
+        lines.append('  if (argc > 1) fprintf(stderr, "nest_ms %.3f\\n", nest_ms);')
         lines.append("  return 0;")
         lines.append("}")
         return "\n".join(lines)
@@ -647,11 +776,15 @@ def compile_and_run(
     """Generate, compile (gcc -O2 [-fopenmp]), execute, collect live-outs.
 
     ``store`` provides the input tensor contents; the returned dict maps
-    live-out tensor names to the arrays the C program produced.  Tests
-    pass ``openmp=False`` for strictly deterministic comparisons: under
-    OpenMP a tensor that stays global while every tile recomputes it
-    (covariance's ``mean``) is written by one tile as a neighbour reads
-    it, a real data race (ROADMAP item 1), not a benign one.
+    live-out tensor names to the arrays the C program produced.  Under
+    OpenMP a loop whose tiles would all rewrite one global array
+    (covariance's ``mean``) is emitted serial, so both builds compute the
+    same values; ``openmp=False`` is for callers that time the result.
+
+    A failed exchange (exit code 2, 3 or 4, see the module docstring) is a
+    :class:`CBackendError` carrying the executable's message.  Live-outs
+    are written through a mapping of a sparse file, so a disk that fills
+    during the run is a ``SIGBUS`` (return code -7), not a short file.
     """
     params = dict(program.params, **(params or {}))
     source, live_in = _generate_c(tree, program, params)

@@ -8,8 +8,8 @@ rectangular over-approximation).  Two consumers:
 
 * the cost model and the display printers ask :func:`promoted_buffers`
   what the paper promotes, per fusion cluster: every tensor a fused
-  (extension) space produces, boxed at a representative interior tile,
-  where the box is a constant (``Set.bounding_box``);
+  (extension) space produces, boxed at the representative tile of
+  :mod:`repro.core.footprint`, where the box is a constant;
 * the compilable C backend really allocates the buffers, so it needs the
   box with the enclosing loop symbols left free (:func:`tile_box`: the
   layout relation ``element -> slot`` for *every* tile; with no symbol
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set as PySet, Tuple
 
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
+from ..core.footprint import box_extents, interior_tile_origin, tile_image
 from .. import obs
 from ..ir import Program
 from ..presburger import BasicSet, Constraint, LinExpr, Map, Set, SetSpace
@@ -38,7 +39,6 @@ from ..presburger.fm import (
     rational_feasible,
 )
 from ..schedule import DomainNode
-from ..scheduler import FusionGroup
 from .nest import Extension, Leaf, Nest, inner, scan
 
 
@@ -63,35 +63,6 @@ class PromotedBuffer:
         if self.exact_elems == 0:
             return 1.0
         return self.box_elems / self.exact_elems
-
-
-def representative_tile_origin(
-    program: Program,
-    group: FusionGroup,
-    tile_sizes: Sequence[int],
-    tile_dims: Sequence[str],
-    params: Mapping[str, int],
-) -> Dict[str, int]:
-    """An interior tile origin: aligned, near the middle of the band."""
-    origin: Dict[str, int] = {}
-    # Bound each band row over the group's first statement's domain.
-    stmt = program.statement(group.statements[0])
-    dom = stmt.domain.fix_params(params)
-    box = dom.bounding_box()
-    for d, (tdim, size) in enumerate(zip(tile_dims, tile_sizes)):
-        row = group.rows[stmt.name][d]
-        lo = hi = row.const
-        for sym, c in row.coeffs.items():
-            slo, shi = box.get(sym, (0, 0))
-            if slo is None or shi is None:
-                raise ValueError(f"unbounded row {row} in group {group.name}")
-            lo += c * (slo if c > 0 else shi)
-            hi += c * (shi if c > 0 else slo)
-        mid = (lo + hi) // 2
-        aligned = (mid // size) * size
-        aligned = max((lo // size) * size, min(aligned, (hi // size) * size))
-        origin[tdim] = aligned
-    return origin
 
 
 def promoted_buffers(
@@ -131,13 +102,13 @@ def _promoted_buffers(
             program, entry.group, entry.tile_sizes, fused_tensors, entry.tile_dims
         )
         buffers: List[PromotedBuffer] = []
-        origin = representative_tile_origin(
+        origin = interior_tile_origin(
             program, entry.group, entry.tile_sizes, entry.tile_dims, params
         )
         for tensor in fused_tensors:
             m = fp.get((TILE_TUPLE, tensor))
             if m is not None:
-                touched = m.fix_params(params).image_of_point(origin)
+                touched = tile_image(m, origin, params)
             else:
                 # Produced and consumed only among the fused spaces; size it
                 # by the producer's extension instances instead.
@@ -153,24 +124,20 @@ def _written_by_extension(
     for e in exts:
         for s in e.group.statements:
             stmt = program.statement(s)
-            m = e.relation.get((TILE_TUPLE, s))
-            if stmt.tensor_written() == tensor and m is not None:
-                inst = m.fix_params(params).image_of_point(origin)
+            if stmt.tensor_written() == tensor and (TILE_TUPLE, s) in e.relation:
+                inst = e.instances_for_tile(s, origin, params)
                 return stmt.write_relation().fix_params(params).apply_to_set(inst)
     return None
 
 
 def _boxed(tensor: str, touched: Optional[Set]) -> PromotedBuffer:
-    """The buffer for one tile's ``touched`` elements.  ``bounding_box`` on
+    """The buffer for one tile's ``touched`` elements.  The set's own box on
     purpose, not :func:`tile_box` with nothing left symbolic (same shapes):
     ``count_points`` and the cost model box the same sets through the same
     memo table, and a tile-size sweep calls this per candidate."""
     if touched is None:
         return PromotedBuffer(tensor, (0,), 0)
-    shape = tuple(
-        (hi - lo + 1) if lo is not None and hi is not None else 0
-        for lo, hi in touched.bounding_box().values()
-    )
+    shape = tuple(e or 0 for e in box_extents(touched))
     return PromotedBuffer(tensor, shape, touched.count_points())
 
 

@@ -9,14 +9,28 @@ an access relation (3) yields the footprint relation (4):
 
 which naturally expresses *overlapping* footprints between consecutive
 tiles (the stencil halo).
+
+Whatever the compiler decides or prices per tile (Algorithm 1's budgets,
+the promoted buffers of Section V-B, every traffic term of
+``repro.machine``) is such a relation evaluated at *the representative
+tile*, and this module is the only place that says what that is:
+:func:`interior_tile_origin` is its origin (aligned, nearest the middle of
+the band rows of the group's first statement, which for a band of one or
+two tiles is a boundary tile); :func:`band_extents` the extent of each
+band row over the whole group; :func:`tiles_per_dim` (and
+:func:`tile_count`) how many tiles cover them; :func:`tile_image_extents`
+the box of what the tile maps to under a footprint (4) or an extension
+schedule (6).  ``None`` in a box is an unbounded dimension, and each
+reader says what that costs it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import Program
-from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, UnionMap, memo
+from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, Set, UnionMap, memo
 from ..scheduler import FusionGroup
 from .. import obs
 
@@ -180,6 +194,60 @@ def _tile_to_instances_miss(
     return _T2I_MEMO.put(key, UnionMap(maps))
 
 
+def _reads(stmt, tensors: Sequence[str]):
+    for (_, tensor), access in stmt.read_relations().maps.items():
+        if tensor in tensors:
+            yield access
+
+
+def _writes(stmt, tensors: Sequence[str]):
+    if stmt.tensor_written() in tensors:
+        yield stmt.write_relation()
+
+
+def _per_tile(
+    table: memo.MemoTable,
+    accesses,
+    program: Program,
+    group: FusionGroup,
+    tile_sizes: Sequence,
+    tensors: Sequence[str],
+    tile_dims: Optional[Sequence[str]],
+) -> UnionMap:
+    """``{ (t) -> T[a] }`` over the ``accesses(stmt, tensors)`` of the
+    group's statements, memoized in ``table``; concrete sizes specialize
+    the symbolic answer where :func:`parametric_binding` applies."""
+    key = (
+        _group_key(program, group, len(tile_sizes)),
+        _reads_key(program, group),
+        tuple(tile_sizes),
+        tuple(tile_dims) if tile_dims is not None else None,
+        tuple(tensors),
+    )
+    cached = table.get(key)
+    if cached is not memo.MISS:
+        return cached
+    pb = parametric_binding(program, group, tile_sizes, tile_dims)
+    if pb is not None:
+        names, binding = pb
+        sym = _per_tile(table, accesses, program, group, names, tensors, tile_dims)
+        return table.put(key, sym.specialize(binding))
+    t2i = tile_to_instances(program, group, tile_sizes, tile_dims)
+    out: List[Map] = []
+    for s in group.statements:
+        inst = t2i.get((TILE_TUPLE, s))
+        if inst is None:
+            continue
+        for access in accesses(program.statement(s), tensors):
+            fp = inst.apply_range(access)
+            if not fp.is_empty():
+                out.append(fp)
+    # One relation per tensor: UnionMap unites the maps of a shared space.
+    result = UnionMap(out)
+    obs.count("footprint.relations", len(result))
+    return table.put(key, result)
+
+
 def tile_footprint(
     program: Program,
     group: FusionGroup,
@@ -193,145 +261,15 @@ def tile_footprint(
     included; results are keyed ``(TILE_TUPLE, tensor)``.
     """
     with obs.span("footprint", group=group.name, tensors=len(tensors)):
-        fp = _tile_footprint(program, group, tile_sizes, tensors, tile_dims)
+        fp = _per_tile(
+            _FOOTPRINT_MEMO, _reads, program, group, tile_sizes, tensors, tile_dims
+        )
         obs.annotate(relations=len(fp.maps))
         for m in fp.maps.values():
             obs.observe(
                 "footprint.pieces", len(m.pieces), buckets=(1, 2, 4, 8, 16, 32)
             )
         return fp
-
-
-def _tile_footprint(
-    program: Program,
-    group: FusionGroup,
-    tile_sizes: Sequence[int],
-    tensors: Sequence[str],
-    tile_dims: Optional[Sequence[str]] = None,
-) -> UnionMap:
-    n = len(tile_sizes)
-    key = (
-        _group_key(program, group, n),
-        _reads_key(program, group),
-        tuple(tile_sizes),
-        tuple(tile_dims) if tile_dims is not None else None,
-        tuple(tensors),
-    )
-    cached = _FOOTPRINT_MEMO.get(key)
-    if cached is not memo.MISS:
-        return cached
-    pb = parametric_binding(program, group, tile_sizes, tile_dims)
-    if pb is not None:
-        names, binding = pb
-        sym = _tile_footprint(program, group, names, tensors, tile_dims)
-        return _FOOTPRINT_MEMO.put(key, sym.specialize(binding))
-    t2i = tile_to_instances(program, group, tile_sizes, tile_dims)
-    out: Dict[str, Map] = {}
-    for s in group.statements:
-        stmt = program.statement(s)
-        reads = stmt.read_relations()
-        inst = t2i.get((TILE_TUPLE, s))
-        if inst is None:
-            continue
-        for (_, tensor), access in reads.maps.items():
-            if tensor not in tensors:
-                continue
-            fp = inst.apply_range(access)
-            if fp.is_empty():
-                continue
-            if tensor in out:
-                prev = out[tensor]
-                rename = dict(zip(fp.space.out_dims, prev.space.out_dims))
-                rename.update(zip(fp.space.in_dims, prev.space.in_dims))
-                out[tensor] = prev.union(fp.rename_dims(rename))
-            else:
-                out[tensor] = fp
-    obs.count("footprint.relations", len(out))
-    return _FOOTPRINT_MEMO.put(key, UnionMap(list(out.values())))
-
-
-def footprint_size(
-    fp: Map, tile_origin: Mapping[str, int], params: Mapping[str, int]
-) -> int:
-    """Exact number of elements a concrete tile touches."""
-    n = fp.fix_params(params).image_of_point(tile_origin).count_points()
-    obs.observe(
-        "footprint.size_elements",
-        n,
-        buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1048576),
-    )
-    return n
-
-
-def band_extents(
-    program: Program, group: FusionGroup, params: Mapping[str, int]
-) -> List[int]:
-    """Extent of each outer band dimension over the group's statements."""
-    extents = [0] * group.depth
-    for s in group.statements:
-        stmt = program.statement(s)
-        box: Dict[str, Tuple[int, int]] = {}
-        for piece in stmt.domain.fix_params(params).pieces:
-            for dim, (lo, hi) in piece.bounding_box().items():
-                if dim in box:
-                    olo, ohi = box[dim]
-                    box[dim] = (min(lo, olo), max(hi, ohi))
-                else:
-                    box[dim] = (lo, hi)
-        for d in range(group.depth):
-            row = group.rows[s][d]
-            lo = hi = row.const
-            for sym, c in row.coeffs.items():
-                slo, shi = box.get(sym, (0, 0))
-                if slo is None or shi is None:
-                    raise ValueError(f"unbounded band row {row} in {group.name}")
-                lo += c * (slo if c > 0 else shi)
-                hi += c * (shi if c > 0 else slo)
-            extents[d] = max(extents[d], hi - lo + 1)
-    return extents
-
-
-def interior_tile_origin(
-    program: Program,
-    group: FusionGroup,
-    tile_sizes: Sequence[int],
-    tile_dims: Sequence[str],
-    params: Mapping[str, int],
-) -> Dict[str, int]:
-    """An aligned tile origin near the middle of the band (representative
-    of interior tiles for footprint/recompute estimation)."""
-    origin: Dict[str, int] = {}
-    stmt = program.statement(group.statements[0])
-    dom = stmt.domain.fix_params(params)
-    box = dom.bounding_box()
-    for d, (tdim, size) in enumerate(zip(tile_dims, tile_sizes)):
-        row = group.rows[stmt.name][d]
-        lo = hi = row.const
-        for sym, c in row.coeffs.items():
-            slo, shi = box.get(sym, (0, 0))
-            if slo is None or shi is None:
-                raise ValueError(f"unbounded row {row} in group {group.name}")
-            lo += c * (slo if c > 0 else shi)
-            hi += c * (shi if c > 0 else slo)
-        mid = (lo + hi) // 2
-        aligned = (mid // size) * size
-        aligned = max((lo // size) * size, min(aligned, (hi // size) * size))
-        origin[tdim] = aligned
-    return origin
-
-
-def tile_count(
-    program: Program,
-    group: FusionGroup,
-    tile_sizes: Sequence[int],
-    params: Mapping[str, int],
-) -> int:
-    """Number of tiles the tiling schedule produces (ceil per dimension)."""
-    extents = band_extents(program, group, params)
-    total = 1
-    for d, size in enumerate(tile_sizes):
-        total *= -(-extents[d] // size)
-    return total
 
 
 def write_footprint(
@@ -343,42 +281,142 @@ def write_footprint(
 ) -> UnionMap:
     """Like :func:`tile_footprint` but for writes (used for store traffic)."""
     with obs.span("write_footprint", group=group.name):
-        return _write_footprint(program, group, tile_sizes, tensors, tile_dims)
+        return _per_tile(
+            _WRITE_FP_MEMO, _writes, program, group, tile_sizes, tensors, tile_dims
+        )
 
 
-def _write_footprint(
+# ---------------------------------------------------------------------------
+# the representative tile
+
+
+def tile_image(relation: Map, origin: Mapping[str, int], params: Mapping[str, int]) -> Set:
+    """What the tile at ``origin`` maps to under a per-tile ``relation``
+    (a footprint (4) or an extension schedule (6))."""
+    return relation.fix_params(params).image_of_point(origin)
+
+
+def box_extents(points: Set) -> List[Optional[int]]:
+    """Per-dimension extent of the bounding box, ``None`` where unbounded."""
+    return [
+        None if lo is None or hi is None else hi - lo + 1
+        for lo, hi in points.bounding_box().values()
+    ]
+
+
+def tile_image_extents(
+    relation: Map, origin: Mapping[str, int], params: Mapping[str, int]
+) -> List[Optional[int]]:
+    """:func:`box_extents` of what the tile at ``origin`` maps to.  What an
+    unbounded dimension means is the caller's: an infinite recomputation in
+    Algorithm 1, no streamed bytes in the read model."""
+    return box_extents(tile_image(relation, origin, params))
+
+
+def footprint_size(
+    fp: Map, tile_origin: Mapping[str, int], params: Mapping[str, int]
+) -> int:
+    """Exact number of elements a concrete tile touches."""
+    n = tile_image(fp, tile_origin, params).count_points()
+    obs.observe(
+        "footprint.size_elements",
+        n,
+        buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1048576),
+    )
+    return n
+
+
+def domain_volume(program: Program, stmt_name: str, params: Mapping[str, int]) -> int:
+    """Instances of a statement, counted as the box of each domain piece
+    (exact for the rectangular domains that dominate the benchmarks)."""
+    domain = program.statement(stmt_name).domain
+    return sum(piece.box_volume(params) for piece in domain.pieces)
+
+
+def group_ops(program: Program, group: FusionGroup, params: Mapping[str, int]) -> float:
+    """Arithmetic of one execution of every instance of the group."""
+    return float(
+        sum(
+            domain_volume(program, s, params) * program.statement(s).ops_per_instance()
+            for s in group.statements
+        )
+    )
+
+
+def _domain_box(stmt, params: Mapping[str, int]) -> Dict[str, Tuple]:
+    """Bounding box of a statement's domain, united piece by piece (the
+    set-level ``Set.bounding_box`` is a second memo entry per domain)."""
+    box: Dict[str, Tuple] = {}
+    for piece in stmt.domain.fix_params(params).pieces:
+        for dim, (lo, hi) in piece.bounding_box().items():
+            if dim in box:
+                olo, ohi = box[dim]
+                lo = None if lo is None or olo is None else min(lo, olo)
+                hi = None if hi is None or ohi is None else max(hi, ohi)
+            box[dim] = (lo, hi)
+    return box
+
+
+def _row_range(row: LinExpr, box: Mapping[str, Tuple], where: str) -> Tuple[int, int]:
+    """The interval a band row takes over ``box``."""
+    lo = hi = row.const
+    for sym, c in row.coeffs.items():
+        slo, shi = box.get(sym, (0, 0))
+        if slo is None or shi is None:
+            raise ValueError(f"unbounded band row {row} in {where}")
+        lo += c * (slo if c > 0 else shi)
+        hi += c * (shi if c > 0 else slo)
+    return lo, hi
+
+
+def band_extents(
+    program: Program, group: FusionGroup, params: Mapping[str, int]
+) -> List[int]:
+    """Extent of each outer band dimension over the group's statements."""
+    extents = [0] * group.depth
+    for s in group.statements:
+        box = _domain_box(program.statement(s), params)
+        for d in range(group.depth):
+            lo, hi = _row_range(group.rows[s][d], box, group.name)
+            extents[d] = max(extents[d], hi - lo + 1)
+    return extents
+
+
+def interior_tile_origin(
     program: Program,
     group: FusionGroup,
     tile_sizes: Sequence[int],
-    tensors: Sequence[str],
-    tile_dims: Optional[Sequence[str]] = None,
-) -> UnionMap:
-    n = len(tile_sizes)
-    key = (
-        _group_key(program, group, n),
-        _reads_key(program, group),
-        tuple(tile_sizes),
-        tuple(tile_dims) if tile_dims is not None else None,
-        tuple(tensors),
-    )
-    cached = _WRITE_FP_MEMO.get(key)
-    if cached is not memo.MISS:
-        return cached
-    pb = parametric_binding(program, group, tile_sizes, tile_dims)
-    if pb is not None:
-        names, binding = pb
-        sym = _write_footprint(program, group, names, tensors, tile_dims)
-        return _WRITE_FP_MEMO.put(key, sym.specialize(binding))
-    t2i = tile_to_instances(program, group, tile_sizes, tile_dims)
-    out: List[Map] = []
-    for s in group.statements:
-        stmt = program.statement(s)
-        if stmt.tensor_written() not in tensors:
-            continue
-        inst = t2i.get((TILE_TUPLE, s))
-        if inst is None:
-            continue
-        fp = inst.apply_range(stmt.write_relation())
-        if not fp.is_empty():
-            out.append(fp)
-    return _WRITE_FP_MEMO.put(key, UnionMap(out))
+    tile_dims: Sequence[str],
+    params: Mapping[str, int],
+) -> Dict[str, int]:
+    """The representative tile: an aligned origin near the middle of the
+    band, over the group's first statement."""
+    origin: Dict[str, int] = {}
+    stmt = program.statement(group.statements[0])
+    box = _domain_box(stmt, params)
+    for d, (tdim, size) in enumerate(zip(tile_dims, tile_sizes)):
+        lo, hi = _row_range(group.rows[stmt.name][d], box, group.name)
+        aligned = ((lo + hi) // 2 // size) * size
+        origin[tdim] = max((lo // size) * size, min(aligned, (hi // size) * size))
+    return origin
+
+
+def tiles_per_dim(
+    program: Program,
+    group: FusionGroup,
+    tile_sizes: Sequence[int],
+    params: Mapping[str, int],
+) -> List[int]:
+    """Tiles along each tiled band dimension (ceil of extent over size)."""
+    extents = band_extents(program, group, params)
+    return [-(-extents[d] // size) for d, size in enumerate(tile_sizes)]
+
+
+def tile_count(
+    program: Program,
+    group: FusionGroup,
+    tile_sizes: Sequence[int],
+    params: Mapping[str, int],
+) -> int:
+    """Number of tiles the tiling schedule produces."""
+    return math.prod(tiles_per_dim(program, group, tile_sizes, params))

@@ -11,6 +11,7 @@ schedules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -21,11 +22,15 @@ from .. import obs
 from .exposed import exposed_tensors
 from .footprint import (
     TILE_TUPLE,
+    domain_volume,
+    group_ops,
     interior_tile_origin,
     parametric_binding,
     tile_count,
     tile_dim_names,
     tile_footprint,
+    tile_image,
+    tile_image_extents,
 )
 
 
@@ -92,7 +97,7 @@ class ExtensionScheduleEntry:
         m = self.relation.get((TILE_TUPLE, stmt))
         if m is None:
             raise KeyError(stmt)
-        return m.fix_params(params).image_of_point(origin)
+        return tile_image(m, origin, params)
 
 
 MixedEntry = Union[TilingScheduleEntry, ExtensionScheduleEntry]
@@ -233,7 +238,7 @@ def _algorithm1_step(
     )
     n_tiles = tile_count(program, liveout, sizes, program.params)
     budget = {
-        "work": _group_domain_ops(program, liveout),
+        "work": max(group_ops(program, liveout, program.params), 1.0),
         "extra": 0.0,
         "scratch": 0.0,
     }
@@ -269,17 +274,6 @@ def _algorithm1_step(
         _algorithm1(
             program, untiled[0], untiled[1:], tile_sizes, target, mixed
         )
-
-
-def _group_domain_ops(program: Program, group: FusionGroup) -> float:
-    total = 0.0
-    for s in group.statements:
-        stmt = program.statement(s)
-        vol = sum(
-            piece.box_volume(program.params) for piece in stmt.domain.pieces
-        )
-        total += vol * stmt.ops_per_instance()
-    return max(total, 1.0)
 
 
 def _fuse_space(
@@ -349,9 +343,7 @@ def _fuse_space(
         # exceed max_recompute_ratio of the cluster's genuine work, which
         # splits very deep stencil chains.
         per_tile = _image_box_volume(_conc(ext), origin, program.params)
-        domain_size = sum(
-            piece.box_volume(program.params) for piece in stmt.domain.pieces
-        )
+        domain_size = domain_volume(program, s, program.params)
         if domain_size > 0:
             factor = per_tile * n_tiles / domain_size
             if factor > target.max_recompute:
@@ -414,11 +406,7 @@ def _image_box_volume(
     ext: Map, origin: Mapping[str, int], params: Mapping[str, int]
 ) -> float:
     """Box volume of the instances one representative tile extends."""
-    image = ext.fix_params(params).image_of_point(origin)
-    box = image.bounding_box()
-    total = 1.0
-    for lo, hi in box.values():
-        if lo is None or hi is None:
-            return float("inf")
-        total *= max(hi - lo + 1, 0)
-    return total
+    extents = tile_image_extents(ext, origin, params)
+    if None in extents:
+        return float("inf")
+    return float(math.prod(max(e, 0) for e in extents))

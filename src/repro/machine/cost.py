@@ -11,22 +11,32 @@ loop nest = one parallel region / one GPU kernel):
 
 Every quantity is derived from the same exact affine relations the
 optimizer manipulates — footprint relation (4), extension schedules (6) —
-evaluated at a representative interior tile.  Large-domain instance counts
-use bounding boxes (exact for the rectangular domains that dominate the
-benchmarks; a uniform over-approximation otherwise), which keeps analysis
-cost independent of problem size.
+evaluated at the representative tile of :mod:`repro.core.footprint`, which
+defines its origin, extents, tile count and boxes; nothing here re-derives
+them.  Large-domain instance counts use bounding boxes (exact for the
+rectangular domains that dominate the benchmarks; a uniform
+over-approximation otherwise), which keeps analysis cost independent of
+problem size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
-from ..codegen.promotion import promoted_buffers, representative_tile_origin
-from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
+from ..codegen.promotion import promoted_buffers
+from ..core import OptimizeResult, TILE_TUPLE, tile_dim_names, tile_footprint
+from ..core.footprint import (
+    band_extents,
+    box_extents,
+    domain_volume,
+    group_ops,
+    interior_tile_origin,
+    tile_image_extents,
+    tiles_per_dim,
+)
 from ..ir import Program
 from ..scheduler import FusionGroup, Scheduled
 
@@ -123,85 +133,67 @@ def work_features(work: ProgramWork) -> Dict[str, float]:
 # helpers
 
 
-def _domain_volume(program: Program, stmt_name: str, params) -> int:
-    stmt = program.statement(stmt_name)
-    dom = stmt.domain.fix_params(params)
-    total = 0
-    for piece in dom.pieces:
-        total += piece.box_volume()
-    return total
-
-
-def _group_ops(program: Program, group: FusionGroup, params) -> float:
-    return float(
-        sum(
-            _domain_volume(program, s, params)
-            * program.statement(s).ops_per_instance()
-            for s in group.statements
-        )
-    )
-
-
-def _band_extents(
-    program: Program, group: FusionGroup, params
-) -> List[int]:
-    """Extent of each outer band dimension over the group's statements."""
-    extents = [0] * group.depth
-    for s in group.statements:
-        stmt = program.statement(s)
-        box = {}
-        for piece in stmt.domain.fix_params(params).pieces:
-            for dim, (lo, hi) in piece.bounding_box().items():
-                if dim in box:
-                    olo, ohi = box[dim]
-                    box[dim] = (min(lo, olo), max(hi, ohi))
-                else:
-                    box[dim] = (lo, hi)
-        for d in range(group.depth):
-            row = group.rows[s][d]
-            lo = hi = row.const
-            for sym, c in row.coeffs.items():
-                slo, shi = box.get(sym, (0, 0))
-                lo += c * (slo if c > 0 else shi)
-                hi += c * (shi if c > 0 else slo)
-            extents[d] = max(extents[d], hi - lo + 1)
-    return extents
-
-
 def _tensor_bytes(program: Program, tensor: str, params) -> int:
     return program.tensors[tensor].size_elems(params) * ITEMSIZE
 
 
-def _per_tile_read_bytes(
+def _tiling(
+    program: Program, group: FusionGroup, sizes, tile_dims, params
+) -> Tuple[int, int, int, Dict[str, int]]:
+    """``(n_tiles, parallel dims, parallel units, origin)`` of a cluster:
+    tiles along the coincident dimensions ``sizes`` covers, at the
+    representative tile; iterations along them (one tile, no origin) when
+    ``sizes`` is ``None``."""
+    if sizes is None:
+        n_tiles, origin = 1, {}
+        per_dim = band_extents(program, group, params)
+        par = group.parallel_dim_indices()
+    else:
+        per_dim = tiles_per_dim(program, group, sizes, params)
+        n_tiles = math.prod(per_dim)
+        origin = interior_tile_origin(program, group, sizes, tile_dims, params)
+        par = [d for d in group.parallel_dim_indices() if d < len(sizes)]
+    return n_tiles, len(par), math.prod(per_dim[d] for d in par), origin
+
+
+def _dram_read_bytes(
     program: Program,
     group: FusionGroup,
-    tile_sizes,
+    stmts: Sequence[str],
+    sizes,
     tile_dims,
-    tensors: Sequence[str],
     origin,
+    n_tiles: int,
     params,
-) -> Dict[str, float]:
-    """Per-tile footprint bytes of each read tensor (box approximation)."""
-    out: Dict[str, float] = {}
-    if not tensors:
-        return out
-    fp = tile_footprint(program, group, tile_sizes, list(tensors), tile_dims)
-    for tensor in tensors:
-        m = fp.get((TILE_TUPLE, tensor))
-        if m is None:
-            out[tensor] = 0.0
-            continue
-        image = m.fix_params(params).image_of_point(origin)
-        # Union box across pieces:
-        box = image.bounding_box()
-        total = 1
-        for lo, hi in box.values():
-            if lo is None or hi is None:
-                total = 0
-                break
-            total *= max(hi - lo + 1, 0)
-        out[tensor] = float(total * ITEMSIZE)
-    return out
+) -> float:
+    """DRAM reads of a cluster of ``stmts``: each tensor it reads and does
+    not write streams one footprint box per tile (halo included, at most
+    the whole tensor; the whole tensor when untiled or untouched by the
+    tile)."""
+    statements = [program.statement(s) for s in stmts]
+    # In-place tensors (read and written by the same statement, e.g.
+    # conv2d's quantisation of its input) carry pre-existing data that
+    # must be fetched once even though the cluster also writes them.
+    inplace = 0.0
+    for stmt in statements:
+        if stmt.tensor_written() in stmt.tensors_read():
+            inplace += _tensor_bytes(program, stmt.tensor_written(), params)
+    written = {stmt.tensor_written() for stmt in statements}
+    streamed = sorted(
+        {t for stmt in statements for t in stmt.tensors_read()} - written
+    )
+    fp = None
+    if sizes is not None and streamed:
+        fp = tile_footprint(program, group, sizes, streamed, tile_dims)
+    total = 0.0
+    for t in streamed:
+        whole = _tensor_bytes(program, t, params)
+        m = fp.get((TILE_TUPLE, t)) if fp is not None else None
+        extents = [None] if m is None else tile_image_extents(m, origin, params)
+        box = 0 if None in extents else math.prod(max(e, 0) for e in extents)
+        tiled = float(box * ITEMSIZE) * n_tiles
+        total += min(max(whole, 0), tiled) if tiled else whole
+    return total + inplace
 
 
 # ---------------------------------------------------------------------------
@@ -258,51 +250,26 @@ def analyze_optimized(
             for s in e.group.statements
         }
 
-        extents = _band_extents(program, group, params)
-        if entry.is_tiled:
-            sizes = entry.tile_sizes
-            tiles_per_dim = [
-                -(-extents[d] // sizes[d]) for d in range(len(sizes))
-            ]
-            n_tiles = int(np.prod(tiles_per_dim)) if tiles_per_dim else 1
-            par_idx = [d for d in group.parallel_dim_indices() if d < len(sizes)]
-            par_dims = len(par_idx)
-            parallel_units = (
-                int(np.prod([tiles_per_dim[d] for d in par_idx])) if par_idx else 1
-            )
-            origin = representative_tile_origin(
-                program, group, sizes, entry.tile_dims, params
-            )
-        else:
-            sizes = None
-            n_tiles = 1
-            par_idx = group.parallel_dim_indices()
-            par_dims = len(par_idx)
-            parallel_units = (
-                int(np.prod([extents[d] for d in par_idx])) if par_idx else 1
-            )
-            origin = {}
+        sizes = entry.tile_sizes if entry.is_tiled else None
+        n_tiles, par_dims, parallel_units, origin = _tiling(
+            program, group, sizes, entry.tile_dims, params
+        )
 
         # Arithmetic: live-out statements run exactly once; fused
         # intermediates run per tile (with halo recomputation).
-        ops = _group_ops(program, group, params)
+        ops = group_ops(program, group, params)
         recompute = 0.0
         ext_entries = []  # (stmt name, exact per-tile count, box extents)
         for e in exts:
             for s in e.group.statements:
-                m = e.relation.get((TILE_TUPLE, s))
-                if m is None:
+                if (TILE_TUPLE, s) not in e.relation:
                     continue
                 if origin:
-                    image = m.fix_params(params).image_of_point(origin)
+                    image = e.instances_for_tile(s, origin, params)
                     exact = image.count_points()
-                    box = image.bounding_box()
-                    ext_extents = [
-                        (hi - lo + 1) if lo is not None and hi is not None else 1
-                        for lo, hi in box.values()
-                    ]
+                    ext_extents = [1 if x is None else x for x in box_extents(image)]
                 else:
-                    exact = _domain_volume(program, s, params)
+                    exact = domain_volume(program, s, params)
                     ext_extents = []
                 ext_entries.append((s, exact, ext_extents))
         if overlap == "box_total" and ext_entries:
@@ -329,7 +296,7 @@ def analyze_optimized(
             inflated_inst += per_tile
             stmt_ops = program.statement(s).ops_per_instance()
             total = per_tile * n_tiles * stmt_ops
-            base = _domain_volume(program, s, params) * stmt_ops
+            base = domain_volume(program, s, params) * stmt_ops
             ops += total
             recompute += max(0.0, total - base)
         # Looser tiles also move more data: scratch buffers and streamed
@@ -340,42 +307,11 @@ def analyze_optimized(
             else 1.0
         )
 
-        # Traffic.
-        read_tensors = sorted(
-            {
-                t
-                for s in cluster_stmts
-                for t in program.statement(s).tensors_read()
-            }
+        dram_read = _dram_read_bytes(
+            program, group, cluster_stmts, sizes, entry.tile_dims, origin, n_tiles, params
         )
-        dram_read_tensors = [
-            t for t in read_tensors if t not in written_here
-        ]
-        # In-place tensors (read and written by the same statement, e.g.
-        # conv2d's quantisation of its input) carry pre-existing data that
-        # must be fetched once even though the cluster also writes them.
-        inplace_read = 0.0
-        for s in cluster_stmts:
-            stmt = program.statement(s)
-            t = stmt.tensor_written()
-            if t in stmt.tensors_read():
-                inplace_read += _tensor_bytes(program, t, params)
-        dram_read = 0.0
-        if sizes is not None and dram_read_tensors:
-            per_tile = _per_tile_read_bytes(
-                program, group, sizes, entry.tile_dims, dram_read_tensors, origin, params
-            )
-            for t in dram_read_tensors:
-                whole = _tensor_bytes(program, t, params)
-                streamed = per_tile.get(t, 0.0) * n_tiles
-                dram_read += min(max(whole, 0), streamed) if streamed else whole
-        else:
-            for t in dram_read_tensors:
-                dram_read += _tensor_bytes(program, t, params)
-        dram_read += inplace_read
 
         dram_write = 0.0
-        scratch_traffic = 0.0
         for t in sorted(written_here):
             if t in promoted:
                 continue  # handled below via buffers
@@ -434,67 +370,17 @@ def analyze_scheduled(
         written_here = {
             program.statement(s).tensor_written() for s in group.statements
         }
-        extents = _band_extents(program, group, params)
-        tiled = (
-            tile_sizes is not None
-            and group.permutable
-            and group.depth > 0
-        )
-        if tiled:
+        sizes = tdims = None
+        if tile_sizes is not None and group.permutable and group.depth > 0:
             sizes = tuple(tile_sizes)[: group.depth]
-            tiles_per_dim = [-(-extents[d] // sizes[d]) for d in range(len(sizes))]
-            n_tiles = int(np.prod(tiles_per_dim)) if tiles_per_dim else 1
-            par_idx = [d for d in group.parallel_dim_indices() if d < len(sizes)]
-            par_dims = len(par_idx)
-            parallel_units = (
-                int(np.prod([tiles_per_dim[d] for d in par_idx])) if par_idx else 1
-            )
-            from ..core import tile_dim_names
-
             tdims = tile_dim_names(group, len(sizes))
-            origin = representative_tile_origin(
-                program, group, sizes, tdims, params
-            )
-        else:
-            sizes = None
-            n_tiles = 1
-            par_idx = group.parallel_dim_indices()
-            par_dims = len(par_idx)
-            parallel_units = (
-                int(np.prod([extents[d] for d in par_idx])) if par_idx else 1
-            )
-            origin = {}
-            tdims = ()
-
-        ops = _group_ops(program, group, params)
-
-        read_tensors = sorted(
-            {
-                t
-                for s in group.statements
-                for t in program.statement(s).tensors_read()
-            }
+        n_tiles, par_dims, parallel_units, origin = _tiling(
+            program, group, sizes, tdims, params
         )
-        dram_read_tensors = [t for t in read_tensors if t not in written_here]
-        inplace_read = 0.0
-        for s in group.statements:
-            stmt = program.statement(s)
-            t = stmt.tensor_written()
-            if t in stmt.tensors_read():
-                inplace_read += _tensor_bytes(program, t, params)
-        dram_read = 0.0
-        if sizes is not None and dram_read_tensors:
-            per_tile = _per_tile_read_bytes(
-                program, group, sizes, tdims, dram_read_tensors, origin, params
-            )
-            for t in dram_read_tensors:
-                whole = _tensor_bytes(program, t, params)
-                streamed = per_tile.get(t, 0.0) * n_tiles
-                dram_read += min(max(whole, 0), streamed) if streamed else whole
-        else:
-            for t in dram_read_tensors:
-                dram_read += _tensor_bytes(program, t, params)
-        dram_read += inplace_read
+        ops = group_ops(program, group, params)
+        dram_read = _dram_read_bytes(
+            program, group, group.statements, sizes, tdims, origin, n_tiles, params
+        )
 
         dram_write = 0.0
         scratch_traffic = 0.0

@@ -24,6 +24,40 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 
+def _target_spec(target, rule: str):
+    """A target name or ``TargetSpec`` as the spec; ``rule`` words the
+    ``TypeError`` for anything else."""
+    from .core.tile_shapes import TARGETS, TargetSpec
+
+    if isinstance(target, str):
+        if target not in TARGETS:
+            raise ValueError(
+                f"unknown target {target!r}; choose from {tuple(TARGETS)}"
+            )
+        return TARGETS[target]
+    if not isinstance(target, TargetSpec):
+        raise TypeError(f"{rule}, got {target!r}")
+    return target
+
+
+def _tile_sizes(tile_sizes) -> Optional[Tuple[int, ...]]:
+    if tile_sizes is None:
+        return None
+    sizes = tuple(int(s) for s in tile_sizes)
+    if not sizes or any(s <= 0 for s in sizes):
+        raise ValueError(f"tile_sizes must be positive ints, got {tile_sizes!r}")
+    return sizes
+
+
+def _check_startup(startup) -> None:
+    from .scheduler import HEURISTICS
+
+    if startup not in HEURISTICS:
+        raise ValueError(
+            f"unknown startup heuristic {startup!r}; choose from {HEURISTICS}"
+        )
+
+
 @dataclass(frozen=True)
 class CompileOptions:
     """Validated, immutable compile-time knobs.
@@ -51,36 +85,15 @@ class CompileOptions:
     cache: Optional[object] = None
 
     def __post_init__(self):
-        from .core.tile_shapes import TARGETS, TargetSpec
-        from .scheduler import HEURISTICS
         from .service.driver import MODES
 
-        target = self.target
-        if isinstance(target, str):
-            if target not in TARGETS:
-                raise ValueError(
-                    f"unknown target {target!r}; choose from {tuple(TARGETS)}"
-                )
-            target = TARGETS[target]
-        elif not isinstance(target, TargetSpec):
-            raise TypeError(
-                f"target must be a target name or TargetSpec, got {target!r}"
-            )
-        object.__setattr__(self, "target", target)
-
-        if self.tile_sizes is not None:
-            sizes = tuple(int(s) for s in self.tile_sizes)
-            if not sizes or any(s <= 0 for s in sizes):
-                raise ValueError(
-                    f"tile_sizes must be positive ints, got {self.tile_sizes!r}"
-                )
-            object.__setattr__(self, "tile_sizes", sizes)
-
-        if self.startup not in HEURISTICS:
-            raise ValueError(
-                f"unknown startup heuristic {self.startup!r}; "
-                f"choose from {HEURISTICS}"
-            )
+        object.__setattr__(
+            self,
+            "target",
+            _target_spec(self.target, "target must be a target name or TargetSpec"),
+        )
+        object.__setattr__(self, "tile_sizes", _tile_sizes(self.tile_sizes))
+        _check_startup(self.startup)
         if self.mode not in MODES:
             raise ValueError(
                 f"unknown dispatch mode {self.mode!r}; choose from {MODES}"
@@ -131,9 +144,8 @@ class PartitionOptions:
     cache: Optional[object] = None
 
     def __post_init__(self):
-        from .core.tile_shapes import TARGETS, TargetSpec
+        from .core.tile_shapes import TargetSpec
         from .machine.transfer import DEFAULT_TRANSFER, TransferSpec
-        from .scheduler import HEURISTICS
 
         if isinstance(self.targets, (str, TargetSpec)):
             targets = (self.targets,)
@@ -141,35 +153,14 @@ class PartitionOptions:
             targets = tuple(self.targets)
         specs = []
         for t in targets:
-            if isinstance(t, str):
-                if t not in TARGETS:
-                    raise ValueError(
-                        f"unknown target {t!r}; choose from {tuple(TARGETS)}"
-                    )
-                t = TARGETS[t]
-            elif not isinstance(t, TargetSpec):
-                raise TypeError(
-                    f"targets must be target names or TargetSpecs, got {t!r}"
-                )
+            t = _target_spec(t, "targets must be target names or TargetSpecs")
             if t not in specs:
                 specs.append(t)
         if not specs:
             raise ValueError("targets must name at least one target")
         object.__setattr__(self, "targets", tuple(specs))
-
-        if self.tile_sizes is not None:
-            sizes = tuple(int(s) for s in self.tile_sizes)
-            if not sizes or any(s <= 0 for s in sizes):
-                raise ValueError(
-                    f"tile_sizes must be positive ints, got {self.tile_sizes!r}"
-                )
-            object.__setattr__(self, "tile_sizes", sizes)
-
-        if self.startup not in HEURISTICS:
-            raise ValueError(
-                f"unknown startup heuristic {self.startup!r}; "
-                f"choose from {HEURISTICS}"
-            )
+        object.__setattr__(self, "tile_sizes", _tile_sizes(self.tile_sizes))
+        _check_startup(self.startup)
         threads = int(self.threads)
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads!r}")

@@ -203,6 +203,52 @@ AT_PARENT = {
 }
 
 
+#: Where the cost model's promoted buffer is smaller than the one the C
+#: backend allocates, at each workload's default size and tile sizes:
+#: ``(workload, tensor) -> (model's box, C's box)``; 36 of the 87 buffers, the
+#: other 51 agree.  C never allocates less.  EXPERIMENTS.md ("One tile, one
+#: spelling") says which of the two is right for which rows; a fix on either
+#: side shows up here as a diff.
+MODEL_SHORT_OF_C = {
+    ("camera_pipeline", "t_luma"): ((64, 256), (66, 258)),
+    ("local_laplacian", "t_b4_bx"): ((20, 140), (20, 142)),
+    ("local_laplacian", "t_b4_by"): ((18, 140), (18, 142)),
+    ("local_laplacian", "t_b4_up"): ((34, 279), (34, 282)),
+    ("local_laplacian", "t_b4_lap"): ((34, 279), (34, 282)),
+    ("local_laplacian", "t_b4_dbx"): ((34, 277), (34, 280)),
+    ("local_laplacian", "t_b4_dby"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b4_clamp"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b4_wt"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b4_mix"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b4_gain"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b5_remap"): ((32, 277), (32, 280)),
+    ("local_laplacian", "t_b5_down"): ((15, 138), (15, 139)),
+    ("local_laplacian", "t_b5_bx"): ((15, 136), (15, 137)),
+    ("local_laplacian", "t_b5_by"): ((13, 136), (13, 137)),
+    ("local_laplacian", "t_b5_up"): ((26, 272), (26, 274)),
+    ("local_laplacian", "t_b5_lap"): ((26, 272), (26, 274)),
+    ("local_laplacian", "t_b5_dbx"): ((26, 270), (26, 272)),
+    ("local_laplacian", "t_b5_dby"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b5_clamp"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b5_wt"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b5_mix"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b5_gain"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b6_remap"): ((24, 270), (24, 272)),
+    ("local_laplacian", "t_b6_down"): ((12, 135), (12, 136)),
+    ("local_laplacian", "t_b6_bx"): ((12, 133), (12, 134)),
+    ("local_laplacian", "t_b6_by"): ((10, 133), (10, 134)),
+    ("local_laplacian", "t_b6_up"): ((18, 265), (18, 266)),
+    ("local_laplacian", "t_b6_lap"): ((18, 265), (18, 266)),
+    ("local_laplacian", "t_b6_dbx"): ((18, 263), (18, 264)),
+    ("local_laplacian", "t_b6_dby"): ((16, 263), (16, 264)),
+    ("local_laplacian", "t_b6_clamp"): ((16, 263), (16, 264)),
+    ("local_laplacian", "t_b6_wt"): ((16, 263), (16, 264)),
+    ("local_laplacian", "t_b6_mix"): ((16, 263), (16, 264)),
+    ("local_laplacian", "t_b6_gain"): ((8, 256), (16, 264)),
+    ("local_laplacian", "t_b7_remap"): ((16, 263), (16, 264)),
+}
+
+
 def reader_digests(name, size, tiles):
     """One row of ``AT_PARENT`` as this checkout computes it."""
 
@@ -461,16 +507,38 @@ class TestEmittedStructure:
         # S8..S10 share the live-out band: not an extension's, so global
         assert "static double t_Sxy[1020][1020];" in src
 
-    @pytest.mark.parametrize("name,size", [("harris", 1024), ("unsharp_mask", 1024), ("bilateral_grid", 1024)])
+    @pytest.mark.parametrize(
+        "name,size",
+        [("harris", 1024), ("unsharp_mask", 1024), ("bilateral_grid", 1024)]
+        + [(name, None) for name in workload_names()],
+    )
     def test_buffer_shapes_are_the_models(self, name, size):
-        """The box over all tiles equals the cost model's box at its
-        representative interior tile."""
+        """The census of model against C: every buffer C allocates holds the
+        box ``promoted_buffers`` prices, and where it is larger the pair is in
+        ``MODEL_SHORT_OF_C``, to the element."""
         prog, res = fused(name, size)
-        emitted = scratch_shapes(generate_c(res.tree, prog))
+        try:
+            emitted = scratch_shapes(generate_c(res.tree, prog))
+        except CBackendError:
+            assert (name, size) == ("multiscale_interp", None)  # an empty level
+            return
         modelled = {
             b.tensor: b.box_shape for bufs in promoted_buffers(res).values() for b in bufs
         }
-        assert emitted == modelled
+        if size is not None:  # the three programs this test began with
+            assert emitted == modelled
+        assert set(emitted) <= set(modelled)
+        for tensor, shape in emitted.items():
+            assert all(m <= e for m, e in zip(modelled[tensor], shape)), tensor
+        short = {
+            (name, tensor): (modelled[tensor], shape)
+            for tensor, shape in emitted.items()
+            if modelled[tensor] != shape
+        }
+        pinned = {
+            row: pair for row, pair in MODEL_SHORT_OF_C.items() if row[0] == name and size is None
+        }
+        assert short == pinned
 
     @pytest.mark.parametrize("name,size", [("harris", 64), ("conv2d", 48), ("camera_pipeline", 128), ("covariance", 48)])
     def test_model_and_backend_consider_the_same_tensors(self, name, size):

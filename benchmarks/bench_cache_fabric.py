@@ -67,7 +67,7 @@ tree = print_tree(outcome.result.tree, prog)
 json.dump({
     "seconds": elapsed,
     "from_cache": outcome.from_cache,
-    "remote_hits": cache.stats.remote_hits,
+    "remote_hits": cache.counters().get("tier.remote.hits", 0),
     "disk_hits": cache.stats.disk_hits,
     "tree_sha": hashlib.sha256(tree.encode()).hexdigest(),
 }, sys.stdout)
@@ -160,7 +160,7 @@ def measure_two_daemons(workloads):
                     for name, size in sweep:
                         out = client.compile(name, size=size)
                         assert out["from_cache"], (name, out)
-                b_remote_hits = st_b.server.cache.stats.remote_hits
+                b_remote_hits = st_b.server.cache.counters()["tier.remote.hits"]
             b_seconds = time.perf_counter() - t0
             b_compiles = st_b.server.registry.counters.get("serve.compiles", 0)
 

@@ -106,7 +106,8 @@ def cmd_optimize(args) -> int:
         print(f"trace:        {args.trace} ({len(report.events)} spans)")
     if args.stats:
         if cache is not None:
-            report.merge_cache_stats(cache.stats.as_dict())
+            for name, value in cache.counters().items():
+                report.set_gauge(f"cache.{name}", value)
         print()
         print(report.format())
     if args.tree:
@@ -568,7 +569,7 @@ def cmd_cache(args) -> int:
     stats = info["stats"]
     print(f"session stats:  {stats['memory_hits']} memory hits, "
           f"{stats['disk_hits']} disk hits, {stats['misses']} misses, "
-          f"{stats['stores']} stores ({stats['skipped_stores']} skipped)")
+          f"{stats['stores']} stores")
     print(f"memo stats:     {stats['memo_hits']} snapshot hits, "
           f"{stats['memo_misses']} misses, {stats['memo_stores']} stores")
     for tier, tstats in info.get("tiers", {}).items():
@@ -690,6 +691,7 @@ def _client_compile_traced(client, args, params) -> int:
     import json
 
     from .obs.distributed import derive_store_stream, stitch, stream_from_report
+    from .obs.distributed import validate_wire_spans
 
     ctx = client.new_trace(sampled=True)
     with obs.collect(trace=True) as report:
@@ -699,6 +701,8 @@ def _client_compile_traced(client, args, params) -> int:
             out = client.compile(args.workload, trace=ctx, **params)
     streams = [stream_from_report(report, "client", ctx)]
     daemon = out.get("trace")
+    if daemon and validate_wire_spans(daemon):
+        daemon = None
     if daemon:
         streams.append(daemon)
         store = derive_store_stream(daemon)

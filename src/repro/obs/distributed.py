@@ -294,6 +294,41 @@ def _span_counters(
     return out
 
 
+#: What :func:`stitch` and :func:`wire_to_events` read from a wire payload
+#: and from each of its spans: (required fields, fields checked if present).
+_WIRE_FIELDS = ({"wall_t0": (int, float), "spans": list},
+                {"dropped": int, "truncated": int, "counter_names": list})
+_SPAN_FIELDS = ({"id": int, "name": str, "start": (int, float), "dur": (int, float)},
+                {"parent": (int, type(None)), "tid": int, "attrs": dict, "c": list})
+
+
+def _field_errors(obj: Mapping[str, object], where: str, fields) -> List[str]:
+    required, optional = fields
+    return [f"{where}{k}: missing or mistyped" for k, t in {**required, **optional}.items()
+            if (k in required or k in obj) and not isinstance(obj.get(k), t)]
+
+
+def validate_wire_spans(payload: object) -> List[str]:
+    """Errors in a ``repro-spans/1`` payload (empty list = valid), so one
+    that passes cannot crash :func:`stitch` or :func:`wire_to_events`."""
+    if not isinstance(payload, Mapping):
+        return ["spans payload: expected object"]
+    errors = _field_errors(payload, "", _WIRE_FIELDS)
+    spans = payload.get("spans")
+    for i, s in enumerate(spans if isinstance(spans, list) else ()):
+        if not isinstance(s, Mapping):
+            errors.append(f"spans[{i}]: expected object")
+            continue
+        errors += _field_errors(s, f"spans[{i}].", _SPAN_FIELDS)
+        pairs = s.get("c")
+        if isinstance(pairs, list) and not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+            for p in pairs
+        ):
+            errors.append(f"spans[{i}].c: expected [index, count] int pairs")
+    return errors
+
+
 def wire_to_events(payload: Mapping[str, object]) -> List[SpanEvent]:
     """Wire spans back into :class:`SpanEvent` objects (ids kept as-is)."""
     counter_names = payload.get("counter_names", [])
@@ -444,8 +479,9 @@ def stitch_event_logs(
     sampled request to its event log; ``repro trace --request <id>``
     collects the records matching ``trace_id`` across any number of logs
     — from different hosts, as long as their clocks are NTP-close — and
-    stitches them.  Returns the Chrome trace dict and the number of
-    streams found.
+    stitches them.  A record that fails :func:`validate_wire_spans` is
+    skipped.  Returns the Chrome trace dict and the number of streams
+    found.
     """
     streams: List[Mapping[str, object]] = []
     for path in paths:
@@ -458,9 +494,14 @@ def stitch_event_logs(
                     rec = json.loads(line)
                 except ValueError:
                     continue
-                if rec.get("type") == "trace" and rec.get("trace_id") == trace_id:
+                if (
+                    isinstance(rec, dict)
+                    and rec.get("type") == "trace"
+                    and rec.get("trace_id") == trace_id
+                    and not validate_wire_spans(rec)
+                ):
                     streams.append(rec)
-    streams.sort(key=lambda s: float(s.get("wall_t0", 0.0)))
+    streams.sort(key=lambda s: float(s["wall_t0"]))
     return stitch(streams, trace_id=trace_id), len(streams)
 
 
@@ -537,6 +578,7 @@ __all__ = [
     "stream_from_report",
     "use_context",
     "validate_trace_field",
+    "validate_wire_spans",
     "wall_anchor",
     "wire_to_events",
 ]

@@ -26,6 +26,7 @@ import threading
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .distributed import validate_wire_spans
 from .export import JSONL_SCHEMA
 
 #: Accepted event severities, lowest to highest.
@@ -188,8 +189,7 @@ def validate_event_log(lines) -> List[str]:
             if not isinstance(rec.get("event"), str):
                 errors.append(f"line {i}: missing event name")
         else:
-            if not isinstance(rec.get("spans"), list):
-                errors.append(f"line {i}: trace record missing span list")
+            errors.extend(f"line {i}: {e}" for e in validate_wire_spans(rec))
     return errors
 
 

@@ -176,8 +176,8 @@ class MetricsRegistry:
         """Fold one :class:`~repro.obs.trace.CompileReport` into the registry.
 
         Span aggregates become ``span.<name>.seconds`` gauges (summed) and
-        ``span.<name>.calls`` counters; counters, histograms and cache
-        stats merge additively; report gauges overwrite (last wins).
+        ``span.<name>.calls`` counters; counters and histograms merge
+        additively; report gauges overwrite (last wins).
         """
         for name, stat in report.spans.items():
             self.inc(f"span.{name}.calls", stat.calls)
@@ -186,8 +186,6 @@ class MetricsRegistry:
             )
         for name, n in report.counters.items():
             self.inc(name, n)
-        for name, n in report.cache.items():
-            self.inc(f"cache.{name}", n)
         for name, value in report.gauges.items():
             self.gauges[name] = value
         for name, h in report.histograms.items():

@@ -29,7 +29,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .metrics import DEFAULT_BUCKETS, Histogram
 
@@ -77,7 +77,6 @@ class CompileReport:
 
     spans: Dict[str, SpanStat] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-    cache: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
     events: List[SpanEvent] = field(default_factory=list)
@@ -114,10 +113,6 @@ class CompileReport:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def merge_cache_stats(self, stats: Mapping[str, int]) -> None:
-        for k, v in stats.items():
-            self.cache[k] = self.cache.get(k, 0) + v
-
     # -- aggregation across workers ---------------------------------------
 
     def merge(
@@ -140,7 +135,6 @@ class CompileReport:
             mine.seconds += stat.seconds
         for name, n in other.counters.items():
             self.add_count(name, n)
-        self.merge_cache_stats(other.cache)
         self.gauges.update(other.gauges)
         for name, h in other.histograms.items():
             mine = self.histograms.get(name)
@@ -181,7 +175,6 @@ class CompileReport:
                 for k, v in self.spans.items()
             },
             "counters": dict(self.counters),
-            "cache": dict(self.cache),
         }
         if self.gauges:
             out["gauges"] = dict(self.gauges)
@@ -235,11 +228,6 @@ class CompileReport:
             width = max(len(k) for k in self.gauges)
             for name in sorted(self.gauges):
                 lines.append(f"{indent}{name.ljust(width)}  {self.gauges[name]:g}")
-        if self.cache:
-            lines.append("cache:")
-            width = max(len(k) for k in self.cache)
-            for name in sorted(self.cache):
-                lines.append(f"{indent}{name.ljust(width)}  {self.cache[name]}")
         return "\n".join(lines) if lines else "(no instrumentation recorded)"
 
 

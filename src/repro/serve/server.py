@@ -690,19 +690,14 @@ class CompileServer:
         self.registry.set_gauge("serve.events.written", estats["written"])
         self.registry.set_gauge("serve.ring.samples", len(self.ring))
         if self.cache is not None:
-            for name, value in self.cache.stats.as_dict().items():
+            # Policy and per-tier counters become ``serve.cache.<name>`` and
+            # ``serve.cache.tier.<tier>.<name>`` gauges, latency histograms
+            # land in the registry under the tier prefix.
+            for name, value in self.cache.counters().items():
                 self.registry.set_gauge(f"serve.cache.{name}", value)
-            # Per-tier fabric metrics: counters and gauges become
-            # ``serve.cache.tier.<tier>.<name>`` gauges, latency
-            # histograms land in the registry under the same prefix.
             for tier, tstats in self.cache.tier_metrics():
-                prefix = f"serve.cache.tier.{tier}"
-                for name, value in tstats.counters().items():
-                    self.registry.set_gauge(f"{prefix}.{name}", value)
-                for name, value in tstats.gauges().items():
-                    self.registry.set_gauge(f"{prefix}.{name}", value)
                 for name, hist in tstats.histograms().items():
-                    self.registry.histograms[f"{prefix}.{name}"] = hist
+                    self.registry.histograms[f"serve.cache.tier.{tier}.{name}"] = hist
         return self.registry.snapshot()
 
     def _shutdown(self) -> dict:

@@ -39,6 +39,10 @@ program starts with the hot ``apply_range``/``tile_footprint``/
 ``write_footprint`` entries already resident.  ``get_memos_many``
 fetches a whole batch's snapshots in one remote round trip.
 
+Each event has one counter: a store counts what happens inside it in its
+own :class:`~repro.service.stores.TierStats`, :class:`CacheStats` only
+what the policy decides, and :meth:`CompileCache.counters` shows both.
+
 A single :class:`CompileCache` instance is safe to share across threads:
 the memory tier (the LRU ``OrderedDict`` and its byte accounting) and
 the stats counters are guarded by an internal lock; stores are
@@ -53,7 +57,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import obs
@@ -61,10 +65,10 @@ from ..ir.fingerprint import SCHEMA_VERSION
 from .stores import (
     TIERED_PREFIX,
     CacheStore,
-    LayeredStore,
-    OpLog,
+    StoreUnavailable,
     default_gc_budget,
     resolve_store,
+    split_tiered,
 )
 from .stores.base import GCReport, TierStats, restricted_loads
 
@@ -95,6 +99,15 @@ def _decode(blob: bytes):
     return restricted_loads(blob, BLOB_GLOBALS)
 
 
+def _store_call(method, *args):
+    """``method(*args)`` on a store, or ``None`` when the store cannot be
+    reached: the tier has counted the error, the caller sees a miss."""
+    try:
+        return method(*args)
+    except StoreUnavailable:
+        return None
+
+
 class _Entry:
     """A memory-tier slot: the encoded bytes and, after the first hit on a
     value with ``fresh()``, the tier's own instance decoded from them."""
@@ -115,20 +128,19 @@ class _Entry:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one :class:`CompileCache`.
+    """What one :class:`CompileCache` decides, and nothing a store saw.
 
-    This is the legacy policy-level ledger (``optimize --stats``, the
-    serve daemon's ``serve.cache.*`` gauges); per-tier counters and
-    latency histograms live on each store's
+    ``disk_hits`` are store hits that decoded (from any persistent tier);
+    ``errors`` are blobs the policy could not decode or encode, and
+    ``disk_evictions`` the store entries it deleted for that reason.
+    Per-tier counters and latency histograms live on each store's
     :class:`~repro.service.stores.TierStats` (``tier_metrics()``).
     """
 
     memory_hits: int = 0
     disk_hits: int = 0
-    remote_hits: int = 0
     misses: int = 0
     stores: int = 0
-    skipped_stores: int = 0
     memory_evictions: int = 0
     disk_evictions: int = 0
     errors: int = 0
@@ -139,22 +151,6 @@ class CacheStats:
     @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "remote_hits": self.remote_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "skipped_stores": self.skipped_stores,
-            "memory_evictions": self.memory_evictions,
-            "disk_evictions": self.disk_evictions,
-            "errors": self.errors,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_stores": self.memo_stores,
-        }
 
 
 @dataclass
@@ -233,11 +229,17 @@ class CompileCache:
 
     # -- lookup ------------------------------------------------------------
 
-    def _ledger(self, log: OpLog) -> None:
-        if log.errors or log.evictions:
+    def _decode_stored(self, kind: str, key: str, blob: bytes):
+        """The value of a store hit, or ``None`` after evicting a blob
+        that does not decode."""
+        try:
+            return _decode(blob)
+        except Exception:
+            _store_call(self.store.delete, kind, key)
             with self._lock:
-                self.stats.errors += log.errors
-                self.stats.disk_evictions += log.evictions
+                self.stats.errors += 1
+                self.stats.disk_evictions += 1
+            return None
 
     def get(self, key: str):
         """The cached value, or ``None`` on a miss.  A value with
@@ -260,24 +262,13 @@ class CompileCache:
                     self.stats.memory_hits += 1
                 return entry.hand_out(value)
         if self.store is not None:
-            log = OpLog()
-            blob = self.store.get("results", key, log)
-            self._ledger(log)
-            if blob is not None:
-                try:
-                    value = _decode(blob)
-                except Exception:
-                    self.store.delete("results", key)
-                    with self._lock:
-                        self.stats.errors += 1
-                        self.stats.disk_evictions += 1
-                else:
-                    with self._lock:
-                        self.stats.disk_hits += 1
-                        if log.tier == "remote":
-                            self.stats.remote_hits += 1
-                        entry = self._insert_memory(key, blob)
-                    return entry.hand_out(value)
+            blob = _store_call(self.store.get, "results", key)
+            value = None if blob is None else self._decode_stored("results", key, blob)
+            if value is not None:
+                with self._lock:
+                    self.stats.disk_hits += 1
+                    entry = self._insert_memory(key, blob)
+                return entry.hand_out(value)
         with self._lock:
             self.stats.misses += 1
         return None
@@ -293,18 +284,13 @@ class CompileCache:
             self.stats.stores += 1
             self._insert_memory(key, blob)
         if self.store is not None:
-            log = OpLog()
-            self.store.put("results", key, blob, log)
-            self._ledger(log)
-            if log.skipped:
-                with self._lock:
-                    self.stats.skipped_stores += 1
+            _store_call(self.store.put, "results", key, blob)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._mem:
                 return True
-        return self.store is not None and self.store.contains("results", key)
+        return self.store is not None and bool(_store_call(self.store.contains, "results", key))
 
     # -- memory tier -------------------------------------------------------
 
@@ -338,24 +324,14 @@ class CompileCache:
         memo tables once loaded, so there is nothing to tier in memory."""
         if self.store is None:
             return None
-        log = OpLog()
-        blob = self.store.get("memos", key, log)
-        self._ledger(log)
-        if blob is not None:
-            try:
-                value = _decode(blob)
-            except Exception:
-                self.store.delete("memos", key)
-                with self._lock:
-                    self.stats.errors += 1
-                    self.stats.disk_evictions += 1
-            else:
-                with self._lock:
-                    self.stats.memo_hits += 1
-                return value
+        blob = _store_call(self.store.get, "memos", key)
+        value = None if blob is None else self._decode_stored("memos", key, blob)
         with self._lock:
-            self.stats.memo_misses += 1
-        return None
+            if value is None:
+                self.stats.memo_misses += 1
+            else:
+                self.stats.memo_hits += 1
+        return value
 
     def get_memos_many(self, keys: Iterable[str]) -> Dict[str, object]:
         """Batched :meth:`get_memos`: every snapshot the store has for
@@ -363,22 +339,14 @@ class CompileCache:
         by ``compile_batch`` and the serve daemon to warm a whole batch's
         programs at once."""
         keys = list(dict.fromkeys(keys))
-        if self.store is None or not keys:
-            with self._lock:
-                self.stats.memo_misses += len(keys)
-            return {}
-        log = OpLog()
-        blobs = self.store.get_many("memos", keys, log)
-        self._ledger(log)
+        blobs = None
+        if self.store is not None and keys:
+            blobs = _store_call(self.store.get_many, "memos", keys)
         out: Dict[str, object] = {}
-        for key, blob in blobs.items():
-            try:
-                out[key] = _decode(blob)
-            except Exception:
-                self.store.delete("memos", key)
-                with self._lock:
-                    self.stats.errors += 1
-                    self.stats.disk_evictions += 1
+        for key, blob in (blobs or {}).items():
+            value = self._decode_stored("memos", key, blob)
+            if value is not None:
+                out[key] = value
         with self._lock:
             self.stats.memo_hits += len(out)
             self.stats.memo_misses += len(keys) - len(out)
@@ -397,12 +365,7 @@ class CompileCache:
             return
         with self._lock:
             self.stats.memo_stores += 1
-        log = OpLog()
-        self.store.put("memos", key, blob, log)
-        self._ledger(log)
-        if log.skipped:
-            with self._lock:
-                self.stats.skipped_stores += 1
+        _store_call(self.store.put, "memos", key, blob)
 
     # -- maintenance -------------------------------------------------------
 
@@ -419,10 +382,7 @@ class CompileCache:
             return 0
         kinds = [k for k, on in (("results", results), ("memos", memos)) if on]
         for kind in kinds:
-            if isinstance(self.store, LayeredStore):
-                removed += self.store.clear(kind, remote=remote)
-            else:
-                removed += self.store.clear(kind)
+            removed += self.store.clear(kind, remote=remote)
         return removed
 
     def gc(
@@ -454,6 +414,17 @@ class CompileCache:
         """Every (tier name, stats) pair of the underlying store fabric."""
         return [] if self.store is None else self.store.tiers()
 
+    def counters(self) -> Dict[str, float]:
+        """Every count of this cache in one flat view: the policy's own
+        (:class:`CacheStats`) under their bare names, each tier's counters
+        and gauges as ``tier.<tier>.<name>``."""
+        with self._lock:
+            out: Dict[str, float] = asdict(self.stats)
+        for tier, tstats in self.tier_metrics():
+            for name, value in {**tstats.counters(), **tstats.gauges()}.items():
+                out[f"tier.{tier}.{name}"] = value
+        return out
+
     def info(self) -> Dict[str, object]:
         if self.store is not None:
             sinfo = self.store.info()
@@ -462,7 +433,7 @@ class CompileCache:
         with self._lock:
             memory_entries = len(self._mem)
             memory_bytes = self._mem_bytes
-            stats = self.stats.as_dict()
+            stats = asdict(self.stats)
         info: Dict[str, object] = {
             "cache_dir": self.cache_dir,
             "schema_version": SCHEMA_VERSION,
@@ -543,13 +514,9 @@ def resolve_cache(spec) -> CompileCache:
     path = os.fspath(spec)
     if path == "default":
         return default_cache()
-    if path.startswith(TIERED_PREFIX):
-        body = path[len(TIERED_PREFIX):]
-        local, sep, remote = body.partition("|")
-        if not sep or not local or not remote:
-            raise ValueError(
-                f"tiered cache spec must be 'tiered:<local>|<remote>', got {path!r}"
-            )
+    tiered = split_tiered(path)
+    if tiered is not None:
+        local, remote = tiered
         return CompileCache(cache_dir=_spec_dir(local), remote=remote)
     if path.startswith("http://"):
         return CompileCache(

@@ -1,8 +1,9 @@
 """``repro.service.stores`` — pluggable persistent cache tiers.
 
 :class:`~repro.service.cache.CompileCache` is a tiering policy (memory
-LRU + stat ledger) over one :class:`CacheStore`; this package holds the
-store implementations:
+LRU + the counters of what it decides) over one :class:`CacheStore`;
+each store counts what happens inside it in its own :class:`TierStats`.
+This package holds the store implementations:
 
 * :class:`LocalStore` — sharded local directory (atomic writes, put
   skip, running counters, TTL/size GC);
@@ -17,20 +18,20 @@ travel to worker processes or the CLI as one flat string:
 
 * a directory path → :class:`LocalStore`;
 * ``http://host:port`` → :class:`HTTPStore`;
-* ``tiered:<local>|<remote>`` → :class:`LayeredStore` over the two.
+* ``tiered:<local>|<remote>`` → :class:`LayeredStore` over the two
+  (parsed by :func:`split_tiered` only).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 from .base import (
     KINDS,
     CacheStore,
     EntryInfo,
     GCReport,
-    OpLog,
     StoreUnavailable,
     TierStats,
 )
@@ -39,6 +40,19 @@ from .local import LocalStore, default_gc_budget
 from .remote import HTTPStore, StoreServer
 
 TIERED_PREFIX = "tiered:"
+
+
+def split_tiered(spec: str) -> Optional[Tuple[str, str]]:
+    """``(local, remote)`` of a ``tiered:<local>|<remote>`` spec, ``None``
+    for any other spelling; ``ValueError`` when a half is missing."""
+    if not spec.startswith(TIERED_PREFIX):
+        return None
+    local, sep, remote = spec[len(TIERED_PREFIX):].partition("|")
+    if not sep or not local or not remote:
+        raise ValueError(
+            f"tiered cache spec must be 'tiered:<local>|<remote>', got {spec!r}"
+        )
+    return local, remote
 
 
 def resolve_store(
@@ -53,13 +67,9 @@ def resolve_store(
     the remote store server owns its own budget).
     """
     spec = os.fspath(spec)
-    if spec.startswith(TIERED_PREFIX):
-        body = spec[len(TIERED_PREFIX):]
-        local_spec, sep, remote_spec = body.partition("|")
-        if not sep or not local_spec or not remote_spec:
-            raise ValueError(
-                f"tiered cache spec must be 'tiered:<local>|<remote>', got {spec!r}"
-            )
+    tiered = split_tiered(spec)
+    if tiered is not None:
+        local_spec, remote_spec = tiered
         return LayeredStore(
             resolve_store(
                 local_spec, gc_max_bytes=gc_max_bytes, gc_max_age=gc_max_age
@@ -82,10 +92,10 @@ __all__ = [
     "HTTPStore",
     "LayeredStore",
     "LocalStore",
-    "OpLog",
     "StoreServer",
     "StoreUnavailable",
     "TierStats",
     "default_gc_budget",
     "resolve_store",
+    "split_tiered",
 ]

@@ -4,9 +4,9 @@ A store is a durable byte-blob map with two *kinds* of entries —
 ``"results"`` (pickled :class:`~repro.core.pipeline.OptimizeResult`
 payloads) and ``"memos"`` (spilled presburger memo snapshots) — both
 keyed by content-addressed fingerprints.  :class:`~repro.service.cache.
-CompileCache` is a tiering *policy* (memory LRU + legacy stat ledger)
-over one store; the store owns durability: on-disk framing, atomic
-writes, corruption eviction, garbage collection.
+CompileCache` is a tiering *policy* (memory LRU + the counters of what it
+decides) over one store; the store owns durability: on-disk framing,
+atomic writes, corruption eviction, garbage collection.
 
 Three implementations ship with the fabric:
 
@@ -21,10 +21,11 @@ Three implementations ship with the fabric:
 
 Every store carries a :class:`TierStats` (thread-safe counters plus
 get/put latency histograms) and exposes ``tiers()`` so composite stores
-can surface *all* their tiers to the metrics registry.  Callers that
-need per-operation outcomes (the legacy :class:`~repro.service.cache.
-CacheStats` ledger) pass an :class:`OpLog`, which the store fills in
-instead of raising: a cache tier must never take a compile down.
+can surface *all* their tiers to the metrics registry; an event inside a
+store is counted there and nowhere else.  A cache tier must never take a
+compile down: a remote store counts a transport failure and raises
+:class:`StoreUnavailable`, which its caller (a ``LayeredStore``, or
+``CompileCache`` over a remote-only store) turns into a miss.
 """
 
 from __future__ import annotations
@@ -75,24 +76,6 @@ def restricted_loads(blob: bytes, allowed: Tuple[str, ...] = ()):
     blob fails to decode like a truncated one and runs nothing.
     """
     return _RestrictedUnpickler(io.BytesIO(blob), allowed).load()
-
-
-@dataclass
-class OpLog:
-    """Per-operation outcome report, filled in by the store.
-
-    The :class:`~repro.service.cache.CompileCache` ledger predates the
-    store split and counts *policy-level* events (disk hits, corrupt
-    evictions, degraded writes); stores report those through this log so
-    the legacy counters keep their exact semantics without the store
-    having to know about them.
-    """
-
-    tier: Optional[str] = None  #: tier that served a hit ("local"/"remote")
-    errors: int = 0  #: I/O or corruption errors encountered
-    evictions: int = 0  #: corrupt/stale entries evicted along the way
-    stored: bool = False  #: a put wrote a new durable entry
-    skipped: bool = False  #: a put was skipped (entry already durable)
 
 
 class EntryInfo(NamedTuple):
@@ -229,10 +212,10 @@ class CacheStore:
     content-addressed fingerprints (hex strings, >= 4 chars).
 
     Implementations must be thread-safe and must never raise out of
-    ``get``/``put``/``delete`` for I/O or data errors — report through
-    the :class:`OpLog` and their :class:`TierStats` instead.  (Remote
-    stores raise :class:`StoreUnavailable` from transport failures so the
-    layered tier can count and back off; the layered store swallows it.)
+    ``get``/``put``/``delete`` for I/O or data errors — count them in
+    their :class:`TierStats` instead.  (Remote stores raise
+    :class:`StoreUnavailable` from transport failures so the layered tier
+    can back off; see the module docstring for who swallows it.)
     """
 
     #: Human-readable tier name ("local", "remote", "layered", ...).
@@ -245,10 +228,10 @@ class CacheStore:
 
     # -- required interface -------------------------------------------------
 
-    def get(self, kind: str, key: str, log: Optional[OpLog] = None) -> Optional[bytes]:
+    def get(self, kind: str, key: str) -> Optional[bytes]:
         raise NotImplementedError
 
-    def put(self, kind: str, key: str, blob: bytes, log: Optional[OpLog] = None) -> bool:
+    def put(self, kind: str, key: str, blob: bytes) -> bool:
         """Make ``blob`` durable under ``(kind, key)``; True on success
         (including a skip because the entry already exists)."""
         raise NotImplementedError
@@ -264,13 +247,11 @@ class CacheStore:
 
     # -- optional interface (sane defaults) ---------------------------------
 
-    def get_many(
-        self, kind: str, keys: Iterable[str], log: Optional[OpLog] = None
-    ) -> Dict[str, bytes]:
+    def get_many(self, kind: str, keys: Iterable[str]) -> Dict[str, bytes]:
         """Batched get; one round trip where the transport allows it."""
         out: Dict[str, bytes] = {}
         for key in keys:
-            blob = self.get(kind, key, log)
+            blob = self.get(kind, key)
             if blob is not None:
                 out[key] = blob
         return out
@@ -289,7 +270,9 @@ class CacheStore:
     ) -> GCReport:
         return GCReport(dry_run=dry_run)
 
-    def clear(self, kind: str) -> int:
+    def clear(self, kind: str, remote: bool = False) -> int:
+        """Delete every ``kind`` entry; ``remote`` matters only to a
+        store that fronts a shared tier (it is spared unless True)."""
         removed = 0
         for key in self.keys(kind):
             if self.delete(kind, key):
@@ -324,7 +307,6 @@ __all__ = [
     "CacheStore",
     "EntryInfo",
     "GCReport",
-    "OpLog",
     "StoreUnavailable",
     "TierStats",
     "check_kind",

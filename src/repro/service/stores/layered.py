@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .base import CacheStore, GCReport, OpLog, StoreUnavailable, TierStats
+from .base import CacheStore, GCReport, StoreUnavailable, TierStats
 
 logger = logging.getLogger("repro.cache")
 
@@ -100,34 +100,29 @@ class LayeredStore(CacheStore):
 
     # -- reads ---------------------------------------------------------------
 
-    def get(self, kind: str, key: str, log: Optional[OpLog] = None) -> Optional[bytes]:
-        blob = self.local.get(kind, key, log)
+    def get(self, kind: str, key: str) -> Optional[bytes]:
+        blob = self.local.get(kind, key)
         if blob is not None:
             return blob
-        blob = self._remote_get(kind, key, log)
+        blob = self._remote_get(kind, key)
         if blob is not None:
             self._backfill(kind, key, blob)
         return blob
 
-    def get_many(
-        self, kind: str, keys: Iterable[str], log: Optional[OpLog] = None
-    ) -> Dict[str, bytes]:
-        keys = list(keys)
+    def get_many(self, kind: str, keys: Iterable[str]) -> Dict[str, bytes]:
         out: Dict[str, bytes] = {}
         missing: List[str] = []
         for key in keys:
-            blob = self.local.get(kind, key, log)
+            blob = self.local.get(kind, key)
             if blob is None:
                 missing.append(key)
             else:
                 out[key] = blob
         if missing and self._remote_alive():
             try:
-                fetched = self.remote.get_many(kind, missing, log)
+                fetched = self.remote.get_many(kind, missing)
             except StoreUnavailable as exc:
                 self._mark_remote_down(exc)
-                if log is not None:
-                    log.errors += 1
             else:
                 self._mark_remote_up()
                 for key, blob in fetched.items():
@@ -137,16 +132,14 @@ class LayeredStore(CacheStore):
             self.stats.inc("remote_down_skips")
         return out
 
-    def _remote_get(self, kind: str, key: str, log: Optional[OpLog]) -> Optional[bytes]:
+    def _remote_get(self, kind: str, key: str) -> Optional[bytes]:
         if not self._remote_alive():
             self.stats.inc("remote_down_skips")
             return None
         try:
-            blob = self.remote.get(kind, key, log)
+            blob = self.remote.get(kind, key)
         except StoreUnavailable as exc:
             self._mark_remote_down(exc)
-            if log is not None:
-                log.errors += 1
             return None
         self._mark_remote_up()
         return blob
@@ -157,8 +150,8 @@ class LayeredStore(CacheStore):
 
     # -- writes --------------------------------------------------------------
 
-    def put(self, kind: str, key: str, blob: bytes, log: Optional[OpLog] = None) -> bool:
-        ok = self.local.put(kind, key, blob, log)
+    def put(self, kind: str, key: str, blob: bytes) -> bool:
+        ok = self.local.put(kind, key, blob)
         self._enqueue_flush(kind, key, blob)
         return ok
 

@@ -35,7 +35,7 @@ import pickle
 import tempfile
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ...ir.fingerprint import SCHEMA_VERSION
 from .base import (
@@ -43,7 +43,6 @@ from .base import (
     CacheStore,
     EntryInfo,
     GCReport,
-    OpLog,
     check_kind,
     restricted_loads,
 )
@@ -109,7 +108,7 @@ class LocalStore(CacheStore):
 
     # -- core ops ------------------------------------------------------------
 
-    def get(self, kind: str, key: str, log: Optional[OpLog] = None) -> Optional[bytes]:
+    def get(self, kind: str, key: str) -> Optional[bytes]:
         self.stats.inc("gets")
         t0 = time.perf_counter()
         path = self.path(kind, key)
@@ -123,26 +122,18 @@ class LocalStore(CacheStore):
             if not isinstance(blob, bytes):
                 raise ValueError("malformed cache payload")
         except FileNotFoundError:
-            self.stats.inc("misses")
-            self.stats.observe_get(time.perf_counter() - t0)
-            return None
+            blob = None
         except Exception:
             # Corrupted, truncated or stale entry: evict, never crash.
             self.stats.inc("errors")
-            if log is not None:
-                log.errors += 1
-            if self._evict(kind, key) and log is not None:
-                log.evictions += 1
-            self.stats.inc("misses")
-            self.stats.observe_get(time.perf_counter() - t0)
-            return None
-        self.stats.inc("hits")
+            if self._remove(kind, path):
+                self.stats.inc("evictions")
+            blob = None
+        self.stats.inc("misses" if blob is None else "hits")
         self.stats.observe_get(time.perf_counter() - t0)
-        if log is not None and log.tier is None:
-            log.tier = self.tier
         return blob
 
-    def put(self, kind: str, key: str, blob: bytes, log: Optional[OpLog] = None) -> bool:
+    def put(self, kind: str, key: str, blob: bytes) -> bool:
         self.stats.inc("puts")
         t0 = time.perf_counter()
         path = self.path(kind, key)
@@ -150,8 +141,6 @@ class LocalStore(CacheStore):
             if os.path.exists(path):
                 # Content-addressed: same key, same bytes — skip the write.
                 self.stats.inc("put_skips")
-                if log is not None:
-                    log.skipped = True
                 return True
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -169,8 +158,6 @@ class LocalStore(CacheStore):
         except Exception:
             # A read-only or full cache dir degrades to memory-only.
             self.stats.inc("errors")
-            if log is not None:
-                log.errors += 1
             return False
         finally:
             self.stats.observe_put(time.perf_counter() - t0)
@@ -178,20 +165,12 @@ class LocalStore(CacheStore):
             if self._counts is not None:
                 self._counts[kind] += 1
                 self._bytes[kind] += size
-        if log is not None:
-            log.stored = True
         self._maybe_gc()
         return True
 
     def delete(self, kind: str, key: str) -> bool:
         self.stats.inc("deletes")
         return self._remove(kind, self.path(kind, key))
-
-    def _evict(self, kind: str, key: str) -> bool:
-        if self._remove(kind, self.path(kind, key)):
-            self.stats.inc("evictions")
-            return True
-        return False
 
     def _remove(self, kind: str, path: str) -> bool:
         try:
@@ -211,7 +190,7 @@ class LocalStore(CacheStore):
     def keys(self, kind: str) -> List[str]:
         return [e.key for e in self.entries(kind)]
 
-    def clear(self, kind: str) -> int:
+    def clear(self, kind: str, remote: bool = False) -> int:
         removed = 0
         for e in self.entries(kind):
             if self._remove(kind, self.path(kind, e.key)):
@@ -359,16 +338,6 @@ class LocalStore(CacheStore):
         report.remaining_entries = len(survivors)
         report.remaining_bytes = sum(e.size for e in survivors)
         return report
-
-    def get_many(
-        self, kind: str, keys: Iterable[str], log: Optional[OpLog] = None
-    ) -> Dict[str, bytes]:
-        out: Dict[str, bytes] = {}
-        for key in keys:
-            blob = self.get(kind, key, log)
-            if blob is not None:
-                out[key] = blob
-        return out
 
     @property
     def spec(self) -> Optional[str]:

@@ -53,7 +53,6 @@ from .base import (
     KINDS,
     CacheStore,
     GCReport,
-    OpLog,
     StoreUnavailable,
     check_kind,
 )
@@ -204,9 +203,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        log = OpLog()
-        ok = self.store.put(*target, body, log)
-        if not ok:
+        if not self.store.put(*target, body):
             return self._send_json(507, {"error": "store write failed"})
         self._send(204)
 
@@ -414,7 +411,7 @@ class HTTPStore(CacheStore):
 
     # -- CacheStore ----------------------------------------------------------
 
-    def get(self, kind: str, key: str, log: Optional[OpLog] = None) -> Optional[bytes]:
+    def get(self, kind: str, key: str) -> Optional[bytes]:
         check_kind(kind)
         self.stats.inc("gets")
         t0 = time.perf_counter()
@@ -423,23 +420,17 @@ class HTTPStore(CacheStore):
                 status, payload = self._call("GET", f"/cache/{kind}/{key}")
             except StoreUnavailable:
                 self.stats.inc("errors")
-                if log is not None:
-                    log.errors += 1
                 raise
             finally:
                 self.stats.observe_get(time.perf_counter() - t0)
             self._annotate(hit=status == 200)
         if status == 200:
             self.stats.inc("hits")
-            if log is not None and log.tier is None:
-                log.tier = self.tier
             return payload
         self.stats.inc("misses")
         return None
 
-    def get_many(
-        self, kind: str, keys: Iterable[str], log: Optional[OpLog] = None
-    ) -> Dict[str, bytes]:
+    def get_many(self, kind: str, keys: Iterable[str]) -> Dict[str, bytes]:
         check_kind(kind)
         keys = list(keys)
         if not keys:
@@ -452,8 +443,6 @@ class HTTPStore(CacheStore):
                 status, payload = self._call("POST", f"/batch/{kind}", body)
             except StoreUnavailable:
                 self.stats.inc("errors")
-                if log is not None:
-                    log.errors += 1
                 raise
             if status != 200:
                 self.stats.inc("misses", len(keys))
@@ -464,11 +453,9 @@ class HTTPStore(CacheStore):
             self._annotate(hits=len(out))
         self.stats.inc("hits", len(out))
         self.stats.inc("misses", len(keys) - len(out))
-        if out and log is not None and log.tier is None:
-            log.tier = self.tier
         return out
 
-    def put(self, kind: str, key: str, blob: bytes, log: Optional[OpLog] = None) -> bool:
+    def put(self, kind: str, key: str, blob: bytes) -> bool:
         check_kind(kind)
         self.stats.inc("puts")
         t0 = time.perf_counter()
@@ -479,19 +466,13 @@ class HTTPStore(CacheStore):
                 status, _ = self._call("PUT", f"/cache/{kind}/{key}", blob)
             except StoreUnavailable:
                 self.stats.inc("errors")
-                if log is not None:
-                    log.errors += 1
                 raise
             finally:
                 self.stats.observe_put(time.perf_counter() - t0)
             self._annotate(ok=status == 204)
         if status == 204:
-            if log is not None:
-                log.stored = True
             return True
         self.stats.inc("errors")
-        if log is not None:
-            log.errors += 1
         return False
 
     def delete(self, kind: str, key: str) -> bool:

@@ -9,12 +9,14 @@ Covers the cache-fabric acceptance criteria end to end:
 * ``LayeredStore`` — local-first reads, remote read-through with local
   backfill, write-behind flushing, and count-and-degrade when the remote
   tier is dead (zero request failures);
-* ``CompileCache`` over the fabric — the legacy stat ledger keeps its
-  exact semantics, plus ``remote_hits``/``skipped_stores``, batched
-  ``get_memos_many``, pickling across processes, and spec resolution
-  (``tiered:<local>|<remote>``, ``http://``, mappings);
+* ``CompileCache`` over the fabric — remote hits and put skips read from
+  the tiers' own counters, batched ``get_memos_many``, pickling across
+  processes, and spec resolution (``tiered:<local>|<remote>``,
+  ``http://``, mappings);
+* one counter per event — a scripted session pins every policy and tier
+  counter per step;
 * degraded disk — a read-only or full cache directory falls back to
-  memory-only with ``stats.errors`` counted, never an exception;
+  memory-only with ``tier.local.errors`` counted, never an exception;
 * cross-process sharing — subprocesses hammering one store directory
   concurrently leave a consistent tree with zero corrupt-entry
   evictions;
@@ -22,6 +24,7 @@ Covers the cache-fabric acceptance criteria end to end:
   answers from the remote cache without compiling anything.
 """
 
+import dataclasses
 import errno
 import logging
 import os
@@ -176,12 +179,16 @@ def test_http_store_round_trip(tmp_path):
         client.close()
 
 
-def test_http_store_dead_server_raises_store_unavailable(tmp_path):
+def _dead_url(tmp_path):
+    """The URL of a store server that has stopped listening."""
     srv = StoreServer(str(tmp_path / "remote"))
     srv.start()
-    url = srv.url
     srv.stop()
-    client = HTTPStore(url, timeout=0.5)
+    return srv.url
+
+
+def test_http_store_dead_server_raises_store_unavailable(tmp_path):
+    client = HTTPStore(_dead_url(tmp_path), timeout=0.5)
     with pytest.raises(StoreUnavailable):
         client.get("results", KEY_A)
     assert client.stats.get("errors") == 1
@@ -285,13 +292,13 @@ def test_tiered_cache_counts_remote_hits_and_backfills(tmp_path):
 
         cold = resolve_cache(f"tiered:{tmp_path / 'b'}|{srv.url}")
         assert cold.get(KEY_A) == {"answer": 42}
-        assert cold.stats.remote_hits == 1
+        assert cold.counters()["tier.remote.hits"] == 1
         assert cold.stats.disk_hits == 1  # any persistent tier counts
         # backfilled: the next cold-memory get is served locally
         cold._mem.clear()
         cold._mem_bytes = 0
         assert cold.get(KEY_A) == {"answer": 42}
-        assert cold.stats.remote_hits == 1
+        assert cold.counters()["tier.remote.hits"] == 1
         cold.close()
 
 
@@ -311,16 +318,52 @@ def test_tiered_cache_memos_round_trip_batched(tmp_path):
         b.close()
 
 
+def test_dead_remote_only_cache_is_a_miss_not_a_crash(tmp_path):
+    from repro.service import cached_optimize
+    from repro.workloads import build_workload
+
+    cache = resolve_cache(_dead_url(tmp_path))
+    result = cached_optimize(
+        build_workload("harris", 64), options=CompileOptions(cache=cache)
+    )
+    assert result.tree is not None
+    assert cache.stats.misses == 1 and cache.stats.stores == 1
+    failed, memo_misses = cache.counters()["tier.remote.errors"], cache.stats.memo_misses
+    assert cache.get_memos(KEY_A) is None
+    assert cache.get_memos_many([KEY_A, KEY_B]) == {}
+    cache.put_memos(KEY_A, {"m": 1})
+    assert KEY_A not in cache
+    assert cache.stats.memo_misses == memo_misses + 3
+    # every call that reached for the store counted one remote error
+    assert cache.counters()["tier.remote.errors"] == failed + 3
+
+
+def test_daemon_on_a_dead_remote_only_cache_answers_a_compile(tmp_path):
+    from repro.serve.client import ServeClient
+    from repro.serve.server import ServeConfig, ServerThread
+
+    config = ServeConfig(
+        socket_path=str(tmp_path / "d.sock"), cache=_dead_url(tmp_path)
+    )
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as client:
+            out = client.compile("conv2d", size=16)
+            assert out.get("error") is None and out["from_cache"] is False
+            snap = client.stats()
+    assert snap["gauges"]["serve.cache.tier.remote.errors"] >= 2  # get + put
+    assert snap["gauges"]["serve.cache.misses"] == 1
+
+
 def test_cache_put_skip_counted_in_stats(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     cache.put(KEY_A, {"v": 1})
     cache.put(KEY_A, {"v": 1})
     assert cache.stats.stores == 2
-    assert cache.stats.skipped_stores == 1
+    assert cache.counters()["tier.local.put_skips"] == 1
     cache.put_memos(KEY_B, {"m": 1})
     cache.put_memos(KEY_B, {"m": 1})
     assert cache.stats.memo_stores == 2
-    assert cache.stats.skipped_stores == 2
+    assert cache.counters()["tier.local.put_skips"] == 2
 
 
 def test_cache_info_uses_running_counters_not_walks(tmp_path, monkeypatch):
@@ -396,7 +439,7 @@ def test_compile_results_bit_identical_across_tiers(tmp_path):
         a.close()
         b = resolve_cache(f"tiered:{tmp_path / 'b'}|{srv.url}")
         assert tree_of(b) == baseline
-        assert b.stats.remote_hits >= 1  # served by the shared tier
+        assert b.counters()["tier.remote.hits"] >= 1  # served by the shared tier
         assert b.stats.misses == 0
         b.close()
     local_only.close()
@@ -413,7 +456,7 @@ def test_disk_full_put_degrades_to_memory_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tempfile, "mkstemp", no_space)
     cache.put(KEY_A, {"v": 1})  # must not raise
-    assert cache.stats.errors == 1
+    assert cache.counters()["tier.local.errors"] == 1
     assert cache.get(KEY_A) == {"v": 1}  # memory tier still serves it
     monkeypatch.undo()
     fresh = CompileCache(cache_dir=str(tmp_path))
@@ -432,7 +475,7 @@ def test_read_only_dir_degrades_to_memory_only(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "makedirs", read_only)
     cache.put(KEY_A, {"v": 1})
     cache.put_memos(KEY_B, {"m": 2})
-    assert cache.stats.errors == 2
+    assert cache.counters()["tier.local.errors"] == 2
     assert cache.get(KEY_A) == {"v": 1}
     monkeypatch.undo()
     assert cache.get_memos(KEY_B) is None  # memos have no memory tier
@@ -507,7 +550,7 @@ def test_second_daemon_answers_from_shared_remote_tier(tmp_path):
                 cold = client.compile("conv2d", size=16)
                 assert cold["from_cache"] is False
             # drain flushes the write-behind queue to the remote tier
-        assert st_a.server.cache.stats.remote_hits == 0
+        assert st_a.server.cache.counters().get("tier.remote.hits", 0) == 0
 
         spec_b = f"tiered:{tmp_path / 'node_b'}|{srv.url}"
         config_b = ServeConfig(
@@ -521,15 +564,128 @@ def test_second_daemon_answers_from_shared_remote_tier(tmp_path):
                 snap = client.stats()
             # daemon B compiled nothing: the shared tier answered
             assert snap["counters"].get("serve.compiles", 0) == 0
-            assert snap["gauges"]["serve.cache.remote_hits"] >= 1
             assert snap["gauges"]["serve.cache.tier.remote.hits"] >= 1
+            assert "serve.cache.remote_hits" not in snap["gauges"]
             assert "serve.cache.tier.remote.get_ms" in snap["histograms"]
 
 
+# -- one counter per event: a scripted session -----------------------------
+
+#: Per step of ``_session``: the non-zero ``CacheStats`` fields, then the
+#: non-zero ``TierStats`` counters per tier.  The tier table was recorded
+#: before ``CompileCache`` stopped copying store events into its own
+#: ledger.  Back then ``errors``/``disk_evictions`` also held a copy of
+#: ``tier.local.errors``/``tier.local.evictions`` (1 and 1 more from the
+#: corrupt envelope on), ``remote_hits`` a copy of ``tier.remote.hits`` and
+#: ``skipped_stores`` of ``tier.local.put_skips``; the policy table below is
+#: what is left once those copies are gone.
+SESSION = [
+    ("put", {"stores": 1},
+     {"layered": {"flush_queued": 1}, "local": {"puts": 1},
+      "remote": {"puts": 1}}),
+    ("put again", {"stores": 2},
+     {"layered": {"flush_queued": 2}, "local": {"put_skips": 1, "puts": 2},
+      "remote": {"put_skips": 1, "puts": 2}}),
+    ("memory get", {"memory_hits": 1, "stores": 2},
+     {"layered": {"flush_queued": 2}, "local": {"put_skips": 1, "puts": 2},
+      "remote": {"put_skips": 1, "puts": 2}}),
+    ("store get", {"disk_hits": 1, "memory_hits": 1, "stores": 2},
+     {"layered": {"flush_queued": 2},
+      "local": {"gets": 1, "hits": 1, "put_skips": 1, "puts": 2},
+      "remote": {"put_skips": 1, "puts": 2}}),
+    ("remote read-through", {"disk_hits": 1},
+     {"layered": {"backfills": 1}, "local": {"gets": 1, "misses": 1, "puts": 1},
+      "remote": {"gets": 1, "hits": 1}}),
+    ("corrupt envelope", {"disk_hits": 2},
+     {"layered": {"backfills": 2},
+      "local": {"errors": 1, "evictions": 1, "gets": 2, "misses": 2, "puts": 2},
+      "remote": {"gets": 2, "hits": 2}}),
+    ("os.system payload",
+     {"disk_evictions": 1, "disk_hits": 2, "errors": 1, "misses": 1},
+     {"layered": {"backfills": 2},
+      "local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 3,
+                "hits": 1, "misses": 2, "puts": 2},
+      "remote": {"deletes": 1, "gets": 2, "hits": 2}}),
+    ("memos hit+miss",
+     {"disk_evictions": 1, "disk_hits": 2, "errors": 1, "memo_hits": 1,
+      "memo_misses": 1, "memo_stores": 1, "misses": 1},
+     {"layered": {"backfills": 2, "flush_queued": 1},
+      "local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 5,
+                "hits": 2, "misses": 3, "puts": 3},
+      "remote": {"deletes": 1, "gets": 3, "hits": 2, "misses": 1, "puts": 1}}),
+]
+
+
+class _System:
+    """Pickles to a payload that names ``os.system``."""
+
+    def __reduce__(self):
+        return (os.system, ("true",))
+
+
+def _session(tmp_path):
+    """Drive a tiered cache (its remote tier a second directory) through
+    every store event once; yields ``(step, cache)`` after each step."""
+
+    def forget_memory(cache):
+        cache._mem.clear()
+        cache._mem_bytes = 0
+
+    a = resolve_cache(f"tiered:{tmp_path / 'a'}|{tmp_path / 'r'}")
+    a.put(KEY_A, {"v": 1})
+    assert a.flush(5.0)
+    yield "put", a
+    a.put(KEY_A, {"v": 1})
+    assert a.flush(5.0)
+    yield "put again", a
+    assert a.get(KEY_A) == {"v": 1}
+    yield "memory get", a
+    forget_memory(a)
+    assert a.get(KEY_A) == {"v": 1}
+    yield "store get", a
+    a.close()
+
+    b = resolve_cache(f"tiered:{tmp_path / 'b'}|{tmp_path / 'r'}")
+    assert b.get(KEY_A) == {"v": 1}
+    yield "remote read-through", b
+    with open(b.store.local.path("results", KEY_A), "wb") as f:
+        f.write(b"not an envelope")
+    forget_memory(b)
+    assert b.get(KEY_A) == {"v": 1}
+    yield "corrupt envelope", b
+    LocalStore(str(tmp_path / "b")).put("results", KEY_B, pickle.dumps(_System()))
+    assert b.get(KEY_B) is None
+    yield "os.system payload", b
+    b.put_memos(KEY_C, {"m": 1})
+    assert b.flush(5.0)
+    assert b.get_memos_many([KEY_C, "12" * 32]) == {KEY_C: {"m": 1}}
+    yield "memos hit+miss", b
+    b.close()
+
+
+def test_each_cache_event_is_counted_once(tmp_path):
+    seen = []
+    for step, cache in _session(tmp_path):
+        policy = {k: v for k, v in dataclasses.asdict(cache.stats).items() if v}
+        tiers = {
+            tier: {k: v for k, v in tstats.counters().items() if v}
+            for tier, tstats in cache.tier_metrics()
+        }
+        seen.append((step, policy, tiers))
+        view = cache.counters()
+        assert {k: v for k, v in view.items() if "." not in k} == (
+            dataclasses.asdict(cache.stats)
+        )
+        for tier, counters in tiers.items():
+            for name, n in counters.items():
+                assert view[f"tier.{tier}.{name}"] == n
+    assert seen == SESSION
+
+
 def test_cache_stats_dataclass_new_fields_round_trip():
-    stats = CacheStats(remote_hits=3, skipped_stores=2)
-    d = stats.as_dict()
-    assert d["remote_hits"] == 3
-    assert d["skipped_stores"] == 2
-    assert set(d) >= {"memory_hits", "disk_hits", "misses", "stores",
+    stats = CacheStats(disk_hits=3, disk_evictions=2)
+    d = dataclasses.asdict(stats)
+    assert CacheStats(**d) == stats
+    assert set(d) == {"memory_hits", "disk_hits", "misses", "stores",
+                      "memory_evictions", "disk_evictions", "errors",
                       "memo_hits", "memo_misses", "memo_stores"}

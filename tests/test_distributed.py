@@ -34,6 +34,7 @@ from repro.obs.distributed import (
     stitch_event_logs,
     stream_from_report,
     validate_trace_field,
+    validate_wire_spans,
     wire_to_events,
 )
 from repro.obs.events import EventLog, SampleRing, validate_event_log
@@ -488,6 +489,63 @@ def test_stitch_event_logs_reassembles_request(tmp_path):
     assert all(e["args"]["trace_id"] == ctx.trace_id for e in xs)
     services = set(obj["otherData"]["services"])
     assert services == {"daemon", "store"}
+
+
+def _bad_span_record(trace_id, **span):
+    return {"type": "trace", "trace_id": trace_id, "at": 1, "spans": [span]}
+
+
+def test_validate_wire_spans_checks_what_stitching_reads():
+    good = json.loads(json.dumps(report_to_wire(_traced_report(), "daemon")))
+    assert validate_wire_spans(good) == []
+    assert validate_wire_spans([]) != []
+    assert validate_wire_spans(dict(good, wall_t0="now")) != []
+    assert validate_wire_spans(dict(good, spans=None)) != []
+    span = good["spans"][0]
+    for key in ("id", "name", "start", "dur"):
+        broken = {k: v for k, v in span.items() if k != key}
+        assert validate_wire_spans(dict(good, spans=[broken])) != [], key
+    for key, value in (("tid", None), ("attrs", []), ("parent", "x"), ("c", [[0]])):
+        assert validate_wire_spans(dict(good, spans=[dict(span, **{key: value})])) != [], key
+
+
+def test_malformed_span_record_is_invalid_and_skipped_when_stitching(tmp_path):
+    ctx = new_context()
+    log = tmp_path / "daemon.jsonl"
+    bad = [_bad_span_record(ctx.trace_id, name="x"),
+           dict(_bad_span_record(ctx.trace_id, name="x"), wall_t0=1.0)]
+    lines = [json.dumps(rec) for rec in bad]
+    assert all(validate_event_log([line]) for line in lines)
+    log.write_text("\n".join(lines) + "\n")
+    _, streams = stitch_event_logs([str(log)], ctx.trace_id)
+    assert streams == 0
+    EventLog(path=str(log)).emit_trace(report_to_wire(_traced_report(), "daemon", ctx))
+    assert validate_event_log(log.read_text().splitlines()[-1:]) == []
+    _, streams = stitch_event_logs([str(log)], ctx.trace_id)
+    assert streams == 1
+
+
+def test_client_trace_drops_a_malformed_daemon_payload(tmp_path, capsys):
+    from types import SimpleNamespace
+
+    from repro.__main__ import _client_compile_traced
+
+    class FakeClient:
+        def new_trace(self, sampled):
+            self.ctx = new_context(sampled)
+            return self.ctx
+
+        def compile(self, workload, trace, **params):
+            return {"workload": workload, "fingerprint": "f" * 64, "compile_ms": 1.0,
+                    "from_cache": True, "trace": {"wall_t0": 1.0, "spans": [{"name": "x"}]}}
+
+    out_path = str(tmp_path / "stitched.json")
+    args = SimpleNamespace(workload="conv2d", trace_out=out_path)
+    assert _client_compile_traced(FakeClient(), args, {}) == 0
+    assert "daemon returned no span payload" in capsys.readouterr().err
+    with open(out_path) as f:
+        obj = json.load(f)
+    assert validate_chrome_trace(obj) == [] and obj["otherData"]["services"] == ["client"]
 
 
 # -- CLI -------------------------------------------------------------------

@@ -218,14 +218,12 @@ class TestMetrics:
         report.add_span("pass_a", 0.5)
         report.add_span("pass_a", 0.25)
         report.add_count("memo.hit", 3)
-        report.merge_cache_stats({"disk_hits": 1})
         reg = MetricsRegistry()
         reg.absorb_report(report)
         snap = reg.snapshot()
         assert snap["counters"]["span.pass_a.calls"] == 2
         assert snap["gauges"]["span.pass_a.seconds"] == pytest.approx(0.75)
         assert snap["counters"]["memo.hit"] == 3
-        assert snap["counters"]["cache.disk_hits"] == 1
 
     def test_diff_and_format(self):
         a, b = self._snapshot(1.0), self._snapshot(2.0)

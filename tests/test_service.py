@@ -142,7 +142,8 @@ def test_corrupted_entry_is_evicted_not_fatal(tmp_path):
     fresh = CompileCache(cache_dir=str(tmp_path))
     assert fresh.get(key) is None
     assert not os.path.exists(path)
-    assert fresh.stats.errors == 1 and fresh.stats.disk_evictions == 1
+    counters = fresh.counters()
+    assert counters["tier.local.errors"] == 1 and counters["tier.local.evictions"] == 1
     # And a full cached_optimize still works afterwards.
     cached_optimize(build_conv(), options=CompileOptions(target="cpu", tile_sizes=(16, 16), cache=fresh))
     assert fresh.stats.stores == 1

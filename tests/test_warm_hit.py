@@ -355,6 +355,7 @@ def test_envelope_may_name_no_global_and_stale_schema_is_evicted(tmp_path):
             pickle.dump(entry, f)
         cache = CompileCache(cache_dir=str(tmp_path))
         assert cache.get(key) is None
-        assert cache.stats.errors == 1 and cache.stats.disk_evictions == 1
+        counters = cache.counters()
+        assert counters["tier.local.errors"] == 1 and counters["tier.local.evictions"] == 1
         assert not os.path.exists(path)
     assert not (tmp_path / "pwned").exists()

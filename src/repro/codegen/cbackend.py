@@ -7,7 +7,7 @@ compiler is available) builds and runs it.  Python and the executable
 exchange tensors as raw row-major ``float64`` files, ``<name>.bin`` in and
 ``<name>.out.bin`` out, which the executable maps instead of copying, so
 that its run time is the loop nest's.  The emitted code is exact *and* is
-what the optimizer decided, by five cooperating rules:
+what the optimizer decided, by six cooperating rules:
 
 * **Loops and guards.**  Loop bounds are the Fourier–Motzkin bounds of the
   member statements: per member the ``max`` of its lower bounds, over
@@ -50,6 +50,14 @@ what the optimizer decided, by five cooperating rules:
   parallel for`` unless an extension beneath it writes a tensor that stays
   a global array: every tile would rewrite it while a neighbour reads it,
   so that loop runs serially (``codegen.c.parallel_dropped.<why>``).
+* **Loop order.**  Before the scan, a point loop that is parallel, not
+  outermost and feeds a reduction goes beneath the reduction's own loop
+  when that leaves the update fewer strided accesses in row-major order
+  (:func:`repro.codegen.loop_order.sink_unit_stride`): a contraction's
+  ``for j { init; for k: update }`` becomes ``for j: init; for k: for j:
+  update``, a 3x3 convolution keeps its order.  Every element still
+  accumulates in ``k`` order, so the output is bit-identical; what moved
+  is ``codegen.c.loops_sunk`` and the span's ``sunk`` attribute.
 
 Statement dimensions are recovered from the band pin equalities.  The
 round trip (generate → gcc -fopenmp → run → compare with the interpreter)
@@ -74,6 +82,7 @@ from ..ir import Affine, BinOp, Call, Const, Expr, Load, Program, REDUCE, Tensor
 from ..presburger import Constraint, LinExpr
 from ..presburger.fm import projected_bounds
 from ..schedule import DomainNode
+from .loop_order import sink_unit_stride
 from .nest import Extension, Leaf, Loop, Mark, Nest, Seq, inner, scan
 from .promotion import TileBox, entails, live_in_tensors, sites_in, tile_box
 
@@ -303,6 +312,7 @@ def _generate_c(
             raise CBackendError(f"cannot allocate: {exc}") from exc
         live_in = live_in_tensors(program, params)
         mapped = [t for t in program.tensors if t in live_in or t in program.liveout]
+        tree, sunk = sink_unit_stride(tree, program)
         nest = scan(tree, program, params)
         sites, kept = sites_in(nest, program, live_in)
         dropped: Dict[str, List[str]] = {}
@@ -331,6 +341,7 @@ def _generate_c(
             tensors_read=len(live_in),
             not_promoted="; ".join(f"{t}: {why}" for t, why in body.kept.items()),
             parallel_dropped="; ".join(f"{v}: {', '.join(ts)}" for v, ts in dropped.items()),
+            sunk="; ".join(map(str, sunk)),
         )
         obs.count("codegen.c.guards_kept", body.guards_kept)
         obs.count("codegen.c.guards_elided", body.guards_elided)
@@ -338,6 +349,7 @@ def _generate_c(
         obs.count("codegen.c.promoted_buffers", len(body.scratch))
         obs.count("codegen.c.scratch_bytes", scratch_bytes)
         obs.count("codegen.c.tensors_read", len(live_in))
+        obs.count("codegen.c.loops_sunk", len(sunk))
         for why in body.kept.values():
             obs.count(f"codegen.c.not_promoted.{why.replace(' ', '_')}")
         for shared in dropped.values():

@@ -2,9 +2,10 @@
 
 What a schedule tree *means* is decided here and nowhere else in
 ``repro.codegen``: :func:`scan` is the only code that pattern-matches on
-band, filter, sequence, extension and mark nodes (``gpu_mapping`` rewrites
-trees; it does not read them).  It walks the tree once, carrying per
-statement the pieces (conjunctions) of its instance set, and returns
+band, filter, sequence, extension and mark nodes (``gpu_mapping`` and
+``loop_order`` rewrite trees; they do not read them).  It walks the tree
+once, carrying per statement the pieces (conjunctions) of its instance
+set, and returns
 
 * a :class:`Loop` per band dimension, carrying per member piece the system
   in force when the loop opens and the piece's schedule row; beneath it

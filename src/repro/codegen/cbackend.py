@@ -7,7 +7,7 @@ compiler is available) builds and runs it.  Python and the executable
 exchange tensors as raw row-major ``float64`` files, ``<name>.bin`` in and
 ``<name>.out.bin`` out, which the executable maps instead of copying, so
 that its run time is the loop nest's.  The emitted code is exact *and* is
-what the optimizer decided, by six cooperating rules:
+what the optimizer decided, by seven cooperating rules:
 
 * **Loops and guards.**  Loop bounds are the Fourier–Motzkin bounds of the
   member statements: per member the ``max`` of its lower bounds, over
@@ -25,15 +25,21 @@ what the optimizer decided, by six cooperating rules:
   statements, read only beneath that node, and neither live-in nor
   live-out (:func:`repro.codegen.promotion.scratch_sites`) is a
   thread-private buffer the size of its per-tile footprint box, indexed
-  ``idx - origin(tile)`` (:func:`repro.codegen.promotion.tile_box`).  It
-  stays a global array when no affine origin exists or the box would be as
-  large as the tensor.
+  ``idx - origin(tile)`` (:func:`repro.codegen.promotion.tile_box`).  So is
+  a live-in whose initial contents only its elementwise update reads
+  (:func:`repro.codegen.promotion.updated_in_place`, conv2d's ``A =
+  quant(A)``): the update reads the original from the mapping and writes
+  the buffer, ``<name>_tile``, which every other reader reads, so a tile
+  that recomputes a neighbour's halo computes it from the originals.  A
+  buffer stays a global array when no affine origin exists or the box
+  would be as large as the tensor.
 * **Liveness.**  Only tensors whose initial contents the program can
   observe (:func:`repro.codegen.promotion.live_in_tensors`) are taken from
   ``<name>.bin``; everything else starts zeroed.
 * **Exchange.**  Tensors are mapped, not copied.  A live-in is a private
-  mapping of its file (read-only and ``const`` unless a statement writes
-  it, then copy-on-write: the file is never modified); a live-out is
+  mapping of its file (read-only and ``const`` unless the nest writes it,
+  then copy-on-write: the file is never modified; an in-place update
+  with a tile buffer writes the buffer, not the mapping); a live-out is
   computed in a shared mapping of ``<name>.out.bin``, sized by
   ``ftruncate`` and first filled from ``<name>.bin`` when it is live-in
   too (a live-out is written everywhere or live-in, so a stale file needs
@@ -55,9 +61,19 @@ what the optimizer decided, by six cooperating rules:
   when that leaves the update fewer strided accesses in row-major order
   (:func:`repro.codegen.loop_order.sink_unit_stride`): a contraction's
   ``for j { init; for k: update }`` becomes ``for j: init; for k: for j:
-  update``, a 3x3 convolution keeps its order.  Every element still
-  accumulates in ``k`` order, so the output is bit-identical; what moved
-  is ``codegen.c.loops_sunk`` and the span's ``sunk`` attribute.
+  update``, and so does a 3x3 convolution's window, where the counts tie.
+  Every element still accumulates in ``k`` order, so the output is
+  bit-identical; what moved is ``codegen.c.loops_sunk`` and the span's
+  ``sunk`` attribute.
+* **Vector loops.**  A coincident point loop with no loop inside it is
+  ``#pragma omp simd``: the proof ``#pragma omp parallel for`` relies on,
+  that no two iterations depend on each other, handed to gcc, which the
+  build's ``-fopenmp-simd`` and ``-march=native`` let vectorise at the
+  host's width (:data:`CFLAGS`).  ``-ffp-contract=off`` and no
+  ``-ffast-math`` keep each lane's arithmetic the scalar one, so the
+  live-outs are bit-identical to a plain ``-O2`` build's.  What was
+  marked is ``codegen.c.simd_loops`` and the span's ``simd`` attribute
+  (the loop variables); the decision is the backend's alone.
 
 Statement dimensions are recovered from the band pin equalities.  The
 round trip (generate → gcc -fopenmp → run → compare with the interpreter)
@@ -84,7 +100,14 @@ from ..presburger.fm import projected_bounds
 from ..schedule import DomainNode
 from .loop_order import sink_unit_stride
 from .nest import Extension, Leaf, Loop, Mark, Nest, Seq, inner, scan
-from .promotion import TileBox, entails, live_in_tensors, sites_in, tile_box
+from .promotion import (
+    TileBox,
+    entails,
+    live_in_tensors,
+    sites_in,
+    tile_box,
+    updated_in_place,
+)
 
 HEADER = """\
 #include <stdio.h>
@@ -314,7 +337,9 @@ def _generate_c(
         mapped = [t for t in program.tensors if t in live_in or t in program.liveout]
         tree, sunk = sink_unit_stride(tree, program)
         nest = scan(tree, program, params)
-        sites, kept = sites_in(nest, program, live_in)
+        sites, kept = sites_in(
+            nest, program, live_in, updated_in_place(program, live_in, params)
+        )
         dropped: Dict[str, List[str]] = {}
         while True:
             body = _CBody(program, params, shapes, sites, dict(kept), mapped)
@@ -342,6 +367,7 @@ def _generate_c(
             not_promoted="; ".join(f"{t}: {why}" for t, why in body.kept.items()),
             parallel_dropped="; ".join(f"{v}: {', '.join(ts)}" for v, ts in dropped.items()),
             sunk="; ".join(map(str, sunk)),
+            simd=", ".join(body.simd),
         )
         obs.count("codegen.c.guards_kept", body.guards_kept)
         obs.count("codegen.c.guards_elided", body.guards_elided)
@@ -350,6 +376,7 @@ def _generate_c(
         obs.count("codegen.c.scratch_bytes", scratch_bytes)
         obs.count("codegen.c.tensors_read", len(live_in))
         obs.count("codegen.c.loops_sunk", len(sunk))
+        obs.count("codegen.c.simd_loops", len(body.simd))
         for why in body.kept.values():
             obs.count(f"codegen.c.not_promoted.{why.replace(' ', '_')}")
         for shared in dropped.values():
@@ -376,6 +403,10 @@ def _race_free(
         if any(a is not b for a, b in zip(below, inner(node))):
             return Seq(below) if isinstance(node, Seq) else Mark(node.mark, *below)
     return node
+
+
+def _has_loop(node: Nest) -> bool:
+    return isinstance(node, Loop) or any(_has_loop(c) for c in inner(node))
 
 
 def _extension_writes(node: Nest, program: Program) -> List[str]:
@@ -424,12 +455,25 @@ class _CBody:
         self.program = program
         self.params = dict(params)
         self.shapes = shapes
-        self.names = c_names(program.tensors)
         self.mapped = mapped                  # parameters of ``nest``
+        # A mapped tensor's tile buffer needs a name of its own: the
+        # tensor's, plus ``_tile`` (and underscores while that is taken).
+        taken = set(program.tensors)
+        tiles: Dict[str, str] = {}
+        for name in mapped:
+            tile = f"{name}_tile"
+            while tile in taken:
+                tile += "_"
+            taken.add(tile)
+            tiles[name] = tile
+        idents = c_names([*program.tensors, *tiles.values()])
+        self.names = {name: idents[name] for name in program.tensors}
+        self.buffer = {name: idents[tiles.get(name, name)] for name in program.tensors}
         self.sites = sites
         self.kept = kept                      # tensor -> why it stays global
         self.scratch: Dict[str, TileBox] = {}  # promoted, origin in loop vars
         self.demoted: List[str] = []
+        self.simd: List[str] = []             # the loop vars marked ``omp simd``
         self.lines: List[str] = []
         # What the open loops guarantee, over loop vars; a tile loop var T
         # appears as size * q (self.tiles[T] = (q, size)), so that GCD
@@ -583,8 +627,15 @@ class _CBody:
             if re.fullmatch(r"-?\d+", lo_text):
                 init = str(int(lo_text) // size * size)
         step = f" += {size}" if size else "++"
+        # A coincident point loop around statements alone is a vector loop:
+        # no two of its iterations depend on each other.
+        simd = loop.coincident and size is None and not _has_loop(loop.body)
+        if simd:
+            self.simd.append(var)
         if loop.parallel:
-            self.emit(depth, "#pragma omp parallel for")
+            self.emit(depth, "#pragma omp parallel for" + " simd" * simd)
+        elif simd:
+            self.emit(depth, "#pragma omp simd")
         self.emit(
             depth,
             f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{",
@@ -648,6 +699,9 @@ class _CBody:
         def ref(load: Load) -> str:
             index = [i.substitute(self.params).substitute(solved) for i in load.indices]
             box = self.scratch.get(load.tensor)
+            in_place = load is not stmt.lhs and load.tensor == stmt.lhs.tensor
+            if in_place and load.tensor in self.mapped:
+                box = None  # the update reads the original, from the mapping
             if box is not None:
                 index = [i - o for i, o in zip(index, box.origin)]
                 if load is not stmt.lhs and not all(
@@ -656,9 +710,11 @@ class _CBody:
                     for i, extent in zip(index, box.shape)
                 ) and load.tensor not in self.demoted:
                     self.demoted.append(load.tensor)
-            name = self.names[load.tensor]
-            if load.tensor in self.mapped:
-                name = f"(*{name})"
+                name = self.buffer[load.tensor]
+            else:
+                name = self.names[load.tensor]
+                if load.tensor in self.mapped:
+                    name = f"(*{name})"
             return name + "".join(f"[{_linexpr_c(i, q_text)}]" for i in index)
 
         env = {d: _linexpr_c(e, {}) for d, e in solved.items()}
@@ -699,22 +755,28 @@ class _CBody:
         """The unmapped arrays, ``nest`` around the walked body, and a
         ``main`` that maps the other tensors, calls it and times the call."""
         program = self.program
+        # the mapped tensors the nest writes: an in-place update of a
+        # promoted one writes its tile buffer instead
+        written = {
+            name for name in self.mapped
+            if program.writers_of(name) and name not in self.scratch
+        }
 
         def pointer(name: str, qualifier: str = "") -> str:
-            const = "" if program.writers_of(name) else "const "
+            const = "" if name in written else "const "
             dims = "".join(f"[{e}]" for e in self.shapes[name])
             return f"{const}double (*{qualifier}{self.names[name]}){dims}"
 
         lines: List[str] = [HEADER]
         for name in program.tensors:
-            if name in self.mapped:
-                continue
             box = self.scratch.get(name)
+            if name in self.mapped and box is None:
+                continue
             dims = "".join(f"[{e}]" for e in (box.shape if box else self.shapes[name]))
-            lines.append(f"static double {self.names[name]}{dims};")
+            lines.append(f"static double {self.buffer[name]}{dims};")
             if box is not None:
                 # one buffer per thread: a tile runs on one thread
-                lines.append(f"#pragma omp threadprivate({self.names[name]})")
+                lines.append(f"#pragma omp threadprivate({self.buffer[name]})")
         lines.append("")
         params = ", ".join(pointer(name, "restrict ") for name in self.mapped)
         lines.append(f"static void nest({params}) {{")
@@ -728,7 +790,7 @@ class _CBody:
                 init = f'"{name}.bin"' if name in live_in else "NULL"
                 mapping = f'map_out("{name}.out.bin", {size}, {init})'
             else:
-                prot = "PROT_READ | PROT_WRITE" if program.writers_of(name) else "PROT_READ"
+                prot = "PROT_READ | PROT_WRITE" if name in written else "PROT_READ"
                 mapping = f'map_in("{name}.bin", {size}, {prot})'
             lines.append(f"  {pointer(name)} = {mapping};")
         lines.append("  double nest_ms = now_ms();")
@@ -773,6 +835,15 @@ def _combine_c(parts: List[str], fn: str) -> str:
 # compile & run
 
 
+#: The one flag list every build uses (``-fopenmp`` is added for OpenMP).
+#: ``-march=native`` gives the vector loops the host's width;
+#: ``-ffp-contract=off`` forbids fusing a multiply and an add, so every
+#: lane computes what a scalar build computes, bit for bit (there is no
+#: ``-ffast-math``: nothing is reassociated); ``-fopenmp-simd`` honours
+#: ``#pragma omp simd`` without the OpenMP runtime.
+CFLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-fopenmp-simd")
+
+
 def compiler_available() -> bool:
     return shutil.which("gcc") is not None or shutil.which("cc") is not None
 
@@ -785,11 +856,14 @@ def compile_and_run(
     keep_dir: Optional[str] = None,
     openmp: bool = True,
 ) -> Dict[str, np.ndarray]:
-    """Generate, compile (gcc -O2 [-fopenmp]), execute, collect live-outs.
+    """Generate, compile, execute, collect live-outs.
 
     ``store`` provides the input tensor contents; the returned dict maps
-    live-out tensor names to the arrays the C program produced.  Under
-    OpenMP a loop whose tiles would all rewrite one global array
+    live-out tensor names to the arrays the C program produced.  The build
+    is ``gcc -O2 -march=native -ffp-contract=off -fopenmp-simd``
+    (:data:`CFLAGS`), plus ``-fopenmp`` under OpenMP: vector loops at the
+    host's width, and live-outs bit-identical to a plain ``-O2`` build's.
+    Under OpenMP a loop whose tiles would all rewrite one global array
     (covariance's ``mean``) is emitted serial, so both builds compute the
     same values; ``openmp=False`` is for callers that time the result.
 
@@ -797,11 +871,14 @@ def compile_and_run(
     :class:`CBackendError` carrying the executable's message.  Live-outs
     are written through a mapping of a sparse file, so a disk that fills
     during the run is a ``SIGBUS`` (return code -7), not a short file.
+    A build that fails counts ``codegen.c.errors.compile``, a run that
+    fails ``codegen.c.errors.exec``.
     """
     params = dict(program.params, **(params or {}))
     source, live_in = _generate_c(tree, program, params)
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
+        obs.count("codegen.c.errors.compile")
         raise CBackendError("no C compiler available")
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_c_")
     try:
@@ -810,11 +887,12 @@ def compile_and_run(
         with open(src_path, "w") as f:
             f.write(source)
         exe = os.path.join(workdir, "kernel")
-        cmd = [cc, "-O2", src_path, "-o", exe, "-lm"]
+        cmd = [cc, *CFLAGS, src_path, "-o", exe, "-lm"]
         if openmp:
-            cmd.insert(2, "-fopenmp")
+            cmd.insert(1, "-fopenmp")
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
+            obs.count("codegen.c.errors.compile")
             raise CBackendError(f"compilation failed:\n{proc.stderr}\n--- source ---\n{source}")
         for name in live_in:
             # no copy when the store already holds float64
@@ -823,6 +901,7 @@ def compile_and_run(
             )
         proc = subprocess.run([exe], cwd=workdir, capture_output=True, text=True)
         if proc.returncode != 0:
+            obs.count("codegen.c.errors.exec")
             raise CBackendError(f"execution failed ({proc.returncode}): {proc.stderr}")
         out: Dict[str, np.ndarray] = {}
         for t in program.liveout:

@@ -24,9 +24,13 @@ strided accesses, its target included, once with ``k`` innermost and once
 with ``j`` innermost.  In row-major order an access is unit-stride in an
 iterator that appears only in its last index, with coefficient ±1,
 invariant in one that appears in no index, and strided otherwise.  ``j``
-sinks only when that makes the count strictly smaller: a contraction's
-column walk becomes a row walk, while a 3x3 convolution, unit-stride
-either way, keeps its order.
+sinks unless that makes the count larger: a contraction's column walk
+becomes a row walk, and a 3x3 convolution, unit-stride either way, runs
+``w`` beneath its window.  A tie sinks because only then is the innermost
+loop coincident: the C backend marks exactly such a loop ``#pragma omp
+simd``, and a 3-iteration window loop is no vector loop.  Built scalar,
+the sunk convolution was the slower order; vectorised it is the faster
+(EXPERIMENTS.md, "Tiles run at the host's vector width").
 
 **Why it is exact.**  ``j`` is coincident: no dependence that the
 enclosing loops leave unsatisfied crosses two of its values, so running
@@ -169,7 +173,7 @@ def _reduction_won(filt: FilterNode, band: BandNode, program: Program) -> Option
     if j is None or k is None:
         return None
     accesses = [stmt.lhs, *stmt.rhs.loads()]
-    if _strided(accesses, j) < _strided(accesses, k):
+    if _strided(accesses, j) <= _strided(accesses, k):
         return reduction.dim_names[-1]
     return None
 

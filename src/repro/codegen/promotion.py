@@ -15,9 +15,10 @@ rectangular over-approximation).  Two consumers:
   layout relation ``element -> slot`` for *every* tile; with no symbol
   free it is the constant box above) and first asks whether a buffer is
   unobservable: :func:`sites_in` its loop nest (:func:`scratch_sites`
-  for a tree), over the same tensors, with :func:`live_in_tensors`.  The
-  model asks no such question — it prices conv2d's in-place ``A`` as
-  promoted, C must keep it global.
+  for a tree), over the same tensors, with :func:`live_in_tensors` and
+  :func:`updated_in_place`.  The model asks no such question; it prices
+  conv2d's in-place ``A`` as promoted, and C allocates the same box,
+  because only ``A``'s elementwise update reads its initial contents.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set as PySet, Tuple
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
 from ..core.footprint import box_extents, interior_tile_origin, tile_image
 from .. import obs
-from ..ir import Program
+from ..ir import ASSIGN, Program
 from ..presburger import BasicSet, Constraint, LinExpr, Map, Set, SetSpace
 from ..presburger.fm import (
     eliminate_symbols,
@@ -320,10 +321,6 @@ def live_in_tensors(
     written: Dict[str, Set] = {}
     live: PySet[str] = set()
     for stmt in program.statements:
-        pieces = [
-            [c.substitute(params) for c in p.constraints]
-            for p in stmt.domain.pieces
-        ]
         for tensor in stmt.tensors_read():
             if tensor in live:
                 continue
@@ -331,19 +328,7 @@ def live_in_tensors(
             if cover is None:
                 live.add(tensor)
                 continue
-            loads = [
-                [i.substitute(params) for i in load.indices]
-                for load in stmt.read_loads()
-                if load.tensor == tensor
-            ]
-            if all(
-                _within_one_piece(indices, instances, cover)
-                for indices in loads
-                for instances in pieces
-            ):
-                continue
-            reads = stmt.read_relations()[(stmt.name, tensor)]
-            if not _footprint(reads, params).is_subset(cover):
+            if not _reads_within(stmt, tensor, cover, params):
                 live.add(tensor)
         target = stmt.tensor_written()
         if target not in live:
@@ -369,15 +354,93 @@ def live_in_tensors(
     return tuple(t for t in program.tensors if t in live)
 
 
+def _reads_within(stmt, tensor: str, cover: Set, params: Mapping[str, int]) -> bool:
+    """Whether every element of ``tensor`` that ``stmt`` reads lies in
+    ``cover``."""
+    pieces = [[c.substitute(params) for c in p.constraints] for p in stmt.domain.pieces]
+    loads = [
+        [i.substitute(params) for i in load.indices]
+        for load in stmt.read_loads()
+        if load.tensor == tensor
+    ]
+    if all(
+        _within_one_piece(indices, instances, cover)
+        for indices in loads
+        for instances in pieces
+    ):
+        return True
+    reads = stmt.read_relations()[(stmt.name, tensor)]
+    return _footprint(reads, params).is_subset(cover)
+
+
+def updated_in_place(
+    program: Program, live_in: Sequence[str], params: Optional[Mapping[str, int]] = None
+) -> Tuple[str, ...]:
+    """The live-ins whose initial contents only an elementwise update reads.
+
+    Such a tensor (conv2d's ``A = quant(A)``) has one writer, an assignment
+    whose instances each write their own element and read, of the tensor,
+    only that element; every other reader comes after it in program order
+    and reads only elements it certainly wrote; and the tensor is not
+    live-out.  So each initial element is read once, by the instance that
+    replaces it, and every later read sees a replacement: the C backend
+    may read the originals from a read-only mapping and keep the
+    replacements in a per-tile buffer, however often a tile recomputes one.
+    """
+    params = dict(program.params, **(params or {}))
+    out: List[str] = []
+    for tensor in live_in:
+        writers = program.writers_of(tensor)
+        if tensor in program.liveout or len(writers) != 1:
+            continue
+        (writer,) = writers
+        if (
+            writer.kind != ASSIGN
+            or not _one_element_each(writer)
+            or any(
+                load.indices != writer.lhs.indices
+                for load in writer.read_loads()
+                if load.tensor == tensor
+            )
+        ):
+            continue
+        cover = _certainly_written(writer, params)
+        first = program.statement_index(writer.name)
+        if all(
+            program.statement_index(reader.name) > first
+            and _reads_within(reader, tensor, cover, params)
+            for reader in program.readers_of(tensor)
+            if reader is not writer
+        ):
+            out.append(tensor)
+    return tuple(out)
+
+
+def _one_element_each(stmt) -> bool:
+    """Whether no two instances of ``stmt`` write one element: each index
+    steps its own dimension by ±1, and every dimension has one."""
+    stepped = []
+    for index in stmt.lhs.indices:
+        dims = [d for d in stmt.dims if index.coeff(d)]
+        if len(dims) != 1 or abs(index.coeff(dims[0])) != 1:
+            return False
+        stepped.append(dims[0])
+    return sorted(stepped) == sorted(stmt.dims)
+
+
 def scratch_sites(
-    tree: DomainNode, program: Program, live_in: Sequence[str]
+    tree: DomainNode, program: Program
 ) -> Tuple[Dict[str, Extension], Dict[str, str]]:
     """:func:`sites_in` the tree's executable loop nest."""
-    return sites_in(scan(tree, program, program.params), program, live_in)
+    live_in = live_in_tensors(program)
+    return sites_in(
+        scan(tree, program, program.params), program, live_in,
+        updated_in_place(program, live_in),
+    )
 
 
 def sites_in(
-    nest: Nest, program: Program, live_in: Sequence[str]
+    nest: Nest, program: Program, live_in: Sequence[str], in_place: Sequence[str]
 ) -> Tuple[Dict[str, Extension], Dict[str, str]]:
     """Where each fused intermediate may live in a per-tile buffer.
 
@@ -385,8 +448,10 @@ def sites_in(
     beneath which ``tensor`` can be private to one tile: every statement
     writing it is introduced by that scope and runs nowhere else, every
     statement reading it runs beneath the scope, and neither its initial
-    nor its final contents are observable.  ``kept[tensor]`` says why a
-    tensor some extension writes stays a global array.
+    nor its final contents are observable, or only its elementwise update
+    (``in_place``, from :func:`updated_in_place`) reads the initial ones.
+    ``kept[tensor]`` says why a tensor some extension writes stays a
+    global array.
     """
     introduced: Dict[str, List[Extension]] = {}
     runs_under: Dict[str, List[Tuple[Extension, ...]]] = {}
@@ -419,7 +484,7 @@ def sites_in(
         writers = [s.name for s in program.writers_of(tensor)]
         nodes = {id(n): n for w in writers for n in introduced.get(w, ())}
         node = next(iter(nodes.values()))
-        if tensor in live_in:
+        if tensor in live_in and tensor not in in_place:
             kept[tensor] = "live-in"
         elif tensor in program.liveout:
             kept[tensor] = "live-out"

@@ -3,9 +3,9 @@ the reduction it feeds when that makes the reduction's accesses
 unit-stride (``repro.codegen.loop_order``).
 
 Counts, not clocks: which statements move at each workload's default size,
-that the stencil reductions and equake do not, that every rewritten tree
-is legal, that the rewrite declines where it must, and that it leaves the
-parallel loops alone.  ``tests/test_cbackend.py`` runs the rewritten C
+that equake's sparse row and the matrix-vector reductions do not, that
+every rewritten tree is legal, that the rewrite declines where it must,
+and that it leaves the parallel loops alone.  ``tests/test_cbackend.py`` runs the rewritten C
 against ``execute_naive`` (``SMALL``) and pins its digests (``AT_PARENT``).
 """
 
@@ -35,30 +35,34 @@ from repro.workloads import default_tile_sizes, get_workload, workload_names
 
 #: Per ``workload_names()`` entry at its default size and tiles: the
 #: statements whose update runs ``j`` innermost.  Every other workload
-#: keeps its order.  Each listed statement has one strided access (a
-#: column walk: ``B[k][j]``, ``A2[j][i]``, ``data[k][j]``) that becomes
-#: unit-stride.  covariance's ``Sm1`` moves in its copy beneath the tile
-#: band; its top-level copy is outermost and skipped.  mvt's ``Sx2`` walks
-#: ``A`` down a column too, but its reduction is the second dimension of
-#: its own point band, not a band beneath one, so the rule does not see it.
+#: keeps its order.  The contractions have one strided access (a column
+#: walk: ``B[k][j]``, ``A2[j][i]``, ``data[k][j]``) that becomes
+#: unit-stride.  The convolution windows (conv2d, conv_bn, camera_resnet,
+#: edge_infer) are unit-stride either way; the tie sinks, so that the
+#: innermost loop is the coincident one ``#pragma omp simd`` marks.
+#: covariance's ``Sm1`` moves in its copy beneath the tile band; its
+#: top-level copy is outermost and skipped.  mvt's ``Sx2`` walks ``A`` down
+#: a column too, but its reduction is the second dimension of its own point
+#: band, not a band beneath one, so the rule does not see it.
 SUNK = {
     "2mm": ("St1", "Sd1"),
     "3mm": ("Se1", "Sf1", "Sg1"),
     "atax": ("Sy1",),
     "bicg": ("Ss1",),
+    "camera_resnet": ("Sconv1", "Sconv2"),
+    "conv2d": ("S2",),
+    "conv_bn": ("Sconv1",),
     "covariance": ("Sm1", "Sv1"),
     "doitgen": ("Sd1",),
+    "edge_infer": ("Sconv",),
     "gemver": ("Sx1",),
 }
 
-#: Reductions that must keep their order: a 3x3 (or 1x1) window is already
-#: unit-stride in its innermost dimension, so the counts tie; equake's
-#: sparse row reads ``x[i + k - 13]``, unit-stride in ``k``.
+#: Reductions that must keep their order, because ``j`` innermost would add
+#: a strided access: equake's sparse row reads ``x[i + k - 13]``,
+#: unit-stride in ``k``, and a matrix-vector row (``A[i][j] * x[j]``) is
+#: unit-stride in its reduction dimension.
 KEPT = {
-    "conv2d": ("S2",),
-    "conv_bn": ("Sconv1",),
-    "camera_resnet": ("Sconv1", "Sconv2"),
-    "edge_infer": ("Sconv",),
     "equake": ("Sspmv",),
     "gemver": ("Sw1",),
     "atax": ("St1",),
@@ -85,7 +89,7 @@ def test_which_statements_are_sunk(name):
     assert set(KEPT.get(name, ())) <= reductions - {s.stmt for s in sunk}
 
 
-@pytest.mark.parametrize("name", sorted(SUNK) + ["conv2d"])
+@pytest.mark.parametrize("name", sorted(SUNK) + ["equake"])
 def test_generate_c_reports_what_it_sank(name):
     """``codegen.c.loops_sunk`` and the span's ``sunk`` attribute, as
     ``repro optimize --stats`` and a trace show them."""
@@ -111,6 +115,7 @@ VALIDATE = [
     ("covariance", 12, (4, 8)),
     ("doitgen", 6, (4, 4)),
     ("gemver", 16, (4, 8)),
+    ("conv2d", 10, (4, 4)),
 ]
 
 

@@ -13,21 +13,14 @@ Two parts:
 * **Table I sanity** — the tuned size is the argmin and degenerate tilings
   lose to it; Table I's published sizes stay near-competitive.
 
-* **Pruned sweep** (``--pruned``) — collect a dataset from the exhaustive
-  sweeps, fit the ranking model, rerun with ``search="pruned"`` and assert
-  the learned cut reaches the identical ``best_sizes`` with >= 5x fewer
-  exact cost-model evaluations.
-
 ``--quick`` runs the parity assertions only (2 workloads, no timing
-thresholds) — that is what CI's autotune-parity and learned-autotune
-jobs execute.
+thresholds) — that is what CI's autotune-parity job executes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 from unittest import mock
@@ -121,70 +114,6 @@ def compute_parametric_sweep(workloads=SWEEP_WORKLOADS, reps: int = 3):
     return rows, raw
 
 
-#: Required evaluation-count reduction of the pruned search.
-PRUNE_FACTOR = 5.0
-
-
-def compute_pruned_sweep(workloads=SWEEP_WORKLOADS):
-    """Collect -> fit -> pruned rerun; asserts parity and >= 5x reduction."""
-    import tempfile
-
-    from repro.api import get_workload
-    from repro.data import Dataset
-    from repro.learn import fit_records, save_model
-
-    rows, raw = [], {}
-    with tempfile.TemporaryDirectory() as tmp:
-        dataset = Dataset(os.path.join(tmp, "autotune.jsonl"))
-        programs, exhaustive = {}, {}
-        for name in workloads:
-            prog = get_workload(name, SWEEP_SIZE)
-            programs[name] = prog
-            exhaustive[name] = autotune_tile_sizes(
-                prog, threads=32, candidates=SWEEP_CANDIDATES, dims=2,
-                collect=dataset,
-            )
-        model = fit_records(dataset.records())
-        model_path = save_model(model, os.path.join(tmp, "ranker.pkl"))
-        for name in workloads:
-            ex = exhaustive[name]
-            pr = autotune_tile_sizes(
-                programs[name], threads=32, candidates=SWEEP_CANDIDATES,
-                dims=2, search="pruned", model=model_path, collect=False,
-            )
-            assert pr.search == "pruned", (
-                f"{name}: pruned search fell back: {pr.fallback_reason}"
-            )
-            assert pr.best_sizes == ex.best_sizes, (
-                f"{name}: pruned best {pr.best_sizes} != "
-                f"exhaustive best {ex.best_sizes}"
-            )
-            reduction = ex.exact_evaluations / max(pr.exact_evaluations, 1)
-            assert reduction >= PRUNE_FACTOR, (
-                f"{name}: only {reduction:.1f}x fewer exact evaluations "
-                f"({ex.exact_evaluations} -> {pr.exact_evaluations}), "
-                f"need >= {PRUNE_FACTOR}x"
-            )
-            raw[name] = {
-                "best_sizes": list(ex.best_sizes),
-                "exhaustive_evals": ex.exact_evaluations,
-                "pruned_evals": pr.exact_evaluations,
-                "pruned_out": pr.pruned_out,
-                "reduction": reduction,
-                "parity": True,
-            }
-            rows.append(
-                [
-                    name,
-                    str(ex.exact_evaluations),
-                    str(pr.exact_evaluations),
-                    "x".join(map(str, pr.best_sizes)),
-                    f"{reduction:.1f}x",
-                ]
-            )
-    return rows, raw
-
-
 def compute_autotune():
     rows = []
     raw = {}
@@ -259,27 +188,7 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="parity assertions only (2 workloads, no timing threshold)",
     )
-    ap.add_argument(
-        "--pruned", action="store_true",
-        help="learned-pruning sweep: collect, fit, rerun pruned and assert "
-        "best-sizes parity with >= 5x fewer exact evaluations",
-    )
     args = ap.parse_args(argv)
-
-    if args.pruned:
-        workloads = ("unsharp_mask", "harris") if args.quick else SWEEP_WORKLOADS
-        rows, raw = compute_pruned_sweep(workloads=workloads)
-        print_table(
-            "Learned pruning: exhaustive vs pruned exact evaluations",
-            ["benchmark", "exhaustive", "pruned", "best", "reduction"],
-            rows,
-        )
-        save_results("autotune_pruned", raw)
-        print(
-            f"pruned parity: OK (best sizes identical, "
-            f">= {PRUNE_FACTOR:.0f}x fewer exact evaluations)"
-        )
-        return 0
 
     if args.quick:
         rows, raw = compute_parametric_sweep(

@@ -12,17 +12,9 @@ Subcommands:
   across heterogeneous targets with the beam-search partitioner, compile
   each partition for its target and print the assignment, cut edges and
   modeled mixed-vs-single-target costs;
-* ``tune <workload>`` — tile-size auto-tuning against the machine model
-  (``--jobs N`` fans candidates out over the batch-compile driver;
-  ``--search pruned`` ranks the grid with the learned model and runs
-  exact evaluation only on the top-k; ``--collect`` appends every
-  evaluated candidate to the autotune dataset);
-* ``data info|export|clear`` — inspect, export or delete the autotune
-  candidate dataset (``<cache dir>/datasets/autotune.jsonl``, or
-  ``$REPRO_DATASET`` / ``--dataset PATH``);
-* ``learn fit`` — fit the tile-size ranking model on the dataset and
-  pickle it for ``tune --search pruned`` (``learn info`` shows a fitted
-  model's metadata);
+* ``tune <workload>`` — exhaustive tile-size auto-tuning against the
+  machine model (``--jobs N`` fans candidates out over the batch-compile
+  driver; the compile cache makes a repeated sweep all hits);
 * ``trace <workload> -o trace.json`` — compile under a tracing collector
   and export the hierarchical span events as Chrome trace-event JSON
   (loadable in Perfetto / ``chrome://tracing``) or JSONL;
@@ -346,25 +338,14 @@ def cmd_tune(args) -> int:
         jobs=args.jobs,
         cache=None if args.no_cache else default_cache(),
     )
-    collect = args.collect if args.collect is not None else None
-    if collect == "":
-        collect = True  # bare --collect: the default store
     result = autotune_tile_sizes(
         prog,
         threads=args.threads,
         candidates=candidates,
         options=options,
-        search=args.search,
-        model=args.model,
-        top_k=args.top_k,
-        collect=collect,
     )
     print(f"searched {len(result.evaluations)} tilings "
-          f"in {result.tuning_seconds:.1f} s ({result.search})")
-    if result.pruned_out:
-        print(f"pruned:          {result.pruned_out} candidates cut by the model")
-    if result.fallback_reason:
-        print(f"fallback:        {result.fallback_reason}")
+          f"in {result.tuning_seconds:.1f} s")
     print(f"best tile sizes: {result.best_sizes} "
           f"({result.best_time * 1e3:.3f} ms modeled)")
     for sizes, t in result.top(5):
@@ -422,75 +403,6 @@ def cmd_partition(args) -> int:
     if args.stats:
         print()
         print(report.format())
-    return 0
-
-
-def cmd_data(args) -> int:
-    from .data import Dataset
-
-    dataset = Dataset(args.dataset) if args.dataset else Dataset()
-    if args.action == "info":
-        info = dataset.info()
-        print(f"dataset:       {info['path']}")
-        print(f"schema:        {info['schema']}")
-        print(f"records:       {info['records']} "
-              f"({info['bytes'] / 1024:.1f} KiB, "
-              f"{info['invalid_lines']} invalid lines)")
-        print(f"programs:      {info['programs']}")
-        for name, n in info["by_program"].items():
-            print(f"  {name:24s} {n}")
-        for name, n in info["by_target"].items():
-            print(f"  target {name:17s} {n}")
-        return 0
-    if args.action == "export":
-        if args.output in (None, "-"):
-            n = dataset.export(sys.stdout, limit=args.limit)
-        else:
-            with open(args.output, "w", encoding="utf-8") as f:
-                n = dataset.export(f, limit=args.limit)
-            print(f"exported {n} records to {args.output}")
-        return 0
-    removed = dataset.clear()
-    print(f"removed {removed} records from {dataset.path}")
-    return 0
-
-
-def cmd_learn(args) -> int:
-    from .data import Dataset
-    from .learn import default_model_path, fit_records, load_model, save_model
-
-    if args.action == "info":
-        path = args.output or default_model_path()
-        try:
-            model = load_model(path)
-        except FileNotFoundError:
-            print(f"no model at {path}", file=sys.stderr)
-            return 1
-        print(f"model:     {path}")
-        print(f"kind:      {model.kind}")
-        print(f"features:  {len(model.feature_names)}")
-        for key, value in sorted(model.meta.items()):
-            print(f"  {key:20s} {value}")
-        return 0
-    dataset = Dataset(args.dataset) if args.dataset else Dataset()
-    try:
-        model = fit_records(
-            dataset.records(),
-            kind=args.kind,
-            rounds=args.rounds,
-            min_program_rows=args.min_rows,
-            min_coverage=args.min_rows,
-        )
-    except ValueError as exc:
-        print(f"cannot fit: {exc}", file=sys.stderr)
-        return 1
-    path = save_model(model, args.output)
-    meta = model.meta
-    print(f"fitted {model.kind} ranker on {meta['rows']} records "
-          f"({meta['programs']} programs, "
-          f"{meta['per_program_heads']} per-program heads)")
-    print(f"train rmse (log cost): {meta['train_rmse_log']:.4f}")
-    print(f"model: {path}")
     return 0
 
 
@@ -995,48 +907,6 @@ def main(argv=None) -> int:
     )
     cache_p.set_defaults(fn=cmd_cache)
 
-    data_p = sub.add_parser(
-        "data", help="inspect, export or clear the autotune candidate dataset"
-    )
-    data_p.add_argument("action", choices=["info", "export", "clear"])
-    data_p.add_argument(
-        "--dataset", default=None,
-        help="dataset path (default <cache dir>/datasets/autotune.jsonl)",
-    )
-    data_p.add_argument(
-        "-o", "--output", default=None,
-        help="`export`: output file ('-' or omitted for stdout)",
-    )
-    data_p.add_argument("--limit", type=int, default=None,
-                        help="`export`: cap the number of records")
-    data_p.set_defaults(fn=cmd_data)
-
-    learn_p = sub.add_parser(
-        "learn", help="fit or inspect the tile-size ranking model"
-    )
-    learn_p.add_argument("action", choices=["fit", "info"])
-    learn_p.add_argument(
-        "--dataset", default=None,
-        help="`fit`: dataset to train on (default: the default store)",
-    )
-    learn_p.add_argument(
-        "-o", "--output", default=None,
-        help="model pickle path (default $REPRO_AUTOTUNE_MODEL or "
-        "<cache dir>/models/autotune-ranker.pkl)",
-    )
-    learn_p.add_argument(
-        "--kind", choices=["stumps", "ridge"], default="stumps",
-        help="`fit`: gradient-boosted stumps (default) or ridge regression",
-    )
-    learn_p.add_argument("--rounds", type=int, default=400,
-                         help="`fit`: boosting rounds for stumps")
-    learn_p.add_argument(
-        "--min-rows", type=int, default=8,
-        help="`fit`: rows a (program, target) needs for its own head; also "
-        "the coverage below which pruned search falls back to exhaustive",
-    )
-    learn_p.set_defaults(fn=cmd_learn)
-
     stats_p = sub.add_parser(
         "stats", help="work with exported metric snapshots"
     )
@@ -1279,25 +1149,6 @@ def main(argv=None) -> int:
                 type=int,
                 default=None,
                 help="evaluate candidates in parallel over N workers",
-            )
-            p.add_argument(
-                "--search", choices=["exhaustive", "pruned"],
-                default="exhaustive",
-                help="pruned: rank the grid with the learned model and "
-                "exactly evaluate only the top-k",
-            )
-            p.add_argument(
-                "--model", default=None,
-                help="ranking model pickle for --search pruned "
-                "(default $REPRO_AUTOTUNE_MODEL or the cache-dir model)",
-            )
-            p.add_argument("--top-k", type=int, default=None,
-                           help="candidates to evaluate exactly when pruned")
-            p.add_argument(
-                "--collect", nargs="?", const="", default=None,
-                metavar="PATH",
-                help="append evaluated candidates to the dataset "
-                "(bare --collect uses the default store)",
             )
         if name in ("optimize", "tune"):
             p.add_argument(

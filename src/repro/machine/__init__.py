@@ -6,7 +6,6 @@ from .cost import (
     ProgramWork,
     analyze_optimized,
     analyze_scheduled,
-    work_features,
 )
 from .cpu import CPUSpec, DEFAULT_CPU, cluster_time as cpu_cluster_time
 from .cpu import program_time as cpu_time
@@ -56,5 +55,4 @@ __all__ = [
     "roofline",
     "speedup_over",
     "transfer_time",
-    "work_features",
 ]

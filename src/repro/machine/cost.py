@@ -93,42 +93,6 @@ class ProgramWork:
         )
 
 
-def work_features(work: ProgramWork) -> Dict[str, float]:
-    """The cost-model internals of one analyzed schedule as a flat,
-    name-stable feature dict (the ``work`` section of an autotune dataset
-    record, :mod:`repro.data`): per-candidate footprint, traffic, reuse
-    and parallelism aggregates a learned ranker can train against.
-    """
-    clusters = work.clusters
-    n = len(clusters)
-    ops = work.total_ops()
-    dram = work.total_dram_bytes()
-    scratch = sum(c.scratch_traffic_bytes for c in clusters)
-    return {
-        "n_clusters": float(n),
-        "ops": ops,
-        "recompute_ops": work.total_recompute(),
-        "recompute_ratio": work.total_recompute() / ops if ops else 0.0,
-        "dram_read_bytes": sum(c.dram_read_bytes for c in clusters),
-        "dram_write_bytes": sum(c.dram_write_bytes for c in clusters),
-        "dram_bytes": dram,
-        "scratch_traffic_bytes": scratch,
-        # operational intensity and scratch reuse: the two quantities the
-        # roofline models pivot on
-        "intensity": ops / dram if dram else 0.0,
-        "scratch_reuse": scratch / dram if dram else 0.0,
-        "n_tiles": float(sum(c.n_tiles for c in clusters)),
-        "parallel_units_min": float(min((c.parallel_units for c in clusters), default=0)),
-        "parallel_units_max": float(max((c.parallel_units for c in clusters), default=0)),
-        "scratch_bytes_per_tile_max": float(
-            max((c.scratch_bytes_per_tile for c in clusters), default=0)
-        ),
-        "vectorizable_frac": (
-            sum(1.0 for c in clusters if c.vectorizable) / n if n else 0.0
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # helpers
 

@@ -132,7 +132,7 @@ class CompileRequest:
     @property
     def is_candidate(self) -> bool:
         """Whether the autotuner sent this request: its result will be
-        costed, and the tuner records it in the dataset itself."""
+        costed."""
         return self.tag == "autotune"
 
 
@@ -404,11 +404,6 @@ def compile_batch(
     the defaults: auto dispatch, cpu-count workers, no cache).  The
     retired per-keyword spellings raise a ``TypeError`` pointing at
     ``CompileOptions``.
-
-    When ambient dataset collection is on (``$REPRO_DATASET``), each
-    successful explicitly-tiled request also appends one candidate record
-    to the autotune dataset (:mod:`repro.data`); requests the autotuner
-    tagged record through the tuner instead.
     """
     from ..options import resolve_options
 
@@ -463,71 +458,7 @@ def compile_batch(
                 out.result = out.result.fresh()
         if cache is not None:
             obs.count("driver.cache_hits", len(cached))
-        _collect_batch_records(outcomes)
     return outcomes
-
-
-def _collect_batch_records(outcomes: Sequence[CompileOutcome]) -> None:
-    """Append dataset records for a batch's tiled compiles (best effort).
-
-    Only runs under ambient collection (``$REPRO_DATASET``); skips
-    requests without explicit tile sizes (nothing to learn from), failed
-    compiles, and requests the autotuner tagged (the tuner records those
-    itself, with the sweep's exact threads and search context).
-    """
-    from ..data import collection_enabled, dataset_from_env, make_record
-
-    if not collection_enabled():
-        return
-    try:
-        from ..learn.features import ranking_features
-        from ..machine import analyze_optimized, cpu_time, gpu_time, work_features
-
-        records = []
-        seen = set()
-        for out in outcomes:
-            r = out.request
-            if (
-                r.is_candidate
-                or r.tile_sizes is None
-                or not out.ok
-                or out.result is None
-                or out.fingerprint in seen
-            ):
-                continue
-            seen.add(out.fingerprint)
-            try:
-                work = analyze_optimized(out.result)
-                name = r.target if isinstance(r.target, str) else r.target.name
-                cost = (
-                    gpu_time(work) if name == "gpu" else cpu_time(work, 32)
-                )
-                records.append(
-                    make_record(
-                        fingerprint=fingerprint_program(r.program),
-                        tile_sizes=r.tile_sizes,
-                        cost=cost,
-                        features=ranking_features(
-                            r.program, r.tile_sizes, len(r.tile_sizes)
-                        ),
-                        program=r.program.name,
-                        target=name,
-                        startup=r.startup,
-                        threads=32,
-                        dims=len(r.tile_sizes),
-                        work=work_features(work),
-                        source="batch",
-                    )
-                )
-            except Exception:
-                continue
-        if records:
-            dataset = dataset_from_env()
-            if dataset is not None:
-                dataset.append(records)
-    except Exception:
-        # Collection must never fail a compile batch.
-        pass
 
 
 def cached_optimize(

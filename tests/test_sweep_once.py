@@ -12,8 +12,7 @@ import pytest
 
 from repro import CompileOptions, obs
 from repro.core import optimize
-from repro.data import Dataset
-from repro.machine import analyze_optimized, cost, work_features
+from repro.machine import analyze_optimized, cost
 from repro.scheduler.autotune import autotune_tile_sizes
 from repro.service.cache import BLOB_GLOBALS, CompileCache
 from repro.service.driver import CompileRequest, compile_batch
@@ -23,11 +22,11 @@ GRID = (8, 16, 32, 64, 128)   # the benchmark's 25 points
 SMALL = (8, 16, 32)
 
 
-def _sweep(program, cache, candidates=GRID, mode="serial", **kw):
+def _sweep(program, cache, candidates=GRID, mode="serial"):
     """One sweep and the counters it moved."""
     opts = CompileOptions(mode=mode, jobs=2 if mode != "serial" else None, cache=cache)
     with obs.collect() as report:
-        tuned = autotune_tile_sizes(program, opts, candidates=candidates, **kw)
+        tuned = autotune_tile_sizes(program, opts, candidates=candidates)
     return tuned, report.counters
 
 
@@ -38,28 +37,33 @@ def _answers(tuned):
 def test_cold_sweep_costs_each_candidate_once_and_a_warm_one_none(tmp_path):
     program = get_workload("conv2d", 256)
     cold_cache = CompileCache(cache_dir=str(tmp_path / "cache"))
-    cold, counted = _sweep(program, cold_cache, collect=str(tmp_path / "cold.jsonl"))
+    cold, counted = _sweep(program, cold_cache)
     assert len(cold.evaluations) == 25 and cold_cache.stats.stores == 25
     # computed before the put, by the driver; each read once, by the tuner
     assert counted["machine.analyze.computed"] == 25
     assert counted["machine.analyze.reused"] == 25
 
     warm_cache = CompileCache(cache_dir=str(tmp_path / "cache"))
-    warm, counted = _sweep(program, warm_cache, collect=str(tmp_path / "warm.jsonl"))
+    warm, counted = _sweep(program, warm_cache)
     assert "machine.analyze.computed" not in counted
     assert counted["machine.analyze.reused"] == 25
     assert warm_cache.stats.disk_hits == 25 and warm_cache.stats.stores == 0
     assert warm_cache.stats.errors == 0 and warm_cache.stats.misses == 0
     assert _answers(warm) == _answers(cold)
 
-    def work_rows(name):
+    def summaries(cache):
+        """The 25 entries' summaries, read back through ``cache``."""
         return {
-            tuple(r["tile_sizes"]): (r["cost"], r["work"])
-            for r in Dataset(str(tmp_path / name)).records()
+            sizes: analyze_optimized(
+                cache.get(CompileRequest(program, tile_sizes=sizes).fingerprint)
+            ).as_builtins()
+            for sizes in cold.evaluations
         }
 
-    assert len(work_rows("cold.jsonl")) == 25
-    assert work_rows("warm.jsonl") == work_rows("cold.jsonl")
+    # what the warm sweep read is, to the digit, what the cold one stored
+    cold_read = summaries(cold_cache)
+    assert len(cold_read) == 25
+    assert summaries(warm_cache) == cold_read
 
 
 @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
@@ -143,7 +147,7 @@ def test_summary_is_plain_builtins_and_round_trips_to_the_digit(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path))
     cache.put("cd" * 32, result)
     reused = analyze_optimized(CompileCache(cache_dir=str(tmp_path)).get("cd" * 32))
-    assert reused == computed and work_features(reused) == work_features(computed)
+    assert reused == computed
     # a consumer that edits what it was handed does not reach the summary
     reused.clusters[0].statements.append("S_edit")
     assert analyze_optimized(result) == computed

@@ -616,6 +616,33 @@ SESSION = [
 ]
 
 
+#: ``SESSION``'s script over a plain local cache, recorded before the
+#: remote tier was deleted: step 5 is a second cache on the first one's
+#: directory, so the corrupt envelope that a remote tier answered is a
+#: miss here.
+SESSION_LOCAL = [
+    ("put", {"stores": 1}, {"local": {"puts": 1}}),
+    ("put again", {"stores": 2}, {"local": {"put_skips": 1, "puts": 2}}),
+    ("memory get", {"memory_hits": 1, "stores": 2},
+     {"local": {"put_skips": 1, "puts": 2}}),
+    ("store get", {"disk_hits": 1, "memory_hits": 1, "stores": 2},
+     {"local": {"gets": 1, "hits": 1, "put_skips": 1, "puts": 2}}),
+    ("second cache, same directory", {"disk_hits": 1},
+     {"local": {"gets": 1, "hits": 1}}),
+    ("corrupt envelope", {"disk_hits": 1, "misses": 1},
+     {"local": {"errors": 1, "evictions": 1, "gets": 2, "hits": 1,
+                "misses": 1}}),
+    ("os.system payload",
+     {"disk_evictions": 1, "disk_hits": 1, "errors": 1, "misses": 2},
+     {"local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 3,
+                "hits": 2, "misses": 1}}),
+    ("memos hit+miss",
+     {"disk_evictions": 1, "disk_hits": 1, "errors": 1, "memo_hits": 1,
+      "memo_misses": 1, "memo_stores": 1, "misses": 2},
+     {"local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 5,
+                "hits": 3, "misses": 2, "puts": 1}}),
+]
+
 class _System:
     """Pickles to a payload that names ``os.system``."""
 
@@ -661,6 +688,70 @@ def _session(tmp_path):
     assert b.get_memos_many([KEY_C, "12" * 32]) == {KEY_C: {"m": 1}}
     yield "memos hit+miss", b
     b.close()
+
+
+def _session_local(tmp_path):
+    """The same script over a plain local cache ``a``; where ``_session``
+    read through a remote tier, a second cache ``b`` opens ``a``'s
+    directory.  Yields ``(step, cache)`` after each step."""
+
+    def forget_memory(cache):
+        cache._mem.clear()
+        cache._mem_bytes = 0
+
+    directory = str(tmp_path / "a")
+    a = CompileCache(cache_dir=directory)
+    a.put(KEY_A, {"v": 1})
+    yield "put", a
+    a.put(KEY_A, {"v": 1})
+    yield "put again", a
+    assert a.get(KEY_A) == {"v": 1}
+    yield "memory get", a
+    forget_memory(a)
+    assert a.get(KEY_A) == {"v": 1}
+    yield "store get", a
+    a.close()
+
+    b = CompileCache(cache_dir=directory)
+    assert b.get(KEY_A) == {"v": 1}
+    yield "second cache, same directory", b
+    with open(LocalStore(directory).path("results", KEY_A), "wb") as f:
+        f.write(b"not an envelope")
+    forget_memory(b)
+    assert b.get(KEY_A) is None
+    yield "corrupt envelope", b
+    LocalStore(directory).put("results", KEY_B, pickle.dumps(_System()))
+    assert b.get(KEY_B) is None
+    yield "os.system payload", b
+    b.put_memos(KEY_C, {"m": 1})
+    assert b.get_memos_many([KEY_C, "12" * 32]) == {KEY_C: {"m": 1}}
+    yield "memos hit+miss", b
+    b.close()
+
+
+def _record(session, tmp_path):
+    """``(step, policy counters, tier counters)`` after each step, each
+    dict without its zeros; checks ``counters()`` shows both sides."""
+    seen = []
+    for step, cache in session(tmp_path):
+        policy = {k: v for k, v in dataclasses.asdict(cache.stats).items() if v}
+        tiers = {
+            tier: {k: v for k, v in tstats.counters().items() if v}
+            for tier, tstats in cache.tier_metrics()
+        }
+        seen.append((step, policy, tiers))
+        view = cache.counters()
+        assert {k: v for k, v in view.items() if "." not in k} == (
+            dataclasses.asdict(cache.stats)
+        )
+        for tier, counters in tiers.items():
+            for name, n in counters.items():
+                assert view[f"tier.{tier}.{name}"] == n
+    return seen
+
+
+def test_local_session_is_counted_once(tmp_path):
+    assert _record(_session_local, tmp_path) == SESSION_LOCAL
 
 
 def test_each_cache_event_is_counted_once(tmp_path):

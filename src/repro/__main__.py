@@ -25,12 +25,10 @@ Subcommands:
 * ``cache info`` / ``cache clear`` / ``cache gc`` — inspect, empty or
   garbage-collect the on-disk compile cache (``$REPRO_CACHE_DIR``,
   default ``~/.cache/repro``; GC budgets via ``--max-bytes``/``--max-age``
-  or ``$REPRO_CACHE_MAX_BYTES``/``$REPRO_CACHE_MAX_AGE``);
-* ``cache serve`` — run the shared remote cache tier: an HTTP store
-  server other daemons layer over via ``--cache-remote`` /
-  ``$REPRO_CACHE_REMOTE`` or a ``tiered:<local>|<remote>`` cache spec;
+  or ``$REPRO_CACHE_MAX_BYTES``/``$REPRO_CACHE_MAX_AGE``, same spelling);
 * ``serve`` — run the long-lived compile server (unix socket and/or TCP)
   that keeps caches warm and deduplicates identical in-flight requests;
+  daemons given the same ``--cache`` directory share warm state;
 * ``client compile|tune|partition|stats|health|shutdown`` — talk to a running
   server (``client stats --json`` emits the raw ``repro-metrics/1``
   snapshot).
@@ -406,35 +404,10 @@ def cmd_partition(args) -> int:
     return 0
 
 
-_SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-_AGE_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
-
-
-def _parse_size(text):
-    """``"500M"`` → bytes; bare numbers are bytes already."""
-    if text is None:
-        return None
-    text = text.strip().lower().rstrip("b").rstrip("i")
-    if text and text[-1] in _SIZE_SUFFIXES:
-        return int(float(text[:-1]) * _SIZE_SUFFIXES[text[-1]])
-    return int(float(text))
-
-
-def _parse_age(text):
-    """``"7d"`` → seconds; bare numbers are seconds already."""
-    if text is None:
-        return None
-    text = text.strip().lower()
-    if text and text[-1] in _AGE_SUFFIXES:
-        return float(text[:-1]) * _AGE_SUFFIXES[text[-1]]
-    return float(text)
-
-
 def cmd_cache(args) -> int:
     from .service import resolve_cache
+    from .service.store import parse_age, parse_size
 
-    if args.action == "serve":
-        return _cmd_cache_serve(args)
     cache = resolve_cache(args.cache)
     if args.action == "clear":
         what = args.what
@@ -447,8 +420,8 @@ def cmd_cache(args) -> int:
         return 0
     if args.action == "gc":
         report = cache.gc(
-            max_bytes=_parse_size(args.max_bytes),
-            max_age=_parse_age(args.max_age),
+            max_bytes=parse_size(args.max_bytes),
+            max_age=parse_age(args.max_age),
             dry_run=args.dry_run,
         )
         verb = "would remove" if report.dry_run else "removed"
@@ -474,10 +447,6 @@ def cmd_cache(args) -> int:
     if info.get("gc_max_bytes") is not None or info.get("gc_max_age") is not None:
         print(f"gc budget:      max_bytes={info['gc_max_bytes']} "
               f"max_age={info['gc_max_age']}")
-    remote = info.get("remote")
-    if remote:
-        state = "up" if remote.get("alive") else "down"
-        print(f"remote tier:    {remote.get('spec')} ({state})")
     stats = info["stats"]
     print(f"session stats:  {stats['memory_hits']} memory hits, "
           f"{stats['disk_hits']} disk hits, {stats['misses']} misses, "
@@ -494,33 +463,12 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_cache_serve(args) -> int:
-    """Run the shared remote tier: an HTTP store server over a directory."""
-    from .service.cache import default_cache_dir
-    from .service.stores import StoreServer
-
-    directory = args.dir or default_cache_dir()
-    server = StoreServer(
-        directory, host=args.host, port=args.port, events_path=args.events_log
-    )
-    host, port = server.address
-    print(f"repro-store serving {directory} on http://{host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        return 130
-    return 0
-
-
 def cmd_serve(args) -> int:
     import asyncio
     import os
 
     from .serve.server import CompileServer, ServeConfig
 
-    cache_spec = None if args.no_cache else args.cache
-    if cache_spec is not None and args.cache_remote:
-        cache_spec = {"local": cache_spec, "remote": args.cache_remote}
     config = ServeConfig(
         socket_path=args.socket,
         host=args.host,
@@ -529,7 +477,7 @@ def cmd_serve(args) -> int:
         client_limit=args.client_limit,
         request_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
-        cache=cache_spec,
+        cache=None if args.no_cache else args.cache,
         trace_sample=args.trace_sample,
         events_path=args.events_log,
         sample_interval=args.sample_interval,
@@ -596,14 +544,11 @@ def _client_compile_traced(client, args, params) -> int:
     """One traced compile RPC, stitched into a Perfetto-loadable file.
 
     The client lane comes from a local tracing collector around the RPC;
-    the daemon lane rides back in the result's ``trace`` field; the store
-    lane is derived from the server-side handling times the remote store
-    echoed into the daemon's ``store.*`` spans.
+    the daemon lane rides back in the result's ``trace`` field.
     """
     import json
 
-    from .obs.distributed import derive_store_stream, stitch, stream_from_report
-    from .obs.distributed import validate_wire_spans
+    from .obs.distributed import stitch, stream_from_report, validate_wire_spans
 
     ctx = client.new_trace(sampled=True)
     with obs.collect(trace=True) as report:
@@ -617,9 +562,6 @@ def _client_compile_traced(client, args, params) -> int:
         daemon = None
     if daemon:
         streams.append(daemon)
-        store = derive_store_stream(daemon)
-        if store:
-            streams.append(store)
     chrome = stitch(streams, trace_id=ctx.trace_id)
     with open(args.trace_out, "w", encoding="utf-8") as f:
         json.dump(chrome, f)
@@ -739,15 +681,8 @@ def _format_top_frame(sample, recent_events) -> str:
         f"cache hits {sample.get('cache_hits', 0)} "
         f"({sample.get('cache_decodes', 0)} decodes)"
     )
-    extra = []
-    if "flush_queue_depth" in sample:
-        extra.append(f"flush queue {sample['flush_queue_depth']:.0f}")
-    if sample.get("remote_down"):
-        extra.append("REMOTE DOWN")
     if sample.get("events_dropped"):
-        extra.append(f"events dropped {sample['events_dropped']}")
-    if extra:
-        lines.append("  " + "   ".join(extra))
+        lines.append(f"  events dropped {sample['events_dropped']}")
     for tier, t in sorted(sample.get("tiers", {}).items()):
         lines.append(
             f"  tier {tier:<9} {t.get('hit_pct', 0.0):5.1f}% hit "
@@ -864,9 +799,9 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list workloads").set_defaults(fn=cmd_list)
 
     cache_p = sub.add_parser(
-        "cache", help="inspect, clear, garbage-collect or serve the compile cache"
+        "cache", help="inspect, clear or garbage-collect the compile cache"
     )
-    cache_p.add_argument("action", choices=["info", "clear", "gc", "serve"])
+    cache_p.add_argument("action", choices=["info", "clear", "gc"])
     cache_p.add_argument(
         "--what",
         choices=["all", "results", "memos"],
@@ -876,8 +811,7 @@ def main(argv=None) -> int:
     )
     cache_p.add_argument(
         "--cache", default="default",
-        help="cache to operate on: 'default', a named cache, a directory, "
-        "or a tiered:<local>|<remote> fabric spec",
+        help="cache to operate on: 'default', a named cache or a directory",
     )
     cache_p.add_argument(
         "--max-bytes", default=None, metavar="SIZE",
@@ -891,20 +825,6 @@ def main(argv=None) -> int:
     )
     cache_p.add_argument("--dry-run", action="store_true",
                          help="`gc`: report what would be removed, remove nothing")
-    cache_p.add_argument(
-        "--dir", default=None,
-        help="`serve`: directory to serve as the shared remote tier "
-        "(default: the default cache dir)",
-    )
-    cache_p.add_argument("--host", default="127.0.0.1",
-                         help="`serve`: bind address")
-    cache_p.add_argument("--port", type=int, default=0,
-                         help="`serve`: TCP port (0 picks a free one)")
-    cache_p.add_argument(
-        "--events-log", default=None, metavar="PATH",
-        help="`serve`: append structured events (including per-request "
-        "trace records) to this JSONL file",
-    )
     cache_p.set_defaults(fn=cmd_cache)
 
     stats_p = sub.add_parser(
@@ -968,13 +888,8 @@ def main(argv=None) -> int:
                          help="seconds to wait for in-flight work at shutdown")
     serve_p.add_argument(
         "--cache", default="default",
-        help="compile cache: 'default', a named cache, a directory, or a "
-        "tiered:<local>|<remote> fabric spec",
-    )
-    serve_p.add_argument(
-        "--cache-remote", default=None, metavar="URL",
-        help="shared remote cache tier (an http://host:port store server "
-        "or a shared directory) layered over --cache",
+        help="compile cache: 'default', a named cache or a directory "
+        "(daemons given the same directory share warm state)",
     )
     serve_p.add_argument("--no-cache", action="store_true",
                          help="serve without a result cache")

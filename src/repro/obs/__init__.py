@@ -57,7 +57,6 @@ from .schema import (
     validate_metrics_snapshot,
 )
 from .distributed import (
-    HEADER,
     TraceContext,
     critical_path,
     current_context,
@@ -74,7 +73,6 @@ from .events import EventLog, SampleRing, validate_event_log
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "HEADER",
     "MAX_EVENTS",
     "SNAPSHOT_SCHEMA",
     "TRACE_SCHEMA",

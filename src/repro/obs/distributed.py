@@ -1,21 +1,21 @@
-"""Distributed tracing: one trace across client, daemon, workers and stores.
+"""Distributed tracing: one trace across client, daemon and workers.
 
-A compile that flows ``repro client`` → ``repro serve`` → batch worker →
-remote cache store crosses at least three processes; each of them records
-spans into its own :class:`~repro.obs.trace.CompileReport`, and without a
-shared identity those span forests cannot be reassembled.  This module
-supplies that identity and the glue around it:
+A compile that flows ``repro client`` → ``repro serve`` → batch worker
+crosses up to three processes; each of them records spans into its own
+:class:`~repro.obs.trace.CompileReport`, and without a shared identity
+those span forests cannot be reassembled.  This module supplies that
+identity and the glue around it:
 
 * :class:`TraceContext` — a W3C-traceparent-style context
-  (``trace_id``/``span_id``/head-sampling flag) with three serialized
-  forms: the ``traceparent`` header line (``00-<trace>-<span>-<flags>``)
-  for HTTP hops (:data:`HEADER`) and worker environments
-  (:data:`ENV_VAR`), and a JSON object (:meth:`TraceContext.to_wire`) for
-  the optional ``trace`` field of ``repro-serve/1`` requests;
+  (``trace_id``/``span_id``/head-sampling flag) with two serialized
+  forms: the ``traceparent`` line (``00-<trace>-<span>-<flags>``) for
+  worker environments (:data:`ENV_VAR`), and a JSON object
+  (:meth:`TraceContext.to_wire`) for the optional ``trace`` field of
+  ``repro-serve/1`` requests;
 * an ambient per-thread *current context*
   (:func:`use_context`/:func:`current_context`) so layers that never see
-  the request — ``HTTPStore`` deep inside a cache lookup — can stamp the
-  right ids on their spans and headers;
+  the request — the batch driver handing work to a process pool — can
+  stamp the right ids on what they send on;
 * **wire spans** (:func:`report_to_wire`/:func:`wire_to_events`) — a
   bounded JSON form of a traced report plus a wall-clock anchor, so a
   daemon can hand its span tree back to the client that caused it;
@@ -49,10 +49,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .export import TRACE_SCHEMA, _entry_order
 from .trace import CompileReport, SpanEvent
 
-#: HTTP header carrying the serialized context on store hops.
-HEADER = "X-Repro-Trace"
-#: Response header: server-side handling milliseconds for the stitched view.
-SERVER_MS_HEADER = "X-Repro-Server-Ms"
 #: Environment variable carrying the context into worker processes.
 ENV_VAR = "REPRO_TRACE"
 #: Schema tag of the wire-span payload exchanged over ``repro-serve/1``.
@@ -94,7 +90,7 @@ class TraceContext:
         """A fresh span id under the same trace (crossing one more hop)."""
         return TraceContext(self.trace_id, _new_span_id(), self.sampled)
 
-    # -- traceparent header form (HTTP hops, worker env) --------------------
+    # -- traceparent form (worker env) ---------------------------------------
 
     def to_header(self) -> str:
         return f"00-{self.trace_id}-{self.span_id}-{'01' if self.sampled else '00'}"
@@ -362,48 +358,6 @@ def stream_from_report(
     return report_to_wire(report, service, ctx)
 
 
-def derive_store_stream(stream: Mapping[str, object]) -> Optional[Dict[str, object]]:
-    """Synthesize the remote store *server's* lane from client-side spans.
-
-    ``HTTPStore`` annotates each ``store.*`` span with the handling time
-    the store server reported back (:data:`SERVER_MS_HEADER`).  That is
-    enough to place a server-side span inside the client-side one —
-    centered, since the transport halves around it are symmetric to first
-    order — without shipping the store's own event log.
-    """
-    spans: List[Dict[str, object]] = []
-    next_id = 1
-    for s in stream.get("spans", []):
-        attrs = s.get("attrs", {})
-        server_ms = attrs.get("server_ms")
-        if server_ms is None or not str(s.get("name", "")).startswith("store."):
-            continue
-        dur = min(float(server_ms) / 1e3, float(s["dur"]))
-        start = float(s["start"]) + (float(s["dur"]) - dur) / 2.0
-        spans.append(
-            {
-                "id": next_id,
-                "parent": None,
-                "name": f"{s['name']}.server",
-                "start": start,
-                "dur": dur,
-                "tid": 0,
-                "attrs": {k: v for k, v in attrs.items() if k != "server_ms"},
-            }
-        )
-        next_id += 1
-    if not spans:
-        return None
-    return {
-        "schema": WIRE_SCHEMA,
-        "service": "store",
-        "wall_t0": stream["wall_t0"],
-        "spans": spans,
-        "dropped": 0,
-        "truncated": 0,
-    }
-
-
 def stitch(
     streams: Sequence[Mapping[str, object]],
     trace_id: Optional[str] = None,
@@ -475,11 +429,10 @@ def stitch_event_logs(
 ) -> Tuple[Dict[str, object], int]:
     """Assemble a trace from ``type: "trace"`` records in event-log files.
 
-    Every daemon (and store server) appends one wire-span record per
-    sampled request to its event log; ``repro trace --request <id>``
-    collects the records matching ``trace_id`` across any number of logs
-    — from different hosts, as long as their clocks are NTP-close — and
-    stitches them.  A record that fails :func:`validate_wire_spans` is
+    Every daemon appends one wire-span record per sampled request to its
+    event log; ``repro trace --request <id>`` collects the records
+    matching ``trace_id`` across any number of logs — from different
+    hosts, as long as their clocks are NTP-close — and stitches them.  A record that fails :func:`validate_wire_spans` is
     skipped.  Returns the Chrome trace dict and the number of streams
     found.
     """
@@ -561,15 +514,12 @@ def critical_path(
 
 __all__ = [
     "ENV_VAR",
-    "HEADER",
     "MAX_WIRE_SPANS",
-    "SERVER_MS_HEADER",
     "WIRE_SCHEMA",
     "TraceContext",
     "context_from_env",
     "critical_path",
     "current_context",
-    "derive_store_stream",
     "new_context",
     "report_to_wire",
     "sample",

@@ -71,10 +71,8 @@ class CompileOptions:
     :class:`~repro.service.CompileCache`.  ``cache`` also accepts a
     string, :class:`os.PathLike` or mapping: ``"default"`` for the
     process-wide cache, a bare name for a named cache under the default
-    cache directory, a directory path, a ``tiered:<local>|<remote>`` /
-    ``http://host:port`` fabric spec, or a ``{"local": ..., "remote":
-    ...}`` mapping (all resolved via
-    :func:`~repro.service.cache.resolve_cache`).
+    cache directory, a directory path, or a ``{"local": ...}`` mapping
+    (all resolved via :func:`~repro.service.cache.resolve_cache`).
     """
 
     target: Union[str, object] = "cpu"

@@ -276,12 +276,6 @@ class CompileServer:
                 t.cancel()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.cache is not None:
-            # Drain the write-behind queue so results compiled here are
-            # published to the shared remote tier before we disappear.
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.cache.flush(self.config.drain_timeout)
-            )
         if self.config.socket_path:
             try:
                 os.unlink(self.config.socket_path)
@@ -359,7 +353,6 @@ class CompileServer:
             tiers: Dict[str, Dict[str, float]] = {}
             for tier, tstats in self.cache.tier_metrics():
                 counters = tstats.counters()
-                gauges = tstats.gauges()
                 gets = counters.get("gets", 0)
                 tiers[tier] = {
                     "hit_pct": 100.0 * counters.get("hits", 0) / gets
@@ -367,10 +360,6 @@ class CompileServer:
                     else 0.0,
                     "gets": gets,
                 }
-                if "inflight_flush" in gauges:
-                    sample["flush_queue_depth"] = gauges["inflight_flush"]
-                if "remote_down" in gauges:
-                    sample["remote_down"] = bool(gauges["remote_down"])
             sample["tiers"] = tiers
         return sample
 

@@ -3,28 +3,24 @@
 Turns the one-shot ``repro.core.optimize`` pass into a reusable service:
 
 * :mod:`fingerprint` — content-addressed SHA-256 keys for compile requests;
-* :mod:`cache` — the tiered result cache (LRU memory over a store fabric);
-* :mod:`stores` — pluggable persistent tiers: local directory, shared
-  HTTP remote, layered local+remote with write-behind;
+* :mod:`cache` — the two-tier result cache (LRU memory over one store);
+* :mod:`store` — that store: one sharded directory, shared by every
+  process given the same one;
 * :mod:`driver` — deduplicating, parallel batch-compile driver.
 
 Names load lazily on first attribute access: the compiler reaches
 :mod:`fingerprint` on every compile, and that must not drag the cache,
-the stores and the driver (which imports the compiler) in with it.
+the store and the driver (which imports the compiler) in with it.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "CacheStats",
-    "CacheStore",
     "CompileCache",
     "CompileOutcome",
     "CompileRequest",
-    "HTTPStore",
-    "LayeredStore",
     "LocalStore",
-    "StoreServer",
     "cached_optimize",
     "compile_batch",
     "default_cache",
@@ -34,7 +30,6 @@ __all__ = [
     "load_program_memos",
     "reset_default_cache",
     "resolve_cache",
-    "resolve_store",
     "spill_program_memos",
 ]
 
@@ -45,12 +40,7 @@ _LAZY = {
     "default_cache_dir": ("cache", "default_cache_dir"),
     "reset_default_cache": ("cache", "reset_default_cache"),
     "resolve_cache": ("cache", "resolve_cache"),
-    "CacheStore": ("stores", "CacheStore"),
-    "HTTPStore": ("stores", "HTTPStore"),
-    "LayeredStore": ("stores", "LayeredStore"),
-    "LocalStore": ("stores", "LocalStore"),
-    "StoreServer": ("stores", "StoreServer"),
-    "resolve_store": ("stores", "resolve_store"),
+    "LocalStore": ("store", "LocalStore"),
     "CompileOutcome": ("driver", "CompileOutcome"),
     "CompileRequest": ("driver", "CompileRequest"),
     "cached_optimize": ("driver", "cached_optimize"),

@@ -1,4 +1,4 @@
-"""Tiered compile-result cache: in-process LRU over pluggable stores.
+"""Two-tier compile-result cache: in-process LRU over one directory.
 
 Keys are the content-addressed fingerprints of
 :mod:`repro.service.fingerprint`; values are pickled
@@ -9,46 +9,39 @@ the instance decoded from them, at most once; a hit returns
 ``instance.fresh()``, so the part a caller may rewrite is never shared.
 ``put`` keeps bytes only and never the caller's object, and a value without
 ``fresh()`` is decoded again on every hit.  Every decode goes through
-:func:`~repro.service.stores.base.restricted_loads` with
-:data:`BLOB_GLOBALS` and counts ``service.cache.decode``: a blob naming
-anything but the compiler's own value classes is an error, an eviction and
-a miss, on every tier.
+:func:`~repro.service.store.restricted_loads` with :data:`BLOB_GLOBALS`
+and counts ``service.cache.decode``: a blob naming anything but the
+compiler's own value classes is an error, an eviction and a miss, on
+every tier.
 
 Below the memory tier, :class:`CompileCache` is a *policy* over one
-:class:`~repro.service.stores.CacheStore` — the cache fabric:
+:class:`~repro.service.store.LocalStore`: the sharded on-disk layout
+under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) that survives
+processes.  Entries are written atomically and carry a schema version,
+so a corrupted or stale file is silently evicted on load instead of
+crashing the compile, and processes that share the directory share the
+warm state.  The store garbage-collects by TTL and size budget
+(``repro cache gc``, ``$REPRO_CACHE_MAX_BYTES`` /
+``$REPRO_CACHE_MAX_AGE``, opportunistic sweeps on put) with mtime-LRU
+eviction.
 
-* the default store is a :class:`~repro.service.stores.LocalStore`, the
-  sharded on-disk layout under ``$REPRO_CACHE_DIR`` (default
-  ``~/.cache/repro``) that survives processes; entries are written
-  atomically and carry a schema version, so a corrupted or stale file is
-  silently evicted on load instead of crashing the compile;
-* with a ``remote`` spec (``$REPRO_CACHE_REMOTE``, a ``--cache-remote``
-  flag, or a ``tiered:<local>|<remote>`` cache spelling) the store
-  becomes a :class:`~repro.service.stores.LayeredStore`: local-first
-  reads, remote read-through with local backfill, and write-behind
-  publication to the shared tier — many compile servers sharing one warm
-  state, sccache-style;
-* stores garbage-collect by TTL and size budget (``repro cache gc``,
-  ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_AGE``, opportunistic
-  sweeps on put) with mtime-LRU eviction.
+Next to the results the store keeps ``memos``: spilled presburger
+memo-table snapshots (:func:`repro.presburger.memo.snapshot`) keyed by
+*program* fingerprint, so a fresh process compiling the same program
+starts with the hot ``apply_range``/``tile_footprint``/
+``write_footprint`` entries already resident.  ``get_memos_many`` reads
+a whole batch's snapshots in one call.
 
-Next to the result store the cache keeps a ``memos`` store: spilled
-presburger memo-table snapshots (:func:`repro.presburger.memo.snapshot`)
-keyed by *program* fingerprint, so a fresh process compiling the same
-program starts with the hot ``apply_range``/``tile_footprint``/
-``write_footprint`` entries already resident.  ``get_memos_many``
-fetches a whole batch's snapshots in one remote round trip.
-
-Each event has one counter: a store counts what happens inside it in its
-own :class:`~repro.service.stores.TierStats`, :class:`CacheStats` only
+Each event has one counter: the store counts what happens inside it in
+its own :class:`~repro.service.store.TierStats`, :class:`CacheStats` only
 what the policy decides, and :meth:`CompileCache.counters` shows both.
 
 A single :class:`CompileCache` instance is safe to share across threads:
 the memory tier (the LRU ``OrderedDict`` and its byte accounting) and
-the stats counters are guarded by an internal lock; stores are
-thread-safe themselves.  Disk/network I/O and (un)pickling happen
-outside the lock, so two threads racing on an entry's first hit may both
-decode it; each publishes a whole instance.
+the stats counters are guarded by an internal lock; the store is
+thread-safe itself.  Disk I/O and (un)pickling happen outside the lock,
+so two threads racing on an entry's first hit may both decode it; each
+publishes a whole instance.
 """
 
 from __future__ import annotations
@@ -62,15 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import obs
 from ..ir.fingerprint import SCHEMA_VERSION
-from .stores import (
-    TIERED_PREFIX,
-    CacheStore,
-    StoreUnavailable,
-    default_gc_budget,
-    resolve_store,
-    split_tiered,
-)
-from .stores.base import GCReport, TierStats, restricted_loads
+from .store import GCReport, LocalStore, TierStats, default_gc_budget, restricted_loads
 
 #: What a result or memo blob may name: the compiler's own value classes.
 BLOB_GLOBALS = tuple(
@@ -79,7 +64,6 @@ BLOB_GLOBALS = tuple(
 ) + ("numpy.float64.", "numpy.dtype.")
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_REMOTE = "REPRO_CACHE_REMOTE"
 
 
 def default_cache_dir() -> str:
@@ -89,23 +73,9 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-def default_remote_spec() -> Optional[str]:
-    """The fleet-wide shared tier, when ``$REPRO_CACHE_REMOTE`` is set."""
-    return os.environ.get(ENV_CACHE_REMOTE) or None
-
-
 def _decode(blob: bytes):
     obs.count("service.cache.decode")
     return restricted_loads(blob, BLOB_GLOBALS)
-
-
-def _store_call(method, *args):
-    """``method(*args)`` on a store, or ``None`` when the store cannot be
-    reached: the tier has counted the error, the caller sees a miss."""
-    try:
-        return method(*args)
-    except StoreUnavailable:
-        return None
 
 
 class _Entry:
@@ -130,11 +100,11 @@ class _Entry:
 class CacheStats:
     """What one :class:`CompileCache` decides, and nothing a store saw.
 
-    ``disk_hits`` are store hits that decoded (from any persistent tier);
-    ``errors`` are blobs the policy could not decode or encode, and
-    ``disk_evictions`` the store entries it deleted for that reason.
-    Per-tier counters and latency histograms live on each store's
-    :class:`~repro.service.stores.TierStats` (``tier_metrics()``).
+    ``disk_hits`` are store hits that decoded; ``errors`` are blobs the
+    policy could not decode or encode, and ``disk_evictions`` the store
+    entries it deleted for that reason.  The store's own counters and
+    latency histograms live on its
+    :class:`~repro.service.store.TierStats` (``tier_metrics()``).
     """
 
     memory_hits: int = 0
@@ -157,12 +127,10 @@ class CacheStats:
 class CompileCache:
     """Content-addressed result cache: LRU memory tier over one store.
 
-    ``cache_dir`` names the local tier's directory; ``remote`` is an
-    optional remote-tier spec (an ``http://host:port`` store server or a
-    shared directory) that upgrades the store to a layered local+remote
-    fabric.  Pass ``store`` to supply a ready-made
-    :class:`~repro.service.stores.CacheStore` instead (tests, exotic
-    tierings); ``persistent=False`` keeps everything in memory.
+    ``cache_dir`` names the store's directory (default
+    :func:`default_cache_dir`); ``persistent=False`` keeps everything in
+    memory.  ``store`` is the :class:`~repro.service.store.LocalStore`
+    on ``cache_dir``, ``None`` when memory-only.
     """
 
     cache_dir: Optional[str] = None
@@ -170,32 +138,23 @@ class CompileCache:
     max_bytes: int = 256 * 1024 * 1024
     persistent: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
-    remote: Optional[str] = None
     gc_max_bytes: Optional[int] = None
     gc_max_age: Optional[float] = None
-    store: Optional[CacheStore] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.store is None and self.cache_dir is None:
-            self.cache_dir = default_cache_dir()
-        if self.cache_dir is not None:
-            self.cache_dir = os.fspath(self.cache_dir)
+        self.cache_dir = os.fspath(self.cache_dir or default_cache_dir())
         if self.gc_max_bytes is None and self.gc_max_age is None:
             self.gc_max_bytes, self.gc_max_age = default_gc_budget()
-        if not self.persistent:
-            self.store = None
-        elif self.store is None:
-            self.store = self._build_store()
+        self.store = self._build_store()
         self._mem: "OrderedDict[str, _Entry]" = OrderedDict()
         self._mem_bytes = 0
         self._lock = threading.RLock()
 
-    def _build_store(self) -> CacheStore:
-        spec = self.cache_dir
-        if self.remote:
-            spec = f"{TIERED_PREFIX}{self.cache_dir}|{self.remote}"
-        return resolve_store(
-            spec, gc_max_bytes=self.gc_max_bytes, gc_max_age=self.gc_max_age
+    def _build_store(self) -> Optional[LocalStore]:
+        if not self.persistent:
+            return None
+        return LocalStore(
+            self.cache_dir, gc_max_bytes=self.gc_max_bytes, gc_max_age=self.gc_max_age
         )
 
     def __getstate__(self):
@@ -207,25 +166,22 @@ class CompileCache:
                 (key, _Entry(entry.blob)) for key, entry in self._mem.items()
             )
         del state["_lock"]
-        # Stores hold locks, sockets and flush threads; rebuild from the
-        # spec fields on the other side.
-        state["store"] = None
+        # The store holds a lock; rebuild it from the fields on the other
+        # side.
+        del state["store"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        if self.persistent and self.store is None:
-            self.store = self._build_store()
+        self.store = self._build_store()
         self._lock = threading.RLock()
 
     @property
     def spec(self) -> Optional[str]:
         """A flat string :func:`resolve_cache` turns back into an
-        equivalent cache in another process, or ``None`` when the store
-        is memory-only or not spec-addressable."""
-        if self.store is None:
-            return None
-        return self.store.spec
+        equivalent cache in another process, or ``None`` when the cache
+        is memory-only."""
+        return None if self.store is None else self.cache_dir
 
     # -- lookup ------------------------------------------------------------
 
@@ -235,7 +191,7 @@ class CompileCache:
         try:
             return _decode(blob)
         except Exception:
-            _store_call(self.store.delete, kind, key)
+            self.store.delete(kind, key)
             with self._lock:
                 self.stats.errors += 1
                 self.stats.disk_evictions += 1
@@ -262,7 +218,7 @@ class CompileCache:
                     self.stats.memory_hits += 1
                 return entry.hand_out(value)
         if self.store is not None:
-            blob = _store_call(self.store.get, "results", key)
+            blob = self.store.get("results", key)
             value = None if blob is None else self._decode_stored("results", key, blob)
             if value is not None:
                 with self._lock:
@@ -284,13 +240,13 @@ class CompileCache:
             self.stats.stores += 1
             self._insert_memory(key, blob)
         if self.store is not None:
-            _store_call(self.store.put, "results", key, blob)
+            self.store.put("results", key, blob)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._mem:
                 return True
-        return self.store is not None and bool(_store_call(self.store.contains, "results", key))
+        return self.store is not None and self.store.contains("results", key)
 
     # -- memory tier -------------------------------------------------------
 
@@ -324,7 +280,7 @@ class CompileCache:
         memo tables once loaded, so there is nothing to tier in memory."""
         if self.store is None:
             return None
-        blob = _store_call(self.store.get, "memos", key)
+        blob = self.store.get("memos", key)
         value = None if blob is None else self._decode_stored("memos", key, blob)
         with self._lock:
             if value is None:
@@ -335,16 +291,13 @@ class CompileCache:
 
     def get_memos_many(self, keys: Iterable[str]) -> Dict[str, object]:
         """Batched :meth:`get_memos`: every snapshot the store has for
-        ``keys``, fetched from the remote tier in one round trip.  Used
-        by ``compile_batch`` and the serve daemon to warm a whole batch's
-        programs at once."""
+        ``keys``.  Used by ``compile_batch`` and the serve daemon to warm
+        a whole batch's programs at once."""
         keys = list(dict.fromkeys(keys))
-        blobs = None
-        if self.store is not None and keys:
-            blobs = _store_call(self.store.get_many, "memos", keys)
         out: Dict[str, object] = {}
-        for key, blob in (blobs or {}).items():
-            value = self._decode_stored("memos", key, blob)
+        for key in keys if self.store is not None else ():
+            blob = self.store.get("memos", key)
+            value = None if blob is None else self._decode_stored("memos", key, blob)
             if value is not None:
                 out[key] = value
         with self._lock:
@@ -365,14 +318,13 @@ class CompileCache:
             return
         with self._lock:
             self.stats.memo_stores += 1
-        _store_call(self.store.put, "memos", key, blob)
+        self.store.put("memos", key, blob)
 
     # -- maintenance -------------------------------------------------------
 
-    def clear(self, results: bool = True, memos: bool = True, remote: bool = False) -> int:
-        """Drop the selected stores (and the memory tier when ``results``);
-        returns the number of local entries removed.  The remote tier is
-        only touched when ``remote=True`` — it is shared state."""
+    def clear(self, results: bool = True, memos: bool = True) -> int:
+        """Drop the selected kinds (and the memory tier when ``results``);
+        returns the number of store entries removed."""
         removed = 0
         if results:
             with self._lock:
@@ -382,7 +334,7 @@ class CompileCache:
             return 0
         kinds = [k for k, on in (("results", results), ("memos", memos)) if on]
         for kind in kinds:
-            removed += self.store.clear(kind, remote=remote)
+            removed += self.store.clear(kind)
         return removed
 
     def gc(
@@ -391,7 +343,7 @@ class CompileCache:
         max_age: Optional[float] = None,
         dry_run: bool = False,
     ) -> GCReport:
-        """Garbage-collect the local tier: TTL expiry plus mtime-LRU
+        """Garbage-collect the store: TTL expiry plus mtime-LRU
         eviction down to the byte budget.  Defaults to the configured
         budgets (``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_AGE``)."""
         if self.store is None:
@@ -402,26 +354,21 @@ class CompileCache:
             dry_run=dry_run,
         )
 
-    def flush(self, timeout: Optional[float] = None) -> bool:
-        """Drain any write-behind publication to the remote tier."""
-        return True if self.store is None else self.store.flush(timeout)
-
     def close(self) -> None:
-        if self.store is not None:
-            self.store.close()
+        """Nothing to release: the store holds no handle between calls."""
 
     def tier_metrics(self) -> List[Tuple[str, TierStats]]:
-        """Every (tier name, stats) pair of the underlying store fabric."""
-        return [] if self.store is None else self.store.tiers()
+        """The store's ``(tier name, stats)`` pair; none when memory-only."""
+        return [] if self.store is None else [(self.store.tier, self.store.stats)]
 
     def counters(self) -> Dict[str, float]:
         """Every count of this cache in one flat view: the policy's own
-        (:class:`CacheStats`) under their bare names, each tier's counters
-        and gauges as ``tier.<tier>.<name>``."""
+        (:class:`CacheStats`) under their bare names, the store's as
+        ``tier.local.<name>``."""
         with self._lock:
             out: Dict[str, float] = asdict(self.stats)
         for tier, tstats in self.tier_metrics():
-            for name, value in {**tstats.counters(), **tstats.gauges()}.items():
+            for name, value in tstats.counters().items():
                 out[f"tier.{tier}.{name}"] = value
         return out
 
@@ -450,21 +397,18 @@ class CompileCache:
                 tier: tstats.as_dict() for tier, tstats in self.tier_metrics()
             },
         }
-        if "remote" in sinfo:
-            info["remote"] = sinfo["remote"]
         return info
 
 
-_default: Optional[Tuple[Tuple[str, Optional[str]], CompileCache]] = None
+_default: Optional[Tuple[str, CompileCache]] = None
 
 
 def default_cache() -> CompileCache:
-    """The process-wide cache, rebuilt if ``$REPRO_CACHE_DIR`` or
-    ``$REPRO_CACHE_REMOTE`` changes."""
+    """The process-wide cache, rebuilt if ``$REPRO_CACHE_DIR`` changes."""
     global _default
-    key = (default_cache_dir(), default_remote_spec())
-    if _default is None or _default[0] != key:
-        _default = (key, CompileCache(cache_dir=key[0], remote=key[1]))
+    directory = default_cache_dir()
+    if _default is None or _default[0] != directory:
+        _default = (directory, CompileCache(cache_dir=directory))
     return _default[1]
 
 
@@ -479,8 +423,13 @@ def _named_dir(name: str) -> str:
 
 
 def _spec_dir(path: str) -> str:
-    """A directory from a local-tier spelling: bare names are namespaced
-    under ``<default_cache_dir()>/named/``, paths pass through."""
+    """A directory from a cache spelling: bare names are namespaced under
+    ``<default_cache_dir()>/named/``, paths pass through."""
+    if "://" in path or path.startswith("tiered:"):
+        raise ValueError(
+            f"cache spec {path!r} names no directory: a cache is one "
+            "directory, shared by giving every process the same one"
+        )
     if path == "default":
         return default_cache_dir()
     if os.sep not in path and "/" not in path and not path.startswith("~"):
@@ -494,14 +443,12 @@ def resolve_cache(spec) -> CompileCache:
     * ``"default"`` — the process-wide :func:`default_cache`;
     * a bare name (no path separator, no ``~``) — a named cache under
       ``<default_cache_dir()>/named/<name>`` so ad-hoc caches never
-      collide with the default cache's own stores;
-    * ``"tiered:<local>|<remote>"`` — a layered fabric: ``<local>`` is
-      any of the spellings above, ``<remote>`` an ``http://host:port``
-      store server or a shared directory;
-    * ``"http://host:port"`` — a remote-only cache (no local tier);
-    * a mapping — ``{"local": ..., "remote": ..., "gc_max_bytes": ...,
-      "gc_max_age": ..., "max_entries": ..., "max_bytes": ...}``;
-    * anything else — an explicit directory path (``~`` expanded).
+      collide with the default cache's own entries;
+    * a mapping — ``{"local": ..., "gc_max_bytes": ..., "gc_max_age":
+      ..., "max_entries": ..., "max_bytes": ...}``, ``local`` any of the
+      spellings here;
+    * anything else — an explicit directory path (``~`` expanded).  A
+      URL (``://``) or a ``tiered:`` spelling is a ``ValueError``.
 
     :class:`CompileCache` instances pass through unchanged.
     """
@@ -514,14 +461,4 @@ def resolve_cache(spec) -> CompileCache:
     path = os.fspath(spec)
     if path == "default":
         return default_cache()
-    tiered = split_tiered(path)
-    if tiered is not None:
-        local, remote = tiered
-        return CompileCache(cache_dir=_spec_dir(local), remote=remote)
-    if path.startswith("http://"):
-        return CompileCache(
-            cache_dir=None,
-            persistent=True,
-            store=resolve_store(path, tier="remote"),
-        )
     return CompileCache(cache_dir=_spec_dir(path))

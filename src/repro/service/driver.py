@@ -11,8 +11,8 @@ tiling never aborts the other N-1.
 Requests that *do* compile start warm when the cache has a spilled memo
 snapshot for their program (keyed by program fingerprint): the snapshot is
 loaded into the presburger memo tables before compiling — in the worker
-process itself under the process pool — and the (now larger) hot set is
-spilled back afterwards.  Compiles are byte-deterministic, so entries
+process itself under the process pool, which opens the cache's directory
+again — and the (now larger) hot set is spilled back afterwards.  Compiles are byte-deterministic, so entries
 produced by any process are interchangeable.
 
 ``cached_optimize`` is the single-request convenience wrapper the CLI
@@ -49,7 +49,7 @@ def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
 def _memo_spec(cache: Optional[CompileCache]) -> Optional[str]:
     """A flat spec string a worker *process* rebuilds the memo cache
     from (see :attr:`CompileCache.spec`); ``None`` disables the worker's
-    round-trip — also when the store has no cross-process spelling."""
+    round-trip."""
     memo_cache = _memo_cache(cache)
     return None if memo_cache is None else memo_cache.spec
 
@@ -85,8 +85,7 @@ def _batch_program_fps(requests: Sequence["CompileRequest"]) -> List[str]:
 
 def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
     """Warm the process memo tables for every program in the batch with
-    one batched snapshot fetch (one remote round trip on a tiered
-    cache), instead of a ``get_memos`` each."""
+    one batched snapshot read instead of a ``get_memos`` each."""
     if cache is None or not requests:
         return
     from ..presburger import memo
@@ -186,9 +185,8 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     return result, None
 
 
-#: Per-worker-process memo cache, keyed by spec.  Pool workers handle
-#: many tasks; rebuilding a (possibly tiered, thread-owning) cache per
-#: task would leak flush threads and cold connections.
+#: Per-worker-process memo cache, keyed by spec: pool workers handle many
+#: tasks, and one cache per spec keeps its store's running counters.
 _worker_memo_cache: Optional[Tuple[str, CompileCache]] = None
 
 
@@ -197,8 +195,6 @@ def _worker_cache_for(memo_spec: str) -> CompileCache:
     if _worker_memo_cache is None or _worker_memo_cache[0] != memo_spec:
         from .cache import resolve_cache
 
-        if _worker_memo_cache is not None:
-            _worker_memo_cache[1].close()
         _worker_memo_cache = (memo_spec, resolve_cache(memo_spec))
     return _worker_memo_cache[1]
 
@@ -212,7 +208,6 @@ def _worker_body(request: CompileRequest, memo_spec: Optional[str]):
         result, error = _run_request(request)
         if error is None:
             spill_program_memos(cache, program_fp)
-            cache.flush(timeout=2.0)
     else:
         result, error = _run_request(request)
     return result, error
@@ -231,8 +226,7 @@ def _worker(payload: bytes) -> bytes:
     span events when the driver is tracing) and ships it back for merging.
 
     A distributed trace context rides along as its ``traceparent`` header
-    form: the worker re-enters it (so its spans carry the trace id and
-    any stores it touches propagate the ``X-Repro-Trace`` header) and
+    form: the worker re-enters it (so its spans carry the trace id) and
     exports it to :data:`repro.obs.distributed.ENV_VAR` for grandchild
     processes.
     """

@@ -1,18 +1,22 @@
-"""Sharded local-directory store: the fabric's fast durable tier.
+"""The compile cache's durable store: one sharded directory.
 
-The on-disk layout is byte-compatible with the pre-fabric
-``CompileCache`` disk tier, so existing cache directories keep working:
+A store is a durable byte-blob map with two *kinds* of entries —
+``"results"`` (pickled :class:`~repro.core.pipeline.OptimizeResult`
+payloads) and ``"memos"`` (spilled presburger memo snapshots) — both
+keyed by content-addressed fingerprints.
+:class:`~repro.service.cache.CompileCache` is a *policy* (memory LRU +
+the counters of what it decides) over one :class:`LocalStore`; the store
+owns durability.  The layout:
 
 * results: ``<dir>/<key[:2]>/<key>.pkl``
 * memos:   ``<dir>/memos/<key[:2]>/<key>.pkl``
 
-Each file is a pickled ``(magic, schema, key, payload)`` envelope;
-anything corrupt, truncated or from another schema generation is evicted
-on load instead of crashing the compile.  Writes are atomic
-(``mkstemp`` + ``os.replace``), so concurrent processes hammering one
-directory can only ever observe whole entries.
-
-Fabric additions over the inlined original:
+Each file is a pickled ``(magic, schema, key, payload)`` envelope, read
+back with :func:`restricted_loads`; anything corrupt, truncated or from
+another schema generation is evicted on load instead of crashing the
+compile.  Writes are atomic (``mkstemp`` + ``os.replace``), so processes
+sharing one directory — several daemons given the same ``--cache`` —
+only ever observe whole entries.  On top of that:
 
 * **Put skip** — keys are content-addressed, so an entry that already
   exists on disk is byte-identical to what we would write; ``put``
@@ -25,26 +29,34 @@ Fabric additions over the inlined original:
   older than ``max_age`` seconds, then evicts mtime-LRU entries until
   the store fits ``max_bytes``; ``put`` triggers an opportunistic sweep
   when a configured budget is exceeded (rate-limited so the hot path
-  stays O(1) amortized).
+  stays O(1) amortized).  :func:`default_gc_budget` reads the budget
+  from ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_AGE`` with the
+  parsers ``repro cache gc --max-bytes/--max-age`` use.
+
+The store counts what happens inside it in its :class:`TierStats` and
+never raises out of ``get``/``put``/``delete`` for I/O or data errors.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ...ir.fingerprint import SCHEMA_VERSION
-from .base import (
-    KINDS,
-    CacheStore,
-    EntryInfo,
-    GCReport,
-    check_kind,
-    restricted_loads,
+from ..ir.fingerprint import SCHEMA_VERSION
+from ..obs.metrics import Histogram
+
+#: The two entry kinds a store accepts.
+KINDS = ("results", "memos")
+
+#: Histogram bucket bounds for store get/put latencies, in milliseconds.
+STORE_LATENCY_BUCKETS_MS = (
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0
 )
 
 _MAGIC = "repro-cache"
@@ -55,40 +67,172 @@ GC_PUT_INTERVAL = 64
 ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 ENV_MAX_AGE = "REPRO_CACHE_MAX_AGE"
 
+_SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
+_AGE_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
+
+def parse_size(text: Optional[str]) -> Optional[int]:
+    """``"500M"`` → bytes; bare numbers are bytes already."""
+    if text is None:
         return None
+    text = text.strip().lower().rstrip("b").rstrip("i")
+    if text and text[-1] in _SIZE_SUFFIXES:
+        return int(float(text[:-1]) * _SIZE_SUFFIXES[text[-1]])
+    return int(float(text))
+
+
+def parse_age(text: Optional[str]) -> Optional[float]:
+    """``"7d"`` → seconds; bare numbers are seconds already."""
+    if text is None:
+        return None
+    text = text.strip().lower()
+    if text and text[-1] in _AGE_SUFFIXES:
+        return float(text[:-1]) * _AGE_SUFFIXES[text[-1]]
+    return float(text)
+
+
+def _from_env(name: str, parse):
+    raw = os.environ.get(name) or None
     try:
-        return float(raw)
-    except ValueError:
-        return None
+        return parse(raw)
+    except (ValueError, OverflowError):
+        raise ValueError(f"cannot parse ${name}={raw!r}") from None
 
 
-def default_gc_budget() -> tuple:
-    """(max_bytes, max_age) from the environment, either may be None."""
-    max_bytes = _env_float(ENV_MAX_BYTES)
-    max_age = _env_float(ENV_MAX_AGE)
-    return (int(max_bytes) if max_bytes is not None else None, max_age)
+def default_gc_budget() -> Tuple[Optional[int], Optional[float]]:
+    """(max_bytes, max_age) from the environment, either may be None.
+
+    The variables take the flags' spelling (``500M``, ``7d``); a value
+    the parser cannot read raises ``ValueError`` naming the variable.
+    """
+    return _from_env(ENV_MAX_BYTES, parse_size), _from_env(ENV_MAX_AGE, parse_age)
 
 
-class LocalStore(CacheStore):
-    """Durable sharded directory store (see module docstring)."""
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown cache entry kind {kind!r}; expected one of {KINDS}")
 
+
+class _RestrictedUnpickler(pickle.Unpickler):
+    def __init__(self, file, allowed: Tuple[str, ...]):
+        super().__init__(file)
+        self.allowed = allowed
+
+    def find_class(self, module: str, name: str):
+        if f"{module}.{name}.".startswith(self.allowed):
+            obj = super().find_class(module, name)
+            if isinstance(obj, type) and obj.__module__ == module:
+                return obj
+        raise pickle.UnpicklingError(f"{module}.{name} is not allowed in a cache blob")
+
+
+def restricted_loads(blob: bytes, allowed: Tuple[str, ...] = ()):
+    """``pickle.loads`` for bytes some other process may have written.
+
+    A global resolves only if it is a class, defined in the module the
+    blob names, whose dotted name starts with one of ``allowed`` (each
+    ending in ``"."``: ``"repro.ir."`` admits a package, ``"numpy.dtype."``
+    one class).  Anything else raises before it is called, so a hostile
+    blob fails to decode like a truncated one and runs nothing.
+    """
+    return _RestrictedUnpickler(io.BytesIO(blob), allowed).load()
+
+
+class EntryInfo(NamedTuple):
+    """One durable entry, as seen by ``entries()``/GC."""
+
+    kind: str
+    key: str
+    size: int
+    mtime: float
+
+
+class TierStats:
+    """Thread-safe store counters and get/put latency histograms.
+
+    ``counters``/``histograms`` snapshot into plain dicts for ``cache
+    info`` and the serve daemon's ``repro-metrics/1`` endpoint.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._counters: Dict[str, int] = {}
+        self.get_ms = Histogram(STORE_LATENCY_BUCKETS_MS)
+        self.put_ms = Histogram(STORE_LATENCY_BUCKETS_MS)
+
+    def inc(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + n
+
+    def observe_get(self, seconds: float) -> None:
+        with self._lock:
+            self.get_ms.observe(seconds * 1e3)
+
+    def observe_put(self, seconds: float) -> None:
+        with self._lock:
+            self.put_ms.observe(seconds * 1e3)
+
+    def get(self, name: str) -> int:
+        with self._lock:
+            return self._counters.get(name, 0)
+
+    def counters(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counters)
+
+    def histograms(self) -> Dict[str, Histogram]:
+        """Fresh copies, safe to hand to a registry or serializer."""
+        with self._lock:
+            return {
+                "get_ms": Histogram.from_dict(self.get_ms.as_dict()),
+                "put_ms": Histogram.from_dict(self.put_ms.as_dict()),
+            }
+
+    def as_dict(self) -> Dict[str, object]:
+        out: Dict[str, object] = dict(self.counters())
+        with self._lock:
+            out["get_ms_mean"] = self.get_ms.mean
+            out["put_ms_mean"] = self.put_ms.mean
+        return out
+
+
+@dataclass
+class GCReport:
+    """What one garbage-collection sweep did (or would do)."""
+
+    scanned: int = 0
+    scanned_bytes: int = 0
+    expired: int = 0  #: entries past ``max_age``
+    evicted: int = 0  #: mtime-LRU evictions to meet ``max_bytes``
+    removed_bytes: int = 0
+    remaining_entries: int = 0
+    remaining_bytes: int = 0
+    dry_run: bool = False
+    errors: int = 0
+
+    @property
+    def removed(self) -> int:
+        return self.expired + self.evicted
+
+
+class LocalStore:
+    """Durable sharded directory store (see module docstring).  Keys are
+    content-addressed fingerprints (hex strings, >= 4 chars); payloads
+    are opaque bytes.  Thread-safe."""
+
+    #: The tier name its counters carry: ``tier.local.<name>``.
     tier = "local"
 
     def __init__(
         self,
         directory: str,
-        tier: Optional[str] = None,
         gc_max_bytes: Optional[int] = None,
         gc_max_age: Optional[float] = None,
     ):
-        super().__init__(tier)
         self.directory = directory
         self.gc_max_bytes = gc_max_bytes
         self.gc_max_age = gc_max_age
+        self.stats = TierStats()
         self._lock = threading.Lock()
         # Running totals per kind; None until the first reconcile walk.
         self._counts: Optional[Dict[str, int]] = None
@@ -98,7 +242,7 @@ class LocalStore(CacheStore):
     # -- paths ---------------------------------------------------------------
 
     def _base(self, kind: str) -> str:
-        check_kind(kind)
+        _check_kind(kind)
         if kind == "results":
             return self.directory
         return os.path.join(self.directory, kind)
@@ -134,6 +278,8 @@ class LocalStore(CacheStore):
         return blob
 
     def put(self, kind: str, key: str, blob: bytes) -> bool:
+        """Make ``blob`` durable under ``(kind, key)``; True on success
+        (including a skip because the entry already exists)."""
         self.stats.inc("puts")
         t0 = time.perf_counter()
         path = self.path(kind, key)
@@ -190,7 +336,8 @@ class LocalStore(CacheStore):
     def keys(self, kind: str) -> List[str]:
         return [e.key for e in self.entries(kind)]
 
-    def clear(self, kind: str, remote: bool = False) -> int:
+    def clear(self, kind: str) -> int:
+        """Delete every ``kind`` entry; returns how many went."""
         removed = 0
         for e in self.entries(kind):
             if self._remove(kind, self.path(kind, e.key)):
@@ -339,9 +486,18 @@ class LocalStore(CacheStore):
         report.remaining_bytes = sum(e.size for e in survivors)
         return report
 
-    @property
-    def spec(self) -> Optional[str]:
-        return self.directory
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"LocalStore({self.directory!r})"
+
+
+__all__ = [
+    "KINDS",
+    "EntryInfo",
+    "GCReport",
+    "LocalStore",
+    "TierStats",
+    "default_gc_budget",
+    "parse_age",
+    "parse_size",
+    "restricted_loads",
+]

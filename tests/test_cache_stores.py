@@ -1,32 +1,25 @@
-"""The compile-cache fabric: stores, tiering, GC, degradation, sharing.
+"""The compile cache's store: layout, GC, degradation, sharing.
 
-Covers the cache-fabric acceptance criteria end to end:
+Covers the store end to end:
 
 * ``LocalStore`` — byte-compatible sharded layout, content-addressed put
-  skip, O(1) running counters, TTL + mtime-LRU garbage collection;
-* ``StoreServer``/``HTTPStore`` — the shared remote tier over a real
-  (loopback) HTTP server, including the batched memo fetch;
-* ``LayeredStore`` — local-first reads, remote read-through with local
-  backfill, write-behind flushing, and count-and-degrade when the remote
-  tier is dead (zero request failures);
-* ``CompileCache`` over the fabric — remote hits and put skips read from
-  the tiers' own counters, batched ``get_memos_many``, pickling across
-  processes, and spec resolution (``tiered:<local>|<remote>``,
-  ``http://``, mappings);
-* one counter per event — a scripted session pins every policy and tier
+  skip, O(1) running counters, TTL + mtime-LRU garbage collection, and
+  the GC budget read from the environment in the flags' spelling;
+* ``CompileCache`` over the store — put skips read from the store's own
+  counters, batched ``get_memos_many``, pickling across processes, and
+  spec resolution (names, directories, mappings; URLs refused);
+* one counter per event — a scripted session pins every policy and store
   counter per step;
 * degraded disk — a read-only or full cache directory falls back to
   memory-only with ``tier.local.errors`` counted, never an exception;
 * cross-process sharing — subprocesses hammering one store directory
   concurrently leave a consistent tree with zero corrupt-entry
-  evictions;
-* two compile daemons sharing one remote tier — the second daemon
-  answers from the remote cache without compiling anything.
+  evictions, and a second compile daemon on the first one's directory
+  answers without compiling anything.
 """
 
 import dataclasses
 import errno
-import logging
 import os
 import pickle
 import subprocess
@@ -38,22 +31,11 @@ import pytest
 
 from repro.options import CompileOptions
 from repro.service.cache import CacheStats, CompileCache, resolve_cache
-from repro.service.stores import (
-    HTTPStore,
-    LayeredStore,
-    LocalStore,
-    StoreServer,
-    StoreUnavailable,
-    resolve_store,
-)
+from repro.service.store import LocalStore, default_gc_budget, parse_age, parse_size
 
 KEY_A = "ab" * 32
 KEY_B = "cd" * 32
 KEY_C = "ef" * 32
-
-
-def _quiet_cache_logs():
-    logging.getLogger("repro.cache").setLevel(logging.ERROR)
 
 
 # -- LocalStore ------------------------------------------------------------
@@ -151,207 +133,33 @@ def test_local_store_opportunistic_gc_on_put(tmp_path):
     assert total <= 300 + 300  # at most one over-budget entry in flight
 
 
-# -- StoreServer + HTTPStore -----------------------------------------------
+def test_gc_budget_env_vars_take_the_flags_spelling(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "500M")
+    monkeypatch.setenv("REPRO_CACHE_MAX_AGE", "7d")
+    assert default_gc_budget() == (parse_size("500M"), parse_age("7d"))
+    assert default_gc_budget() == (524288000, 7 * 86400.0)
+    assert CompileCache(cache_dir="unused", persistent=False).gc_max_bytes == 524288000
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+    monkeypatch.setenv("REPRO_CACHE_MAX_AGE", "")
+    assert default_gc_budget() == (4096, None)
+    monkeypatch.setenv("REPRO_CACHE_MAX_AGE", "a week")
+    with pytest.raises(ValueError, match="REPRO_CACHE_MAX_AGE"):
+        default_gc_budget()
 
 
-def test_http_store_round_trip(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        client = HTTPStore(srv.url)
-        assert client.ping()
-        assert client.get("results", KEY_A) is None
-        assert client.put("results", KEY_A, b"payload")
-        assert client.get("results", KEY_A) == b"payload"
-        assert client.contains("results", KEY_A)
-        assert client.keys("results") == [KEY_A]
-        # put-skip happens server-side in the backing LocalStore
-        assert client.put("results", KEY_A, b"payload")
-        assert srv.store.stats.get("put_skips") == 1
-        # batched fetch: one round trip, only the hits come back
-        client.put("memos", KEY_B, b"snap")
-        got = client.get_many("memos", [KEY_B, KEY_C])
-        assert got == {KEY_B: b"snap"}
-        assert client.stats.get("batched_gets") == 1
-        # maintenance over the wire
-        assert client.info()["entries"] == 1
-        report = client.gc(max_age=0.0)
-        assert report.removed == 2
-        assert client.delete("results", KEY_A) is False
-        client.close()
-
-
-def _dead_url(tmp_path):
-    """The URL of a store server that has stopped listening."""
-    srv = StoreServer(str(tmp_path / "remote"))
-    srv.start()
-    srv.stop()
-    return srv.url
-
-
-def test_http_store_dead_server_raises_store_unavailable(tmp_path):
-    client = HTTPStore(_dead_url(tmp_path), timeout=0.5)
-    with pytest.raises(StoreUnavailable):
-        client.get("results", KEY_A)
-    assert client.stats.get("errors") == 1
-    client.close()
-
-
-# -- LayeredStore ----------------------------------------------------------
-
-
-def test_layered_store_write_behind_and_read_through(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        layered = LayeredStore(
-            LocalStore(str(tmp_path / "a")), HTTPStore(srv.url)
-        )
-        layered.put("results", KEY_A, b"payload")
-        assert layered.flush(5.0)
-        # write-behind published the entry to the remote tier
-        assert srv.store.get("results", KEY_A) == b"payload"
-
-        # a different node with a cold local tier reads through + backfills
-        other = LayeredStore(
-            LocalStore(str(tmp_path / "b")), HTTPStore(srv.url)
-        )
-        assert other.get("results", KEY_A) == b"payload"
-        assert other.stats.get("backfills") == 1
-        assert other.local.get("results", KEY_A) == b"payload"
-        layered.close()
-        other.close()
-
-
-def test_layered_store_get_many_batches_remote_misses(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        seed = HTTPStore(srv.url)
-        seed.put("memos", KEY_A, b"remote-snap")
-        layered = LayeredStore(
-            LocalStore(str(tmp_path / "local")), HTTPStore(srv.url)
-        )
-        layered.local.put("memos", KEY_B, b"local-snap")
-        got = layered.get_many("memos", [KEY_A, KEY_B, KEY_C])
-        assert got == {KEY_A: b"remote-snap", KEY_B: b"local-snap"}
-        # exactly one remote round trip for the two local misses
-        assert layered.remote.stats.get("batched_gets") == 1
-        # the remote hit was backfilled locally
-        assert layered.local.get("memos", KEY_A) == b"remote-snap"
-        layered.close()
-        seed.close()
-
-
-def test_layered_store_degrades_when_remote_dies(tmp_path):
-    _quiet_cache_logs()
-    srv = StoreServer(str(tmp_path / "remote"))
-    srv.start()
-    layered = LayeredStore(
-        LocalStore(str(tmp_path / "local")),
-        HTTPStore(srv.url, timeout=0.5),
-        retry_interval=30.0,
-    )
-    layered.put("results", KEY_A, b"payload")
-    assert layered.flush(5.0)
-    srv.stop()
-
-    # zero request failures: gets and puts keep working local-only
-    assert layered.get("results", KEY_A) == b"payload"
-    assert layered.get("results", KEY_B) is None  # first remote probe fails
-    layered.put("results", KEY_C, b"more")
-    assert layered.flush(5.0)
-    assert layered.local.get("results", KEY_C) == b"more"
-
-    # the tier was marked down: later misses skip the timeout entirely
-    t0 = time.perf_counter()
-    assert layered.get("results", KEY_B) is None
-    assert time.perf_counter() - t0 < 0.25
-    assert layered.stats.get("remote_down_skips") >= 1
-    assert not layered.info()["remote"]["alive"]
-    layered.close()
-
-
-def test_layered_store_clear_spares_remote_by_default(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        layered = LayeredStore(
-            LocalStore(str(tmp_path / "local")), HTTPStore(srv.url)
-        )
-        layered.put("results", KEY_A, b"payload")
-        assert layered.flush(5.0)
-        assert layered.clear("results") == 1
-        assert srv.store.get("results", KEY_A) == b"payload"  # remote intact
-        layered.clear("results", remote=True)
-        assert srv.store.get("results", KEY_A) is None
-        layered.close()
-
-
-# -- CompileCache over the fabric ------------------------------------------
-
-
-def test_tiered_cache_counts_remote_hits_and_backfills(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        warm = resolve_cache(f"tiered:{tmp_path / 'a'}|{srv.url}")
-        warm.put(KEY_A, {"answer": 42})
-        assert warm.flush(5.0)
-        warm.close()
-
-        cold = resolve_cache(f"tiered:{tmp_path / 'b'}|{srv.url}")
-        assert cold.get(KEY_A) == {"answer": 42}
-        assert cold.counters()["tier.remote.hits"] == 1
-        assert cold.stats.disk_hits == 1  # any persistent tier counts
-        # backfilled: the next cold-memory get is served locally
-        cold._mem.clear()
-        cold._mem_bytes = 0
-        assert cold.get(KEY_A) == {"answer": 42}
-        assert cold.counters()["tier.remote.hits"] == 1
-        cold.close()
+# -- CompileCache over the store -------------------------------------------
 
 
 def test_tiered_cache_memos_round_trip_batched(tmp_path):
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        a = resolve_cache(f"tiered:{tmp_path / 'a'}|{srv.url}")
-        a.put_memos(KEY_A, {"table": [1, 2]})
-        a.put_memos(KEY_B, {"table": [3]})
-        assert a.flush(5.0)
-        a.close()
+    a = CompileCache(cache_dir=str(tmp_path / "a"))
+    a.put_memos(KEY_A, {"table": [1, 2]})
+    a.put_memos(KEY_B, {"table": [3]})
 
-        b = resolve_cache(f"tiered:{tmp_path / 'b'}|{srv.url}")
-        got = b.get_memos_many([KEY_A, KEY_B, KEY_C])
-        assert got == {KEY_A: {"table": [1, 2]}, KEY_B: {"table": [3]}}
-        assert b.stats.memo_hits == 2
-        assert b.stats.memo_misses == 1
-        b.close()
-
-
-def test_dead_remote_only_cache_is_a_miss_not_a_crash(tmp_path):
-    from repro.service import cached_optimize
-    from repro.workloads import build_workload
-
-    cache = resolve_cache(_dead_url(tmp_path))
-    result = cached_optimize(
-        build_workload("harris", 64), options=CompileOptions(cache=cache)
-    )
-    assert result.tree is not None
-    assert cache.stats.misses == 1 and cache.stats.stores == 1
-    failed, memo_misses = cache.counters()["tier.remote.errors"], cache.stats.memo_misses
-    assert cache.get_memos(KEY_A) is None
-    assert cache.get_memos_many([KEY_A, KEY_B]) == {}
-    cache.put_memos(KEY_A, {"m": 1})
-    assert KEY_A not in cache
-    assert cache.stats.memo_misses == memo_misses + 3
-    # every call that reached for the store counted one remote error
-    assert cache.counters()["tier.remote.errors"] == failed + 3
-
-
-def test_daemon_on_a_dead_remote_only_cache_answers_a_compile(tmp_path):
-    from repro.serve.client import ServeClient
-    from repro.serve.server import ServeConfig, ServerThread
-
-    config = ServeConfig(
-        socket_path=str(tmp_path / "d.sock"), cache=_dead_url(tmp_path)
-    )
-    with ServerThread(config):
-        with ServeClient(socket_path=config.socket_path) as client:
-            out = client.compile("conv2d", size=16)
-            assert out.get("error") is None and out["from_cache"] is False
-            snap = client.stats()
-    assert snap["gauges"]["serve.cache.tier.remote.errors"] >= 2  # get + put
-    assert snap["gauges"]["serve.cache.misses"] == 1
+    b = CompileCache(cache_dir=str(tmp_path / "a"))
+    got = b.get_memos_many([KEY_A, KEY_B, KEY_C])
+    assert got == {KEY_A: {"table": [1, 2]}, KEY_B: {"table": [3]}}
+    assert b.stats.memo_hits == 2
+    assert b.stats.memo_misses == 1
 
 
 def test_cache_put_skip_counted_in_stats(tmp_path):
@@ -382,26 +190,19 @@ def test_cache_info_uses_running_counters_not_walks(tmp_path, monkeypatch):
     assert info["disk_entries"] == 2
     assert info["disk_bytes"] > first["disk_bytes"]
 
-
 def test_resolve_cache_fabric_specs(tmp_path):
-    tiered = resolve_cache(f"tiered:{tmp_path / 'l'}|{tmp_path / 'r'}")
-    assert isinstance(tiered.store, LayeredStore)
-    assert tiered.spec == f"tiered:{tmp_path / 'l'}|{tmp_path / 'r'}"
-    # a directory remote is a LocalStore wearing the remote tier label
-    assert isinstance(tiered.store.remote, LocalStore)
-    assert tiered.store.remote.tier == "remote"
-    tiered.close()
-
-    mapped = resolve_cache(
-        {"local": str(tmp_path / "m"), "remote": str(tmp_path / "r2"),
-         "max_entries": 4}
-    )
-    assert isinstance(mapped.store, LayeredStore)
+    mapped = resolve_cache({"local": str(tmp_path / "m"), "max_entries": 4})
+    assert mapped.cache_dir == str(tmp_path / "m")
     assert mapped.max_entries == 4
-    mapped.close()
+    assert resolve_cache(str(tmp_path / "d")).spec == str(tmp_path / "d")
 
-    with pytest.raises(ValueError):
-        resolve_cache("tiered:only-one-part")
+    # A URL or a tiered spelling names no directory: refused, and no
+    # directory called ``http:`` appears in the working directory.
+    for spec in ("http://127.0.0.1:9", "tiered:a|http://127.0.0.1:9",
+                 {"local": "http://127.0.0.1:9"}):
+        with pytest.raises(ValueError):
+            resolve_cache(spec)
+    assert not os.path.exists("http:")
 
     options = CompileOptions(cache={"local": str(tmp_path / "o")})
     assert isinstance(options.cache, CompileCache)
@@ -409,19 +210,21 @@ def test_resolve_cache_fabric_specs(tmp_path):
 
 
 def test_tiered_cache_pickles_across_process_boundary(tmp_path):
-    cache = resolve_cache(f"tiered:{tmp_path / 'l'}|{tmp_path / 'r'}")
+    cache = resolve_cache(str(tmp_path / "l"))
     cache.put(KEY_A, {"v": 7})
-    assert cache.flush(5.0)
     clone = pickle.loads(pickle.dumps(cache))
     assert clone.spec == cache.spec
     assert clone.get(KEY_A) == {"v": 7}
-    cache.close()
-    clone.close()
+    clone._mem.clear()
+    clone._mem_bytes = 0
+    assert clone.get(KEY_A) == {"v": 7}  # the clone's own store reads it
+    assert clone.stats.disk_hits == 1
 
 
 def test_compile_results_bit_identical_across_tiers(tmp_path):
-    """The same fingerprint served local, remote or fresh must pickle to
-    the same bytes (SCHEMA_VERSION-gated compatibility)."""
+    """The same fingerprint served fresh, from memory or from a second
+    cache on the same directory must print the same tree
+    (SCHEMA_VERSION-gated compatibility)."""
     from repro.codegen import print_tree
     from repro.service import cached_optimize
     from repro.workloads import build_workload
@@ -430,19 +233,15 @@ def test_compile_results_bit_identical_across_tiers(tmp_path):
         prog = build_workload("atax", 32)
         return print_tree(cached_optimize(prog, options=CompileOptions(cache=cache)).tree, prog)
 
-    local_only = CompileCache(cache_dir=str(tmp_path / "solo"))
-    baseline = tree_of(local_only)
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        a = resolve_cache(f"tiered:{tmp_path / 'a'}|{srv.url}")
-        assert tree_of(a) == baseline
-        assert a.flush(5.0)
-        a.close()
-        b = resolve_cache(f"tiered:{tmp_path / 'b'}|{srv.url}")
-        assert tree_of(b) == baseline
-        assert b.counters()["tier.remote.hits"] >= 1  # served by the shared tier
-        assert b.stats.misses == 0
-        b.close()
-    local_only.close()
+    a = CompileCache(cache_dir=str(tmp_path / "shared"))
+    baseline = tree_of(a)
+    assert a.stats.misses == 1
+    assert tree_of(a) == baseline
+    assert a.stats.memory_hits == 1
+    b = CompileCache(cache_dir=str(tmp_path / "shared"))
+    assert tree_of(b) == baseline
+    assert b.counters()["tier.local.hits"] >= 1  # served by the directory
+    assert b.stats.misses == 0
 
 
 # -- degraded disk (read-only / disk-full) ---------------------------------
@@ -487,7 +286,7 @@ def test_read_only_dir_degrades_to_memory_only(tmp_path, monkeypatch):
 _HAMMER = r"""
 import os, pickle, sys
 sys.path.insert(0, {src!r})
-from repro.service.stores import LocalStore
+from repro.service.store import LocalStore
 
 store = LocalStore({dir!r})
 seed = int(sys.argv[1])
@@ -533,93 +332,42 @@ def test_concurrent_processes_share_one_store_dir(tmp_path):
     assert store.stats.get("errors") == 0
 
 
-# -- two daemons, one shared remote tier -----------------------------------
+# -- two daemons, one directory --------------------------------------------
 
 
-def test_second_daemon_answers_from_shared_remote_tier(tmp_path):
+def test_second_daemon_answers_from_a_shared_directory(tmp_path):
+    from repro.codegen import print_tree
     from repro.serve.client import ServeClient
     from repro.serve.server import ServeConfig, ServerThread
+    from repro.workloads import build_workload
 
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        spec_a = f"tiered:{tmp_path / 'node_a'}|{srv.url}"
-        config_a = ServeConfig(
-            socket_path=str(tmp_path / "a.sock"), cache=spec_a
-        )
-        with ServerThread(config_a) as st_a:
-            with ServeClient(socket_path=config_a.socket_path) as client:
-                cold = client.compile("conv2d", size=16)
-                assert cold["from_cache"] is False
-            # drain flushes the write-behind queue to the remote tier
-        assert st_a.server.cache.counters().get("tier.remote.hits", 0) == 0
+    shared = str(tmp_path / "shared")
+    config_a = ServeConfig(socket_path=str(tmp_path / "a.sock"), cache=shared)
+    with ServerThread(config_a) as st_a:
+        with ServeClient(socket_path=config_a.socket_path) as client:
+            cold = client.compile("conv2d", size=64)
+            assert cold["from_cache"] is False
 
-        spec_b = f"tiered:{tmp_path / 'node_b'}|{srv.url}"
-        config_b = ServeConfig(
-            socket_path=str(tmp_path / "b.sock"), cache=spec_b
-        )
-        with ServerThread(config_b):
-            with ServeClient(socket_path=config_b.socket_path) as client:
-                warm = client.compile("conv2d", size=16)
-                assert warm["from_cache"] is True
-                assert warm["fingerprint"] == cold["fingerprint"]
-                snap = client.stats()
-            # daemon B compiled nothing: the shared tier answered
-            assert snap["counters"].get("serve.compiles", 0) == 0
-            assert snap["gauges"]["serve.cache.tier.remote.hits"] >= 1
-            assert "serve.cache.remote_hits" not in snap["gauges"]
-            assert "serve.cache.tier.remote.get_ms" in snap["histograms"]
+    config_b = ServeConfig(socket_path=str(tmp_path / "b.sock"), cache=shared)
+    with ServerThread(config_b) as st_b:
+        with ServeClient(socket_path=config_b.socket_path) as client:
+            warm = client.compile("conv2d", size=64)
+            assert warm["from_cache"] is True
+            assert warm["fingerprint"] == cold["fingerprint"]
+            snap = client.stats()
+        # daemon B compiled nothing: the shared directory answered
+        assert snap["counters"].get("serve.compiles", 0) == 0
+        assert snap["gauges"]["serve.cache.tier.local.hits"] >= 1
+        assert "serve.cache.tier.local.get_ms" in snap["histograms"]
+
+    prog = build_workload("conv2d", 64)
+    tree_a = st_a.server.cache.get(cold["fingerprint"]).tree
+    tree_b = st_b.server.cache.get(warm["fingerprint"]).tree
+    assert print_tree(tree_b, prog) == print_tree(tree_a, prog)
 
 
 # -- one counter per event: a scripted session -----------------------------
 
-#: Per step of ``_session``: the non-zero ``CacheStats`` fields, then the
-#: non-zero ``TierStats`` counters per tier.  The tier table was recorded
-#: before ``CompileCache`` stopped copying store events into its own
-#: ledger.  Back then ``errors``/``disk_evictions`` also held a copy of
-#: ``tier.local.errors``/``tier.local.evictions`` (1 and 1 more from the
-#: corrupt envelope on), ``remote_hits`` a copy of ``tier.remote.hits`` and
-#: ``skipped_stores`` of ``tier.local.put_skips``; the policy table below is
-#: what is left once those copies are gone.
-SESSION = [
-    ("put", {"stores": 1},
-     {"layered": {"flush_queued": 1}, "local": {"puts": 1},
-      "remote": {"puts": 1}}),
-    ("put again", {"stores": 2},
-     {"layered": {"flush_queued": 2}, "local": {"put_skips": 1, "puts": 2},
-      "remote": {"put_skips": 1, "puts": 2}}),
-    ("memory get", {"memory_hits": 1, "stores": 2},
-     {"layered": {"flush_queued": 2}, "local": {"put_skips": 1, "puts": 2},
-      "remote": {"put_skips": 1, "puts": 2}}),
-    ("store get", {"disk_hits": 1, "memory_hits": 1, "stores": 2},
-     {"layered": {"flush_queued": 2},
-      "local": {"gets": 1, "hits": 1, "put_skips": 1, "puts": 2},
-      "remote": {"put_skips": 1, "puts": 2}}),
-    ("remote read-through", {"disk_hits": 1},
-     {"layered": {"backfills": 1}, "local": {"gets": 1, "misses": 1, "puts": 1},
-      "remote": {"gets": 1, "hits": 1}}),
-    ("corrupt envelope", {"disk_hits": 2},
-     {"layered": {"backfills": 2},
-      "local": {"errors": 1, "evictions": 1, "gets": 2, "misses": 2, "puts": 2},
-      "remote": {"gets": 2, "hits": 2}}),
-    ("os.system payload",
-     {"disk_evictions": 1, "disk_hits": 2, "errors": 1, "misses": 1},
-     {"layered": {"backfills": 2},
-      "local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 3,
-                "hits": 1, "misses": 2, "puts": 2},
-      "remote": {"deletes": 1, "gets": 2, "hits": 2}}),
-    ("memos hit+miss",
-     {"disk_evictions": 1, "disk_hits": 2, "errors": 1, "memo_hits": 1,
-      "memo_misses": 1, "memo_stores": 1, "misses": 1},
-     {"layered": {"backfills": 2, "flush_queued": 1},
-      "local": {"deletes": 1, "errors": 1, "evictions": 1, "gets": 5,
-                "hits": 2, "misses": 3, "puts": 3},
-      "remote": {"deletes": 1, "gets": 3, "hits": 2, "misses": 1, "puts": 1}}),
-]
-
-
-#: ``SESSION``'s script over a plain local cache, recorded before the
-#: remote tier was deleted: step 5 is a second cache on the first one's
-#: directory, so the corrupt envelope that a remote tier answered is a
-#: miss here.
 SESSION_LOCAL = [
     ("put", {"stores": 1}, {"local": {"puts": 1}}),
     ("put again", {"stores": 2}, {"local": {"put_skips": 1, "puts": 2}}),
@@ -643,6 +391,7 @@ SESSION_LOCAL = [
                 "hits": 3, "misses": 2, "puts": 1}}),
 ]
 
+
 class _System:
     """Pickles to a payload that names ``os.system``."""
 
@@ -650,50 +399,10 @@ class _System:
         return (os.system, ("true",))
 
 
-def _session(tmp_path):
-    """Drive a tiered cache (its remote tier a second directory) through
-    every store event once; yields ``(step, cache)`` after each step."""
-
-    def forget_memory(cache):
-        cache._mem.clear()
-        cache._mem_bytes = 0
-
-    a = resolve_cache(f"tiered:{tmp_path / 'a'}|{tmp_path / 'r'}")
-    a.put(KEY_A, {"v": 1})
-    assert a.flush(5.0)
-    yield "put", a
-    a.put(KEY_A, {"v": 1})
-    assert a.flush(5.0)
-    yield "put again", a
-    assert a.get(KEY_A) == {"v": 1}
-    yield "memory get", a
-    forget_memory(a)
-    assert a.get(KEY_A) == {"v": 1}
-    yield "store get", a
-    a.close()
-
-    b = resolve_cache(f"tiered:{tmp_path / 'b'}|{tmp_path / 'r'}")
-    assert b.get(KEY_A) == {"v": 1}
-    yield "remote read-through", b
-    with open(b.store.local.path("results", KEY_A), "wb") as f:
-        f.write(b"not an envelope")
-    forget_memory(b)
-    assert b.get(KEY_A) == {"v": 1}
-    yield "corrupt envelope", b
-    LocalStore(str(tmp_path / "b")).put("results", KEY_B, pickle.dumps(_System()))
-    assert b.get(KEY_B) is None
-    yield "os.system payload", b
-    b.put_memos(KEY_C, {"m": 1})
-    assert b.flush(5.0)
-    assert b.get_memos_many([KEY_C, "12" * 32]) == {KEY_C: {"m": 1}}
-    yield "memos hit+miss", b
-    b.close()
-
-
 def _session_local(tmp_path):
-    """The same script over a plain local cache ``a``; where ``_session``
-    read through a remote tier, a second cache ``b`` opens ``a``'s
-    directory.  Yields ``(step, cache)`` after each step."""
+    """Drive a local cache ``a``, then a second cache ``b`` on ``a``'s
+    directory, through every store event once; yields ``(step, cache)``
+    after each step."""
 
     def forget_memory(cache):
         cache._mem.clear()
@@ -729,34 +438,9 @@ def _session_local(tmp_path):
     b.close()
 
 
-def _record(session, tmp_path):
-    """``(step, policy counters, tier counters)`` after each step, each
-    dict without its zeros; checks ``counters()`` shows both sides."""
-    seen = []
-    for step, cache in session(tmp_path):
-        policy = {k: v for k, v in dataclasses.asdict(cache.stats).items() if v}
-        tiers = {
-            tier: {k: v for k, v in tstats.counters().items() if v}
-            for tier, tstats in cache.tier_metrics()
-        }
-        seen.append((step, policy, tiers))
-        view = cache.counters()
-        assert {k: v for k, v in view.items() if "." not in k} == (
-            dataclasses.asdict(cache.stats)
-        )
-        for tier, counters in tiers.items():
-            for name, n in counters.items():
-                assert view[f"tier.{tier}.{name}"] == n
-    return seen
-
-
-def test_local_session_is_counted_once(tmp_path):
-    assert _record(_session_local, tmp_path) == SESSION_LOCAL
-
-
 def test_each_cache_event_is_counted_once(tmp_path):
     seen = []
-    for step, cache in _session(tmp_path):
+    for step, cache in _session_local(tmp_path):
         policy = {k: v for k, v in dataclasses.asdict(cache.stats).items() if v}
         tiers = {
             tier: {k: v for k, v in tstats.counters().items() if v}
@@ -770,7 +454,7 @@ def test_each_cache_event_is_counted_once(tmp_path):
         for tier, counters in tiers.items():
             for name, n in counters.items():
                 assert view[f"tier.{tier}.{name}"] == n
-    assert seen == SESSION
+    assert seen == SESSION_LOCAL
 
 
 def test_cache_stats_dataclass_new_fields_round_trip():

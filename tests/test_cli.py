@@ -151,6 +151,12 @@ def test_cache_info_and_clear(cache_dir, capsys):
     out = capsys.readouterr().out
     assert "disk entries:   1" in out
     assert "memo snapshots: 0" in out
+    # A dry-run GC over budget names what it would drop and drops nothing.
+    assert main(["cache", "gc", "--dry-run", "--max-bytes", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "would remove 1 entries" in out
+    assert main(["cache", "info"]) == 0
+    assert "disk entries:   1" in capsys.readouterr().out
     assert main(["cache", "clear"]) == 0
     assert "removed 1 entries" in capsys.readouterr().out
     assert main(["cache", "info"]) == 0

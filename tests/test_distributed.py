@@ -1,15 +1,13 @@
-"""Distributed tracing and live telemetry across the compile fabric.
+"""Distributed tracing and live telemetry across client, daemon and workers.
 
-Covers the acceptance criteria of the observability tentpole: a trace
-context round-trips through every serialized form (header, wire field,
-worker environment), requests over unix and TCP sockets carry it and get
-the daemon's span tree back under the same ``trace_id``, requests
-*without* the field still validate (back-compat), batch workers re-parent
-their span trees under the originating request, the HTTP store server
-echoes and logs ``X-Repro-Trace``, the event log and sample ring stay
-bounded, sampling decisions gate payload work, and the stitching /
-critical-path analysis the ``repro trace`` / ``repro profile`` CLIs rely
-on produce valid Chrome traces.
+A trace context round-trips through every serialized form (traceparent
+line, wire field, worker environment), requests over unix and TCP
+sockets carry it and get the daemon's span tree back under the same
+``trace_id``, requests *without* the field still validate (back-compat),
+batch workers re-parent their span trees under the originating request,
+the event log and sample ring stay bounded, sampling decisions gate
+payload work, and the stitching / critical-path analysis the ``repro
+trace`` / ``repro profile`` CLIs rely on produce valid Chrome traces.
 """
 
 import gzip
@@ -17,17 +15,14 @@ import json
 import os
 import threading
 import time
-import urllib.request
 
 import pytest
 
 from repro import obs
 from repro.obs import distributed
 from repro.obs.distributed import (
-    HEADER,
     TraceContext,
     critical_path,
-    derive_store_stream,
     new_context,
     report_to_wire,
     stitch,
@@ -172,30 +167,6 @@ def test_stitch_rebases_streams_onto_shared_timeline():
     assert xs[1]["ts"] == pytest.approx(1e6)  # one second later, in us
     pids = {e["pid"] for e in xs}
     assert len(pids) == 2
-
-
-def test_derive_store_stream_centers_server_span():
-    stream = {
-        "schema": distributed.WIRE_SCHEMA,
-        "service": "daemon",
-        "wall_t0": 50.0,
-        "spans": [
-            {"id": 1, "parent": None, "name": "store.get", "start": 1.0,
-             "dur": 0.010, "tid": 0, "attrs": {"server_ms": 4.0}},
-            {"id": 2, "parent": None, "name": "optimize", "start": 0.0,
-             "dur": 2.0, "tid": 0, "attrs": {}},
-        ],
-        "dropped": 0, "truncated": 0,
-    }
-    store = derive_store_stream(stream)
-    assert store["service"] == "store"
-    (span,) = store["spans"]
-    assert span["name"] == "store.get.server"
-    assert span["dur"] == pytest.approx(0.004)
-    assert span["start"] == pytest.approx(1.003)  # centered in the client span
-    assert "server_ms" not in span["attrs"]
-    # No store spans -> no synthetic stream.
-    assert derive_store_stream({"spans": [], "wall_t0": 0.0}) is None
 
 
 # -- critical path ---------------------------------------------------------
@@ -416,79 +387,33 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
         assert w.parent in by_id
 
 
-# -- store server trace propagation ----------------------------------------
-
-
-def test_store_server_echoes_and_logs_trace_header(tmp_path):
-    from repro.service.stores import HTTPStore, StoreServer
-
-    events_path = str(tmp_path / "store-events.jsonl")
-    with StoreServer(str(tmp_path / "remote"), events_path=events_path) as srv:
-        ctx = new_context()
-        store = HTTPStore(srv.url)
-        with distributed.use_context(ctx):
-            store.put("results", "deadbeef" * 8, b"payload")
-            assert store.get("results", "deadbeef" * 8) == b"payload"
-        # The header is echoed back on the raw response.
-        req = urllib.request.Request(
-            f"{srv.url}/cache/results/{'deadbeef' * 8}",
-            headers={HEADER: ctx.to_header()},
-        )
-        with urllib.request.urlopen(req, timeout=5) as resp:
-            assert resp.headers[HEADER] == ctx.to_header()
-            assert float(resp.headers[distributed.SERVER_MS_HEADER]) >= 0.0
-    with open(events_path) as f:
-        records = [json.loads(line) for line in f if line.strip()]
-    assert any(r.get("trace_id") == ctx.trace_id for r in records)
-    trace_recs = [r for r in records if r["type"] == "trace"]
-    assert any(r.get("trace_id") == ctx.trace_id for r in trace_recs)
-
-
-def test_http_store_spans_carry_server_ms(tmp_path):
-    from repro.service.stores import HTTPStore, StoreServer
-
-    with StoreServer(str(tmp_path / "remote")) as srv:
-        store = HTTPStore(srv.url)
-        ctx = new_context()
-        with distributed.use_context(ctx):
-            with obs.collect(trace=True) as report:
-                store.put("results", "cafebabe" * 8, b"v")
-                store.get("results", "cafebabe" * 8)
-    spans = [e for e in report.events if e.name.startswith("store.")]
-    assert spans
-    assert any("server_ms" in e.attrs for e in spans)
-    # Those annotations are exactly what derive_store_stream consumes.
-    stream = stream_from_report(report, "daemon", ctx)
-    assert derive_store_stream(stream) is not None
-
-
-# -- end-to-end stitching (daemon + store lanes from disk) -----------------
+# -- end-to-end stitching (two daemon logs from disk) ----------------------
 
 
 def test_stitch_event_logs_reassembles_request(tmp_path):
     daemon_log = str(tmp_path / "daemon.jsonl")
-    store_log = str(tmp_path / "store.jsonl")
+    other_log = str(tmp_path / "other.jsonl")
     ctx = new_context()
     report = _traced_report()
     EventLog(path=daemon_log).emit_trace(
         report_to_wire(report, "daemon", ctx)
     )
-    store_report = _traced_report()
-    EventLog(path=store_log).emit_trace(
-        report_to_wire(store_report, "store", ctx)
+    other_report = _traced_report()
+    EventLog(path=other_log).emit_trace(
+        report_to_wire(other_report, "other-daemon", ctx)
     )
     # A foreign trace in the same log must not leak in.
     EventLog(path=daemon_log).emit_trace(
         report_to_wire(_traced_report(), "daemon", new_context())
     )
-    obj, streams = stitch_event_logs([daemon_log, store_log], ctx.trace_id)
+    obj, streams = stitch_event_logs([daemon_log, other_log], ctx.trace_id)
     assert streams == 2
     assert validate_chrome_trace(obj) == []
     assert obj["otherData"]["trace_id"] == ctx.trace_id
     xs = [e for e in obj["traceEvents"] if e.get("ph") == "X"]
     assert all(e["args"]["trace_id"] == ctx.trace_id for e in xs)
     services = set(obj["otherData"]["services"])
-    assert services == {"daemon", "store"}
+    assert services == {"daemon", "other-daemon"}
 
 
 def _bad_span_record(trace_id, **span):

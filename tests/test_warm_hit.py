@@ -2,7 +2,7 @@
 
 Counts, not clocks: the decode-once memory tier, request keys built from
 the memoized program digest, named programs built once, and the
-restricted decoder on the memory, disk and remote-backfill paths.
+restricted decoder on the memory and disk paths.
 """
 
 import os
@@ -20,11 +20,10 @@ from repro.core import optimize
 from repro.machine import analyze_optimized, cpu_time
 from repro.service import cache as cache_mod
 from repro.ir import fingerprint as fp_mod
-from repro.service.cache import CompileCache, resolve_cache
+from repro.service.cache import CompileCache
 from repro.service.driver import CompileRequest, cached_optimize, compile_batch
 from repro.service.fingerprint import fingerprint_request
-from repro.service.stores import LocalStore
-from repro.service.stores.base import restricted_loads
+from repro.service.store import LocalStore, restricted_loads
 from repro.workloads import (
     UnknownWorkloadError,
     _build,
@@ -326,16 +325,6 @@ def test_bad_blob_is_an_error_an_eviction_and_a_miss_on_every_tier(tmp_path, kin
     assert disk.stats.errors == 2 and disk.stats.disk_evictions == 2
     assert disk.stats.misses == 1 and KEY not in disk
     assert disk.info()["disk_entries"] == 0 and disk.info()["memo_entries"] == 0
-
-    # remote tier: read through, backfilled locally, refused, both evicted
-    LocalStore(str(tmp_path / "r")).put("results", KEY, blob)
-    tiered = resolve_cache(f"tiered:{tmp_path / 'l'}|{tmp_path / 'r'}")
-    assert tiered.get(KEY) is None
-    assert tiered.stats.errors == 1 and tiered.stats.misses == 1
-    assert tiered.store.stats.get("backfills") == 1
-    assert not tiered.store.local.contains("results", KEY)
-    assert not tiered.store.remote.contains("results", KEY)
-    tiered.close()
     assert not (tmp_path / "pwned").exists()
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core import MixedSchedules, TargetSpec, construct_tile_shapes
+from ..core.compose import unfuse_dangling_readers
 from ..core.tile_shapes import CPU
 from ..deps import memory_deps
 from ..ir import Program
@@ -81,7 +82,11 @@ def partitioned_result(
     Within a group, the stage producing data consumed outside the group
     (or live-out) is the tiled space; the remaining stages become extension
     schedules, recomputing their per-tile footprints — Halide's
-    ``compute_at`` semantics under a fixed grouping.
+    ``compute_at`` semantics under a fixed grouping.  A fused stage whose
+    output another group also reads is unfused again, as
+    :func:`repro.core.compose.unfuse_dangling_readers` unfuses it for the
+    paper's own result: the skipped stage would otherwise never write what
+    that reader reads.
     """
     _check_partition(program, partition)
     deps = memory_deps(program)
@@ -104,6 +109,7 @@ def partitioned_result(
         inters.reverse()  # nearest producer first (program order reversed)
         sub = construct_tile_shapes(program, liveout_g, inters, tile_sizes, target)
         mixed.entries.extend(sub.entries)
+    unfuse_dangling_readers(program, mixed, tile_sizes, target)
     scheduled = Scheduled(
         program, "manual", all_groups, deps, groups_tree(program, all_groups)
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..ir import Program, REDUCE, Statement, TensorStore
 from ..presburger import Constraint
-from ..presburger.fm import bounds_for_symbol, eliminate_symbols
+from ..presburger.fm import eliminate_symbols, eval_bounds, symbol_bounds
 from ..schedule import DomainNode
 from .nest import Leaf, Loop, Nest, Seq, scan
 
@@ -99,6 +99,7 @@ def _enumerate_stream(stream: Stream) -> Iterator[Tuple[tuple, Dict[str, int]]]:
     for c in towers[0]:
         if c.is_trivially_false():
             return
+    levels = [symbol_bounds(towers[i + 1], dim) for i, dim in enumerate(dims)]
 
     binding: Dict[str, int] = {}
     n_aug = len(stream.aug_dims)
@@ -119,7 +120,7 @@ def _enumerate_stream(stream: Stream) -> Iterator[Tuple[tuple, Dict[str, int]]]:
                 yield key_of(), env
             return
         dim = dims[i]
-        lo, hi, _ = bounds_for_symbol(towers[i + 1], dim, binding)
+        lo, hi = eval_bounds(levels[i], binding)
         if lo is None or hi is None:
             raise ExecutionError(
                 f"unbounded dimension {dim} while executing {stream.stmt.name}"

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set as PySet, Tuple
 
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
-from ..core.footprint import box_extents, interior_tile_origin, tile_image
+from ..core.footprint import (
+    RepresentativeTile,
+    representative_tile,
+    tile_image,
+    tile_image_extents,
+)
 from .. import obs
 from ..ir import ASSIGN, Program
 from ..presburger import BasicSet, Constraint, LinExpr, Map, Set, SetSpace
@@ -99,46 +104,44 @@ def _promoted_buffers(
                 for s in e.group.statements
             }
         )
-        fp = tile_footprint(
-            program, entry.group, entry.tile_sizes, fused_tensors, entry.tile_dims
-        )
-        buffers: List[PromotedBuffer] = []
-        origin = interior_tile_origin(
+        tile = representative_tile(
             program, entry.group, entry.tile_sizes, entry.tile_dims, params
         )
+        fp = tile_footprint(
+            program, entry.group, tile.sizes, fused_tensors, entry.tile_dims
+        )
+        buffers: List[PromotedBuffer] = []
         for tensor in fused_tensors:
             m = fp.get((TILE_TUPLE, tensor))
-            if m is not None:
-                touched = tile_image(m, origin, params)
-            else:
+            if m is None:
                 # Produced and consumed only among the fused spaces; size it
-                # by the producer's extension instances instead.
-                touched = _written_by_extension(program, exts, tensor, origin, params)
-            buffers.append(_boxed(tensor, touched))
+                # by what the producer's extension instances write.
+                m = _written_by_extension(program, exts, tensor)
+            buffers.append(_boxed(tensor, m, tile))
         out[entry.group.name] = buffers
     return out
 
 
-def _written_by_extension(
-    program: Program, exts, tensor: str, origin, params
-) -> Optional[Set]:
+def _written_by_extension(program: Program, exts, tensor: str) -> Optional[Map]:
     for e in exts:
+        relation = e.symbolic if e.symbolic is not None else e.relation
         for s in e.group.statements:
             stmt = program.statement(s)
-            if stmt.tensor_written() == tensor and (TILE_TUPLE, s) in e.relation:
-                inst = e.instances_for_tile(s, origin, params)
-                return stmt.write_relation().fix_params(params).apply_to_set(inst)
+            m = relation.get((TILE_TUPLE, s))
+            if stmt.tensor_written() == tensor and m is not None:
+                return m.apply_range(stmt.write_relation())
     return None
 
 
-def _boxed(tensor: str, touched: Optional[Set]) -> PromotedBuffer:
-    """The buffer for one tile's ``touched`` elements.  The set's own box on
-    purpose, not :func:`tile_box` with nothing left symbolic (same shapes):
-    ``count_points`` and the cost model box the same sets through the same
-    memo table, and a tile-size sweep calls this per candidate."""
-    if touched is None:
+def _boxed(tensor: str, m: Optional[Map], tile: RepresentativeTile) -> PromotedBuffer:
+    """The buffer for what one tile touches through the per-tile relation
+    ``m``: the box of its representative tile (its projection, evaluated;
+    not :func:`tile_box` with nothing left symbolic, which has the same
+    shapes but projects per tile) and the exact count of the image."""
+    if m is None:
         return PromotedBuffer(tensor, (0,), 0)
-    shape = tuple(e or 0 for e in box_extents(touched))
+    shape = tuple(e or 0 for e in tile_image_extents(m, tile.origin, tile.params))
+    touched = tile_image(m, tile.origin, tile.params)
     return PromotedBuffer(tensor, shape, touched.count_points())
 
 

@@ -149,7 +149,7 @@ def composite_tiling_fusion(
         _append_standalone(mixed, g, tile_sizes, target)
 
     with obs.span("unfuse_dangling_readers"):
-        _unfuse_dangling_readers(program, mixed, tile_sizes, target)
+        unfuse_dangling_readers(program, mixed, tile_sizes, target)
     return mixed
 
 
@@ -163,7 +163,7 @@ def _append_standalone(mixed, group, tile_sizes, target) -> None:
     mixed.entries.append(TilingScheduleEntry(group, sizes, tdims))
 
 
-def _unfuse_dangling_readers(
+def unfuse_dangling_readers(
     program: Program,
     mixed: MixedSchedules,
     tile_sizes,

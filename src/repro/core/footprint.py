@@ -14,23 +14,43 @@ Whatever the compiler decides or prices per tile (Algorithm 1's budgets,
 the promoted buffers of Section V-B, every traffic term of
 ``repro.machine``) is such a relation evaluated at *the representative
 tile*, and this module is the only place that says what that is:
-:func:`interior_tile_origin` is its origin (aligned, nearest the middle of
-the band rows of the group's first statement, which for a band of one or
-two tiles is a boundary tile); :func:`band_extents` the extent of each
-band row over the whole group; :func:`tiles_per_dim` (and
-:func:`tile_count`) how many tiles cover them; :func:`tile_image_extents`
-the box of what the tile maps to under a footprint (4) or an extension
-schedule (6).  ``None`` in a box is an unbounded dimension, and each
+:func:`representative_tile` bundles it — the sizes to build relations
+with, :func:`interior_tile_origin` (aligned, nearest the middle of the
+band rows of the group's first statement, which for a band of one or two
+tiles is a boundary tile), and the values of every other free name;
+:func:`band_extents` is the extent of each band row over the whole group;
+:func:`tiles_per_dim` (and :func:`tile_count`) how many tiles cover them.
+
+Relations are built in symbolic tile sizes wherever
+:func:`parametric_binding` applies, so one relation serves every
+candidate of a tile-size sweep.  A box has one path:
+:func:`tile_image_extents` evaluates the relation's
+:meth:`~repro.presburger.Map.box_projection` — each piece projected once
+onto each out dim, tile origin, sizes and params left free — at the
+representative tile; a relation in concrete sizes is the same projection
+with fewer free names.  :func:`tile_image` is the image itself, for the
+exact counts.  ``None`` in a box is an unbounded dimension, and each
 reader says what that costs it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import Program
-from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, Set, UnionMap, memo
+from ..presburger import (
+    BasicMap,
+    BasicSet,
+    Constraint,
+    LinExpr,
+    Map,
+    MapSpace,
+    Set,
+    UnionMap,
+    memo,
+)
 from ..scheduler import FusionGroup
 from .. import obs
 
@@ -292,25 +312,25 @@ def write_footprint(
 
 def tile_image(relation: Map, origin: Mapping[str, int], params: Mapping[str, int]) -> Set:
     """What the tile at ``origin`` maps to under a per-tile ``relation``
-    (a footprint (4) or an extension schedule (6))."""
-    return relation.fix_params(params).image_of_point(origin)
-
-
-def box_extents(points: Set) -> List[Optional[int]]:
-    """Per-dimension extent of the bounding box, ``None`` where unbounded."""
-    return [
-        None if lo is None or hi is None else hi - lo + 1
-        for lo, hi in points.bounding_box().values()
-    ]
+    (a footprint (4) or an extension schedule (6)); ``params`` binds the
+    program's parameters and, for a relation built with symbolic sizes,
+    the sizes."""
+    binding = {k: v for k, v in params.items() if k in relation.space.params}
+    binding.update(origin)
+    fixed = relation.fix(binding)
+    space = fixed.space.range_space
+    return Set(space, [BasicSet(space, p.constraints) for p in fixed.pieces])
 
 
 def tile_image_extents(
     relation: Map, origin: Mapping[str, int], params: Mapping[str, int]
 ) -> List[Optional[int]]:
-    """:func:`box_extents` of what the tile at ``origin`` maps to.  What an
-    unbounded dimension means is the caller's: an infinite recomputation in
-    Algorithm 1, no streamed bytes in the read model."""
-    return box_extents(tile_image(relation, origin, params))
+    """The box of :func:`tile_image`, per out dim, ``None`` where unbounded:
+    the relation's :meth:`~repro.presburger.Map.box_projection` evaluated
+    at ``origin`` and ``params``.  What an unbounded dimension means is the
+    caller's: an infinite recomputation in Algorithm 1, no streamed bytes
+    in the read model."""
+    return relation.box_projection().extents({**params, **origin})
 
 
 def footprint_size(
@@ -399,6 +419,39 @@ def interior_tile_origin(
         aligned = ((lo + hi) // 2 // size) * size
         origin[tdim] = max((lo // size) * size, min(aligned, (hi // size) * size))
     return origin
+
+
+@dataclass(frozen=True)
+class RepresentativeTile:
+    """Where a tiled group's per-tile relations are evaluated.
+
+    ``sizes`` is what to build those relations with: the symbolic names of
+    :func:`parametric_binding` where it applies (one relation then serves
+    every size vector), the sizes themselves otherwise.  ``params`` binds
+    every name such a relation leaves free besides the tile dims: the
+    program's parameters and ``values``.
+    """
+
+    sizes: Tuple
+    values: Dict[str, int]  # the names' sizes; empty when ``sizes`` are ints
+    origin: Dict[str, int]
+    params: Dict[str, int]
+
+
+def representative_tile(
+    program: Program,
+    group: FusionGroup,
+    tile_sizes: Sequence[int],
+    tile_dims: Sequence[str],
+    params: Mapping[str, int],
+) -> RepresentativeTile:
+    """The :class:`RepresentativeTile` of ``group`` tiled by ``tile_sizes``."""
+    origin = interior_tile_origin(program, group, tile_sizes, tile_dims, params)
+    pb = parametric_binding(program, group, tile_sizes, tile_dims)
+    if pb is None:
+        return RepresentativeTile(tuple(tile_sizes), {}, origin, dict(params))
+    names, values = pb
+    return RepresentativeTile(names, values, origin, {**params, **values})
 
 
 def tiles_per_dim(

@@ -7,6 +7,16 @@ schedules* (relation (6)): affine maps from tile origins to the statement
 instances each tile must recompute/keep locally.  The output is the paper's
 ``Mixed_Schedules``: an ordered union of tiling schedules and extension
 schedules.
+
+A tile-size sweep runs this pass once per candidate, and only its budget
+decisions depend on the sizes.  The relation algebra therefore runs once:
+the live-out footprints and every extension relation are built in
+symbolic tile sizes (:func:`repro.core.footprint.parametric_binding`) as
+a chain of derivations (:class:`_Chain`, one per footprint table a
+candidate's decisions reach, kept in a memo table), each relation with its
+:meth:`~repro.presburger.Map.box_projection`.  A candidate evaluates those
+boxes at its representative tile, decides, and specializes only the
+extension relations it emits.
 """
 
 from __future__ import annotations
@@ -16,21 +26,22 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir import Program
-from ..presburger import Map, UnionMap
+from ..ir.fingerprint import fingerprint_program
+from ..presburger import Map, UnionMap, memo
+from ..presburger.map_ import BoxProjection
 from ..scheduler import FusionGroup
 from .. import obs
 from .exposed import exposed_tensors
 from .footprint import (
     TILE_TUPLE,
+    RepresentativeTile,
     domain_volume,
     group_ops,
-    interior_tile_origin,
-    parametric_binding,
+    representative_tile,
     tile_count,
     tile_dim_names,
     tile_footprint,
     tile_image,
-    tile_image_extents,
 )
 
 
@@ -92,6 +103,15 @@ class ExtensionScheduleEntry:
     group: FusionGroup
     target: FusionGroup
     relation: UnionMap  # keyed (TILE_TUPLE, stmt); in dims = target tile dims
+    #: ``relation`` before the tile sizes were fixed, where the parametric
+    #: engine built it: one box projection then serves every size vector.
+    #: In memory only; a pickled entry carries ``relation`` alone.
+    symbolic: Optional[UnionMap] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("symbolic", None)
+        return state
 
     def instances_for_tile(self, stmt: str, origin, params) -> "object":
         m = self.relation.get((TILE_TUPLE, stmt))
@@ -214,29 +234,17 @@ def _algorithm1_step(
     mixed.entries.append(TilingScheduleEntry(liveout, sizes, tdims))
 
     # Lines 5-6: upwards-exposed data of the live-out space and the
-    # footprint function f (relation (4)).
+    # footprint function f (relation (4)), in symbolic tile sizes where
+    # the parametric engine applies: the chain below is then the same for
+    # every size vector, and only the budget decisions read the sizes.
     all_spaces = [liveout] + intermediates
-    data = list(exposed_tensors(program, liveout, all_spaces))
-    footprints: Dict[str, Map] = {}
-    # Parametric engine: run the footprint/extension algebra once with
-    # symbolic tile sizes (size-independent memo keys shared by every
-    # autotune candidate) and specialize only where a *decision* needs
-    # concrete numbers or an entry leaves this pass.
-    pb = parametric_binding(program, liveout, sizes, tdims)
-    if pb is not None:
-        names, binding = pb
-        fp = tile_footprint(program, liveout, names, data, tdims)
-    else:
-        binding = None
-        fp = tile_footprint(program, liveout, sizes, data, tdims)
-    for (_, tensor), m_ in fp.maps.items():
-        footprints[tensor] = m_
+    data = exposed_tensors(program, liveout, all_spaces)
+    tile = representative_tile(program, liveout, sizes, tdims, program.params)
+    chain = _root_chain(program, liveout, tile.sizes, tdims, data)
 
     untiled: List[FusionGroup] = []
-    origin = interior_tile_origin(
-        program, liveout, sizes, tdims, program.params
-    )
     n_tiles = tile_count(program, liveout, sizes, program.params)
+    at = {**tile.params, **tile.origin}
     budget = {
         "work": max(group_ops(program, liveout, program.params), 1.0),
         "extra": 0.0,
@@ -249,23 +257,18 @@ def _algorithm1_step(
             untiled.append(space)
             continue
         with obs.span("fuse_space", space=space.name):
-            entry = _fuse_space(
-                program,
-                space,
-                liveout,
-                footprints,
-                tdims,
-                origin,
-                n_tiles,
-                target,
-                budget,
-                binding,
+            fused = _fuse_space(
+                program, space, liveout, chain, tile, at, n_tiles, target, budget
             )
-            obs.annotate(fused=entry is not None)
-        if entry is None:
+            obs.annotate(fused=not isinstance(fused, str))
+            if isinstance(fused, str):
+                obs.annotate(reason=fused)
+        if isinstance(fused, str):
             obs.count("tile_shapes.rejected_spaces")
+            obs.count(f"tile_shapes.rejected.{fused}")
             untiled.append(space)
             continue
+        entry, chain = fused
         obs.count("tile_shapes.fused_spaces")
         mixed.entries.append(entry)
 
@@ -276,84 +279,190 @@ def _algorithm1_step(
         )
 
 
+# ---------------------------------------------------------------------------
+# the symbolic chain: derived once, evaluated per tile-size candidate
+
+#: Roots of Algorithm 1's symbolic derivations (:class:`_Chain`), one per
+#: program, live-out band and exposed data, shared by every tile-size
+#: vector the parametric engine covers.  Keys are structural, like every
+#: memo key; the table does not spill.
+_CHAIN_MEMO = memo.table("tile_shapes_chain")
+
+
+def _root_chain(
+    program: Program,
+    liveout: FusionGroup,
+    sizes: Tuple,
+    tdims: Tuple[str, ...],
+    data: Tuple[str, ...],
+) -> "_Chain":
+    band = tuple((s, tuple(liveout.rows[s][: len(sizes)])) for s in liveout.statements)
+    key = (fingerprint_program(program), liveout.name, band, sizes, tdims, data)
+    chain = _CHAIN_MEMO.get(key)
+    if chain is memo.MISS:
+        fp = tile_footprint(program, liveout, sizes, data, tdims)
+        chain = _CHAIN_MEMO.put(
+            key, _Chain({tensor: m for (_, tensor), m in fp.maps.items()})
+        )
+    return chain
+
+
+class _Chain:
+    """Lines 9-16 below one table of upwards-exposed footprints: what
+    fusing each space derives from it, derived on first use."""
+
+    __slots__ = ("footprints", "fusions")
+
+    def __init__(self, footprints: Dict[str, Map]):
+        self.footprints = footprints
+        self.fusions: Dict[tuple, Optional[_Fusion]] = {}
+
+    def fusion(self, program: Program, space: FusionGroup) -> Optional["_Fusion"]:
+        """Fusing ``space`` below this table; ``None`` when the space
+        writes nothing the tiles need."""
+        key = (space.name, tuple(space.statements))
+        if key not in self.fusions:
+            written = {program.statement(s).tensor_written() for s in space.statements}
+            # setdefault: candidates compiled on threads may race here; the
+            # first fusion stored is the one every candidate then shares.
+            self.fusions.setdefault(
+                key,
+                _Fusion(program, space, self.footprints)
+                if written & set(self.footprints)
+                else None,
+            )
+        return self.fusions[key]
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Relation (6) of one statement and what its budgets read."""
+
+    ext: Map
+    box: BoxProjection
+    domain_size: int
+    ops: float
+
+
+class _Fusion:
+    """Lines 9-16 for one space below a footprint table: each statement's
+    relation (6), consumers first, and the table once the space is
+    fused."""
+
+    __slots__ = ("steps", "relation", "after")
+
+    def __init__(self, program: Program, space: FusionGroup, footprints):
+        # A copy: a rejected space must leave the footprint table untouched,
+        # or its producers would be fused (and skipped) to serve a consumer
+        # that still runs from its original, earlier position.
+        local = dict(footprints)
+        producers = program.written_tensors()
+        steps: List[_Step] = []
+        # Statements are visited consumers-first so that footprints of
+        # tensors produced *within* the space become available for its
+        # earlier statements.
+        for s in sorted(space.statements, key=program.statement_index, reverse=True):
+            stmt = program.statement(s)
+            fp = local.get(stmt.tensor_written())
+            if fp is None:
+                continue
+            # Relation (5) reversed write, then relation (6) = f . (5).  The
+            # union of per-consumer footprints is collapsed to its simple
+            # hull: overlapping disjuncts would otherwise re-extend (and
+            # re-execute) the same instances once per piece.
+            ext = (
+                fp.apply_range(stmt.write_relation().reverse())
+                .dedupe()
+                .pattern_hull()
+                .dedupe()
+            )
+            steps.append(
+                _Step(
+                    ext,
+                    ext.box_projection(),
+                    domain_volume(program, s, program.params),
+                    stmt.ops_per_instance(),
+                )
+            )
+            # Line 15: extend the exposed data with what s itself reads.
+            # Pure inputs (never written) cannot fuse anything, so their
+            # footprints need not be tracked.  Emptiness is decided over
+            # every tile size: a tile of any size holds the unit tile,
+            # which touches whatever the relation touches at all.
+            for (_, read_tensor), access in stmt.read_relations().maps.items():
+                if read_tensor not in producers:
+                    continue
+                extra = ext.apply_range(access)
+                if extra.is_empty():
+                    continue
+                if read_tensor in local:
+                    prev = local[read_tensor]
+                    rename = dict(zip(extra.space.in_dims, prev.space.in_dims))
+                    rename.update(zip(extra.space.out_dims, prev.space.out_dims))
+                    merged = prev.union(extra.rename_dims(rename)).dedupe()
+                    if len(merged) > 1:
+                        # Halo unions of consumer stages are shifted copies
+                        # of one region; the simple hull collapses them (a
+                        # sound over-approximation for footprints:
+                        # extensions may only grow).
+                        merged = merged.pattern_hull().dedupe()
+                    local[read_tensor] = merged
+                else:
+                    local[read_tensor] = extra.dedupe()
+        self.steps = tuple(steps)
+        self.relation = UnionMap([st.ext for st in steps])
+        self.after = _Chain(local)
+
+
 def _fuse_space(
     program: Program,
     space: FusionGroup,
     liveout: FusionGroup,
-    footprints: Dict[str, Map],
-    tdims: Tuple[str, ...],
-    origin: Mapping[str, int],
+    chain: _Chain,
+    tile: RepresentativeTile,
+    at: Mapping[str, int],
     n_tiles: int,
     target: TargetSpec,
     budget: Dict[str, float],
-    binding: Optional[Mapping[str, int]] = None,
-) -> Optional[ExtensionScheduleEntry]:
+) -> Union[str, Tuple[ExtensionScheduleEntry, _Chain]]:
     """Lines 9-16: extension schedules for every statement of ``space``.
 
-    Statements are visited consumers-first so that footprints of tensors
-    produced *within* the space become available for its earlier
-    statements.  Returns None when the space writes nothing the tiles
-    need (it then belongs to a later invocation of Algorithm 1) or when
-    fusing would exceed the target's recomputation budget.
+    Returns the entry and the footprint table it leaves, or why the space
+    stays out of the tile: it writes nothing the tiles need
+    (``no_footprint``; it then belongs to a later invocation of Algorithm
+    1), or fusing it would exceed the target's recomputation factor
+    (``recompute_factor``), the cluster's recompute ratio
+    (``recompute_ratio``) or the scratchpad (``scratch_budget``).
 
-    With a parametric ``binding`` the footprints (and everything derived
-    from them) carry symbolic tile-size parameters; the relation algebra
-    then memoizes size-independently, and only budget decisions and the
-    emitted extension relations are specialized to concrete sizes.
+    The relations come from ``chain``, in the tile sizes' symbols where the
+    parametric engine applies; this function only evaluates their boxes at
+    ``at`` (the representative tile's origin and ``tile.params``) and
+    specializes the emitted entry to ``tile.values``.
     """
-    written = {
-        program.statement(s).tensor_written() for s in space.statements
-    }
-    if not written & set(footprints):
-        return None
-
-    producers = program.written_tensors()
-
-    def _conc(m: Map) -> Map:
-        return m.specialize(binding) if binding else m
-    # Work on a local copy: a rejected space must leave the footprint table
-    # untouched, or its producers would be fused (and skipped) to serve a
-    # consumer that still runs from its original, earlier position.
-    local = dict(footprints)
-    ext_maps: List[Map] = []
+    fusion = chain.fusion(program, space)
+    if fusion is None:
+        return "no_footprint"
     space_extra = 0.0
     space_work = 0.0
     space_scratch = 0.0
-    ordered = sorted(space.statements, key=program.statement_index, reverse=True)
-    for s in ordered:
-        stmt = program.statement(s)
-        tensor = stmt.tensor_written()
-        fp = local.get(tensor)
-        if fp is None:
-            continue
-        # Relation (5) reversed write, then relation (6) = f . (5).  The
-        # union of per-consumer footprints is collapsed to its simple hull:
-        # overlapping disjuncts would otherwise re-extend (and re-execute)
-        # the same instances once per piece.
-        ext = (
-            fp.apply_range(stmt.write_relation().reverse())
-            .dedupe()
-            .pattern_hull()
-            .dedupe()
-        )
+    for step in fusion.steps:
         # Recomputation budgets.  Per space: instances all tiles would run
         # over the statement's domain size — halo overlap stays near 1,
         # footprints spanning a whole problem dimension (matmul chains)
         # blow past it.  Per cluster: accumulated recompute ops may not
         # exceed max_recompute_ratio of the cluster's genuine work, which
         # splits very deep stencil chains.
-        per_tile = _image_box_volume(_conc(ext), origin, program.params)
-        domain_size = domain_volume(program, s, program.params)
+        per_tile = _box_volume(step.box.extents(at))
+        domain_size = step.domain_size
         if domain_size > 0:
             factor = per_tile * n_tiles / domain_size
             if factor > target.max_recompute:
-                return None
-            stmt_ops = stmt.ops_per_instance()
-            extra_ops = max(0.0, (per_tile * n_tiles - domain_size)) * stmt_ops
+                return "recompute_factor"
+            extra_ops = max(0.0, (per_tile * n_tiles - domain_size)) * step.ops
             new_extra = budget["extra"] + space_extra + extra_ops
-            new_work = budget["work"] + space_work + domain_size * stmt_ops
+            new_work = budget["work"] + space_work + domain_size * step.ops
             if new_extra > target.max_recompute_ratio * new_work:
-                return None
+                return "recompute_ratio"
             # Fast-memory budget: the per-tile buffer this statement's
             # output occupies must still fit the target scratchpad.
             buffer_bytes = per_tile * 8.0
@@ -361,52 +470,24 @@ def _fuse_space(
                 budget["scratch"] + space_scratch + buffer_bytes
                 > target.scratch_bytes
             ):
-                return None
+                return "scratch_budget"
             space_extra += extra_ops
-            space_work += domain_size * stmt_ops
+            space_work += domain_size * step.ops
             space_scratch += buffer_bytes
-        ext_maps.append(ext)
-        # Line 15: extend the exposed data with what s itself reads.  Pure
-        # inputs (never written) cannot fuse anything, so their footprints
-        # need not be tracked.
-        for (_, read_tensor), access in stmt.read_relations().maps.items():
-            if read_tensor not in producers:
-                continue
-            extra = ext.apply_range(access)
-            if _conc(extra).is_empty():
-                continue
-            if read_tensor in local:
-                prev = local[read_tensor]
-                rename = dict(zip(extra.space.in_dims, prev.space.in_dims))
-                rename.update(zip(extra.space.out_dims, prev.space.out_dims))
-                merged = prev.union(extra.rename_dims(rename)).dedupe()
-                if len(merged) > 1:
-                    # Halo unions of consumer stages are shifted copies of
-                    # one region; the simple hull collapses them (a sound
-                    # over-approximation for footprints: extensions may
-                    # only grow).
-                    merged = merged.pattern_hull().dedupe()
-                local[read_tensor] = merged
-            else:
-                local[read_tensor] = extra.dedupe()
-    if not ext_maps:
-        return None
-    footprints.clear()
-    footprints.update(local)
     budget["extra"] += space_extra
     budget["work"] += space_work
     budget["scratch"] += space_scratch
     # The emitted relation leaves this pass (post-fusion, cost model,
-    # promotion all consume it), so it is always concrete.
-    return ExtensionScheduleEntry(
-        space, liveout, UnionMap([_conc(m) for m in ext_maps])
-    )
+    # promotion all consume it), so it is always concrete; the symbolic one
+    # rides along in memory for the cost model's boxes.
+    relation = fusion.relation
+    concrete = UnionMap([m.specialize(tile.values) for m in relation.maps.values()])
+    symbolic = relation if tile.values else None
+    return ExtensionScheduleEntry(space, liveout, concrete, symbolic), fusion.after
 
-def _image_box_volume(
-    ext: Map, origin: Mapping[str, int], params: Mapping[str, int]
-) -> float:
+
+def _box_volume(extents: List[Optional[int]]) -> float:
     """Box volume of the instances one representative tile extends."""
-    extents = tile_image_extents(ext, origin, params)
     if None in extents:
         return float("inf")
     return float(math.prod(max(e, 0) for e in extents))

@@ -29,11 +29,11 @@ from .. import obs
 from ..codegen.promotion import promoted_buffers
 from ..core import OptimizeResult, TILE_TUPLE, tile_dim_names, tile_footprint
 from ..core.footprint import (
+    RepresentativeTile,
     band_extents,
-    box_extents,
     domain_volume,
     group_ops,
-    interior_tile_origin,
+    representative_tile,
     tile_image_extents,
     tiles_per_dim,
 )
@@ -103,30 +103,29 @@ def _tensor_bytes(program: Program, tensor: str, params) -> int:
 
 def _tiling(
     program: Program, group: FusionGroup, sizes, tile_dims, params
-) -> Tuple[int, int, int, Dict[str, int]]:
-    """``(n_tiles, parallel dims, parallel units, origin)`` of a cluster:
-    tiles along the coincident dimensions ``sizes`` covers, at the
-    representative tile; iterations along them (one tile, no origin) when
-    ``sizes`` is ``None``."""
+) -> Tuple[int, int, int, Optional[RepresentativeTile]]:
+    """``(n_tiles, parallel dims, parallel units, tile)`` of a cluster:
+    tiles along the coincident dimensions ``sizes`` covers, and the
+    representative tile; iterations along them (one tile, no
+    representative) when ``sizes`` is ``None``."""
     if sizes is None:
-        n_tiles, origin = 1, {}
+        n_tiles, tile = 1, None
         per_dim = band_extents(program, group, params)
         par = group.parallel_dim_indices()
     else:
         per_dim = tiles_per_dim(program, group, sizes, params)
         n_tiles = math.prod(per_dim)
-        origin = interior_tile_origin(program, group, sizes, tile_dims, params)
+        tile = representative_tile(program, group, sizes, tile_dims, params)
         par = [d for d in group.parallel_dim_indices() if d < len(sizes)]
-    return n_tiles, len(par), math.prod(per_dim[d] for d in par), origin
+    return n_tiles, len(par), math.prod(per_dim[d] for d in par), tile
 
 
 def _dram_read_bytes(
     program: Program,
     group: FusionGroup,
     stmts: Sequence[str],
-    sizes,
     tile_dims,
-    origin,
+    tile: Optional[RepresentativeTile],
     n_tiles: int,
     params,
 ) -> float:
@@ -147,13 +146,15 @@ def _dram_read_bytes(
         {t for stmt in statements for t in stmt.tensors_read()} - written
     )
     fp = None
-    if sizes is not None and streamed:
-        fp = tile_footprint(program, group, sizes, streamed, tile_dims)
+    if tile is not None and streamed:
+        fp = tile_footprint(program, group, tile.sizes, streamed, tile_dims)
     total = 0.0
     for t in streamed:
         whole = _tensor_bytes(program, t, params)
         m = fp.get((TILE_TUPLE, t)) if fp is not None else None
-        extents = [None] if m is None else tile_image_extents(m, origin, params)
+        extents = (
+            [None] if m is None else tile_image_extents(m, tile.origin, tile.params)
+        )
         box = 0 if None in extents else math.prod(max(e, 0) for e in extents)
         tiled = float(box * ITEMSIZE) * n_tiles
         total += min(max(whole, 0), tiled) if tiled else whole
@@ -215,7 +216,7 @@ def analyze_optimized(
         }
 
         sizes = entry.tile_sizes if entry.is_tiled else None
-        n_tiles, par_dims, parallel_units, origin = _tiling(
+        n_tiles, par_dims, parallel_units, tile = _tiling(
             program, group, sizes, entry.tile_dims, params
         )
 
@@ -225,13 +226,19 @@ def analyze_optimized(
         recompute = 0.0
         ext_entries = []  # (stmt name, exact per-tile count, box extents)
         for e in exts:
+            relation = e.symbolic if e.symbolic is not None else e.relation
             for s in e.group.statements:
                 if (TILE_TUPLE, s) not in e.relation:
                     continue
-                if origin:
-                    image = e.instances_for_tile(s, origin, params)
+                if tile is not None:
+                    image = e.instances_for_tile(s, tile.origin, params)
                     exact = image.count_points()
-                    ext_extents = [1 if x is None else x for x in box_extents(image)]
+                    ext_extents = [
+                        1 if x is None else x
+                        for x in tile_image_extents(
+                            relation.get((TILE_TUPLE, s)), tile.origin, tile.params
+                        )
+                    ]
                 else:
                     exact = domain_volume(program, s, params)
                     ext_extents = []
@@ -272,7 +279,7 @@ def analyze_optimized(
         )
 
         dram_read = _dram_read_bytes(
-            program, group, cluster_stmts, sizes, entry.tile_dims, origin, n_tiles, params
+            program, group, cluster_stmts, entry.tile_dims, tile, n_tiles, params
         )
 
         dram_write = 0.0
@@ -338,12 +345,12 @@ def analyze_scheduled(
         if tile_sizes is not None and group.permutable and group.depth > 0:
             sizes = tuple(tile_sizes)[: group.depth]
             tdims = tile_dim_names(group, len(sizes))
-        n_tiles, par_dims, parallel_units, origin = _tiling(
+        n_tiles, par_dims, parallel_units, tile = _tiling(
             program, group, sizes, tdims, params
         )
         ops = group_ops(program, group, params)
         dram_read = _dram_read_bytes(
-            program, group, group.statements, sizes, tdims, origin, n_tiles, params
+            program, group, group.statements, tdims, tile, n_tiles, params
         )
 
         dram_write = 0.0

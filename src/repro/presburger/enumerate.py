@@ -15,8 +15,7 @@ from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .basic_set import BasicSet
 from .constraint import Constraint
-from .fm import eliminate_symbol
-from .linexpr import LinExpr
+from .fm import eliminate_symbol, eval_bounds, symbol_bounds
 from .set_ import Set
 
 
@@ -53,38 +52,11 @@ def enumerate_points(
             return
     original = fixed.constraints
 
-    # Pre-split constraints at each level into (coeff-on-level-dim, rest-expr)
-    # for fast bound computation.
-    level_cons: List[List[Tuple[str, int, object]]] = []
-    for i, dim in enumerate(dims):
-        entries = []
-        for c in towers[i + 1]:
-            a = c.coeff(dim)
-            if a == 0:
-                continue
-            rest = c.expr - LinExpr({dim: a})
-            entries.append((c.kind, a, rest))
-        level_cons.append(entries)
-
+    levels = [symbol_bounds(towers[i + 1], dim) for i, dim in enumerate(dims)]
     binding: Dict[str, int] = {}
 
     def level_range(i: int) -> Tuple[int, int]:
-        lo = None
-        hi = None
-        for kind, a, rest in level_cons[i]:
-            val = rest.eval(binding)
-            if kind == "==":
-                if val % a != 0:
-                    return 1, 0
-                point = -val // a
-                lo = point if lo is None else max(lo, point)
-                hi = point if hi is None else min(hi, point)
-            elif a > 0:
-                bound = _ceil_div(-val, a)
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = _floor_div(val, -a)
-                hi = bound if hi is None else min(hi, bound)
+        lo, hi = eval_bounds(levels[i], binding)
         if lo is None or hi is None:
             raise EnumerationError(
                 f"dimension {dims[i]} of {bset} is unbounded; cannot enumerate"
@@ -121,11 +93,3 @@ def enumerate_set_points(
             if key not in seen:
                 seen.add(key)
                 yield point
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b

@@ -27,7 +27,7 @@ Two families of fast paths keep the hot loop cheap:
 from __future__ import annotations
 
 from math import ceil, floor, gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import memo
 from .constraint import EQ, GE, Constraint
@@ -335,6 +335,47 @@ def rational_feasible(constraints: Sequence[Constraint]) -> bool:
     return True
 
 
+def symbol_bounds(
+    constraints: Sequence[Constraint], sym: str
+) -> Tuple[Tuple[str, int, LinExpr], ...]:
+    """The constraints that bound ``sym``, each split as ``(kind, a, rest)``
+    for ``a*sym + rest``: what :func:`eval_bounds` evaluates."""
+    out = []
+    for c in constraints:
+        a = c.coeff(sym)
+        if a:
+            out.append((c.kind, a, c.expr - LinExpr({sym: a})))
+    return tuple(out)
+
+
+def eval_bounds(
+    entries: Sequence[Tuple[str, int, LinExpr]], binding: Mapping[str, int]
+) -> Tuple[Optional[int], Optional[int]]:
+    """Integer bounds of a symbol from its :func:`symbol_bounds` under
+    ``binding`` of every other symbol; ``None`` is unbounded on that side,
+    and ``(1, 0)`` an equality no integer satisfies."""
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    for kind, a, rest in entries:
+        val = rest.eval(binding)
+        if kind == EQ:
+            # a*sym + val == 0  ->  sym == -val / a
+            if val % a != 0:
+                return 1, 0  # empty
+            point = -val // a
+            lo = point if lo is None else max(lo, point)
+            hi = point if hi is None else min(hi, point)
+        elif a > 0:
+            # sym >= ceil(-val / a), in exact integer arithmetic
+            bound = -(val // a)
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            # sym <= floor(val / -a)
+            bound = val // -a
+            hi = bound if hi is None else min(hi, bound)
+    return lo, hi
+
+
 def bounds_for_symbol(
     constraints: Sequence[Constraint], sym: str, binding: Dict[str, int]
 ) -> Tuple[Optional[int], Optional[int], bool]:
@@ -343,29 +384,7 @@ def bounds_for_symbol(
     Returns ``(lower, upper, exact)``; ``None`` means unbounded on that side.
     ``exact`` is False when equality constraints pin the value inconsistently.
     """
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for c in constraints:
-        a = c.coeff(sym)
-        if a == 0:
-            continue
-        rest = c.expr - LinExpr({sym: a})
-        val = rest.eval(binding)
-        if c.kind == EQ:
-            # a*sym + val == 0  ->  sym == -val / a
-            if val % a != 0:
-                return 1, 0, True  # empty
-            point = -val // a
-            lo = point if lo is None else max(lo, point)
-            hi = point if hi is None else min(hi, point)
-        elif a > 0:
-            # sym >= ceil(-val / a)
-            bound = ceil(-val / a)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            # sym <= floor(val / -a)
-            bound = floor(val / -a)
-            hi = bound if hi is None else min(hi, bound)
+    lo, hi = eval_bounds(symbol_bounds(constraints, sym), binding)
     return lo, hi, True
 
 
@@ -402,6 +421,7 @@ def find_integer_point(
             if c.is_trivially_false():
                 return None
 
+    levels = [symbol_bounds(towers[i + 1], sym) for i, sym in enumerate(syms)]
     steps = 0
 
     def descend(level: int, binding: Dict[str, int]) -> Optional[Dict[str, int]]:
@@ -411,7 +431,7 @@ def find_integer_point(
                 return dict(binding)
             return None
         sym = syms[level]
-        lo, hi, _ = bounds_for_symbol(towers[level + 1], sym, binding)
+        lo, hi = eval_bounds(levels[level], binding)
         if lo is None and hi is None:
             lo, hi = 0, 0
         elif lo is None:

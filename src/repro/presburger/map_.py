@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import memo
 from .basic_map import BasicMap
 from .basic_set import BasicSet
+from .constraint import EQ
+from .fm import eliminate_symbols_for_bounds, eval_bounds, symbol_bounds
+from .linexpr import LinExpr
 from .set_ import Set
 from .space import MapSpace, SetSpace
 
@@ -17,6 +20,7 @@ _SPECIALIZE_MEMO = memo.table("umap_specialize")
 _IMAGE_MEMO = memo.table("umap_image_of_point")
 _FIX_MEMO = memo.table("umap_fix")
 _APPLY_SET_MEMO = memo.table("umap_apply_to_set")
+_BOX_MEMO = memo.table("umap_box_projection")
 
 
 class Map:
@@ -270,6 +274,16 @@ class Map:
             key, Set(space, [BasicSet(space, q.constraints) for q in pieces])
         )
 
+    def box_projection(self) -> "BoxProjection":
+        """Every piece projected onto each out dim, rationally, with the in
+        dims and params left free: the bounding box of the image of any
+        in-point, evaluated without a projection per point."""
+        key = (self.space, tuple(p.constraints for p in self.pieces))
+        cached = _BOX_MEMO.get(key)
+        if cached is not memo.MISS:
+            return cached
+        return _BOX_MEMO.put(key, BoxProjection(self))
+
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -290,6 +304,73 @@ class Map:
 
     def __len__(self):
         return len(self.pieces)
+
+
+class BoxProjection:
+    """A map's :meth:`~Map.box_projection`.
+
+    Per piece: the constraints that mention no out dim, the equalities
+    whose out-dim coefficients share a factor ``g > 1``, and, per out dim,
+    the bounds left once the other out dims are eliminated.  Fixing the in
+    dims and params turns the first two into constants, and a false one is
+    the obviously empty piece a :class:`Set` drops; the bounds then
+    evaluate as :func:`~repro.presburger.fm.bounds_for_symbol` evaluates
+    them.  Rational projection commutes with fixing the names it leaves
+    free, so :meth:`extents` is the box of ``image_of_point``.
+    """
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, m: "Map"):
+        outs = m.space.out_dims
+        pieces = []
+        for p in m.pieces:
+            guards = []
+            divisors = []
+            for c in p.constraints:
+                out = [(s, c.coeff(s)) for s in outs if c.coeff(s)]
+                if not out:
+                    guards.append(c)
+                elif c.kind == EQ:
+                    g = LinExpr(dict(out)).content()
+                    if g > 1:
+                        divisors.append((g, c.expr - LinExpr(dict(out))))
+            bounds = tuple(
+                symbol_bounds(
+                    eliminate_symbols_for_bounds(
+                        list(p.constraints), [o for o in outs if o != d]
+                    ),
+                    d,
+                )
+                for d in outs
+            )
+            pieces.append((tuple(guards), tuple(divisors), bounds))
+        self.pieces = tuple(pieces)
+
+    def extents(self, binding: Mapping[str, int]) -> List[Optional[int]]:
+        """Per out dim, the extent of the image of the point ``binding``
+        names (with every free param), ``None`` where unbounded; ``[]``
+        when every piece is obviously empty there."""
+        box = None
+        for guards, divisors, bounds in self.pieces:
+            if not all(c.satisfied_by(binding) for c in guards):
+                continue
+            if any(rest.eval(binding) % g for g, rest in divisors):
+                continue
+            piece = [eval_bounds(b, binding) for b in bounds]
+            if box is None:
+                box = piece
+                continue
+            box = [
+                (
+                    None if lo is None or olo is None else min(lo, olo),
+                    None if hi is None or ohi is None else max(hi, ohi),
+                )
+                for (olo, ohi), (lo, hi) in zip(box, piece)
+            ]
+        if box is None:
+            return []
+        return [None if lo is None or hi is None else hi - lo + 1 for lo, hi in box]
 
 
 def _reparam(pieces: Sequence[BasicMap], params: Tuple[str, ...]):

@@ -7,12 +7,15 @@ added it read 111,099 ``read_loads`` calls for local_laplacian, 18,911
 inputs; a bound that trips means repeated (quadratic) work came back.
 """
 
+import sys
+
 from repro import obs
 from repro.api import CompileOptions, default_tile_sizes, get_workload, optimize
 from repro.codegen.printer import print_tree
 from repro.ir import Statement
-from repro.presburger import memo
+from repro.presburger import Constraint, LinExpr, MapSpace, SetSpace, memo
 from repro.scheduler import parallelism, schedule_program
+from repro.scheduler.autotune import autotune_tile_sizes
 
 #: ``bench/workloads/cold_compile.py::PROGRAMS`` (bench/ is not importable
 #: from here): every program family the optimizer handles, 1-99 statements.
@@ -76,3 +79,97 @@ def test_each_dependence_distance_is_computed_once(monkeypatch):
     scheduled = schedule_program(get_workload("local_laplacian", 512))
     assert len(scheduled.deps) > 100
     assert len(seen) == len(set(seen)) > 0
+
+
+def _memo_counts(run):
+    """Per memo table, the ``(hits, misses)`` that ``run()`` adds."""
+    before = memo.stats()
+    run()
+    after = memo.stats()
+    zero = {"hits": 0, "misses": 0}
+    return {
+        t: (
+            after[t]["hits"] - before.get(t, zero)["hits"],
+            after[t]["misses"] - before.get(t, zero)["misses"],
+        )
+        for t in after
+    }
+
+
+def test_after_clearing_the_memo_tables_a_compile_reuses_nothing():
+    """The benchmark builds each ``Program`` once and clears the memo
+    tables before every cold operation, so a cold compile of the same
+    program object must repeat every hit and every miss of the last one:
+    nothing Algorithm 1 derives may outlive the tables, on an object the
+    program owns or anywhere else."""
+    runs = [_memo_counts(lambda: cold_compile("harris", 512)) for _ in range(3)]
+    assert runs[1] == runs[2]
+    assert runs[2]["tile_shapes_chain"] == (0, 1)
+
+
+#: Leaf types a structural memo key is built from.  An identity key (an
+#: ``id()``, or an object hashed by identity) is none of these, or an int
+#: far beyond any coefficient, size or count.
+STRUCTURAL = (str, int, bool, type(None), LinExpr, Constraint, SetSpace, MapSpace)
+
+
+def _leaves(key):
+    if isinstance(key, (tuple, list, frozenset)):
+        for part in key:
+            yield from _leaves(part)
+    else:
+        yield key
+
+
+def test_the_memo_snapshot_carries_no_identity_keyed_entry():
+    memo.clear_all()
+    program = get_workload("harris", 512)
+    autotune_tile_sizes(program, CompileOptions(mode="serial"), candidates=(8, 32, 128))
+    snapshot = memo.snapshot()
+    assert snapshot and "tile_shapes_chain" not in snapshot
+    every_table = memo.snapshot(names=memo.stats())
+    assert "tile_shapes_chain" in every_table
+    for table, entries in every_table.items():
+        for key, _ in entries:
+            for leaf in _leaves(key):
+                assert isinstance(leaf, STRUCTURAL), (table, type(leaf))
+                assert not isinstance(leaf, int) or abs(leaf) < 1 << 32, (table, leaf)
+
+
+def test_a_sweep_derives_its_relations_once():
+    """Algorithm 1's symbolic chain is derived by the first of harris's 25
+    candidates and read by the other 24, and every box the sweep reads
+    (Algorithm 1's budgets, the promoted buffers, the streamed reads) is
+    one projection of a relation in symbolic tile sizes, not one per
+    candidate."""
+    memo.clear_all()
+    program = get_workload("harris", 512)
+    with obs.collect() as report:
+        tuned = autotune_tile_sizes(
+            program, CompileOptions(mode="serial"), candidates=(8, 16, 32, 64, 128)
+        )
+    assert len(tuned.evaluations) == 25
+    counters = report.counters
+    assert counters["presburger.memo.tile_shapes_chain.miss"] == 1
+    assert counters["presburger.memo.tile_shapes_chain.hit"] == 24
+    assert counters["presburger.memo.umap_box_projection.miss"] == 16
+
+
+def test_candidates_compiled_on_threads_share_the_derivations_safely():
+    """Thread-mode candidates derive the shared chain concurrently; with a
+    short switch interval any lost or reordered step would change a cost."""
+    program = get_workload("harris", 512)
+    grid = (8, 16, 32, 64, 128)
+    memo.clear_all()
+    serial = autotune_tile_sizes(program, CompileOptions(mode="serial"), candidates=grid)
+    memo.clear_all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = autotune_tile_sizes(
+            program, CompileOptions(mode="thread", jobs=8), candidates=grid
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.evaluations == serial.evaluations
+    assert threaded.failures == serial.failures

@@ -201,3 +201,40 @@ class TestEndToEnd:
         prog = conv2d.build(PARAMS)
         result = optimize(prog, CompileOptions(target="cpu", tile_sizes=(2, 2)))
         assert result.compile_seconds > 0
+
+
+class TestWhyASpaceStaysOut:
+    """Algorithm 1 names the reason it leaves a space out of a tile, on the
+    ``fuse_space`` span and as ``tile_shapes.rejected.<reason>``, beside
+    the unchanged ``tile_shapes.rejected_spaces`` total."""
+
+    REASONS = ("no_footprint", "recompute_factor", "recompute_ratio", "scratch_budget")
+
+    def rejected(self, name, size, tiles):
+        from repro import obs
+        from repro.workloads import get_workload
+
+        with obs.collect(trace=True) as report:
+            optimize(get_workload(name, size), CompileOptions(tile_sizes=tiles))
+        counts = {
+            why: report.counters.get(f"tile_shapes.rejected.{why}", 0)
+            for why in self.REASONS
+        }
+        spans = [e.attrs for e in report.events if e.name == "fuse_space"]
+        assert sum(counts.values()) == report.counters.get("tile_shapes.rejected_spaces", 0)
+        for why, n in counts.items():
+            assert n == sum(1 for a in spans if a.get("reason") == why)
+        assert all(("reason" in a) != a["fused"] for a in spans)
+        return counts
+
+    def test_a_deep_stencil_chain_splits_on_the_cluster_ratio(self):
+        counts = self.rejected("local_laplacian", 512, (32, 32))
+        assert counts["recompute_ratio"] >= 1
+
+    def test_a_matmul_chain_stays_apart_on_the_recompute_factor(self):
+        counts = self.rejected("2mm", 256, (8, 8))
+        assert counts == dict.fromkeys(self.REASONS, 0) | {"recompute_factor": 1}
+
+    def test_most_rejections_of_a_pyramid_are_spaces_without_a_footprint(self):
+        counts = self.rejected("multiscale_interp", 512, (32, 128))
+        assert counts == dict.fromkeys(self.REASONS, 0) | {"no_footprint": 986}

@@ -34,10 +34,10 @@ from .. import obs
 from .exposed import exposed_tensors
 from .footprint import (
     TILE_TUPLE,
-    RepresentativeTile,
     domain_volume,
     group_ops,
-    representative_tile,
+    interior_tile_origin,
+    parametric_binding,
     tile_count,
     tile_dim_names,
     tile_footprint,
@@ -239,12 +239,14 @@ def _algorithm1_step(
     # every size vector, and only the budget decisions read the sizes.
     all_spaces = [liveout] + intermediates
     data = exposed_tensors(program, liveout, all_spaces)
-    tile = representative_tile(program, liveout, sizes, tdims, program.params)
-    chain = _root_chain(program, liveout, tile.sizes, tdims, data)
+    pb = parametric_binding(program, liveout, sizes, tdims)
+    names, values = pb if pb is not None else (sizes, {})
+    chain = _root_chain(program, liveout, names, tdims, data)
 
     untiled: List[FusionGroup] = []
     n_tiles = tile_count(program, liveout, sizes, program.params)
-    at = {**tile.params, **tile.origin}
+    origin = interior_tile_origin(program, liveout, sizes, tdims, program.params)
+    at = {**program.params, **values, **origin}
     budget = {
         "work": max(group_ops(program, liveout, program.params), 1.0),
         "extra": 0.0,
@@ -258,7 +260,7 @@ def _algorithm1_step(
             continue
         with obs.span("fuse_space", space=space.name):
             fused = _fuse_space(
-                program, space, liveout, chain, tile, at, n_tiles, target, budget
+                program, space, liveout, chain, values, at, n_tiles, target, budget
             )
             obs.annotate(fused=not isinstance(fused, str))
             if isinstance(fused, str):
@@ -419,7 +421,7 @@ def _fuse_space(
     space: FusionGroup,
     liveout: FusionGroup,
     chain: _Chain,
-    tile: RepresentativeTile,
+    values: Mapping[str, int],
     at: Mapping[str, int],
     n_tiles: int,
     target: TargetSpec,
@@ -436,8 +438,8 @@ def _fuse_space(
 
     The relations come from ``chain``, in the tile sizes' symbols where the
     parametric engine applies; this function only evaluates their boxes at
-    ``at`` (the representative tile's origin and ``tile.params``) and
-    specializes the emitted entry to ``tile.values``.
+    ``at`` (the representative tile's origin, the params and the sizes) and
+    specializes the emitted entry to ``values`` (the sizes by symbol).
     """
     fusion = chain.fusion(program, space)
     if fusion is None:
@@ -481,8 +483,8 @@ def _fuse_space(
     # promotion all consume it), so it is always concrete; the symbolic one
     # rides along in memory for the cost model's boxes.
     relation = fusion.relation
-    concrete = UnionMap([m.specialize(tile.values) for m in relation.maps.values()])
-    symbolic = relation if tile.values else None
+    concrete = UnionMap([m.specialize(values) for m in relation.maps.values()])
+    symbolic = relation if values else None
     return ExtensionScheduleEntry(space, liveout, concrete, symbolic), fusion.after
 
 

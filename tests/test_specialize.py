@@ -232,7 +232,7 @@ def test_parametric_footprint_code_parity(name, size, monkeypatch):
     ``parametric_binding`` decline, as it does for symbolic sizes."""
     from repro.__main__ import _build_workload, _default_tiles
     from repro.codegen import print_tree
-    from repro.core import footprint, optimize
+    from repro.core import footprint, optimize, tile_shapes
 
     def compile_once():
         memo.clear_all()
@@ -246,7 +246,8 @@ def test_parametric_footprint_code_parity(name, size, monkeypatch):
 
     try:
         parametric = compile_once()
-        monkeypatch.setattr(footprint, "parametric_binding", lambda *a, **k: None)
+        for mod in (footprint, tile_shapes):
+            monkeypatch.setattr(mod, "parametric_binding", lambda *a, **k: None)
         seed = compile_once()
     finally:
         memo.clear_all()

@@ -30,8 +30,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set as PySet, Tuple
 from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
 from ..core.footprint import (
     RepresentativeTile,
+    footprint_size,
     representative_tile,
-    tile_image,
     tile_image_extents,
 )
 from .. import obs
@@ -137,12 +137,16 @@ def _boxed(tensor: str, m: Optional[Map], tile: RepresentativeTile) -> PromotedB
     """The buffer for what one tile touches through the per-tile relation
     ``m``: the box of its representative tile (its projection, evaluated;
     not :func:`tile_box` with nothing left symbolic, which has the same
-    shapes but projects per tile) and the exact count of the image."""
-    if m is None:
+    shapes but projects per tile) and the exact count of the image
+    (:func:`~repro.core.footprint.footprint_size`, in closed form for box
+    pieces).  ``m`` is in symbolic tile sizes where the parametric engine
+    built it, so one projection serves every candidate of a sweep.  No
+    relation, or an image empty at the tile, is an empty buffer."""
+    extents = [] if m is None else tile_image_extents(m, tile.origin, tile.params)
+    if not extents:
         return PromotedBuffer(tensor, (0,), 0)
-    shape = tuple(e or 0 for e in tile_image_extents(m, tile.origin, tile.params))
-    touched = tile_image(m, tile.origin, tile.params)
-    return PromotedBuffer(tensor, shape, touched.count_points())
+    shape = tuple(e or 0 for e in extents)
+    return PromotedBuffer(tensor, shape, footprint_size(m, tile.origin, tile.params))
 
 
 def total_scratch_bytes(

@@ -23,14 +23,18 @@ tiles is a boundary tile), and the values of every other free name;
 
 Relations are built in symbolic tile sizes wherever
 :func:`parametric_binding` applies, so one relation serves every
-candidate of a tile-size sweep.  A box has one path:
-:func:`tile_image_extents` evaluates the relation's
-:meth:`~repro.presburger.Map.box_projection` — each piece projected once
-onto each out dim, tile origin, sizes and params left free — at the
-representative tile; a relation in concrete sizes is the same projection
-with fewer free names.  :func:`tile_image` is the image itself, for the
-exact counts.  ``None`` in a box is an unbounded dimension, and each
-reader says what that costs it.
+candidate of a tile-size sweep, and what a candidate reads of one is an
+evaluation.  A box has one path: :func:`tile_image_extents` evaluates the
+relation's :meth:`~repro.presburger.Map.box_projection` — each piece
+projected once onto each out dim, tile origin, sizes and params left
+free — at the representative tile; a relation in concrete sizes is the
+same projection with fewer free names.  An exact count has one path too:
+:func:`footprint_size` evaluates the same projection's per-piece boxes
+and unites them in closed form, and enumerates :func:`tile_image` only
+for a piece that is not a box in its out dims.  ``None`` in a box is an
+unbounded dimension, and each reader says what that costs it.  The
+domain box behind the origin, extents and tile count does not depend on
+the sizes at all and is computed once per domain and params.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ _T2I_MEMO = memo.table("tile_to_instances")
 # the on-disk compile cache to warm-start future processes.
 _FOOTPRINT_MEMO = memo.table("tile_footprint", spillable=True)
 _WRITE_FP_MEMO = memo.table("write_footprint", spillable=True)
+_DOMAIN_BOX_MEMO = memo.table("domain_box")
 
 
 def _group_key(program: Program, group: FusionGroup, n: int) -> tuple:
@@ -334,16 +339,20 @@ def tile_image_extents(
 
 
 def footprint_size(
-    fp: Map, tile_origin: Mapping[str, int], params: Mapping[str, int]
+    relation: Map, origin: Mapping[str, int], params: Mapping[str, int]
 ) -> int:
-    """Exact number of elements a concrete tile touches."""
-    n = tile_image(fp, tile_origin, params).count_points()
-    obs.observe(
-        "footprint.size_elements",
-        n,
-        buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1048576),
-    )
-    return n
+    """Exact number of points :func:`tile_image` holds, in closed form
+    where the relation's :meth:`~repro.presburger.Map.box_projection` can
+    say (every piece live at the tile is a box in its out dims: the union
+    volume of the pieces' boxes, evaluated), and by enumerating the image
+    otherwise.  ``footprint.count.closed_form`` / ``.enumerated`` count
+    the two."""
+    n = relation.box_projection().count({**params, **origin})
+    if n is not None:
+        obs.count("footprint.count.closed_form")
+        return n
+    obs.count("footprint.count.enumerated")
+    return tile_image(relation, origin, params).count_points()
 
 
 def domain_volume(program: Program, stmt_name: str, params: Mapping[str, int]) -> int:
@@ -365,16 +374,25 @@ def group_ops(program: Program, group: FusionGroup, params: Mapping[str, int]) -
 
 def _domain_box(stmt, params: Mapping[str, int]) -> Dict[str, Tuple]:
     """Bounding box of a statement's domain, united piece by piece (the
-    set-level ``Set.bounding_box`` is a second memo entry per domain)."""
-    box: Dict[str, Tuple] = {}
-    for piece in stmt.domain.fix_params(params).pieces:
+    set-level ``Set.bounding_box`` is a second memo entry per domain).
+    It does not depend on the tile sizes, so a sweep computes it once:
+    the key is the domain's structure and the params it reads.  Callers
+    only read the box."""
+    domain = stmt.domain
+    binding = tuple(sorted((k, v) for k, v in params.items() if k in domain.space.params))
+    key = (domain.space, tuple(p.constraints for p in domain.pieces), binding)
+    box = _DOMAIN_BOX_MEMO.get(key)
+    if box is not memo.MISS:
+        return box
+    box = {}
+    for piece in domain.fix_params(dict(binding)).pieces:
         for dim, (lo, hi) in piece.bounding_box().items():
             if dim in box:
                 olo, ohi = box[dim]
                 lo = None if lo is None or olo is None else min(lo, olo)
                 hi = None if hi is None or ohi is None else max(hi, ohi)
             box[dim] = (lo, hi)
-    return box
+    return _DOMAIN_BOX_MEMO.put(key, box)
 
 
 def _row_range(row: LinExpr, box: Mapping[str, Tuple], where: str) -> Tuple[int, int]:

@@ -33,7 +33,6 @@ from ..scheduler import FusionGroup
 from .. import obs
 from .exposed import exposed_tensors
 from .footprint import (
-    TILE_TUPLE,
     domain_volume,
     group_ops,
     interior_tile_origin,
@@ -41,7 +40,6 @@ from .footprint import (
     tile_count,
     tile_dim_names,
     tile_footprint,
-    tile_image,
 )
 
 
@@ -112,12 +110,6 @@ class ExtensionScheduleEntry:
         state = dict(self.__dict__)
         state.pop("symbolic", None)
         return state
-
-    def instances_for_tile(self, stmt: str, origin, params) -> "object":
-        m = self.relation.get((TILE_TUPLE, stmt))
-        if m is None:
-            raise KeyError(stmt)
-        return tile_image(m, origin, params)
 
 
 MixedEntry = Union[TilingScheduleEntry, ExtensionScheduleEntry]

@@ -32,6 +32,7 @@ from ..core.footprint import (
     RepresentativeTile,
     band_extents,
     domain_volume,
+    footprint_size,
     group_ops,
     representative_tile,
     tile_image_extents,
@@ -180,6 +181,13 @@ def analyze_optimized(
       stage is grown to the widest per-dimension halo of the whole group
       (tiling-after-fusion cannot see per-stage footprints).
 
+    Fused statements' per-tile instances are counted on the extension
+    relation in symbolic tile sizes where Algorithm 1 kept one
+    (:func:`~repro.core.footprint.footprint_size`: the union of the
+    pieces' boxes, evaluated at the representative tile), so every
+    candidate of a sweep reads one projection and enumerates nothing a
+    box can say.
+
     A result is costed once: the answer for the program's own parameter
     values under ``"exact"`` is written into ``result.work_summary`` (one
     list shared by the cache entry and every ``fresh()`` copy of it) and
@@ -231,13 +239,11 @@ def analyze_optimized(
                 if (TILE_TUPLE, s) not in e.relation:
                     continue
                 if tile is not None:
-                    image = e.instances_for_tile(s, tile.origin, params)
-                    exact = image.count_points()
+                    m = relation.get((TILE_TUPLE, s))
+                    exact = footprint_size(m, tile.origin, tile.params)
                     ext_extents = [
                         1 if x is None else x
-                        for x in tile_image_extents(
-                            relation.get((TILE_TUPLE, s)), tile.origin, tile.params
-                        )
+                        for x in tile_image_extents(m, tile.origin, tile.params)
                     ]
                 else:
                     exact = domain_volume(program, s, params)

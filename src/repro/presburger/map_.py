@@ -10,7 +10,7 @@ from .basic_set import BasicSet
 from .constraint import EQ
 from .fm import eliminate_symbols_for_bounds, eval_bounds, symbol_bounds
 from .linexpr import LinExpr
-from .set_ import Set
+from .set_ import Set, union_volume
 from .space import MapSpace, SetSpace
 
 # An autotune sweep re-specializes the same symbolic relations once per
@@ -317,6 +317,12 @@ class BoxProjection:
     evaluate as :func:`~repro.presburger.fm.bounds_for_symbol` evaluates
     them.  Rational projection commutes with fixing the names it leaves
     free, so :meth:`extents` is the box of ``image_of_point``.
+
+    A piece whose every constraint mentions at most one out dim is a *box*
+    in its out dims: fixing the free names leaves one interval per out
+    dim, read off its own constraints with nothing eliminated, and the
+    product of those intervals is exactly its image.  :meth:`count` is the
+    union volume of those boxes.
     """
 
     __slots__ = ("pieces",)
@@ -327,11 +333,14 @@ class BoxProjection:
         for p in m.pieces:
             guards = []
             divisors = []
+            is_box = True
             for c in p.constraints:
                 out = [(s, c.coeff(s)) for s in outs if c.coeff(s)]
                 if not out:
                     guards.append(c)
-                elif c.kind == EQ:
+                    continue
+                is_box = is_box and len(out) == 1
+                if c.kind == EQ:
                     g = LinExpr(dict(out)).content()
                     if g > 1:
                         divisors.append((g, c.expr - LinExpr(dict(out))))
@@ -344,19 +353,27 @@ class BoxProjection:
                 )
                 for d in outs
             )
-            pieces.append((tuple(guards), tuple(divisors), bounds))
+            box = (
+                tuple(symbol_bounds(p.constraints, d) for d in outs) if is_box else None
+            )
+            pieces.append((tuple(guards), tuple(divisors), bounds, box))
         self.pieces = tuple(pieces)
+
+    def _live(self, binding: Mapping[str, int]):
+        """The pieces not obviously empty at the point ``binding`` names."""
+        for guards, divisors, bounds, box in self.pieces:
+            if not all(c.satisfied_by(binding) for c in guards):
+                continue
+            if any(rest.eval(binding) % g for g, rest in divisors):
+                continue
+            yield bounds, box
 
     def extents(self, binding: Mapping[str, int]) -> List[Optional[int]]:
         """Per out dim, the extent of the image of the point ``binding``
         names (with every free param), ``None`` where unbounded; ``[]``
         when every piece is obviously empty there."""
         box = None
-        for guards, divisors, bounds in self.pieces:
-            if not all(c.satisfied_by(binding) for c in guards):
-                continue
-            if any(rest.eval(binding) % g for g, rest in divisors):
-                continue
+        for bounds, _ in self._live(binding):
             piece = [eval_bounds(b, binding) for b in bounds]
             if box is None:
                 box = piece
@@ -371,6 +388,22 @@ class BoxProjection:
         if box is None:
             return []
         return [None if lo is None or hi is None else hi - lo + 1 for lo, hi in box]
+
+    def count(self, binding: Mapping[str, int]) -> Optional[int]:
+        """The number of integer points in the image of the point
+        ``binding`` names, in closed form: the union volume of the boxes
+        of the pieces that are not obviously empty there.  ``None`` when
+        one of those pieces is not a box or is unbounded, for the caller
+        to enumerate."""
+        boxes = []
+        for _, box in self._live(binding):
+            if box is None:
+                return None
+            intervals = [eval_bounds(b, binding) for b in box]
+            if any(lo is None or hi is None for lo, hi in intervals):
+                return None
+            boxes.append(intervals)
+        return union_volume(boxes)
 
 
 def _reparam(pieces: Sequence[BasicMap], params: Tuple[str, ...]):

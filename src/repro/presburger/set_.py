@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import memo
@@ -403,15 +404,6 @@ def _box_intervals(
     return box
 
 
-def _box_count(box: Dict[str, Tuple[int, int]]) -> int:
-    total = 1
-    for lo, hi in box.values():
-        if hi < lo:
-            return 0
-        total *= hi - lo + 1
-    return total
-
-
 def _piece_count(piece: BasicSet) -> Optional[int]:
     """Exact point count of one basic set, or None when full enumeration
     would be just as cheap.
@@ -426,7 +418,7 @@ def _piece_count(piece: BasicSet) -> Optional[int]:
         return None
     box = _box_intervals(piece)
     if box is not None:
-        return _box_count(box)
+        return union_volume([tuple(box.values())])
     dims = piece.space.dims
     parent = {d: d for d in dims}
 
@@ -473,12 +465,10 @@ def _count_boxes(s: "Set", binding: Mapping[str, int]) -> Optional[int]:
     """Exact point count via interval arithmetic, or None to enumerate.
 
     Handles the shapes that dominate the cost model: unions of axis-aligned
-    boxes, overlapping or not, and single coupled pieces that decompose
-    into independent components (see :func:`_piece_count`).  Overlapping
-    boxes are resolved exactly with a coordinate-compressed sweep (grid
-    cells induced by the box edges), so stencil footprints — many shifted
-    copies of one window — stay on the fast path.  Everything else falls
-    back to lexicographic enumeration (identical results, just slower).
+    boxes, overlapping or not (:func:`union_volume`), and single coupled
+    pieces that decompose into independent components (see
+    :func:`_piece_count`).  Everything else falls back to lexicographic
+    enumeration (identical results, just slower).
     """
     pieces = [p.fix_params(binding) if binding else p for p in s.pieces]
     if len(pieces) == 1:
@@ -490,38 +480,41 @@ def _count_boxes(s: "Set", binding: Mapping[str, int]) -> Optional[int]:
         box = _box_intervals(p)
         if box is None:
             return None
-        if _box_count(box) > 0:
-            boxes.append(box)
+        boxes.append(tuple(box.values()))
+    return union_volume(boxes)
+
+
+def union_volume(boxes: Sequence[Sequence[Tuple[int, int]]]) -> int:
+    """Integer points in a union of boxes, each a ``(lo, hi)`` per dim
+    (the same dims in the same order; ``hi < lo`` is an empty box).
+
+    Overlapping boxes are resolved exactly with a coordinate-compressed
+    sweep (grid cells induced by the box edges), so stencil footprints —
+    many shifted copies of one window — cost a few cells, not a point each.
+    """
+    boxes = [b for b in boxes if all(lo <= hi for lo, hi in b)]
     if not boxes:
         return 0
     if len(boxes) == 1:
-        return _box_count(boxes[0])
-    dims = list(boxes[0])
-    if not dims:
+        return math.prod(hi - lo + 1 for lo, hi in boxes[0])
+    ndim = len(boxes[0])
+    if not ndim:
         return 1  # several non-empty zero-dim pieces: one point
     # Cuts along each dim at every box edge (half-open [lo, hi+1)); each
     # resulting grid cell is either fully inside or fully outside every box,
     # so testing one representative point per cell is exact.
-    grids = {}
-    for d in dims:
-        cuts = set()
-        for b in boxes:
-            lo, hi = b[d]
-            cuts.add(lo)
-            cuts.add(hi + 1)
-        grids[d] = sorted(cuts)
+    grids = [sorted({e for b in boxes for e in (b[d][0], b[d][1] + 1)}) for d in range(ndim)]
     total = 0
 
     def walk(i: int, reps: Tuple[int, ...], cell: int) -> None:
         nonlocal total
-        if i == len(dims):
+        if i == ndim:
             if any(
-                all(b[d][0] <= r <= b[d][1] for d, r in zip(dims, reps))
-                for b in boxes
+                all(lo <= r <= hi for (lo, hi), r in zip(b, reps)) for b in boxes
             ):
                 total += cell
             return
-        g = grids[dims[i]]
+        g = grids[i]
         for lo, hi in zip(g, g[1:]):
             walk(i + 1, reps + (lo,), cell * (hi - lo))
 

@@ -108,7 +108,7 @@ def insert_extension_below(
     copy of their original band).  Returns the new extension node.
     """
     original = band.child if band.child is not None else LeafNode()
-    added = extension.range().names()
+    added = tuple(dict.fromkeys(out for _, out in extension.maps))
     ext_filter = FilterNode(list(added), extension_subtree)
     original_stmts = _statements_below(original, fallback=band.statements())
     orig_filter = FilterNode(original_stmts, original)

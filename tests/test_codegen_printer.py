@@ -4,8 +4,11 @@ import pytest
 
 from repro import CompileOptions
 from repro.codegen import print_tree, promoted_buffers, total_scratch_bytes
-from repro.core import optimize
+from repro.codegen.promotion import PromotedBuffer, _boxed
+from repro.core import TILE_TUPLE, optimize
+from repro.core.footprint import RepresentativeTile
 from repro.pipelines import conv2d, unsharp_mask
+from repro.presburger import BasicMap, Constraint, LinExpr, Map, MapSpace
 from repro.scheduler import SMARTFUSE, schedule_program
 
 PARAMS = {"H": 16, "W": 16, "KH": 3, "KW": 3}
@@ -83,3 +86,18 @@ class TestPromotion:
         (bufs,) = promoted_buffers(res).values()
         assert [b.tensor for b in bufs] == ["t_blurx"]
         assert bufs[0].exact_elems > 0
+
+    def test_an_image_empty_at_the_tile_is_an_empty_buffer(self):
+        """``{ _tile[o] -> A[a] : o >= 8 and o <= a <= o + 3 }``: the tile
+        at 0 touches nothing, so its buffer holds nothing, as a missing
+        relation's does; the tile at 8 holds four elements."""
+        space = MapSpace(TILE_TUPLE, ("o",), "A", ("a",))
+        o, a = LinExpr.var("o"), LinExpr.var("a")
+        cons = [Constraint.ge(o, 8), Constraint.ge(a, o), Constraint.le(a, o + 3)]
+        m = Map(space, [BasicMap(space, cons)])
+        empty = PromotedBuffer("A", (0,), 0)
+        assert _boxed("A", m, RepresentativeTile((4,), {}, {"o": 0}, {})) == empty
+        assert _boxed("A", None, RepresentativeTile((4,), {}, {"o": 0}, {})) == empty
+        assert empty.box_elems == 0
+        held = _boxed("A", m, RepresentativeTile((4,), {}, {"o": 8}, {}))
+        assert held == PromotedBuffer("A", (4,), 4)

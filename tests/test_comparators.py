@@ -11,6 +11,10 @@ would accept:
 * ``validate_tree`` finds no flow dependence it reverses;
 * its C computes what ``execute_naive`` computes.
 
+The PPCG heuristics' trees (smartfuse, maxfuse and hybridfuse, every
+tilable group tiled alike) are the other columns of the same tables and
+get the last two checks.
+
 Sizes are the smallest each builder fills.  local_laplacian runs two of
 its eight blocks (the full pipeline takes 40 s here; two blocks already
 split into clusters, and its PolyMage tree reversed 4,096 flow pairs
@@ -37,6 +41,7 @@ from repro.pipelines import (
     multiscale_interp,
     unsharp_mask,
 )
+from repro.scheduler import HYBRIDFUSE, MAXFUSE, SMARTFUSE, schedule_program, tile_all_groups
 
 #: ``(module, builder arguments, runs the C round trip)`` per named pipeline.
 PIPELINES = {
@@ -74,6 +79,20 @@ def test_comparator_is_a_legal_program(name, comparator):
             for reader in program.readers_of(program.statement(s).tensor_written()):
                 assert reader.name in members, (s, reader.name)
 
+    assert_legal(name, program, tree)
+
+
+@pytest.mark.parametrize("heuristic", [SMARTFUSE, MAXFUSE, HYBRIDFUSE])
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_ppcg_heuristic_is_a_legal_program(name, heuristic):
+    module, args, _ = PIPELINES[name]
+    program = module.build(**args)
+    tree = tile_all_groups(schedule_program(program, heuristic), TILES)
+    assert_legal(name, program, tree)
+
+
+def assert_legal(name, program, tree):
+    """``validate_tree``, then the C round trip where the size allows it."""
     report = validate_tree(tree, program)
     assert report.ok, report
 

@@ -12,8 +12,9 @@ import sys
 from repro import obs
 from repro.api import CompileOptions, default_tile_sizes, get_workload, optimize
 from repro.codegen.printer import print_tree
+from repro.core import post_fusion
 from repro.ir import Statement
-from repro.presburger import Constraint, LinExpr, MapSpace, SetSpace, memo
+from repro.presburger import Constraint, LinExpr, MapSpace, SetSpace, UnionMap, memo
 from repro.scheduler import parallelism, schedule_program
 from repro.scheduler.autotune import autotune_tile_sizes
 
@@ -79,6 +80,34 @@ def test_each_dependence_distance_is_computed_once(monkeypatch):
     scheduled = schedule_program(get_workload("local_laplacian", 512))
     assert len(scheduled.deps) > 100
     assert len(seen) == len(set(seen)) > 0
+
+
+def test_splicing_an_extension_projects_nothing(monkeypatch):
+    """The statements an extension adds are the out tuples of its map
+    keys: ``apply_mixed_schedules`` runs no ``UnionMap.range`` and no FM
+    elimination inside ``insert_extension_below``."""
+    inserts, ranges, eliminations = [], [], []
+    insert, range_ = post_fusion.insert_extension_below, UnionMap.range
+
+    def counted_insert(*args):
+        inserts.append(True)
+        try:
+            with obs.collect() as report:
+                return insert(*args)
+        finally:
+            inserts[-1] = False
+            eliminations.append(report.counters.get("presburger.fm_eliminate", 0))
+
+    def counted_range(self):
+        ranges.append(any(inserts))
+        return range_(self)
+
+    monkeypatch.setattr(post_fusion, "insert_extension_below", counted_insert)
+    monkeypatch.setattr(UnionMap, "range", counted_range)
+    cold_compile("harris", 512)
+    assert len(inserts) > 0
+    assert not any(ranges)
+    assert eliminations == [0] * len(inserts)
 
 
 def _memo_counts(run):

@@ -24,6 +24,7 @@ from repro.core import (
     tile_footprint,
     tile_to_instances,
 )
+from repro.core.footprint import tile_image
 from repro.pipelines import conv2d
 from repro.scheduler import SMARTFUSE, schedule_program
 from repro.schedule import BandNode, ExtensionNode, is_skipped, top_level_filters
@@ -124,8 +125,8 @@ class TestAlgorithm1:
         inters = intermediate_groups_of(prog, L, sched.groups)
         mixed = construct_tile_shapes(prog, L, inters, (2, 2), CPU)
         ext = mixed.entries[1]
-        inst = ext.instances_for_tile(
-            "S0", {f"{L.name}_o0": 2, f"{L.name}_o1": 0}, PARAMS
+        inst = tile_image(
+            ext.relation[(TILE_TUPLE, "S0")], {f"{L.name}_o0": 2, f"{L.name}_o1": 0}, PARAMS
         )
         assert inst.count_points() == 16
         box = inst.bounding_box()
@@ -139,8 +140,9 @@ class TestAlgorithm1:
         inters = intermediate_groups_of(prog, L, sched.groups)
         mixed = construct_tile_shapes(prog, L, inters, (2, 2), CPU)
         ext = mixed.entries[1]
-        blue = ext.instances_for_tile("S0", {f"{L.name}_o0": 2, f"{L.name}_o1": 0}, PARAMS)
-        red = ext.instances_for_tile("S0", {f"{L.name}_o0": 2, f"{L.name}_o1": 2}, PARAMS)
+        m = ext.relation[(TILE_TUPLE, "S0")]
+        blue = tile_image(m, {f"{L.name}_o0": 2, f"{L.name}_o1": 0}, PARAMS)
+        red = tile_image(m, {f"{L.name}_o0": 2, f"{L.name}_o1": 2}, PARAMS)
         assert not blue.intersect(red).is_empty()
 
     def test_gpu_target_requires_2d_parallelism(self, setup):

@@ -143,3 +143,97 @@ def _enum(s):
     from repro.presburger import enumerate_set_points
 
     return list(enumerate_set_points(s))
+
+
+# ---------------------------------------------------------------------------
+# counting a per-tile relation's image at one tile
+
+#: ``{ _tile[o0, o1] -> A[a0, a1] }`` with one symbolic tile size ``T``.
+TILE_SPACE = MapSpace("_tile", ("o0", "o1"), "A", ("a0", "a1"), ("T",))
+TILE_IN, TILE_OUT = ("o0", "o1"), ("a0", "a1")
+A_RANGE = range(-8, 25)  # holds every out point any generated piece allows
+
+
+@st.composite
+def box_pieces(draw, extras=True):
+    """A footprint-shaped piece: per out dim, a window near one in dim
+    (a coefficient > 1 on the out dim now and then); with ``extras``,
+    sometimes a guard on the tile and sometimes an equality
+    ``g*a = o + c`` with ``g > 1``."""
+    cons = []
+    for a in TILE_OUT:
+        o = LinExpr.var(draw(st.sampled_from(TILE_IN)))
+        coeff = draw(st.sampled_from((1, 1, 2, 3)))
+        lo, width = draw(st.integers(-3, 3)), draw(st.integers(-1, 3))
+        cons.append(Constraint.ge(LinExpr.var(a) * coeff, o + lo))
+        cons.append(Constraint.le(LinExpr.var(a), o + LinExpr.var("T") + width))
+        cons.append(Constraint.ge(LinExpr.var(a), -8))
+    if extras and draw(st.booleans()):
+        o = LinExpr.var(draw(st.sampled_from(TILE_IN)))
+        cons.append(Constraint.ge(o, draw(st.integers(0, 6))))
+    if extras and draw(st.booleans()):
+        a = LinExpr.var(draw(st.sampled_from(TILE_OUT)))
+        o = LinExpr.var(draw(st.sampled_from(TILE_IN)))
+        g = draw(st.integers(2, 3))
+        cons.append(Constraint.eq(a * g - o - draw(st.integers(-2, 2))))
+    return BasicMap(TILE_SPACE, cons)
+
+
+@st.composite
+def coupled_pieces(draw):
+    """A box piece cut by a constraint coupling both out dims; no guard
+    or equality, so no tile makes it obviously empty."""
+    piece = draw(box_pieces(extras=False))
+    a0, a1 = LinExpr.var("a0"), LinExpr.var("a1")
+    o = LinExpr.var(draw(st.sampled_from(TILE_IN)))
+    k, c = draw(st.sampled_from((1, -1, 2))), draw(st.integers(0, 6))
+    cut = Constraint.le(a0 + a1 * k, o * 2 + c)
+    return BasicMap(TILE_SPACE, list(piece.constraints) + [cut])
+
+
+tile_points = st.fixed_dictionaries(
+    {"o0": st.integers(0, 8), "o1": st.integers(0, 8), "T": st.integers(1, 4)}
+)
+
+
+def _brute_image(m, point):
+    count = 0
+    for a0, a1 in itertools.product(A_RANGE, repeat=2):
+        binding = dict(point, a0=a0, a1=a1)
+        if any(all(c.satisfied_by(binding) for c in p.constraints) for p in m.pieces):
+            count += 1
+    return count
+
+
+def _counted(m, point):
+    """``footprint_size`` at ``point`` and the counter it moved."""
+    from repro import obs
+    from repro.core.footprint import footprint_size
+
+    origin = {d: point[d] for d in TILE_IN}
+    with obs.collect() as report:
+        n = footprint_size(m, origin, {"T": point["T"]})
+    paths = {k.rsplit(".", 1)[1] for k in report.counters if k.startswith("footprint.count.")}
+    return n, paths
+
+
+def _image(m, point):
+    return m.fix_params({"T": point["T"]}).image_of_point(point).count_points()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(box_pieces(), min_size=1, max_size=4), tile_points)
+def test_a_union_of_boxes_is_counted_in_closed_form(pieces, point):
+    m = Map(TILE_SPACE, pieces)
+    n, paths = _counted(m, point)
+    assert paths == {"closed_form"}
+    assert n == _image(m, point) == _brute_image(m, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupled_pieces(), st.lists(box_pieces(), max_size=2), tile_points)
+def test_a_coupled_piece_is_enumerated(coupled, boxes, point):
+    m = Map(TILE_SPACE, [coupled] + boxes)
+    n, paths = _counted(m, point)
+    assert paths == {"enumerated"}
+    assert n == _image(m, point) == _brute_image(m, point)

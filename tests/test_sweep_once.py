@@ -66,6 +66,18 @@ def test_cold_sweep_costs_each_candidate_once_and_a_warm_one_none(tmp_path):
     assert summaries(warm_cache) == cold_read
 
 
+def test_a_cold_sweep_counts_every_tile_image_in_closed_form():
+    """Every exact count harris's 25 cpu candidates charge (instances each
+    fused statement runs per tile, elements each promoted buffer holds) is
+    the union volume of boxes evaluated at the representative tile; none
+    enumerates an image."""
+    tuned, counted = _sweep(get_workload("harris", 512), None)
+    assert len(tuned.evaluations) == 25
+    assert counted["machine.analyze.computed"] == 25
+    assert counted["footprint.count.closed_form"] == 400
+    assert "footprint.count.enumerated" not in counted
+
+
 @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
 def test_every_dispatch_mode_stores_entries_that_carry_the_summary(tmp_path, mode):
     program = get_workload("harris", 64)

@@ -8,20 +8,16 @@ for the tour.
 
 from .core import OptimizeResult, optimize
 from .ir import Program, ProgramBuilder, Tensor
-from .options import CompileOptions, PartitionOptions
-from .partition import PartitionedSchedule, partition_pipeline
+from .options import CompileOptions
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompileOptions",
     "OptimizeResult",
-    "PartitionOptions",
-    "PartitionedSchedule",
     "Program",
     "ProgramBuilder",
     "Tensor",
     "optimize",
-    "partition_pipeline",
     "__version__",
 ]

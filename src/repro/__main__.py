@@ -8,10 +8,6 @@ Subcommands:
 * ``code <workload>`` — print the generated OpenMP or CUDA code;
 * ``time <workload>`` — predicted execution times for our pass and the
   PPCG fusion heuristics on the modeled machines;
-* ``partition <workload> --targets cpu,gpu,npu`` — assign pipeline stages
-  across heterogeneous targets with the beam-search partitioner, compile
-  each partition for its target and print the assignment, cut edges and
-  modeled mixed-vs-single-target costs;
 * ``tune <workload>`` — exhaustive tile-size auto-tuning against the
   machine model (``--jobs N`` fans candidates out over the batch-compile
   driver; the compile cache makes a repeated sweep all hits);
@@ -29,7 +25,7 @@ Subcommands:
 * ``serve`` — run the long-lived compile server (unix socket and/or TCP)
   that keeps caches warm and deduplicates identical in-flight requests;
   daemons given the same ``--cache`` directory share warm state;
-* ``client compile|tune|partition|stats|health|shutdown`` — talk to a running
+* ``client compile|tune|stats|health|shutdown`` — talk to a running
   server (``client stats --json`` emits the raw ``repro-metrics/1``
   snapshot).
 """
@@ -67,7 +63,7 @@ def cmd_list(_args) -> int:
     print("image pipelines: " + ", ".join(sorted(IMAGE_PIPELINES)))
     print("polybench:       " + ", ".join(sorted(polybench.BUILDERS)))
     print("other:           conv2d, conv_bn, equake")
-    print("mixed-target:    " + ", ".join(sorted(mixed.MIXED_BUILDERS)))
+    print("mixed:           " + ", ".join(sorted(mixed.MIXED_BUILDERS)))
     return 0
 
 
@@ -196,8 +192,6 @@ def _cmd_trace_request(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if args.critical_path:
-        return _cmd_profile_critical_path(args)
     prog, report, wall = _traced_compile(args)
     roots = obs.profile_tree(report)
     print(f"{prog.name} compile profile ({args.target}):")
@@ -206,63 +200,6 @@ def cmd_profile(args) -> int:
             roots, top=args.top, max_depth=args.depth, wall_seconds=wall
         )
     )
-    return 0
-
-
-def _cmd_profile_critical_path(args) -> int:
-    """Partition the workload, run it, and report the critical path —
-    measured span durations next to the partitioner's analytical model."""
-    from .options import PartitionOptions
-    from .partition import partition_pipeline
-    from .partition.host import execute_partitioned
-
-    prog = _build_workload(args.workload, args.size)
-    options = PartitionOptions(
-        targets=_parse_targets(args.targets),
-        tile_sizes=_default_tiles(args.workload),
-    )
-    sched = partition_pipeline(prog, options=options)
-    with obs.collect(trace=True) as report:
-        execute_partitioned(sched)
-
-    measured_nodes: dict = {}
-    transfers: dict = {}
-    for e in report.events:
-        if e.name == "partition.compute":
-            measured_nodes[e.attrs["partition"]] = e.duration
-        elif e.name == "partition.transfer":
-            key = (e.attrs["tensor"], e.attrs["src"], e.attrs["dst"])
-            transfers[key] = transfers.get(key, 0.0) + e.duration
-    modeled_nodes = {p.name: p.modeled_seconds for p in sched.partitions}
-
-    modeled_edges = []
-    measured_edges = []
-    for cut in sched.cuts:
-        modeled_edges.append((cut.src, cut.dst, cut.seconds))
-        # The host stages a cut tensor out of src then into dst; the
-        # measured edge cost is both copies.
-        measured = transfers.get((cut.tensor, cut.src, "host"), 0.0) + \
-            transfers.get((cut.tensor, "host", cut.dst), 0.0)
-        measured_edges.append((cut.src, cut.dst, measured))
-
-    meas_total, meas_path = obs.critical_path(measured_nodes, measured_edges)
-    model_total, model_path = obs.critical_path(modeled_nodes, modeled_edges)
-
-    print(f"{prog.name} critical path "
-          f"({', '.join(options.target_names)} partitioning):")
-    print(f"  {'partition':<16} {'target':<6} "
-          f"{'measured':>12} {'modeled':>12}")
-    for part in sched.partitions:
-        meas = measured_nodes.get(part.name, 0.0)
-        print(f"  {part.name:<16} {part.target:<6} "
-              f"{meas * 1e6:>9.1f} us {part.modeled_seconds * 1e6:>9.1f} us")
-    for cut, (_, _, meas) in zip(sched.cuts, measured_edges):
-        print(f"  cut {cut.tensor:<12} {cut.src}->{cut.dst:<10} "
-              f"{meas * 1e6:>9.1f} us {cut.seconds * 1e6:>9.1f} us")
-    print(f"  critical path (measured): {meas_total * 1e6:.1f} us "
-          f"via {' -> '.join(meas_path)}")
-    print(f"  critical path (modeled):  {model_total * 1e6:.1f} us "
-          f"via {' -> '.join(model_path)}")
     return 0
 
 
@@ -348,59 +285,6 @@ def cmd_tune(args) -> int:
           f"({result.best_time * 1e3:.3f} ms modeled)")
     for sizes, t in result.top(5):
         print(f"  {str(sizes):14s} {t * 1e3:9.3f} ms")
-    return 0
-
-
-def _parse_targets(text):
-    targets = tuple(t.strip() for t in text.split(",") if t.strip())
-    bad = [t for t in targets if t not in ("cpu", "gpu", "npu")]
-    if bad or not targets:
-        raise SystemExit(
-            f"--targets must be a comma-separated subset of cpu,gpu,npu; "
-            f"got {text!r}"
-        )
-    return targets
-
-
-def cmd_partition(args) -> int:
-    from .options import PartitionOptions
-    from .partition import partition_pipeline
-    from .service import default_cache
-
-    prog = _build_workload(args.workload, args.size)
-    options = PartitionOptions(
-        targets=_parse_targets(args.targets),
-        tile_sizes=_default_tiles(args.workload),
-        cache=None if args.no_cache else default_cache(),
-    )
-    with obs.collect() as report:
-        sched = partition_pipeline(prog, options=options)
-    mixed = sched.modeled["mixed"]
-    single = sched.modeled["single"]
-    print(f"workload:   {prog.name} ({len(prog.statements)} statements)")
-    print(f"targets:    {', '.join(options.target_names)}"
-          + (" (degenerate: one partition)" if sched.is_degenerate else ""))
-    print("assignment: "
-          + ", ".join(f"{s}:{t}" for s, t in sched.assignment.items()))
-    for part in sched.partitions:
-        tiles = part.result.tile_sizes
-        print(f"  {part.name} [{part.target}] "
-              f"{len(part.statements)} stmts, tiles {tiles}, "
-              f"{part.modeled_seconds * 1e6:9.1f} us   "
-              f"({', '.join(part.statements)})")
-    for cut in sched.cuts:
-        print(f"  cut {cut.tensor}: {cut.src}[{cut.src_target}] -> "
-              f"{cut.dst}[{cut.dst_target}], {cut.nbytes} bytes, "
-              f"{cut.seconds * 1e6:.1f} us")
-    print(f"modeled:    mixed {mixed['total_seconds'] * 1e6:.1f} us "
-          f"(compute {mixed['compute_seconds'] * 1e6:.1f} "
-          f"+ transfer {mixed['transfer_seconds'] * 1e6:.1f})")
-    for target, seconds in single.items():
-        text = "illegal" if seconds is None else f"{seconds * 1e6:.1f} us"
-        print(f"            single {target:4s} {text}")
-    if args.stats:
-        print()
-        print(report.format())
     return 0
 
 
@@ -507,7 +391,7 @@ def cmd_serve(args) -> int:
 
 
 #: ``repro client`` subcommand -> the wire verb it sends.
-_CLIENT_VERBS = {"compile": "compile", "tune": "autotune", "partition": "partition"}
+_CLIENT_VERBS = {"compile": "compile", "tune": "autotune"}
 
 
 def _client_work(client, args) -> int:
@@ -587,29 +471,9 @@ def _print_client_tune(out) -> None:
           f"({out['best_time_ms']:.3f} ms modeled)")
 
 
-def _print_client_partition(out) -> None:
-    mixed = out["modeled"]["mixed"]
-    print(f"workload:    {out['workload']}")
-    print(f"targets:     {', '.join(out['targets_used'])}"
-          + (" (degenerate)" if out.get("degenerate") else ""))
-    print("assignment:  "
-          + ", ".join(f"{s}:{t}" for s, t in out["assignment"].items()))
-    for part in out["partitions"]:
-        print(f"  {part['name']} [{part['target']}] "
-              f"{len(part['statements'])} stmts  {part['fingerprint'][:12]}")
-    print(f"cuts:        {len(out['cuts'])}")
-    print(f"modeled:     mixed {mixed['total_seconds'] * 1e6:.1f} us")
-    for target, seconds in out["modeled"]["single"].items():
-        text = "illegal" if seconds is None else f"{seconds * 1e6:.1f} us"
-        print(f"             single {target:4s} {text}")
-    print(f"server time: {out['compile_ms']:.1f} ms")
-    print(f"deduped:     {'yes' if out.get('deduped') else 'no'}")
-
-
 _CLIENT_PRINTERS = {
     "compile": _print_client_compile,
     "autotune": _print_client_tune,
-    "partition": _print_client_partition,
 }
 
 
@@ -843,26 +707,6 @@ def main(argv=None) -> int:
     )
     diff_p.set_defaults(fn=cmd_stats)
 
-    part_p = sub.add_parser(
-        "partition",
-        help="assign pipeline stages across cpu/gpu/npu and compile each "
-        "partition for its target",
-    )
-    part_p.add_argument("workload")
-    part_p.add_argument("--size", type=int, default=None)
-    part_p.add_argument(
-        "--targets", default="cpu,gpu,npu",
-        help="comma-separated target set to partition over "
-        "(default cpu,gpu,npu)",
-    )
-    part_p.add_argument("--no-cache", action="store_true",
-                        help="compile partitions without the result cache")
-    part_p.add_argument(
-        "--stats", action="store_true",
-        help="print per-pass timings and counters for the partition compile",
-    )
-    part_p.set_defaults(fn=cmd_partition)
-
     serve_p = sub.add_parser(
         "serve", help="run the long-lived compile server"
     )
@@ -950,10 +794,6 @@ def main(argv=None) -> int:
         protocol.POS_INTS: {"type": int, "nargs": "+"},
         protocol.STR: {},
         protocol.TARGET: {"choices": protocol.TARGETS},
-        protocol.TARGET_LIST: {
-            "type": _parse_targets,
-            "help": "comma-separated target set (default cpu,gpu,npu)",
-        },
     }
     flag_names = {"tile_sizes": "--tile", "dims": None}
     for command, verb in _CLIENT_VERBS.items():
@@ -1045,16 +885,6 @@ def main(argv=None) -> int:
                            help="children shown per level")
             p.add_argument("--depth", type=int, default=6,
                            help="maximum tree depth shown")
-            p.add_argument(
-                "--critical-path", action="store_true",
-                help="partition the workload, execute it, and print the "
-                "measured vs. modeled critical path",
-            )
-            p.add_argument(
-                "--targets", default="cpu,gpu,npu",
-                help="`--critical-path`: comma-separated target set "
-                "(default cpu,gpu,npu)",
-            )
         if name in ("time", "tune"):
             p.add_argument("--threads", type=int, default=32)
         if name == "tune":

@@ -14,13 +14,7 @@ from __future__ import annotations
 from .core import OptimizeResult, optimize
 from .core.tile_shapes import TARGETS, TargetSpec
 from .ir import Program, ProgramBuilder, Tensor
-from .machine.transfer import DEFAULT_TRANSFER, PCIE_TRANSFER, TransferSpec
-from .options import CompileOptions, PartitionOptions
-from .partition import (
-    PartitionedSchedule,
-    execute_partitioned,
-    partition_pipeline,
-)
+from .options import CompileOptions
 from .scheduler.autotune import TuneResult, autotune_tile_sizes
 from .service.cache import CompileCache, default_cache, resolve_cache
 from .service.driver import (
@@ -36,27 +30,20 @@ __all__ = [
     "CompileOptions",
     "CompileOutcome",
     "CompileRequest",
-    "DEFAULT_TRANSFER",
     "OptimizeResult",
-    "PCIE_TRANSFER",
-    "PartitionOptions",
-    "PartitionedSchedule",
     "Program",
     "ProgramBuilder",
     "TARGETS",
     "TargetSpec",
     "Tensor",
-    "TransferSpec",
     "TuneResult",
     "autotune_tile_sizes",
     "cached_optimize",
     "compile_batch",
     "default_cache",
     "default_tile_sizes",
-    "execute_partitioned",
     "get_workload",
     "optimize",
-    "partition_pipeline",
     "resolve_cache",
     "workload_names",
 ]

@@ -92,15 +92,12 @@ class OptimizeResult:
 def optimize(
     program: Program,
     options: "Optional[CompileOptions]" = None,
-    **removed,
 ) -> OptimizeResult:
     """Run the paper's pass on ``program``.
 
     All configuration travels in one :class:`repro.CompileOptions` —
     passed positionally or as ``options=``; ``None`` compiles with the
-    defaults (cpu target, smartfuse start-up, unit tiles).  The retired
-    per-keyword spellings (``target=``/``tile_sizes=``/``startup=``)
-    raise a ``TypeError`` pointing here.
+    defaults (cpu target, smartfuse start-up, unit tiles).
 
     ``options.tile_sizes`` applies to the live-out computation spaces
     only — the pass derives every other space's tile shape from the
@@ -110,7 +107,7 @@ def optimize(
     """
     from ..options import resolve_options
 
-    opts = resolve_options(options, "optimize", **removed)
+    opts = resolve_options(options)
     spec = opts.target
     t0 = time.perf_counter()
     with obs.span(

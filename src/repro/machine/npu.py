@@ -13,15 +13,16 @@ an L1 buffer in front of external HBM.  The effect the paper measures
   the chip.
 
 Off-chip latency dominates on this part, which is why the paper sees 1.72x
-on conv+bn pairs.
+on conv+bn pairs.  The model prices whole conv+bn layers
+(:func:`conv_bn_time`, :func:`network_time`); a compiled schedule tree
+for the NPU is lowered by :mod:`repro.codegen.cce`, which checks its
+buffers against the :class:`NPUSpec` capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-from .cost import ClusterWork, ProgramWork
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,6 @@ class NPUSpec:
     l1_bytes: int = 1024 * 1024
     dma_overhead_s: float = 2.5e-6    # per off-chip transfer setup
     kernel_overhead_s: float = 10e-6  # per launched operator
-    cores: int = 32                   # DaVinci AI cores on the die
-    # The cube and vector datapaths are fp16-native; fp64 work runs
-    # through emulation sequences at a fraction of peak.
-    cube_fp64_ratio: float = 1.0 / 16.0
-    vector_fp64_ratio: float = 1.0 / 8.0
-    # Arithmetic intensity (ops per DRAM byte) above which a cluster's
-    # inner work maps onto the cube unit rather than the vector unit.
-    cube_intensity: float = 8.0
-    # Guarded bodies serialize through the scalar unit: the DaVinci core
-    # has no branch predictor worth the name.
-    branchy_penalty: float = 8.0
 
 
 DEFAULT_NPU = NPUSpec()
@@ -121,50 +111,6 @@ def conv_bn_time(
     bn_time = max(bn_compute, refill + writeback)
     overhead = 2 * spec.kernel_overhead_s + 4 * spec.dma_overhead_s
     return conv_time + spill + bn_time + overhead
-
-
-def cluster_time(work: ClusterWork, spec: NPUSpec = DEFAULT_NPU) -> float:
-    """Execution time of one fusion cluster on the NPU.
-
-    The same :class:`~repro.machine.cost.ClusterWork` abstraction the CPU
-    and GPU models consume, so the heterogeneous partitioner can compare
-    the three targets on identical inputs.  High-intensity clusters (the
-    convolution reductions) run on the cube unit; everything else runs on
-    the vector unit against the unified buffer.  Work without tile-level
-    parallelism starves the core array, and guarded bodies crawl through
-    the scalar unit.
-    """
-    ops = work.ops
-    dram_bytes = work.total_dram_bytes()
-    scratch_bytes = work.scratch_traffic_bytes
-    if work.scratch_bytes_per_tile > spec.ub_bytes:
-        # Promoted tiles that overflow the UB spill through HBM.
-        dram_bytes += scratch_bytes
-        scratch_bytes = 0.0
-
-    intensity = ops / dram_bytes if dram_bytes > 0 else float("inf")
-    if intensity >= spec.cube_intensity and not work.ifs_in_body:
-        peak = spec.cube_tflops * 1e12 * spec.cube_fp64_ratio
-    else:
-        peak = spec.vector_gops * 1e9 * spec.vector_fp64_ratio
-    if work.ifs_in_body:
-        ops *= spec.branchy_penalty
-    if work.n_parallel_dims == 0:
-        # Wavefront bands keep a sliver of the array busy; fully serial
-        # work runs on one scalar pipe.
-        util = 0.02 if work.wavefront else 1.0 / (spec.cores * 64)
-    else:
-        util = min(1.0, work.parallel_units / spec.cores)
-    compute = ops / max(peak * util, 1.0)
-
-    mem = dram_bytes / (spec.hbm_bw_gbs * 1e9)
-    ub = scratch_bytes / (spec.ub_bw_gbs * 1e9)
-    overhead = spec.kernel_overhead_s + 2 * spec.dma_overhead_s
-    return max(compute, mem) + ub + overhead
-
-
-def program_time(work: ProgramWork, spec: NPUSpec = DEFAULT_NPU) -> float:
-    return sum(cluster_time(c, spec) for c in work.clusters)
 
 
 def network_time(

@@ -58,7 +58,6 @@ from .schema import (
 )
 from .distributed import (
     TraceContext,
-    critical_path,
     current_context,
     new_context,
     report_to_wire,
@@ -92,7 +91,6 @@ __all__ = [
     "chrome_trace",
     "collect",
     "count",
-    "critical_path",
     "current_context",
     "current_span_id",
     "diff_snapshots",

@@ -22,11 +22,7 @@ identity and the glue around it:
 * **stitching** (:func:`stitch`) — span streams from any number of
   processes, each anchored by its own ``wall_t0``, merged onto one
   wall-clock timeline as one Perfetto-loadable Chrome trace (one ``pid``
-  lane per service);
-* **critical-path analysis** (:func:`critical_path`) — longest dependency
-  chain through a cost-weighted DAG, used by ``repro profile
-  --critical-path`` to compare measured partition/transfer times against
-  the Presburger-priced model.
+  lane per service).
 
 Sampling follows the head-based model: the caller that *mints* the
 context decides (:func:`sample`), everyone downstream honours the flag.
@@ -458,67 +454,12 @@ def stitch_event_logs(
     return stitch(streams, trace_id=trace_id), len(streams)
 
 
-# ---------------------------------------------------------------------------
-# critical path: longest dependency chain through a cost-weighted DAG
-
-
-def critical_path(
-    nodes: Mapping[str, float],
-    edges: Sequence[Tuple[str, str, float]],
-) -> Tuple[float, List[str]]:
-    """Longest (node cost + edge cost) chain through a dependency DAG.
-
-    ``nodes`` maps name → cost (seconds); each edge ``(src, dst, cost)``
-    says ``dst`` cannot start until ``src`` finished and the edge's
-    transfer completed.  Returns the total critical-path seconds and the
-    node names along it, source first.  Cycles raise ``ValueError``
-    (partition schedules are DAGs by construction).
-    """
-    incoming: Dict[str, List[Tuple[str, float]]] = {name: [] for name in nodes}
-    for src, dst, cost in edges:
-        if src in incoming and dst in incoming:
-            incoming[dst].append((src, cost))
-
-    finish: Dict[str, float] = {}
-    best_pred: Dict[str, Optional[str]] = {}
-    visiting: set = set()
-
-    def _finish(name: str) -> float:
-        if name in finish:
-            return finish[name]
-        if name in visiting:
-            raise ValueError(f"cycle through partition {name!r}")
-        visiting.add(name)
-        start = 0.0
-        pred: Optional[str] = None
-        for src, cost in incoming[name]:
-            t = _finish(src) + cost
-            if t > start:
-                start, pred = t, src
-        visiting.discard(name)
-        best_pred[name] = pred
-        finish[name] = start + nodes[name]
-        return finish[name]
-
-    if not nodes:
-        return 0.0, []
-    last = max(nodes, key=_finish)
-    path: List[str] = []
-    cur: Optional[str] = last
-    while cur is not None:
-        path.append(cur)
-        cur = best_pred.get(cur)
-    path.reverse()
-    return finish[last], path
-
-
 __all__ = [
     "ENV_VAR",
     "MAX_WIRE_SPANS",
     "WIRE_SCHEMA",
     "TraceContext",
     "context_from_env",
-    "critical_path",
     "current_context",
     "new_context",
     "report_to_wire",

@@ -4,8 +4,8 @@ Image processing (PolyMage benchmarks, Table I): bilateral_grid,
 camera_pipeline, harris, local_laplacian, multiscale_interp, unsharp_mask.
 Finite elements (SPEC CPU2000): equake.  Linear algebra / data mining
 (PolyBench, Table II): polybench.  Neural networks (Table III): resnet and
-the conv2d running example of Fig. 1.  Heterogeneous scenarios for the
-cpu/gpu/npu partitioner: mixed (camera_resnet, edge_infer).
+the conv2d running example of Fig. 1.  Convolution pipelines that update
+a live-in in place: mixed (camera_resnet, edge_infer).
 """
 
 from . import (

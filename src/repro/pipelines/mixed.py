@@ -1,22 +1,21 @@
-"""Mixed heterogeneous pipelines: the partitioner's scenario family.
+"""Mixed pipelines: pointwise stages around large-kernel convolutions.
 
-Two NPU-offload-with-CPU-fallback shapes.  Each opens with an **in-place**
-stage (an ASSIGN reading the tensor it writes, like conv2d's
-quantisation) — the pattern that has no dataflow mapping on the NPU, so a
-pure-NPU compile of the pipeline is illegal and the partitioner must keep
-that stage on a host-class target while offloading the convolution body:
+Two camera/inference front-ends.  Each opens with an **in-place** stage
+(an ASSIGN reading the tensor it writes, like conv2d's quantisation), so
+the live-in is updated in place
+(:func:`repro.codegen.promotion.updated_in_place`) and the emitted C keeps
+those updates in a tile buffer:
 
 * ``camera_resnet`` — in-place sensor quantisation, then two stacked
   large-kernel conv + batchnorm/ReLU pairs (a camera front-end feeding
-  ResNet-style layers).  The big kernels give the convolutions the
-  arithmetic intensity that maps them onto the NPU's cube unit.
+  ResNet-style layers).
 * ``edge_infer`` — in-place normalisation, a 2×2 box-filter preprocess,
-  one large-kernel convolution, and an in-place ReLU on the result
-  (illegal on the NPU at *both* ends of the pipeline).
+  one large-kernel convolution, and an in-place ReLU on the result (in
+  place at *both* ends of the pipeline).
 
 Sizes follow the registry convention: ``build(size)`` scales the image;
-kernel extents stay fixed so the intensity (and hence the NPU's
-advantage) is size-independent.
+kernel extents stay fixed so the convolutions' arithmetic intensity is
+size-independent.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from ..ir import Program, ProgramBuilder, quant, relu
 
 #: Kernel extent of the ResNet-style convolutions.  Large on purpose: a
 #: K×K conv reduction has stage-level arithmetic intensity ~K²/12 ops per
-#: DRAM byte, and the NPU's cube unit needs ≥ 8 to engage.
+#: DRAM byte.
 CAMERA_K = 15
 EDGE_K = 13
 
@@ -57,7 +56,7 @@ def build_camera_resnet(size: int = 512, k: int = CAMERA_K) -> Program:
     box2 = "0 <= h <= H - 2*KH + 1 and 0 <= w <= W - 2*KW + 1"
     kbox = " and 0 <= kh < KH and 0 <= kw < KW"
 
-    # In-place sensor quantisation: no NPU mapping exists for this stage.
+    # In-place sensor quantisation.
     b.assign("Squant", (h, w), "0 <= h < H and 0 <= w < W", X[h, w], quant(X[h, w]))
     b.assign("Sconv1_init", (h, w), box1, F[h, w], 0)
     b.reduce(
@@ -94,7 +93,7 @@ def build_edge_infer(size: int = 512, k: int = EDGE_K) -> Program:
     boxc = "0 <= h <= H - KH - 1 and 0 <= w <= W - KW - 1"
     kbox = " and 0 <= kh < KH and 0 <= kw < KW"
 
-    # In-place normalisation (NPU-illegal).
+    # In-place normalisation.
     b.assign("Snorm", (h, w), "0 <= h < H and 0 <= w < W", A[h, w], quant(A[h, w]))
     # 2×2 box filter: cheap, memory-bound preprocess.
     b.assign(
@@ -107,7 +106,7 @@ def build_edge_infer(size: int = 512, k: int = EDGE_K) -> Program:
         "Sconv", (h, w, kh, kw), boxc + kbox,
         C[h, w], Bt[h + kh, w + kw] * Kw[kh, kw],
     )
-    # In-place ReLU on the result (NPU-illegal again).
+    # In-place ReLU on the result.
     b.assign("Srelu", (h, w), boxc, C[h, w], relu(C[h, w]))
     b.set_liveout("C")
     return b.build()

@@ -80,7 +80,6 @@ def autotune_tile_sizes(
     candidates: Sequence[int] = CANDIDATE_SIZES,
     dims: int = 2,
     max_extent: Optional[int] = None,
-    **removed,
 ) -> TuneResult:
     """Search live-out tile sizes against the cost model.
 
@@ -106,12 +105,11 @@ def autotune_tile_sizes(
     no-options default stays ``"serial"`` rather than ``CompileOptions``'
     ``"auto"``.  The tuner-specific knobs (``threads``, ``candidates``,
     ``dims``, ``max_extent``) remain keyword arguments here: they
-    configure the search, not the compiles.  The retired per-keyword
-    compile spellings raise a ``TypeError`` pointing at ``CompileOptions``.
+    configure the search, not the compiles.
     """
     from ..options import resolve_options
 
-    opts = resolve_options(options, "autotune_tile_sizes", **removed)
+    opts = resolve_options(options)
     if options is None:
         opts = opts.replace(mode="serial")
 

@@ -123,7 +123,6 @@ class ServeClient:
 
     compile = partialmethod(work, "compile")
     autotune = partialmethod(work, "autotune")
-    partition = partialmethod(work, "partition")
 
     @staticmethod
     def new_trace(sampled: bool = True) -> distributed.TraceContext:

@@ -40,7 +40,6 @@ PROTOCOL = "repro-serve/1"
 METHODS = (
     "compile",
     "autotune",
-    "partition",
     "stats",
     "watch",
     "health",
@@ -53,7 +52,6 @@ ERROR_CODES = (
     "unknown-method",   # method not in METHODS
     "compile-error",    # the compile itself failed (infeasible tiling...)
     "autotune-error",   # no feasible candidate, bad grid
-    "partition-error",  # no legal multi-target assignment, bad targets
     "timeout",          # per-request timeout expired server-side
     "overloaded",       # per-client concurrency limit exceeded
     "draining",         # server is shutting down, not accepting work
@@ -104,9 +102,6 @@ POS_INT = _must(_is_int, "an int >= 1")
 NONNEG_INT = _must(lambda v: _is_int(v, 0), "an int >= 0")
 POS_INTS = _must(_is_array_of(_is_int), "a non-empty array of positive ints")
 TARGET = _must(lambda v: v in TARGETS, f"one of {TARGETS}")
-TARGET_LIST = _must(
-    _is_array_of(lambda v: v in TARGETS), f"a non-empty array drawn from {TARGETS}"
-)
 
 #: Default marker of a param the request must carry.
 REQUIRED = object()
@@ -122,8 +117,9 @@ _WORK = {
 #: each method accepts.  :func:`validate_params` runs the checkers, the
 #: server fills absent/``null`` params with the defaults, and
 #: ``ServeClient.work`` and the ``repro client`` flags are generated from
-#: the rows of the work verbs (``compile`` / ``autotune`` / ``partition``)
-#: — a new param is one new entry here.
+#: the rows of the work verbs (``compile`` / ``autotune``) — a new param
+#: is one new entry here.  A param outside the method's row (every param,
+#: for a method without one) is a ``bad-request``.
 PARAMS: Dict[str, Dict[str, tuple]] = {
     "compile": {
         **_WORK,
@@ -137,7 +133,6 @@ PARAMS: Dict[str, Dict[str, tuple]] = {
         "dims": (POS_INT, 2),
         "candidates": (POS_INTS, (8, 16, 32, 64, 128)),
     },
-    "partition": {**_WORK, "targets": (TARGET_LIST, TARGETS)},
     "watch": {"since": (NONNEG_INT, 0), "limit": (POS_INT, None)},
 }
 
@@ -235,9 +230,11 @@ def validate_request(obj: object) -> List[str]:
 def validate_params(method: str, params: Mapping) -> List[str]:
     """Errors in one method's params (empty list = valid).
 
-    Absent and ``null`` are the same thing for an optional param."""
-    errors: List[str] = []
-    for name, (check, default) in PARAMS.get(method, {}).items():
+    A name outside the method's row is an error; absent and ``null`` are
+    the same thing for an optional param."""
+    row = PARAMS.get(method, {})
+    errors = [f"{method} takes no param {name!r}" for name in sorted(set(params) - set(row))]
+    for name, (check, default) in row.items():
         value = params.get(name)
         if value is not None or default is REQUIRED:
             errors.extend(check(name, value))

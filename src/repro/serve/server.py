@@ -159,7 +159,6 @@ class CompileServer:
         bodies = {
             "compile": self._compile,
             "autotune": self._autotune,
-            "partition": self._partition,
         }
         self._work_fns = {
             verb: partial(self._work, body) for verb, body in bodies.items()
@@ -463,9 +462,12 @@ class CompileServer:
 
     async def _dispatch(self, method: str, params: dict, client) -> dict:
         self.registry.inc("serve.requests")
-        self.registry.inc(f"serve.requests.{method}")
         if method not in protocol.METHODS:
+            # One counter for every unknown name: a client must not be able
+            # to grow the registry by inventing methods.
+            self.registry.inc("serve.unknown_methods")
             raise RequestError("unknown-method", f"unknown method {method!r}")
+        self.registry.inc(f"serve.requests.{method}")
         if method == "health":
             return self._health()
         if method == "stats":
@@ -751,27 +753,6 @@ class CompileServer:
             )
             summary["fusion"] = outcome.result.fusion_summary()
         return summary
-
-    def _partition(self, norm: dict, program) -> dict:
-        """Multi-target partitioning; every partition compiles through
-        ``cached_optimize`` against the shared cache, so repeated
-        partitions of the same pipeline are warm."""
-        from ..options import PartitionOptions
-        from ..partition import partition_pipeline
-
-        sched = partition_pipeline(
-            program,
-            options=PartitionOptions(
-                targets=tuple(norm["targets"]),
-                startup=norm["startup"],
-                cache=self.cache,
-            ),
-        )
-        return {
-            **sched.summary(),
-            "targets_used": list(sched.targets_used),
-            "degenerate": sched.is_degenerate,
-        }
 
     def _autotune(self, norm: dict, program) -> dict:
         """Tile-size search against the machine model."""

@@ -384,7 +384,6 @@ def _dispatch(
 def compile_batch(
     requests: Sequence[CompileRequest],
     options=None,
-    **removed,
 ) -> List[CompileOutcome]:
     """Compile many requests; one outcome per request, same order.
 
@@ -395,13 +394,11 @@ def compile_batch(
 
     A :class:`repro.CompileOptions` supplies the driver knobs —
     ``mode``/``jobs``/``cache`` — in one validated bundle (``None`` uses
-    the defaults: auto dispatch, cpu-count workers, no cache).  The
-    retired per-keyword spellings raise a ``TypeError`` pointing at
-    ``CompileOptions``.
+    the defaults: auto dispatch, cpu-count workers, no cache).
     """
     from ..options import resolve_options
 
-    opts = resolve_options(options, "compile_batch", **removed)
+    opts = resolve_options(options)
     mode, max_workers, cache = opts.mode, opts.jobs, opts.cache
     with obs.span("compile_batch", mode=mode, requests=len(requests)):
         outcomes: List[CompileOutcome] = [
@@ -458,21 +455,19 @@ def compile_batch(
 def cached_optimize(
     program: Program,
     options=None,
-    **removed,
 ):
     """Memoized :func:`repro.core.optimize`.
 
     Uses the process-wide default cache when none is given; raises
     exactly what ``optimize`` would raise on failure.  Configuration is a
     :class:`repro.CompileOptions` (``target``/``tile_sizes``/``startup``/
-    ``cache``), passed positionally or as ``options=``; the retired
-    per-keyword spellings raise a ``TypeError`` pointing there.
+    ``cache``), passed positionally or as ``options=``.
     """
     from ..core import optimize
     from ..options import resolve_options
     from .cache import default_cache
 
-    opts = resolve_options(options, "cached_optimize", **removed)
+    opts = resolve_options(options)
     cache = opts.cache if opts.cache is not None else default_cache()
     key = fingerprint_request(program, opts.target, opts.tile_sizes, opts.startup)
     result = cache.get(key)

@@ -20,12 +20,8 @@ def test_api_covers_downstream_consumers():
         "cached_optimize", "compile_batch", "default_cache", "resolve_cache",
         # autotuning (CLI tune, bench_autotune)
         "TuneResult", "autotune_tile_sizes",
-        # partitioning (CLI partition, serve partition verb)
-        "PartitionOptions", "PartitionedSchedule",
-        "execute_partitioned", "partition_pipeline",
-        # target/transfer specs the partitioner is parameterized over
+        # the target specs ``CompileOptions.target`` accepts
         "TARGETS", "TargetSpec",
-        "DEFAULT_TRANSFER", "PCIE_TRANSFER", "TransferSpec",
         # workload registry (benchmarks' subprocess scripts, CLI)
         "default_tile_sizes", "get_workload", "workload_names",
         # IR construction
@@ -37,8 +33,7 @@ def test_api_covers_downstream_consumers():
 
 def test_root_reexports_match_api():
     """The package root re-exports the high-traffic subset, same objects."""
-    for name in ("CompileOptions", "PartitionOptions", "Program",
-                 "ProgramBuilder", "optimize", "partition_pipeline"):
+    for name in ("CompileOptions", "Program", "ProgramBuilder", "optimize"):
         assert getattr(repro, name) is getattr(api, name), name
 
 

@@ -112,30 +112,6 @@ def test_tune_parallel_jobs(cache_dir, capsys):
     assert "best tile sizes:" in capsys.readouterr().out
 
 
-def test_partition_command(cache_dir, capsys):
-    rc = main(["partition", "camera_resnet", "--size", "64"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "workload:   camera_resnet" in out
-    assert "assignment:" in out
-    assert "modeled:" in out
-    assert "single npu  illegal" in out
-
-
-def test_partition_single_target_and_stats(cache_dir, capsys):
-    rc = main(["partition", "conv2d", "--size", "32",
-               "--targets", "cpu", "--stats"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "degenerate: one partition" in out
-    assert "per-pass timings" in out
-
-
-def test_partition_rejects_bad_targets(cache_dir):
-    with pytest.raises(SystemExit, match="targets"):
-        main(["partition", "conv2d", "--targets", "cpu,tpu"])
-
-
 def test_cache_info_and_clear(cache_dir, capsys):
     assert main(["optimize", "conv2d", "--size", "32", "--tile", "8", "8"]) == 0
     capsys.readouterr()
@@ -177,3 +153,39 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "image pipelines:" in proc.stdout
+
+
+class TestCLI:
+    def test_list(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "unsharp_mask" in out
+        assert "equake" in out
+
+    def test_optimize_conv2d(self, capsys):
+        assert main(["optimize", "conv2d", "--size", "16", "--tile", "4", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "fusion:" in out
+        assert "S0" in out
+
+    def test_code_openmp(self, capsys):
+        assert main(["code", "conv2d", "--size", "16", "--tile", "4", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "#pragma omp parallel for" in out
+
+    def test_code_cuda(self, capsys):
+        assert main(
+            ["code", "conv2d", "--size", "16", "--tile", "4", "4", "--target", "gpu"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "__syncthreads();" in out
+
+    def test_time_table(self, capsys):
+        assert main(["time", "2mm", "--size", "64", "--tile", "8", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "ours" in out
+        assert "smartfuse" in out
+
+    def test_unknown_workload(self):
+        with pytest.raises(SystemExit):
+            main(["optimize", "nonsense"])

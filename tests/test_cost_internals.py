@@ -10,6 +10,7 @@ import pytest
 
 from repro import CompileOptions
 from repro.codegen import print_tree, promoted_buffers
+from repro.codegen.cbackend import generate_c
 from repro.core import optimize
 from repro.core.footprint import band_extents, domain_volume, group_ops
 from repro.ir import ProgramBuilder
@@ -341,6 +342,30 @@ class TestTheModelIsTheParents:
         )
         assert proc.returncode == 0, proc.stderr[-3000:]
         assert _differing(dict(zip(AT_PARENT, json.loads(proc.stdout)))) == {}
+
+
+#: sha256[:16] of ``print_tree`` and of ``generate_c`` for the two mixed
+#: programs at size 64, default tiles, one compile per target, as c55bb71
+#: printed them before the cpu/gpu/npu stage partitioner was deleted.
+TARGETS_AT_PARENT = {
+    ("camera_resnet", "cpu"): "2451337da858a43e 94112958591ca588",
+    ("camera_resnet", "gpu"): "c8249e8e6fdee314 d2195f5a4ddd8a86",
+    ("camera_resnet", "npu"): "c8249e8e6fdee314 d2195f5a4ddd8a86",
+    ("edge_infer", "cpu"): "df06e32421a7c280 3b7f3bd60f99239f",
+    ("edge_infer", "gpu"): "df06e32421a7c280 3b7f3bd60f99239f",
+    ("edge_infer", "npu"): "df06e32421a7c280 3b7f3bd60f99239f",
+}
+
+
+@pytest.mark.parametrize("name,target", list(TARGETS_AT_PARENT))
+def test_each_target_compiles_what_it_compiled(name, target):
+    prog = get_workload(name, 64)
+    res = optimize(prog, CompileOptions(target=target, tile_sizes=default_tile_sizes(name)))
+    digests = [
+        hashlib.sha256(text.encode()).hexdigest()[:16]
+        for text in (print_tree(res.tree, prog), generate_c(res.tree, prog))
+    ]
+    assert " ".join(digests) == TARGETS_AT_PARENT[name, target]
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,8 @@ sockets carry it and get the daemon's span tree back under the same
 ``trace_id``, requests *without* the field still validate (back-compat),
 batch workers re-parent their span trees under the originating request,
 the event log and sample ring stay bounded, sampling decisions gate
-payload work, and the stitching / critical-path analysis the ``repro
-trace`` / ``repro profile`` CLIs rely on produce valid Chrome traces.
+payload work, and the stitching the ``repro trace`` CLI relies on
+produces valid Chrome traces.
 """
 
 import gzip
@@ -22,7 +22,6 @@ from repro import obs
 from repro.obs import distributed
 from repro.obs.distributed import (
     TraceContext,
-    critical_path,
     new_context,
     report_to_wire,
     stitch,
@@ -167,22 +166,6 @@ def test_stitch_rebases_streams_onto_shared_timeline():
     assert xs[1]["ts"] == pytest.approx(1e6)  # one second later, in us
     pids = {e["pid"] for e in xs}
     assert len(pids) == 2
-
-
-# -- critical path ---------------------------------------------------------
-
-
-def test_critical_path_longest_chain():
-    nodes = {"a": 1.0, "b": 2.0, "c": 0.5}
-    edges = [("a", "b", 0.1), ("a", "c", 5.0)]
-    total, path = critical_path(nodes, edges)
-    assert path == ["a", "c"]
-    assert total == pytest.approx(1.0 + 5.0 + 0.5)
-
-
-def test_critical_path_cycle_raises():
-    with pytest.raises(ValueError):
-        critical_path({"a": 1.0, "b": 1.0}, [("a", "b", 0.0), ("b", "a", 0.0)])
 
 
 # -- event log and sample ring ---------------------------------------------
@@ -554,16 +537,3 @@ def test_cli_client_stats_watch_prints_deltas(tmp_path, capsys):
         ])
     assert rc == 0
     assert capsys.readouterr().out.strip()
-
-
-def test_cli_profile_critical_path(capsys):
-    from repro.__main__ import main
-
-    rc = main([
-        "profile", "conv2d", "--size", "8", "--critical-path",
-        "--targets", "cpu,gpu",
-    ])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "critical path" in text.lower()
-    assert "measured" in text and "modeled" in text

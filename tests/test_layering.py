@@ -2,9 +2,9 @@
 service half, and inside it a package imports the ones before it.
 
 Every file of the compiler packages is parsed (imports inside functions
-count too) and each import that reaches up into ``service``, ``serve`` or
-``partition`` must be one of the edges listed in ``ALLOWED`` — so a new
-upward edge fails here instead of growing a cycle.
+count too) and each import that reaches up into ``service`` or ``serve``
+must be one of the edges listed in ``ALLOWED`` — so a new upward edge fails
+here instead of growing a cycle.
 ``COMPILER_ORDER`` does the same inside the compiler half, and
 ``test_no_block_is_spelled_twice`` keeps a block of code from being written
 out a second time there.
@@ -21,7 +21,7 @@ LOWER = (
     "presburger", "ir", "deps", "schedule", "scheduler", "core", "codegen",
     "machine", "pipelines", "baselines",
 )
-UPPER = ("service", "serve", "partition")
+UPPER = ("service", "serve")
 
 #: file -> the upward ``(module, name)`` imports it may make: the autotuner
 #: sends its candidates through the batch driver.

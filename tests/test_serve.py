@@ -59,15 +59,12 @@ def test_protocol_rejects_malformed():
     assert protocol.validate_request(
         protocol.request("autotune", {"workload": "x", "candidates": []})
     )
+    # a name outside the method's row, for a method with a row and without
     assert protocol.validate_request(
-        protocol.request("partition", {"workload": "x", "targets": []})
+        protocol.request("compile", {"workload": "x", "tile_size": [8, 8]})
     )
-    assert protocol.validate_request(
-        protocol.request("partition", {"workload": "x", "targets": ["tpu"]})
-    )
-    assert protocol.validate_request(
-        protocol.request("partition", {"workload": "x", "targets": ["cpu"]})
-    ) == []
+    assert protocol.validate_request(protocol.request("stats", {"bogus": 1}))
+    assert protocol.validate_request(protocol.request("stats")) == []
     # bool ids and bool tile entries are not ints
     bad = protocol.request("compile", {"workload": "x"}, id=1)
     bad["id"] = True
@@ -366,6 +363,37 @@ def test_bad_requests_and_unknown_method(tmp_path):
         sock.close()
 
 
+def test_raw_requests_with_unknown_params_or_methods(tmp_path):
+    """What the client library would refuse to send, sent on the socket: a
+    misspelt param is an error rather than a default, and unknown methods
+    (the retired ``partition`` among them) share one counter."""
+    config = _config(tmp_path)
+    with ServerThread(config) as st:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(30)
+        sock.connect(config.socket_path)
+        replies = sock.makefile("rb")
+
+        def send(method, params):
+            sock.sendall(protocol.encode(protocol.request(method, params, id=1)))
+            reply = protocol.decode(replies.readline())
+            assert reply["ok"] is False
+            return reply["error"]
+
+        error = send("compile", {"workload": "harris", "tile_size": [8, 8]})
+        assert error["code"] == "bad-request"
+        assert "tile_size" in error["message"]
+        assert send("stats", {"bogus": 1})["code"] == "bad-request"
+        assert send("partition", {"workload": "camera_resnet"})["code"] == "unknown-method"
+        for n in range(5):
+            assert send(f"bogus-{n}", {})["code"] == "unknown-method"
+        sock.close()
+    counters = st.server.registry.counters
+    assert counters["serve.bad_requests"] == 2
+    assert counters["serve.unknown_methods"] == 6
+    assert [name for name in counters if name.startswith("serve.requests.")] == []
+
+
 def test_stats_is_valid_metrics_snapshot(tmp_path):
     from repro.obs import validate_metrics_snapshot
 
@@ -456,7 +484,6 @@ def test_autotune_over_the_wire(tmp_path):
         ("compile", ["size", "target", "startup", "tile_sizes", "trace"]),
         ("autotune", ["size", "target", "startup", "threads", "dims",
                       "candidates", "trace"]),
-        ("partition", ["size", "startup", "targets", "trace"]),
     ],
 )
 def test_null_param_means_default(tmp_path, method, optional):
@@ -476,27 +503,6 @@ def test_null_param_means_default(tmp_path, method, optional):
     assert nulls == absent
     assert st.server.registry.counters.get("serve.bad_requests", 0) == 0
     assert st.server.registry.counters.get("serve.compile_errors", 0) == 0
-
-
-def test_partition_over_the_wire(tmp_path):
-    config = _config(tmp_path)
-    with ServerThread(config) as st:
-        with ServeClient(socket_path=config.socket_path) as c:
-            out = c.partition("camera_resnet", size=64)
-            assert out["workload"] == "camera_resnet"
-            assert set(out["assignment"]) == {
-                "Squant", "Sconv1_init", "Sconv1", "Sbn1",
-                "Sconv2_init", "Sconv2", "Sbn2",
-            }
-            assert out["partitions"] and out["modeled"]["mixed"]
-            # degenerate single-target request round-trips too
-            single = c.partition("conv2d", size=16, targets=["cpu"])
-            assert single["degenerate"] is True
-            assert single["targets_used"] == ["cpu"]
-            with pytest.raises(ServeError) as e:
-                c.partition("no-such-workload")
-            assert e.value.code == "bad-request"
-    assert st.server.registry.counters["serve.requests.partition"] == 3
 
 
 def test_server_thread_surfaces_startup_failure(tmp_path):
@@ -533,9 +539,6 @@ def test_cli_client_verbs(tmp_path, capsys):
         assert main(["client", "--socket", sock, "tune", "conv2d",
                      "--size", "16", "--candidates", "8", "16"]) == 0
         assert "best tile sizes:" in capsys.readouterr().out
-        assert main(["client", "--socket", sock, "partition", "conv2d",
-                     "--size", "16", "--targets", "cpu"]) == 0
-        assert "assignment:" in capsys.readouterr().out
         assert main(["client", "--socket", sock, "shutdown"]) == 0
         assert "stopping: True" in capsys.readouterr().out
 

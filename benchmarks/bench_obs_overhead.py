@@ -121,11 +121,10 @@ def run_bench(workload: str, size: int, iters: int):
 def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     """Tracing overhead on a warm-compile loop against an embedded daemon.
 
-    Three request modes over the same compile: untraced, traced
-    (sampled — the daemon opens a tracing collector and ships the span
-    payload back) and trace-flagged-but-unsampled (must ride the
-    null-span fast path).  The result cache is off, so the daemon is
-    *warm* (imports, presburger memo) but every request pays real
+    Two request modes over the same compile: untraced and traced (the
+    client sends a trace id, the daemon opens a tracing collector and
+    ships the span payload back).  The result cache is off, so the daemon
+    is *warm* (imports, presburger memo) but every request pays real
     compile work, which is what the 2% budget is relative to.
 
     The same lesson as the disabled-path bound above applies: A/B
@@ -141,16 +140,11 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     * JSON-decoding it again client-side,
     * recording overhead inside the compile (spans/frame counters),
       bounded by the per-call no-op costs times the observed call volume.
-
-    The unsampled mode's additive work is a context mint + wire field +
-    one validation, microbenchmarked the same way (it has no payload and
-    no collector).
     """
     import json
     import tempfile
 
     from repro.obs import distributed
-    from repro.obs.distributed import validate_trace_field
     from repro.serve.client import ServeClient
     from repro.serve.server import ServeConfig, ServerThread
 
@@ -158,7 +152,6 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
         config = ServeConfig(
             socket_path=os.path.join(tmp, "serve.sock"),
             cache=None,
-            trace_sample=1.0,
         )
         with ServerThread(config):
             with ServeClient(socket_path=config.socket_path) as client:
@@ -170,8 +163,7 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
 
                 modes = (
                     ("plain", lambda: None),
-                    ("sampled", lambda: client.new_trace(sampled=True)),
-                    ("unsampled", lambda: client.new_trace(sampled=False)),
+                    ("traced", distributed.new_trace_id),
                 )
                 times = {name: [] for name, _ in modes}
                 payload = None
@@ -184,28 +176,21 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
                             workload, size=size, trace=make_trace()
                         )
                         times[name].append(time.perf_counter() - t0)
-                        if name == "sampled":
+                        if name == "traced":
                             payload = out.get("trace") or payload
 
     if payload is None:
-        raise RuntimeError("sampled requests returned no span payload")
+        raise RuntimeError("traced requests returned no span payload")
     plain = _median(times["plain"])
 
-    # Deterministic additive cost of the sampled path, against the real
+    # Deterministic additive cost of the traced path, against the real
     # payload this workload produces.
     events = distributed.wire_to_events(payload)
     report = obs.CompileReport(record_events=True)
     for e in events:
         report.add_event(e)
         report.add_span(e.name, e.duration)
-    ctx = distributed.TraceContext(
-        trace_id=str(payload.get("trace_id") or "0" * 32),
-        span_id="1" * 16,
-        sampled=True,
-    )
-    t_wire = _best_of(
-        lambda: distributed.report_to_wire(report, "daemon", ctx), 50
-    )
+    t_wire = _best_of(lambda: distributed.report_to_wire(report, "daemon"), 50)
     encoded = json.dumps({"ok": True, "trace": payload})
     t_encode = _best_of(lambda: json.dumps({"ok": True, "trace": payload}), 50)
     t_decode = _best_of(lambda: json.loads(encoded), 50)
@@ -218,27 +203,17 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     )
     traced_est = t_wire + t_encode + t_decode + t_record
 
-    # The unsampled path: mint + serialize + validate one context.
-    def unsampled_work():
-        c = distributed.new_context(sampled=False)
-        validate_trace_field(c.to_wire())
-
-    unsampled_est = _best_of(unsampled_work, 200)
-
     return {
         "workload": workload,
         "size": size,
         "requests": requests,
         "repeats": repeats,
         "plain_seconds": plain,
-        "traced_seconds": _median(times["sampled"]),
-        "unsampled_seconds": _median(times["unsampled"]),
+        "traced_seconds": _median(times["traced"]),
         "wire_spans": len(events),
         "payload_bytes": len(encoded),
         "traced_overhead_seconds": traced_est,
         "traced_overhead_ratio": traced_est / plain,
-        "unsampled_overhead_seconds": unsampled_est,
-        "unsampled_overhead_ratio": unsampled_est / plain,
         "budget": OVERHEAD_BUDGET,
     }
 
@@ -294,32 +269,20 @@ def main(argv=None):
             f"{raw['workload']} (size {raw['size']}): "
             f"{raw['requests'] * raw['repeats']} interleaved warm rounds; "
             f"median request plain {raw['plain_seconds'] * 1e3:.1f} ms, "
-            f"traced {raw['traced_seconds'] * 1e3:.1f} ms, "
-            f"unsampled {raw['unsampled_seconds'] * 1e3:.1f} ms"
+            f"traced {raw['traced_seconds'] * 1e3:.1f} ms"
         )
         print(
             f"traced additive cost {raw['traced_overhead_seconds'] * 1e3:.2f} ms "
             f"({raw['traced_overhead_ratio'] * 100:.2f}% of a warm request; "
-            f"{raw['wire_spans']} wire spans, {raw['payload_bytes']} payload "
-            f"bytes); unsampled {raw['unsampled_overhead_seconds'] * 1e6:.1f} us "
-            f"({raw['unsampled_overhead_ratio'] * 100:.4f}%)"
+            f"{raw['wire_spans']} wire spans, {raw['payload_bytes']} payload bytes)"
         )
-        failed = False
         if raw["traced_overhead_ratio"] >= OVERHEAD_BUDGET:
             print(
                 f"FAIL: traced daemon overhead "
                 f"{raw['traced_overhead_ratio'] * 100:.2f}% >= 2%"
             )
-            failed = True
-        if raw["unsampled_overhead_ratio"] >= OVERHEAD_BUDGET / 10:
-            print(
-                f"FAIL: unsampled path not near-free "
-                f"({raw['unsampled_overhead_ratio'] * 100:.4f}% >= 0.2%)"
-            )
-            failed = True
-        if failed:
             return 1
-        print("ok: traced daemon overhead < 2%, unsampled near zero")
+        print("ok: traced daemon overhead < 2%")
         return 0
     size = args.size or (128 if args.quick else 512)
     iters = 50_000 if args.quick else 500_000

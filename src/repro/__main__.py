@@ -147,10 +147,6 @@ def _emit_c(result, prog) -> None:
 
 
 def cmd_trace(args) -> int:
-    if args.request:
-        return _cmd_trace_request(args)
-    if not args.workload:
-        raise SystemExit("trace: need a workload (or --request <trace-id>)")
     prog, report, wall = _traced_compile(args)
     obs.write_trace(report, args.output, format=args.format)
     depth = (
@@ -162,31 +158,6 @@ def cmd_trace(args) -> int:
     print(
         f"{prog.name}: {len(report.events)} spans{dropped} "
         f"(nesting depth {depth}) in {wall * 1e3:.1f} ms -> {args.output}"
-    )
-    return 0
-
-
-def _cmd_trace_request(args) -> int:
-    """Stitch one distributed request's spans out of event-log files."""
-    import json
-
-    logs = args.log or []
-    if not logs:
-        raise SystemExit("trace --request: need at least one --log PATH")
-    chrome, n_streams = obs.stitch_event_logs(logs, args.request)
-    if n_streams == 0:
-        print(
-            f"no trace records for {args.request} in {len(logs)} log(s)",
-            file=sys.stderr,
-        )
-        return 1
-    with open(args.output, "w", encoding="utf-8") as f:
-        json.dump(chrome, f)
-    other = chrome["otherData"]
-    print(
-        f"request {args.request}: {other['spans']} spans from "
-        f"{n_streams} stream(s) ({', '.join(other['services'])}) "
-        f"-> {args.output}"
     )
     return 0
 
@@ -362,7 +333,6 @@ def cmd_serve(args) -> int:
         request_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
         cache=None if args.no_cache else args.cache,
-        trace_sample=args.trace_sample,
         events_path=args.events_log,
         sample_interval=args.sample_interval,
     )
@@ -432,21 +402,21 @@ def _client_compile_traced(client, args, params) -> int:
     """
     import json
 
-    from .obs.distributed import stitch, stream_from_report, validate_wire_spans
+    from .obs.distributed import (
+        new_trace_id, report_to_wire, stitch, validate_wire_spans,
+    )
 
-    ctx = client.new_trace(sampled=True)
+    trace_id = new_trace_id()
     with obs.collect(trace=True) as report:
-        with obs.span(
-            "client.request", workload=args.workload, trace_id=ctx.trace_id
-        ):
-            out = client.compile(args.workload, trace=ctx, **params)
-    streams = [stream_from_report(report, "client", ctx)]
+        with obs.span("client.request", workload=args.workload, trace_id=trace_id):
+            out = client.compile(args.workload, trace=trace_id, **params)
+    streams = [report_to_wire(report, "client")]
     daemon = out.get("trace")
     if daemon and validate_wire_spans(daemon):
         daemon = None
     if daemon:
         streams.append(daemon)
-    chrome = stitch(streams, trace_id=ctx.trace_id)
+    chrome = stitch(streams, trace_id)
     with open(args.trace_out, "w", encoding="utf-8") as f:
         json.dump(chrome, f)
     other = chrome["otherData"]
@@ -454,11 +424,15 @@ def _client_compile_traced(client, args, params) -> int:
     print(f"fingerprint:  {out['fingerprint']}")
     print(f"compile time: {out['compile_ms']:.1f} ms (server-side)")
     print(f"from cache:   {'yes' if out['from_cache'] else 'no'}")
-    print(f"trace id:     {ctx.trace_id}")
+    print(f"trace id:     {trace_id}")
     print(f"trace:        {other['spans']} spans across "
           f"{', '.join(other['services'])} -> {args.trace_out}")
-    if not daemon:
-        print("note: daemon returned no span payload (sampled out?)",
+    if out.get("deduped"):
+        print("note: no daemon spans: the request joined another client's "
+              "in-flight compile, and only that client gets them",
+              file=sys.stderr)
+    elif not daemon:
+        print("note: daemon returned no span payload (missing or malformed)",
               file=sys.stderr)
     return 0
 
@@ -738,14 +712,9 @@ def main(argv=None) -> int:
     serve_p.add_argument("--no-cache", action="store_true",
                          help="serve without a result cache")
     serve_p.add_argument(
-        "--trace-sample", type=float, default=1.0, metavar="RATE",
-        help="head-sampling probability for traced requests (0..1; "
-        "sampled-out requests pay only the null-span fast path)",
-    )
-    serve_p.add_argument(
         "--events-log", default=None, metavar="PATH",
-        help="append structured lifecycle events and per-request trace "
-        "records to this JSONL file",
+        help="append structured lifecycle events to this JSONL file "
+        "(a traced request's records carry its trace id)",
     )
     serve_p.add_argument(
         "--sample-interval", type=float, default=1.0, metavar="SECONDS",
@@ -810,7 +779,7 @@ def main(argv=None) -> int:
                 "--trace", dest="trace_out", nargs="?",
                 const="stitched-trace.json", default=None, metavar="OUT.json",
                 help="trace the request end to end and write one stitched "
-                "Perfetto-loadable file (client + daemon + store lanes)",
+                "Perfetto-loadable file (client + daemon lanes)",
             )
     stats_cp = client_sub.add_parser("stats")
     stats_cp.add_argument(
@@ -838,10 +807,7 @@ def main(argv=None) -> int:
         ("profile", cmd_profile),
     ):
         p = sub.add_parser(name)
-        if name == "trace":
-            p.add_argument("workload", nargs="?", default=None)
-        else:
-            p.add_argument("workload")
+        p.add_argument("workload")
         p.add_argument("--size", type=int, default=None)
         p.add_argument("--tile", type=int, nargs="+", default=None)
         p.add_argument("--target", choices=["cpu", "gpu", "npu"], default="cpu")
@@ -869,16 +835,6 @@ def main(argv=None) -> int:
                 default="chrome",
                 help="chrome: Perfetto-loadable trace-event JSON; "
                 "jsonl: one structured event per line",
-            )
-            p.add_argument(
-                "--request", default=None, metavar="TRACE_ID",
-                help="instead of compiling: stitch one distributed "
-                "request's spans out of event logs (needs --log)",
-            )
-            p.add_argument(
-                "--log", action="append", default=None, metavar="PATH",
-                help="event-log JSONL file(s) to search for --request "
-                "(repeatable; daemon and store logs alike)",
             )
         if name == "profile":
             p.add_argument("--top", type=int, default=8,

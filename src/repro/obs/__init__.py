@@ -9,7 +9,11 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
 * :mod:`export` — Chrome trace-event JSON / JSONL exporters and the
   profile-tree view;
 * :mod:`schema` — validators for every exported artifact (used by the CI
-  ``trace-smoke`` job).
+  ``serve-smoke`` job);
+* :mod:`distributed` — the one cross-process trace: a daemon request's
+  spans handed back to the client that asked, stitched with its own;
+* :mod:`events` — the daemon's bounded lifecycle event log and the
+  telemetry ring behind ``repro top``.
 
 Only the stdlib is imported here, so the lowest layers of the package
 (``repro.presburger``) instrument themselves without import cycles.
@@ -56,18 +60,6 @@ from .schema import (
     validate_jsonl,
     validate_metrics_snapshot,
 )
-from .distributed import (
-    TraceContext,
-    current_context,
-    new_context,
-    report_to_wire,
-    stitch,
-    stitch_event_logs,
-    stream_from_report,
-    use_context,
-    validate_trace_field,
-    wire_to_events,
-)
 from .events import EventLog, SampleRing, validate_event_log
 
 __all__ = [
@@ -79,7 +71,6 @@ __all__ = [
     "CompileReport",
     "EventLog",
     "SampleRing",
-    "TraceContext",
     "Histogram",
     "MetricDelta",
     "MetricsRegistry",
@@ -91,7 +82,6 @@ __all__ = [
     "chrome_trace",
     "collect",
     "count",
-    "current_context",
     "current_span_id",
     "diff_snapshots",
     "format_diff",
@@ -99,22 +89,14 @@ __all__ = [
     "gauge",
     "jsonl_lines",
     "merge_report",
-    "new_context",
     "observe",
     "profile_tree",
-    "report_to_wire",
     "span",
-    "stitch",
-    "stitch_event_logs",
-    "stream_from_report",
     "trace_nesting_depth",
     "tracing",
-    "use_context",
     "validate_chrome_trace",
     "validate_event_log",
     "validate_jsonl",
     "validate_metrics_snapshot",
-    "validate_trace_field",
-    "wire_to_events",
     "write_trace",
 ]

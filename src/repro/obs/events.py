@@ -2,13 +2,14 @@
 
 Two bounded-memory companions to the span layer:
 
-* :class:`EventLog` — append-only ``repro-events/1`` JSONL records
-  (``type: "event"`` lifecycle records with a level and trace/span ids,
-  plus ``type: "trace"`` wire-span records for stitching).  Disk usage is
-  bounded by size-triggered rotation (current file + one ``.1`` backup);
-  the in-memory tail mirrors the span guard exactly — a hard ``cap``
-  with a ``dropped`` counter, like ``MAX_EVENTS``/``dropped_events`` —
-  so a flood of events degrades visibility, never memory.
+* :class:`EventLog` — append-only ``repro-events/1`` JSONL lifecycle
+  records (``type: "event"``, a level, and the request's trace id when
+  the client traced it, so a stitched file is matched to its daemon log
+  by ``grep``).  Disk usage is bounded by size-triggered rotation
+  (current file + one ``.1`` backup); the in-memory tail keeps the newest
+  ``cap`` records and counts every one it evicts in ``dropped``, like
+  ``MAX_EVENTS``/``dropped_events`` — so a flood of events degrades
+  visibility, never memory.
 * :class:`SampleRing` — fixed-capacity ring of periodic metrics samples
   with monotonically increasing sequence numbers, the backing store of
   the serve daemon's ``watch`` verb: clients poll ``since(seq)`` and get
@@ -24,9 +25,9 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
-from .distributed import validate_wire_spans
 from .export import JSONL_SCHEMA
 
 #: Accepted event severities, lowest to highest.
@@ -44,9 +45,8 @@ class EventLog:
     """Bounded structured event log (JSONL on disk, capped tail in memory).
 
     ``path=None`` keeps the log memory-only (tests, embedded use).  Every
-    record carries ``at`` (unix seconds) and ``type``; ``emit`` adds
-    ``level``/``event`` and optional trace ids, ``emit_trace`` appends a
-    pre-built wire-span payload for ``repro trace --request`` stitching.
+    record carries ``type``, ``at`` (unix seconds), ``level`` and
+    ``event``, plus the request's ``trace_id`` when it has one.
     """
 
     def __init__(
@@ -61,7 +61,7 @@ class EventLog:
         self.dropped = 0
         self.written = 0
         self.rotations = 0
-        self._recent: List[Dict[str, object]] = []
+        self._recent: Deque[Dict[str, object]] = deque(maxlen=cap)
         self._lock = threading.Lock()
         self._fh = None
         if path:
@@ -74,16 +74,10 @@ class EventLog:
         self,
         event: str,
         level: str = "info",
-        trace=None,
-        span_id: Optional[int] = None,
+        trace_id: Optional[str] = None,
         **fields,
     ) -> None:
-        """Append one lifecycle event record.
-
-        ``trace`` is an optional :class:`~repro.obs.distributed.
-        TraceContext`; its ids land on the record so ``grep trace_id``
-        finds a request's full lifecycle across every log it touched.
-        """
+        """Append one lifecycle event record (``trace_id`` only if set)."""
         if level not in LEVELS:
             raise ValueError(f"unknown event level {level!r}; expected one of {LEVELS}")
         rec: Dict[str, object] = {
@@ -93,26 +87,13 @@ class EventLog:
             "level": level,
             "event": event,
         }
-        if trace is not None:
-            rec["trace_id"] = trace.trace_id
-            rec["parent_span_id"] = trace.span_id
-        if span_id is not None:
-            rec["span_id"] = span_id
+        if trace_id is not None:
+            rec["trace_id"] = trace_id
         rec.update(fields)
-        self._append(rec)
-
-    def emit_trace(self, payload: Mapping[str, object]) -> None:
-        """Append a wire-span record (one per sampled request)."""
-        rec: Dict[str, object] = {"type": "trace", "at": time.time()}
-        rec.update(payload)
-        self._append(rec)
-
-    def _append(self, rec: Dict[str, object]) -> None:
         with self._lock:
-            if len(self._recent) < self.cap:
-                self._recent.append(rec)
-            else:
-                self.dropped += 1
+            if len(self._recent) == self.cap:
+                self.dropped += 1  # the deque evicts its oldest record
+            self._recent.append(rec)
             if self._fh is not None:
                 self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 self._fh.flush()
@@ -135,15 +116,10 @@ class EventLog:
 
     # -- views ---------------------------------------------------------------
 
-    def recent(
-        self, limit: Optional[int] = None, type: Optional[str] = None
-    ) -> List[Dict[str, object]]:
-        """The newest buffered records, optionally only one record type
-        (``"event"`` skips the bulky wire-span ``"trace"`` payloads)."""
+    def recent(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
+        """The newest buffered records, oldest first."""
         with self._lock:
             out = list(self._recent)
-        if type is not None:
-            out = [r for r in out if r.get("type") == type]
         return out if limit is None else out[-limit:]
 
     def stats(self) -> Dict[str, int]:
@@ -177,19 +153,15 @@ def validate_event_log(lines) -> List[str]:
         if not isinstance(rec, dict):
             errors.append(f"line {i}: expected object")
             continue
-        kind = rec.get("type")
-        if kind not in ("event", "trace"):
-            errors.append(f"line {i}: unknown record type {kind!r}")
+        if rec.get("type") != "event":
+            errors.append(f"line {i}: unknown record type {rec.get('type')!r}")
             continue
         if not isinstance(rec.get("at"), (int, float)):
             errors.append(f"line {i}: missing numeric 'at'")
-        if kind == "event":
-            if rec.get("level") not in LEVELS:
-                errors.append(f"line {i}: bad level {rec.get('level')!r}")
-            if not isinstance(rec.get("event"), str):
-                errors.append(f"line {i}: missing event name")
-        else:
-            errors.extend(f"line {i}: {e}" for e in validate_wire_spans(rec))
+        if rec.get("level") not in LEVELS:
+            errors.append(f"line {i}: bad level {rec.get('level')!r}")
+        if not isinstance(rec.get("event"), str):
+            errors.append(f"line {i}: missing event name")
     return errors
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .trace import CompileReport, SpanEvent
 
@@ -30,41 +30,58 @@ def _entry_order(events: List[SpanEvent]) -> List[SpanEvent]:
     return sorted(events, key=lambda e: (e.start, -e.duration))
 
 
+def plain_attrs(attrs: Mapping[str, object]) -> Dict[str, object]:
+    """Span attributes scrubbed to JSON-primitive values."""
+    return {
+        k: v if isinstance(v, (int, float, bool, str, type(None))) else str(v)
+        for k, v in attrs.items()
+    }
+
+
 def _args(event: SpanEvent) -> Dict[str, object]:
-    args: Dict[str, object] = {}
-    for k, v in event.attrs.items():
-        args[k] = v if isinstance(v, (int, float, bool, str, type(None))) else str(v)
+    args = plain_attrs(event.attrs)
     for k, v in event.counters.items():
         args[f"counter.{k}"] = v
     return args
 
 
-def chrome_trace(report: CompileReport, pid: int = 1) -> Dict[str, object]:
-    """The report's events as a Chrome trace-event JSON object."""
-    events: List[Dict[str, object]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "repro compile"},
-        }
+def chrome_lane(
+    pid: int,
+    name: str,
+    events: Iterable[SpanEvent],
+    offset: float = 0.0,
+    trace_id: Optional[str] = None,
+) -> List[Dict[str, object]]:
+    """One process lane of Chrome trace events: its ``process_name``
+    record, then one complete (``"ph": "X"``) event per span, in the order
+    given.  ``offset`` (seconds) moves the lane on a shared timeline; a
+    ``trace_id`` lands in every span's args."""
+    lane: List[Dict[str, object]] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": name}}
     ]
-    for e in _entry_order(report.events):
-        events.append(
+    for e in events:
+        args = _args(e)
+        if trace_id is not None:
+            args["trace_id"] = trace_id
+        lane.append(
             {
                 "name": e.name,
                 "cat": "compile",
                 "ph": "X",
-                "ts": e.start * 1e6,  # microseconds
+                "ts": max(0.0, offset + e.start) * 1e6,  # microseconds
                 "dur": e.duration * 1e6,
                 "pid": pid,
                 "tid": e.tid,
-                "args": _args(e),
+                "args": args,
             }
         )
+    return lane
+
+
+def chrome_trace(report: CompileReport, pid: int = 1) -> Dict[str, object]:
+    """The report's events as a Chrome trace-event JSON object."""
     return {
-        "traceEvents": events,
+        "traceEvents": chrome_lane(pid, "repro compile", _entry_order(report.events)),
         "displayTimeUnit": "ms",
         "otherData": {
             "schema": TRACE_SCHEMA,

@@ -24,7 +24,6 @@ from functools import partialmethod
 from typing import Mapping, Optional
 
 from . import protocol
-from ..obs import distributed
 
 
 class ServeError(RuntimeError):
@@ -108,26 +107,18 @@ class ServeClient:
         of :data:`protocol.PARAMS`; ``None`` (like leaving one out) means
         the server's default.
 
-        ``trace`` attaches a distributed-trace context (mint one with
-        :meth:`new_trace`); a sampled context makes the daemon return its
-        span tree in the result's ``trace`` field for stitching.
+        ``compile``'s ``trace`` is a trace id
+        (:func:`repro.obs.distributed.new_trace_id`): the daemon returns
+        its span tree in the result's ``trace`` field for stitching.
         """
         unknown = sorted(set(params) - set(protocol.PARAMS[verb]))
         if unknown:
             raise TypeError(f"{verb} takes no param {', '.join(unknown)}")
-        wire = {"workload": workload}
-        for name, value in params.items():
-            if value is not None:
-                wire[name] = value.to_wire() if name == "trace" else value
-        return self.call(verb, wire)
+        wire = {name: value for name, value in params.items() if value is not None}
+        return self.call(verb, {"workload": workload, **wire})
 
     compile = partialmethod(work, "compile")
     autotune = partialmethod(work, "autotune")
-
-    @staticmethod
-    def new_trace(sampled: bool = True) -> distributed.TraceContext:
-        """Mint a fresh trace context for a traced request."""
-        return distributed.new_context(sampled=sampled)
 
     def stats(self) -> dict:
         return self.call("stats")

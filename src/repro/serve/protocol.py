@@ -28,9 +28,8 @@ table, :data:`PARAMS`.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List, Mapping, Optional, Union
-
-from ..obs.distributed import validate_trace_field
 
 #: Protocol tag carried by every message; bump the suffix on any
 #: incompatible change to the message or params layout.
@@ -90,18 +89,16 @@ def _is_array_of(ok):
     return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(ok, v))
 
 
-def _check_trace(_name: str, value: object) -> List[str]:
-    # Optional distributed-trace context; an absent field is the
-    # pre-trace wire format and stays valid (back-compat).
-    return validate_trace_field(value)
-
-
 NAME = _must(lambda v: isinstance(v, str) and bool(v), "a non-empty string")
 STR = _must(lambda v: isinstance(v, str), "a string")
 POS_INT = _must(_is_int, "an int >= 1")
 NONNEG_INT = _must(lambda v: _is_int(v, 0), "an int >= 0")
 POS_INTS = _must(_is_array_of(_is_int), "a non-empty array of positive ints")
 TARGET = _must(lambda v: v in TARGETS, f"one of {TARGETS}")
+TRACE_ID = _must(
+    lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{32}", v) is not None,
+    "32 lowercase hex chars",
+)
 
 #: Default marker of a param the request must carry.
 REQUIRED = object()
@@ -110,7 +107,6 @@ _WORK = {
     "workload": (NAME, REQUIRED),
     "size": (POS_INT, None),
     "startup": (STR, "smartfuse"),
-    "trace": (_check_trace, None),
 }
 
 #: method -> param name -> (checker, default): the one description of what
@@ -125,6 +121,8 @@ PARAMS: Dict[str, Dict[str, tuple]] = {
         **_WORK,
         "target": (TARGET, "cpu"),
         "tile_sizes": (POS_INTS, None),  # None: the workload's default tiles
+        # The client's trace id: the daemon returns its spans in the reply.
+        "trace": (TRACE_ID, None),
     },
     "autotune": {
         **_WORK,

@@ -103,9 +103,6 @@ class ServeConfig:
     request_timeout: float = 300.0
     drain_timeout: float = 10.0
     cache: object = "default"
-    #: Head-sampling rate applied to requests that *ask* for tracing; a
-    #: sampled-out request pays only the null-span fast path.
-    trace_sample: float = 1.0
     #: JSONL event-log path (``None`` keeps the log memory-only).
     events_path: Optional[str] = None
     #: Seconds between telemetry ring-buffer samples (the ``watch`` verb).
@@ -124,10 +121,6 @@ class ServeConfig:
             )
         if self.request_timeout <= 0 or self.drain_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ValueError(
-                f"trace_sample must be in [0, 1], got {self.trace_sample!r}"
-            )
         if self.sample_interval <= 0:
             raise ValueError(
                 f"sample_interval must be positive, got {self.sample_interval!r}"
@@ -218,10 +211,7 @@ class CompileServer:
             }
         )
         self.events.emit(
-            "server.started",
-            pid=os.getpid(),
-            socket=self.config.socket_path,
-            trace_sample=self.config.trace_sample,
+            "server.started", pid=os.getpid(), socket=self.config.socket_path
         )
         self._sampler = asyncio.get_running_loop().create_task(
             self._sample_loop()
@@ -372,7 +362,7 @@ class CompileServer:
             "interval": self.config.sample_interval,
             "samples": samples,
             "missed": missed,
-            "recent_events": self.events.recent(10, type="event"),
+            "recent_events": self.events.recent(10),
         }
 
     # -- connection handling -----------------------------------------------
@@ -476,21 +466,12 @@ class CompileServer:
             return self._watch(params)
         if method == "shutdown":
             return self._shutdown()
-        # A work verb: real work, subject to draining and limits.
-        ctx = distributed.TraceContext.from_wire(params.get("trace"))
-        if ctx is not None and ctx.sampled:
-            # Head-sampling is re-decided here so ``--trace-sample`` can
-            # throttle daemon-side tracing even when every client asks.
-            if not distributed.sample(self.config.trace_sample):
-                ctx = distributed.TraceContext(
-                    ctx.trace_id, ctx.span_id, sampled=False
-                )
-                self.registry.inc("serve.trace_sampled_out")
-            else:
-                self.registry.inc("serve.trace_sampled")
+        # A work verb: real work, subject to draining and limits.  A
+        # client that traces the request sends its trace id (validated).
+        trace_id = params.get("trace")
         self.events.emit(
             "request.received",
-            trace=ctx,
+            trace_id=trace_id,
             method=method,
             workload=params.get("workload"),
         )
@@ -500,7 +481,7 @@ class CompileServer:
         if client["inflight"] >= self.config.client_limit:
             self.registry.inc("serve.rejected_overloaded")
             self.events.emit(
-                "request.overloaded", level="warn", trace=ctx, method=method
+                "request.overloaded", level="warn", trace_id=trace_id, method=method
             )
             raise RequestError(
                 "overloaded",
@@ -509,7 +490,7 @@ class CompileServer:
             )
         client["inflight"] += 1
         try:
-            return await self._rpc_work(method, params, ctx)
+            return await self._rpc_work(method, params, trace_id)
         finally:
             client["inflight"] -= 1
 
@@ -517,12 +498,12 @@ class CompileServer:
 
     def _normalize(self, method: str, params: dict) -> Dict[str, object]:
         """The verb's params with every default filled in, minus the trace
-        context — what the work fn sees and the flight key is made of."""
+        id — what the work fn sees and the flight key is made of."""
         from ..scheduler import HEURISTICS
         from ..workloads import default_tile_sizes, is_workload
 
         norm = protocol.fill_defaults(method, params)
-        del norm["trace"]
+        norm.pop("trace", None)
         if not is_workload(norm["workload"]):
             raise RequestError(
                 "bad-request", f"unknown workload {norm['workload']!r}"
@@ -537,10 +518,10 @@ class CompileServer:
             norm["tile_sizes"] = default_tile_sizes(norm["workload"])
         return norm
 
-    async def _rpc_work(self, method: str, params: dict, ctx) -> dict:
+    async def _rpc_work(self, method: str, params: dict, trace_id) -> dict:
         """Single-flight dedup + trace/lifecycle bookkeeping for one verb.
 
-        The flight key ignores the trace context on purpose: identical
+        The flight key ignores the trace id on purpose: identical
         compiles dedup whether or not they are traced, so only the
         leader's request gets its span tree back (followers see
         ``deduped: true`` and can re-request untraced work).
@@ -548,21 +529,23 @@ class CompileServer:
         norm = self._normalize(method, params)
         fn = self._work_fns[method]
         key = method + ":" + json.dumps(norm, sort_keys=True)
-        task, leader = self._flight.task(key, lambda: self._lead(norm, fn, ctx))
+        task, leader = self._flight.task(
+            key, lambda: self._lead(norm, fn, trace_id)
+        )
         if not leader:
             self.registry.inc("serve.dedup_hits")
             self.events.emit(
                 "request.deduped",
-                trace=ctx,
+                trace_id=trace_id,
                 method=method,
                 workload=norm.get("workload"),
             )
-        summary = await self._await_flight(task, method, ctx)
+        summary = await self._await_flight(task, method, trace_id)
         if summary.get("error"):
             self.events.emit(
                 "request.failed",
                 level="error",
-                trace=ctx,
+                trace_id=trace_id,
                 method=method,
                 error=summary["error"],
             )
@@ -570,11 +553,11 @@ class CompileServer:
         result = dict(summary)
         trace_payload = result.pop("_trace", None)
         result["deduped"] = not leader
-        if ctx is not None and ctx.sampled and trace_payload is not None:
+        if leader and trace_payload is not None:
             result["trace"] = trace_payload
         self.events.emit(
             "request.completed",
-            trace=ctx,
+            trace_id=trace_id,
             method=method,
             workload=norm.get("workload"),
             ms=result.get("compile_ms"),
@@ -583,7 +566,7 @@ class CompileServer:
         )
         return result
 
-    async def _await_flight(self, task, method=None, ctx=None) -> dict:
+    async def _await_flight(self, task, method=None, trace_id=None) -> dict:
         try:
             return await asyncio.wait_for(
                 asyncio.shield(task), self.config.request_timeout
@@ -591,7 +574,7 @@ class CompileServer:
         except asyncio.TimeoutError:
             self.registry.inc("serve.timeouts")
             self.events.emit(
-                "request.timeout", level="warn", trace=ctx, method=method
+                "request.timeout", level="warn", trace_id=trace_id, method=method
             )
             raise RequestError(
                 "timeout",
@@ -599,14 +582,14 @@ class CompileServer:
                 "(the compile continues server-side and will hit the cache)",
             )
 
-    async def _lead(self, norm: dict, fn, ctx=None) -> dict:
+    async def _lead(self, norm: dict, fn, trace_id=None) -> dict:
         """The single-flight leader: run ``fn`` on the worker pool and fold
         its observations into the live registry."""
         loop = asyncio.get_running_loop()
         self._active_compiles += 1
         try:
             summary, report, wire = await loop.run_in_executor(
-                self._executor, self._call_traced, fn, norm, ctx
+                self._executor, self._call_traced, fn, norm, trace_id
             )
         finally:
             self._active_compiles -= 1
@@ -623,38 +606,28 @@ class CompileServer:
                 "serve.compile_ms", summary["compile_ms"], LATENCY_BUCKETS_MS
             )
         if wire is not None:
-            summary = dict(summary)
-            summary["_trace"] = wire
-            # Also append to the event log so ``repro trace --request``
-            # can stitch this daemon's lane from disk later.
-            self.events.emit_trace(wire)
+            summary = dict(summary, _trace=wire)
         return summary
 
-    def _call_traced(self, fn, norm: dict, ctx):
+    def _call_traced(self, fn, norm: dict, trace_id):
         """Worker-thread wrapper: run ``fn`` under a tracing collector when
-        the request carries a sampled context.
+        the client traced the request.
 
-        Returns ``(summary, report, wire_spans|None)``.  Unsampled (or
-        untraced) requests skip the collector entirely — the null-span
-        fast path.  A traced request hands its collector to ``fn`` to
-        reuse instead of opening an inner one — two stacked collectors
-        would double the dispatch cost of every hot-loop counter, which
-        is exactly the overhead the traced budget in
-        ``bench_obs_overhead --serve`` polices."""
-        if ctx is None or not ctx.sampled:
+        Returns ``(summary, report, wire_spans|None)``.  Untraced requests
+        skip the collector entirely — the null-span fast path.  A traced
+        request hands its collector to ``fn`` to reuse instead of opening
+        an inner one — two stacked collectors would double the dispatch
+        cost of every hot-loop counter, which is exactly the overhead the
+        traced budget in ``bench_obs_overhead --serve`` polices."""
+        if trace_id is None:
             summary, report = fn(norm, None)
             return summary, report, None
-        with distributed.use_context(ctx):
-            with obs.collect(trace=True) as traced:
-                with obs.span(
-                    "serve.request",
-                    trace_id=ctx.trace_id,
-                    parent_span_id=ctx.span_id,
-                    workload=norm.get("workload"),
-                ):
-                    summary, report = fn(norm, traced)
-        wire = distributed.report_to_wire(traced, service="daemon", ctx=ctx)
-        return summary, report, wire
+        with obs.collect(trace=True) as traced:
+            with obs.span(
+                "serve.request", trace_id=trace_id, workload=norm.get("workload")
+            ):
+                summary, report = fn(norm, traced)
+        return summary, report, distributed.report_to_wire(traced, service="daemon")
 
     def _health(self) -> dict:
         return {

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir import Program
-from ..obs import distributed
 from .. import obs
 from .cache import CompileCache
 from .fingerprint import fingerprint_program, fingerprint_request
@@ -223,26 +222,14 @@ def _worker(payload: bytes) -> bytes:
     Collector stacks are per-thread and per-process, so a worker's spans
     and counters would silently vanish; when the driver is being observed
     the worker collects its own :class:`~repro.obs.CompileReport` (with
-    span events when the driver is tracing) and ships it back for merging.
-
-    A distributed trace context rides along as its ``traceparent`` header
-    form: the worker re-enters it (so its spans carry the trace id) and
-    exports it to :data:`repro.obs.distributed.ENV_VAR` for grandchild
-    processes.
+    span events when the driver is tracing) under one ``compile_worker``
+    span and ships it back; the driver merges it under its own open span.
     """
-    request, memo_spec, observe, trace, ctx_header = pickle.loads(payload)
-    ctx = distributed.TraceContext.from_header(ctx_header)
-    if ctx is not None:
-        os.environ[distributed.ENV_VAR] = ctx.to_header()
+    request, memo_spec, observe, trace = pickle.loads(payload)
     if observe:
-        with distributed.use_context(ctx):
-            with obs.collect(trace=trace) as report:
-                attrs = {"fingerprint": request.fingerprint[:12]}
-                if ctx is not None:
-                    attrs["trace_id"] = ctx.trace_id
-                    attrs["parent_span_id"] = ctx.span_id
-                with obs.span("compile_worker", **attrs):
-                    result, error = _worker_body(request, memo_spec)
+        with obs.collect(trace=trace) as report:
+            with obs.span("compile_worker", fingerprint=request.fingerprint[:12]):
+                result, error = _worker_body(request, memo_spec)
     else:
         report = None
         result, error = _worker_body(request, memo_spec)
@@ -304,14 +291,12 @@ def _dispatch(
         return results
 
     observe, trace = obs.active(), obs.tracing()
-    ctx = distributed.current_context()
-    ctx_header = ctx.to_header() if ctx is not None else None
     workers = max_workers or _default_workers(len(requests))
     if mode in ("auto", "process"):
         try:
             memo_spec = _memo_spec(cache)
             payloads = [
-                pickle.dumps((r, memo_spec, observe, trace, ctx_header))
+                pickle.dumps((r, memo_spec, observe, trace))
                 for r in requests
             ]
             t0 = time.perf_counter()
@@ -351,16 +336,9 @@ def _dispatch(
     def _threaded(request: CompileRequest):
         if not observe:
             return _run_request(request) + (None,)
-        # Worker threads have fresh thread-locals: re-enter the driver's
-        # trace context so store hops under this compile stay linked.
-        with distributed.use_context(ctx):
-            with obs.collect(trace=trace) as report:
-                attrs = {"fingerprint": request.fingerprint[:12]}
-                if ctx is not None:
-                    attrs["trace_id"] = ctx.trace_id
-                    attrs["parent_span_id"] = ctx.span_id
-                with obs.span("compile_worker", **attrs):
-                    result, error = _run_request(request)
+        with obs.collect(trace=trace) as report:
+            with obs.span("compile_worker", fingerprint=request.fingerprint[:12]):
+                result, error = _run_request(request)
         return result, error, report
 
     try:

@@ -1,19 +1,14 @@
-"""Distributed tracing and live telemetry across client, daemon and workers.
+"""Tracing a daemon request, and the daemon's live telemetry.
 
-A trace context round-trips through every serialized form (traceparent
-line, wire field, worker environment), requests over unix and TCP
-sockets carry it and get the daemon's span tree back under the same
-``trace_id``, requests *without* the field still validate (back-compat),
-batch workers re-parent their span trees under the originating request,
-the event log and sample ring stay bounded, sampling decisions gate
-payload work, and the stitching the ``repro trace`` CLI relies on
-produces valid Chrome traces.
+A request over a unix or TCP socket carries the client's trace id and
+gets the daemon's span tree back under it; requests *without* the field
+still validate; ``client compile --trace`` stitches both lanes onto one
+timeline; batch workers re-parent their span trees under the driver's;
+and the event log and sample ring stay bounded.
 """
 
-import gzip
 import json
 import os
-import threading
 import time
 
 import pytest
@@ -21,13 +16,9 @@ import pytest
 from repro import obs
 from repro.obs import distributed
 from repro.obs.distributed import (
-    TraceContext,
-    new_context,
+    new_trace_id,
     report_to_wire,
     stitch,
-    stitch_event_logs,
-    stream_from_report,
-    validate_trace_field,
     validate_wire_spans,
     wire_to_events,
 )
@@ -39,56 +30,18 @@ from repro.serve.server import ServeConfig, ServerThread
 from repro.service import CompileCache
 
 
-# -- trace context ---------------------------------------------------------
-
-
-def test_context_header_round_trip():
-    ctx = new_context()
-    assert len(ctx.trace_id) == 32 and len(ctx.span_id) == 16
-    back = TraceContext.from_header(ctx.to_header())
-    assert back == ctx
-    off = TraceContext.from_header(ctx.to_header())
-    assert off.sampled is True
-    unsampled = new_context(sampled=False)
-    assert TraceContext.from_header(unsampled.to_header()).sampled is False
-
-
-def test_context_header_rejects_garbage():
-    assert TraceContext.from_header(None) is None
-    assert TraceContext.from_header("") is None
-    assert TraceContext.from_header("00-zz-1234-01") is None
-    assert TraceContext.from_header("totally wrong") is None
+# -- the trace field ------------------------------------------------------
 
 
 def test_context_wire_round_trip_and_validation():
-    ctx = new_context(sampled=False)
-    wire = ctx.to_wire()
-    assert validate_trace_field(wire) == []
-    assert TraceContext.from_wire(wire) == ctx
-    assert TraceContext.from_wire(None) is None
-    assert validate_trace_field({"trace_id": "xyz"})
-    assert validate_trace_field("not a dict")
-
-
-def test_context_env_round_trip():
-    ctx = new_context()
-    env = {distributed.ENV_VAR: ctx.to_header()}
-    assert distributed.context_from_env(env) == ctx
-    assert distributed.context_from_env({}) is None
-
-
-def test_ambient_context_nests_and_tolerates_none():
-    assert distributed.current_context() is None
-    ctx = new_context()
-    with distributed.use_context(None):
-        assert distributed.current_context() is None
-    with distributed.use_context(ctx):
-        assert distributed.current_context() == ctx
-        inner = new_context()
-        with distributed.use_context(inner):
-            assert distributed.current_context() == inner
-        assert distributed.current_context() == ctx
-    assert distributed.current_context() is None
+    # The wire form of a trace is its id: what the client mints validates,
+    # anything else (the old context object included) does not.
+    trace_id = new_trace_id()
+    assert len(trace_id) == 32
+    assert protocol.TRACE_ID("trace", trace_id) == []
+    assert protocol.TRACE_ID("trace", trace_id.upper())
+    assert protocol.TRACE_ID("trace", "xyz")
+    assert protocol.TRACE_ID("trace", {"trace_id": trace_id})
 
 
 # -- wire spans ------------------------------------------------------------
@@ -106,12 +59,9 @@ def _traced_report():
 
 def test_report_to_wire_round_trip():
     report = _traced_report()
-    ctx = new_context()
-    wire = json.loads(json.dumps(report_to_wire(report, "daemon", ctx)))
+    wire = json.loads(json.dumps(report_to_wire(report, "daemon")))
     assert wire["schema"] == distributed.WIRE_SCHEMA
     assert wire["service"] == "daemon"
-    assert wire["trace_id"] == ctx.trace_id
-    assert wire["parent_span_id"] == ctx.span_id
     events = wire_to_events(wire)
     by_name = {e.name: e for e in events}
     assert by_name["inner"].parent == by_name["outer"].id
@@ -136,12 +86,11 @@ def test_report_to_wire_caps_spans():
 
 def test_stitch_produces_valid_chrome_trace():
     report = _traced_report()
-    ctx = new_context()
-    stream = stream_from_report(report, "client", ctx)
-    obj = stitch([stream], trace_id=ctx.trace_id)
+    trace_id = new_trace_id()
+    obj = stitch([report_to_wire(report, "client")], trace_id)
     assert validate_chrome_trace(obj) == []
     xs = [e for e in obj["traceEvents"] if e.get("ph") == "X"]
-    assert xs and all(e["args"]["trace_id"] == ctx.trace_id for e in xs)
+    assert xs and all(e["args"]["trace_id"] == trace_id for e in xs)
     # Counter attribution survives into the Perfetto args panel.
     inner = next(e for e in xs if e["name"] == "inner")
     assert inner["args"]["counter.presburger.memo.hit"] == 2
@@ -157,7 +106,7 @@ def test_stitch_rebases_streams_onto_shared_timeline():
                    "start": 0.0, "dur": 0.5, "tid": 0, "attrs": {}}],
         "dropped": 0, "truncated": 0,
     }
-    obj = stitch([mk(100.0, "a"), mk(101.0, "b")], trace_id="f" * 32)
+    obj = stitch([mk(100.0, "a"), mk(101.0, "b")], "f" * 32)
     xs = sorted(
         (e for e in obj["traceEvents"] if e.get("ph") == "X"),
         key=lambda e: e["ts"],
@@ -174,9 +123,9 @@ def test_stitch_rebases_streams_onto_shared_timeline():
 def test_event_log_bounded_tail_and_rotation(tmp_path):
     path = str(tmp_path / "events.jsonl")
     log = EventLog(path=path, max_bytes=2000, cap=5)
-    ctx = new_context()
+    trace_id = new_trace_id()
     for i in range(20):
-        log.emit("tick", trace=ctx, i=i)
+        log.emit("tick", trace_id=trace_id, i=i)
     stats = log.stats()
     assert stats["buffered"] == 5
     assert stats["dropped"] == 15
@@ -186,17 +135,34 @@ def test_event_log_bounded_tail_and_rotation(tmp_path):
     with open(path) as f:
         assert validate_event_log(f) == []
     rec = log.recent(1)[0]
-    assert rec["trace_id"] == ctx.trace_id
+    assert rec["trace_id"] == trace_id
     log.close()
 
 
-def test_event_log_recent_filters_trace_records():
+def test_event_log_tail_keeps_the_newest_records():
+    # The tail is the newest ``cap`` records, so ``watch`` (and ``repro
+    # top``) keeps showing what happens after the first ``cap`` events.
+    log = EventLog(cap=5)
+    for i in range(20):
+        log.emit("tick", i=i)
+    assert log.recent(1)[0]["i"] == 19
+    assert [r["i"] for r in log.recent(3)] == [17, 18, 19]
+    assert [r["i"] for r in log.recent()] == [15, 16, 17, 18, 19]
+    assert log.stats()["dropped"] == 15
+
+
+def test_event_log_holds_only_event_records():
     log = EventLog()
     log.emit("started")
-    log.emit_trace({"schema": distributed.WIRE_SCHEMA, "spans": []})
-    assert len(log.recent()) == 2
-    only_events = log.recent(type="event")
-    assert [r["event"] for r in only_events] == ["started"]
+    good = json.dumps(log.recent(1)[0])
+    assert "trace_id" not in good  # an untraced record carries no id
+    assert validate_event_log([good]) == []
+    span_record = json.dumps(
+        {"type": "trace", "at": 1.0, "wall_t0": 1.0, "spans": []}
+    )
+    assert validate_event_log([span_record]) == [
+        "line 1: unknown record type 'trace'"
+    ]
 
 
 def test_event_log_rejects_unknown_level():
@@ -228,42 +194,43 @@ def _config(tmp_path, **kw):
     return ServeConfig(**kw)
 
 
+def _request_span(out):
+    """The daemon's ``serve.request`` span from a traced reply."""
+    assert validate_wire_spans(out["trace"]) == []
+    events = wire_to_events(out["trace"])
+    return events, next(e for e in events if e.name == "serve.request")
+
+
 def test_unix_round_trip_carries_context(tmp_path):
     config = _config(tmp_path, events_path=str(tmp_path / "events.jsonl"))
+    trace_id = new_trace_id()
     with ServerThread(config):
         with ServeClient(socket_path=config.socket_path) as client:
-            ctx = client.new_trace(sampled=True)
-            out = client.compile("conv2d", size=16, trace=ctx)
-            assert out["trace"]["trace_id"] == ctx.trace_id
-            assert out["trace"]["parent_span_id"] == ctx.span_id
-            events = wire_to_events(out["trace"])
-            names = {e.name for e in events}
-            assert "serve.request" in names
-            root = next(e for e in events if e.name == "serve.request")
-            assert root.attrs["trace_id"] == ctx.trace_id
+            out = client.compile("conv2d", size=16, trace=trace_id)
+            events, root = _request_span(out)
+            assert root.attrs["trace_id"] == trace_id
             # The compile pipeline hangs under the request span.
             opt = next(e for e in events if e.name == "optimize")
             assert opt.parent is not None
-    # The daemon's event log carries the request lifecycle and the trace
-    # record repro trace --request stitches from.
+    # The daemon's event log carries the request lifecycle under the
+    # same id, and no span payload.
     with open(config.events_path) as f:
         records = [json.loads(line) for line in f if line.strip()]
-    kinds = {r.get("event") for r in records if r["type"] == "event"}
-    assert "request.received" in kinds and "request.completed" in kinds
-    traces = [r for r in records if r["type"] == "trace"]
-    assert any(r.get("trace_id") == ctx.trace_id for r in traces)
+    assert {r["type"] for r in records} == {"event"}
+    traced = {r["event"] for r in records if r.get("trace_id") == trace_id}
+    assert {"request.received", "request.completed"} <= traced
 
 
 def test_tcp_round_trip_carries_context(tmp_path):
     config = _config(
         tmp_path, socket_path=None, host="127.0.0.1", port=0
     )
+    trace_id = new_trace_id()
     with ServerThread(config) as st:
         host, port = st.server.tcp_address
         with ServeClient(host=host, port=port) as client:
-            ctx = client.new_trace(sampled=True)
-            out = client.compile("conv2d", size=16, trace=ctx)
-            assert out["trace"]["trace_id"] == ctx.trace_id
+            out = client.compile("conv2d", size=16, trace=trace_id)
+            assert _request_span(out)[1].attrs["trace_id"] == trace_id
 
 
 def test_request_without_trace_field_still_validates(tmp_path):
@@ -278,38 +245,14 @@ def test_request_without_trace_field_still_validates(tmp_path):
 
 
 def test_protocol_rejects_bad_trace_field():
-    bad = protocol.request(
-        "compile", {"workload": "x", "trace": {"trace_id": "nope"}}
-    )
-    assert protocol.validate_request(bad)
-    good = protocol.request(
-        "compile", {"workload": "x", "trace": new_context().to_wire()}
-    )
+    for bad in ({"trace_id": new_trace_id()}, "nope"):
+        req = protocol.request("compile", {"workload": "x", "trace": bad})
+        assert protocol.validate_request(req)
+    good = protocol.request("compile", {"workload": "x", "trace": new_trace_id()})
     assert protocol.validate_request(good) == []
-
-
-def test_unsampled_request_returns_no_payload(tmp_path):
-    config = _config(tmp_path)
-    with ServerThread(config):
-        with ServeClient(socket_path=config.socket_path) as client:
-            out = client.compile(
-                "conv2d", size=16, trace=client.new_trace(sampled=False)
-            )
-            assert "trace" not in out
-            snap = client.stats()
-            assert snap["counters"].get("serve.trace_sampled", 0) == 0
-
-
-def test_trace_sample_zero_suppresses_daemon_tracing(tmp_path):
-    config = _config(tmp_path, trace_sample=0.0)
-    with ServerThread(config):
-        with ServeClient(socket_path=config.socket_path) as client:
-            out = client.compile(
-                "conv2d", size=16, trace=client.new_trace(sampled=True)
-            )
-            assert "trace" not in out
-            snap = client.stats()
-            assert snap["counters"]["serve.trace_sampled_out"] == 1
+    # Only ``compile`` is traced: ``autotune`` takes no trace param.
+    tune = protocol.request("autotune", {"workload": "x", "trace": new_trace_id()})
+    assert protocol.validate_request(tune) == ["autotune takes no param 'trace'"]
 
 
 def test_watch_returns_ring_samples(tmp_path):
@@ -346,13 +289,11 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
 
     prog = conv2d.build({"H": 24, "W": 24, "KH": 3, "KW": 3})
     reqs = [CompileRequest(prog, tile_sizes=(t, t)) for t in (4, 8)]
-    ctx = new_context()
     try:
-        with distributed.use_context(ctx):
-            with obs.collect(trace=True) as report:
-                outs = compile_batch(
-                    reqs, options=CompileOptions(mode="process", jobs=2)
-                )
+        with obs.collect(trace=True) as report:
+            outs = compile_batch(
+                reqs, options=CompileOptions(mode="process", jobs=2)
+            )
     except (OSError, PermissionError) as exc:  # pragma: no cover
         pytest.skip(f"no process pool in this sandbox: {exc}")
     assert all(o.ok for o in outs)
@@ -362,45 +303,12 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
     workers = [e for e in report.events if e.name == "compile_worker"]
     assert len(workers) == 2
     for w in workers:
-        # Re-parented under the driver's batch span, stamped with the
-        # originating request's trace ids.
+        # Re-parented under the driver's batch span.
         assert w.parent == batch.id
-        assert w.attrs["trace_id"] == ctx.trace_id
-        assert w.attrs["parent_span_id"] == ctx.span_id
         assert w.parent in by_id
 
 
-# -- end-to-end stitching (two daemon logs from disk) ----------------------
-
-
-def test_stitch_event_logs_reassembles_request(tmp_path):
-    daemon_log = str(tmp_path / "daemon.jsonl")
-    other_log = str(tmp_path / "other.jsonl")
-    ctx = new_context()
-    report = _traced_report()
-    EventLog(path=daemon_log).emit_trace(
-        report_to_wire(report, "daemon", ctx)
-    )
-    other_report = _traced_report()
-    EventLog(path=other_log).emit_trace(
-        report_to_wire(other_report, "other-daemon", ctx)
-    )
-    # A foreign trace in the same log must not leak in.
-    EventLog(path=daemon_log).emit_trace(
-        report_to_wire(_traced_report(), "daemon", new_context())
-    )
-    obj, streams = stitch_event_logs([daemon_log, other_log], ctx.trace_id)
-    assert streams == 2
-    assert validate_chrome_trace(obj) == []
-    assert obj["otherData"]["trace_id"] == ctx.trace_id
-    xs = [e for e in obj["traceEvents"] if e.get("ph") == "X"]
-    assert all(e["args"]["trace_id"] == ctx.trace_id for e in xs)
-    services = set(obj["otherData"]["services"])
-    assert services == {"daemon", "other-daemon"}
-
-
-def _bad_span_record(trace_id, **span):
-    return {"type": "trace", "trace_id": trace_id, "at": 1, "spans": [span]}
+# -- the daemon's span payload ------------------------------------------
 
 
 def test_validate_wire_spans_checks_what_stitching_reads():
@@ -417,32 +325,12 @@ def test_validate_wire_spans_checks_what_stitching_reads():
         assert validate_wire_spans(dict(good, spans=[dict(span, **{key: value})])) != [], key
 
 
-def test_malformed_span_record_is_invalid_and_skipped_when_stitching(tmp_path):
-    ctx = new_context()
-    log = tmp_path / "daemon.jsonl"
-    bad = [_bad_span_record(ctx.trace_id, name="x"),
-           dict(_bad_span_record(ctx.trace_id, name="x"), wall_t0=1.0)]
-    lines = [json.dumps(rec) for rec in bad]
-    assert all(validate_event_log([line]) for line in lines)
-    log.write_text("\n".join(lines) + "\n")
-    _, streams = stitch_event_logs([str(log)], ctx.trace_id)
-    assert streams == 0
-    EventLog(path=str(log)).emit_trace(report_to_wire(_traced_report(), "daemon", ctx))
-    assert validate_event_log(log.read_text().splitlines()[-1:]) == []
-    _, streams = stitch_event_logs([str(log)], ctx.trace_id)
-    assert streams == 1
-
-
 def test_client_trace_drops_a_malformed_daemon_payload(tmp_path, capsys):
     from types import SimpleNamespace
 
     from repro.__main__ import _client_compile_traced
 
     class FakeClient:
-        def new_trace(self, sampled):
-            self.ctx = new_context(sampled)
-            return self.ctx
-
         def compile(self, workload, trace, **params):
             return {"workload": workload, "fingerprint": "f" * 64, "compile_ms": 1.0,
                     "from_cache": True, "trace": {"wall_t0": 1.0, "spans": [{"name": "x"}]}}
@@ -456,32 +344,29 @@ def test_client_trace_drops_a_malformed_daemon_payload(tmp_path, capsys):
     assert validate_chrome_trace(obj) == [] and obj["otherData"]["services"] == ["client"]
 
 
-# -- CLI -------------------------------------------------------------------
+def test_client_trace_says_a_deduped_request_gets_no_daemon_spans(tmp_path, capsys):
+    from types import SimpleNamespace
 
+    from repro.__main__ import _client_compile_traced
 
-def test_cli_trace_request_stitches_from_logs(tmp_path, capsys):
-    from repro.__main__ import main
+    class FakeClient:
+        def compile(self, workload, trace, **params):
+            # A follower of another client's in-flight compile: the leader
+            # got the spans, this reply carries none.
+            return {"workload": workload, "fingerprint": "f" * 64, "compile_ms": 1.0,
+                    "from_cache": False, "deduped": True}
 
-    log_path = str(tmp_path / "daemon.jsonl")
-    ctx = new_context()
-    EventLog(path=log_path).emit_trace(
-        report_to_wire(_traced_report(), "daemon", ctx)
-    )
     out_path = str(tmp_path / "stitched.json")
-    rc = main([
-        "trace", "--request", ctx.trace_id,
-        "--log", log_path, "-o", out_path,
-    ])
-    assert rc == 0
+    args = SimpleNamespace(workload="conv2d", trace_out=out_path)
+    assert _client_compile_traced(FakeClient(), args, {}) == 0
+    err = capsys.readouterr().err
+    assert "joined another client's in-flight compile" in err
+    assert "malformed" not in err
     with open(out_path) as f:
-        obj = json.load(f)
-    assert validate_chrome_trace(obj) == []
-    # Unknown trace id: error, nothing stitched.
-    rc = main([
-        "trace", "--request", "0" * 32, "--log", log_path,
-        "-o", str(tmp_path / "nope.json"),
-    ])
-    assert rc == 1
+        assert json.load(f)["otherData"]["services"] == ["client"]
+
+
+# -- CLI -------------------------------------------------------------------
 
 
 def test_cli_client_compile_trace_writes_stitched_file(tmp_path, capsys):
@@ -503,6 +388,32 @@ def test_cli_client_compile_trace_writes_stitched_file(tmp_path, capsys):
     trace_id = obj["otherData"]["trace_id"]
     xs = [e for e in obj["traceEvents"] if e.get("ph") == "X"]
     assert xs and all(e["args"]["trace_id"] == trace_id for e in xs)
+
+
+def test_stitched_daemon_lane_lies_inside_the_client_request(tmp_path):
+    # The one clock offset end to end: the daemon's spans, placed by its
+    # own wall-clock anchor, fall inside the client's request window.
+    from repro.__main__ import main
+
+    config = _config(tmp_path)
+    out_path = str(tmp_path / "stitched.json")
+    with ServerThread(config):
+        assert main([
+            "client", "--socket", config.socket_path,
+            "compile", "conv2d", "--size", "16", "--trace", out_path,
+        ]) == 0
+    with open(out_path) as f:
+        obj = json.load(f)
+    lanes = {e["args"]["name"]: e["pid"] for e in obj["traceEvents"]
+             if e["name"] == "process_name"}
+    xs = [e for e in obj["traceEvents"] if e["ph"] == "X"]
+    (request,) = [e for e in xs if e["name"] == "client.request"]
+    daemon = [e for e in xs if e["pid"] == lanes["daemon"]]
+    assert any(e["name"] == "serve.request" for e in daemon)
+    slack_us = 1000.0
+    for e in daemon:
+        assert e["ts"] >= request["ts"] - slack_us, e["name"]
+        assert e["ts"] + e["dur"] <= request["ts"] + request["dur"] + slack_us, e["name"]
 
 
 def test_cli_top_once_renders_dashboard(tmp_path, capsys):

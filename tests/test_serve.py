@@ -483,7 +483,7 @@ def test_autotune_over_the_wire(tmp_path):
     [
         ("compile", ["size", "target", "startup", "tile_sizes", "trace"]),
         ("autotune", ["size", "target", "startup", "threads", "dims",
-                      "candidates", "trace"]),
+                      "candidates"]),
     ],
 )
 def test_null_param_means_default(tmp_path, method, optional):

@@ -529,9 +529,7 @@ class CompileServer:
         norm = self._normalize(method, params)
         fn = self._work_fns[method]
         key = method + ":" + json.dumps(norm, sort_keys=True)
-        task, leader = self._flight.task(
-            key, lambda: self._lead(norm, fn, trace_id)
-        )
+        task, leader = self._flight.task(key, lambda: self._lead(norm, fn, trace_id))
         if not leader:
             self.registry.inc("serve.dedup_hits")
             self.events.emit(

@@ -44,6 +44,31 @@ def test_context_wire_round_trip_and_validation():
     assert protocol.TRACE_ID("trace", {"trace_id": trace_id})
 
 
+def test_context_header_round_trip():
+    # A minted id survives the request line the client writes: encoded,
+    # decoded and validated on the daemon's side, it is the same id.
+    trace_id = new_trace_id()
+    assert trace_id != new_trace_id()
+    line = protocol.encode(
+        protocol.request("compile", {"workload": "conv2d", "trace": trace_id})
+    )
+    back = protocol.decode(line)
+    assert protocol.validate_request(back) == []
+    assert back["params"]["trace"] == trace_id
+
+
+def test_context_header_rejects_garbage():
+    # Whatever is not a bare 32-hex id is a bad request, the old
+    # ``traceparent`` header form included; an absent or null trace is not.
+    for bad in ("", "00-zz-1234-01", "totally wrong",
+                f"00-{'a' * 32}-{'b' * 16}-01", "a" * 31, "a" * 33, 7):
+        req = protocol.request("compile", {"workload": "x", "trace": bad})
+        assert protocol.validate_request(req), bad
+    for absent in ({}, {"trace": None}):
+        req = protocol.request("compile", {"workload": "x", **absent})
+        assert protocol.validate_request(req) == []
+
+
 # -- wire spans ------------------------------------------------------------
 
 
@@ -242,6 +267,22 @@ def test_request_without_trace_field_still_validates(tmp_path):
         with ServeClient(socket_path=config.socket_path) as client:
             out = client.compile("conv2d", size=16)
             assert "trace" not in out
+
+
+def test_unsampled_request_returns_no_payload(tmp_path):
+    # An untraced request gets no span payload and its event records no
+    # trace id; the traced one next to it gets both.
+    config = _config(tmp_path, events_path=str(tmp_path / "events.jsonl"))
+    trace_id = new_trace_id()
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as client:
+            assert "trace" not in client.compile("conv2d", size=16)
+            traced = client.compile("conv2d", size=12, trace=trace_id)
+            assert _request_span(traced)[1].attrs["trace_id"] == trace_id
+    with open(config.events_path) as f:
+        records = [json.loads(line) for line in f if line.strip()]
+    received = [r for r in records if r["event"] == "request.received"]
+    assert [r.get("trace_id") for r in received] == [None, trace_id]
 
 
 def test_protocol_rejects_bad_trace_field():

@@ -416,6 +416,132 @@ def test_stats_is_valid_metrics_snapshot(tmp_path):
                 json.loads(json.dumps(snap))) == []
 
 
+#: Every counter, with its value, and every histogram name of the final
+#: ``stats`` snapshot of ``test_scripted_session_stats_are_pinned``'s
+#: session.  Memo tables are cleared first, so the presburger counters are
+#: those of a cold process whatever ran before.
+SESSION_COUNTERS = {
+    "autotune.exact_evals": 1,
+    "autotune.requests": 1,
+    "driver.cache_hits": 1,
+    "driver.memo_spills": 2,
+    "driver.requests": 3,
+    "driver.unique_requests": 3,
+    "exposed.tensors": 4,
+    "footprint.count.closed_form": 2,
+    "footprint.relations": 2,
+    "machine.analyze.computed": 1,
+    "machine.analyze.reused": 1,
+    "post_fusion.extensions_spliced": 2,
+    "presburger.fm_box_fast_path": 78,
+    "presburger.fm_eliminate": 268,
+    "presburger.integer_sample": 13,
+    "presburger.memo.access_map.hit": 4,
+    "presburger.memo.access_map.miss": 6,
+    "presburger.memo.apply_range.hit": 10,
+    "presburger.memo.apply_range.miss": 12,
+    "presburger.memo.bounding_box.hit": 7,
+    "presburger.memo.bounding_box.miss": 7,
+    "presburger.memo.domain_box.hit": 10,
+    "presburger.memo.domain_box.miss": 3,
+    "presburger.memo.fm_eliminate.hit": 16,
+    "presburger.memo.fm_eliminate.miss": 24,
+    "presburger.memo.fm_eliminate_bounds.hit": 10,
+    "presburger.memo.fm_eliminate_bounds.miss": 14,
+    "presburger.memo.map_rename.hit": 11,
+    "presburger.memo.map_rename.miss": 14,
+    "presburger.memo.map_reverse.hit": 14,
+    "presburger.memo.map_reverse.miss": 5,
+    "presburger.memo.map_specialize.miss": 2,
+    "presburger.memo.project_out.hit": 2,
+    "presburger.memo.project_out.miss": 10,
+    "presburger.memo.read_relations.hit": 7,
+    "presburger.memo.read_relations.miss": 4,
+    "presburger.memo.set_dedupe.hit": 1,
+    "presburger.memo.set_dedupe.miss": 2,
+    "presburger.memo.set_empty.hit": 12,
+    "presburger.memo.set_empty.miss": 13,
+    "presburger.memo.startup_schedule.hit": 1,
+    "presburger.memo.startup_schedule.miss": 1,
+    "presburger.memo.tile_footprint.hit": 1,
+    "presburger.memo.tile_footprint.miss": 2,
+    "presburger.memo.tile_shapes_chain.hit": 1,
+    "presburger.memo.tile_shapes_chain.miss": 1,
+    "presburger.memo.tile_to_instances.hit": 1,
+    "presburger.memo.tile_to_instances.miss": 1,
+    "presburger.memo.umap_box_projection.hit": 3,
+    "presburger.memo.umap_box_projection.miss": 3,
+    "presburger.memo.umap_fix.hit": 5,
+    "presburger.memo.umap_fix.miss": 4,
+    "presburger.memo.umap_specialize.miss": 2,
+    "presburger.prune_interval": 4,
+    "scheduler.startup_memo.hit": 1,
+    "scheduler.startup_memo.miss": 1,
+    "serve.bad_requests": 1,
+    "serve.cache_hits": 1,
+    "serve.compiles": 2,
+    "serve.requests": 6,
+    "serve.requests.autotune": 1,
+    "serve.requests.compile": 3,
+    "serve.requests.stats": 1,
+    "serve.unknown_methods": 1,
+    "service.cache.decode": 2,
+    "span.algorithm1.calls": 2,
+    "span.autotune.calls": 1,
+    "span.codegen.promotion.calls": 1,
+    "span.compile_batch.calls": 3,
+    "span.footprint.calls": 3,
+    "span.fuse_space.calls": 2,
+    "span.optimize.calls": 2,
+    "span.post_fusion.calls": 2,
+    "span.resolve_shared_spaces.calls": 2,
+    "span.scheduler.analyze.calls": 1,
+    "span.scheduler.build_tree.calls": 2,
+    "span.scheduler.calls": 2,
+    "span.splice_extension.calls": 2,
+    "span.startup_fusion.calls": 2,
+    "span.tile_group.calls": 2,
+    "span.tile_shapes.calls": 2,
+    "span.tile_to_instances.calls": 1,
+    "span.unfuse_dangling_readers.calls": 2,
+    "tile_shapes.entries": 4,
+    "tile_shapes.fused_spaces": 2,
+}
+SESSION_HISTOGRAMS = [
+    "footprint.pieces",
+    "presburger.fm.eliminated_dims",
+    "serve.cache.tier.local.get_ms",
+    "serve.cache.tier.local.put_ms",
+    "serve.compile_ms",
+    "serve.request_ms",
+]
+
+
+def test_scripted_session_stats_are_pinned(tmp_path):
+    """A sequential session — a cold compile, its warm repeat, one
+    autotune, one bad request, one unknown method — ends in exactly these
+    counters and histograms: what the daemon counts does not drift when
+    its bookkeeping is reworked."""
+    from repro.presburger import memo
+
+    memo.clear_all()
+    config = _config(tmp_path)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            assert c.compile("conv2d", size=16)["from_cache"] is False
+            assert c.compile("conv2d", size=16)["from_cache"] is True
+            c.autotune("conv2d", size=16, candidates=[8, 16])
+            with pytest.raises(ServeError) as e:
+                c.compile("no-such-workload")
+            assert e.value.code == "bad-request"
+            with pytest.raises(ServeError) as e:
+                c.call("explode")
+            assert e.value.code == "unknown-method"
+            snap = c.stats()
+    assert dict(sorted(snap["counters"].items())) == SESSION_COUNTERS
+    assert sorted(snap["histograms"]) == SESSION_HISTOGRAMS
+
+
 def test_health_draining_and_graceful_drain(tmp_path):
     release = threading.Event()
     calls, lock = [], threading.Lock()

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import CompileOptions
 from repro.baselines import (
-    halide_result,
     naive_work,
     partitioned_result,
     polymage_work,
@@ -75,12 +74,12 @@ def heuristic_cpu_work(prog, heuristic, tile_sizes) -> Tuple[ProgramWork, float]
 
 
 def halide_cpu_work(mod, prog, tile_sizes) -> ProgramWork:
-    res = halide_result(prog, mod.halide_partition(prog), tile_sizes, CPU)
+    res = partitioned_result(prog, mod.halide_partition(prog), tile_sizes, CPU)
     return analyze_optimized(res)
 
 
 def halide_gpu_time(mod, prog, tile_sizes, name: str) -> float:
-    res = halide_result(prog, mod.halide_partition(prog), tile_sizes, GPU)
+    res = partitioned_result(prog, mod.halide_partition(prog), tile_sizes, GPU)
     t = gpu_time(analyze_optimized(res))
     return t / HALIDE_UNROLL_BONUS.get(name, 1.0)
 

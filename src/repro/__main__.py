@@ -334,7 +334,6 @@ def cmd_serve(args) -> int:
         drain_timeout=args.drain_timeout,
         cache=None if args.no_cache else args.cache,
         events_path=args.events_log,
-        sample_interval=args.sample_interval,
     )
     server = CompileServer(config)
 
@@ -454,8 +453,6 @@ _CLIENT_PRINTERS = {
 def _client_stats(client, args) -> int:
     import json
 
-    if getattr(args, "watch", False):
-        return _client_stats_watch(client, args)
     snapshot = client.stats()
     if args.json:
         print(json.dumps(snapshot, indent=2, sort_keys=True))
@@ -470,106 +467,65 @@ def _client_stats(client, args) -> int:
     return 0
 
 
-def _client_stats_watch(client, args) -> int:
-    """Poll the server's metrics and print what changed between polls."""
-    import time as _time
+def _format_top_frame(prev, cur) -> str:
+    """One ``repro top`` frame from two consecutive ``stats`` snapshots:
+    rates from the counter deltas over the daemon's own uptime between
+    them, latency quantiles and gauges from ``cur``, then every metric
+    that changed between the two."""
+    counters, gauges = cur.get("counters", {}), cur.get("gauges", {})
+    before = prev.get("counters", {})
 
-    prev = client.stats()
-    print(f"watching {prev.get('schema')} every {args.interval:.1f}s "
-          "(ctrl-c to stop)")
-    frames = 0
-    try:
-        while args.count is None or frames < args.count:
-            _time.sleep(args.interval)
-            cur = client.stats()
-            deltas = obs.diff_snapshots(prev, cur)
-            text = obs.format_diff(deltas, only_changed=True)
-            stamp = _time.strftime("%H:%M:%S")
-            if text.strip():
-                print(f"-- {stamp}")
-                print(text)
-            else:
-                print(f"-- {stamp} (no change)")
-            prev = cur
-            frames += 1
-    except KeyboardInterrupt:
-        pass
-    return 0
+    def delta(name):
+        return counters.get(name, 0) - before.get(name, 0)
 
-
-def _format_top_frame(sample, recent_events) -> str:
-    """One ``repro top`` dashboard frame as text."""
-    lines = []
-    up = sample.get("uptime_seconds", 0.0)
-    lines.append(
-        f"repro top — up {up:7.1f}s   "
-        f"requests {sample.get('requests_total', 0)}   "
-        f"connections {sample.get('connections', 0)}"
-    )
-    lines.append(
-        f"  req/s {sample.get('req_per_s', 0.0):7.2f}   "
-        f"dedup {sample.get('dedup_rate', 0.0) * 100:5.1f}%   "
-        f"active flights {sample.get('active_flights', 0)}   "
-        f"inflight compiles {sample.get('inflight_compiles', 0)}"
-    )
-    lines.append(
-        f"  compile p50 {sample.get('compile_p50_ms', 0.0):8.1f} ms   "
-        f"p99 {sample.get('compile_p99_ms', 0.0):8.1f} ms   "
-        f"errors {sample.get('compile_errors', 0)}   "
-        f"cache hits {sample.get('cache_hits', 0)} "
-        f"({sample.get('cache_decodes', 0)} decodes)"
-    )
-    if sample.get("events_dropped"):
-        lines.append(f"  events dropped {sample['events_dropped']}")
-    for tier, t in sorted(sample.get("tiers", {}).items()):
-        lines.append(
-            f"  tier {tier:<9} {t.get('hit_pct', 0.0):5.1f}% hit "
-            f"({t.get('gets', 0)} gets)"
-        )
-    if recent_events:
-        lines.append("  recent events:")
-        for ev in recent_events[-5:]:
-            lines.append(
-                f"    [{ev.get('level', '?'):<5}] {ev.get('event', '?')}"
-            )
-    return "\n".join(lines)
+    uptime = gauges.get("serve.uptime_seconds", 0.0)
+    dt = uptime - prev.get("gauges", {}).get("serve.uptime_seconds", 0.0)
+    done = delta("serve.compiles") + delta("serve.cache_hits") + delta("serve.dedup_hits")
+    hist = cur.get("histograms", {}).get("serve.compile_ms")
+    compile_ms = obs.Histogram.from_dict(hist) if hist else obs.Histogram()
+    gets = gauges.get("serve.cache.tier.local.gets", 0)
+    hits = gauges.get("serve.cache.tier.local.hits", 0)
+    return "\n".join([
+        f"repro top — up {uptime:7.1f}s   "
+        f"requests {counters.get('serve.requests', 0)}   "
+        f"connections {gauges.get('serve.connections', 0)}",
+        f"  req/s {delta('serve.requests') / dt if dt > 0 else 0.0:7.2f}   "
+        f"dedup {100.0 * delta('serve.dedup_hits') / done if done else 0.0:5.1f}%   "
+        f"active flights {gauges.get('serve.inflight_keys', 0)}   "
+        f"inflight compiles {gauges.get('serve.inflight_compiles', 0)}",
+        f"  compile p50 {compile_ms.quantile(0.5):8.1f} ms   "
+        f"p99 {compile_ms.quantile(0.99):8.1f} ms   "
+        f"errors {counters.get('serve.compile_errors', 0)}   "
+        f"cache hits {counters.get('serve.cache_hits', 0)} "
+        f"({counters.get('service.cache.decode', 0)} decodes)",
+        f"  tier local     {100.0 * hits / gets if gets else 0.0:5.1f}% hit "
+        f"({gets} gets)",
+        obs.format_diff(obs.diff_snapshots(prev, cur)),
+    ])
 
 
 def cmd_top(args) -> int:
-    """Live daemon telemetry off the ``watch`` verb."""
+    """Live daemon telemetry: one frame per two ``stats`` snapshots
+    ``--interval`` apart."""
     import time as _time
 
     from .serve.client import ServeClient, ServeError
 
-    socket_path, host, port = args.socket, args.host, args.port
-    if socket_path is None and host is None:
-        from .serve.server import default_socket_path
-
-        socket_path = default_socket_path()
     try:
-        with ServeClient(
-            socket_path=socket_path, host=host, port=port, timeout=30.0
-        ) as client:
-            seq = 0
+        with ServeClient(*_endpoint(args), timeout=30.0) as client:
+            prev = client.stats()
             frames = 0
             while True:
-                reply = client.watch(since=seq)
-                samples = reply.get("samples", [])
-                if samples:
-                    seq = samples[-1]["seq"]
-                    frame = _format_top_frame(
-                        samples[-1], reply.get("recent_events", [])
-                    )
-                    if not args.once:
-                        # ANSI: home + clear-to-end, no full-screen buffer.
-                        sys.stdout.write("\x1b[H\x1b[2J")
-                    print(frame, flush=True)
-                    frames += 1
-                if args.once and frames:
+                _time.sleep(args.interval)
+                cur = client.stats()
+                if not args.once:
+                    # ANSI: home + clear-to-end, no full-screen buffer.
+                    sys.stdout.write("\x1b[H\x1b[2J")
+                print(_format_top_frame(prev, cur), flush=True)
+                prev = cur
+                frames += 1
+                if args.once or (args.frames is not None and frames >= args.frames):
                     return 0
-                if args.frames is not None and frames >= args.frames:
-                    return 0
-                _time.sleep(args.interval or reply.get("interval", 1.0))
     except KeyboardInterrupt:
         return 0
     except ServeError as exc:
@@ -596,14 +552,20 @@ def _client_shutdown(client, _args) -> int:
     return 0
 
 
+def _endpoint(args):
+    """``(socket_path, host, port)`` of the server ``args`` name: the
+    default socket when neither ``--socket`` nor ``--host`` is given."""
+    if args.socket is None and args.host is None:
+        from .serve.server import default_socket_path
+
+        return default_socket_path(), None, args.port
+    return args.socket, args.host, args.port
+
+
 def cmd_client(args) -> int:
     from .serve.client import ServeClient, ServeError, wait_for_server
 
-    socket_path, host, port = args.socket, args.host, args.port
-    if socket_path is None and host is None:
-        from .serve.server import default_socket_path
-
-        socket_path = default_socket_path()
+    socket_path, host, port = _endpoint(args)
     handlers = {
         **dict.fromkeys(_CLIENT_VERBS, _client_work),
         "stats": _client_stats,
@@ -716,22 +678,18 @@ def main(argv=None) -> int:
         help="append structured lifecycle events to this JSONL file "
         "(a traced request's records carry its trace id)",
     )
-    serve_p.add_argument(
-        "--sample-interval", type=float, default=1.0, metavar="SECONDS",
-        help="period of the telemetry ring sampler behind `repro top`",
-    )
     serve_p.set_defaults(fn=cmd_serve)
 
     top_p = sub.add_parser(
-        "top", help="live daemon telemetry dashboard (the `watch` verb)"
+        "top", help="live daemon telemetry dashboard (polls `stats`)"
     )
     top_p.add_argument("--socket", default=None,
                        help="unix socket path of the server")
     top_p.add_argument("--host", default=None, help="server TCP host")
     top_p.add_argument("--port", type=int, default=None, help="server TCP port")
     top_p.add_argument(
-        "--interval", type=float, default=None,
-        help="refresh period (default: the server's sample interval)",
+        "--interval", type=float, default=1.0,
+        help="seconds between the two snapshots of a frame (default 1)",
     )
     top_p.add_argument("--once", action="store_true",
                        help="print one frame and exit (CI-friendly)")
@@ -786,14 +744,6 @@ def main(argv=None) -> int:
         "--json", action="store_true",
         help="emit the raw repro-metrics/1 snapshot",
     )
-    stats_cp.add_argument(
-        "--watch", action="store_true",
-        help="poll the server and print metric deltas between polls",
-    )
-    stats_cp.add_argument("--interval", type=float, default=2.0,
-                          help="`--watch` poll period in seconds")
-    stats_cp.add_argument("--count", type=int, default=None,
-                          help="`--watch`: stop after N polls")
     client_sub.add_parser("health")
     client_sub.add_parser("shutdown")
     client_p.set_defaults(fn=cmd_client)

@@ -2,10 +2,10 @@
 
 * PPCG heuristics (minfuse/smartfuse/maxfuse/hybridfuse) live in
   :mod:`repro.scheduler.fusion` and are costed with ``analyze_scheduled``;
-* :func:`halide_result` — Halide's published manual schedules, as fixed
-  partitions run through the paper's own tiling machinery;
-* :func:`polymage_result` — PolyMage: aggressive fusion with
-  tiling-after-fusion, costed with the ``box_total`` overlap policy
+* :func:`partitioned_result` — a fixed partition (Halide's published
+  manual schedules, PolyMage's grouping) run through the paper's own
+  tiling machinery; :func:`halide_work` costs it with exact per-stage
+  regions, :func:`polymage_work` with the ``box_total`` overlap policy
   (group-wide over-approximated halos);
 * naive — the untransformed sequential program.
 """
@@ -27,16 +27,6 @@ from .manual import (
 )
 
 
-def halide_result(
-    program: Program,
-    partition: Sequence[Sequence[str]],
-    tile_sizes: Optional[Sequence[int]],
-    target: TargetSpec = CPU,
-) -> PartitionedResult:
-    """Halide manual schedule: a fixed partition with compute_at fusion."""
-    return partitioned_result(program, partition, tile_sizes, target)
-
-
 def halide_work(
     program: Program,
     partition: Sequence[Sequence[str]],
@@ -44,18 +34,9 @@ def halide_work(
     target: TargetSpec = CPU,
     params=None,
 ) -> ProgramWork:
-    res = halide_result(program, partition, tile_sizes, target)
+    """Halide manual schedule: a fixed partition with compute_at fusion."""
+    res = partitioned_result(program, partition, tile_sizes, target)
     return analyze_optimized(res, params)  # exact per-stage regions
-
-
-def polymage_result(
-    program: Program,
-    partition: Sequence[Sequence[str]],
-    tile_sizes: Optional[Sequence[int]],
-    target: TargetSpec = CPU,
-) -> PartitionedResult:
-    """PolyMage grouping (given partition), overlapped tiling after fusion."""
-    return partitioned_result(program, partition, tile_sizes, target)
 
 
 def polymage_work(
@@ -65,7 +46,8 @@ def polymage_work(
     target: TargetSpec = CPU,
     params=None,
 ) -> ProgramWork:
-    res = polymage_result(program, partition, tile_sizes, target)
+    """PolyMage grouping (given partition), overlapped tiling after fusion."""
+    res = partitioned_result(program, partition, tile_sizes, target)
     return analyze_optimized(res, params, overlap="box_total")
 
 
@@ -82,12 +64,10 @@ def naive_work(program: Program, params=None) -> ProgramWork:
 
 __all__ = [
     "PartitionedResult",
-    "halide_result",
     "halide_work",
     "make_group",
     "naive_work",
     "partitioned_result",
-    "polymage_result",
     "polymage_work",
     "scheduled_from_partition",
 ]

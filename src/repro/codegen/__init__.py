@@ -6,8 +6,7 @@ parameters fixed), and the rest reads that nest: :mod:`.printer` renders the
 display one; :mod:`.cbackend` renders the executable one as compilable C,
 :mod:`.interp` flattens it into streams and runs them, :mod:`.promotion`
 finds its scratch sites.  :mod:`.gpu_mapping` and :mod:`.loop_order` (for
-the C backend only) rewrite trees before the scan;
-:mod:`.cce` lowers from the fusion result, not from a tree.
+the C backend only) rewrite trees before the scan.
 """
 
 from .interp import (

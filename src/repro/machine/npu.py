@@ -14,9 +14,7 @@ an L1 buffer in front of external HBM.  The effect the paper measures
 
 Off-chip latency dominates on this part, which is why the paper sees 1.72x
 on conv+bn pairs.  The model prices whole conv+bn layers
-(:func:`conv_bn_time`, :func:`network_time`); a compiled schedule tree
-for the NPU is lowered by :mod:`repro.codegen.cce`, which checks its
-buffers against the :class:`NPUSpec` capacities.
+(:func:`conv_bn_time`, :func:`network_time`).
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ class NPUSpec:
     vector_gops: float = 4096.0       # elementwise ops
     hbm_bw_gbs: float = 1200.0
     ub_bw_gbs: float = 12000.0        # on-chip unified buffer
-    ub_bytes: int = 256 * 1024
-    l1_bytes: int = 1024 * 1024
     dma_overhead_s: float = 2.5e-6    # per off-chip transfer setup
     kernel_overhead_s: float = 10e-6  # per launched operator
 

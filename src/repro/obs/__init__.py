@@ -12,8 +12,7 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
   ``serve-smoke`` job);
 * :mod:`distributed` — the one cross-process trace: a daemon request's
   spans handed back to the client that asked, stitched with its own;
-* :mod:`events` — the daemon's bounded lifecycle event log and the
-  telemetry ring behind ``repro top``.
+* :mod:`events` — the daemon's bounded lifecycle event log.
 
 Only the stdlib is imported here, so the lowest layers of the package
 (``repro.presburger``) instrument themselves without import cycles.
@@ -60,7 +59,7 @@ from .schema import (
     validate_jsonl,
     validate_metrics_snapshot,
 )
-from .events import EventLog, SampleRing, validate_event_log
+from .events import EventLog, validate_event_log
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -70,7 +69,6 @@ __all__ = [
     "JSONL_SCHEMA",
     "CompileReport",
     "EventLog",
-    "SampleRing",
     "Histogram",
     "MetricDelta",
     "MetricsRegistry",

@@ -123,13 +123,6 @@ class ServeClient:
     def stats(self) -> dict:
         return self.call("stats")
 
-    def watch(self, since: int = 0, limit: Optional[int] = None) -> dict:
-        """Telemetry samples newer than ``since`` from the daemon's ring."""
-        params = {"since": since}
-        if limit is not None:
-            params["limit"] = limit
-        return self.call("watch", params)
-
     def health(self) -> dict:
         return self.call("health")
 

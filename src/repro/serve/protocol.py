@@ -40,7 +40,6 @@ METHODS = (
     "compile",
     "autotune",
     "stats",
-    "watch",
     "health",
     "shutdown",
 )
@@ -81,8 +80,8 @@ def _must(ok, what: str):
     return check
 
 
-def _is_int(v: object, minimum: int = 1) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 def _is_array_of(ok):
@@ -92,7 +91,6 @@ def _is_array_of(ok):
 NAME = _must(lambda v: isinstance(v, str) and bool(v), "a non-empty string")
 STR = _must(lambda v: isinstance(v, str), "a string")
 POS_INT = _must(_is_int, "an int >= 1")
-NONNEG_INT = _must(lambda v: _is_int(v, 0), "an int >= 0")
 POS_INTS = _must(_is_array_of(_is_int), "a non-empty array of positive ints")
 TARGET = _must(lambda v: v in TARGETS, f"one of {TARGETS}")
 TRACE_ID = _must(
@@ -131,7 +129,6 @@ PARAMS: Dict[str, Dict[str, tuple]] = {
         "dims": (POS_INT, 2),
         "candidates": (POS_INTS, (8, 16, 32, 64, 128)),
     },
-    "watch": {"since": (NONNEG_INT, 0), "limit": (POS_INT, None)},
 }
 
 

@@ -59,7 +59,7 @@ from typing import Dict, Optional, Tuple
 
 from .. import obs
 from ..obs import MetricsRegistry, distributed
-from ..obs.events import EventLog, SampleRing
+from ..obs.events import EventLog
 from . import protocol
 from .singleflight import SingleFlight
 
@@ -103,12 +103,8 @@ class ServeConfig:
     request_timeout: float = 300.0
     drain_timeout: float = 10.0
     cache: object = "default"
-    #: JSONL event-log path (``None`` keeps the log memory-only).
+    #: JSONL event-log path (``None`` keeps no event log).
     events_path: Optional[str] = None
-    #: Seconds between telemetry ring-buffer samples (the ``watch`` verb).
-    sample_interval: float = 1.0
-    #: Telemetry ring capacity (samples retained for ``watch``).
-    ring_size: int = 300
 
     def __post_init__(self):
         if self.socket_path is None and self.host is None:
@@ -121,12 +117,6 @@ class ServeConfig:
             )
         if self.request_timeout <= 0 or self.drain_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if self.sample_interval <= 0:
-            raise ValueError(
-                f"sample_interval must be positive, got {self.sample_interval!r}"
-            )
-        if self.ring_size < 1:
-            raise ValueError(f"ring_size must be >= 1, got {self.ring_size!r}")
 
 
 class CompileServer:
@@ -146,9 +136,6 @@ class CompileServer:
             self.cache = resolve_cache(config.cache)
         self.registry = MetricsRegistry()
         self.events = EventLog(path=config.events_path)
-        self.ring = SampleRing(config.ring_size)
-        self._prev_sample: Optional[Dict[str, float]] = None
-        self._sampler: Optional[asyncio.Task] = None
         bodies = {
             "compile": self._compile,
             "autotune": self._autotune,
@@ -213,9 +200,6 @@ class CompileServer:
         self.events.emit(
             "server.started", pid=os.getpid(), socket=self.config.socket_path
         )
-        self._sampler = asyncio.get_running_loop().create_task(
-            self._sample_loop()
-        )
 
     def request_shutdown(self) -> None:
         """Begin graceful shutdown (idempotent, loop-thread only)."""
@@ -270,100 +254,8 @@ class CompileServer:
                 os.unlink(self.config.socket_path)
             except OSError:
                 pass
-        if self._sampler is not None:
-            self._sampler.cancel()
-            self._sampler = None
         self.events.emit("server.stopped", pid=os.getpid())
         self.events.close()
-
-    # -- telemetry ring ------------------------------------------------------
-
-    async def _sample_loop(self) -> None:
-        """Periodically fold a derived telemetry sample into the ring.
-
-        Runs on the event loop (the registry's home thread) so sampling
-        needs no locks; the ring itself is thread-safe for ``watch``.
-        """
-        while not self._stopping.is_set():
-            try:
-                await asyncio.wait_for(
-                    self._stopping.wait(), self.config.sample_interval
-                )
-                break
-            except asyncio.TimeoutError:
-                pass
-            except asyncio.CancelledError:
-                break
-            try:
-                self.ring.add(self._sample())
-            except Exception:
-                self.registry.inc("serve.sample_errors")
-
-    def _sample(self) -> Dict[str, object]:
-        """One derived telemetry sample (rates computed against the last)."""
-        now = time.monotonic()
-        c = self.registry.counters
-        cur = {
-            "t": now,
-            "requests": c.get("serve.requests", 0),
-            "dedup": c.get("serve.dedup_hits", 0),
-            "compiles": c.get("serve.compiles", 0),
-            "cache_hits": c.get("serve.cache_hits", 0),
-            "errors": c.get("serve.compile_errors", 0),
-        }
-        prev = self._prev_sample or cur
-        dt = max(1e-9, now - prev["t"])
-        d_req = cur["requests"] - prev["requests"]
-        d_dedup = cur["dedup"] - prev["dedup"]
-        d_done = (
-            (cur["compiles"] - prev["compiles"])
-            + (cur["cache_hits"] - prev["cache_hits"])
-            + d_dedup
-        )
-        self._prev_sample = cur
-        compile_ms = self.registry.histograms.get("serve.compile_ms")
-        sample: Dict[str, object] = {
-            "at": time.time(),
-            "uptime_seconds": now - self._started_at,
-            "requests_total": cur["requests"],
-            "req_per_s": d_req / dt,
-            "dedup_rate": (d_dedup / d_done) if d_done else 0.0,
-            "active_flights": len(self._flight),
-            "inflight_compiles": self._active_compiles,
-            "connections": self._connections,
-            "compile_errors": cur["errors"],
-            "cache_hits": cur["cache_hits"],
-            "cache_decodes": c.get("service.cache.decode", 0),
-            "compile_p50_ms": compile_ms.quantile(0.5) if compile_ms else 0.0,
-            "compile_p99_ms": compile_ms.quantile(0.99) if compile_ms else 0.0,
-            "events_dropped": self.events.stats()["dropped"],
-        }
-        if self.cache is not None:
-            tiers: Dict[str, Dict[str, float]] = {}
-            for tier, tstats in self.cache.tier_metrics():
-                counters = tstats.counters()
-                gets = counters.get("gets", 0)
-                tiers[tier] = {
-                    "hit_pct": 100.0 * counters.get("hits", 0) / gets
-                    if gets
-                    else 0.0,
-                    "gets": gets,
-                }
-            sample["tiers"] = tiers
-        return sample
-
-    def _watch(self, params: dict) -> dict:
-        """Telemetry samples newer than ``since`` plus recent events."""
-        params = protocol.fill_defaults("watch", params)
-        samples, missed = self.ring.since(params["since"])
-        if params["limit"] is not None:
-            samples = samples[-params["limit"]:]
-        return {
-            "interval": self.config.sample_interval,
-            "samples": samples,
-            "missed": missed,
-            "recent_events": self.events.recent(10),
-        }
 
     # -- connection handling -----------------------------------------------
 
@@ -462,8 +354,6 @@ class CompileServer:
             return self._health()
         if method == "stats":
             return self._stats()
-        if method == "watch":
-            return self._watch(params)
         if method == "shutdown":
             return self._shutdown()
         # A work verb: real work, subject to draining and limits.  A
@@ -646,11 +536,8 @@ class CompileServer:
         self.registry.set_gauge("serve.connections", self._connections)
         self.registry.set_gauge("serve.inflight_compiles", self._active_compiles)
         self.registry.set_gauge("serve.inflight_keys", len(self._flight))
-        estats = self.events.stats()
-        self.registry.set_gauge("serve.events.buffered", estats["buffered"])
-        self.registry.set_gauge("serve.events.dropped", estats["dropped"])
-        self.registry.set_gauge("serve.events.written", estats["written"])
-        self.registry.set_gauge("serve.ring.samples", len(self.ring))
+        for name, value in self.events.stats().items():
+            self.registry.set_gauge(f"serve.events.{name}", value)
         if self.cache is not None:
             # Policy and per-tier counters become ``serve.cache.<name>`` and
             # ``serve.cache.tier.<tier>.<name>`` gauges, latency histograms

@@ -4,12 +4,12 @@ A request over a unix or TCP socket carries the client's trace id and
 gets the daemon's span tree back under it; requests *without* the field
 still validate; ``client compile --trace`` stitches both lanes onto one
 timeline; batch workers re-parent their span trees under the driver's;
-and the event log and sample ring stay bounded.
+the event log stays bounded and survives a full disk; and ``repro top``
+renders two ``stats`` snapshots.
 """
 
 import json
 import os
-import time
 
 import pytest
 
@@ -22,7 +22,7 @@ from repro.obs.distributed import (
     validate_wire_spans,
     wire_to_events,
 )
-from repro.obs.events import EventLog, SampleRing, validate_event_log
+from repro.obs.events import EventLog, validate_event_log
 from repro.obs.schema import validate_chrome_trace
 from repro.serve import protocol
 from repro.serve.client import ServeClient
@@ -142,44 +142,51 @@ def test_stitch_rebases_streams_onto_shared_timeline():
     assert len(pids) == 2
 
 
-# -- event log and sample ring ---------------------------------------------
+# -- event log -------------------------------------------------------------
 
 
 def test_event_log_bounded_tail_and_rotation(tmp_path):
     path = str(tmp_path / "events.jsonl")
-    log = EventLog(path=path, max_bytes=2000, cap=5)
+    log = EventLog(path=path, max_bytes=2000)
     trace_id = new_trace_id()
     for i in range(20):
         log.emit("tick", trace_id=trace_id, i=i)
     stats = log.stats()
-    assert stats["buffered"] == 5
-    assert stats["dropped"] == 15
     assert stats["written"] == 20
     assert stats["rotations"] >= 1
+    assert stats["write_errors"] == 0
     assert os.path.exists(path + ".1")
     with open(path) as f:
         assert validate_event_log(f) == []
-    rec = log.recent(1)[0]
-    assert rec["trace_id"] == trace_id
     log.close()
 
 
-def test_event_log_tail_keeps_the_newest_records():
-    # The tail is the newest ``cap`` records, so ``watch`` (and ``repro
-    # top``) keeps showing what happens after the first ``cap`` events.
-    log = EventLog(cap=5)
-    for i in range(20):
+def test_event_log_tail_keeps_the_newest_records(tmp_path):
+    # Rotation bounds the disk, not what is current: the newest records
+    # are in ``path``, the ones just before them in ``path.1``, and only
+    # the oldest are gone.
+    path = str(tmp_path / "events.jsonl")
+    log = EventLog(path=path, max_bytes=1000)
+    for i in range(40):
         log.emit("tick", i=i)
-    assert log.recent(1)[0]["i"] == 19
-    assert [r["i"] for r in log.recent(3)] == [17, 18, 19]
-    assert [r["i"] for r in log.recent()] == [15, 16, 17, 18, 19]
-    assert log.stats()["dropped"] == 15
+    log.close()
 
+    def numbers(p):
+        with open(p) as f:
+            return [json.loads(line)["i"] for line in f]
 
-def test_event_log_holds_only_event_records():
-    log = EventLog()
+    kept = numbers(path + ".1") + numbers(path)
+    assert log.stats()["rotations"] >= 2
+    assert 0 < len(kept) < 40
+    assert kept == list(range(40 - len(kept), 40))
+
+def test_event_log_holds_only_event_records(tmp_path):
+    path = str(tmp_path / "events.jsonl")
+    log = EventLog(path=path)
     log.emit("started")
-    good = json.dumps(log.recent(1)[0])
+    log.close()
+    with open(path) as f:
+        (good,) = f.read().splitlines()
     assert "trace_id" not in good  # an untraced record carries no id
     assert validate_event_log([good]) == []
     span_record = json.dumps(
@@ -195,19 +202,13 @@ def test_event_log_rejects_unknown_level():
         EventLog().emit("boom", level="fatal")
 
 
-def test_sample_ring_since_and_missed():
-    ring = SampleRing(capacity=3)
-    for i in range(5):
-        ring.add({"i": i})
-    assert len(ring) == 3
-    fresh, missed = ring.since(0)
-    assert [s["i"] for s in fresh] == [2, 3, 4]
-    assert missed == 0  # since=0 means "from the beginning", nothing missed
-    fresh, missed = ring.since(1)
-    assert [s["i"] for s in fresh] == [2, 3, 4]
-    assert missed == 1  # sample 2 (seq 2) evicted... seq 2 retained; seq<=2 gone
-    fresh, _ = ring.since(4)
-    assert [s["seq"] for s in fresh] == [5]
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_event_log_counts_a_full_disk_and_never_raises():
+    log = EventLog(path="/dev/full")
+    log.emit("tick")
+    log.emit("tock", level="warn")
+    assert log.stats() == {"written": 0, "rotations": 0, "write_errors": 2}
+    log.close()
 
 
 # -- serve integration -----------------------------------------------------
@@ -296,29 +297,18 @@ def test_protocol_rejects_bad_trace_field():
     assert protocol.validate_request(tune) == ["autotune takes no param 'trace'"]
 
 
-def test_watch_returns_ring_samples(tmp_path):
-    config = _config(tmp_path, sample_interval=0.05)
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_daemon_logging_to_a_full_disk_serves_and_reports(tmp_path):
+    # Every lifecycle record fails to land; the daemon starts, compiles
+    # and says so in ``stats`` instead of turning the work into an error.
+    config = _config(tmp_path, events_path="/dev/full")
     with ServerThread(config):
         with ServeClient(socket_path=config.socket_path) as client:
-            client.compile("conv2d", size=16)
-            deadline = time.monotonic() + 5
-            samples = []
-            while time.monotonic() < deadline and not samples:
-                reply = client.watch(since=0)
-                samples = reply["samples"]
-                time.sleep(0.02)
-            assert samples, "no telemetry samples within 5s"
-            s = samples[-1]
-            for key in ("req_per_s", "dedup_rate", "compile_p50_ms",
-                        "compile_p99_ms", "active_flights", "seq"):
-                assert key in s
-            # Incremental poll: nothing new until the next tick.
-            reply = client.watch(since=s["seq"])
-            assert all(x["seq"] > s["seq"] for x in reply["samples"])
-            # Lifecycle events ride along, wire-span records do not.
-            assert all(
-                r.get("type") == "event" for r in reply["recent_events"]
-            )
+            assert client.compile("conv2d", size=16)["fingerprint"]
+            gauges = client.stats()["gauges"]
+    assert gauges["serve.events.written"] == 0
+    # server.started, request.received, request.completed
+    assert gauges["serve.events.write_errors"] == 3
 
 
 # -- batch workers re-parent under the request span ------------------------
@@ -457,35 +447,62 @@ def test_stitched_daemon_lane_lies_inside_the_client_request(tmp_path):
         assert e["ts"] + e["dur"] <= request["ts"] + request["dur"] + slack_us, e["name"]
 
 
+def _snapshot(uptime, counters, gauges=(), compile_ms=()):
+    registry = obs.MetricsRegistry()
+    for name, n in counters.items():
+        registry.inc(name, n)
+    for name, value in dict(gauges, **{"serve.uptime_seconds": uptime}).items():
+        registry.set_gauge(name, value)
+    for ms in compile_ms:
+        registry.observe("serve.compile_ms", ms, (1, 10, 100, 1000))
+    return registry.snapshot()
+
+
+def test_top_frame_from_two_snapshots():
+    from repro.__main__ import _format_top_frame
+
+    prev = _snapshot(
+        10.0,
+        {"serve.requests": 10, "serve.compiles": 2, "serve.cache_hits": 2},
+        {"serve.cache.tier.local.gets": 4, "serve.cache.tier.local.hits": 1},
+        compile_ms=[5, 50],
+    )
+    cur = _snapshot(
+        12.0,
+        {"serve.requests": 18, "serve.compiles": 3, "serve.cache_hits": 4,
+         "serve.dedup_hits": 5},
+        {"serve.cache.tier.local.gets": 8, "serve.cache.tier.local.hits": 2},
+        compile_ms=[5, 50, 500, 500],
+    )
+    lines = _format_top_frame(prev, cur).splitlines()
+    # 8 requests in 2 s; 5 of the 8 finished requests joined a flight.
+    assert "req/s    4.00" in lines[1]
+    assert "dedup  62.5%" in lines[1]
+    # Quantiles of the cumulative histogram: 2 of 4 at or under 100 ms,
+    # and p99 capped at the largest observation.
+    assert "compile p50    100.0 ms" in lines[2]
+    assert "p99    500.0 ms" in lines[2]
+    assert "cache hits 4" in lines[2]
+    assert "25.0% hit (8 gets)" in lines[3]
+    # The diff table follows: one row per changed metric.
+    assert lines[4].split() == ["metric", "a", "b", "delta", "ratio"]
+    assert "serve.requests 10 18 +8 1.800x".split() in [row.split() for row in lines[5:]]
+
+
 def test_cli_top_once_renders_dashboard(tmp_path, capsys):
-    from repro.__main__ import main
-
-    config = _config(tmp_path, sample_interval=0.05)
-    with ServerThread(config):
-        with ServeClient(socket_path=config.socket_path) as client:
-            client.compile("conv2d", size=16)
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if client.watch(since=0)["samples"]:
-                    break
-                time.sleep(0.02)
-        rc = main(["top", "--socket", config.socket_path, "--once"])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "req/s" in text
-    assert "p50" in text and "p99" in text
-
-
-def test_cli_client_stats_watch_prints_deltas(tmp_path, capsys):
     from repro.__main__ import main
 
     config = _config(tmp_path)
     with ServerThread(config):
         with ServeClient(socket_path=config.socket_path) as client:
             client.compile("conv2d", size=16)
-        rc = main([
-            "client", "--socket", config.socket_path,
-            "stats", "--watch", "--interval", "0.05", "--count", "2",
-        ])
+        rc = main(["top", "--socket", config.socket_path, "--once",
+                   "--interval", "0.05"])
     assert rc == 0
-    assert capsys.readouterr().out.strip()
+    text = capsys.readouterr().out
+    assert "req/s" in text
+    assert "p50" in text and "p99" in text
+    # Below the header, the metrics the second snapshot changed: top's
+    # own first ``stats`` call among them.
+    rows = {line.split()[0]: line.split()[1:] for line in text.splitlines()[5:]}
+    assert rows["serve.requests.stats"][:3] == ["1", "2", "+1"]

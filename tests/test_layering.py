@@ -39,11 +39,9 @@ COMPILER_ORDER = (
 )
 #: ... but for these: file -> the module (anything in it) or the one name it
 #: may reach up for.  The validator replays the interpreter's event order,
-#: the CCE printer prices its own instructions, the autotuner ranks
-#: candidates by modeled time.
+#: the autotuner ranks candidates by modeled time.
 COMPILER_ALLOWED = {
     "core/validate.py": "repro.codegen.interp.ordered_events",
-    "codegen/cce.py": "repro.machine.npu",
     "scheduler/autotune.py": "repro.machine",
 }
 

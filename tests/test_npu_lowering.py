@@ -1,21 +1,10 @@
-"""Tests for GPU mapping, CCE lowering and parametric tile sizes."""
-
-import pytest
+"""Tests for GPU mapping and parametric tile sizes."""
 
 from repro import CompileOptions
 from repro.codegen import print_tree
-from repro.codegen.cce import (
-    CCELoweringError,
-    L0A,
-    L0B,
-    L0C,
-    UB,
-    lower_to_cce,
-)
 from repro.codegen.gpu_mapping import map_to_gpu
 from repro.core import TILE_TUPLE, optimize, tile_footprint, liveout_groups
-from repro.machine.npu import NPUSpec
-from repro.pipelines import conv2d, resnet
+from repro.pipelines import conv2d
 from repro.scheduler import SMARTFUSE, schedule_program
 
 PARAMS = {"H": 16, "W": 16, "KH": 3, "KW": 3}
@@ -60,52 +49,6 @@ class TestGPUMapping:
         execute_naive(prog, ref)
         store, _ = run_program(prog, res.tree)
         np.testing.assert_allclose(store["C"], ref["C"])
-
-
-class TestCCELowering:
-    def test_conv_bn_pair_lowering(self):
-        pair = resnet.build_operator_pair(16, 16)
-        res = optimize(pair, CompileOptions(target="npu", tile_sizes=(4, 4)))
-        (kernel,) = lower_to_cce(res)
-        mems = {b.tensor: b.memory for b in kernel.buffers}
-        assert mems["X"] == L0A
-        assert mems["K"] == L0B
-        assert mems["F"] == L0C
-        assert mems["Y"] == UB
-
-    def test_fused_pair_forwards_on_chip(self):
-        pair = resnet.build_operator_pair(16, 16)
-        res = optimize(pair, CompileOptions(target="npu", tile_sizes=(4, 4)))
-        (kernel,) = lower_to_cce(res)
-        assert kernel.onchip_forward == ["F"]
-        text = kernel.render()
-        assert "L0C -> UB" in text
-        assert "mmad" in text
-
-    def test_unfused_pair_does_not_forward(self):
-        """With fusion disabled (minfuse start-up, zero recompute budget)
-        the conv output is not forwarded on chip: each cluster reloads it
-        through global memory — the Table III 'smartfuse' configuration."""
-        from repro.core import composite_tiling_fusion
-        from repro.core.pipeline import OptimizeResult
-        from repro.core.tile_shapes import TargetSpec
-        from repro.scheduler import MINFUSE
-
-        pair = resnet.build_operator_pair(16, 16)
-        sched = schedule_program(pair, MINFUSE)
-        no_fuse = TargetSpec("npu-nofuse", 1, 1, max_recompute=0.0)
-        mixed = composite_tiling_fusion(pair, sched, (4, 4), no_fuse)
-        res = OptimizeResult(pair, no_fuse, (4, 4), sched, mixed, sched.tree, 0.0)
-        kernels = lower_to_cce(res)
-        assert len(kernels) >= 2
-        assert all(not k.onchip_forward for k in kernels)
-
-    def test_capacity_check(self):
-        pair = resnet.build_operator_pair(64, 64)
-        res = optimize(pair, CompileOptions(target="npu", tile_sizes=(32, 32)))
-        tiny = NPUSpec(ub_bytes=64)
-        with pytest.raises(CCELoweringError):
-            lower_to_cce(res, spec=tiny)
 
 
 class TestParametricTileSizes:

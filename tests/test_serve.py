@@ -394,6 +394,21 @@ def test_raw_requests_with_unknown_params_or_methods(tmp_path):
     assert [name for name in counters if name.startswith("serve.requests.")] == []
 
 
+def test_retired_watch_is_an_unknown_method(tmp_path):
+    """``repro top`` reads ``stats``; a client still sending the retired
+    ``watch`` verb gets ``unknown-method`` under the same protocol tag."""
+    config = _config(tmp_path)
+    with ServerThread(config):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(30)
+        sock.connect(config.socket_path)
+        sock.sendall(protocol.encode(protocol.request("watch", {"since": 0}, id=1)))
+        reply = protocol.decode(sock.makefile("rb").readline())
+        sock.close()
+    assert reply["proto"] == protocol.PROTOCOL
+    assert reply["ok"] is False and reply["id"] == 1
+    assert reply["error"]["code"] == "unknown-method"
+
 def test_stats_is_valid_metrics_snapshot(tmp_path):
     from repro.obs import validate_metrics_snapshot
 

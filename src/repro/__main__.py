@@ -504,36 +504,27 @@ def _format_top_frame(prev, cur) -> str:
     ])
 
 
-def cmd_top(args) -> int:
-    """Live daemon telemetry: one frame per two ``stats`` snapshots
-    ``--interval`` apart."""
+def _top(client, args) -> int:
+    """``repro top``: one frame per two ``stats`` snapshots ``--interval``
+    apart."""
     import time as _time
 
-    from .serve.client import ServeClient, ServeError
-
     try:
-        with ServeClient(*_endpoint(args), timeout=30.0) as client:
-            prev = client.stats()
-            frames = 0
-            while True:
-                _time.sleep(args.interval)
-                cur = client.stats()
-                if not args.once:
-                    # ANSI: home + clear-to-end, no full-screen buffer.
-                    sys.stdout.write("\x1b[H\x1b[2J")
-                print(_format_top_frame(prev, cur), flush=True)
-                prev = cur
-                frames += 1
-                if args.once or (args.frames is not None and frames >= args.frames):
-                    return 0
+        prev = client.stats()
+        frames = 0
+        while True:
+            _time.sleep(args.interval)
+            cur = client.stats()
+            if not args.once:
+                # ANSI: home + clear-to-end, no full-screen buffer.
+                sys.stdout.write("\x1b[H\x1b[2J")
+            print(_format_top_frame(prev, cur), flush=True)
+            prev = cur
+            frames += 1
+            if args.once or (args.frames is not None and frames >= args.frames):
+                return 0
     except KeyboardInterrupt:
         return 0
-    except ServeError as exc:
-        print(f"server error ({exc.code}): {exc.message}", file=sys.stderr)
-        return 1
-    except (OSError, TimeoutError) as exc:
-        print(f"cannot reach compile server: {exc}", file=sys.stderr)
-        return 1
 
 
 def _client_health(client, _args) -> int:
@@ -552,41 +543,46 @@ def _client_shutdown(client, _args) -> int:
     return 0
 
 
-def _endpoint(args):
-    """``(socket_path, host, port)`` of the server ``args`` name: the
-    default socket when neither ``--socket`` nor ``--host`` is given."""
-    if args.socket is None and args.host is None:
-        from .serve.server import default_socket_path
-
-        return default_socket_path(), None, args.port
-    return args.socket, args.host, args.port
-
-
-def cmd_client(args) -> int:
+def _call_server(args, handler, timeout: float) -> int:
+    """``handler(client, args)`` against the server ``args`` names (the
+    default socket when neither ``--socket`` nor ``--host`` is given); a
+    server error or an unreachable server is exit status 1."""
     from .serve.client import ServeClient, ServeError, wait_for_server
 
-    socket_path, host, port = _endpoint(args)
-    handlers = {
-        **dict.fromkeys(_CLIENT_VERBS, _client_work),
-        "stats": _client_stats,
-        "health": _client_health,
-        "shutdown": _client_shutdown,
-    }
+    socket_path, host, port = args.socket, args.host, args.port
+    if socket_path is None and host is None:
+        from .serve.server import default_socket_path
+
+        socket_path = default_socket_path()
     try:
-        if args.wait:
+        if getattr(args, "wait", None):
             wait_for_server(
                 socket_path=socket_path, host=host, port=port, timeout=args.wait
             )
         with ServeClient(
-            socket_path=socket_path, host=host, port=port, timeout=args.timeout
+            socket_path=socket_path, host=host, port=port, timeout=timeout
         ) as client:
-            return handlers[args.client_command](client, args)
+            return handler(client, args)
     except ServeError as exc:
         print(f"server error ({exc.code}): {exc.message}", file=sys.stderr)
         return 1
     except (OSError, TimeoutError) as exc:
         print(f"cannot reach compile server: {exc}", file=sys.stderr)
         return 1
+
+
+def cmd_top(args) -> int:
+    return _call_server(args, _top, timeout=30.0)
+
+
+def cmd_client(args) -> int:
+    handlers = {
+        **dict.fromkeys(_CLIENT_VERBS, _client_work),
+        "stats": _client_stats,
+        "health": _client_health,
+        "shutdown": _client_shutdown,
+    }
+    return _call_server(args, handlers[args.client_command], args.timeout)
 
 
 def main(argv=None) -> int:

@@ -76,12 +76,11 @@ class EventLog:
         if trace_id is not None:
             rec["trace_id"] = trace_id
         rec.update(fields)
-        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
         with self._lock:
             if self._fh is None:
                 return
             try:
-                self._fh.write(line)
+                self._fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
                 self.written += 1
                 if self._fh.tell() >= self.max_bytes:
                     self._rotate()

@@ -25,6 +25,8 @@ Subcommands:
 * ``serve`` — run the long-lived compile server (unix socket and/or TCP)
   that keeps caches warm and deduplicates identical in-flight requests;
   daemons given the same ``--cache`` directory share warm state;
+* ``top`` — a live view of a running server, each frame built from two
+  of its ``stats`` snapshots;
 * ``client compile|tune|stats|health|shutdown`` — talk to a running
   server (``client stats --json`` emits the raw ``repro-metrics/1``
   snapshot).

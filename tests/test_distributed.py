@@ -156,9 +156,11 @@ def test_event_log_bounded_tail_and_rotation(tmp_path):
     assert stats["rotations"] >= 1
     assert stats["write_errors"] == 0
     assert os.path.exists(path + ".1")
-    with open(path) as f:
-        assert validate_event_log(f) == []
     log.close()
+    with open(path) as f:
+        lines = f.readlines()
+    assert validate_event_log(lines) == []
+    assert json.loads(lines[-1])["trace_id"] == trace_id
 
 
 def test_event_log_tail_keeps_the_newest_records(tmp_path):
@@ -179,6 +181,7 @@ def test_event_log_tail_keeps_the_newest_records(tmp_path):
     assert log.stats()["rotations"] >= 2
     assert 0 < len(kept) < 40
     assert kept == list(range(40 - len(kept), 40))
+
 
 def test_event_log_holds_only_event_records(tmp_path):
     path = str(tmp_path / "events.jsonl")

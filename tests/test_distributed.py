@@ -509,3 +509,21 @@ def test_cli_top_once_renders_dashboard(tmp_path, capsys):
     # own first ``stats`` call among them.
     rows = {line.split()[0]: line.split()[1:] for line in text.splitlines()[5:]}
     assert rows["serve.requests.stats"][:3] == ["1", "2", "+1"]
+
+
+def test_cli_client_stats_watch_prints_deltas(tmp_path, capsys):
+    """The stats-delta poller is ``repro top``: over several frames, each
+    frame diffs consecutive ``stats`` snapshots, so every frame shows the
+    one ``stats`` call made since the previous snapshot."""
+    from repro.__main__ import main
+
+    config = _config(tmp_path)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as client:
+            client.compile("conv2d", size=16)
+        rc = main(["top", "--socket", config.socket_path,
+                   "--interval", "0.05", "--frames", "2"])
+    assert rc == 0
+    rows = [row for row in map(str.split, capsys.readouterr().out.splitlines())
+            if row[:1] == ["serve.requests.stats"]]
+    assert [row[1:4] for row in rows] == [["1", "2", "+1"], ["2", "3", "+1"]]

@@ -83,7 +83,11 @@ class Set:
         return None
 
     def is_subset(self, other: "Set") -> bool:
-        return self.subtract(other).is_empty()
+        """Whether every piece minus ``other`` is empty, one piece at a
+        time, stopping at the first that is not."""
+        return all(
+            Set(self.space, [p]).subtract(other).is_empty() for p in self.pieces
+        )
 
     def is_equal(self, other: "Set") -> bool:
         return self.is_subset(other) and other.is_subset(self)
@@ -111,6 +115,12 @@ class Set:
         return Set(space, out)
 
     def subtract(self, other: "Set") -> "Set":
+        """``self`` minus ``other``.  A piece with no rational point has no
+        integer point, so the difference drops each such piece as it
+        appears, and keeps whole a piece that a subtrahend piece is
+        rationally disjoint from instead of cutting it."""
+        from .fm import rational_feasible
+
         if self.space.dims != other.space.dims or self.space.name != other.space.name:
             raise ValueError(f"space mismatch: {self.space} vs {other.space}")
         params = tuple(dict.fromkeys(self.space.params + other.space.params))
@@ -119,7 +129,12 @@ class Set:
         for b in _reparam(other.pieces, params):
             next_remaining: List[BasicSet] = []
             for a in remaining:
-                next_remaining.extend(_subtract_basic(a, b))
+                if not rational_feasible(a.constraints + b.constraints):
+                    next_remaining.append(a)
+                    continue
+                next_remaining.extend(
+                    p for p in _subtract_basic(a, b) if rational_feasible(p.constraints)
+                )
             remaining = next_remaining
         return Set(space, remaining)
 

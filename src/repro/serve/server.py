@@ -9,7 +9,7 @@ that stays warm*: one process whose LRU, memo tables and metrics survive
 across requests, instead of every invocation paying process startup and
 re-warming from disk.
 
-Architecture (single event loop + bounded worker pool):
+Architecture (single event loop + bounded worker pool for misses):
 
 * **Transport** — newline-delimited JSON-RPC (:mod:`repro.serve.protocol`)
   over a unix socket and/or TCP.  One connection may pipeline requests;
@@ -18,10 +18,18 @@ Architecture (single event loop + bounded worker pool):
 * **Single-flight dedup** — identical compile requests (same normalized
   workload/size/target/tiles/startup) that arrive while one is already
   compiling all await the *same* task (:mod:`repro.serve.singleflight`);
-  only the leader touches the worker pool.  ``serve.dedup_hits`` counts
-  the followers.
-* **Worker pool** — actual compiles run on a bounded
-  ``ThreadPoolExecutor`` and route through ``compile_batch(mode="serial",
+  only the leader does the work.  ``serve.dedup_hits`` counts the
+  followers.
+* **Memory-tier hits on the loop** — a built-in ``compile`` whose
+  fingerprint the cache's memory tier holds is a lookup and a tree copy,
+  cheaper than the hop to a worker thread, so the leader answers it on
+  the event loop, through the same work fn with a cache that reads the
+  memory tier only.  If the entry went in between (a worker's ``put``
+  evicted it), the request goes to the pool: the loop never compiles and
+  never reads the disk store.
+* **Worker pool** — everything else (memory misses, disk-tier reads,
+  compiles, ``autotune``, injected work fns) runs on a bounded
+  ``ThreadPoolExecutor`` and routes through ``compile_batch(mode="serial",
   cache=...)``, so every request shares the in-process LRU, the disk
   store and the process-wide memo tables.
 * **Limits** — per-client (per-connection) concurrency caps answer
@@ -37,9 +45,10 @@ Architecture (single event loop + bounded worker pool):
   produced.
 
 The registry and all bookkeeping are touched only on the event-loop
-thread; the worker threads hand their per-compile
+thread; the work fn hands its per-request
 :class:`~repro.obs.CompileReport` back for absorption, so no metric
-needs a lock.
+needs a lock.  Collectors are thread-local, so a hit run on the loop
+records the same counters and span tree as one run on a worker.
 """
 
 from __future__ import annotations
@@ -119,12 +128,36 @@ class ServeConfig:
             raise ValueError("timeouts must be positive")
 
 
+class _Cold(Exception):
+    """The memory tier lost a key between the check and the read."""
+
+
+class _MemoryTier:
+    """The cache as ``compile_batch`` sees it on the event loop: the
+    memory tier of ``cache`` and nothing below it.  A miss raises
+    :class:`_Cold` instead of answering ``None``, so the batch never
+    compiles, reads the store or stores."""
+
+    persistent = False  # no store to spill memo tables to
+
+    def __init__(self, cache):
+        self._cache = cache
+
+    def get(self, key: str):
+        value = self._cache.get_memory(key)
+        if value is None:
+            raise _Cold(key)
+        return value
+
+
 class CompileServer:
     """The daemon.  ``work_fns`` maps a work verb to a replacement for its
     built-in work fn (tests inject fakes): a synchronous callable run on
     the worker pool as ``fn(norm, report)`` — the normalized params dict
     and the already-active tracing collector to reuse, or ``None`` —
-    returning ``(summary_dict, report|None)``."""
+    returning ``(summary_dict, report|None)``.  An injected ``compile``
+    always runs on the pool: only the built-in one answers hits on the
+    loop."""
 
     def __init__(self, config: ServeConfig, work_fns=None):
         self.config = config
@@ -137,13 +170,19 @@ class CompileServer:
         self.registry = MetricsRegistry()
         self.events = EventLog(path=config.events_path)
         bodies = {
-            "compile": self._compile,
+            "compile": partial(self._compile, cache=self.cache),
             "autotune": self._autotune,
         }
         self._work_fns = {
             verb: partial(self._work, body) for verb, body in bodies.items()
         }
         self._work_fns.update(work_fns or {})
+        # The built-in compile of a memory-tier hit, run on the event loop.
+        self._hit_fn = None
+        if self.cache is not None and "compile" not in (work_fns or {}):
+            self._hit_fn = partial(
+                self._work, partial(self._compile, cache=_MemoryTier(self.cache))
+            )
         self._flight = SingleFlight()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._servers = []
@@ -417,9 +456,10 @@ class CompileServer:
         ``deduped: true`` and can re-request untraced work).
         """
         norm = self._normalize(method, params)
-        fn = self._work_fns[method]
         key = method + ":" + json.dumps(norm, sort_keys=True)
-        task, leader = self._flight.task(key, lambda: self._lead(norm, fn, trace_id))
+        task, leader = self._flight.task(
+            key, lambda: self._lead(method, norm, trace_id)
+        )
         if not leader:
             self.registry.inc("serve.dedup_hits")
             self.events.emit(
@@ -470,17 +510,24 @@ class CompileServer:
                 "(the compile continues server-side and will hit the cache)",
             )
 
-    async def _lead(self, norm: dict, fn, trace_id=None) -> dict:
-        """The single-flight leader: run ``fn`` on the worker pool and fold
-        its observations into the live registry."""
-        loop = asyncio.get_running_loop()
+    async def _lead(self, method: str, norm: dict, trace_id=None) -> dict:
+        """The single-flight leader: run the verb's work fn, on the event
+        loop for a memory-tier hit (:meth:`_answer_hit`) and on the worker
+        pool otherwise, and fold its observations into the live registry."""
         self._active_compiles += 1
         try:
-            summary, report, wire = await loop.run_in_executor(
-                self._executor, self._call_traced, fn, norm, trace_id
-            )
+            done = self._answer_hit(method, norm, trace_id)
+            if done is None:
+                done = await asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    self._call_traced,
+                    self._work_fns[method],
+                    norm,
+                    trace_id,
+                )
         finally:
             self._active_compiles -= 1
+        summary, report, wire = done
         if report is not None:
             self.registry.absorb_report(report)
         if summary.get("error"):
@@ -497,9 +544,38 @@ class CompileServer:
             summary = dict(summary, _trace=wire)
         return summary
 
+    def _answer_hit(self, method: str, norm: dict, trace_id):
+        """``_call_traced``'s triple for a built-in compile whose
+        fingerprint the memory tier holds, run on the loop thread: such a
+        hit is a lookup and a tree copy, cheaper than the hop to a worker.
+
+        The check builds the workload (``build_workload`` keeps recent
+        programs) and fingerprints it here.  ``None`` sends the request to
+        the pool: any other verb, an injected compile, a key the memory
+        tier lacks, and one it lost before the read (a worker's ``put``
+        evicted it).  So the loop never compiles and never reads the
+        store."""
+        if method != "compile" or self._hit_fn is None:
+            return None
+        from ..service.fingerprint import fingerprint_request
+        from ..workloads import build_workload
+
+        key = fingerprint_request(
+            build_workload(norm["workload"], norm["size"]),
+            norm["target"],
+            norm["tile_sizes"],
+            norm["startup"],
+        )
+        if not self.cache.in_memory(key):
+            return None
+        try:
+            return self._call_traced(self._hit_fn, norm, trace_id)
+        except _Cold:
+            return None
+
     def _call_traced(self, fn, norm: dict, trace_id):
-        """Worker-thread wrapper: run ``fn`` under a tracing collector when
-        the client traced the request.
+        """Run ``fn`` (on a worker thread, or on the loop for a hit) under
+        a tracing collector when the client traced the request.
 
         Returns ``(summary, report, wire_spans|None)``.  Untraced requests
         skip the collector entirely — the null-span fast path.  A traced
@@ -553,14 +629,14 @@ class CompileServer:
         self.request_shutdown()
         return {"stopping": True, "inflight_compiles": self._active_compiles}
 
-    # -- the real work (worker-pool threads) --------------------------------
+    # -- the real work (worker threads; the loop for a memory-tier hit) -----
 
     def _work(self, body, norm: dict, report):
-        """The built-in work fn of every verb, on a worker thread: open a
-        collector (or reuse ``report``, see ``_call_traced``), build the
-        workload, run the verb's ``body(norm, program)``, time it.  A body
-        that raises answers ``<verb>-error`` rather than taking the
-        request down."""
+        """The built-in work fn of every verb: open a collector (or reuse
+        ``report``, see ``_call_traced``), build the workload, run the
+        verb's ``body(norm, program)``, time it.  A body that raises
+        answers ``<verb>-error`` rather than taking the request down; only
+        :class:`_Cold` passes, back to :meth:`_answer_hit`."""
         from ..workloads import build_workload
 
         t0 = perf_counter()
@@ -568,6 +644,8 @@ class CompileServer:
             program = build_workload(norm["workload"], norm["size"])
             try:
                 summary = body(norm, program)
+            except _Cold:
+                raise
             except Exception as exc:
                 summary = {"error": f"{type(exc).__name__}: {exc}"}
         summary = {
@@ -580,10 +658,11 @@ class CompileServer:
         }
         return summary, report
 
-    def _compile(self, norm: dict, program) -> dict:
-        """One compile through the batch driver, which sees the shared
-        thread-safe cache: a warm fingerprint never compiles and a fresh
-        result is stored for every later request (and process)."""
+    def _compile(self, norm: dict, program, cache) -> dict:
+        """One compile through the batch driver, which sees ``cache``: the
+        shared thread-safe cache on a worker, where a warm fingerprint
+        never compiles and a fresh result is stored for every later
+        request (and process); its :class:`_MemoryTier` on the loop."""
         from ..options import CompileOptions
         from ..service.driver import CompileRequest, compile_batch
 
@@ -594,7 +673,7 @@ class CompileServer:
             startup=norm["startup"],
         )
         (outcome,) = compile_batch(
-            [request], options=CompileOptions(mode="serial", cache=self.cache)
+            [request], options=CompileOptions(mode="serial", cache=cache)
         )
         summary = {
             "target": norm["target"],

@@ -202,21 +202,9 @@ class CompileCache:
         ``fresh()`` is decoded once per entry and handed out as
         ``fresh()`` copies; any other value is decoded anew for every hit.
         A store hit inserts what it decoded, so it is not decoded again."""
-        with self._lock:
-            entry = self._mem.get(key)
-            if entry is not None:
-                self._mem.move_to_end(key)
-        if entry is not None:
-            try:
-                value = entry.obj if entry.obj is not None else _decode(entry.blob)
-            except Exception:
-                with self._lock:
-                    self._evict_memory(key)
-                    self.stats.errors += 1
-            else:
-                with self._lock:
-                    self.stats.memory_hits += 1
-                return entry.hand_out(value)
+        value = self.get_memory(key)
+        if value is not None:
+            return value
         if self.store is not None:
             blob = self.store.get("results", key)
             value = None if blob is None else self._decode_stored("results", key, blob)
@@ -228,6 +216,32 @@ class CompileCache:
         with self._lock:
             self.stats.misses += 1
         return None
+
+    def get_memory(self, key: str):
+        """The memory tier's half of :meth:`get`: the value on a memory
+        hit, counted as ``get`` counts it, else ``None``.  Never reads the
+        store and never counts a miss."""
+        with self._lock:
+            entry = self._mem.get(key)
+            if entry is not None:
+                self._mem.move_to_end(key)
+        if entry is None:
+            return None
+        try:
+            value = entry.obj if entry.obj is not None else _decode(entry.blob)
+        except Exception:
+            with self._lock:
+                self._evict_memory(key)
+                self.stats.errors += 1
+            return None
+        with self._lock:
+            self.stats.memory_hits += 1
+        return entry.hand_out(value)
+
+    def in_memory(self, key: str) -> bool:
+        """Whether the memory tier holds ``key``; counts nothing."""
+        with self._lock:
+            return key in self._mem
 
     def put(self, key: str, value) -> None:
         try:
@@ -243,10 +257,9 @@ class CompileCache:
             self.store.put("results", key, blob)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._mem:
-                return True
-        return self.store is not None and self.store.contains("results", key)
+        return self.in_memory(key) or (
+            self.store is not None and self.store.contains("results", key)
+        )
 
     # -- memory tier -------------------------------------------------------
 

@@ -187,6 +187,213 @@ def test_compile_and_warm_repeat(tmp_path):
     assert st.server._connections == 0
 
 
+class _ThreadLog(CompileCache):
+    """A cache that records the thread of every memory-tier read, store
+    read and store.  With ``lose_after_check`` its memory tier drops a key
+    right after answering that it holds it, as when a worker's ``put``
+    evicts the entry between the daemon's check and its read."""
+
+    def __init__(self, *args, lose_after_check=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lose_after_check = lose_after_check
+        self.threads = []
+        if self.store is not None:
+            store_get = self.store.get
+
+            def logged_store_get(kind, key):
+                self._log("store.get")
+                return store_get(kind, key)
+
+            self.store.get = logged_store_get
+
+    def _log(self, what):
+        self.threads.append((what, threading.current_thread().name))
+
+    def in_memory(self, key):
+        held = super().in_memory(key)
+        if held and self.lose_after_check:
+            self._evict_memory(key)
+        return held
+
+    def get_memory(self, key):
+        self._log("get_memory")
+        return super().get_memory(key)
+
+    def put(self, key, value):
+        self._log("put")
+        super().put(key, value)
+
+
+def test_a_memory_hit_is_answered_on_the_event_loop(tmp_path):
+    cache = _ThreadLog(cache_dir=str(tmp_path / "cache"))
+    config = _config(tmp_path, cache=cache)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            assert c.compile("conv2d", size=16)["from_cache"] is False
+            cold = list(cache.threads)
+            del cache.threads[:]
+            assert c.compile("conv2d", size=16)["from_cache"] is True
+    # The miss read both tiers and stored on a worker; the hit read the
+    # memory tier on the loop thread and nothing else.
+    assert {what for what, _ in cold} == {"get_memory", "store.get", "put"}
+    assert all(t.startswith("repro-serve-worker") for _, t in cold)
+    assert cache.threads == [("get_memory", "repro-serve")]
+
+
+#: A traced hit's daemon spans, recorded at the parent, where every hit
+#: ran on the worker pool: ``(name, parent's name, attribute names,
+#: counters)`` of the first and the second hit of one key.
+TRACED_HIT_SPANS = [
+    [
+        ("serve.request", None, ["trace_id", "workload"], {}),
+        ("compile_batch", "serve.request", ["mode", "requests"],
+         {"driver.requests": 1, "driver.unique_requests": 1,
+          "service.cache.decode": 1, "driver.cache_hits": 1}),
+    ],
+    [
+        ("serve.request", None, ["trace_id", "workload"], {}),
+        ("compile_batch", "serve.request", ["mode", "requests"],
+         {"driver.requests": 1, "driver.unique_requests": 1,
+          "driver.cache_hits": 1}),
+    ],
+]
+
+
+def test_a_traced_hit_on_the_loop_returns_the_pools_span_tree(tmp_path):
+    from repro.obs.distributed import new_trace_id, wire_to_events
+
+    config = _config(tmp_path)
+    trees = []
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            c.compile("conv2d", size=16)
+            for _ in range(2):
+                out = c.compile("conv2d", size=16, trace=new_trace_id())
+                events = wire_to_events(out["trace"])
+                names = {e.id: e.name for e in events}
+                trees.append([
+                    (e.name, names.get(e.parent), sorted(e.attrs), e.counters)
+                    for e in events
+                ])
+    assert trees == TRACED_HIT_SPANS
+
+
+@pytest.mark.parametrize("persistent", [True, False])
+def test_a_key_lost_before_the_read_falls_back_to_the_pool(tmp_path, persistent):
+    """The check says hot, the loop's read comes back empty: the request
+    goes to the pool, which reads the disk tier (or compiles, with no
+    disk tier) on a worker thread and answers as before."""
+    cache = _ThreadLog(
+        cache_dir=str(tmp_path / "cache"), persistent=persistent,
+        lose_after_check=True,
+    )
+    config = _config(tmp_path, cache=cache)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            cold = c.compile("conv2d", size=16)
+            del cache.threads[:]
+            again = c.compile("conv2d", size=16)
+            snap = c.stats()
+    assert again["error"] is None and again["fingerprint"] == cold["fingerprint"]
+    assert again["fusion"] == cold["fusion"]
+    assert again["from_cache"] is persistent
+    loop = [what for what, t in cache.threads if not t.startswith("repro-serve-worker")]
+    assert loop == ["get_memory"]  # the lost read, and nothing else
+    pool = {what for what, t in cache.threads if t.startswith("repro-serve-worker")}
+    assert pool == ({"get_memory", "store.get"} if persistent else {"get_memory", "put"})
+    # The empty read on the loop counted nothing: one miss, the cold one.
+    assert cache.stats.misses == 1 + (not persistent)
+    assert cache.stats.memory_hits == 0
+    assert snap["counters"]["serve.cache_hits" if persistent else "serve.compiles"] >= 1
+
+
+def test_hits_on_the_loop_race_worker_evictions_safely(tmp_path):
+    """Six clients over four keys through a two-entry memory tier: workers
+    evict what the loop has just checked, and every reply is still the
+    key's own result."""
+    import sys
+
+    cache = CompileCache(cache_dir=str(tmp_path / "cache"), max_entries=2)
+    config = _config(tmp_path, cache=cache, workers=2)
+    sizes = (8, 12, 16, 20)
+    expected, errors = {}, []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ServerThread(config):
+            with ServeClient(socket_path=config.socket_path) as c:
+                for size in sizes:
+                    expected[size] = c.compile("conv2d", size=size)["fingerprint"]
+
+            def client(offset):
+                try:
+                    with ServeClient(socket_path=config.socket_path, timeout=60) as c:
+                        for i in range(12):
+                            size = sizes[(offset + i) % len(sizes)]
+                            out = c.compile("conv2d", size=size)
+                            assert out["error"] is None and out["from_cache"] is True
+                            assert out["fingerprint"] == expected[size]
+                except Exception as exc:  # pragma: no cover - surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+            with ServeClient(socket_path=config.socket_path) as c:
+                counters = c.stats()["counters"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert counters["serve.compiles"] == len(sizes)
+    assert counters.get("serve.internal_errors", 0) == 0
+    assert cache.stats.memory_evictions > 0
+
+
+def test_a_memory_hit_does_not_queue_behind_a_compile(tmp_path):
+    """One worker, held by an autotune: a memory-hot compile still
+    answers from the loop, a cold one waits for the worker."""
+    release = threading.Event()
+    calls, lock = [], threading.Lock()
+    config = _config(tmp_path, workers=1)
+    replies = {}
+
+    def in_thread(name, method, **params):
+        def run():
+            with ServeClient(socket_path=config.socket_path) as c:
+                replies[name] = c.call(method, params)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    blocking = {"autotune": _blocking_fn(release, calls, lock)}
+    with ServerThread(config, work_fns=blocking):
+        try:
+            with ServeClient(socket_path=config.socket_path, timeout=30) as c:
+                assert c.compile("conv2d", size=16)["from_cache"] is False
+                tune = in_thread("tune", "autotune", workload="conv2d", size=16)
+                deadline = time.monotonic() + 10
+                while not calls and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert calls, "the autotune never reached the worker"
+                hot = c.compile("conv2d", size=16)
+                assert hot["from_cache"] is True
+                assert not release.is_set() and tune.is_alive()
+                cold = in_thread("cold", "compile", workload="conv2d", size=24)
+                cold.join(0.5)
+                assert cold.is_alive() and "cold" not in replies
+        finally:
+            release.set()
+        tune.join(30)
+        cold.join(60)
+    assert not tune.is_alive() and not cold.is_alive()
+    assert replies["tune"]["error"] is None
+    assert replies["cold"]["from_cache"] is False
+
+
 def _blocking_fn(release, calls, lock, result=None, error=None):
     """A fake compile work fn: waits for ``release``, counts invocations."""
 

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import CompileOptions
 from repro.baselines import (
+    halide_work,
     naive_work,
-    partitioned_result,
     polymage_work,
     scheduled_from_partition,
 )
@@ -74,13 +74,11 @@ def heuristic_cpu_work(prog, heuristic, tile_sizes) -> Tuple[ProgramWork, float]
 
 
 def halide_cpu_work(mod, prog, tile_sizes) -> ProgramWork:
-    res = partitioned_result(prog, mod.halide_partition(prog), tile_sizes, CPU)
-    return analyze_optimized(res)
+    return halide_work(prog, mod.halide_partition(prog), tile_sizes, CPU)
 
 
 def halide_gpu_time(mod, prog, tile_sizes, name: str) -> float:
-    res = partitioned_result(prog, mod.halide_partition(prog), tile_sizes, GPU)
-    t = gpu_time(analyze_optimized(res))
+    t = gpu_time(halide_work(prog, mod.halide_partition(prog), tile_sizes, GPU))
     return t / HALIDE_UNROLL_BONUS.get(name, 1.0)
 
 

@@ -20,7 +20,7 @@ from .interp import (
     run_program,
 )
 from .printer import print_tree, render_linexpr
-from .promotion import PromotedBuffer, promoted_buffers, total_scratch_bytes
+from .promotion import PromotedBuffer, promoted_buffers
 
 __all__ = [
     "ExecutionError",
@@ -35,5 +35,4 @@ __all__ = [
     "promoted_buffers",
     "render_linexpr",
     "run_program",
-    "total_scratch_bytes",
 ]

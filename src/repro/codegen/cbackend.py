@@ -23,7 +23,7 @@ what the optimizer decided, by seven cooperating rules:
   and rectangular full-tile nests carry no ``if`` at all.
 * **Promotion.**  A tensor written only by one extension node's
   statements, read only beneath that node, and neither live-in nor
-  live-out (:func:`repro.codegen.promotion.scratch_sites`) is a
+  live-out (:func:`repro.codegen.promotion.sites_in`) is a
   thread-private buffer the size of its per-tile footprint box, indexed
   ``idx - origin(tile)`` (:func:`repro.codegen.promotion.tile_box`).  So is
   a live-in whose initial contents only its elementwise update reads

@@ -28,7 +28,7 @@ given and by nothing else:
 * **display** (``params is None``, for ``print_tree``): parameters stay
   symbolic, a loop variable is the sanitized band dim name, pieces are the
   sets' own;
-* **executable** (``generate_c``, ``build_streams``, ``scratch_sites``):
+* **executable** (``generate_c``, ``build_streams``):
   parameters are fixed, variables are numbered ``c<n>_<dim>`` in scan
   order, and a statement that reads the tensor it writes has its pieces
   made pairwise disjoint so that no instance runs twice.

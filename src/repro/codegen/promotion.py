@@ -14,11 +14,11 @@ rectangular over-approximation).  Two consumers:
   box with the enclosing loop symbols left free (:func:`tile_box`: the
   layout relation ``element -> slot`` for *every* tile; with no symbol
   free it is the constant box above) and first asks whether a buffer is
-  unobservable: :func:`sites_in` its loop nest (:func:`scratch_sites`
-  for a tree), over the same tensors, with :func:`live_in_tensors` and
-  :func:`updated_in_place`.  The model asks no such question; it prices
-  conv2d's in-place ``A`` as promoted, and C allocates the same box,
-  because only ``A``'s elementwise update reads its initial contents.
+  unobservable: :func:`sites_in` its loop nest, over the same tensors,
+  with :func:`live_in_tensors` and :func:`updated_in_place`.  The model
+  asks no such question; it prices conv2d's in-place ``A`` as promoted,
+  and C allocates the same box, because only ``A``'s elementwise update
+  reads its initial contents.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from ..presburger.fm import (
     projected_bounds,
     rational_feasible,
 )
-from ..schedule import DomainNode
-from .nest import Extension, Leaf, Nest, inner, scan
+from .nest import Extension, Leaf, Nest, inner
 
 
 @dataclass
@@ -147,44 +146,6 @@ def _boxed(tensor: str, m: Optional[Map], tile: RepresentativeTile) -> PromotedB
         return PromotedBuffer(tensor, (0,), 0)
     shape = tuple(e or 0 for e in extents)
     return PromotedBuffer(tensor, shape, footprint_size(m, tile.origin, tile.params))
-
-
-def total_scratch_bytes(
-    buffers: Sequence[PromotedBuffer], itemsize: int = 8
-) -> int:
-    return sum(b.box_elems for b in buffers) * itemsize
-
-
-@dataclass
-class StorageReduction:
-    """How much intermediate storage post-tiling fusion eliminates."""
-
-    tensor: str
-    full_bytes: int          # the unfused allocation (whole tensor)
-    per_tile_bytes: int      # the fused per-tile scratch buffer
-
-    @property
-    def factor(self) -> float:
-        return self.full_bytes / max(self.per_tile_bytes, 1)
-
-
-def storage_reduction(
-    result: OptimizeResult, params: Optional[Mapping[str, int]] = None
-) -> List[StorageReduction]:
-    """Per promoted tensor: full-buffer bytes vs. per-tile scratch bytes.
-
-    This quantifies the paper's "enabling storage reduction and reuse":
-    without post-tiling fusion every intermediate needs its whole tensor
-    in memory; fused, it needs one tile footprint per running tile.
-    """
-    program = result.program
-    params = dict(program.params, **(params or {}))
-    out: List[StorageReduction] = []
-    for buffers in promoted_buffers(result, params).values():
-        for b in buffers:
-            full = program.tensors[b.tensor].size_elems(params) * 8
-            out.append(StorageReduction(b.tensor, full, b.box_elems * 8))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +394,6 @@ def _one_element_each(stmt) -> bool:
             return False
         stepped.append(dims[0])
     return sorted(stepped) == sorted(stmt.dims)
-
-
-def scratch_sites(
-    tree: DomainNode, program: Program
-) -> Tuple[Dict[str, Extension], Dict[str, str]]:
-    """:func:`sites_in` the tree's executable loop nest."""
-    live_in = live_in_tensors(program)
-    return sites_in(
-        scan(tree, program, program.params), program, live_in,
-        updated_in_place(program, live_in),
-    )
 
 
 def sites_in(

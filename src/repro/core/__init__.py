@@ -18,7 +18,6 @@ from .exposed import (
     exposed_tensors,
     intermediate_groups_of,
     producers_of_tensors,
-    upwards_exposed_reads,
 )
 from .footprint import (
     TILE_TUPLE,
@@ -26,7 +25,6 @@ from .footprint import (
     tile_dim_names,
     tile_footprint,
     tile_to_instances,
-    write_footprint,
 )
 from .pipeline import OptimizeResult, optimize
 from .post_fusion import PostFusionError, apply_mixed_schedules
@@ -70,6 +68,4 @@ __all__ = [
     "tile_dim_names",
     "tile_footprint",
     "tile_to_instances",
-    "upwards_exposed_reads",
-    "write_footprint",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..ir import Program
-from ..presburger import Map, UnionMap
 from ..scheduler import FusionGroup
 from .. import obs
 
@@ -39,19 +38,6 @@ def exposed_tensors(
     if exposed:
         obs.count("exposed.tensors", len(exposed))
     return exposed
-
-
-def upwards_exposed_reads(
-    program: Program, group: FusionGroup, tensors: Sequence[str]
-) -> UnionMap:
-    """The read access relations of ``group`` restricted to ``tensors``."""
-    out: List[Map] = []
-    for s in group.statements:
-        stmt = program.statement(s)
-        for (_, tensor), access in stmt.read_relations().maps.items():
-            if tensor in tensors:
-                out.append(access)
-    return UnionMap(out)
 
 
 def producers_of_tensors(

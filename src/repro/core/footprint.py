@@ -109,7 +109,6 @@ _T2I_MEMO = memo.table("tile_to_instances")
 # keys and values pickle by symbol name, so hot entries round-trip through
 # the on-disk compile cache to warm-start future processes.
 _FOOTPRINT_MEMO = memo.table("tile_footprint", spillable=True)
-_WRITE_FP_MEMO = memo.table("write_footprint", spillable=True)
 _DOMAIN_BOX_MEMO = memo.table("domain_box")
 
 
@@ -219,29 +218,16 @@ def _tile_to_instances_miss(
     return _T2I_MEMO.put(key, UnionMap(maps))
 
 
-def _reads(stmt, tensors: Sequence[str]):
-    for (_, tensor), access in stmt.read_relations().maps.items():
-        if tensor in tensors:
-            yield access
-
-
-def _writes(stmt, tensors: Sequence[str]):
-    if stmt.tensor_written() in tensors:
-        yield stmt.write_relation()
-
-
-def _per_tile(
-    table: memo.MemoTable,
-    accesses,
+def _read_footprint(
     program: Program,
     group: FusionGroup,
     tile_sizes: Sequence,
     tensors: Sequence[str],
     tile_dims: Optional[Sequence[str]],
 ) -> UnionMap:
-    """``{ (t) -> T[a] }`` over the ``accesses(stmt, tensors)`` of the
-    group's statements, memoized in ``table``; concrete sizes specialize
-    the symbolic answer where :func:`parametric_binding` applies."""
+    """``{ (t) -> T[a] }`` over the group's reads of ``tensors``, memoized;
+    concrete sizes specialize the symbolic answer where
+    :func:`parametric_binding` applies."""
     key = (
         _group_key(program, group, len(tile_sizes)),
         _reads_key(program, group),
@@ -249,28 +235,31 @@ def _per_tile(
         tuple(tile_dims) if tile_dims is not None else None,
         tuple(tensors),
     )
-    cached = table.get(key)
+    cached = _FOOTPRINT_MEMO.get(key)
     if cached is not memo.MISS:
         return cached
     pb = parametric_binding(program, group, tile_sizes, tile_dims)
     if pb is not None:
         names, binding = pb
-        sym = _per_tile(table, accesses, program, group, names, tensors, tile_dims)
-        return table.put(key, sym.specialize(binding))
+        sym = _read_footprint(program, group, names, tensors, tile_dims)
+        return _FOOTPRINT_MEMO.put(key, sym.specialize(binding))
     t2i = tile_to_instances(program, group, tile_sizes, tile_dims)
     out: List[Map] = []
     for s in group.statements:
         inst = t2i.get((TILE_TUPLE, s))
         if inst is None:
             continue
-        for access in accesses(program.statement(s), tensors):
+        reads = program.statement(s).read_relations().maps
+        for (_, tensor), access in reads.items():
+            if tensor not in tensors:
+                continue
             fp = inst.apply_range(access)
             if not fp.is_empty():
                 out.append(fp)
     # One relation per tensor: UnionMap unites the maps of a shared space.
     result = UnionMap(out)
     obs.count("footprint.relations", len(result))
-    return table.put(key, result)
+    return _FOOTPRINT_MEMO.put(key, result)
 
 
 def tile_footprint(
@@ -286,29 +275,13 @@ def tile_footprint(
     included; results are keyed ``(TILE_TUPLE, tensor)``.
     """
     with obs.span("footprint", group=group.name, tensors=len(tensors)):
-        fp = _per_tile(
-            _FOOTPRINT_MEMO, _reads, program, group, tile_sizes, tensors, tile_dims
-        )
+        fp = _read_footprint(program, group, tile_sizes, tensors, tile_dims)
         obs.annotate(relations=len(fp.maps))
         for m in fp.maps.values():
             obs.observe(
                 "footprint.pieces", len(m.pieces), buckets=(1, 2, 4, 8, 16, 32)
             )
         return fp
-
-
-def write_footprint(
-    program: Program,
-    group: FusionGroup,
-    tile_sizes: Sequence[int],
-    tensors: Sequence[str],
-    tile_dims: Optional[Sequence[str]] = None,
-) -> UnionMap:
-    """Like :func:`tile_footprint` but for writes (used for store traffic)."""
-    with obs.span("write_footprint", group=group.name):
-        return _per_tile(
-            _WRITE_FP_MEMO, _writes, program, group, tile_sizes, tensors, tile_dims
-        )
 
 
 # ---------------------------------------------------------------------------

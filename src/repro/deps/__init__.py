@@ -6,12 +6,9 @@ from .analysis import (
     FLOW,
     OUTPUT,
     dep_distance_bounds,
-    deps_as_union_map,
     flow_deps,
     memory_deps,
-    producer_consumer_tensors,
     row_distance,
-    statement_row_map,
 )
 
 __all__ = [
@@ -20,10 +17,7 @@ __all__ = [
     "FLOW",
     "OUTPUT",
     "dep_distance_bounds",
-    "deps_as_union_map",
     "flow_deps",
     "memory_deps",
-    "producer_consumer_tensors",
     "row_distance",
-    "statement_row_map",
 ]

@@ -17,15 +17,10 @@ tilability decisions in :mod:`repro.scheduler`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..ir import Program, Statement
-from ..presburger import (
-    Constraint,
-    LinExpr,
-    Map,
-    UnionMap,
-)
+from ..ir import Program
+from ..presburger import Constraint, LinExpr, Map
 from ..presburger.fm import bounds_for_symbol, eliminate_symbols
 
 FLOW = "flow"
@@ -141,10 +136,6 @@ def flow_deps(program: Program) -> List[Dependence]:
     return memory_deps(program, kinds=(FLOW,))
 
 
-def deps_as_union_map(deps: Sequence[Dependence]) -> UnionMap:
-    return UnionMap([d.relation for d in deps])
-
-
 def dep_distance_bounds(
     dep: Dependence,
     src_rows: Sequence[LinExpr],
@@ -190,21 +181,3 @@ def row_distance(
         lo = plo if lo is None else (None if plo is None else min(lo, plo))
         hi = phi if hi is None else (None if phi is None else max(hi, phi))
     return (lo, hi) if nonempty else (0, 0)
-
-
-def statement_row_map(stmt: Statement, depth: int) -> List[LinExpr]:
-    """The first ``depth`` iterators of a statement as schedule rows."""
-    rows = [LinExpr.var(d) for d in stmt.dims[:depth]]
-    while len(rows) < depth:
-        rows.append(LinExpr.const_expr(0))
-    return rows
-
-
-def producer_consumer_tensors(program: Program) -> Dict[Tuple[str, str], List[str]]:
-    """Map (producer stmt, consumer stmt) -> tensors flowing between them."""
-    table: Dict[Tuple[str, str], List[str]] = {}
-    for d in memory_deps(program, kinds=(FLOW,)):
-        if d.source == d.target:
-            continue
-        table.setdefault((d.source, d.target), []).append(d.tensor)
-    return table

@@ -8,11 +8,9 @@ from .cost import (
 )
 from .cpu import CPUSpec, DEFAULT_CPU, cluster_time as cpu_cluster_time
 from .cpu import program_time as cpu_time
-from .cpu import speedup_over
 from .gpu import DEFAULT_GPU, GPUSpec
 from .gpu import program_time as gpu_time
 from .npu import ConvLayer, DEFAULT_NPU, NPUSpec, conv_bn_time, network_time
-from .roofline import RooflinePoint, intensity_gain, roofline
 
 __all__ = [
     "CPUSpec",
@@ -24,15 +22,11 @@ __all__ = [
     "GPUSpec",
     "NPUSpec",
     "ProgramWork",
-    "RooflinePoint",
     "analyze_optimized",
     "analyze_scheduled",
     "conv_bn_time",
     "cpu_cluster_time",
     "cpu_time",
     "gpu_time",
-    "intensity_gain",
     "network_time",
-    "roofline",
-    "speedup_over",
 ]

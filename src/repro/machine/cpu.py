@@ -16,7 +16,6 @@ fast-memory term and a parallel-region overhead:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cost import ClusterWork, ProgramWork
 
@@ -72,14 +71,3 @@ def program_time(
 ) -> float:
     return sum(cluster_time(c, threads, spec) for c in work.clusters)
 
-
-def speedup_over(
-    work: ProgramWork,
-    baseline: ProgramWork,
-    threads: int,
-    baseline_threads: Optional[int] = None,
-    spec: CPUSpec = DEFAULT_CPU,
-) -> float:
-    base = program_time(baseline, baseline_threads or threads, spec)
-    ours = program_time(work, threads, spec)
-    return base / ours

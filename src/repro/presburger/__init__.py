@@ -23,7 +23,7 @@ from .parse import (
     parse_union_map,
     parse_union_set,
 )
-from .set_ import Set, lexmax, lexmin
+from .set_ import Set
 from .space import MapSpace, SetSpace, fresh_names
 from .union import UnionMap, UnionSet
 
@@ -41,8 +41,6 @@ __all__ = [
     "MapSpace",
     "ParseError",
     "Set",
-    "lexmax",
-    "lexmin",
     "memo",
     "SetSpace",
     "UnionMap",

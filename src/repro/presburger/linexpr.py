@@ -35,10 +35,6 @@ def clear_intern_table() -> None:
     _INTERN.clear()
 
 
-def intern_table_size() -> int:
-    return len(_INTERN)
-
-
 class LinExpr:
     """An affine expression ``sum(coeff[s] * s) + const`` with integer coeffs.
 

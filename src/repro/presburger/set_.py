@@ -560,57 +560,3 @@ def _subtract_basic(a: BasicSet, b: BasicSet) -> List[BasicSet]:
                 out.append(piece)
         seen.append(c)
     return out
-
-
-def _lex_extreme(s: "Set", maximize: bool, params=None):
-    """Shared implementation of lexmin/lexmax for bounded sets."""
-    from .fm import bounds_for_symbol, eliminate_symbols, find_integer_point
-
-    fixed = s.fix_params(params or {})
-    if fixed.space.params:
-        raise ValueError(
-            f"lex extreme needs bound params, {fixed.space.params} free"
-        )
-    dims = list(fixed.space.dims)
-    best = None
-    for piece in fixed.pieces:
-        binding = {}
-        cons = list(piece.constraints)
-        ok = True
-        for i, dim in enumerate(dims):
-            rest = dims[i + 1:]
-            projected = eliminate_symbols(
-                [c.substitute(binding) for c in cons], rest
-            )
-            lo, hi, _ = bounds_for_symbol(projected, dim, {})
-            if lo is None or hi is None:
-                raise ValueError(f"unbounded dimension {dim}")
-            rng = range(hi, lo - 1, -1) if maximize else range(lo, hi + 1)
-            found = False
-            for val in rng:
-                probe = [c.substitute({**binding, dim: val}) for c in cons]
-                if find_integer_point(probe) is not None:
-                    binding[dim] = val
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if not ok:
-            continue
-        key = tuple(binding[d] for d in dims)
-        if best is None or (key > best if maximize else key < best):
-            best = key
-    if best is None:
-        return None
-    return dict(zip(dims, best))
-
-
-def lexmin(s: "Set", params=None):
-    """The lexicographically smallest point of a bounded set (or None)."""
-    return _lex_extreme(s, maximize=False, params=params)
-
-
-def lexmax(s: "Set", params=None):
-    """The lexicographically largest point of a bounded set (or None)."""
-    return _lex_extreme(s, maximize=True, params=params)

@@ -1,19 +1,11 @@
 """``repro.schedule`` — schedule trees and their transformations."""
 
-from .build import grouped_tree, initial_tree
+from .build import initial_tree
 from .transform import (
     SKIPPED,
-    collect_bands,
-    filter_of_statement,
-    find_filters,
     insert_extension_below,
-    insert_mark_above_child,
-    is_skipped,
     mark_skipped,
-    split_band,
     top_level_filters,
-    tree_statements,
-    unmark_skipped,
 )
 from .tree import (
     BandNode,
@@ -24,7 +16,6 @@ from .tree import (
     MarkNode,
     Node,
     SequenceNode,
-    band_from_dims,
 )
 
 __all__ = [
@@ -37,18 +28,8 @@ __all__ = [
     "Node",
     "SKIPPED",
     "SequenceNode",
-    "band_from_dims",
-    "collect_bands",
-    "filter_of_statement",
-    "find_filters",
-    "grouped_tree",
     "initial_tree",
     "insert_extension_below",
-    "insert_mark_above_child",
-    "is_skipped",
     "mark_skipped",
-    "split_band",
     "top_level_filters",
-    "tree_statements",
-    "unmark_skipped",
 ]

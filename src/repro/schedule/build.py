@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..ir import Program
 from ..presburger import LinExpr
@@ -26,24 +26,4 @@ def initial_tree(program: Program) -> DomainNode:
             child=LeafNode(),
         )
         filters.append(FilterNode([stmt.name], band))
-    return DomainNode(program.domains(), SequenceNode(filters))
-
-
-def grouped_tree(
-    program: Program,
-    groups: Sequence[Sequence[str]],
-    group_bands: Sequence[BandNode],
-) -> DomainNode:
-    """A tree with one filter per fusion group, each rooted at a band.
-
-    ``groups`` lists statement names per fusion group in execution order;
-    ``group_bands[i]`` is the (already constructed) band subtree for group
-    ``i`` — its child typically contains the inner sequence/bands of the
-    group's statements.
-    """
-    if len(groups) != len(group_bands):
-        raise ValueError("groups and group_bands must align")
-    filters = [
-        FilterNode(list(group), band) for group, band in zip(groups, group_bands)
-    ]
     return DomainNode(program.domains(), SequenceNode(filters))

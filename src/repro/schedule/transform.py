@@ -1,13 +1,12 @@
 """Schedule tree manipulation utilities.
 
-These are the primitives Algorithm 2 composes: band splitting into
-tile/point parts, node insertion below a band, subtree skipping via mark
-nodes, and filter lookup.
+These are the primitives Algorithm 2 composes: node insertion below a
+band, subtree skipping via mark nodes, and the top-level filters.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..presburger import UnionMap
 from .tree import (
@@ -22,47 +21,6 @@ from .tree import (
 )
 
 SKIPPED = "skipped"
-
-
-def split_band(band: BandNode, n_outer: int) -> Tuple[BandNode, BandNode]:
-    """Split a band into outer (tile) and inner (point) bands.
-
-    The outer band keeps the first ``n_outer`` dimensions and adopts the
-    inner band as its child.  Returns ``(outer, inner)`` — both freshly
-    allocated; the original band is not mutated.
-    """
-    if not 0 < n_outer < band.n_dims:
-        raise ValueError(
-            f"cannot split a {band.n_dims}-dim band at {n_outer}"
-        )
-    inner = BandNode(
-        {s: rows[n_outer:] for s, rows in band.schedules.items()},
-        band.dim_names[n_outer:],
-        band.permutable,
-        band.coincident[n_outer:],
-        band.child.copy() if band.child else LeafNode(),
-    )
-    outer = BandNode(
-        {s: rows[:n_outer] for s, rows in band.schedules.items()},
-        band.dim_names[:n_outer],
-        band.permutable,
-        band.coincident[:n_outer],
-        inner,
-    )
-    return outer, inner
-
-
-def find_filters(root: Node, predicate: Callable[[FilterNode], bool]) -> List[FilterNode]:
-    return [n for n in root.walk() if isinstance(n, FilterNode) and predicate(n)]
-
-
-def filter_of_statement(root: Node, stmt: str) -> Optional[FilterNode]:
-    """The innermost filter node that contains ``stmt``."""
-    best: Optional[FilterNode] = None
-    for n in root.walk():
-        if isinstance(n, FilterNode) and stmt in n.statements:
-            best = n
-    return best
 
 
 def top_level_filters(root: DomainNode) -> List[FilterNode]:
@@ -84,16 +42,6 @@ def mark_skipped(filt: FilterNode) -> None:
     if isinstance(filt.child, MarkNode) and filt.child.mark == SKIPPED:
         return
     filt.child = MarkNode(SKIPPED, filt.child)
-
-
-def unmark_skipped(filt: FilterNode) -> None:
-    """Remove a ``"skipped"`` mark (Algorithm 3 un-fuses shared spaces)."""
-    if isinstance(filt.child, MarkNode) and filt.child.mark == SKIPPED:
-        filt.child = filt.child.child
-
-
-def is_skipped(filt: FilterNode) -> bool:
-    return isinstance(filt.child, MarkNode) and filt.child.mark == SKIPPED
 
 
 def insert_extension_below(
@@ -130,18 +78,3 @@ def _statements_below(node: Node, fallback: Sequence[str]) -> Tuple[str, ...]:
                 if s not in stmts:
                     stmts.append(s)
     return tuple(stmts) if stmts else tuple(fallback)
-
-
-def insert_mark_above_child(node: Node, mark: str) -> MarkNode:
-    """Wrap ``node.child`` in a mark node (e.g. "kernel"/"thread" for GPU)."""
-    m = MarkNode(mark, node.child)
-    node.child = m
-    return m
-
-
-def collect_bands(root: Node) -> List[BandNode]:
-    return [n for n in root.walk() if isinstance(n, BandNode)]
-
-
-def tree_statements(root: Node) -> Tuple[str, ...]:
-    return _statements_below(root, fallback=())

@@ -230,21 +230,3 @@ class LeafNode(Node):
 
     def _label(self) -> str:
         return "leaf"
-
-
-def band_from_dims(
-    statements: Mapping[str, Sequence[str]],
-    dim_names: Sequence[str],
-    permutable: bool = True,
-    coincident: Optional[Sequence[bool]] = None,
-    child: Optional[Node] = None,
-) -> BandNode:
-    """Identity band over per-statement iterator names.
-
-    ``statements`` maps a statement to the iterator names that feed each of
-    the band's dimensions (aligned positionally with ``dim_names``).
-    """
-    schedules = {
-        s: [LinExpr.var(n) for n in iters] for s, iters in statements.items()
-    }
-    return BandNode(schedules, dim_names, permutable, coincident, child)

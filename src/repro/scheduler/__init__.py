@@ -11,15 +11,9 @@ from .fusion import (
     schedule_program,
 )
 from .parallelism import band_attributes, required_shifts
-from .stages import FusionGroup, group_band, group_of_statement, groups_tree, identity_rows
+from .stages import FusionGroup, group_band, groups_tree, identity_rows
 from .autotune import TuneResult, autotune_tile_sizes
-from .tiling import (
-    tile_all_groups,
-    tile_band,
-    tile_band_multilevel,
-    tile_group,
-    tile_group_multilevel,
-)
+from .tiling import tile_all_groups, tile_band, tile_group
 
 __all__ = [
     "FusionGroup",
@@ -32,7 +26,6 @@ __all__ = [
     "SchedulerError",
     "band_attributes",
     "group_band",
-    "group_of_statement",
     "groups_tree",
     "identity_rows",
     "required_shifts",
@@ -41,7 +34,5 @@ __all__ = [
     "autotune_tile_sizes",
     "tile_all_groups",
     "tile_band",
-    "tile_band_multilevel",
     "tile_group",
-    "tile_group_multilevel",
 ]

@@ -129,9 +129,3 @@ def groups_tree(program: Program, groups: Sequence[FusionGroup]) -> DomainNode:
         filters.append(FilterNode(ordered, band))
     return DomainNode(program.domains(), SequenceNode(filters))
 
-
-def group_of_statement(groups: Sequence[FusionGroup], stmt: str) -> FusionGroup:
-    for g in groups:
-        if stmt in g:
-            return g
-    raise KeyError(f"statement {stmt} not in any group")

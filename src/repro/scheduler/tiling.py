@@ -14,7 +14,7 @@ original iteration space.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..schedule import BandNode, DomainNode, FilterNode
 from .fusion import Scheduled
@@ -96,47 +96,3 @@ def _group_filter(tree: DomainNode, group: FusionGroup) -> FilterNode:
         if set(group.statements) == set(filt.statements):
             return filt
     raise KeyError(f"no top-level filter for group {group.name}")
-
-
-def tile_band_multilevel(
-    band: BandNode, levels: Sequence[Sequence[int]]
-) -> List[BandNode]:
-    """Multi-level tiling (Kim et al. [30]; the NPU's L1/L0 hierarchy).
-
-    ``levels`` lists tile-size vectors outermost-first; each inner level
-    must evenly describe a finer blocking (sizes need not divide, the
-    origin-coordinate semantics handles ragged boundaries).  Returns the
-    new band nodes outermost-first; the innermost point band keeps the
-    original child.
-    """
-    if not levels:
-        raise ValueError("need at least one level of tile sizes")
-    for outer, inner in zip(levels, levels[1:]):
-        for o, i in zip(outer, inner):
-            if i >= o:
-                raise ValueError(
-                    f"inner tile size {i} must be smaller than outer {o}"
-                )
-    bands: List[BandNode] = []
-    current = band
-    for sizes in levels:
-        tile, point = tile_band(current, list(sizes)[: current.n_dims])
-        if bands:
-            bands[-1].child = tile
-        bands.append(tile)
-        current = point
-    bands.append(current)
-    return bands
-
-
-def tile_group_multilevel(
-    tree: DomainNode, group: FusionGroup, levels: Sequence[Sequence[int]]
-) -> Optional[BandNode]:
-    """Apply multi-level tiling to a group's band in the tree."""
-    filt = _group_filter(tree, group)
-    band = filt.child
-    if not isinstance(band, BandNode) or not band.permutable:
-        return None
-    bands = tile_band_multilevel(band, levels)
-    filt.child = bands[0]
-    return bands[0]

@@ -28,9 +28,8 @@ eviction.
 Next to the results the store keeps ``memos``: spilled presburger
 memo-table snapshots (:func:`repro.presburger.memo.snapshot`) keyed by
 *program* fingerprint, so a fresh process compiling the same program
-starts with the hot ``apply_range``/``tile_footprint``/
-``write_footprint`` entries already resident.  ``get_memos_many`` reads
-a whole batch's snapshots in one call.
+starts with the hot ``apply_range``/``tile_footprint`` entries already
+resident.  ``get_memos_many`` reads a whole batch's snapshots in one call.
 
 Each event has one counter: the store counts what happens inside it in
 its own :class:`~repro.service.store.TierStats`, :class:`CacheStats` only

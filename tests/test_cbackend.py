@@ -38,7 +38,7 @@ from repro.codegen.cbackend import (
 from repro.codegen.gpu_mapping import map_to_gpu
 from repro.codegen.loop_order import sink_unit_stride
 from repro.codegen.nest import Loop, inner, scan
-from repro.codegen.promotion import entails, live_in_tensors, scratch_sites, updated_in_place
+from repro.codegen.promotion import entails, live_in_tensors, sites_in, updated_in_place
 from repro.core import optimize
 from repro.ir import ProgramBuilder, TensorStore
 from repro.pipelines import conv2d, polybench, unsharp_mask
@@ -310,6 +310,13 @@ def fused(name, size, tiles=None):
     prog = get_workload(name, size)
     tiles = tiles or default_tile_sizes(name)
     return prog, optimize(prog, CompileOptions(target="cpu", tile_sizes=tiles))
+
+
+def scratch_sites(tree, prog):
+    """The backend's ``(sites, kept)`` for ``tree``'s executable loop nest."""
+    live_in = live_in_tensors(prog)
+    nest = scan(tree, prog, prog.params)
+    return sites_in(nest, prog, live_in, updated_in_place(prog, live_in))
 
 
 def main_of(src):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CompileOptions
-from repro.codegen import print_tree, promoted_buffers, total_scratch_bytes
+from repro.codegen import print_tree, promoted_buffers
 from repro.codegen.promotion import PromotedBuffer, _boxed
 from repro.core import TILE_TUPLE, optimize
 from repro.core.footprint import RepresentativeTile
@@ -75,7 +75,7 @@ class TestPromotion:
 
     def test_total_scratch_bytes(self, result):
         (bufs,) = promoted_buffers(result).values()
-        assert total_scratch_bytes(bufs) == 36 * 8
+        assert sum(b.box_elems for b in bufs) == 36
 
     def test_unsharp_promotes_blur_x(self):
         """blur_y/sharpen/masked form the live-out group (their values stay

@@ -27,7 +27,7 @@ from repro.core import (
 from repro.core.footprint import tile_image
 from repro.pipelines import conv2d
 from repro.scheduler import SMARTFUSE, schedule_program
-from repro.schedule import BandNode, ExtensionNode, is_skipped, top_level_filters
+from repro.schedule import SKIPPED, BandNode, ExtensionNode, MarkNode, top_level_filters
 
 PARAMS = {"H": 6, "W": 6, "KH": 3, "KW": 3}
 
@@ -187,7 +187,8 @@ class TestEndToEnd:
         filters = top_level_filters(result.tree)
         s0_filters = [f for f in filters if f.statements == ("S0",)]
         assert len(s0_filters) == 1
-        assert is_skipped(s0_filters[0])
+        mark = s0_filters[0].child
+        assert isinstance(mark, MarkNode) and mark.mark == SKIPPED
 
     def test_parallelism_not_lost(self):
         prog = conv2d.build(PARAMS)

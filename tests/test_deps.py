@@ -13,11 +13,15 @@ from repro.deps import (
     dep_distance_bounds,
     flow_deps,
     memory_deps,
-    producer_consumer_tensors,
-    statement_row_map,
 )
 from repro.deps.analysis import _join, _lex_lt_pieces
 from repro.pipelines import conv2d
+from repro.presburger import LinExpr
+
+
+def rows_of(stmt, depth):
+    """The first ``depth`` iterators of a statement as schedule rows."""
+    return [LinExpr.var(d) for d in stmt.dims[:depth]]
 
 
 def dep_between(deps, src, dst, tensor=None):
@@ -67,8 +71,8 @@ class TestDistances:
 
     def test_stencil_distance_bounds(self):
         d = dep_between(self.deps, "S0", "S2", "A")
-        src = statement_row_map(self.prog.statement("S0"), 2)
-        dst = statement_row_map(self.prog.statement("S2"), 2)
+        src = rows_of(self.prog.statement("S0"), 2)
+        dst = rows_of(self.prog.statement("S2"), 2)
         bounds = dep_distance_bounds(d, src, dst, self.prog.params)
         # h = h' - kh so distance h - h' in [-(KH-1), 0]
         assert bounds[0] == (-2, 0)
@@ -76,15 +80,15 @@ class TestDistances:
 
     def test_pointwise_distance_is_zero(self):
         d = dep_between(self.deps, "S2", "S3", "C")
-        src = statement_row_map(self.prog.statement("S2"), 2)
-        dst = statement_row_map(self.prog.statement("S3"), 2)
+        src = rows_of(self.prog.statement("S2"), 2)
+        dst = rows_of(self.prog.statement("S3"), 2)
         bounds = dep_distance_bounds(d, src, dst, self.prog.params)
         assert bounds == [(0, 0), (0, 0)]
 
     def test_reduction_self_dep_distance(self):
         d = dep_between(self.deps, "S2", "S2", "C")
         s2 = self.prog.statement("S2")
-        rows = statement_row_map(s2, 4)
+        rows = rows_of(s2, 4)
         bounds = dep_distance_bounds(d, rows, rows, self.prog.params)
         # outer h, w distances are zero; kh/kw carry the reduction
         assert bounds[0] == (0, 0)
@@ -101,12 +105,6 @@ class TestKindsAndGraph:
         # S1 writes C then S2 reads + writes C: flow and output
         assert ("S1", "S2", "flow") in kinds
         assert ("S1", "S2", "output") in kinds
-
-    def test_producer_consumer_table(self):
-        prog = conv2d.build({"H": 6, "W": 6})
-        table = producer_consumer_tensors(prog)
-        assert table[("S0", "S2")] == ["A"]
-        assert "C" in table[("S2", "S3")]
 
 
 # -- the sharing-pairs walk and the Program index against plain scans --------

@@ -7,7 +7,8 @@ must be one of the edges listed in ``ALLOWED`` — so a new upward edge fails
 here instead of growing a cycle.
 ``COMPILER_ORDER`` does the same inside the compiler half, and
 ``test_no_block_is_spelled_twice`` keeps a block of code from being written
-out a second time there.
+out a second time there.  ``test_every_public_def_has_a_reader`` keeps a
+public function or class that only its own test reads out of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import ast
 import os
 from collections import defaultdict
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 LOWER = (
     "presburger", "ir", "deps", "schedule", "scheduler", "core", "codegen",
     "machine", "pipelines", "baselines",
@@ -54,6 +56,21 @@ SPELLED_TWICE = {
     ("presburger/map_.py", "presburger/set_.py"): 1,
     # the keyword lists of the two ``ClusterWork(...)`` calls
     ("machine/cost.py",): 1,
+}
+
+#: Where a public def of ``src/repro`` must be read from.
+READERS = ("src", "benchmarks", "bench", "examples")
+
+#: Public defs that only tests read, as ``file:name -> why``: each is a tool
+#: the tests use to check other code, not the subject of its own test.
+KEEP = {
+    "core/validate.py:validate_tree": "the legality check run on compiled trees",
+    "presburger/parse.py:parse_map": "the text form test inputs are written in",
+    "presburger/parse.py:parse_union_map": "the text form test inputs are written in",
+    "presburger/parse.py:parse_union_set": "the text form test inputs are written in",
+    "codegen/cbackend.py:compiler_available": "the skip guard of the tests that run gcc",
+    "service/cache.py:reset_default_cache": "resets process-wide state between tests",
+    "scheduler/tiling.py:tile_all_groups": "tiles the PPCG comparator trees under test",
 }
 
 
@@ -167,3 +184,79 @@ def test_no_block_is_spelled_twice():
     assert not report, "the same block in two places:\n" + "\n".join(report)
     # The allowlist is exact here too: a block that went away must leave it.
     assert {files: len(w) for files, w in found.items()} == SPELLED_TWICE
+
+
+def _py_files(root):
+    for dirpath, _dirs, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(dirpath, name)
+
+
+def unread_public_defs(package, readers):
+    """``file:name`` (relative to ``package``) of every public top-level
+    function or class under ``package`` that no file under ``readers``
+    names, outside the def itself and the ``__init__`` imports that
+    re-export it."""
+    defs = []
+    for path in _py_files(package):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defs.append((path, node))
+    read = defaultdict(set)  # name -> {(path, line)} where it is named
+    for root in readers:
+        for path in _py_files(root):
+            reexports = os.path.basename(path) == "__init__.py"
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and not reexports:
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    read[name].add((path, node.lineno))
+    unread = []
+    for path, node in defs:
+        body = range(node.lineno, node.end_lineno + 1)
+        if all(p == path and n in body for p, n in read[node.name]):
+            rel = os.path.relpath(path, package).replace(os.sep, "/")
+            unread.append(f"{rel}:{node.name}")
+    return unread
+
+
+def test_every_public_def_has_a_reader():
+    """A public def that only tests read is either a tool the tests check
+    other code with (``KEEP``) or dead code kept alive by its own test."""
+    package = os.path.join(SRC, "repro")
+    readers = [os.path.join(ROOT, r) for r in READERS]
+    unread = unread_public_defs(package, readers)
+    bad = sorted(set(unread) - set(KEEP))
+    assert not bad, "public defs nothing reads:\n" + "\n".join(bad)
+    # The allowlist is exact: a kept def that gained a reader leaves it.
+    assert set(unread) == set(KEEP)
+
+
+def test_an_unread_def_is_reported(tmp_path):
+    """The scan above on a package of four defs: one read by a sibling, one
+    private, one kept and one that nothing reads."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import kept, read, unread\n")
+    (package / "mod.py").write_text(
+        "def read():\n    return 1\n\n\n"
+        "def unread():\n    return unread\n\n\n"
+        "def kept():\n    return 2\n\n\n"
+        "def _private():\n    return 3\n"
+    )
+    (package / "user.py").write_text("from .mod import read\n\nVALUE = read()\n")
+    keep = {"mod.py:kept": "a tool the tests use"}
+    unread = unread_public_defs(str(package), [str(package)])
+    assert sorted(set(unread) - set(keep)) == ["mod.py:unread"]
+    assert set(keep) <= set(unread)

@@ -5,6 +5,7 @@ import pytest
 from repro.pipelines import conv2d
 from repro.presburger import LinExpr, parse_union_map
 from repro.schedule import (
+    SKIPPED,
     BandNode,
     DomainNode,
     ExtensionNode,
@@ -12,17 +13,10 @@ from repro.schedule import (
     LeafNode,
     MarkNode,
     SequenceNode,
-    band_from_dims,
-    collect_bands,
-    filter_of_statement,
     initial_tree,
     insert_extension_below,
-    is_skipped,
     mark_skipped,
-    split_band,
     top_level_filters,
-    tree_statements,
-    unmark_skipped,
 )
 
 
@@ -41,7 +35,7 @@ class TestInitialTree:
         ]
 
     def test_bands_cover_statement_dims(self, tree):
-        bands = collect_bands(tree)
+        bands = [n for n in tree.walk() if isinstance(n, BandNode)]
         by_stmt = {b.statements()[0]: b for b in bands}
         assert by_stmt["S2"].n_dims == 4
         assert by_stmt["S0"].n_dims == 2
@@ -69,48 +63,28 @@ class TestBandNode:
             BandNode({"S": [LinExpr.var("i")]}, ["a"], tile_sizes=[4, 4])
 
     def test_n_parallel_prefix(self):
-        b = band_from_dims({"S": ["i", "j", "k"]}, ["a", "b", "c"],
-                           coincident=[True, True, False])
+        b = BandNode({"S": [LinExpr.var(n) for n in "ijk"]}, ["a", "b", "c"],
+                     coincident=[True, True, False])
         assert b.n_parallel() == 2
 
     def test_copy_is_deep(self, tree):
         clone = tree.copy()
         mark_skipped(top_level_filters(clone)[0])
-        assert not is_skipped(top_level_filters(tree)[0])
-
-
-class TestSplitBand:
-    def test_split(self):
-        b = band_from_dims({"S": ["i", "j"]}, ["a", "b"], coincident=[True, False])
-        outer, inner = split_band(b, 1)
-        assert outer.n_dims == 1 and inner.n_dims == 1
-        assert outer.child is inner
-        assert outer.coincident == [True]
-        assert inner.coincident == [False]
-
-    def test_split_bounds_checked(self):
-        b = band_from_dims({"S": ["i", "j"]}, ["a", "b"])
-        with pytest.raises(ValueError):
-            split_band(b, 0)
-        with pytest.raises(ValueError):
-            split_band(b, 2)
+        assert not isinstance(top_level_filters(tree)[0].child, MarkNode)
 
 
 class TestMarks:
-    def test_mark_and_unmark(self, tree):
+    def test_mark_is_idempotent(self, tree):
         filt = top_level_filters(tree)[0]
         mark_skipped(filt)
-        assert is_skipped(filt)
-        mark_skipped(filt)  # idempotent
-        assert isinstance(filt.child, MarkNode)
+        mark_skipped(filt)
+        assert isinstance(filt.child, MarkNode) and filt.child.mark == SKIPPED
         assert not isinstance(filt.child.child, MarkNode)
-        unmark_skipped(filt)
-        assert not is_skipped(filt)
 
 
 class TestExtensionInsertion:
     def test_insert_below_band(self, tree):
-        filt = filter_of_statement(tree, "S2")
+        (filt,) = [f for f in top_level_filters(tree) if f.statements == ("S2",)]
         band = filt.child
         ext_map = parse_union_map("{ [t0, t1] -> S0[h, w] : t0 <= h < t0 + 4 }")
         node = insert_extension_below(band, ext_map, LeafNode())
@@ -119,6 +93,3 @@ class TestExtensionInsertion:
         seq = node.child
         assert isinstance(seq, SequenceNode)
         assert seq.filters[0].statements == ("S0",)
-
-    def test_tree_statements(self, tree):
-        assert set(tree_statements(tree)) == {"S0", "S1", "S2", "S3"}

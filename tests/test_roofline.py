@@ -1,53 +1,4 @@
-"""Tests for the roofline view of the machine models."""
-
-
-from repro import CompileOptions
-from repro.core import optimize
-from repro.machine import (
-    analyze_optimized,
-    analyze_scheduled,
-    intensity_gain,
-    roofline,
-)
-from repro.pipelines import conv2d, polybench, unsharp_mask
-from repro.scheduler import MINFUSE, schedule_program
-
-
-class TestRoofline:
-    def test_fusion_raises_intensity(self):
-        prog = unsharp_mask.build(512)
-        fused = analyze_optimized(
-            optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 64)))
-        )
-        unfused = analyze_scheduled(schedule_program(prog, MINFUSE), (8, 64))
-        gain = intensity_gain(fused, unfused)
-        assert gain is not None and gain > 1.2
-
-    def test_pointwise_pipeline_is_memory_bound(self):
-        prog = unsharp_mask.build(512)
-        work = analyze_optimized(optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 64))))
-        points = roofline(work, threads=32)
-        assert all(p.bound == "memory" for p in points)
-
-    def test_matmul_is_compute_bound(self):
-        prog = polybench.build_2mm(512)
-        work = analyze_optimized(optimize(prog, CompileOptions(target="cpu", tile_sizes=(32, 32))))
-        points = roofline(work, threads=32)
-        assert any(p.bound == "compute" for p in points)
-
-    def test_balance_scales_with_threads(self):
-        prog = conv2d.build({"H": 128, "W": 128})
-        work = analyze_optimized(optimize(prog, CompileOptions(target="cpu", tile_sizes=(16, 16))))
-        p1 = roofline(work, threads=1)[0]
-        p32 = roofline(work, threads=32)[0]
-        # bandwidth saturates before compute does: balance point rises
-        assert p32.machine_balance > p1.machine_balance
-
-    def test_str_rendering(self):
-        prog = conv2d.build({"H": 64, "W": 64})
-        work = analyze_optimized(optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 8))))
-        text = str(roofline(work)[0])
-        assert "ops/B" in text and "bound" in text
+"""Smoke test of the ``tune`` CLI subcommand at the size the roofline tests used."""
 
 
 class TestCLITune:

@@ -74,14 +74,11 @@ def main():
     mixed = construct_tile_shapes(prog, L, inters, (2, 2))
     ext = mixed.entries[1]
     print(f"  {ext.relation}")
-    blue_inst = ext.instances_for_tile(
-        "S0", {f"{L.name}_o0": 2, f"{L.name}_o1": 0}, PARAMS
-    )
+    s0 = ext.relation[(TILE_TUPLE, "S0")].fix_params(PARAMS)
+    blue_inst = s0.image_of_point({f"{L.name}_o0": 2, f"{L.name}_o1": 0})
     print(f"  blue tile pulls {blue_inst.count_points()} instances of S0")
     print("  paper: { S0[h, w] : 2 <= h <= 5 and 0 <= w <= 3 }  (16 instances)")
-    red_inst = ext.instances_for_tile(
-        "S0", {f"{L.name}_o0": 2, f"{L.name}_o1": 2}, PARAMS
-    )
+    red_inst = s0.image_of_point({f"{L.name}_o0": 2, f"{L.name}_o1": 2})
     overlap = blue_inst.intersect(red_inst)
     print(f"  tile shapes overlap by {overlap.count_points()} instances — "
           "'arbitrary' (overlapped) tile shapes without rescheduling")

@@ -17,7 +17,7 @@ Table I/III compilation-time comparison).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from ..ir import Program
@@ -41,8 +41,9 @@ class OptimizeResult:
 
     Immutable once built, like the :class:`Program` it holds, except for
     ``tree``: the compile cache hands the same ``program``, ``scheduled``
-    and ``mixed`` to every hit and a :meth:`fresh` tree to each.
-    :meth:`fresh` is the only sanctioned way to get another rewritable tree.
+    and ``mixed`` to every hit and a :meth:`fresh` view to each, whose
+    tree is that hit's own.  :meth:`fresh` is the only sanctioned way to
+    get another rewritable tree.
 
     ``work_summary`` holds the machine model's answer for this schedule at
     the program's own parameter values, as plain builtins (one dict per
@@ -70,8 +71,19 @@ class OptimizeResult:
 
     def fresh(self) -> "OptimizeResult":
         """A result whose ``tree`` is an unshared copy: the schedule tree is
-        the one part a consumer rewrites in place (``map_to_gpu``)."""
-        return replace(self, tree=self.tree.copy())
+        the one part a consumer rewrites in place (``map_to_gpu``).
+
+        The copy is made on read: the view shares every field with this
+        result and copies this result's tree the first time its own
+        ``.tree`` is read, so a caller that never reads it (a daemon reply
+        reads ``tile_sizes`` and ``fusion_summary()``) copies nothing.
+        The contract is that nothing rewrites *this* instance's tree once
+        ``fresh()`` was called on it, or a view not yet read would copy
+        the rewritten tree; the compile cache's own instance and
+        ``compile_batch``'s private result keep it.  A view pickles as a
+        plain result holding the tree it would copy, and copies nothing
+        to do so."""
+        return _FreshView.of(self)
 
     def __setstate__(self, state):
         # An entry pickled before ``work_summary`` existed loads as uncosted.
@@ -87,6 +99,42 @@ class OptimizeResult:
                 stmts.extend(g.statements)
             out.append(sorted(stmts, key=self.program.statement_index))
         return out
+
+
+class _FreshView(OptimizeResult):
+    """:meth:`OptimizeResult.fresh`'s copy-on-read result.  ``__dict__``
+    holds the source's fields minus ``tree`` until the first read, which
+    copies ``_source_tree`` into it."""
+
+    __slots__ = ("_source_tree",)
+
+    @classmethod
+    def of(cls, source: OptimizeResult) -> "_FreshView":
+        view = cls.__new__(cls)
+        view.__dict__.update(source.__dict__)
+        if "tree" in view.__dict__:
+            view._source_tree = view.__dict__.pop("tree")
+        else:  # a view not yet read: share what it would copy
+            view._source_tree = source._source_tree
+        return view
+
+    @property
+    def tree(self) -> DomainNode:
+        state = self.__dict__
+        if "tree" not in state:
+            state["tree"] = self._source_tree.copy()
+        return state["tree"]
+
+    @tree.setter
+    def tree(self, value: DomainNode) -> None:
+        self.__dict__["tree"] = value
+
+    def __reduce_ex__(self, protocol):
+        # Rebuilt by calling the class, the one kind of global a cache blob
+        # may name, with the tree this view holds or would copy.
+        state = dict(self.__dict__)
+        state.setdefault("tree", self._source_tree)
+        return OptimizeResult, tuple(state[f.name] for f in fields(OptimizeResult))
 
 
 def optimize(

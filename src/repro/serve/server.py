@@ -21,12 +21,14 @@ Architecture (single event loop + bounded worker pool for misses):
   only the leader does the work.  ``serve.dedup_hits`` counts the
   followers.
 * **Memory-tier hits on the loop** — a built-in ``compile`` whose
-  fingerprint the cache's memory tier holds is a lookup and a tree copy,
-  cheaper than the hop to a worker thread, so the leader answers it on
-  the event loop, through the same work fn with a cache that reads the
-  memory tier only.  If the entry went in between (a worker's ``put``
-  evicted it), the request goes to the pool: the loop never compiles and
-  never reads the disk store.
+  fingerprint the cache's memory tier holds is a lookup that copies no
+  schedule tree (the reply never reads one), cheaper than the hop to a
+  worker thread and than a single-flight round trip, so the request is
+  answered on the event loop before it reaches the single-flight, through
+  the same work fn with a cache that reads the memory tier only.  If the
+  entry went in between (a worker's ``put`` evicted it), the request
+  takes the flight to the pool: the loop never compiles and never reads
+  the disk store.
 * **Worker pool** — everything else (memory misses, disk-tier reads,
   compiles, ``autotune``, injected work fns) runs on a bounded
   ``ThreadPoolExecutor`` and routes through ``compile_batch(mode="serial",
@@ -177,12 +179,10 @@ class CompileServer:
             verb: partial(self._work, body) for verb, body in bodies.items()
         }
         self._work_fns.update(work_fns or {})
-        # The built-in compile of a memory-tier hit, run on the event loop.
-        self._hit_fn = None
+        # What the built-in compile of a memory-tier hit reads, on the loop.
+        self._memory_tier = None
         if self.cache is not None and "compile" not in (work_fns or {}):
-            self._hit_fn = partial(
-                self._work, partial(self._compile, cache=_MemoryTier(self.cache))
-            )
+            self._memory_tier = _MemoryTier(self.cache)
         self._flight = SingleFlight()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._servers = []
@@ -448,27 +448,34 @@ class CompileServer:
         return norm
 
     async def _rpc_work(self, method: str, params: dict, trace_id) -> dict:
-        """Single-flight dedup + trace/lifecycle bookkeeping for one verb.
+        """Memory-tier hit or single-flight dedup, + trace/lifecycle
+        bookkeeping for one verb.
 
-        The flight key ignores the trace id on purpose: identical
-        compiles dedup whether or not they are traced, so only the
-        leader's request gets its span tree back (followers see
+        A hit (:meth:`_answer_hit`) is answered here, synchronously, and
+        never opens a flight: it is the leader of nothing and follows
+        nothing.  The flight key ignores the trace id on purpose:
+        identical compiles dedup whether or not they are traced, so only
+        the leader's request gets its span tree back (followers see
         ``deduped: true`` and can re-request untraced work).
         """
         norm = self._normalize(method, params)
-        key = method + ":" + json.dumps(norm, sort_keys=True)
-        task, leader = self._flight.task(
-            key, lambda: self._lead(method, norm, trace_id)
-        )
-        if not leader:
-            self.registry.inc("serve.dedup_hits")
-            self.events.emit(
-                "request.deduped",
-                trace_id=trace_id,
-                method=method,
-                workload=norm.get("workload"),
+        done = self._answer_hit(method, norm, trace_id)
+        if done is not None:
+            summary, leader = self._record(done), True
+        else:
+            key = method + ":" + json.dumps(norm, sort_keys=True)
+            task, leader = self._flight.task(
+                key, lambda: self._lead(method, norm, trace_id)
             )
-        summary = await self._await_flight(task, method, trace_id)
+            if not leader:
+                self.registry.inc("serve.dedup_hits")
+                self.events.emit(
+                    "request.deduped",
+                    trace_id=trace_id,
+                    method=method,
+                    workload=norm.get("workload"),
+                )
+            summary = await self._await_flight(task, method, trace_id)
         if summary.get("error"):
             self.events.emit(
                 "request.failed",
@@ -511,22 +518,25 @@ class CompileServer:
             )
 
     async def _lead(self, method: str, norm: dict, trace_id=None) -> dict:
-        """The single-flight leader: run the verb's work fn, on the event
-        loop for a memory-tier hit (:meth:`_answer_hit`) and on the worker
-        pool otherwise, and fold its observations into the live registry."""
+        """The single-flight leader: run the verb's work fn on the worker
+        pool and :meth:`_record` what it returns.  A memory-tier hit never
+        gets here (:meth:`_rpc_work` answers it first)."""
         self._active_compiles += 1
         try:
-            done = self._answer_hit(method, norm, trace_id)
-            if done is None:
-                done = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    self._call_traced,
-                    self._work_fns[method],
-                    norm,
-                    trace_id,
-                )
+            done = await asyncio.get_running_loop().run_in_executor(
+                self._executor,
+                self._call_traced,
+                self._work_fns[method],
+                norm,
+                trace_id,
+            )
         finally:
             self._active_compiles -= 1
+        return self._record(done)
+
+    def _record(self, done) -> dict:
+        """Fold a ``_call_traced`` triple's observations into the live
+        registry; returns the summary, with its wire spans as ``_trace``."""
         summary, report, wire = done
         if report is not None:
             self.registry.absorb_report(report)
@@ -546,16 +556,21 @@ class CompileServer:
 
     def _answer_hit(self, method: str, norm: dict, trace_id):
         """``_call_traced``'s triple for a built-in compile whose
-        fingerprint the memory tier holds, run on the loop thread: such a
-        hit is a lookup and a tree copy, cheaper than the hop to a worker.
+        fingerprint the memory tier holds, run on the loop thread before
+        any single-flight: such a hit is a lookup that copies no tree
+        (the cache hands out a copy-on-read view and the reply never
+        reads ``.tree``), cheaper than the hop to a worker.
 
         The check builds the workload (``build_workload`` keeps recent
-        programs) and fingerprints it here.  ``None`` sends the request to
-        the pool: any other verb, an injected compile, a key the memory
-        tier lacks, and one it lost before the read (a worker's ``put``
-        evicted it).  So the loop never compiles and never reads the
-        store."""
-        if method != "compile" or self._hit_fn is None:
+        programs) and fingerprints it here, once: the key becomes the
+        request's fingerprint in :meth:`_compile`.  The hit runs the same
+        ``_work``/``_compile``/``compile_batch`` path as the pool, so a
+        traced hit's span tree is the pool's.  ``None`` sends the request
+        to the single-flight and the pool: any other verb, an injected
+        compile, a key the memory tier lacks, and one it lost before the
+        read (a worker's ``put`` evicted it).  So the loop never compiles
+        and never reads the store."""
+        if method != "compile" or self._memory_tier is None:
             return None
         from ..service.fingerprint import fingerprint_request
         from ..workloads import build_workload
@@ -568,8 +583,9 @@ class CompileServer:
         )
         if not self.cache.in_memory(key):
             return None
+        body = partial(self._compile, cache=self._memory_tier, fingerprint=key)
         try:
-            return self._call_traced(self._hit_fn, norm, trace_id)
+            return self._call_traced(partial(self._work, body), norm, trace_id)
         except _Cold:
             return None
 
@@ -658,11 +674,12 @@ class CompileServer:
         }
         return summary, report
 
-    def _compile(self, norm: dict, program, cache) -> dict:
+    def _compile(self, norm: dict, program, cache, fingerprint=None) -> dict:
         """One compile through the batch driver, which sees ``cache``: the
         shared thread-safe cache on a worker, where a warm fingerprint
         never compiles and a fresh result is stored for every later
-        request (and process); its :class:`_MemoryTier` on the loop."""
+        request (and process); its :class:`_MemoryTier` on the loop, with
+        the ``fingerprint`` :meth:`_answer_hit` already computed."""
         from ..options import CompileOptions
         from ..service.driver import CompileRequest, compile_batch
 
@@ -671,6 +688,7 @@ class CompileServer:
             target=norm["target"],
             tile_sizes=norm["tile_sizes"],
             startup=norm["startup"],
+            _fingerprint=fingerprint,
         )
         (outcome,) = compile_batch(
             [request], options=CompileOptions(mode="serial", cache=cache)

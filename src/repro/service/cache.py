@@ -7,8 +7,11 @@ Keys are the content-addressed fingerprints of
 and, for a value that says how to hand out an unshared copy (``fresh()``),
 the instance decoded from them, at most once; a hit returns
 ``instance.fresh()``, so the part a caller may rewrite is never shared.
-``put`` keeps bytes only and never the caller's object, and a value without
-``fresh()`` is decoded again on every hit.  Every decode goes through
+For an :class:`~repro.core.pipeline.OptimizeResult` that is a copy-on-read
+view: a hit copies no schedule tree until its caller reads ``.tree``, which
+is safe because nothing rewrites the tier's own instance.  ``put`` keeps
+bytes only and never the caller's object, and a value without ``fresh()``
+is decoded again on every hit.  Every decode goes through
 :func:`~repro.service.store.restricted_loads` with :data:`BLOB_GLOBALS`
 and counts ``service.cache.decode``: a blob naming anything but the
 compiler's own value classes is an error, an eviction and a miss, on
@@ -88,7 +91,11 @@ class _Entry:
         self.obj = None
 
     def hand_out(self, value):
-        """What a hit that decoded (or found) ``value`` returns."""
+        """What a hit that decoded (or found) ``value`` returns: the value
+        itself when it has no ``fresh()``, else ``value.fresh()`` after
+        keeping ``value`` as this slot's own instance.  That instance is
+        never handed out, so nothing rewrites it, and the copy-on-read
+        views ``fresh()`` returns may share its tree until they are read."""
         if not hasattr(value, "fresh"):
             return value
         self.obj = value

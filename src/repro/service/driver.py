@@ -366,7 +366,10 @@ def compile_batch(
     """Compile many requests; one outcome per request, same order.
 
     Identical fingerprints are compiled once and the result fanned back
-    out, each duplicate with its own ``fresh()`` tree.  With a cache,
+    out: when a fingerprint has duplicates, every one of its outcomes
+    (the first too) gets its own ``fresh()`` view of the batch's private
+    result, which no caller holds, so rewriting one outcome's tree before
+    another's is read never reaches the other.  With a cache,
     warm fingerprints skip compilation entirely and fresh results are
     stored for the next batch (or process).
 
@@ -385,8 +388,10 @@ def compile_batch(
 
         # Dedupe: first request per fingerprint is the representative.
         unique: Dict[str, int] = {}
+        shared = set()
         for i, out in enumerate(outcomes):
-            unique.setdefault(out.fingerprint, i)
+            if unique.setdefault(out.fingerprint, i) != i:
+                shared.add(out.fingerprint)
         obs.count("driver.requests", len(outcomes))
         obs.count("driver.unique_requests", len(unique))
 
@@ -414,7 +419,7 @@ def compile_batch(
             if cache is not None and error is None:
                 cache.put(fp, result)
 
-        for i, out in enumerate(outcomes):
+        for out in outcomes:
             if out.fingerprint in cached:
                 out.result = cached[out.fingerprint]
                 out.from_cache = True
@@ -422,8 +427,9 @@ def compile_batch(
                 result, error = compiled[out.fingerprint]
                 out.result, out.error = result, error
                 out.seconds = elapsed / max(len(to_compile), 1)
-            if i != unique[out.fingerprint] and hasattr(out.result, "fresh"):
-                # Duplicates of one fingerprint each get their own tree.
+            if out.fingerprint in shared and hasattr(out.result, "fresh"):
+                # Each outcome of a duplicated fingerprint gets its own
+                # view; the result they view stays the batch's.
                 out.result = out.result.fresh()
         if cache is not None:
             obs.count("driver.cache_hits", len(cached))

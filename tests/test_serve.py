@@ -240,6 +240,41 @@ def test_a_memory_hit_is_answered_on_the_event_loop(tmp_path):
     assert cache.threads == [("get_memory", "repro-serve")]
 
 
+def test_a_memory_hit_hashes_once_and_opens_no_flight(tmp_path, monkeypatch):
+    """The key the loop checked is the request's fingerprint, and a hit
+    answers before the single-flight: it is nobody's leader or follower."""
+    from repro.service import driver, fingerprint
+
+    hashes = []
+    real = fingerprint.fingerprint_request
+
+    def counting(*args, **kwargs):
+        hashes.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fingerprint, "fingerprint_request", counting)
+    monkeypatch.setattr(driver, "fingerprint_request", counting)
+    config = _config(tmp_path)
+    with ServerThread(config) as st:
+        flights = []
+        open_flight = st.server._flight.task
+        monkeypatch.setattr(
+            st.server._flight, "task",
+            lambda key, factory: flights.append(key) or open_flight(key, factory),
+        )
+        with ServeClient(socket_path=config.socket_path) as c:
+            assert c.compile("conv2d", size=16)["from_cache"] is False
+            assert len(flights) == 1
+            del hashes[:], flights[:]
+            hot = c.compile("conv2d", size=16)
+            counters = c.stats()["counters"]
+    assert hot["from_cache"] is True and hot["deduped"] is False
+    assert hashes == ["repro-serve"]
+    assert flights == []
+    assert "serve.dedup_hits" not in counters
+    assert counters["serve.cache_hits"] == 1 and counters["serve.compiles"] == 1
+
+
 #: A traced hit's daemon spans, recorded at the parent, where every hit
 #: ran on the worker pool: ``(name, parent's name, attribute names,
 #: counters)`` of the first and the second hit of one key.

@@ -185,6 +185,85 @@ def test_compile_batch_duplicates_each_get_their_own_tree(tmp_path):
         assert len({print_tree(o.result.tree, program) for o in outcomes}) == 1
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_rewriting_a_duplicates_representative_first_never_reaches_the_others(
+    tmp_path, warm
+):
+    """``fresh()`` copies on read, so whatever the duplicates view must not
+    be what the caller rewrites: the representative is mapped before any
+    duplicate's tree is read, and the duplicates still print unmapped."""
+    cache = CompileCache(cache_dir=str(tmp_path))
+    program = build_workload("conv2d", 24)
+    expected = print_tree(
+        optimize(program, CompileOptions(tile_sizes=(8, 8))).tree, program, style="cuda"
+    )
+    requests = [CompileRequest(program, tile_sizes=(8, 8)) for _ in range(3)]
+    options = CompileOptions(mode="serial", cache=cache)
+    if warm:
+        compile_batch(requests[:1], options)
+    first, *duplicates = compile_batch(requests, options)
+    assert [o.from_cache for o in (first, *duplicates)] == [warm] * 3
+    map_to_gpu(first.result)
+    assert print_tree(first.result.tree, program, style="cuda") != expected
+    for out in duplicates:
+        assert print_tree(out.result.tree, program, style="cuda") == expected
+
+
+@pytest.fixture
+def tree_copies(monkeypatch):
+    """Every whole-tree copy (``DomainNode.copy``), as a list."""
+    from repro.schedule import DomainNode
+
+    calls = []
+    real = DomainNode.copy
+
+    def counting(self):
+        calls.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(DomainNode, "copy", counting)
+    return calls
+
+
+def test_a_memory_hit_copies_its_tree_only_when_read(tmp_path, tree_copies):
+    cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
+    program = build_workload("conv2d", 24)
+    miss = cached_optimize(program, _options("conv2d", cache))
+    hits = [cached_optimize(program, _options("conv2d", cache)) for _ in range(3)]
+    assert tree_copies == [] and cache.stats.memory_hits == 3
+    assert hits[0].fusion_summary() == miss.fusion_summary()
+    assert hits[0].tile_sizes == miss.tile_sizes and tree_copies == []
+    tree = hits[0].tree
+    assert len(tree_copies) == 1
+    assert hits[0].tree is tree and len(tree_copies) == 1
+    assert print_tree(tree, program) == print_tree(miss.tree, program)
+    again = hits[0].fresh()  # a view of a read view copies on its own read
+    assert len(tree_copies) == 1 and again.tree is not tree
+    assert len(tree_copies) == 2
+
+
+def test_a_pickled_view_decodes_to_the_eager_result(tmp_path, tree_copies):
+    program = build_workload("conv2d", 24)
+    eager = optimize(program, _options("conv2d"))
+    analyze_optimized(eager)
+    view = eager.fresh()
+    blob = pickle.dumps(view)
+    assert tree_copies == []
+    decoded = restricted_loads(blob, cache_mod.BLOB_GLOBALS)
+    assert type(decoded) is type(eager)
+    assert decoded.work_summary == eager.work_summary != []
+    for style in ("openmp", "cuda"):
+        assert print_tree(decoded.tree, program, style=style) == print_tree(
+            eager.tree, program, style=style
+        )
+    # A view that was read and rewritten pickles its own tree.
+    map_to_gpu(view)
+    mapped = pickle.loads(pickle.dumps(view))
+    assert print_tree(mapped.tree, program, style="cuda") == print_tree(
+        view.tree, program, style="cuda"
+    ) != print_tree(eager.tree, program, style="cuda")
+
+
 def test_memory_tier_copies_share_the_summary_and_not_the_tree(tmp_path, decodes):
     cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
     program = build_workload("conv2d", 24)

@@ -13,7 +13,8 @@ cache is empty but whose presburger memo tables warm-start from the
 snapshot a previous process spilled through the disk cache.  Both runs
 recompile from scratch — only the memo state differs — and the schedule
 trees must hash identically (compiles are byte-deterministic).  Results
-land in ``benchmarks/results/compile_cache.json``.
+land in ``benchmarks/results/compile_cache.json`` (a quick run's in the
+git-ignored ``benchmarks/results/quick/``).
 """
 
 import argparse
@@ -247,7 +248,7 @@ def run(quick: bool = False):
         warm_rows,
     )
     raw = {"cold_warm": cold_raw, "autotune": tune_raw, "warm_start": warm_raw}
-    path = save_results("compile_cache", raw)
+    path = save_results("compile_cache", raw, quick=quick)
     print(f"saved {path}")
     return raw
 

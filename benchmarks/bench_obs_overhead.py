@@ -12,8 +12,10 @@ effect is inside timer noise — so this benchmark bounds it analytically:
 4. assert ``(n_span * c_span + n_count * c_count + n_observe * c_observe)
    / T < 2%``.
 
-Saves ``benchmarks/results/obs_overhead.json``; exits non-zero when the
-bound is violated.
+Saves ``benchmarks/results/obs_overhead.json`` (``--serve``:
+``obs_overhead_serve.json``, which ``--serve --quick`` writes to the
+git-ignored ``benchmarks/results/quick/``); exits non-zero when the bound
+is violated.
 """
 
 import argparse
@@ -264,7 +266,7 @@ def main(argv=None):
             args.requests or (5 if args.quick else 10),
             args.repeats or (3 if args.quick else 5),
         )
-        save_results("obs_overhead_serve", raw)
+        save_results("obs_overhead_serve", raw, quick=args.quick)
         print(
             f"{raw['workload']} (size {raw['size']}): "
             f"{raw['requests'] * raw['repeats']} interleaved warm rounds; "

@@ -24,9 +24,9 @@ the union-level relation memos (``umap_fix``, ``umap_image_of_point``,
 ``uset_bounding_box``), so its hit rate is the end-to-end health check of
 the memo layer.
 
-Saves raw numbers to ``benchmarks/results/presburger_ops.json`` and exits
-non-zero if the memoized mode is not faster than the cold mode (the CI
-smoke job runs ``--quick``).
+Saves raw numbers to ``benchmarks/results/presburger_ops.json`` (``--quick``:
+``benchmarks/results/quick/``) and exits non-zero if the memoized mode is
+not faster than the cold mode (the CI smoke job runs ``--quick``).
 """
 
 import argparse
@@ -319,7 +319,7 @@ def main(argv=None):
         promo_rows,
     )
     raw["promotion_sweep"] = promo_raw
-    save_results("presburger_ops", raw)
+    save_results("presburger_ops", raw, quick=args.quick)
     path = save_perf_snapshot(
         "perf_current",
         perf_gauges(raw),

@@ -14,7 +14,8 @@ the numbers here are gathered.
 The daemon runs in-process on a background thread with an isolated cache
 directory (nothing leaks into ``~/.cache/repro``); clients are real
 blocking sockets.  Results land in ``benchmarks/results/serve.json`` and
-a ``repro-metrics/1`` snapshot in ``benchmarks/results/serve_perf.json``.
+a ``repro-metrics/1`` snapshot in ``benchmarks/results/serve_perf.json``
+(``--quick``: both in the git-ignored ``benchmarks/results/quick/``).
 """
 
 import argparse
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
     raw = run(quick=args.quick)
-    save_results("serve", raw)
+    save_results("serve", raw, quick=args.quick)
     gauges = {
         f"serve.{name}.{kind}_seconds": r[f"{kind}_seconds"]
         for name, r in raw["latency"].items()

@@ -109,9 +109,13 @@ def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[str]
     print()
 
 
-def save_results(name: str, data) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
+def save_results(name: str, data, quick: bool = False) -> str:
+    """Write ``benchmarks/results/<name>.json``.  A ``quick`` (smoke) run
+    writes ``benchmarks/results/quick/<name>.json`` instead, which git
+    ignores: a smoke check leaves the committed results as they are."""
+    out_dir = os.path.join(RESULTS_DIR, "quick") if quick else RESULTS_DIR
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}.json")
     with open(path, "w") as f:
         json.dump(data, f, indent=2, sort_keys=True)
     return path
@@ -122,7 +126,8 @@ def save_perf_snapshot(name: str, gauges: Dict[str, float], **meta) -> str:
 
     ``gauges`` maps metric names to seconds (or other numeric readings);
     the result is what ``repro stats diff`` consumes.  The snapshot lands in
-    ``benchmarks/results/<name>.json``.
+    ``benchmarks/results/<name>.json`` (in ``quick/`` when ``meta`` says
+    ``quick=True``).
     """
     from repro.obs import MetricsRegistry
 
@@ -130,4 +135,4 @@ def save_perf_snapshot(name: str, gauges: Dict[str, float], **meta) -> str:
     for metric, value in gauges.items():
         reg.set_gauge(metric, value)
     reg.meta.update(meta)
-    return save_results(name, reg.snapshot())
+    return save_results(name, reg.snapshot(), quick=bool(meta.get("quick")))

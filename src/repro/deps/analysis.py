@@ -1,10 +1,16 @@
 """Memory-based dependence analysis.
 
-Dependences are computed exactly as relation joins of access maps:
+A dependence relation relates the instances of two statements that touch
+one tensor element:
 
-* flow (RAW): a write composed with the reverse of a later read;
-* anti (WAR): a read composed with the reverse of a later write;
+* flow (RAW): a write and a later read;
+* anti (WAR): a read and a later write;
 * output (WAW): two writes to the same tensor.
+
+Each relation is written down from the two statements' index expressions
+and domain pieces (``f(i) == g(j)`` per tensor dimension), not composed
+from access maps: it is exactly the substitution that composing
+``{ i -> o : o = f(i) }`` with ``{ o -> j : o = g(j) }`` would perform.
 
 "Later" is the program's initial (textual) schedule: the statement order,
 refined by lexicographic order on shared iteration dimensions for
@@ -17,24 +23,23 @@ tilability decisions in :mod:`repro.scheduler`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..ir import Program
-from ..presburger import Constraint, LinExpr, Map
+from ..ir import Program, Statement
+from ..presburger import BasicMap, Constraint, LinExpr, Map, MapSpace, fresh_names
 from ..presburger.fm import bounds_for_symbol, eliminate_symbols
 
 FLOW = "flow"
 ANTI = "anti"
 OUTPUT = "output"
 
-
 @dataclass
 class Dependence:
     """One dependence: instances of ``source`` must run before ``target``.
 
     ``src_dims``/``dst_dims`` record the statements' iterator names aligned
-    with the relation's in/out dimensions (whose names may have been
-    freshened during composition).
+    with the relation's in/out dimensions (the out dimensions are freshened
+    apart from the source's names).
     """
 
     source: str
@@ -68,9 +73,50 @@ def _lex_lt_pieces(m: Map) -> Map:
     return Map(m.space, pieces)
 
 
-def _join(src_access: Map, dst_access: Map) -> Map:
-    """{ i -> j : src touches the same element dst touches }."""
-    return src_access.apply_range(dst_access.reverse())
+def _reads(stmt: Statement) -> Dict[str, List[Sequence[LinExpr]]]:
+    """Per tensor, the index expressions of each load, in load order."""
+    out: Dict[str, List[Sequence[LinExpr]]] = {}
+    for load in stmt.read_loads():
+        out.setdefault(load.tensor, []).append(load.indices)
+    return out
+
+
+def _relation(
+    src: Statement,
+    src_indices: Sequence[Sequence[LinExpr]],
+    dst: Statement,
+    dst_indices: Sequence[Sequence[LinExpr]],
+) -> Map:
+    """{ src[i] -> dst[j] : an access ``f`` of src and ``g`` of dst touch
+    the same element }, one piece per (f, src domain piece, g, dst domain
+    piece) in that order: the src piece's constraints, ``f_k(i) - g_k(j)
+    == 0`` per tensor dimension, the dst piece's constraints, trivially
+    true and repeated ones dropped.  Constraint for constraint and name for
+    name, this is what composing the access maps ``{ i -> o : o = f(i) }``
+    and ``{ o -> j : o = g(j) }`` builds when FM substitutes ``o = f(i)``
+    (for a tensor of rank 0, which eliminates nothing, the composition
+    kept repeated constraints).
+    """
+    taken = src.dims + src.params
+    access_dims = fresh_names([f"o{k}" for k in range(len(src_indices[0]))], taken)
+    out_dims = fresh_names(dst.dims, taken + access_dims)
+    rename = dict(zip(dst.dims, out_dims))
+    params = tuple(dict.fromkeys(src.params + dst.params))
+    space = MapSpace(src.name, src.dims, dst.name, out_dims, params)
+    dst_pieces = [
+        tuple(c.rename(rename) for c in p.constraints) for p in dst.domain.pieces
+    ]
+    dst_indices = [tuple(g.rename(rename) for g in gs) for gs in dst_indices]
+    pieces = []
+    for fs in src_indices:
+        for src_piece in src.domain.pieces:
+            for gs in dst_indices:
+                same = tuple(Constraint.eq(f - g) for f, g in zip(fs, gs))
+                for dst_piece in dst_pieces:
+                    cons = src_piece.constraints + same + dst_piece
+                    cons = dict.fromkeys(c for c in cons if not c.is_trivially_true())
+                    pieces.append(BasicMap._make(space, tuple(cons)))
+    return Map(space, pieces)
 
 
 def memory_deps(
@@ -80,10 +126,8 @@ def memory_deps(
     kinds = set(kinds)
     deps: List[Dependence] = []
     stmts = program.statements
-    writes = [{s.tensor_written(): s.write_relation()} for s in stmts]
-    reads = [
-        {key[1]: m for key, m in s.read_relations().maps.items()} for s in stmts
-    ]
+    writes = [{s.tensor_written(): [s.lhs.indices]} for s in stmts]
+    reads = [_reads(s) for s in stmts]
     for i, src in enumerate(stmts):
         src_writes, src_reads = writes[i], reads[i]
         # Only a statement that reads or writes what src writes, or writes
@@ -116,11 +160,11 @@ def memory_deps(
                     for t in src_writes
                     if t in dst_write
                 ]
-            for kind, tensor, a_map, b_map in pairs:
-                rel = _join(a_map, b_map)
+            for kind, tensor, src_indices, dst_indices in pairs:
+                if same and kind == OUTPUT:
+                    continue  # self output dep carries no ordering news
+                rel = _relation(src, src_indices, dst, dst_indices)
                 if same:
-                    if kind == OUTPUT:
-                        continue  # self output dep carries no ordering news
                     rel = _lex_lt_pieces(rel)
                 if rel.is_empty():
                     continue

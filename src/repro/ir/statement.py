@@ -139,17 +139,18 @@ class Statement:
         cached = _READS_MEMO.get(key)
         if cached is not memo.MISS:
             return cached
-        by_tensor: Dict[str, Map] = {}
+        # One map per tensor, its pieces those of each load's access map in
+        # load order (loads of one tensor share the out dims).
+        by_tensor: Dict[str, List[Map]] = {}
         for load in loads:
-            m = self._access_map(load.tensor, load.indices)
-            tensor = load.tensor
-            if tensor in by_tensor:
-                prev = by_tensor[tensor]
-                rename = dict(zip(m.space.out_dims, prev.space.out_dims))
-                by_tensor[tensor] = prev.union(m.rename_dims(rename))
-            else:
-                by_tensor[tensor] = m
-        return _READS_MEMO.put(key, UnionMap(list(by_tensor.values())))
+            by_tensor.setdefault(load.tensor, []).append(
+                self._access_map(load.tensor, load.indices)
+            )
+        maps = [
+            Map(ms[0].space, [p for m in ms for p in m.pieces])
+            for ms in by_tensor.values()
+        ]
+        return _READS_MEMO.put(key, UnionMap(maps))
 
     def tensors_read(self) -> Tuple[str, ...]:
         read = self.__dict__.get("_tensors_read")

@@ -10,11 +10,26 @@ inputs; a bound that trips means repeated (quadratic) work came back.
 import sys
 
 from repro import obs
-from repro.api import CompileOptions, default_tile_sizes, get_workload, optimize
+from repro.api import (
+    CompileOptions,
+    default_tile_sizes,
+    get_workload,
+    optimize,
+    workload_names,
+)
 from repro.codegen.printer import print_tree
 from repro.core import post_fusion
+from repro.deps import memory_deps
 from repro.ir import Statement
-from repro.presburger import Constraint, LinExpr, MapSpace, SetSpace, UnionMap, memo
+from repro.presburger import (
+    BasicMap,
+    Constraint,
+    LinExpr,
+    MapSpace,
+    SetSpace,
+    UnionMap,
+    memo,
+)
 from repro.scheduler import parallelism, schedule_program
 from repro.scheduler.autotune import autotune_tile_sizes
 
@@ -65,6 +80,51 @@ def test_one_pass_over_the_cold_compile_set_stays_inside_its_counts():
     )
     assert 0 < report.counters["presburger.fm_eliminate"] <= 10_500
     assert 0 < misses <= 13_116
+
+
+def test_read_relations_build_each_access_piece_once(monkeypatch):
+    """A statement's reads of one tensor are one map built from its loads'
+    pieces, not a fold of unions that rebuilds every piece so far (one
+    bilateral_grid statement loads one tensor 64 times; the fold built
+    2,240 ``BasicMap`` objects for bilateral_grid's reads, this bound is
+    77)."""
+    program = get_workload("bilateral_grid", 512)
+    built = []
+    init, make = BasicMap.__init__, BasicMap._make
+
+    def counted_init(self, *args, **kwargs):
+        built.append(True)
+        init(self, *args, **kwargs)
+
+    def counted_make(cls, *args):
+        built.append(True)
+        return make(*args)
+
+    monkeypatch.setattr(BasicMap, "__init__", counted_init)
+    monkeypatch.setattr(BasicMap, "_make", classmethod(counted_make))
+    memo.clear_all()
+    for stmt in program.statements:
+        stmt.read_relations()
+    bound = sum(len(s.read_loads()) * len(s.domain.pieces) for s in program.statements)
+    assert max(len(s.read_loads()) for s in program.statements) >= 64
+    assert 0 < len(built) <= bound
+
+
+def test_dependences_are_written_down_not_composed():
+    """``memory_deps`` substitutes index expressions into each other: no
+    Fourier-Motzkin elimination and no composition of access maps (the
+    parent ran 34 eliminations and 19 ``apply_range`` misses on
+    bilateral_grid)."""
+    for name in workload_names():
+        program = get_workload(name)
+        memo.clear_all()
+        with obs.collect() as report:
+            deps = memory_deps(program)
+        assert deps, name
+        counters = report.counters
+        assert counters.get("presburger.fm_eliminate", 0) == 0, name
+        assert counters.get("presburger.memo.apply_range.miss", 0) == 0, name
+        assert counters.get("presburger.memo.apply_range.hit", 0) == 0, name
 
 
 def test_each_dependence_distance_is_computed_once(monkeypatch):

@@ -14,7 +14,8 @@ from repro.deps import (
     flow_deps,
     memory_deps,
 )
-from repro.deps.analysis import _join, _lex_lt_pieces
+from repro.deps.analysis import _lex_lt_pieces
+from repro.ir import ProgramBuilder
 from repro.pipelines import conv2d
 from repro.presburger import LinExpr
 
@@ -111,8 +112,9 @@ class TestKindsAndGraph:
 
 
 def memory_deps_all_pairs(program, kinds=(FLOW, ANTI, OUTPUT)):
-    """Reference: every pair ``j >= i``, access relations looked up per pair
-    (the loop ``memory_deps`` was before it visited sharing pairs only)."""
+    """Reference: every pair ``j >= i``, each relation composed from the
+    access maps (the loop ``memory_deps`` was before it visited sharing pairs
+    only and wrote its relations down from the index expressions)."""
     kinds = set(kinds)
     deps = []
     stmts = program.statements
@@ -131,7 +133,7 @@ def memory_deps_all_pairs(program, kinds=(FLOW, ANTI, OUTPUT)):
             if OUTPUT in kinds:
                 pairs += [(OUTPUT, t, src_writes[t], dst_write[t]) for t in src_writes if t in dst_write]
             for kind, tensor, a_map, b_map in pairs:
-                rel = _join(a_map, b_map)
+                rel = a_map.apply_range(b_map.reverse())
                 if i == j:
                     if kind == OUTPUT:
                         continue
@@ -163,6 +165,28 @@ class TestSharingPairsAndIndex:
         assert [dep_facts(d) for d in got] == [dep_facts(d) for d in want]
         flow = [dep_facts(d) for d in flow_deps(named_program)]
         assert flow == [f for f in map(dep_facts, want) if f[3] == FLOW]
+
+    def test_memory_deps_writes_down_what_composition_builds(self):
+        """Edge cases no named workload has: a two-piece domain, a strided
+        write, a reversed read, a constant-index reduction, a statement dim
+        named like an access dim and repeated loads."""
+        b = ProgramBuilder("edge_cases", params={"N": 16})
+        n = b.param("N")
+        a = b.tensor("A", (2 * n,))
+        bt = b.tensor("B", (n,))
+        c = b.tensor("C", (1,))
+        i, o0 = b.iters("i", "o0")
+        b.assign("S0", (i,), "0 <= i < 3 or N - 3 <= i < N", a[2 * i], bt[i])
+        b.assign(
+            "S1", (i,), "0 <= i < 2 or 4 <= i < N", bt[i], a[n - 1 - i] + a[i] + a[i]
+        )
+        b.assign("S2", (i,), "0 <= i < 1", c[0], 0)
+        b.reduce("S3", (i,), "0 <= i < 2 * N", c[0], a[i])
+        b.assign("S4", (o0,), "0 <= o0 < N and N >= 2", a[2 * o0], c[0] + bt[o0] + a[o0])
+        program = b.build()
+        got = [dep_facts(d) for d in memory_deps(program)]
+        assert got == [dep_facts(d) for d in memory_deps_all_pairs(program)]
+        assert len(got) == 15
 
     def test_index_lookups_equal_linear_scans(self, named_program):
         p = named_program

@@ -691,28 +691,25 @@ SESSION_COUNTERS = {
     "machine.analyze.reused": 1,
     "post_fusion.extensions_spliced": 2,
     "presburger.fm_box_fast_path": 78,
-    "presburger.fm_eliminate": 268,
+    "presburger.fm_eliminate": 256,
     "presburger.integer_sample": 13,
-    "presburger.memo.access_map.hit": 4,
-    "presburger.memo.access_map.miss": 6,
-    "presburger.memo.apply_range.hit": 10,
-    "presburger.memo.apply_range.miss": 12,
+    "presburger.memo.access_map.hit": 1,
+    "presburger.memo.access_map.miss": 5,
+    "presburger.memo.apply_range.miss": 4,
     "presburger.memo.bounding_box.hit": 7,
     "presburger.memo.bounding_box.miss": 7,
     "presburger.memo.domain_box.hit": 10,
     "presburger.memo.domain_box.miss": 3,
     "presburger.memo.fm_eliminate.hit": 16,
-    "presburger.memo.fm_eliminate.miss": 24,
+    "presburger.memo.fm_eliminate.miss": 18,
     "presburger.memo.fm_eliminate_bounds.hit": 10,
     "presburger.memo.fm_eliminate_bounds.miss": 14,
-    "presburger.memo.map_rename.hit": 11,
-    "presburger.memo.map_rename.miss": 14,
-    "presburger.memo.map_reverse.hit": 14,
-    "presburger.memo.map_reverse.miss": 5,
+    "presburger.memo.map_rename.hit": 1,
+    "presburger.memo.map_rename.miss": 6,
+    "presburger.memo.map_reverse.miss": 1,
     "presburger.memo.map_specialize.miss": 2,
-    "presburger.memo.project_out.hit": 2,
-    "presburger.memo.project_out.miss": 10,
-    "presburger.memo.read_relations.hit": 7,
+    "presburger.memo.project_out.miss": 4,
+    "presburger.memo.read_relations.hit": 3,
     "presburger.memo.read_relations.miss": 4,
     "presburger.memo.set_dedupe.hit": 1,
     "presburger.memo.set_dedupe.miss": 2,

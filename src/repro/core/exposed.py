@@ -9,7 +9,7 @@ producer/consumer structure; no rescheduling is involved.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..ir import Program
 from ..scheduler import FusionGroup
@@ -64,7 +64,8 @@ def intermediate_groups_of(
 ) -> List[FusionGroup]:
     """Transitive producers of ``liveout_group`` among ``groups``.
 
-    Returned nearest-producer-first (the order Algorithm 1 fuses them in).
+    Returned consumers-first by their dependences (the order Algorithm 1
+    fuses them in; see :func:`_consumers_first`).
     Groups that are themselves live-out are *not* included — the paper
     never fuses two live-out computation spaces (Section IV-C).
     """
@@ -88,15 +89,42 @@ def intermediate_groups_of(
             seen.add(id(producer))
             result.append(producer)
             frontier.append(producer)
-    # Reverse topological order — consumers strictly before their
-    # producers — so Algorithm 1 registers a consumer's footprint needs
-    # before fusing the producer, and Algorithm 2 splices producers
-    # *above* (i.e. executing before) their consumers.  Program order is
-    # topological (dependences only point forward), so sorting by the
-    # latest member statement descending is a valid reverse-topological
-    # order.
-    result.sort(
-        key=lambda g: max(program.statement_index(s) for s in g.statements),
-        reverse=True,
-    )
-    return result
+    return _consumers_first(program, result)
+
+
+def _consumers_first(program: Program, groups: List[FusionGroup]) -> List[FusionGroup]:
+    """``groups`` in reverse topological order — consumers strictly before
+    their producers — so Algorithm 1 registers a consumer's footprint needs
+    before fusing the producer, and Algorithm 2 splices producers *above*
+    (i.e. executing before) their consumers.
+
+    Among the groups whose consumers are all placed, the one with the
+    latest member statement goes next.  Program order is topological, but
+    a group's latest statement alone is not: a group may hold a statement
+    that runs after one of its consumers (a dead stage fused with the
+    producer it reads).  A cycle, which a legal grouping cannot have,
+    falls back to that key."""
+
+    def latest(g: FusionGroup) -> int:
+        return max(program.statement_index(s) for s in g.statements)
+
+    group_of = {s: id(g) for g in groups for s in g.statements}
+    consumers = {
+        id(g): {
+            group_of[reader.name]
+            for s in g.statements
+            for reader in program.readers_of(program.statement(s).tensor_written())
+            if reader.name in group_of
+        }
+        - {id(g)}
+        for g in groups
+    }
+    placed: Set[int] = set()
+    order: List[FusionGroup] = []
+    remaining = sorted(groups, key=latest, reverse=True)
+    while remaining:
+        nxt = next((g for g in remaining if consumers[id(g)] <= placed), remaining[0])
+        order.append(nxt)
+        placed.add(id(nxt))
+        remaining.remove(nxt)
+    return order

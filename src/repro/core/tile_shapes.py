@@ -120,7 +120,8 @@ class MixedSchedules:
     """Algorithm 1's output: ordered tiling + extension schedules.
 
     Extension entries always follow the tiling entry of their target group,
-    nearest producer first — the order Algorithm 2 splices them in.
+    each consumer before its producers — the order Algorithm 2 splices
+    them in.
     """
 
     entries: List[MixedEntry] = field(default_factory=list)
@@ -152,8 +153,8 @@ def construct_tile_shapes(
 ) -> MixedSchedules:
     """Algorithm 1: build ``Mixed_Schedules`` for one live-out space.
 
-    ``intermediates`` must be ordered nearest-producer-first (as produced
-    by :func:`repro.core.exposed.intermediate_groups_of`).
+    ``intermediates`` must be ordered consumers before their producers (as
+    :func:`repro.core.exposed.intermediate_groups_of` returns them).
     """
     mixed = MixedSchedules()
     _algorithm1(program, liveout, list(intermediates), tile_sizes, target, mixed)

@@ -31,7 +31,10 @@ from .tensor import Tensor
 #: defaulted) sizes, so v3 cached results deserialize with stale fields.
 #: v5: request keys hash the program's digest, not the program again.
 #: v6: apply_range lists a composition's constraints in another order.
-SCHEMA_VERSION = 6
+#: v7: a result entry starts with its work summary as a JSON header, and
+#: intermediate spaces are ordered by their dependences (a program whose
+#: groups interleave in program order compiled to an illegal tree).
+SCHEMA_VERSION = 7
 
 SALT = f"repro-compile-v{SCHEMA_VERSION}"
 

@@ -5,6 +5,7 @@ from .cost import (
     ProgramWork,
     analyze_optimized,
     analyze_scheduled,
+    reuse_summary,
 )
 from .cpu import CPUSpec, DEFAULT_CPU, cluster_time as cpu_cluster_time
 from .cpu import program_time as cpu_time
@@ -29,4 +30,5 @@ __all__ = [
     "cpu_time",
     "gpu_time",
     "network_time",
+    "reuse_summary",
 ]

@@ -166,6 +166,15 @@ def _dram_read_bytes(
 # analyzers
 
 
+def reuse_summary(summary: Sequence[Mapping]) -> ProgramWork:
+    """The work a ``work_summary`` records, counted as
+    ``machine.analyze.reused``: how :func:`analyze_optimized` answers a
+    costed result, and how the autotuner costs a candidate from the
+    summary the compile cache hands out without the result."""
+    obs.count("machine.analyze.reused")
+    return ProgramWork.from_builtins(summary)
+
+
 def analyze_optimized(
     result: OptimizeResult,
     params: Optional[Mapping[str, int]] = None,
@@ -203,8 +212,7 @@ def analyze_optimized(
     if overlap == "exact" and params == program.params:
         summary = getattr(result, "work_summary", None)
     if summary:
-        obs.count("machine.analyze.reused")
-        return ProgramWork.from_builtins(summary)
+        return reuse_summary(summary)
     obs.count("machine.analyze.computed")
     buffers = promoted_buffers(result, params)
     clusters: List[ClusterWork] = []

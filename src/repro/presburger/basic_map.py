@@ -17,6 +17,19 @@ _RENAME_MEMO = memo.table("map_rename")
 _SPECIALIZE_MEMO = memo.table("map_specialize", spillable=True)
 
 
+def composed_space(left: MapSpace, right: MapSpace) -> MapSpace:
+    """The space of ``left`` composed with ``right``: ``right``'s out dims,
+    renamed away from every name of ``left``."""
+    taken = set(left.in_dims) | set(left.out_dims) | set(left.params)
+    return MapSpace(
+        left.in_name,
+        left.in_dims,
+        right.out_name,
+        tuple(fresh_names(list(right.out_dims), taken)),
+        tuple(dict.fromkeys(left.params + right.params)),
+    )
+
+
 class BasicMap:
     """An integer relation ``{ in[dims] -> out[dims] : constraints }``."""
 
@@ -155,27 +168,18 @@ class BasicMap:
             return cached
         # Name other's in-dims after our out-dims (the shared middle tuple)
         # and its out-dims away from ours, then project the middle out.
-        taken = set(self.space.in_dims) | set(self.space.out_dims) | set(self.space.params)
-        other_out = fresh_names(list(other.space.out_dims), taken)
+        out_space = composed_space(self.space, other.space)
         rename = dict(zip(other.space.in_dims, self.space.out_dims))
-        rename.update(zip(other.space.out_dims, other_out))
-        params = tuple(dict.fromkeys(self.space.params + other.space.params))
+        rename.update(zip(other.space.out_dims, out_space.out_dims))
         joint = BasicSet(
             SetSpace(
                 "_join",
-                self.space.in_dims + self.space.out_dims + tuple(other_out),
-                params,
+                self.space.in_dims + self.space.out_dims + out_space.out_dims,
+                out_space.params,
             ),
             self.constraints + tuple(c.rename(rename) for c in other.constraints),
         )
         projected = joint.project_out(self.space.out_dims)
-        out_space = MapSpace(
-            self.space.in_name,
-            self.space.in_dims,
-            other.space.out_name,
-            tuple(other_out),
-            params,
-        )
         return _APPLY_MEMO.put(key, BasicMap(out_space, projected.constraints))
 
     def apply_to_set(self, bset: BasicSet) -> BasicSet:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import memo
-from .basic_map import BasicMap
+from .basic_map import BasicMap, composed_space
 from .basic_set import BasicSet
 from .constraint import EQ
 from .fm import eliminate_symbols_for_bounds, eval_bounds, symbol_bounds
@@ -144,15 +144,7 @@ class Map:
                 space = piece.space
                 out.append(piece)
         if space is None:
-            params = tuple(dict.fromkeys(self.space.params + other.space.params))
-            space = MapSpace(
-                self.space.in_name,
-                self.space.in_dims,
-                other.space.out_name,
-                other.space.out_dims,
-                params,
-            )
-            return Map(space, [])
+            return Map(composed_space(self.space, other.space), [])
         # Align piece out-dim names (fresh_names may differ across pieces).
         canon = out[0].space
         aligned = []

@@ -11,9 +11,13 @@ tile size space").
 This tuner evaluates candidates against the analytical machine models,
 which plays the role of PolyMage's empirical re-runs.  The search is
 exhaustive: every in-range grid point is compiled (through the batch
-driver + parametric specialization) and costed.  With a cache, a repeated
-sweep is all hits that carry their cost, so it compiles and analyses
-nothing.
+driver + parametric specialization) and costed.  With a cache, each
+candidate is first looked up with ``CompileCache.get_summary``: every
+result entry starts with the machine model's answer for it, as a JSON
+header in front of the pickled result, and a candidate the cache answers
+that way is costed from the header alone.  A repeated sweep therefore
+compiles, analyses and unpickles nothing; only the candidates the cache
+cannot answer go to the batch driver.
 """
 
 from __future__ import annotations
@@ -155,16 +159,17 @@ def _evaluate(
 ) -> None:
     """Exactly specialize and cost ``combos``, folding into ``result``.
 
-    The requests are tagged as candidates, so the driver costs each where
-    it compiles it and stores it with its ``work_summary``;
-    ``analyze_optimized`` below reads that on a miss and on every later hit
-    (or raises again what the driver swallowed: same failure string).
+    With a cache, a candidate whose entry carries its ``work_summary`` is
+    costed from that summary alone (``CompileCache.get_summary``: no
+    decode, no compile).  The rest are tagged as candidates, so the driver
+    costs each where it compiles it and stores it with its summary;
+    ``analyze_optimized`` below reads that on a miss and on a hit whose
+    entry was stored uncosted (or raises again what the driver swallowed:
+    same failure string).
     """
-    from ..machine import analyze_optimized, cpu_time, gpu_time
+    from ..machine import analyze_optimized, cpu_time, gpu_time, reuse_summary
     from ..service.driver import CompileRequest, compile_batch
 
-    if not combos:
-        return
     spec = opts.target
     requests = [
         CompileRequest(
@@ -173,14 +178,27 @@ def _evaluate(
         )
         for sizes in combos
     ]
-    outcomes = compile_batch(requests, options=opts.replace(tile_sizes=None))
-    for sizes, outcome in zip(combos, outcomes):
-        if outcome.error is not None:
+    summaries = {}
+    if opts.cache is not None:
+        for request in requests:
+            summary = opts.cache.get_summary(request.fingerprint)
+            if summary is not None:
+                summaries[request.tile_sizes] = summary
+    rest = [r for r in requests if r.tile_sizes not in summaries]
+    outcomes = {}
+    if rest:
+        batch = compile_batch(rest, options=opts.replace(tile_sizes=None))
+        outcomes = {o.request.tile_sizes: o for o in batch}
+    for sizes in combos:
+        if sizes not in summaries and outcomes[sizes].error is not None:
             # Infeasible tiling (tiny domains etc.).
-            result.failures[sizes] = outcome.error
+            result.failures[sizes] = outcomes[sizes].error
             continue
         try:
-            work = analyze_optimized(outcome.result)
+            if sizes in summaries:
+                work = reuse_summary(summaries[sizes])
+            else:
+                work = analyze_optimized(outcomes[sizes].result)
             t = (
                 gpu_time(work)
                 if spec.name == "gpu"

@@ -1,21 +1,30 @@
 """Two-tier compile-result cache: in-process LRU over one directory.
 
 Keys are the content-addressed fingerprints of
-:mod:`repro.service.fingerprint`; values are pickled
-:class:`~repro.core.pipeline.OptimizeResult` objects.  A memory-tier entry
+:mod:`repro.service.fingerprint`; values are
+:class:`~repro.core.pipeline.OptimizeResult` objects.  A result entry is a
+4-byte big-endian length, a JSON header of that length holding the
+value's ``work_summary`` (``[]`` when it has none), then the value's
+pickle.  :meth:`CompileCache.get_summary` reads the header alone, so an
+autotuner costs a warm candidate without unpickling its result; the
+header is parsed with ``json`` and checked against ``ClusterWork``'s
+fields, and one that does not parse is an error, an eviction and a miss,
+like a blob that does not decode.  A memory-tier entry
 (bounded by entry count and total encoded size) keeps the encoded bytes
 and, for a value that says how to hand out an unshared copy (``fresh()``),
 the instance decoded from them, at most once; a hit returns
-``instance.fresh()``, so the part a caller may rewrite is never shared.
+``instance.fresh()``, so the part a caller may rewrite is never shared
+(and ``get_summary`` reads that instance's ``work_summary`` once it
+exists, since what an analysis filled in after the put is only there).
 For an :class:`~repro.core.pipeline.OptimizeResult` that is a copy-on-read
 view: a hit copies no schedule tree until its caller reads ``.tree``, which
 is safe because nothing rewrites the tier's own instance.  ``put`` keeps
 bytes only and never the caller's object, and a value without ``fresh()``
-is decoded again on every hit.  Every decode goes through
-:func:`~repro.service.store.restricted_loads` with :data:`BLOB_GLOBALS`
-and counts ``service.cache.decode``: a blob naming anything but the
-compiler's own value classes is an error, an eviction and a miss, on
-every tier.
+is decoded again on every hit.  Every decode (of a result: of the pickle
+after its header) is one :func:`~repro.service.store.restricted_loads`
+call with :data:`BLOB_GLOBALS` and counts ``service.cache.decode``: a
+blob naming anything but the compiler's own value classes is an error,
+an eviction and a miss, on every tier.
 
 Below the memory tier, :class:`CompileCache` is a *policy* over one
 :class:`~repro.service.store.LocalStore`: the sharded on-disk layout
@@ -48,8 +57,12 @@ publishes a whole instance.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import os
 import pickle
+import struct
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -75,8 +88,55 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-def _decode(blob: bytes):
+#: A result entry's prefix: the byte length of the JSON header after it.
+_HEADER_LEN = struct.Struct(">I")
+
+
+def _frame(value, blob: bytes) -> bytes:
+    """A result entry: the value's ``work_summary`` (``[]`` when it has
+    none) as a length-prefixed JSON header, then the value's pickle."""
+    header = json.dumps(getattr(value, "work_summary", None) or []).encode()
+    return _HEADER_LEN.pack(len(header)) + header + blob
+
+
+def _split(blob: bytes) -> Tuple[bytes, int]:
+    """A result entry's JSON header and the offset its pickle starts at."""
+    (size,) = _HEADER_LEN.unpack_from(blob)
+    start = _HEADER_LEN.size + size
+    if start > len(blob):
+        raise ValueError("truncated cache entry header")
+    return blob[_HEADER_LEN.size:start], start
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster_fields() -> frozenset:
+    from ..machine import ClusterWork
+
+    return frozenset(f.name for f in dataclasses.fields(ClusterWork))
+
+
+#: What a header that does not parse raises: a short prefix, bytes that are
+#: not JSON or not UTF-8, the wrong shape, nesting deeper than the parser.
+_BAD_HEADER = (struct.error, ValueError, RecursionError)
+
+
+def _summary(blob: bytes) -> Optional[list]:
+    """The ``work_summary`` a result entry's header holds, ``None`` when it
+    holds none.  Parsed as JSON, never unpickled; anything but a list of
+    dicts keyed by exactly ``ClusterWork``'s fields raises."""
+    summary = json.loads(_split(blob)[0])
+    if not isinstance(summary, list) or not all(
+        isinstance(c, dict) and c.keys() == _cluster_fields() for c in summary
+    ):
+        raise ValueError("malformed work summary in a cache entry header")
+    return summary or None
+
+
+def _decode(blob: bytes, kind: str):
+    """The value of an entry: for a result, its pickle after the header."""
     obs.count("service.cache.decode")
+    if kind == "results":
+        blob = blob[_split(blob)[1]:]
     return restricted_loads(blob, BLOB_GLOBALS)
 
 
@@ -195,7 +255,7 @@ class CompileCache:
         """The value of a store hit, or ``None`` after evicting a blob
         that does not decode."""
         try:
-            return _decode(blob)
+            return _decode(blob, kind)
         except Exception:
             self.store.delete(kind, key)
             with self._lock:
@@ -234,7 +294,9 @@ class CompileCache:
         if entry is None:
             return None
         try:
-            value = entry.obj if entry.obj is not None else _decode(entry.blob)
+            value = entry.obj
+            if value is None:
+                value = _decode(entry.blob, "results")
         except Exception:
             with self._lock:
                 self._evict_memory(key)
@@ -244,6 +306,55 @@ class CompileCache:
             self.stats.memory_hits += 1
         return entry.hand_out(value)
 
+    def get_summary(self, key: str) -> Optional[list]:
+        """The ``work_summary`` of the cached result, read without decoding
+        the result: ``None`` on a miss and for an entry that holds none.
+
+        The memory tier answers from its own instance once that is decoded
+        and from the entry's header otherwise; then the store.  A summary
+        hit counts and tiers as :meth:`get` does (``memory_hits`` or
+        ``disk_hits``, and a store hit is inserted into the memory tier);
+        anything else counts nothing.  A store miss is one ``exists``
+        check, and a header that does not parse is an error and an
+        eviction, like a blob that does not decode."""
+        with self._lock:
+            entry = self._mem.get(key)
+            if entry is not None:
+                self._mem.move_to_end(key)
+        if entry is not None and entry.obj is not None:
+            summary = getattr(entry.obj, "work_summary", None) or None
+        elif entry is not None:
+            try:
+                summary = _summary(entry.blob)
+            except _BAD_HEADER:
+                with self._lock:
+                    self._evict_memory(key)
+                    self.stats.errors += 1
+                entry = None
+        if entry is not None:
+            if summary is not None:
+                with self._lock:
+                    self.stats.memory_hits += 1
+            return summary
+        if self.store is None or not self.store.contains("results", key):
+            return None
+        blob = self.store.get("results", key)
+        if blob is None:
+            return None
+        try:
+            summary = _summary(blob)
+        except _BAD_HEADER:
+            self.store.delete("results", key)
+            with self._lock:
+                self.stats.errors += 1
+                self.stats.disk_evictions += 1
+            return None
+        if summary is not None:
+            with self._lock:
+                self.stats.disk_hits += 1
+                self._insert_memory(key, blob)
+        return summary
+
     def in_memory(self, key: str) -> bool:
         """Whether the memory tier holds ``key``; counts nothing."""
         with self._lock:
@@ -251,7 +362,7 @@ class CompileCache:
 
     def put(self, key: str, value) -> None:
         try:
-            blob = pickle.dumps(value)
+            blob = _frame(value, pickle.dumps(value))
         except Exception:
             with self._lock:
                 self.stats.errors += 1

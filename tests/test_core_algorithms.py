@@ -206,6 +206,46 @@ class TestEndToEnd:
         assert result.compile_seconds > 0
 
 
+def _dead_stage_beside_its_producer():
+    """``pw0`` feeds two 3-point stencils that ``cb4`` combines, and a dead
+    ``pw2`` reads it too: startup fusion puts ``pw0`` and ``pw2`` in one
+    group, whose latest statement runs after the stencil ``sx1`` reads."""
+    from repro.pipelines.common import Image, ImagePipeline
+
+    p = ImagePipeline("dead_stage")
+    img = p.source("in_img", 18, 18)
+    pw0 = p.pointwise("pw0", [img], lambda a: a * 1.5 + 0.25)
+    sx1 = p.stencil("sx1", pw0, [(0, 0), (0, 1), (0, 2)])
+    p.pointwise("pw2", [pw0], lambda a: a * 1.5 + 0.25)
+    sx3 = p.stencil("sx3", pw0, [(0, 0), (0, 1), (0, 2)])
+    a, b = Image(sx1.tensor, 18, 16), Image(sx3.tensor, 18, 16)
+    out = p.pointwise("cb4", [a, b], lambda x, y: x + y * 0.5)
+    return p.build([out])
+
+
+def test_a_producer_is_ordered_after_its_consumers_not_by_its_latest_statement():
+    """Intermediate spaces come consumers first by their dependences: the
+    group holding ``pw0`` and the dead ``pw2`` goes after ``sx1``, which
+    reads ``pw0``, so ``pw0``'s instances are spliced to run first."""
+    import numpy as np
+
+    from repro.codegen import execute_naive, make_store, run_program
+    from repro.core.validate import validate_tree
+
+    prog = _dead_stage_beside_its_producer()
+    sched = schedule_program(prog, SMARTFUSE)
+    (liveout,) = liveout_groups(prog, sched.groups)
+    inters = intermediate_groups_of(prog, liveout, sched.groups)
+    assert [list(g.statements) for g in inters] == [["S1_sx1"], ["S0_pw0", "S2_pw2"]]
+
+    result = optimize(prog, CompileOptions(target="cpu", tile_sizes=(4, 4)))
+    assert validate_tree(result.tree, prog, max_pairs_per_dep=4000).ok
+    ref = make_store(prog)
+    execute_naive(prog, ref)
+    store, _ = run_program(prog, result.tree)
+    np.testing.assert_allclose(store["t_cb4"], ref["t_cb4"], rtol=1e-9, atol=1e-12)
+
+
 class TestWhyASpaceStaysOut:
     """Algorithm 1 names the reason it leaves a space out of a tile, on the
     ``fuse_space`` span and as ``tile_shapes.rejected.<reason>``, beside

@@ -4,6 +4,7 @@ import pytest
 
 from repro.presburger import (
     EnumerationError,
+    Map,
     ParseError,
     enumerate_points,
     enumerate_set_points,
@@ -76,6 +77,16 @@ class TestUnionAlgebra:
         img = h[("S", "U")].image_of_point({"i": 3})
         (dim,) = img.space.dims
         assert img.sample()[dim] == 7
+
+    def test_composing_an_empty_map_names_its_dims_like_a_nonempty_one(self):
+        f = parse_map("{ S[i] -> A[o0] : o0 = i and 0 <= i < 4 }")
+        g = parse_map("{ A[o0] -> S[i] : i = o0 and 0 <= o0 < 4 }")
+        full = f.apply_range(g)
+        assert full.space.out_dims == ("i_1",)
+        for left, right in ((Map.empty(f.space), g), (f, Map.empty(g.space))):
+            composed = left.apply_range(right)
+            assert composed.is_empty() and not composed.pieces
+            assert composed.space == full.space
 
     def test_union_subtract_and_subset(self):
         a = parse_union_set("{ S[i] : 0 <= i < 10 }")

@@ -6,7 +6,9 @@ warm sweeps, equal tuner results however the summary got there (or did not),
 and the calls that must neither read nor write it.
 """
 
+import json
 import pickle
+import struct
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.machine import analyze_optimized, cost
 from repro.scheduler.autotune import autotune_tile_sizes
 from repro.service.cache import BLOB_GLOBALS, CompileCache
 from repro.service.driver import CompileRequest, compile_batch
+from repro.service.store import LocalStore
 from repro.workloads import get_workload
 
 GRID = (8, 16, 32, 64, 128)   # the benchmark's 25 points
@@ -237,3 +240,121 @@ def test_statement_memos_are_never_pickled():
     assert [s.tensors_read() for s in clone.statements] == [
         s.tensors_read() for s in program.statements
     ]
+
+
+# -- the summary read: a warm sweep decodes nothing ------------------------
+
+
+def _cold(tmp_path, candidates=GRID, size=256):
+    """conv2d's cold sweep into ``tmp_path``, its cache and its counters."""
+    program = get_workload("conv2d", size)
+    cache = CompileCache(cache_dir=str(tmp_path))
+    tuned, counted = _sweep(program, cache, candidates)
+    keys = {
+        sizes: CompileRequest(program, tile_sizes=sizes).fingerprint
+        for sizes in tuned.evaluations
+    }
+    return program, tuned, cache, counted, keys
+
+
+def test_a_warm_sweep_decodes_no_entry(tmp_path):
+    program, cold, _cache, _counted, _keys = _cold(tmp_path)
+    warm_cache = CompileCache(cache_dir=str(tmp_path))
+    warm, counted = _sweep(program, warm_cache)
+    assert "service.cache.decode" not in counted
+    assert warm_cache.stats.disk_hits == 25
+    assert counted["machine.analyze.reused"] == 25
+    assert list(warm.evaluations.items()) == list(cold.evaluations.items())
+    assert _answers(warm) == _answers(cold)
+
+
+def test_a_cold_sweep_reads_each_entry_once(tmp_path):
+    """25 store reads, not 50: a summary miss is an ``exists`` check."""
+    _program, cold, cache, counted, _keys = _cold(tmp_path)
+    assert len(cold.evaluations) == 25
+    memo_reads = cache.stats.memo_hits + cache.stats.memo_misses
+    assert memo_reads == 1  # the program's snapshot, before compiling
+    assert cache.store.stats.get("gets") - memo_reads == 25
+    assert cache.stats.misses == 25 and cache.stats.stores == 25
+    assert "service.cache.decode" not in counted
+
+
+def test_the_header_is_the_summary_the_entry_holds(tmp_path):
+    _program, _cold_sweep, cache, _counted, keys = _cold(tmp_path)
+    assert len(keys) == 25
+    for key in keys.values():
+        reader = CompileCache(cache_dir=str(tmp_path))
+        from_header = reader.get_summary(key)  # the store's header
+        assert from_header and from_header == reader.get(key).work_summary
+        assert reader.get_summary(key) == from_header  # the tier's instance
+        assert cache.get_summary(key) == from_header  # the cold tier's header
+    assert cache.get_summary("ab" * 32) is None
+
+
+def test_a_partly_warm_sweep_answers_in_grid_order(tmp_path):
+    program, cold, _cache, _counted, keys = _cold(tmp_path)
+    store = LocalStore(str(tmp_path))
+    for key in list(keys.values())[::2]:
+        assert store.delete("results", key)
+    warm_cache = CompileCache(cache_dir=str(tmp_path))
+    warm, counted = _sweep(program, warm_cache)
+    assert warm_cache.stats.disk_hits == 12 and warm_cache.stats.misses == 13
+    assert counted["machine.analyze.computed"] == 13
+    assert list(warm.evaluations.items()) == list(cold.evaluations.items())
+    assert _answers(warm) == _answers(cold)
+
+
+def _summary_without(field):
+    def header(summary):
+        return json.dumps([{k: v for k, v in c.items() if k != field} for c in summary])
+
+    return header
+
+
+HOSTILE_HEADERS = {
+    "truncated": None,
+    "not json": lambda summary: b"this is not json",
+    "object, not list": lambda summary: json.dumps({"clusters": summary}),
+    "pickle": lambda summary: pickle.dumps(summary),
+    "missing field": _summary_without("wavefront"),
+    "nested too deep": lambda summary: "[" * 100_000 + "]" * 100_000,
+}
+
+
+def _hostile(blob, kind, summary):
+    """``blob``, a stored result entry, with a hostile header in front of
+    its pickle."""
+    (size,) = struct.unpack_from(">I", blob)
+    if kind == "truncated":
+        return blob[: 4 + size // 2]
+    header = HOSTILE_HEADERS[kind](summary)
+    header = header.encode() if isinstance(header, str) else header
+    return struct.pack(">I", len(header)) + header + blob[4 + size:]
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_HEADERS))
+def test_a_bad_header_is_an_error_an_eviction_and_a_miss(tmp_path, kind):
+    program, cold, cache, _counted, keys = _cold(tmp_path, SMALL, 64)
+    key = keys[(16, 16)]
+    summary = cache.get_summary(key)
+    store = LocalStore(str(tmp_path))
+    good = store.get("results", key)
+    bad = _hostile(good, kind, summary)
+    assert store.delete("results", key) and store.put("results", key, bad)
+
+    # store tier: the sweep recompiles that candidate and answers as before
+    warm_cache = CompileCache(cache_dir=str(tmp_path))
+    warm, counted = _sweep(program, warm_cache, SMALL)
+    assert _answers(warm) == _answers(cold)
+    assert warm_cache.stats.errors == 1 and warm_cache.stats.disk_evictions == 1
+    assert warm_cache.stats.disk_hits == 8 and warm_cache.stats.stores == 1
+    assert counted["machine.analyze.computed"] == 1
+    assert CompileCache(cache_dir=str(tmp_path)).get_summary(key) == summary  # put back
+
+    # memory tier: evicted, and the store's good entry answers
+    memory = CompileCache(cache_dir=str(tmp_path))
+    memory.put(key, cache.get(key))
+    memory._mem[key].blob = bad
+    assert memory.get_summary(key) == summary
+    assert memory.stats.errors == 1 and memory.stats.memory_evictions == 1
+    assert memory.stats.disk_hits == 1 and memory.stats.memory_hits == 0

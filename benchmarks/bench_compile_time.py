@@ -10,18 +10,9 @@ minutes) and scales with pipeline depth, with the footprint computation
 (not the heuristics) dominating on complex access patterns.
 """
 
-import time
+from common import IMAGE_PIPELINES, compare, image_program, print_table, save_results
 
-from common import (
-    IMAGE_PIPELINES,
-    heuristic_cpu_work,
-    image_program,
-    print_table,
-    save_results,
-)
-from repro import CompileOptions
-from repro.core import optimize
-from repro.scheduler import MAXFUSE, MINFUSE, SMARTFUSE
+VERSIONS = ("minfuse", "smartfuse", "maxfuse", "ours")
 
 
 def compute_compile_times():
@@ -29,17 +20,12 @@ def compute_compile_times():
     raw = {}
     for name in sorted(IMAGE_PIPELINES):
         mod, prog = image_program(name)
-        ts = mod.TILE_SIZES
-        times = {}
-        for heuristic in (MINFUSE, SMARTFUSE, MAXFUSE):
-            _, t = heuristic_cpu_work(prog, heuristic, ts)
-            times[heuristic] = t
-        result = optimize(prog, CompileOptions(target="cpu", tile_sizes=ts))
-        times["ours"] = result.compile_seconds
+        results, _ = compare(prog, "cpu", mod.TILE_SIZES)
+        times = {v: results[v].compile_seconds for v in VERSIONS}
         raw[name] = times
         rows.append(
             [name, len(prog.statements)]
-            + [f"{times[v]:.3f}" for v in (MINFUSE, SMARTFUSE, MAXFUSE, "ours")]
+            + [f"{times[v]:.3f}" for v in VERSIONS]
         )
     return rows, raw
 
@@ -48,7 +34,7 @@ def test_compile_time(benchmark):
     rows, raw = benchmark.pedantic(compute_compile_times, rounds=1, iterations=1)
     print_table(
         "Compilation time (s) per pipeline",
-        ["benchmark", "stages", "minfuse", "smartfuse", "maxfuse", "ours"],
+        ["benchmark", "stages", *VERSIONS],
         rows,
     )
     save_results("compile_time", raw)
@@ -62,4 +48,4 @@ def test_compile_time(benchmark):
 
 if __name__ == "__main__":
     rows, _ = compute_compile_times()
-    print_table("Compile time", ["benchmark", "stages", "minfuse", "smartfuse", "maxfuse", "ours"], rows)
+    print_table("Compile time", ["benchmark", "stages", *VERSIONS], rows)

@@ -8,18 +8,17 @@ series on every pipeline (ties allowed on Harris).
 
 from common import (
     IMAGE_PIPELINES,
+    compare,
     cpu_time,
     fmt_speedup,
-    halide_cpu_work,
     image_program,
-    naive_work,
-    our_cpu_work,
-    polymage_cpu_work,
     print_table,
     save_results,
 )
 
 THREAD_COUNTS = (1, 4, 16, 32)
+#: The series, as the figure labels the strategies.
+VERSIONS = {"polymage": "PolyMage", "halide": "Halide", "ours": "ours"}
 
 
 def compute_fig8():
@@ -27,16 +26,11 @@ def compute_fig8():
     rows = []
     for name in sorted(IMAGE_PIPELINES):
         mod, prog = image_program(name)
-        ts = mod.TILE_SIZES
-        base = cpu_time(naive_work(prog), 1)
-        works = {
-            "PolyMage": polymage_cpu_work(mod, prog, ts),
-            "Halide": halide_cpu_work(mod, prog, ts),
-            "ours": our_cpu_work(prog, ts)[0],
-        }
+        _, work = compare(prog, "cpu", mod.TILE_SIZES)
+        base = cpu_time(work["naive"], 1)
         raw[name] = {"naive_1c_s": base}
-        for version, work in works.items():
-            series = [base / cpu_time(work, t) for t in THREAD_COUNTS]
+        for strategy, version in VERSIONS.items():
+            series = [base / cpu_time(work[strategy], t) for t in THREAD_COUNTS]
             raw[name][version] = dict(zip(map(str, THREAD_COUNTS), series))
             rows.append(
                 [name, version] + [fmt_speedup(s) for s in series]

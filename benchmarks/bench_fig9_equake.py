@@ -7,37 +7,25 @@ our pass fuses at least the maxfuse grouping (gather + follow-up nests)
 without any manual preprocessing.
 """
 
-from common import cpu_time, fmt_speedup, naive_work, print_table, save_results
-from repro import CompileOptions
-from repro.baselines import scheduled_from_partition
-from repro.core import optimize
-from repro.machine import analyze_optimized, analyze_scheduled
+from common import compare, cpu_time, fmt_speedup, print_table, save_results
 from repro.pipelines import equake
 
 THREADS = 32
 SIZES = ("test", "train", "ref")
+VERSIONS = ("minfuse", "smartfuse", "maxfuse", "ours")
 
 
 def compute_fig9():
     rows = []
     raw = {}
     for size in SIZES:
-        prog = equake.build(size)
-        base = cpu_time(naive_work(prog), THREADS)
-        entry = {}
-        for heuristic, partition in equake.PARTITIONS.items():
-            sched = scheduled_from_partition(prog, partition)
-            # only the outermost loop is tilable: no tiling applied (paper)
-            t = cpu_time(analyze_scheduled(sched, None), THREADS)
-            entry[heuristic] = base / t
-        ours = optimize(prog, CompileOptions(target="cpu", tile_sizes=None))
-        t_ours = cpu_time(analyze_optimized(ours), THREADS)
-        entry["ours"] = base / t_ours
+        # the heuristics are the groupings of ``equake.PARTITIONS``; only the
+        # outermost loop is tilable, so no tiling is applied (paper)
+        _, work = compare(equake.build(size), "cpu", None)
+        base = cpu_time(work["naive"], THREADS)
+        entry = {v: base / cpu_time(work[v], THREADS) for v in VERSIONS}
         raw[size] = entry
-        rows.append(
-            [size]
-            + [fmt_speedup(entry[v]) for v in ("minfuse", "smartfuse", "maxfuse", "ours")]
-        )
+        rows.append([size] + [fmt_speedup(entry[v]) for v in VERSIONS])
     return rows, raw
 
 
@@ -45,7 +33,7 @@ def test_fig9_equake(benchmark):
     rows, raw = benchmark.pedantic(compute_fig9, rounds=1, iterations=1)
     print_table(
         "Fig. 9: equake speedup over baseline (32 cores)",
-        ["size", "minfuse", "smartfuse", "maxfuse", "ours"],
+        ["size", *VERSIONS],
         rows,
     )
     save_results("fig9_equake", raw)
@@ -59,4 +47,4 @@ def test_fig9_equake(benchmark):
 
 if __name__ == "__main__":
     rows, _ = compute_fig9()
-    print_table("Fig. 9", ["size", "minfuse", "smartfuse", "maxfuse", "ours"], rows)
+    print_table("Fig. 9", ["size", *VERSIONS], rows)

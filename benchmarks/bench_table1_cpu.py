@@ -13,14 +13,10 @@ import pytest
 from common import (
     BENCH_SIZE,
     IMAGE_PIPELINES,
+    compare,
     cpu_time,
     fmt_ms,
-    halide_cpu_work,
-    heuristic_cpu_work,
     image_program,
-    naive_work,
-    our_cpu_work,
-    polymage_cpu_work,
     print_table,
     save_results,
 )
@@ -34,18 +30,17 @@ def compute_table1():
     for name in sorted(IMAGE_PIPELINES):
         mod, prog = image_program(name)
         ts = mod.TILE_SIZES
+        results, work = compare(prog, "cpu", ts)
 
-        t_naive = cpu_time(naive_work(prog), 1)
-        w_poly = polymage_cpu_work(mod, prog, ts)
-        t_poly = cpu_time(w_poly, THREADS)
-        w_halide = halide_cpu_work(mod, prog, ts)
-        t_halide = cpu_time(w_halide, THREADS)
-        w_ours, compile_s = our_cpu_work(prog, ts)
-        t_ours = cpu_time(w_ours, THREADS)
-
-        _, t_min = heuristic_cpu_work(prog, "minfuse", ts)
-        _, t_smart = heuristic_cpu_work(prog, "smartfuse", ts)
-        _, t_max = heuristic_cpu_work(prog, "maxfuse", ts)
+        t_naive = cpu_time(work["naive"], 1)
+        t_poly, t_halide, t_ours = (
+            cpu_time(work[v], THREADS) for v in ("polymage", "halide", "ours")
+        )
+        # measured: each strategy's own compile (a heuristic's scheduler)
+        t_min, t_smart, t_max, compile_s = (
+            results[v].compile_seconds
+            for v in ("minfuse", "smartfuse", "maxfuse", "ours")
+        )
 
         rows.append(
             [

@@ -11,20 +11,8 @@ threads with the 32x32 default tile sizes.  Shape expectations:
 * hybridfuse fails on covariance (the published segfault).
 """
 
-from common import cpu_time, fmt_ms, naive_work, print_table, save_results
-from repro import CompileOptions
-from repro.core import optimize
-from repro.machine import analyze_optimized, analyze_scheduled
-from repro.machine.cpu import CPUSpec, DEFAULT_CPU, program_time
+from common import compare, cpu_time, fmt_ms, print_table, save_results
 from repro.pipelines import polybench
-from repro.scheduler import (
-    HYBRIDFUSE,
-    MAXFUSE,
-    MINFUSE,
-    SMARTFUSE,
-    SchedulerError,
-    schedule_program,
-)
 
 THREADS = (1, 8, 32)
 TILES = (32, 32)
@@ -34,7 +22,7 @@ N = 1024
 #: loops keep values in registers across the two matmuls, improving the
 #: effective vector throughput (Section VI-A attributes hybridfuse's 2mm
 #: win to icc vectorisation of the fused innermost level).
-HYBRID_INNER_BONUS = 1.5
+BONUS = {"hybridfuse": 1.5}
 
 
 def compute_table2():
@@ -42,30 +30,18 @@ def compute_table2():
     raw = {}
     for kernel, builder in polybench.BUILDERS.items():
         prog = builder(N)
-        per_version = {}
-
-        seq = naive_work(prog)
-        per_version["sequential"] = [program_time(seq, 1)] * len(THREADS)
-
-        icc_work = analyze_scheduled(schedule_program(prog, MINFUSE), None)
-        t_icc = program_time(icc_work, 1)
-        per_version["icc"] = [t_icc] * len(THREADS)
-
-        for heuristic in (MINFUSE, SMARTFUSE, MAXFUSE):
-            work = analyze_scheduled(schedule_program(prog, heuristic), TILES)
-            per_version[heuristic] = [cpu_time(work, t) for t in THREADS]
-
-        try:
-            hwork = analyze_scheduled(schedule_program(prog, HYBRIDFUSE), TILES)
-            per_version[HYBRIDFUSE] = [
-                cpu_time(hwork, t) / HYBRID_INNER_BONUS for t in THREADS
+        _, untiled = compare(prog, "cpu", None)
+        _, work = compare(prog, "cpu", TILES)
+        per_version = {
+            "sequential": [cpu_time(untiled["naive"], 1)] * len(THREADS),
+            # icc: the vectorised sequential code, minfuse's order untiled
+            "icc": [cpu_time(untiled["minfuse"], 1)] * len(THREADS),
+        }
+        for version in ("minfuse", "smartfuse", "maxfuse", "hybridfuse", "ours"):
+            w = work[version]  # None: hybridfuse's published segfault
+            per_version[version] = None if w is None else [
+                cpu_time(w, t) / BONUS.get(version, 1.0) for t in THREADS
             ]
-        except SchedulerError:
-            per_version[HYBRIDFUSE] = None  # the published segfault
-
-        ours = optimize(prog, CompileOptions(target="cpu", tile_sizes=TILES))
-        owork = analyze_optimized(ours)
-        per_version["ours"] = [cpu_time(owork, t) for t in THREADS]
 
         raw[kernel] = {
             v: (None if times is None else [t * 1e3 for t in times])

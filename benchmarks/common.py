@@ -11,42 +11,17 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import CompileOptions
-from repro.baselines import (
-    halide_work,
-    naive_work,
-    polymage_work,
-    scheduled_from_partition,
-)
-from repro.core import GPU, CPU, optimize
-from repro.machine import (
-    ProgramWork,
-    analyze_optimized,
-    analyze_scheduled,
-    cpu_time,
-    gpu_time,
-)
+from repro.baselines import strategies
+from repro.machine import analyze_optimized, cpu_time, gpu_time
 from repro.pipelines import IMAGE_PIPELINES
-from repro.scheduler import (
-    HYBRIDFUSE,
-    MAXFUSE,
-    MINFUSE,
-    SMARTFUSE,
-    SchedulerError,
-    schedule_program,
-)
 
 BENCH_SIZE = 1024
 #: The 8-level pyramid of multiscale interpolation needs the full image.
 BENCH_SIZES = {"multiscale_interp": 2048}
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Modeled instruction-level-parallelism bonus of Halide's manual unrolling
-#: of the channel dimension (Section VI-B) — applies on GPU only.
-HALIDE_UNROLL_BONUS = {"bilateral_grid": 1.12, "unsharp_mask": 1.10}
 
 
 def image_program(name: str, size: Optional[int] = None):
@@ -56,34 +31,16 @@ def image_program(name: str, size: Optional[int] = None):
     return mod, mod.build(size)
 
 
-def our_cpu_work(prog, tile_sizes) -> Tuple[ProgramWork, float]:
-    result = optimize(prog, CompileOptions(target="cpu", tile_sizes=tile_sizes))
-    return analyze_optimized(result), result.compile_seconds
-
-
-def our_gpu_work(prog, tile_sizes) -> Tuple[ProgramWork, float]:
-    result = optimize(prog, CompileOptions(target="gpu", tile_sizes=tile_sizes))
-    return analyze_optimized(result), result.compile_seconds
-
-
-def heuristic_cpu_work(prog, heuristic, tile_sizes) -> Tuple[ProgramWork, float]:
-    t0 = time.perf_counter()
-    sched = schedule_program(prog, heuristic)
-    elapsed = time.perf_counter() - t0
-    return analyze_scheduled(sched, tile_sizes), elapsed
-
-
-def halide_cpu_work(mod, prog, tile_sizes) -> ProgramWork:
-    return halide_work(prog, mod.halide_partition(prog), tile_sizes, CPU)
-
-
-def halide_gpu_time(mod, prog, tile_sizes, name: str) -> float:
-    t = gpu_time(halide_work(prog, mod.halide_partition(prog), tile_sizes, GPU))
-    return t / HALIDE_UNROLL_BONUS.get(name, 1.0)
-
-
-def polymage_cpu_work(mod, prog, tile_sizes) -> ProgramWork:
-    return polymage_work(prog, mod.polymage_partition(prog), tile_sizes, CPU)
+def compare(program, target: str, tile_sizes):
+    """Every strategy's result (``repro.baselines.strategies``) and its
+    modeled work, each by strategy name; a strategy whose scheduler
+    refused the program has ``None`` for both."""
+    results = strategies(program, CompileOptions(target=target, tile_sizes=tile_sizes))
+    work = {
+        name: None if result is None else analyze_optimized(result)
+        for name, result in results.items()
+    }
+    return results, work
 
 
 def fmt_ms(seconds: float) -> str:

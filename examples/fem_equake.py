@@ -18,10 +18,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro import CompileOptions
-from repro.baselines import scheduled_from_partition
+from repro.baselines import strategies
 from repro.codegen import execute_naive, make_store, run_program
 from repro.core import optimize
-from repro.machine import analyze_optimized, analyze_scheduled, cpu_time
+from repro.machine import analyze_optimized, cpu_time
 from repro.pipelines import equake
 
 
@@ -35,14 +35,15 @@ def main():
     print(" manual while-loop permutation required)")
 
     print("\npredicted times at 32 threads (modeled Xeon), n = 40000:")
-    big = equake.build("train")
-    res_big = optimize(big, CompileOptions(target="cpu", tile_sizes=None))
-    t_ours = cpu_time(analyze_optimized(res_big), 32)
-    print(f"  {'ours':10s} {t_ours * 1e3:8.3f} ms")
-    for heuristic, partition in equake.PARTITIONS.items():
-        sched = scheduled_from_partition(big, partition)
-        t = cpu_time(analyze_scheduled(sched, None), 32)
-        print(f"  {heuristic:10s} {t * 1e3:8.3f} ms  ({t / t_ours:.2f}x ours)")
+    # the PPCG heuristics are the groupings the paper reports (PARTITIONS)
+    results = strategies(equake.build("train"), CompileOptions(tile_sizes=None))
+    t_ours = cpu_time(analyze_optimized(results["ours"]), 32)
+    for name, res in results.items():
+        if res is None:
+            print(f"  {name:10s} failed")
+            continue
+        t = cpu_time(analyze_optimized(res), 32)
+        print(f"  {name:10s} {t * 1e3:8.3f} ms  ({t / t_ours:.2f}x ours)")
 
     print("\nverifying fused execution...")
     ref = make_store(prog)

@@ -3,8 +3,9 @@
 Shows what the paper's pass does on a realistic 11-stage pipeline:
 the fusion clusters it finds, the per-tile footprints of the upwards
 exposed data, the scratchpad buffers the fused intermediates occupy, and
-the predicted execution times against the PPCG fusion heuristics on the
-modeled 32-core CPU.
+the predicted execution times against every strategy the paper compares
+(the naive program, Halide, PolyMage and the PPCG/Pluto fusion heuristics)
+on the modeled 32-core CPU.
 
 Run:  python examples/image_pipeline.py
 """
@@ -17,11 +18,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro import CompileOptions
+from repro.baselines import strategies
 from repro.codegen import execute_naive, make_store, promoted_buffers, run_program
 from repro.core import optimize
-from repro.machine import analyze_optimized, analyze_scheduled, cpu_time
+from repro.machine import analyze_optimized, cpu_time
 from repro.pipelines import harris
-from repro.scheduler import MAXFUSE, MINFUSE, SMARTFUSE, schedule_program
 
 SIZE = 256
 TILES = (16, 64)
@@ -31,7 +32,8 @@ def main():
     prog = harris.build(SIZE)
     print(f"{prog.name}: {len(prog.statements)} stages, image {SIZE}x{SIZE}")
 
-    result = optimize(prog, CompileOptions(target="cpu", tile_sizes=TILES))
+    results = strategies(prog, CompileOptions(target="cpu", tile_sizes=TILES))
+    result = results["ours"]
     print(f"\nfusion clusters: {result.fusion_summary()}")
     print(f"compile time: {result.compile_seconds:.2f} s")
 
@@ -46,11 +48,12 @@ def main():
 
     print("\npredicted CPU time (32 threads):")
     ours = cpu_time(analyze_optimized(result), 32)
-    print(f"  {'ours':10s} {ours * 1e3:8.3f} ms")
-    for heuristic in (MINFUSE, SMARTFUSE, MAXFUSE):
-        sched = schedule_program(prog, heuristic)
-        t = cpu_time(analyze_scheduled(sched, TILES), 32)
-        print(f"  {heuristic:10s} {t * 1e3:8.3f} ms  ({t / ours:.2f}x ours)")
+    for name, res in results.items():
+        if res is None:
+            print(f"  {name:10s} failed")
+            continue
+        t = cpu_time(analyze_optimized(res), 32)
+        print(f"  {name:10s} {t * 1e3:8.3f} ms  ({t / ours:.2f}x ours)")
 
     print("\nverifying the fused schedule on a small image...")
     small = harris.build(32)

@@ -6,8 +6,8 @@ Subcommands:
 * ``optimize <workload>`` — run the paper's pass and print the fusion
   result, schedule tree and compile time;
 * ``code <workload>`` — print the generated OpenMP or CUDA code;
-* ``time <workload>`` — predicted execution times for our pass and the
-  PPCG fusion heuristics on the modeled machines;
+* ``time <workload>`` — predicted execution times of every strategy the
+  paper compares (``repro.baselines.strategies``) on the modeled machines;
 * ``tune <workload>`` — exhaustive tile-size auto-tuning against the
   machine model (``--jobs N`` fans candidates out over the batch-compile
   driver; the compile cache makes a repeated sweep all hits);
@@ -40,11 +40,11 @@ from typing import Optional
 
 from . import obs
 from .codegen import print_tree
+from .baselines import strategies
 from .core import optimize
-from .machine import analyze_optimized, analyze_scheduled, cpu_time, gpu_time
+from .machine import analyze_optimized, cpu_time, gpu_time
 from .options import CompileOptions
 from .pipelines import IMAGE_PIPELINES, mixed, polybench
-from .scheduler import HEURISTICS, SchedulerError, schedule_program
 from .workloads import UnknownWorkloadError, build_workload, default_tile_sizes
 
 
@@ -210,26 +210,15 @@ def cmd_code(args) -> int:
 def cmd_time(args) -> int:
     prog = _build_workload(args.workload, args.size)
     tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
-    result = optimize(prog, CompileOptions(target=args.target, tile_sizes=tiles))
-    work = analyze_optimized(result)
-    rows = []
-    if args.target == "gpu":
-        rows.append(("ours", gpu_time(work)))
-    else:
-        rows.append(("ours", cpu_time(work, args.threads)))
-    for heuristic in HEURISTICS:
-        try:
-            sched = schedule_program(prog, heuristic)
-        except SchedulerError as exc:
-            rows.append((heuristic, None))
-            continue
-        hwork = analyze_scheduled(sched, tiles)
-        t = gpu_time(hwork) if args.target == "gpu" else cpu_time(hwork, args.threads)
-        rows.append((heuristic, t))
+    options = CompileOptions(target=args.target, tile_sizes=tiles)
     threads = f" ({args.threads} threads)" if args.target == "cpu" else ""
     print(f"{prog.name} on modeled {args.target}{threads}:")
-    for name, t in rows:
-        text = "failed" if t is None else f"{t * 1e3:10.3f} ms"
+    for name, result in strategies(prog, options).items():
+        text = "failed"
+        if result is not None:
+            work = analyze_optimized(result)
+            t = gpu_time(work) if args.target == "gpu" else cpu_time(work, args.threads)
+            text = f"{t * 1e3:10.3f} ms"
         print(f"  {name:12s} {text}")
     return 0
 

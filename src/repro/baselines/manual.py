@@ -1,11 +1,11 @@
-"""Manual / partition-driven schedules (Halide baselines, PolyMage, equake).
+"""Partition-driven schedules: a grouping fixed by a schedule's author.
 
 Two levels of fidelity:
 
 * :func:`scheduled_from_partition` — a :class:`Scheduled` whose fusion
-  groups are given explicitly (used for the PPCG heuristic groupings the
-  paper reports for equake, and any grouping that fuses without
-  recomputation);
+  groups are given explicitly (the PPCG heuristic groupings the paper
+  reports for equake), tiled and costed as the heuristics' own schedules
+  are;
 * :func:`partitioned_result` — runs the paper's own tiling/extension
   machinery *within* each given partition group (live-out stage of the
   group tiled, other stages pulled in as extension schedules).  This
@@ -16,19 +16,24 @@ Two levels of fidelity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+import time
+from typing import List, Optional, Sequence
 
-from ..core import MixedSchedules, TargetSpec, construct_tile_shapes
+from ..core import (
+    MixedSchedules,
+    OptimizeResult,
+    TargetSpec,
+    apply_mixed_schedules,
+    construct_tile_shapes,
+)
 from ..core.compose import unfuse_dangling_readers
-from ..core.tile_shapes import CPU
 from ..deps import memory_deps
 from ..ir import Program
 from ..scheduler import FusionGroup, Scheduled, groups_tree, identity_rows
 from ..scheduler.parallelism import band_attributes
 
 
-def make_group(
+def _make_group(
     program: Program, deps, statements: Sequence[str], name: str
 ) -> FusionGroup:
     depth = min(len(program.statement(s).dims) for s in statements)
@@ -55,28 +60,19 @@ def scheduled_from_partition(
     _check_partition(program, partition)
     deps = memory_deps(program)
     groups = [
-        make_group(program, deps, part, f"M{i}")
+        _make_group(program, deps, part, f"M{i}")
         for i, part in enumerate(partition)
     ]
     tree = groups_tree(program, groups)
     return Scheduled(program, "manual", groups, deps, tree)
 
 
-@dataclass
-class PartitionedResult:
-    """Duck-types OptimizeResult for the analyzers (program + mixed)."""
-
-    program: Program
-    mixed: MixedSchedules
-    scheduled: Scheduled
-
-
 def partitioned_result(
     program: Program,
     partition: Sequence[Sequence[str]],
     tile_sizes: Optional[Sequence[int]],
-    target: TargetSpec = CPU,
-) -> PartitionedResult:
+    target: TargetSpec,
+) -> OptimizeResult:
     """Tile + fuse within each partition group using the paper's machinery.
 
     Within a group, the stage producing data consumed outside the group
@@ -86,23 +82,23 @@ def partitioned_result(
     output another group also reads is unfused again, as
     :func:`repro.core.compose.unfuse_dangling_readers` unfuses it for the
     paper's own result: the skipped stage would otherwise never write what
-    that reader reads.
+    that reader reads.  The tree is lowered as :func:`repro.core.optimize`
+    lowers its own (``apply_mixed_schedules``), and the result is costed
+    exactly, per stage.
     """
+    t0 = time.perf_counter()
     _check_partition(program, partition)
     deps = memory_deps(program)
     # Build one group per *statement* so Algorithm 1 sees separated
     # computation spaces inside each partition group.
-    singleton: Dict[str, FusionGroup] = {}
     counter = 0
     mixed = MixedSchedules()
     all_groups: List[FusionGroup] = []
     for part in partition:
         part_groups = []
         for s in part:
-            g = make_group(program, deps, [s], f"M{counter}")
+            part_groups.append(_make_group(program, deps, [s], f"M{counter}"))
             counter += 1
-            singleton[s] = g
-            part_groups.append(g)
         all_groups.extend(part_groups)
         liveout_g = _group_liveout(program, part, part_groups)
         inters = [g for g in part_groups if g is not liveout_g]
@@ -113,7 +109,11 @@ def partitioned_result(
     scheduled = Scheduled(
         program, "manual", all_groups, deps, groups_tree(program, all_groups)
     )
-    return PartitionedResult(program, mixed, scheduled)
+    tree = apply_mixed_schedules(program, scheduled, mixed)
+    return OptimizeResult(
+        program, target, mixed.first_tile_sizes(), scheduled, mixed, tree,
+        time.perf_counter() - t0,
+    )
 
 
 def _group_liveout(

@@ -53,6 +53,10 @@ class OptimizeResult:
     answer computed on any copy, before or after the result was cached,
     reaches the cache's own instance and is never computed again; this
     layer never reads it.
+
+    ``cost_policy`` names how the machine model costs this schedule:
+    ``"exact"``, the paper's, for every result :func:`optimize` builds;
+    :mod:`repro.baselines` sets the comparators' own.
     """
 
     program: Program
@@ -63,6 +67,7 @@ class OptimizeResult:
     tree: DomainNode
     compile_seconds: float
     work_summary: List[dict] = field(default_factory=list)
+    cost_policy: str = "exact"
 
     @property
     def clusters(self) -> List[List[FusionGroup]]:
@@ -86,9 +91,11 @@ class OptimizeResult:
         return _FreshView.of(self)
 
     def __setstate__(self, state):
-        # An entry pickled before ``work_summary`` existed loads as uncosted.
+        # An entry pickled before ``work_summary`` existed loads as uncosted,
+        # and one pickled before ``cost_policy`` existed is one of ours.
         self.__dict__.update(state)
         self.__dict__.setdefault("work_summary", [])
+        self.__dict__.setdefault("cost_policy", "exact")
 
     def fusion_summary(self) -> List[List[str]]:
         """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``."""
@@ -178,12 +185,7 @@ def optimize(
             tree = apply_mixed_schedules(program, scheduled, mixed)
     elapsed = time.perf_counter() - t0
     obs.gauge("optimize.compile_seconds", elapsed)
-    # Report the tile sizes the pass actually used: the first tiled
-    # live-out entry carries the effective (clipped or defaulted) vector,
-    # which differs from the caller's request when sizes were omitted
-    # (unit-tile fusion) or clipped to the band depth.
-    sizes = next(
-        (e.tile_sizes for e in mixed.tiling_entries() if e.tile_sizes is not None),
-        None,
-    )
+    # Report the tile sizes the pass actually used, which differ from the
+    # caller's request when sizes were omitted (unit-tile fusion).
+    sizes = mixed.first_tile_sizes()
     return OptimizeResult(program, spec, sizes, scheduled, mixed, tree, elapsed)

@@ -136,6 +136,14 @@ class MixedSchedules:
             if isinstance(e, ExtensionScheduleEntry) and e.target is group
         ]
 
+    def first_tile_sizes(self) -> Optional[Tuple[int, ...]]:
+        """The sizes the first tiled entry uses, ``None`` when none is
+        tiled: what a result reports as its tile sizes (the caller's
+        request clipped to the band depth, or defaulted)."""
+        return next(
+            (e.tile_sizes for e in self.tiling_entries() if e.is_tiled), None
+        )
+
     def fused_groups(self) -> List[List[FusionGroup]]:
         """The fusion groups Algorithm 1 implies (one per tiling entry)."""
         out = []

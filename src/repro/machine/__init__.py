@@ -4,13 +4,10 @@ from .cost import (
     ClusterWork,
     ProgramWork,
     analyze_optimized,
-    analyze_scheduled,
     reuse_summary,
 )
-from .cpu import CPUSpec, DEFAULT_CPU, cluster_time as cpu_cluster_time
-from .cpu import program_time as cpu_time
-from .gpu import DEFAULT_GPU, GPUSpec
-from .gpu import program_time as gpu_time
+from .cpu import CPUSpec, DEFAULT_CPU, cluster_time as cpu_cluster_time, cpu_time
+from .gpu import DEFAULT_GPU, GPUSpec, gpu_time
 from .npu import ConvLayer, DEFAULT_NPU, NPUSpec, conv_bn_time, network_time
 
 __all__ = [
@@ -24,7 +21,6 @@ __all__ = [
     "NPUSpec",
     "ProgramWork",
     "analyze_optimized",
-    "analyze_scheduled",
     "conv_bn_time",
     "cpu_cluster_time",
     "cpu_time",

@@ -1,13 +1,21 @@
-"""Cost analysis: from schedule structures to abstract machine work.
+"""Cost analysis: from a compiled result to abstract machine work.
 
-The analytical machine models need, per fusion cluster (one top-level tiled
-loop nest = one parallel region / one GPU kernel):
+Every strategy the evaluation compares is an
+:class:`~repro.core.OptimizeResult` (``repro.baselines.strategies``), and
+:func:`analyze_optimized` is the one analyzer: per fusion cluster (one
+tiling entry and the extension schedules fused into it = one parallel
+region / one GPU kernel) it derives
 
 * arithmetic work, including overlapped-tile recomputation;
 * DRAM traffic (per-tile footprints of unpromoted tensors, halo included);
 * fast-memory traffic for promoted intermediates;
 * available parallelism (tiles along coincident dimensions);
 * per-tile scratch requirements.
+
+How a strategy is costed is the result's ``cost_policy``, which the
+function that built the result sets: the paper's exact footprints,
+PolyMage's group-wide boxes, the start-up heuristics' per-group scratch
+accounting, or the naive program's serial scalar run.
 
 Every quantity is derived from the same exact affine relations the
 optimizer manipulates — footprint relation (4), extension schedules (6) —
@@ -27,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..codegen.promotion import promoted_buffers
-from ..core import OptimizeResult, TILE_TUPLE, tile_dim_names, tile_footprint
+from ..core import OptimizeResult, TILE_TUPLE, tile_footprint
 from ..core.footprint import (
     RepresentativeTile,
     band_extents,
@@ -39,7 +47,7 @@ from ..core.footprint import (
     tiles_per_dim,
 )
 from ..ir import Program
-from ..scheduler import FusionGroup, Scheduled
+from ..scheduler import FusionGroup
 
 ITEMSIZE = 8  # float64 everywhere
 
@@ -175,20 +183,35 @@ def reuse_summary(summary: Sequence[Mapping]) -> ProgramWork:
     return ProgramWork.from_builtins(summary)
 
 
+#: The ``OptimizeResult.cost_policy`` values :func:`analyze_optimized`
+#: knows; ``repro.baselines`` sets every one but ``"exact"``.
+_POLICIES = ("exact", "box_total", "per_group", "serial")
+
+
 def analyze_optimized(
     result: OptimizeResult,
     params: Optional[Mapping[str, int]] = None,
-    overlap: str = "exact",
 ) -> ProgramWork:
-    """Work model of a post-tiling-fused schedule.
+    """Work model of a result: one cluster per tiling entry, its extension
+    schedules fused in.
 
-    ``overlap`` selects the recomputation model for fused intermediates:
+    ``result.cost_policy``, set by whatever built the result, selects how
+    a cluster is costed:
 
-    * ``"exact"`` — the paper's approach: each stage recomputes exactly its
-      upwards-exposed footprint (relation 6);
-    * ``"box_total"`` — PolyMage-style over-approximation: every fused
-      stage is grown to the widest per-dimension halo of the whole group
-      (tiling-after-fusion cannot see per-stage footprints).
+    * ``"exact"`` — the paper's approach (ours, Halide's manual
+      schedules): each fused stage recomputes exactly its upwards-exposed
+      footprint (relation 6), and a tensor the cluster writes and only it
+      reads costs nothing beyond its promoted buffer;
+    * ``"box_total"`` — PolyMage's over-approximation: every fused stage
+      is grown to the widest per-dimension halo of the whole group
+      (tiling-after-fusion cannot see per-stage footprints);
+    * ``"per_group"`` — the start-up heuristics (PPCG, Pluto): a tensor
+      written and read inside one group stays in cache, charged as
+      scratch traffic of twice its size; the group vectorises only along
+      a coincident dimension, and a permutable band with none is a
+      wavefront;
+    * ``"serial"`` — the untransformed program: ``"per_group"`` on one
+      core, without vector or parallel units.
 
     Fused statements' per-tile instances are counted on the extension
     relation in symbolic tile sizes where Algorithm 1 kept one
@@ -198,19 +221,19 @@ def analyze_optimized(
     box can say.
 
     A result is costed once: the answer for the program's own parameter
-    values under ``"exact"`` is written into ``result.work_summary`` (one
-    list shared by the cache entry and every ``fresh()`` copy of it) and
-    returned from there when present.  Any other ``params`` or ``overlap``
-    neither reads nor writes it, and a baseline's result has none.
+    values is written into ``result.work_summary`` (one list shared by
+    the cache entry and every ``fresh()`` copy of it) and returned from
+    there when present.  Any other ``params`` neither reads nor writes it.
     ``machine.analyze.computed`` / ``.reused`` count the two.
     """
-    if overlap not in ("exact", "box_total"):
-        raise ValueError(f"unknown overlap policy {overlap!r}")
+    policy = result.cost_policy
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown cost policy {policy!r}")
+    per_group = policy in ("per_group", "serial")
+    serial = policy == "serial"
     program = result.program
     params = dict(program.params, **(params or {}))
-    summary = None  # the list to read or fill, when this call may
-    if overlap == "exact" and params == program.params:
-        summary = getattr(result, "work_summary", None)
+    summary = result.work_summary if params == program.params else None
     if summary:
         return reuse_summary(summary)
     obs.count("machine.analyze.computed")
@@ -257,7 +280,7 @@ def analyze_optimized(
                     exact = domain_volume(program, s, params)
                     ext_extents = []
                 ext_entries.append((s, exact, ext_extents))
-        if overlap == "box_total" and ext_entries:
+        if policy == "box_total" and ext_entries:
             # PolyMage-style: every fused stage is grown to the group-wide
             # maximal halo (per leading dimension).  Stages of different
             # rank (e.g. 4-D up/down-sampling vs. 2-D maps) live at
@@ -272,7 +295,7 @@ def analyze_optimized(
         inflated_inst = 0.0
         for s, exact, ext_extents in ext_entries:
             per_tile = float(exact)
-            if overlap == "box_total" and len(ext_extents) >= 2:
+            if policy == "box_total" and len(ext_extents) >= 2:
                 own = max(1, ext_extents[0] * ext_extents[1])
                 max_ext = max_ext_by_rank[len(ext_extents)]
                 inflate = (max_ext[0] * max_ext[1]) / own
@@ -288,26 +311,28 @@ def analyze_optimized(
         # reads grow with the same over-approximation factor.
         traffic_inflation = (
             inflated_inst / exact_inst
-            if overlap == "box_total" and exact_inst > 0
+            if policy == "box_total" and exact_inst > 0
             else 1.0
         )
 
         dram_read = _dram_read_bytes(
             program, group, cluster_stmts, entry.tile_dims, tile, n_tiles, params
         )
-
-        dram_write = 0.0
-        for t in sorted(written_here):
-            if t in promoted:
-                continue  # handled below via buffers
-            if t in program.liveout or _read_outside(program, t, cluster_stmts):
-                dram_write += _tensor_bytes(program, t, params)
+        dram_read *= traffic_inflation
         bufs = buffers.get(group.name, [])
         scratch_per_tile = int(
             sum(b.box_elems for b in bufs) * ITEMSIZE * traffic_inflation
         )
         scratch_traffic = 2.0 * scratch_per_tile * n_tiles
-        dram_read *= traffic_inflation
+
+        dram_write = 0.0
+        for t in sorted(written_here - promoted):  # promoted: in ``bufs``
+            if t in program.liveout or _read_outside(program, t, cluster_stmts):
+                dram_write += _tensor_bytes(program, t, params)
+            elif per_group:
+                size = _tensor_bytes(program, t, params)
+                scratch_traffic += 2.0 * size
+                scratch_per_tile += size // max(n_tiles, 1)
 
         clusters.append(
             ClusterWork(
@@ -319,10 +344,18 @@ def analyze_optimized(
                 dram_write_bytes=dram_write,
                 scratch_traffic_bytes=scratch_traffic,
                 n_tiles=n_tiles,
-                parallel_units=max(parallel_units, 1),
-                n_parallel_dims=par_dims,
+                parallel_units=1 if serial else max(parallel_units, 1),
+                n_parallel_dims=0 if serial else par_dims,
                 scratch_bytes_per_tile=scratch_per_tile,
-                vectorizable=any(group.coincident) or group.permutable,
+                vectorizable=not serial and (
+                    any(group.coincident) or (group.permutable and not per_group)
+                ),
+                ifs_in_body=per_group
+                and len(cluster_stmts) > 1
+                and not all(group.coincident[:1]),
+                wavefront=per_group
+                and group.permutable
+                and not any(group.coincident),
             )
         )
     work = ProgramWork(clusters)
@@ -334,66 +367,3 @@ def analyze_optimized(
 def _read_outside(program: Program, tensor: str, stmts: Sequence[str]) -> bool:
     """Whether a statement not among ``stmts`` reads ``tensor``."""
     return any(s.name not in stmts for s in program.readers_of(tensor))
-
-
-def analyze_scheduled(
-    scheduled: Scheduled,
-    tile_sizes: Optional[Sequence[int]],
-    params: Optional[Mapping[str, int]] = None,
-) -> ProgramWork:
-    """Work model of a start-up heuristic's schedule (the PPCG baselines).
-
-    Each fusion group is its own cluster: intermediates crossing group
-    boundaries travel through DRAM; tensors produced and consumed within a
-    tile stay in cache (charged as scratch traffic).
-    """
-    program = scheduled.program
-    params = dict(program.params, **(params or {}))
-
-    clusters: List[ClusterWork] = []
-    for group in scheduled.groups:
-        written_here = {
-            program.statement(s).tensor_written() for s in group.statements
-        }
-        sizes = tdims = None
-        if tile_sizes is not None and group.permutable and group.depth > 0:
-            sizes = tuple(tile_sizes)[: group.depth]
-            tdims = tile_dim_names(group, len(sizes))
-        n_tiles, par_dims, parallel_units, tile = _tiling(
-            program, group, sizes, tdims, params
-        )
-        ops = group_ops(program, group, params)
-        dram_read = _dram_read_bytes(
-            program, group, group.statements, tdims, tile, n_tiles, params
-        )
-
-        dram_write = 0.0
-        scratch_traffic = 0.0
-        scratch_per_tile = 0
-        for t in sorted(written_here):
-            if t in program.liveout or _read_outside(program, t, group.statements):
-                dram_write += _tensor_bytes(program, t, params)
-            else:
-                size = _tensor_bytes(program, t, params)
-                scratch_traffic += 2.0 * size
-                scratch_per_tile += size // max(n_tiles, 1)
-
-        clusters.append(
-            ClusterWork(
-                name=group.name,
-                statements=list(group.statements),
-                ops=ops,
-                recompute_ops=0.0,
-                dram_read_bytes=dram_read,
-                dram_write_bytes=dram_write,
-                scratch_traffic_bytes=scratch_traffic,
-                n_tiles=n_tiles,
-                parallel_units=max(parallel_units, 1),
-                n_parallel_dims=par_dims,
-                scratch_bytes_per_tile=scratch_per_tile,
-                vectorizable=any(group.coincident),
-                ifs_in_body=len(group.statements) > 1 and not all(group.coincident[:1]),
-                wavefront=group.permutable and not any(group.coincident),
-            )
-        )
-    return ProgramWork(clusters)

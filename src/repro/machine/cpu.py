@@ -66,7 +66,7 @@ def cluster_time(
     return max(compute, mem) + cache + spec.parallel_overhead_s
 
 
-def program_time(
+def cpu_time(
     work: ProgramWork, threads: int, spec: CPUSpec = DEFAULT_CPU
 ) -> float:
     return sum(cluster_time(c, threads, spec) for c in work.clusters)

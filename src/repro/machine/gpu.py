@@ -85,5 +85,5 @@ def cluster_time(work: ClusterWork, spec: GPUSpec = DEFAULT_GPU) -> float:
     return max(compute, mem) + shared + spec.launch_overhead_s
 
 
-def program_time(work: ProgramWork, spec: GPUSpec = DEFAULT_GPU) -> float:
+def gpu_time(work: ProgramWork, spec: GPUSpec = DEFAULT_GPU) -> float:
     return sum(cluster_time(c, spec) for c in work.clusters)

@@ -397,7 +397,10 @@ def find_integer_point(
     """Search for an integer solution; ``None`` when provably none exists.
 
     Raises :class:`FeasibilityUndecided` if the search budget is exhausted
-    (unbounded or enormous systems).
+    (unbounded or enormous systems), and when a search that found nothing
+    tried only part of some level: an unbounded symbol is tried at 0 alone
+    and a range wider than ``max_range`` (or open on one side) is clipped,
+    so a miss there proves nothing (``presburger.integer_sample.undecided``).
     """
     obs.count("presburger.integer_sample")
     cur = _dedupe(constraints)
@@ -423,15 +426,18 @@ def find_integer_point(
 
     levels = [symbol_bounds(towers[i + 1], sym) for i, sym in enumerate(syms)]
     steps = 0
+    clipped = False  # some level was guessed at 0 or cut to max_range
 
     def descend(level: int, binding: Dict[str, int]) -> Optional[Dict[str, int]]:
-        nonlocal steps
+        nonlocal steps, clipped
         if level == len(syms):
             if all(c.satisfied_by(binding) for c in cur):
                 return dict(binding)
             return None
         sym = syms[level]
         lo, hi = eval_bounds(levels[level], binding)
+        if lo is None or hi is None or hi - lo > max_range:
+            clipped = True
         if lo is None and hi is None:
             lo, hi = 0, 0
         elif lo is None:
@@ -454,6 +460,9 @@ def find_integer_point(
         return None
 
     result = descend(0, {})
+    if result is None and clipped:
+        obs.count("presburger.integer_sample.undecided")
+        raise FeasibilityUndecided(f"integer search over {syms} clipped a range")
     if result is None and steps > max_steps * 0.9:  # pragma: no cover - safety
         raise FeasibilityUndecided("search terminated near budget; inconclusive")
     return result

@@ -13,7 +13,7 @@ from .fusion import (
 from .parallelism import band_attributes, required_shifts
 from .stages import FusionGroup, group_band, groups_tree, identity_rows
 from .autotune import TuneResult, autotune_tile_sizes
-from .tiling import tile_all_groups, tile_band, tile_group
+from .tiling import tile_band, tile_group
 
 __all__ = [
     "FusionGroup",
@@ -32,7 +32,6 @@ __all__ = [
     "schedule_program",
     "TuneResult",
     "autotune_tile_sizes",
-    "tile_all_groups",
     "tile_band",
     "tile_group",
 ]

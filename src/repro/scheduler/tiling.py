@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..schedule import BandNode, DomainNode, FilterNode
-from .fusion import Scheduled
 from .stages import FusionGroup
 
 
@@ -75,18 +74,6 @@ def tile_group(
     tile, _point = tile_band(band, sizes)
     filt.child = tile
     return tile
-
-
-def tile_all_groups(
-    scheduled: Scheduled, tile_sizes: Sequence[int]
-) -> DomainNode:
-    """Tile every tilable group with the same tile-size vector (baselines)."""
-    tree = scheduled.tree
-    for group in scheduled.groups:
-        sizes = list(tile_sizes)[: group.depth]
-        if sizes and group.permutable:
-            tile_group(tree, group, sizes)
-    return tree
 
 
 def _group_filter(tree: DomainNode, group: FusionGroup) -> FilterNode:

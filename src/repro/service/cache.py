@@ -313,10 +313,13 @@ class CompileCache:
         The memory tier answers from its own instance once that is decoded
         and from the entry's header otherwise; then the store.  A summary
         hit counts and tiers as :meth:`get` does (``memory_hits`` or
-        ``disk_hits``, and a store hit is inserted into the memory tier);
-        anything else counts nothing.  A store miss is one ``exists``
-        check, and a header that does not parse is an error and an
-        eviction, like a blob that does not decode."""
+        ``disk_hits``, and a store hit is inserted into the memory tier).
+        A store entry with no summary is read, counted and tiered all the
+        same, so the :meth:`get` that compiles or costs it next reads the
+        memory tier instead of the file again; a memory entry with none
+        and a miss count nothing.  A store miss is one ``exists`` check,
+        and a header that does not parse is an error and an eviction, like
+        a blob that does not decode."""
         with self._lock:
             entry = self._mem.get(key)
             if entry is not None:
@@ -349,10 +352,9 @@ class CompileCache:
                 self.stats.errors += 1
                 self.stats.disk_evictions += 1
             return None
-        if summary is not None:
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._insert_memory(key, blob)
+        with self._lock:
+            self.stats.disk_hits += 1
+            self._insert_memory(key, blob)
         return summary
 
     def in_memory(self, key: str) -> bool:

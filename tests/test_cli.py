@@ -93,6 +93,14 @@ def test_time_prints_header_for_every_target(target, header, capsys):
     assert lines[1].split()[0] == "ours"
 
 
+def test_time_prints_every_strategy_and_failed_where_a_scheduler_refuses(capsys):
+    assert main(["time", "covariance", "--size", "32"]) == 0
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert list(rows) == ["ours", "naive", "minfuse", "smartfuse", "maxfuse", "hybridfuse"]
+    assert rows["hybridfuse"] == "failed"
+    assert all(text.endswith(" ms") for name, text in rows.items() if name != "hybridfuse")
+
+
 def test_tune(cache_dir, capsys):
     rc = main(["tune", "conv2d", "--size", "32", "--candidates", "8", "16"])
     assert rc == 0

@@ -1,19 +1,20 @@
-"""Every comparator is a legal program.
+"""Every strategy is a legal program.
 
-Halide's and PolyMage's schedules are fixed partitions run through the
-paper's own tiling machinery (``repro.baselines.manual.partitioned_result``),
-and Table I costs them.  Here each is lowered the way ``optimize`` lowers
-its own result (``apply_mixed_schedules``) and must be a program the paper
-would accept:
+``repro.baselines.strategies`` gives every strategy the tables compare an
+``OptimizeResult``: ours, the naive program, Halide's and PolyMage's
+partitions (run through the paper's own tiling machinery and lowered the
+way ``optimize`` lowers its own result) and the PPCG/Pluto heuristics
+(every tilable group tiled alike).  Each result's tree must be a program
+the paper would accept:
 
 * every reader of a fused (extension) space sits in a cluster that fuses
   it, or the skipped original never writes what that reader reads;
 * ``validate_tree`` finds no flow dependence it reverses;
 * its C computes what ``execute_naive`` computes.
 
-The PPCG heuristics' trees (smartfuse, maxfuse and hybridfuse, every
-tilable group tiled alike) are the other columns of the same tables and
-get the last two checks.
+One check serves every entry of the map that is not ``None``; the two
+test names split the entries as the comparators and the heuristics were
+split before they shared a result type, so their ids stay as recorded.
 
 Sizes are the smallest each builder fills.  local_laplacian runs two of
 its eight blocks (the full pipeline takes 40 s here; two blocks already
@@ -25,13 +26,16 @@ gets the first two checks only, at 160, where ``validate_tree`` works
 from the domains alone.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.baselines.manual import partitioned_result
+from repro import CompileOptions
+from repro.baselines import strategies
 from repro.codegen import execute_naive, make_store
 from repro.codegen.cbackend import compile_and_run, compiler_available
-from repro.core import ExtensionScheduleEntry, apply_mixed_schedules
+from repro.core import ExtensionScheduleEntry
 from repro.core.validate import validate_tree
 from repro.pipelines import (
     bilateral_grid,
@@ -41,7 +45,7 @@ from repro.pipelines import (
     multiscale_interp,
     unsharp_mask,
 )
-from repro.scheduler import HYBRIDFUSE, MAXFUSE, SMARTFUSE, schedule_program, tile_all_groups
+from repro.scheduler import HYBRIDFUSE, MAXFUSE, MINFUSE, SMARTFUSE
 
 #: ``(module, builder arguments, runs the C round trip)`` per named pipeline.
 PIPELINES = {
@@ -55,21 +59,40 @@ PIPELINES = {
 TILES = (8, 8)
 
 
-def lowered(name, comparator):
+#: The partition-driven comparators and the strategies beside them, by test id.
+COMPARATORS = {
+    "halide_partition": "halide",
+    "polymage_partition": "polymage",
+    "ours": "ours",
+    "naive": "naive",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def strategy_map(name):
     module, args, _ = PIPELINES[name]
     program = module.build(**args)
-    partition = getattr(module, comparator)(program)
-    res = partitioned_result(program, partition, TILES)
-    tree = apply_mixed_schedules(program, res.scheduled, res.mixed)
-    return program, res, tree
+    return program, strategies(program, CompileOptions(tile_sizes=TILES))
 
 
-@pytest.mark.parametrize("comparator", ["halide_partition", "polymage_partition"])
+@pytest.mark.parametrize("comparator", list(COMPARATORS))
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_comparator_is_a_legal_program(name, comparator):
-    program, res, tree = lowered(name, comparator)
+    assert_legal(name, COMPARATORS[comparator])
 
-    clusters = res.mixed.fused_groups()
+
+@pytest.mark.parametrize("heuristic", [MINFUSE, SMARTFUSE, MAXFUSE, HYBRIDFUSE])
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_ppcg_heuristic_is_a_legal_program(name, heuristic):
+    assert_legal(name, heuristic)
+
+
+def assert_legal(name, strategy):
+    """The readers of every fused space, ``validate_tree``, then the C round
+    trip where the size allows it."""
+    program, results = strategy_map(name)
+    res = results[strategy]
+    clusters = res.clusters
     for entry in res.mixed.entries:
         if not isinstance(entry, ExtensionScheduleEntry):
             continue
@@ -79,20 +102,7 @@ def test_comparator_is_a_legal_program(name, comparator):
             for reader in program.readers_of(program.statement(s).tensor_written()):
                 assert reader.name in members, (s, reader.name)
 
-    assert_legal(name, program, tree)
-
-
-@pytest.mark.parametrize("heuristic", [SMARTFUSE, MAXFUSE, HYBRIDFUSE])
-@pytest.mark.parametrize("name", sorted(PIPELINES))
-def test_ppcg_heuristic_is_a_legal_program(name, heuristic):
-    module, args, _ = PIPELINES[name]
-    program = module.build(**args)
-    tree = tile_all_groups(schedule_program(program, heuristic), TILES)
-    assert_legal(name, program, tree)
-
-
-def assert_legal(name, program, tree):
-    """``validate_tree``, then the C round trip where the size allows it."""
+    tree = res.fresh().tree
     report = validate_tree(tree, program)
     assert report.ok, report
 

@@ -1,5 +1,6 @@
 """White-box tests of the cost analyzer internals."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,9 @@ from repro.codegen.cbackend import generate_c
 from repro.core import optimize
 from repro.core.footprint import band_extents, domain_volume, group_ops
 from repro.ir import ProgramBuilder
-from repro.machine import analyze_optimized, analyze_scheduled
+from repro.baselines import heuristic_result, polymage_overlap
+from repro.core import CPU
+from repro.machine import analyze_optimized
 from repro.machine.cost import _tensor_bytes
 from repro.pipelines import conv2d, unsharp_mask
 from repro.scheduler import MAXFUSE, MINFUSE, SMARTFUSE, schedule_program
@@ -22,8 +25,9 @@ from repro.workloads import default_tile_sizes, get_workload, workload_names
 
 PARAMS = {"H": 64, "W": 64, "KH": 3, "KW": 3}
 
-#: multiscale_interp at its default 512 leaves pyramid levels empty; both
-#: analyzers say which tensor, and which one they meet first is pinned too.
+#: multiscale_interp at its default 512 leaves pyramid levels empty; ours and
+#: the heuristics' results say which tensor, and which one they meet first is
+#: pinned too.
 EMPTY_LEVEL_OPTIMIZED = "ValueError: tensor t_interp0 has extent -512 <= 0"
 EMPTY_LEVEL_SCHEDULED = "ValueError: tensor t_dbx6 has extent 0 <= 0"
 
@@ -36,11 +40,12 @@ HEURISTICS = {"minfuse": MINFUSE, "smartfuse": SMARTFUSE, "maxfuse": MAXFUSE}
 #: one owner in ``core/footprint.py``; 453 rows, ``model_rows`` computes them.
 #: ``(workload, target)``: one entry per tile vector of ``optimized_tiles``
 #: (the default, ``None``, ``FIXED_TILES``; equake's default is ``None``), each
-#: the sha256[:16] of the sorted-key JSON of ``analyze_optimized`` under both
-#: overlap policies, every promoted buffer's ``(tensor, box_shape,
-#: exact_elems)`` and the ``print_tree`` digest.  ``(workload, heuristic)``:
-#: ``analyze_scheduled`` per ``SCHEDULED_TILES`` entry.  A row that raised holds
-#: ``"<type>: <message>"`` instead.  Every workload is at its default size.
+#: the sha256[:16] of the sorted-key JSON of ``analyze_optimized`` of the result
+#: and of ``polymage_overlap`` of it, every promoted buffer's ``(tensor,
+#: box_shape, exact_elems)`` and the ``print_tree`` digest.
+#: ``(workload, heuristic)``: ``analyze_optimized`` of ``heuristic_result`` per
+#: ``SCHEDULED_TILES`` entry.  A row that raised holds ``"<type>: <message>"``
+#: instead.  Every workload is at its default size.
 AT_PARENT = {
     ("2mm", "cpu"):
         "8dafd434a6d67b68 32f38be70a52008b c0c7e30c77822b40 59861638ecf133e4 7fb328dfd1cc4206".split(),
@@ -282,8 +287,8 @@ def optimized_tiles(name):
 def _optimized_row(prog, target, tiles):
     res = optimize(prog, CompileOptions(target=target, tile_sizes=tiles))
     return {
-        "exact": analyze_optimized(res, overlap="exact").as_builtins(),
-        "box_total": analyze_optimized(res, overlap="box_total").as_builtins(),
+        "exact": analyze_optimized(res).as_builtins(),
+        "box_total": analyze_optimized(polymage_overlap(res)).as_builtins(),
         "buffers": {
             group: [(b.tensor, b.box_shape, b.exact_elems) for b in bufs]
             for group, bufs in promoted_buffers(res).items()
@@ -303,9 +308,12 @@ def model_rows():
                 for tiles in optimized_tiles(name)
             ]
         for label, heuristic in HEURISTICS.items():
-            sched = schedule_program(prog, heuristic)
             rows[name, label] = [
-                _digest(lambda: analyze_scheduled(sched, tiles).as_builtins())
+                _digest(
+                    lambda: analyze_optimized(
+                        heuristic_result(prog, heuristic, tiles, CPU)
+                    ).as_builtins()
+                )
                 for tiles in SCHEDULED_TILES
             ]
     return rows
@@ -400,8 +408,8 @@ class TestPrimitives:
 
     @pytest.mark.parametrize("tiles", [None, (4,)])
     def test_unbounded_band_row_names_its_group(self, tiles):
-        """Both analyzers answer an unbounded domain the way ``band_extents``
-        does (the model's private copy died on ``int * None``).  The
+        """A heuristic's result and ours answer an unbounded domain the way
+        ``band_extents`` does (the model's private copy died on ``int * None``).  The
         recurrence has no parallel dimension, so Algorithm 1 leaves it untiled
         and ``analyze_optimized`` is what meets the row."""
         b = ProgramBuilder("unbounded")
@@ -410,7 +418,7 @@ class TestPrimitives:
         b.assign("S0", [i], "i >= 1", Y[i], Y[i - 1] + X[i])
         p = b.build()
         with pytest.raises(ValueError, match="unbounded band row i in G0"):
-            analyze_scheduled(schedule_program(p), tiles)
+            analyze_optimized(heuristic_result(p, SMARTFUSE, tiles, CPU))
         with pytest.raises(ValueError, match="unbounded band row i in G0"):
             analyze_optimized(optimize(p, CompileOptions(tile_sizes=tiles)))
 
@@ -432,8 +440,7 @@ class TestTrafficAccounting:
         assert cluster.dram_read_bytes > a_bytes
 
     def test_unfused_intermediate_roundtrips(self, prog):
-        sched = schedule_program(prog, MINFUSE)
-        work = analyze_scheduled(sched, (8, 8))
+        work = analyze_optimized(heuristic_result(prog, MINFUSE, (8, 8), CPU))
         # A is written by S0's cluster (it is read later by S2's cluster)
         s0_cluster = next(c for c in work.clusters if "S0" in c.statements)
         assert s0_cluster.dram_write_bytes == 64 * 64 * 8
@@ -442,8 +449,7 @@ class TestTrafficAccounting:
         res = optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 8)))
         fused = analyze_optimized(res)
         assert fused.clusters[0].scratch_bytes_per_tile > 0
-        sched = schedule_program(prog, MINFUSE)
-        unfused = analyze_scheduled(sched, (8, 8))
+        unfused = analyze_optimized(heuristic_result(prog, MINFUSE, (8, 8), CPU))
         assert all(c.scratch_bytes_per_tile == 0 for c in unfused.clusters)
 
 
@@ -451,12 +457,12 @@ class TestOverlapPolicies:
     def test_box_total_never_cheaper(self):
         prog = unsharp_mask.build(256)
         res = optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 32)))
-        exact = analyze_optimized(res, overlap="exact")
-        loose = analyze_optimized(res, overlap="box_total")
+        exact = analyze_optimized(res)
+        loose = analyze_optimized(polymage_overlap(res))
         assert loose.total_ops() >= exact.total_ops()
         assert loose.total_dram_bytes() >= exact.total_dram_bytes()
 
     def test_unknown_policy_rejected(self, prog):
         res = optimize(prog, CompileOptions(target="cpu", tile_sizes=(8, 8)))
         with pytest.raises(ValueError):
-            analyze_optimized(res, overlap="nonsense")
+            analyze_optimized(dataclasses.replace(res, cost_policy="nonsense"))

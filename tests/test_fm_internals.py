@@ -1,7 +1,9 @@
 """White-box tests of the Fourier–Motzkin and feasibility machinery."""
 
+import pytest
 
-from repro.presburger import Constraint, V
+from repro import obs
+from repro.presburger import Constraint, FeasibilityUndecided, V, parse_set
 from repro.presburger.fm import (
     bounds_for_symbol,
     constraint_symbols,
@@ -154,6 +156,35 @@ class TestFindIntegerPoint:
     def test_negative_ranges(self):
         pt = find_integer_point([ge(V("x"), -7), le(V("x"), -5)])
         assert pt is not None and -7 <= pt["x"] <= -5
+
+
+class TestASearchThatClippedIsUndecided:
+    """A search that tried part of a level and found nothing proves nothing:
+    both sets hold a point the clipped search never reaches."""
+
+    UNBOUNDED = "{ S[a, b] : 2*b = a + 1 }"  # holds (1, 1); a is tried at 0
+    WIDE = (  # holds (9999, 0, 1); i is cut to 0..4096
+        "{ S[i, k, j] : 0 <= i <= 20000 and 0 <= k <= 1 and 9999*j - k >= 1"
+        " and i - 9999*j >= 0 and j <= 2 }"
+    )
+
+    @pytest.mark.parametrize("text", [UNBOUNDED, WIDE], ids=["unbounded", "wide"])
+    def test_is_not_reported_empty(self, text):
+        s = parse_set(text)
+        with obs.collect() as report:
+            with pytest.raises(FeasibilityUndecided):
+                find_integer_point(list(s.pieces[0].constraints))
+        assert report.counters["presburger.integer_sample.undecided"] == 1
+        assert not parse_set(text).is_empty()
+
+    def test_the_points_are_there(self):
+        assert parse_set(self.UNBOUNDED).contains({"a": 1, "b": 1})
+        assert parse_set(self.WIDE).contains({"i": 9999, "k": 0, "j": 1})
+
+    def test_a_search_that_tried_every_value_still_proves_emptiness(self):
+        with obs.collect() as report:
+            assert find_integer_point([ge(V("x") * 3, 1), le(V("x") * 3, 2)]) is None
+        assert "presburger.integer_sample.undecided" not in report.counters
 
 
 class TestBoundsForSymbol:

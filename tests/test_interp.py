@@ -16,7 +16,8 @@ from repro.codegen.interp import (
     make_store,
     run_program,
 )
-from repro.core import optimize
+from repro.baselines import heuristic_result
+from repro.core import CPU, optimize
 from repro.pipelines import conv2d
 from repro.schedule import initial_tree
 from repro.scheduler import (
@@ -24,7 +25,6 @@ from repro.scheduler import (
     MINFUSE,
     SMARTFUSE,
     schedule_program,
-    tile_all_groups,
 )
 
 PARAMS = {"H": 10, "W": 10, "KH": 3, "KW": 3}
@@ -65,8 +65,7 @@ class TestHeuristicTrees:
     @pytest.mark.parametrize("heuristic", [MINFUSE, SMARTFUSE])
     def test_tiled_matches_naive(self, prog, reference, heuristic):
         ref_store, _ = reference
-        sched = schedule_program(prog, heuristic)
-        tree = tile_all_groups(sched, (4, 4))
+        tree = heuristic_result(prog, heuristic, (4, 4), CPU).tree
         store, _ = run_program(prog, tree)
         np.testing.assert_allclose(store["C"], ref_store["C"])
 

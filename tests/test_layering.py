@@ -54,8 +54,6 @@ SPELLED_TWICE = {
     ("presburger/basic_map.py", "presburger/basic_set.py"): 3,
     # Map.specialize / Set.specialize: the same, docstring included
     ("presburger/map_.py", "presburger/set_.py"): 1,
-    # the keyword lists of the two ``ClusterWork(...)`` calls
-    ("machine/cost.py",): 1,
 }
 
 #: Where a public def of ``src/repro`` must be read from.
@@ -70,7 +68,6 @@ KEEP = {
     "presburger/parse.py:parse_union_set": "the text form test inputs are written in",
     "codegen/cbackend.py:compiler_available": "the skip guard of the tests that run gcc",
     "service/cache.py:reset_default_cache": "resets process-wide state between tests",
-    "scheduler/tiling.py:tile_all_groups": "tiles the PPCG comparator trees under test",
 }
 
 

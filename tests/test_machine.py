@@ -3,13 +3,12 @@
 import pytest
 
 from repro import CompileOptions
-from repro.core import optimize
+from repro.baselines import strategies
 from repro.machine import (
     ConvLayer,
     CPUSpec,
     DEFAULT_CPU,
     analyze_optimized,
-    analyze_scheduled,
     conv_bn_time,
     cpu_time,
     gpu_time,
@@ -17,7 +16,7 @@ from repro.machine import (
 )
 from repro.machine.cpu import cluster_time as cpu_cluster_time
 from repro.pipelines import conv2d
-from repro.scheduler import MAXFUSE, MINFUSE, SMARTFUSE, schedule_program
+from repro.scheduler import MAXFUSE, MINFUSE, SMARTFUSE
 
 PARAMS = {"H": 256, "W": 256, "KH": 3, "KW": 3}
 
@@ -29,12 +28,9 @@ def prog():
 
 @pytest.fixture(scope="module")
 def works(prog):
-    res = optimize(prog, CompileOptions(target="cpu", tile_sizes=(32, 32)))
-    ours = analyze_optimized(res)
-    byh = {}
-    for h in (MINFUSE, SMARTFUSE, MAXFUSE):
-        byh[h] = analyze_scheduled(schedule_program(prog, h), (32, 32))
-    return ours, byh
+    results = strategies(prog, CompileOptions(target="cpu", tile_sizes=(32, 32)))
+    byh = {h: analyze_optimized(results[h]) for h in (MINFUSE, SMARTFUSE, MAXFUSE)}
+    return analyze_optimized(results["ours"]), byh
 
 
 class TestAnalyzer:

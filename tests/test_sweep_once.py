@@ -13,6 +13,7 @@ import struct
 import pytest
 
 from repro import CompileOptions, obs
+from repro.baselines import polymage_overlap
 from repro.core import optimize
 from repro.machine import analyze_optimized, cost
 from repro.scheduler.autotune import autotune_tile_sizes
@@ -110,6 +111,9 @@ def test_entries_without_a_summary_are_hits_analysed_on_demand(tmp_path, monkeyp
     assert counted["machine.analyze.computed"] == 9
     assert "machine.analyze.reused" not in counted
     assert _answers(warm) == _answers(expected)
+    # one store read per entry: the summary read tiers it for the compile
+    memo_reads = reader.stats.memo_hits + reader.stats.memo_misses
+    assert reader.store.stats.get("gets") - memo_reads == 9
 
 
 def test_an_uncosted_entry_is_costed_by_its_first_hit_and_by_no_later_one(tmp_path):
@@ -136,14 +140,15 @@ def test_a_blob_pickled_before_the_field_existed_loads_and_is_analysed(tmp_path)
     program = get_workload("conv2d", 64)
     result = optimize(program, CompileOptions(tile_sizes=(8, 8)))
     expected = analyze_optimized(result)
-    del result.__dict__["work_summary"]
+    del result.__dict__["work_summary"], result.__dict__["cost_policy"]
     assert b"work_summary" not in pickle.dumps(result)
+    assert b"cost_policy" not in pickle.dumps(result)
     CompileCache(cache_dir=str(tmp_path)).put("ab" * 32, result)
 
     reader = CompileCache(cache_dir=str(tmp_path))
     hit = reader.get("ab" * 32)
     assert reader.stats.disk_hits == 1 and reader.stats.errors == 0
-    assert hit.work_summary == []
+    assert hit.work_summary == [] and hit.cost_policy == "exact"
     assert analyze_optimized(hit) == expected
     assert hit.work_summary == expected.as_builtins()
     assert hit.fresh().work_summary is hit.work_summary
@@ -174,7 +179,7 @@ def test_other_params_and_overlap_neither_read_nor_write_the_summary():
     result = optimize(program, CompileOptions(tile_sizes=(8, 8)))
     with obs.collect() as report:
         doubled = analyze_optimized(result, params=other)
-        boxed = analyze_optimized(result, overlap="box_total")
+        boxed = analyze_optimized(polymage_overlap(result))
     assert result.work_summary == []
     assert report.counters["machine.analyze.computed"] == 2
 
@@ -186,7 +191,7 @@ def test_other_params_and_overlap_neither_read_nor_write_the_summary():
     result.work_summary[:] = marker
     assert analyze_optimized(result).clusters[0].name == "noticed if it were read"
     assert analyze_optimized(result, params=other) == doubled
-    assert analyze_optimized(result, overlap="box_total") == boxed
+    assert analyze_optimized(polymage_overlap(result)) == boxed
     assert result.work_summary == marker
 
 

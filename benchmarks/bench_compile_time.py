@@ -10,7 +10,13 @@ minutes) and scales with pipeline depth, with the footprint computation
 (not the heuristics) dominating on complex access patterns.
 """
 
-from common import IMAGE_PIPELINES, compare, image_program, print_table, save_results
+from common import (
+    IMAGE_PIPELINES,
+    cold_compile_seconds,
+    image_program,
+    print_table,
+    save_results,
+)
 
 VERSIONS = ("minfuse", "smartfuse", "maxfuse", "ours")
 
@@ -20,8 +26,7 @@ def compute_compile_times():
     raw = {}
     for name in sorted(IMAGE_PIPELINES):
         mod, prog = image_program(name)
-        results, _ = compare(prog, "cpu", mod.TILE_SIZES)
-        times = {v: results[v].compile_seconds for v in VERSIONS}
+        times = {v: cold_compile_seconds(prog, v, mod.TILE_SIZES) for v in VERSIONS}
         raw[name] = times
         rows.append(
             [name, len(prog.statements)]

@@ -20,9 +20,8 @@ produce), in two modes:
 A second part sweeps the buffer-promotion pass over every target
 (cpu/gpu/npu) and a grid of tile sizes on real pipelines, reporting the
 aggregate memo hit rate each target achieves — the promotion pass leans on
-the union-level relation memos (``umap_fix``, ``umap_image_of_point``,
-``uset_bounding_box``), so its hit rate is the end-to-end health check of
-the memo layer.
+the union-level relation memos (``umap_fix``, ``umap_box_projection``),
+so its hit rate is the end-to-end health check of the memo layer.
 
 Saves raw numbers to ``benchmarks/results/presburger_ops.json`` (``--quick``:
 ``benchmarks/results/quick/``) and exits non-zero if the memoized mode is

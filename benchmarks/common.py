@@ -13,10 +13,12 @@ import json
 import os
 from typing import Dict, Optional, Sequence
 
-from repro import CompileOptions
-from repro.baselines import strategies
+from repro import CompileOptions, obs
+from repro.baselines import heuristic_result, strategies
+from repro.core import optimize
 from repro.machine import analyze_optimized, cpu_time, gpu_time
 from repro.pipelines import IMAGE_PIPELINES
+from repro.presburger import memo
 
 BENCH_SIZE = 1024
 #: The 8-level pyramid of multiscale interpolation needs the full image.
@@ -41,6 +43,25 @@ def compare(program, target: str, tile_sizes):
         for name, result in results.items()
     }
     return results, work
+
+
+def cold_compile_seconds(prog, strategy, tile_sizes):
+    """``strategy``'s compile time with every memo table empty.
+
+    ``strategies()`` builds ours and naive first, so a heuristic compiled
+    after them reads their start-up schedule from the memo and its
+    ``compile_seconds`` times a lookup.  Here each strategy compiles on its
+    own, from cold, and a start-up memo hit fails the run.
+    """
+    memo.clear_all()
+    options = CompileOptions(target="cpu", tile_sizes=tile_sizes)
+    with obs.collect() as report:
+        if strategy == "ours":
+            result = optimize(prog, options)
+        else:
+            result = heuristic_result(prog, strategy, tile_sizes, options.target)
+    assert report.counters.get("scheduler.startup_memo.hit", 0) == 0, strategy
+    return result.compile_seconds
 
 
 def fmt_ms(seconds: float) -> str:

@@ -6,17 +6,32 @@ a complete, compiling C program from a schedule tree's executable loop nest
 compiler is available) builds and runs it.  Python and the executable
 exchange tensors as raw row-major ``float64`` files, ``<name>.bin`` in and
 ``<name>.out.bin`` out, which the executable maps instead of copying, so
-that its run time is the loop nest's.  The emitted code is exact *and* is
-what the optimizer decided, by seven cooperating rules:
+that its run time is the loop nest's.
+
+The nest becomes C in two walks, as in PPCG, where isl builds an AST that
+a printer then only renders:
+
+* **The deciding walk** (``_CBody.decide``) is the only code here that
+  calls Fourier–Motzkin (``projected_bounds``, ``entails``, ``tile_box``).
+  In a table keyed by nest node it records per loop the needed bound
+  operands, ``simd`` and whether it stays parallel, and per leaf piece the
+  solved dims (recovered from the band pin equalities) and the guards it
+  keeps; per tensor an extension promotes, its tile buffer, or why it
+  stays global, such as a load not proved inside the box.
+* **The printing walk** (``_CBody.render``) turns those decisions into
+  text and proves nothing.
+
+What is emitted is exact *and* is what the optimizer decided, by seven
+cooperating rules:
 
 * **Loops and guards.**  Loop bounds are the Fourier–Motzkin bounds of the
   member statements: per member the ``max`` of its lower bounds, over
   members the ``min`` of those (a union, possibly over-approximate; pieces
   of one statement are made disjoint first).  A statement instance runs
-  iff its whole constraint system holds, and the renderer knows what its
-  open loops already guarantee (every ``max``/``min`` operand it emitted;
+  iff its whole constraint system holds, and the deciding walk knows what
+  its open loops already guarantee (every ``max``/``min`` operand kept;
   a tile loop's aligned start and stride as ``T = size * q``, so that
-  ``T <= 255`` becomes ``T <= 224``).  A conjunct ``c`` is emitted as a
+  ``T <= 255`` becomes ``T <= 224``).  A conjunct ``c`` is kept as a
   guard only when ``context ∧ ¬c`` has a rational point, and a bound
   operand only when the other operands do not imply it: what is elided is
   implied, so over-approximated loops still skip exactly the non-instances
@@ -31,8 +46,9 @@ what the optimizer decided, by seven cooperating rules:
   quant(A)``): the update reads the original from the mapping and writes
   the buffer, ``<name>_tile``, which every other reader reads, so a tile
   that recomputes a neighbour's halo computes it from the originals.  A
-  buffer stays a global array when no affine origin exists or the box
-  would be as large as the tensor.
+  buffer stays a global array when no affine origin exists, the box
+  would be as large as the tensor, or a load is not proved inside the box
+  (a safety net no named workload has needed).
 * **Liveness.**  Only tensors whose initial contents the program can
   observe (:func:`repro.codegen.promotion.live_in_tensors`) are taken from
   ``<name>.bin``; everything else starts zeroed.
@@ -55,7 +71,8 @@ what the optimizer decided, by seven cooperating rules:
 * **Parallel loops.**  A coincident outermost loop is ``#pragma omp
   parallel for`` unless an extension beneath it writes a tensor that stays
   a global array: every tile would rewrite it while a neighbour reads it,
-  so that loop runs serially (``codegen.c.parallel_dropped.<why>``).
+  so that loop runs serially (``codegen.c.parallel_dropped.<why>``).  The
+  deciding walk settles this once the loop's body is decided.
 * **Loop order.**  Before the scan, a point loop that is parallel, not
   outermost and feeds a reduction goes beneath the reduction's own loop
   when that leaves the update fewer strided accesses in row-major order
@@ -75,15 +92,12 @@ what the optimizer decided, by seven cooperating rules:
   marked is ``codegen.c.simd_loops`` and the span's ``simd`` attribute
   (the loop variables); the decision is the backend's alone.
 
-Statement dimensions are recovered from the band pin equalities.  The
-round trip (generate → gcc -fopenmp → run → compare with the interpreter)
-is exercised by the test suite, making this the repository's "the
-generated code really runs" proof.
+The test suite runs the round trip (generate → gcc -fopenmp → run →
+compare with the interpreter): the generated code really runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import shutil
@@ -99,7 +113,7 @@ from ..presburger import Constraint, LinExpr
 from ..presburger.fm import projected_bounds
 from ..schedule import DomainNode
 from .loop_order import sink_unit_stride
-from .nest import Extension, Leaf, Loop, Mark, Nest, Seq, inner, scan
+from .nest import Extension, Leaf, Loop, Nest, Piece, inner, scan
 from .promotion import (
     TileBox,
     entails,
@@ -327,9 +341,7 @@ def _generate_c(
     with obs.span("codegen.generate_c"):
         params = dict(program.params, **(params or {}))
         try:
-            shapes = {
-                name: t.concrete_shape(params) for name, t in program.tensors.items()
-            }
+            shapes = {name: t.concrete_shape(params) for name, t in program.tensors.items()}
         except ValueError as exc:
             # e.g. a pyramid level that collapses to extent 0 at this size
             raise CBackendError(f"cannot allocate: {exc}") from exc
@@ -337,86 +349,37 @@ def _generate_c(
         mapped = [t for t in program.tensors if t in live_in or t in program.liveout]
         tree, sunk = sink_unit_stride(tree, program)
         nest = scan(tree, program, params)
-        sites, kept = sites_in(
-            nest, program, live_in, updated_in_place(program, live_in, params)
-        )
-        dropped: Dict[str, List[str]] = {}
-        while True:
-            body = _CBody(program, params, shapes, sites, dict(kept), mapped)
-            body.render(nest, 1)
-            if body.demoted:
-                # FM could not bound some load inside the buffer: keep the
-                # tensor global and emit again.
-                for tensor in body.demoted:
-                    del sites[tensor]
-                    kept[tensor] = "read not provably inside its box"
-                continue
-            serial = _race_free(nest, program, body.kept, dropped)
-            if serial is nest:
-                break
-            nest = serial
-        source = body.source(live_in)
-        scratch_bytes = 8 * sum(box.elems for box in body.scratch.values())
-        obs.annotate(
+        sites, kept = sites_in(nest, program, live_in, updated_in_place(program, live_in, params))
+        body = _CBody(program, params, shapes, sites, kept, mapped)
+        body.decide(nest)
+        body.render(nest, 1)
+        figures = dict(
             guards_kept=body.guards_kept,
             guards_elided=body.guards_elided,
             bounds_simplified=body.bounds_simplified,
             promoted_buffers=len(body.scratch),
-            scratch_bytes=scratch_bytes,
+            scratch_bytes=8 * sum(box.elems for box in body.scratch.values()),
             tensors_read=len(live_in),
+        )
+        dropped = body.dropped.items()
+        obs.annotate(
+            **figures,
             not_promoted="; ".join(f"{t}: {why}" for t, why in body.kept.items()),
-            parallel_dropped="; ".join(f"{v}: {', '.join(ts)}" for v, ts in dropped.items()),
+            parallel_dropped="; ".join(f"{v}: {', '.join(ts)}" for v, ts in dropped),
             sunk="; ".join(map(str, sunk)),
             simd=", ".join(body.simd),
         )
-        obs.count("codegen.c.guards_kept", body.guards_kept)
-        obs.count("codegen.c.guards_elided", body.guards_elided)
-        obs.count("codegen.c.bounds_simplified", body.bounds_simplified)
-        obs.count("codegen.c.promoted_buffers", len(body.scratch))
-        obs.count("codegen.c.scratch_bytes", scratch_bytes)
-        obs.count("codegen.c.tensors_read", len(live_in))
-        obs.count("codegen.c.loops_sunk", len(sunk))
-        obs.count("codegen.c.simd_loops", len(body.simd))
+        for key, n in dict(figures, loops_sunk=len(sunk), simd_loops=len(body.simd)).items():
+            obs.count(f"codegen.c.{key}", n)
         for why in body.kept.values():
             obs.count(f"codegen.c.not_promoted.{why.replace(' ', '_')}")
-        for shared in dropped.values():
+        for _, shared in dropped:
             obs.count(f"codegen.c.parallel_dropped.{body.kept[shared[0]].replace(' ', '_')}")
-        return source, live_in
-
-
-def _race_free(
-    node: Nest, program: Program, kept: Mapping[str, str], dropped: Dict[str, List[str]]
-) -> Nest:
-    """``node`` with every parallel loop made serial beneath which an
-    extension's added statements write a tensor that stays global: each
-    tile would rewrite it while a neighbour reads it.  ``dropped`` gains
-    loop var -> those tensors.  Only sequences and marks are rebuilt: a
-    parallel loop has no enclosing loop and an extension scope has one."""
-    if isinstance(node, Loop) and node.parallel:
-        written = _extension_writes(node.body, program)
-        shared = [t for t in kept if t in written]
-        if shared:
-            dropped[node.var] = shared
-            return dataclasses.replace(node, parallel=False)
-    elif isinstance(node, (Seq, Mark)):
-        below = tuple(_race_free(c, program, kept, dropped) for c in inner(node))
-        if any(a is not b for a, b in zip(below, inner(node))):
-            return Seq(below) if isinstance(node, Seq) else Mark(node.mark, *below)
-    return node
+        return body.source(live_in), live_in
 
 
 def _has_loop(node: Nest) -> bool:
     return isinstance(node, Loop) or any(_has_loop(c) for c in inner(node))
-
-
-def _extension_writes(node: Nest, program: Program) -> List[str]:
-    """The tensors that extension scopes in ``node`` write."""
-    found: List[str] = []
-    if isinstance(node, Extension):
-        found += [program.statement(s).tensor_written() for s in node.added]
-    for child in inner(node):
-        found += _extension_writes(child, program)
-    return found
 
 
 def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constraint]:
@@ -441,7 +404,9 @@ def _connected(hypotheses: Sequence[Constraint], c: Constraint) -> List[Constrai
 
 
 class _CBody:
-    """Renders a loop nest as exact C loops with only the needed guards."""
+    """A loop nest as exact C loops with only the needed guards, in two
+    walks: :meth:`decide` settles every bound, guard, buffer and pragma
+    (``decided``, ``scratch``, ``kept``), and :meth:`render` prints them."""
 
     def __init__(
         self,
@@ -472,8 +437,12 @@ class _CBody:
         self.sites = sites
         self.kept = kept                      # tensor -> why it stays global
         self.scratch: Dict[str, TileBox] = {}  # promoted, origin in loop vars
-        self.demoted: List[str] = []
+        self.written: List[str] = []          # by the extensions decided so far
+        self.dropped: Dict[str, List[str]] = {}  # serial loop var -> shared tensors
         self.simd: List[str] = []             # the loop vars marked ``omp simd``
+        # Loop -> (lower members, upper members, simd, parallel); leaf
+        # piece -> (solved dims, guards), None when statically infeasible.
+        self.decided: Dict[object, Optional[tuple]] = {}
         self.lines: List[str] = []
         # What the open loops guarantee, over loop vars; a tile loop var T
         # appears as size * q (self.tiles[T] = (q, size)), so that GCD
@@ -507,9 +476,7 @@ class _CBody:
         hypotheses = self.context + [self._strided(e) for e in extra]
         # Most queries repeat a loop bound, possibly with a weaker constant.
         if c.kind == ">=" and any(
-            h.kind == ">="
-            and h.expr.terms == c.expr.terms
-            and h.expr.const <= c.expr.const
+            h.kind == ">=" and h.expr.terms == c.expr.terms and h.expr.const <= c.expr.const
             for h in hypotheses
         ):
             return True
@@ -541,21 +508,21 @@ class _CBody:
                 kept = others
         return kept
 
-    # -- rendering ---------------------------------------------------------
+    # -- the deciding walk ---------------------------------------------------
 
-    def render(self, node: Nest, depth: int) -> None:
+    def decide(self, node: Nest) -> None:
         if isinstance(node, Leaf):
             for piece in node.pieces:
-                self._emit_statement(piece.stmt, piece.system, depth)
+                self._decide_statement(piece)
         elif isinstance(node, Loop):
-            self._emit_loop(node, depth)
+            self._decide_loop(node)
         else:
             if isinstance(node, Extension):
-                for tensor, site in self.sites.items():
-                    if site is node:
-                        self._promote(tensor, node)
+                self.written += [self.program.statement(s).tensor_written() for s in node.added]
+                for tensor in [t for t, site in self.sites.items() if site is node]:
+                    self._promote(tensor, node)
             for child in inner(node):
-                self.render(child, depth)
+                self.decide(child)
 
     def _promote(self, tensor: str, scope: Extension) -> None:
         """Give ``tensor`` a per-tile buffer if its footprint has a box."""
@@ -605,7 +572,7 @@ class _CBody:
         uppers = self._needed(uppers, lowers)
         return tuple(lowers), tuple(uppers)
 
-    def _emit_loop(self, loop: Loop, depth: int) -> None:
+    def _decide_loop(self, loop: Loop) -> None:
         var, size = loop.var, loop.size
         kv = LinExpr.var(var)
         # One member per statement piece the dimension scans: the loop
@@ -618,28 +585,11 @@ class _CBody:
             raise CBackendError(f"unbounded band dimension {loop.dim}")
         lowers = self._extreme([lo for lo, _ in members])
         uppers = self._extreme([hi for _, hi in members])
-        lo_text = _union_c(lowers, var, "max", "min")
-        hi_text = _union_c(uppers, var, "min", "max")
-        init = lo_text
-        if size is not None:
-            # align tile origins to the global grid
-            init = f"floord({lo_text}, {size}) * {size}"
-            if re.fullmatch(r"-?\d+", lo_text):
-                init = str(int(lo_text) // size * size)
-        step = f" += {size}" if size else "++"
         # A coincident point loop around statements alone is a vector loop:
         # no two of its iterations depend on each other.
         simd = loop.coincident and size is None and not _has_loop(loop.body)
         if simd:
             self.simd.append(var)
-        if loop.parallel:
-            self.emit(depth, "#pragma omp parallel for" + " simd" * simd)
-        elif simd:
-            self.emit(depth, "#pragma omp simd")
-        self.emit(
-            depth,
-            f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{",
-        )
         # Only what every member guarantees holds in every iteration.
         lows = [c for c in lowers[0] if all(c in m for m in lowers)]
         highs = [c for c in uppers[0] if all(c in m for m in uppers)]
@@ -648,81 +598,125 @@ class _CBody:
             lows = [c.substitute({var: kv + (size - 1)}) for c in lows]
             self.tiles[var] = (f"{var}_q", size)
             self._strided_memo = {}
-        n_context = len(self.context)
+        n_context, n_written = len(self.context), len(self.written)
         self.context.extend(self._strided(c) for c in lows + highs)
-        self.render(loop.body, depth + 1)
+        self.decide(loop.body)
         del self.context[n_context:]
         if self.tiles.pop(var, None):
             self._strided_memo = {}
-        self.emit(depth, "}")
+        # Every tile would rewrite a global array an extension beneath
+        # writes while a neighbour reads it: the loop runs serially.
+        shared = [t for t in self.kept if t in self.written[n_written:]] if loop.parallel else []
+        if shared:
+            self.dropped[var] = shared
+        self.decided[loop] = (lowers, uppers, simd, loop.parallel and not shared)
 
-    def _emit_statement(self, sname: str, cons: Sequence[Constraint], depth: int) -> None:
-        stmt = self.program.statement(sname)
+    def _slot(self, stmt, load: Load, solved: Mapping[str, LinExpr]):
+        """Where ``load`` of ``stmt`` is: the tile buffer's box (``None`` for
+        the tensor itself) and the index into it."""
+        index = [i.substitute(self.params).substitute(solved) for i in load.indices]
+        box = self.scratch.get(load.tensor)
+        in_place = load is not stmt.lhs and load.tensor == stmt.lhs.tensor
+        if in_place and load.tensor in self.mapped:
+            box = None  # the update reads the original, from the mapping
+        if box is not None:
+            index = [i - o for i, o in zip(index, box.origin)]
+        return box, index
+
+    def _decide_statement(self, piece: Piece) -> None:
+        stmt = self.program.statement(piece.stmt)
         solved: Dict[str, LinExpr] = {}
         # Iteratively solve pin equalities (a dim may be defined via another
         # solved dim, e.g. upsample's h through 2h + dh == k).
         changed = True
         while changed:
             changed = False
-            for c in cons:
+            for c in piece.system:
                 if c.kind != "==":
                     continue
-                unsolved = [
-                    s
-                    for s in c.expr.symbols()
-                    if s in stmt.dims and s not in solved
-                ]
-                if len(unsolved) != 1:
+                unsolved = [s for s in c.expr.symbols() if s in stmt.dims and s not in solved]
+                if len(unsolved) != 1 or abs(c.coeff(unsolved[0])) != 1:
                     continue
-                dim = unsolved[0]
-                a = c.coeff(dim)
-                if abs(a) != 1:
-                    continue
+                dim, a = unsolved[0], c.coeff(unsolved[0])
                 rest = (c.expr - LinExpr({dim: a})).substitute(solved)
                 solved[dim] = (-rest) if a == 1 else rest
                 changed = True
         missing = [d for d in stmt.dims if d not in solved]
         if missing:
-            raise CBackendError(
-                f"cannot solve dims {missing} of {sname} from band equalities"
-            )
-        facts = list(dict.fromkeys(c.substitute(solved) for c in cons))
+            raise CBackendError(f"cannot solve dims {missing} of {piece.stmt} from band equalities")
+        facts = list(dict.fromkeys(c.substitute(solved) for c in piece.system))
         if any(c.is_trivially_false() for c in facts):
-            return  # statically infeasible piece
+            self.decided[piece] = None  # statically infeasible piece
+            return
         facts = [c for c in facts if not c.is_trivially_true()]
         guards = [c for c in facts if not self.implies(c)]
         self.guards_kept += len(guards)
         self.guards_elided += len(facts) - len(guards)
+        self.decided[piece] = (solved, guards)
+        # A load of a tile buffer must stay inside its box; else the tensor
+        # stays global (a safety net: no named workload has needed it).
+        for load in (l for l in stmt.rhs.loads() if l.tensor in self.scratch):
+            box, index = self._slot(stmt, load, solved)
+            if box is not None and load is not stmt.lhs and not all(
+                self.implies(Constraint.ge(i), facts)
+                and self.implies(Constraint.le(i, extent - 1), facts)
+                for i, extent in zip(index, box.shape)
+            ):
+                del self.scratch[load.tensor]
+                self.kept[load.tensor] = "read not provably inside its box"
 
+    # -- the printing walk ---------------------------------------------------
+
+    def render(self, node: Nest, depth: int) -> None:
+        if isinstance(node, Leaf):
+            for piece in node.pieces:
+                if self.decided[piece] is not None:
+                    self._emit_statement(piece.stmt, *self.decided[piece], depth)
+        elif isinstance(node, Loop):
+            self._emit_loop(node, depth)
+        else:
+            for child in inner(node):
+                self.render(child, depth)
+
+    def _emit_loop(self, loop: Loop, depth: int) -> None:
+        var, size = loop.var, loop.size
+        lowers, uppers, simd, parallel = self.decided[loop]
+        lo_text = _union_c(lowers, var, "max", "min")
+        hi_text = _union_c(uppers, var, "min", "max")
+        init = lo_text
+        if size is not None:
+            # align tile origins to the global grid
+            init = f"floord({lo_text}, {size}) * {size}"
+            if re.fullmatch(r"-?\d+", lo_text):
+                init = str(int(lo_text) // size * size)
+            self.tiles[var] = (f"{var}_q", size)
+        step = f" += {size}" if size else "++"
+        if parallel:
+            self.emit(depth, "#pragma omp parallel for" + " simd" * simd)
+        elif simd:
+            self.emit(depth, "#pragma omp simd")
+        self.emit(depth, f"for (long {var} = {init}; {var} <= {hi_text}; {var}{step}) {{")
+        self.render(loop.body, depth + 1)
+        self.tiles.pop(var, None)
+        self.emit(depth, "}")
+
+    def _emit_statement(
+        self, sname: str, solved: Mapping[str, LinExpr], guards: Sequence[Constraint], depth: int
+    ) -> None:
+        stmt = self.program.statement(sname)
         q_text = {q: f"{var} / {size}" for var, (q, size) in self.tiles.items()}
 
         def ref(load: Load) -> str:
-            index = [i.substitute(self.params).substitute(solved) for i in load.indices]
-            box = self.scratch.get(load.tensor)
-            in_place = load is not stmt.lhs and load.tensor == stmt.lhs.tensor
-            if in_place and load.tensor in self.mapped:
-                box = None  # the update reads the original, from the mapping
-            if box is not None:
-                index = [i - o for i, o in zip(index, box.origin)]
-                if load is not stmt.lhs and not all(
-                    self.implies(Constraint.ge(i), facts)
-                    and self.implies(Constraint.le(i, extent - 1), facts)
-                    for i, extent in zip(index, box.shape)
-                ) and load.tensor not in self.demoted:
-                    self.demoted.append(load.tensor)
-                name = self.buffer[load.tensor]
-            else:
-                name = self.names[load.tensor]
-                if load.tensor in self.mapped:
-                    name = f"(*{name})"
+            box, index = self._slot(stmt, load, solved)
+            name = self.names[load.tensor] if box is None else self.buffer[load.tensor]
+            if box is None and load.tensor in self.mapped:
+                name = f"(*{name})"
             return name + "".join(f"[{_linexpr_c(i, q_text)}]" for i in index)
 
         env = {d: _linexpr_c(e, {}) for d, e in solved.items()}
         rhs = self._render(stmt.rhs, env, ref)
         op = "+=" if stmt.kind == REDUCE else "="
-        guard = " && ".join(
-            f"({_linexpr_c(c.expr, {})}) {c.kind} 0" for c in guards
-        )
+        guard = " && ".join(f"({_linexpr_c(c.expr, {})}) {c.kind} 0" for c in guards)
         prefix = f"if ({guard}) " if guards else ""
         self.emit(depth, f"{prefix}{ref(stmt.lhs)} {op} {rhs};")
 

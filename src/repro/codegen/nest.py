@@ -11,8 +11,8 @@ set, and returns
   in force when the loop opens and the piece's schedule row; beneath it
   every member is pinned, ``var == row`` in a point band and
   ``var <= row < var + size`` in a tile band.  ``parallel`` (coincident,
-  no enclosing loop) is the one field to clear for a loop that must run
-  serially;
+  no enclosing loop) is what a reader may run in parallel; the C backend
+  decides whether it does;
 * a :class:`Seq` per sequence node; a filter that leaves no statement is
   an empty :class:`Leaf`, so a child's position is its index;
 * a :class:`Leaf` with the pieces that run there and their full systems;

@@ -11,10 +11,8 @@ from .linexpr import LinExpr
 from .space import MapSpace, SetSpace, fresh_names
 
 _APPLY_MEMO = memo.table("apply_range", spillable=True)
-_INTERSECT_MEMO = memo.table("map_intersect")
 _REVERSE_MEMO = memo.table("map_reverse")
 _RENAME_MEMO = memo.table("map_rename")
-_SPECIALIZE_MEMO = memo.table("map_specialize", spillable=True)
 
 
 def composed_space(left: MapSpace, right: MapSpace) -> MapSpace:
@@ -133,12 +131,7 @@ class BasicMap:
     def intersect(self, other: "BasicMap") -> "BasicMap":
         if self.space != other.space:
             raise ValueError(f"space mismatch: {self.space} vs {other.space}")
-        key = (self.space, self.constraints, other.constraints)
-        cached = _INTERSECT_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
-        result = BasicMap._make(self.space, self.constraints + other.constraints)
-        return _INTERSECT_MEMO.put(key, result)
+        return BasicMap._make(self.space, self.constraints + other.constraints)
 
     def intersect_domain(self, dom: BasicSet) -> "BasicMap":
         aligned = _align_set_dims(dom, self.space.in_dims)
@@ -205,29 +198,17 @@ class BasicMap:
         return self.fix(binding)
 
     def specialize(self, binding: Mapping[str, int]) -> "BasicMap":
-        """Exact, memoized substitution of integers for parameters
-        (see :meth:`BasicSet.specialize`)."""
-        binding = {
-            k: int(v) for k, v in binding.items() if k in self.space.params
-        }
+        """Exact substitution of integers for parameters (see
+        :meth:`BasicSet.specialize`)."""
+        binding = {k: int(v) for k, v in binding.items() if k in self.space.params}
         if not binding:
             return self
-        key = (self.space, self.constraints, tuple(sorted(binding.items())))
-        cached = _SPECIALIZE_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
-        params = tuple(p for p in self.space.params if p not in binding)
-        result = BasicMap(
-            MapSpace(
-                self.space.in_name,
-                self.space.in_dims,
-                self.space.out_name,
-                self.space.out_dims,
-                params,
-            ),
+        space = self.space
+        params = tuple(p for p in space.params if p not in binding)
+        return BasicMap(
+            MapSpace(space.in_name, space.in_dims, space.out_name, space.out_dims, params),
             [c.substitute(binding) for c in self.constraints],
         )
-        return _SPECIALIZE_MEMO.put(key, result)
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "BasicMap":
         key = (self.space, self.constraints, tuple(sorted(mapping.items())))

@@ -20,11 +20,7 @@ from .space import SetSpace
 
 _EMPTY_MEMO = memo.table("set_empty")
 _PROJECT_MEMO = memo.table("project_out")
-_SIMPLIFY_MEMO = memo.table("set_simplify")
 _BOX_MEMO = memo.table("bounding_box")
-# Specialization results are shared by every candidate of an autotune
-# sweep, so they spill through the disk cache like apply_range entries.
-_SPECIALIZE_MEMO = memo.table("set_specialize", spillable=True)
 
 
 class BasicSet:
@@ -150,28 +146,19 @@ class BasicSet:
     def specialize(self, binding: Mapping[str, int]) -> "BasicSet":
         """Exact substitution of integer values for *parameters*.
 
-        Semantically identical to :meth:`fix_params`, but memoized under a
-        structural key: one parametric set specialized at many bindings
-        (the autotune sweep) pays the substitution once per binding and the
-        construction once overall.  Every constraint re-normalizes through
-        :meth:`Constraint.substitute`, so the result is the same object the
+        Semantically identical to :meth:`fix_params`; a binding that names
+        no parameter returns ``self``.  Every constraint re-normalizes
+        through :meth:`Constraint.substitute`, so the result is the set the
         concrete pipeline would have built for unit-coefficient systems.
         """
-        binding = {
-            k: int(v) for k, v in binding.items() if k in self.space.params
-        }
+        binding = {k: int(v) for k, v in binding.items() if k in self.space.params}
         if not binding:
             return self
-        key = (self.space, self.constraints, tuple(sorted(binding.items())))
-        cached = _SPECIALIZE_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
         params = tuple(p for p in self.space.params if p not in binding)
-        result = BasicSet(
+        return BasicSet(
             SetSpace(self.space.name, self.space.dims, params),
             [c.substitute(binding) for c in self.constraints],
         )
-        return _SPECIALIZE_MEMO.put(key, result)
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "BasicSet":
         return BasicSet(
@@ -190,12 +177,7 @@ class BasicSet:
     def simplify(self) -> "BasicSet":
         if self.is_obviously_empty():
             return BasicSet.empty(self.space)
-        key = (self.space, self.constraints)
-        cached = _SIMPLIFY_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
-        result = BasicSet(self.space, prune_redundant(list(self.constraints)))
-        return _SIMPLIFY_MEMO.put(key, result)
+        return BasicSet(self.space, prune_redundant(list(self.constraints)))
 
     def is_subset(self, other: "BasicSet") -> bool:
         """self ⊆ other, exactly over the integers for bounded sets."""

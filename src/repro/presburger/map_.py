@@ -17,7 +17,6 @@ from .space import MapSpace, SetSpace
 # candidate, and the cost/promotion passes probe the same concrete maps at
 # the same points repeatedly; both are pure, so cache at the union level.
 _SPECIALIZE_MEMO = memo.table("umap_specialize")
-_IMAGE_MEMO = memo.table("umap_image_of_point")
 _FIX_MEMO = memo.table("umap_fix")
 _APPLY_SET_MEMO = memo.table("umap_apply_to_set")
 _BOX_MEMO = memo.table("umap_box_projection")
@@ -250,20 +249,9 @@ class Map:
 
     def image_of_point(self, point: Mapping[str, int]) -> Set:
         """Set of out-points for a concrete in-point."""
-        key = (
-            self.space,
-            tuple(p.constraints for p in self.pieces),
-            tuple(sorted(point.items())),
-        )
-        cached = _IMAGE_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
-        pieces = []
-        for p in self.pieces:
-            pieces.append(p.image_of_point(point))
         space = self.space.range_space
-        return _IMAGE_MEMO.put(
-            key, Set(space, [BasicSet(space, q.constraints) for q in pieces])
+        return Set(
+            space, [BasicSet(space, p.image_of_point(point).constraints) for p in self.pieces]
         )
 
     def box_projection(self) -> "BoxProjection":

@@ -17,10 +17,7 @@ from .space import SetSpace
 # also spill through the disk cache.
 _DEDUPE_MEMO = memo.table("set_dedupe")
 _HULL_MEMO = memo.table("pattern_hull", spillable=True)
-_COALESCE_MEMO = memo.table("set_coalesce", spillable=True)
 _COUNT_MEMO = memo.table("count_points")
-_SPECIALIZE_MEMO = memo.table("uset_specialize")
-_BOX_MEMO = memo.table("uset_bounding_box")
 
 
 def _pieces_key(pieces: Sequence[BasicSet]) -> tuple:
@@ -232,10 +229,6 @@ class Set:
         """
         from .fm import rational_feasible
 
-        mkey = (self.space, _pieces_key(self.pieces))
-        cached = _COALESCE_MEMO.get(mkey)
-        if cached is not memo.MISS:
-            return cached
         live = [
             p
             for p in self.dedupe().pieces
@@ -251,9 +244,7 @@ class Set:
                         continue
                     dropped[i] = True
                     break
-        return _COALESCE_MEMO.put(
-            mkey, Set(self.space, [p for p, d in zip(live, dropped) if not d])
-        )
+        return Set(self.space, [p for p, d in zip(live, dropped) if not d])
 
     def project_out(self, dims: Sequence[str]) -> "Set":
         pieces = [p.project_out(dims) for p in self.pieces]
@@ -271,23 +262,13 @@ class Set:
         return self.fix(binding)
 
     def specialize(self, binding: Mapping[str, int]) -> "Set":
-        """Exact, memoized substitution of integers for parameters, piece
-        by piece (see :meth:`BasicSet.specialize`)."""
+        """Exact substitution of integers for parameters, piece by piece
+        (see :meth:`BasicSet.specialize`)."""
         params = tuple(p for p in self.space.params if p not in binding)
         if len(params) == len(self.space.params):
             return self
-        key = (
-            self.space,
-            _pieces_key(self.pieces),
-            tuple(sorted(binding.items())),
-        )
-        cached = _SPECIALIZE_MEMO.get(key)
-        if cached is not memo.MISS:
-            return cached
         space = SetSpace(self.space.name, self.space.dims, params)
-        return _SPECIALIZE_MEMO.put(
-            key, Set(space, [p.specialize(binding) for p in self.pieces])
-        )
+        return Set(space, [p.specialize(binding) for p in self.pieces])
 
     def rename_dims(self, mapping: Mapping[str, str]) -> "Set":
         return Set(
@@ -324,14 +305,6 @@ class Set:
         return _COUNT_MEMO.put(key, n)
 
     def bounding_box(self, params=None):
-        key = (
-            self.space,
-            _pieces_key(self.pieces),
-            None if params is None else tuple(sorted(params.items())),
-        )
-        cached = _BOX_MEMO.get(key)
-        if cached is not memo.MISS:
-            return dict(cached)  # callers may mutate their box
         box: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
         for p in self.pieces:
             for dim, (lo, hi) in p.bounding_box(params).items():
@@ -342,8 +315,7 @@ class Set:
                     lo = None if lo is None or olo is None else min(lo, olo)
                     hi = None if hi is None or ohi is None else max(hi, ohi)
                     box[dim] = (lo, hi)
-        _BOX_MEMO.put(key, box)
-        return dict(box)
+        return box
 
     # -- value semantics ---------------------------------------------------
 

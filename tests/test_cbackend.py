@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import CompileOptions, obs
-from repro.codegen import execute_naive, make_store, print_tree, promoted_buffers, run_program
+from repro.codegen import cbackend, execute_naive, make_store, print_tree, promoted_buffers, run_program
 from repro.codegen.cbackend import (
     CFLAGS,
     CBackendError,
@@ -38,11 +38,19 @@ from repro.codegen.cbackend import (
 from repro.codegen.gpu_mapping import map_to_gpu
 from repro.codegen.loop_order import sink_unit_stride
 from repro.codegen.nest import Loop, inner, scan
-from repro.codegen.promotion import entails, live_in_tensors, sites_in, updated_in_place
+from repro.codegen.promotion import (
+    TileBox,
+    entails,
+    live_in_tensors,
+    sites_in,
+    tile_box,
+    updated_in_place,
+)
 from repro.core import optimize
 from repro.ir import ProgramBuilder, TensorStore
 from repro.pipelines import conv2d, polybench, unsharp_mask
 from repro.presburger import Constraint, LinExpr
+from repro.presburger.fm import projected_bounds
 from repro.schedule import (
     BandNode,
     DomainNode,
@@ -826,6 +834,73 @@ class TestParallelLoops:
         src = generate_c(res.tree, prog)
         assert "floord(" not in nest_of(src)
         assert "for (long c1_G0_t0_T = 0; c1_G0_t0_T <= 255; c1_G0_t0_T += 32) {" in src
+
+
+#: ``projected_bounds`` calls of ``generate_c``'s one deciding walk over
+#: trees whose tile loop turns serial: covariance fused at its default tiles,
+#: bilateral_grid and local_laplacian under ``optimize``'s default tiles.  A
+#: backend that bounds and prints the nest again once a loop turns serial
+#: makes twice as many.
+ONE_WALK = {"covariance": 25, "bilateral_grid": 19, "local_laplacian": 265}
+
+
+class TestOneWalk:
+    """The nest is decided once, then printed from the decisions."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_WALK))
+    def test_a_loop_that_turns_serial_is_bounded_once(self, name, monkeypatch):
+        prog = get_workload(name)
+        tiles = default_tile_sizes(name) if name == "covariance" else None
+        res = optimize(prog, CompileOptions(target="cpu", tile_sizes=tiles))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return projected_bounds(*args)
+
+        monkeypatch.setattr(cbackend, "projected_bounds", counted)
+        with obs.collect() as report:
+            generate_c(res.tree, prog)
+        assert any(k.startswith("codegen.c.parallel_dropped.") for k in report.counters)
+        assert len(calls) == ONE_WALK[name]
+
+    def test_a_read_outside_its_box_keeps_the_tensor_global(self, monkeypatch, tmp_path):
+        """The safety net no named workload has needed: the first tile
+        buffer's box is cut to one slot, so reads of it cannot be proved
+        inside; that tensor is a global array and the tile loop that writes
+        it runs serially, in the same walk."""
+        prog, res = fused("harris", 32, (4, 8))
+        cut = []
+
+        def one_slot(accesses, outer):
+            box = tile_box(accesses, outer)
+            if box is None or cut:
+                return box
+            cut.append(box)
+            return TileBox(box.origin, (1,) * len(box.shape))
+
+        monkeypatch.setattr(cbackend, "tile_box", one_slot)
+        with obs.collect(trace=True) as report:
+            src = generate_c(res.tree, prog)
+        why = "read_not_provably_inside_its_box"
+        assert report.counters[f"codegen.c.not_promoted.{why}"] == 1
+        assert report.counters[f"codegen.c.parallel_dropped.{why}"] == 1
+        (span,) = [e for e in report.events if e.name == "codegen.generate_c"]
+        tensor, _ = span.attrs["not_promoted"].split(": ")
+        assert span.attrs["parallel_dropped"].endswith(f": {tensor}")
+        dims = "".join(f"[{e}]" for e in prog.tensors[tensor].concrete_shape(prog.params))
+        assert f"static double {tensor}{dims};\n" in src
+        assert tensor not in scratch_shapes(src)
+        assert "#pragma omp parallel for" not in src
+        if not compiler_available():
+            return
+        cut.clear()
+        got = compile_and_run(res.tree, prog, make_store(prog), keep_dir=str(tmp_path))
+        assert (tmp_path / "kernel.c").read_text() == src
+        ref = make_store(prog)
+        execute_naive(prog, ref)
+        for t in prog.liveout:
+            np.testing.assert_allclose(got[t], ref[t], rtol=1e-12)
 
 
 def vector_loops(nest, found=None):

@@ -47,14 +47,9 @@ COMPILER_ALLOWED = {
     "scheduler/autotune.py": "repro.machine",
 }
 
-#: Blocks that are still written twice under ``LOWER``, as ``files -> windows``.
-SPELLED_TWICE = {
-    # BasicMap.specialize / BasicSet.specialize: one memo preamble, two classes
-    # with no common base
-    ("presburger/basic_map.py", "presburger/basic_set.py"): 3,
-    # Map.specialize / Set.specialize: the same, docstring included
-    ("presburger/map_.py", "presburger/set_.py"): 1,
-}
+#: Blocks that are still written twice under ``LOWER``, as ``files -> windows``:
+#: none since the specialize memo preambles went.
+SPELLED_TWICE = {}
 
 #: Where a public def of ``src/repro`` must be read from.
 READERS = ("src", "benchmarks", "bench", "examples")

@@ -707,7 +707,6 @@ SESSION_COUNTERS = {
     "presburger.memo.map_rename.hit": 1,
     "presburger.memo.map_rename.miss": 6,
     "presburger.memo.map_reverse.miss": 1,
-    "presburger.memo.map_specialize.miss": 2,
     "presburger.memo.project_out.miss": 4,
     "presburger.memo.read_relations.hit": 3,
     "presburger.memo.read_relations.miss": 4,

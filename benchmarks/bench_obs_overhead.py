@@ -186,24 +186,42 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     plain = _median(times["plain"])
 
     # Deterministic additive cost of the traced path, against the real
-    # payload this workload produces.
+    # payload this workload produces: recording its rows and building the
+    # payload, the reply's JSON encoding and the client's decoding.
     events = distributed.wire_to_events(payload)
-    report = obs.CompileReport(record_events=True)
-    for e in events:
-        report.add_event(e)
-        report.add_span(e.name, e.duration)
-    t_wire = _best_of(lambda: distributed.report_to_wire(report, "daemon"), 50)
+
+    def record_rows():
+        rows = distributed.WireRows("daemon")
+        for e in events:
+            rows.add_event(e)
+        return rows.payload()
+
+    t_wire = _best_of(record_rows, 50)
     encoded = json.dumps({"ok": True, "trace": payload})
     t_encode = _best_of(lambda: json.dumps({"ok": True, "trace": payload}), 50)
     t_decode = _best_of(lambda: json.loads(encoded), 50)
-    # In-compile recording: per-call no-op costs times this payload's
-    # span volume (each span is one frame push + event append), plus the
-    # per-span counter attributions it carried.
-    n_counter_updates = sum(len(s.get("c", [])) for s in payload["spans"])
-    t_record = len(events) * noop_cost(_span_noop, 2000) * 2 + (
-        n_counter_updates * noop_cost(_count_noop, 2000)
+    # In-compile recording: per-call no-op costs times this request's span
+    # volume (a span with a row is one frame push and one record, a folded
+    # span one frame push and two counter bumps on the span it folds
+    # into), plus the per-span counter attributions it carried.
+    counter_names = payload["counter_names"]
+    folded = sum(n for _, i, n in payload["c"]
+                 if counter_names[i].startswith("fold.") and counter_names[i].endswith(".calls"))
+    n_counter_updates = sum(
+        1 for _, i, _ in payload["c"] if not counter_names[i].startswith("fold.")
+    )
+    c_span, c_count = noop_cost(_span_noop, 2000), noop_cost(_count_noop, 2000)
+    t_record = (
+        len(events) * c_span * 2
+        + folded * (c_span + 2 * c_count)
+        + n_counter_updates * c_count
     )
     traced_est = t_wire + t_encode + t_decode + t_record
+    print(
+        f"  wire {t_wire * 1e3:.3f} ms, encode {t_encode * 1e3:.3f} ms, decode "
+        f"{t_decode * 1e3:.3f} ms, record {t_record * 1e3:.3f} ms "
+        f"({len(events)} rows, {folded} folded spans)"
+    )
 
     return {
         "workload": workload,
@@ -213,6 +231,7 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
         "plain_seconds": plain,
         "traced_seconds": _median(times["traced"]),
         "wire_spans": len(events),
+        "folded_spans": folded,
         "payload_bytes": len(encoded),
         "traced_overhead_seconds": traced_est,
         "traced_overhead_ratio": traced_est / plain,

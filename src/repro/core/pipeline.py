@@ -16,7 +16,10 @@ Table I/III compilation-time comparison).
 
 from __future__ import annotations
 
+import pickle
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -142,6 +145,51 @@ class _FreshView(OptimizeResult):
         state = dict(self.__dict__)
         state.setdefault("tree", self._source_tree)
         return OptimizeResult, tuple(state[f.name] for f in fields(OptimizeResult))
+
+
+class SharedRef:
+    """A cache entry's reference to its start-up half.
+
+    A result entry pickles ``(program, scheduled.groups, scheduled.deps)``,
+    the part every candidate of one program shares, once, and the rest of
+    the result with each of those objects written as ``SharedRef(kind,
+    index)``: ``("program", None)``; ``("groups", None)`` for the whole
+    list and ``("groups", i)`` for its ``i``-th group, the same for
+    ``"deps"``; ``("domains", i)`` for the domain of the program's
+    ``i``-th statement.  Calling the class returns the referenced object
+    of the start-up half installed by :meth:`resolving`, so a blob names
+    no global but a class.  A reference outside :meth:`resolving`, of an
+    unknown kind or out of range raises ``UnpicklingError``.
+    """
+
+    _installed = threading.local()
+
+    def __new__(cls, kind, index=None):
+        parts = getattr(cls._installed, "parts", None)
+        if parts is not None and kind in parts:
+            part = parts[kind]
+            if index is None:
+                return part
+            if kind != "program" and type(index) is int and 0 <= index < len(part):
+                return part[index]
+        raise pickle.UnpicklingError(f"no shared {kind}[{index}] to refer to")
+
+    @classmethod
+    @contextmanager
+    def resolving(cls, startup: tuple):
+        """Resolve references against ``startup``, a decoded start-up half
+        ``(program, groups, deps)``, on this thread while the block runs."""
+        program, groups, deps = startup
+        cls._installed.parts = {
+            "program": program,
+            "groups": groups,
+            "deps": deps,
+            "domains": [s.domain for s in program.statements],
+        }
+        try:
+            yield
+        finally:
+            cls._installed.parts = None
 
 
 def optimize(

@@ -34,7 +34,9 @@ from .tensor import Tensor
 #: v7: a result entry starts with its work summary as a JSON header, and
 #: intermediate spaces are ordered by their dependences (a program whose
 #: groups interleave in program order compiled to an illegal tree).
-SCHEMA_VERSION = 7
+#: v8: an entry file is a fixed-size prefix and the raw payload, and a result
+#: entry pickles its start-up half apart from its candidate half.
+SCHEMA_VERSION = 8
 
 SALT = f"repro-compile-v{SCHEMA_VERSION}"
 

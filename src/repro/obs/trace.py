@@ -25,6 +25,7 @@ lowest layers (``repro.presburger``) can use it without an import cycle.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -87,6 +88,11 @@ class CompileReport:
     #: meaningful within the recording process; cross-process merges rebase
     #: via :meth:`merge`'s ``at`` argument.
     epoch: float = field(default_factory=perf_counter)
+    #: The deepest span (the number of traced spans open around it) that
+    #: gets its own event; a deeper one is folded into the span open at
+    #: this depth (see :func:`span`).  Only when every tracing collector
+    #: on the thread folds, at the deepest of their depths.
+    fold_depth: int = sys.maxsize
 
     # -- recording ---------------------------------------------------------
 
@@ -101,6 +107,23 @@ class CompileReport:
             self.dropped_events += 1
             return
         self.events.append(event)
+
+    def record_span(self, frame: "_Frame", t0: float, seconds: float, tid: int) -> None:
+        """Record one traced span that just exited (``t0`` is its
+        ``perf_counter`` entry time) as a :class:`SpanEvent`; a subclass
+        may record something cheaper (``repro.obs.distributed.WireRows``)."""
+        self.add_event(
+            SpanEvent(
+                id=frame.id,
+                parent=frame.parent,
+                name=frame.name,
+                start=t0 - self.epoch,
+                duration=seconds,
+                tid=tid,
+                attrs=dict(frame.attrs),
+                counters=dict(frame.counters),
+            )
+        )
 
     def observe(
         self, name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS
@@ -240,7 +263,7 @@ _ids = itertools.count(1)
 class _Frame:
     """One open (not yet exited) traced span on the current thread."""
 
-    __slots__ = ("id", "parent", "name", "attrs", "counters")
+    __slots__ = ("id", "parent", "name", "attrs", "counters", "proxy")
 
     def __init__(self, id: int, parent: Optional[int], name: str, attrs: dict):
         self.id = id
@@ -248,6 +271,17 @@ class _Frame:
         self.name = name
         self.attrs = attrs
         self.counters: Dict[str, int] = {}
+        self.proxy: Optional[_Frame] = None
+
+    def folded(self) -> "_Frame":
+        """The frame every span folded into this one pushes: its id and
+        its counters are this frame's, its attributes a scratch dict, so a
+        folded span's counts land here and its annotations nowhere."""
+        proxy = self.proxy
+        if proxy is None:
+            proxy = self.proxy = _Frame(self.id, self.parent, self.name, {})
+            proxy.counters = self.counters
+        return proxy
 
 
 def _collectors() -> List[CompileReport]:
@@ -328,14 +362,17 @@ _NULL_SPAN = _NullSpan()
 
 class _Span:
     """An active span: aggregates into every collector, and — when any
-    collector is tracing — records a :class:`SpanEvent` with parent links."""
+    collector is tracing — records a :class:`SpanEvent` with parent links,
+    or, below the collectors' ``fold_depth``, folds into the span open at
+    that depth."""
 
-    __slots__ = ("name", "attrs", "t0", "frame")
+    __slots__ = ("name", "attrs", "t0", "frame", "fold")
 
     def __init__(self, name: str, attrs: dict):
         self.name = name
         self.attrs = attrs
         self.frame: Optional[_Frame] = None
+        self.fold: Optional[_Frame] = None
 
     def annotate(self, **attrs) -> None:
         """Attach attributes discovered mid-span (traced spans only)."""
@@ -344,17 +381,26 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         stack = getattr(_state, "stack", None)
-        if stack and any(r.record_events for r in stack):
-            frames = _frames()
-            parent = frames[-1].id if frames else None
-            self.frame = _Frame(next(_ids), parent, self.name, dict(self.attrs))
-            frames.append(self.frame)
+        if stack:
+            keep = -1
+            for r in stack:
+                if r.record_events and r.fold_depth > keep:
+                    keep = r.fold_depth
+            if keep >= 0:
+                frames = _frames()
+                if len(frames) <= keep:
+                    parent = frames[-1].id if frames else None
+                    self.frame = _Frame(next(_ids), parent, self.name, dict(self.attrs))
+                    frames.append(self.frame)
+                else:
+                    self.fold = frames[keep].folded()
+                    frames.append(self.fold)
         self.t0 = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = perf_counter() - self.t0
-        frame = self.frame
+        frame = self.frame or self.fold
         if frame is not None:
             frames = getattr(_state, "frames", None)
             if frames:
@@ -365,7 +411,13 @@ class _Span:
                         frames.remove(frame)
                     except ValueError:
                         pass
-            if exc_type is not None:
+            if self.fold is not None:
+                c = frame.counters
+                calls, us = f"fold.{self.name}.calls", f"fold.{self.name}.us"
+                c[calls] = c.get(calls, 0) + 1
+                c[us] = c.get(us, 0) + round(elapsed * 1e6)
+                frame = None
+            elif exc_type is not None:
                 frame.attrs.setdefault("error", exc_type.__name__)
         stack = getattr(_state, "stack", None)
         if stack:
@@ -373,18 +425,7 @@ class _Span:
             for report in stack:
                 report.add_span(self.name, elapsed)
                 if report.record_events and frame is not None:
-                    report.add_event(
-                        SpanEvent(
-                            id=frame.id,
-                            parent=frame.parent,
-                            name=self.name,
-                            start=self.t0 - report.epoch,
-                            duration=elapsed,
-                            tid=tid,
-                            attrs=dict(frame.attrs),
-                            counters=dict(frame.counters),
-                        )
-                    )
+                    report.record_span(frame, self.t0, elapsed, tid)
         return False
 
 

@@ -602,12 +602,12 @@ class CompileServer:
         if trace_id is None:
             summary, report = fn(norm, None)
             return summary, report, None
-        with obs.collect(trace=True) as traced:
+        with obs.collect(distributed.WireRows("daemon"), trace=True) as traced:
             with obs.span(
                 "serve.request", trace_id=trace_id, workload=norm.get("workload")
             ):
                 summary, report = fn(norm, traced)
-        return summary, report, distributed.report_to_wire(traced, service="daemon")
+        return summary, report, traced.payload()
 
     def _health(self) -> dict:
         return {

@@ -2,10 +2,21 @@
 
 Keys are the content-addressed fingerprints of
 :mod:`repro.service.fingerprint`; values are
-:class:`~repro.core.pipeline.OptimizeResult` objects.  A result entry is a
-4-byte big-endian length, a JSON header of that length holding the
-value's ``work_summary`` (``[]`` when it has none), then the value's
-pickle.  :meth:`CompileCache.get_summary` reads the header alone, so an
+:class:`~repro.core.pipeline.OptimizeResult` objects.  A result entry is
+three fields: a JSON header holding the value's ``work_summary`` (``[]``
+when it has none) and the value's *start-up half*, each after its 4-byte
+big-endian length, then the value's *candidate half*.  The start-up half
+is ``(program, scheduled.groups, scheduled.deps)``, what every candidate
+of one program shares (``schedule_program``'s memo hands all of them the
+same objects); the candidate half is the rest of the result, pickled
+with each of those objects written as a
+:class:`~repro.core.pipeline.SharedRef`.  ``put`` pickles a program's
+start-up half once (:class:`_StartupHalf`, kept for the last
+:data:`STARTUP_HALVES` programs and reused while it holds the very same
+objects), and a decode decodes it once per distinct byte string, so the
+results decoded from one program's entries share one ``Program``, group
+list and dependence list, as compiled ones do; every entry still stands
+alone.  :meth:`CompileCache.get_summary` reads the header alone, so an
 autotuner costs a warm candidate without unpickling its result; the
 header is parsed with ``json`` and checked against ``ClusterWork``'s
 fields, and one that does not parse is an error, an eviction and a miss,
@@ -20,18 +31,20 @@ For an :class:`~repro.core.pipeline.OptimizeResult` that is a copy-on-read
 view: a hit copies no schedule tree until its caller reads ``.tree``, which
 is safe because nothing rewrites the tier's own instance.  ``put`` keeps
 bytes only and never the caller's object, and a value without ``fresh()``
-is decoded again on every hit.  Every decode (of a result: of the pickle
-after its header) is one :func:`~repro.service.store.restricted_loads`
-call with :data:`BLOB_GLOBALS` and counts ``service.cache.decode``: a
-blob naming anything but the compiler's own value classes is an error,
-an eviction and a miss, on every tier.
+is decoded again on every hit.  Every decode counts
+``service.cache.decode`` and unpickles only through
+:func:`~repro.service.store.restricted_loads` with :data:`BLOB_GLOBALS`
+(for a result: its candidate half, and its start-up half when that is
+not decoded yet): a blob naming anything but the compiler's own value
+classes, or a ``SharedRef`` to nothing, is an error, an eviction and a
+miss, on every tier.
 
 Below the memory tier, :class:`CompileCache` is a *policy* over one
 :class:`~repro.service.store.LocalStore`: the sharded on-disk layout
 under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``) that survives
-processes.  Entries are written atomically and carry a schema version,
-so a corrupted or stale file is silently evicted on load instead of
-crashing the compile, and processes that share the directory share the
+processes.  Entries are written atomically behind a prefix that names
+the schema version and the key, so a corrupted or stale file is silently
+evicted on load instead of crashing the compile, and processes that share the directory share the
 warm state.  The store garbage-collects by TTL and size budget
 (``repro cache gc``, ``$REPRO_CACHE_MAX_BYTES`` /
 ``$REPRO_CACHE_MAX_AGE``, opportunistic sweeps on put) with mtime-LRU
@@ -59,6 +72,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import os
 import pickle
@@ -69,8 +83,20 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import obs
-from ..ir.fingerprint import SCHEMA_VERSION
-from .store import GCReport, LocalStore, TierStats, default_gc_budget, restricted_loads
+from ..core.pipeline import OptimizeResult, SharedRef
+from ..deps import Dependence
+from ..ir import Program
+from ..ir.fingerprint import SCHEMA_VERSION, fingerprint_program
+from ..presburger import Set
+from ..scheduler import FusionGroup, Scheduled
+from .store import (
+    HEAD_LEN,
+    GCReport,
+    LocalStore,
+    TierStats,
+    default_gc_budget,
+    restricted_loads,
+)
 
 #: What a result or memo blob may name: the compiler's own value classes.
 BLOB_GLOBALS = tuple(
@@ -88,24 +114,25 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-#: A result entry's prefix: the byte length of the JSON header after it.
-_HEADER_LEN = struct.Struct(">I")
+def _field(blob: bytes, at: int) -> Tuple[bytes, int]:
+    """The length-prefixed field of ``blob`` at ``at`` and where it ends."""
+    (size,) = HEAD_LEN.unpack_from(blob, at)
+    start = at + HEAD_LEN.size
+    end = start + size
+    if end > len(blob):
+        raise ValueError("truncated cache entry field")
+    return blob[start:end], end
 
 
-def _frame(value, blob: bytes) -> bytes:
+def _frame(value, startup: bytes, body: bytes) -> bytes:
     """A result entry: the value's ``work_summary`` (``[]`` when it has
-    none) as a length-prefixed JSON header, then the value's pickle."""
+    none) as a length-prefixed JSON header, the length-prefixed start-up
+    pickle (empty for a value that has no start-up half), then the
+    candidate pickle."""
     header = json.dumps(getattr(value, "work_summary", None) or []).encode()
-    return _HEADER_LEN.pack(len(header)) + header + blob
-
-
-def _split(blob: bytes) -> Tuple[bytes, int]:
-    """A result entry's JSON header and the offset its pickle starts at."""
-    (size,) = _HEADER_LEN.unpack_from(blob)
-    start = _HEADER_LEN.size + size
-    if start > len(blob):
-        raise ValueError("truncated cache entry header")
-    return blob[_HEADER_LEN.size:start], start
+    return b"".join(
+        (HEAD_LEN.pack(len(header)), header, HEAD_LEN.pack(len(startup)), startup, body)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,9 +149,11 @@ _BAD_HEADER = (struct.error, ValueError, RecursionError)
 
 def _summary(blob: bytes) -> Optional[list]:
     """The ``work_summary`` a result entry's header holds, ``None`` when it
-    holds none.  Parsed as JSON, never unpickled; anything but a list of
-    dicts keyed by exactly ``ClusterWork``'s fields raises."""
-    summary = json.loads(_split(blob)[0])
+    holds none.  ``blob`` is the entry or just its head
+    (:meth:`~repro.service.store.LocalStore.get_head`).  Parsed as JSON,
+    never unpickled; anything but a list of dicts keyed by exactly
+    ``ClusterWork``'s fields raises."""
+    summary = json.loads(_field(blob, 0)[0])
     if not isinstance(summary, list) or not all(
         isinstance(c, dict) and c.keys() == _cluster_fields() for c in summary
     ):
@@ -132,12 +161,101 @@ def _summary(blob: bytes) -> Optional[list]:
     return summary or None
 
 
-def _decode(blob: bytes, kind: str):
-    """The value of an entry: for a result, its pickle after the header."""
-    obs.count("service.cache.decode")
-    if kind == "results":
-        blob = blob[_split(blob)[1]:]
-    return restricted_loads(blob, BLOB_GLOBALS)
+# -- the start-up half -------------------------------------------------------
+
+_PROTOCOL = pickle.DEFAULT_PROTOCOL
+
+
+class _Whole:
+    """Pickles as a reference to a whole list of the start-up half."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __reduce__(self):
+        return SharedRef, (self.kind,)
+
+
+_WHOLE = {"groups": _Whole("groups"), "deps": _Whole("deps")}
+
+
+class _StartupHalf:
+    """One program's start-up half as a put writes it: ``(program,
+    scheduled.groups, scheduled.deps)``, pickled once, and the pickler
+    dispatch that writes a result's references to those objects.
+
+    The dispatch maps ``Program``, ``FusionGroup``, ``Dependence`` and
+    ``Set`` to :class:`~repro.core.pipeline.SharedRef` when the object is
+    one of the half's (by identity: the program, a group, a dependence, a
+    statement's domain, which every candidate's tree holds) and to its own
+    reduction otherwise; a
+    ``Scheduled`` whose lists are the half's is rebuilt around references
+    to them.  The C pickler looks the dispatch up per type, so no Python
+    runs for any other object."""
+
+    __slots__ = ("objects", "blob", "refs", "dispatch")
+
+    def __init__(self, program, groups, deps):
+        self.objects = (program, groups, deps)
+        self.blob = pickle.dumps(self.objects, _PROTOCOL)
+        refs = {id(program): ("program", None)}
+        refs.update((id(g), ("groups", i)) for i, g in enumerate(groups))
+        refs.update((id(d), ("deps", i)) for i, d in enumerate(deps))
+        refs.update(
+            (id(s.domain), ("domains", i)) for i, s in enumerate(program.statements)
+        )
+        self.refs = refs
+        self.dispatch = {
+            Program: self._shared,
+            FusionGroup: self._shared,
+            Dependence: self._shared,
+            Set: self._shared,
+            Scheduled: self._scheduled,
+        }
+
+    def holds(self, program, groups, deps) -> bool:
+        mine = self.objects
+        return mine[0] is program and mine[1] is groups and mine[2] is deps
+
+    def _shared(self, obj):
+        ref = self.refs.get(id(obj))
+        if ref is None:
+            return obj.__reduce_ex__(_PROTOCOL)
+        return SharedRef, ref
+
+    def _scheduled(self, obj):
+        if obj.groups is not self.objects[1] or obj.deps is not self.objects[2]:
+            return obj.__reduce_ex__(_PROTOCOL)
+        return Scheduled, tuple(
+            _WHOLE.get(f.name) or getattr(obj, f.name)
+            for f in dataclasses.fields(Scheduled)
+        )
+
+    def pickle(self, value) -> bytes:
+        """``value``'s candidate half."""
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, _PROTOCOL)
+        pickler.dispatch_table = self.dispatch
+        pickler.dump(value)
+        return buf.getvalue()
+
+
+#: How many start-up halves a cache keeps pickled, and keeps decoded.
+STARTUP_HALVES = 8
+
+
+def _checked_startup(startup) -> tuple:
+    if not (
+        isinstance(startup, tuple)
+        and len(startup) == 3
+        and isinstance(startup[0], Program)
+        and isinstance(startup[1], list)
+        and isinstance(startup[2], list)
+    ):
+        raise ValueError("malformed start-up half in a cache entry")
+    return startup
 
 
 class _Entry:
@@ -215,6 +333,8 @@ class CompileCache:
         self._mem: "OrderedDict[str, _Entry]" = OrderedDict()
         self._mem_bytes = 0
         self._lock = threading.RLock()
+        self._halves: "OrderedDict[tuple, _StartupHalf]" = OrderedDict()
+        self._decoded: "OrderedDict[bytes, tuple]" = OrderedDict()
 
     def _build_store(self) -> Optional[LocalStore]:
         if not self.persistent:
@@ -233,14 +353,16 @@ class CompileCache:
             )
         del state["_lock"]
         # The store holds a lock; rebuild it from the fields on the other
-        # side.
-        del state["store"]
+        # side.  The start-up halves are this process's (un)pickles.
+        del state["store"], state["_halves"], state["_decoded"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.store = self._build_store()
         self._lock = threading.RLock()
+        self._halves = OrderedDict()
+        self._decoded = OrderedDict()
 
     @property
     def spec(self) -> Optional[str]:
@@ -251,11 +373,37 @@ class CompileCache:
 
     # -- lookup ------------------------------------------------------------
 
+    def _decode(self, blob: bytes, kind: str):
+        """The value of an entry: for a result, its candidate pickle with
+        the references to its start-up half resolved.  A start-up half is
+        decoded once per distinct byte string (for the last
+        :data:`STARTUP_HALVES`), so the results of one program share one
+        ``Program``, one group list and one dependence list."""
+        obs.count("service.cache.decode")
+        if kind != "results":
+            return restricted_loads(blob, BLOB_GLOBALS)
+        at = _field(blob, 0)[1]
+        shared, at = _field(blob, at)
+        if not shared:
+            return restricted_loads(blob[at:], BLOB_GLOBALS)
+        with self._lock:
+            startup = self._decoded.get(shared)
+            if startup is not None:
+                self._decoded.move_to_end(shared)
+        if startup is None:
+            startup = _checked_startup(restricted_loads(shared, BLOB_GLOBALS))
+            with self._lock:
+                startup = self._decoded.setdefault(shared, startup)
+                while len(self._decoded) > STARTUP_HALVES:
+                    self._decoded.popitem(last=False)
+        with SharedRef.resolving(startup):
+            return restricted_loads(blob[at:], BLOB_GLOBALS)
+
     def _decode_stored(self, kind: str, key: str, blob: bytes):
         """The value of a store hit, or ``None`` after evicting a blob
         that does not decode."""
         try:
-            return _decode(blob, kind)
+            return self._decode(blob, kind)
         except Exception:
             self.store.delete(kind, key)
             with self._lock:
@@ -296,7 +444,7 @@ class CompileCache:
         try:
             value = entry.obj
             if value is None:
-                value = _decode(entry.blob, "results")
+                value = self._decode(entry.blob, "results")
         except Exception:
             with self._lock:
                 self._evict_memory(key)
@@ -311,15 +459,15 @@ class CompileCache:
         the result: ``None`` on a miss and for an entry that holds none.
 
         The memory tier answers from its own instance once that is decoded
-        and from the entry's header otherwise; then the store.  A summary
-        hit counts and tiers as :meth:`get` does (``memory_hits`` or
-        ``disk_hits``, and a store hit is inserted into the memory tier).
-        A store entry with no summary is read, counted and tiered all the
-        same, so the :meth:`get` that compiles or costs it next reads the
-        memory tier instead of the file again; a memory entry with none
-        and a miss count nothing.  A store miss is one ``exists`` check,
-        and a header that does not parse is an error and an eviction, like
-        a blob that does not decode."""
+        and from the entry's header otherwise; then the store, which reads
+        the file's prefix and header alone
+        (:meth:`~repro.service.store.LocalStore.get_head`).  A summary hit
+        counts as :meth:`get`'s hit does (``memory_hits`` or
+        ``disk_hits``); a store hit is not tiered, since its result was
+        not read.  An entry with no summary and a miss count nothing, so
+        the :meth:`get` that compiles or costs it next counts it.  A store
+        miss is one ``exists`` check, and a header that does not parse is
+        an error and an eviction, like a blob that does not decode."""
         with self._lock:
             entry = self._mem.get(key)
             if entry is not None:
@@ -341,20 +489,20 @@ class CompileCache:
             return summary
         if self.store is None or not self.store.contains("results", key):
             return None
-        blob = self.store.get("results", key)
-        if blob is None:
+        head = self.store.get_head("results", key)
+        if head is None:
             return None
         try:
-            summary = _summary(blob)
+            summary = _summary(head)
         except _BAD_HEADER:
             self.store.delete("results", key)
             with self._lock:
                 self.stats.errors += 1
                 self.stats.disk_evictions += 1
             return None
-        with self._lock:
-            self.stats.disk_hits += 1
-            self._insert_memory(key, blob)
+        if summary is not None:
+            with self._lock:
+                self.stats.disk_hits += 1
         return summary
 
     def in_memory(self, key: str) -> bool:
@@ -362,9 +510,35 @@ class CompileCache:
         with self._lock:
             return key in self._mem
 
+    def _startup_half(self, result: OptimizeResult) -> _StartupHalf:
+        """The start-up half of ``result``, pickled once per program: kept
+        for the last few ``(program, heuristic)`` pairs, the start-up
+        memo's key, and reused while it holds the very same objects."""
+        scheduled = result.scheduled
+        key = (fingerprint_program(result.program), scheduled.heuristic)
+        objects = (result.program, scheduled.groups, scheduled.deps)
+        with self._lock:
+            half = self._halves.get(key)
+            if half is not None and half.holds(*objects):
+                self._halves.move_to_end(key)
+                return half
+        half = _StartupHalf(*objects)
+        with self._lock:
+            self._halves[key] = half
+            self._halves.move_to_end(key)
+            while len(self._halves) > STARTUP_HALVES:
+                self._halves.popitem(last=False)
+        return half
+
+    def _encode(self, value) -> bytes:
+        if isinstance(value, OptimizeResult):
+            half = self._startup_half(value)
+            return _frame(value, half.blob, half.pickle(value))
+        return _frame(value, b"", pickle.dumps(value, _PROTOCOL))
+
     def put(self, key: str, value) -> None:
         try:
-            blob = _frame(value, pickle.dumps(value))
+            blob = self._encode(value)
         except Exception:
             with self._lock:
                 self.stats.errors += 1

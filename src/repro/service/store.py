@@ -11,10 +11,14 @@ owns durability.  The layout:
 * results: ``<dir>/<key[:2]>/<key>.pkl``
 * memos:   ``<dir>/memos/<key[:2]>/<key>.pkl``
 
-Each file is a pickled ``(magic, schema, key, payload)`` envelope, read
-back with :func:`restricted_loads`; anything corrupt, truncated or from
-another schema generation is evicted on load instead of crashing the
-compile.  Writes are atomic (``mkstemp`` + ``os.replace``), so processes
+Each file is a fixed-size prefix (the magic ``repro-cache``, the schema
+generation as a big-endian short, the 64-character key) and then the
+payload as it was put.  ``get`` checks the prefix and returns the rest of
+the file; ``get_head`` reads only as far as a payload's length-prefixed
+head (a result entry's JSON header).  A file whose prefix is short, or
+names another magic, schema generation or key, is an error and an
+eviction instead of crashing the compile; reading an entry unpickles
+nothing.  Writes are atomic (``mkstemp`` + ``os.replace``), so processes
 sharing one directory — several daemons given the same ``--cache`` —
 only ever observe whole entries.  On top of that:
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import struct
 import tempfile
 import threading
 import time
@@ -59,7 +64,13 @@ STORE_LATENCY_BUCKETS_MS = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0
 )
 
-_MAGIC = "repro-cache"
+#: An entry file is this fixed-size prefix, then the payload as it was put:
+#: the magic, the schema generation and the entry's (64-character) key.
+_PREFIX = struct.Struct(">11sH64s")
+_MAGIC = b"repro-cache"
+
+#: The length in front of a payload's head (:meth:`LocalStore.get_head`).
+HEAD_LEN = struct.Struct(">I")
 
 #: Opportunistic GC runs at most once per this many puts.
 GC_PUT_INTERVAL = 64
@@ -106,6 +117,21 @@ def default_gc_budget() -> Tuple[Optional[int], Optional[float]]:
     the parser cannot read raises ``ValueError`` naming the variable.
     """
     return _from_env(ENV_MAX_BYTES, parse_size), _from_env(ENV_MAX_AGE, parse_age)
+
+
+def _prefix(key: str) -> bytes:
+    """The prefix of the entry file for ``key``."""
+    raw = key.encode("ascii")
+    if len(raw) > 64:
+        raise ValueError(f"cache key longer than 64 characters: {key!r}")
+    return _PREFIX.pack(_MAGIC, SCHEMA_VERSION, raw)
+
+
+def _read_head(f) -> bytes:
+    raw = f.read(HEAD_LEN.size)
+    if len(raw) < HEAD_LEN.size:
+        return raw
+    return raw + f.read(HEAD_LEN.unpack(raw)[0])
 
 
 def _check_kind(kind: str) -> None:
@@ -255,27 +281,37 @@ class LocalStore:
     def get(self, kind: str, key: str) -> Optional[bytes]:
         self.stats.inc("gets")
         t0 = time.perf_counter()
+        blob = self._read(kind, key, lambda f: f.read())
+        self.stats.inc("misses" if blob is None else "hits")
+        self.stats.observe_get(time.perf_counter() - t0)
+        return blob
+
+    def get_head(self, kind: str, key: str) -> Optional[bytes]:
+        """The head of the payload under ``(kind, key)``: its first 4 bytes,
+        read as a big-endian length, and at most that many bytes after
+        them (fewer only if the file ends first).  ``None`` on a miss.
+        Reads nothing past the head and counts ``head_gets``, not
+        ``gets``; a bad prefix is an error and an eviction as for
+        :meth:`get`."""
+        self.stats.inc("head_gets")
+        return self._read(kind, key, _read_head)
+
+    def _read(self, kind: str, key: str, body) -> Optional[bytes]:
+        """``body(f)`` of the entry file, after checking its prefix."""
         path = self.path(kind, key)
         try:
             with open(path, "rb") as f:
-                # The envelope is plain data: no global may be named.
-                entry = restricted_loads(f.read())
-            magic, schema, stored_key, blob = entry
-            if magic != _MAGIC or schema != SCHEMA_VERSION or stored_key != key:
-                raise ValueError("stale or foreign cache entry")
-            if not isinstance(blob, bytes):
-                raise ValueError("malformed cache payload")
+                if f.read(_PREFIX.size) != _prefix(key):
+                    raise ValueError("stale, foreign or truncated cache entry")
+                return body(f)
         except FileNotFoundError:
-            blob = None
+            return None
         except Exception:
             # Corrupted, truncated or stale entry: evict, never crash.
             self.stats.inc("errors")
             if self._remove(kind, path):
                 self.stats.inc("evictions")
-            blob = None
-        self.stats.inc("misses" if blob is None else "hits")
-        self.stats.observe_get(time.perf_counter() - t0)
-        return blob
+            return None
 
     def put(self, kind: str, key: str, blob: bytes) -> bool:
         """Make ``blob`` durable under ``(kind, key)``; True on success
@@ -288,12 +324,17 @@ class LocalStore:
                 # Content-addressed: same key, same bytes — skip the write.
                 self.stats.inc("put_skips")
                 return True
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            prefix = _prefix(key)
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            except FileNotFoundError:  # the entry's shard is new
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as f:
-                    pickle.dump((_MAGIC, SCHEMA_VERSION, key, blob), f)
-                size = os.path.getsize(tmp)
+                    f.write(prefix)
+                    f.write(blob)
+                size = len(prefix) + len(blob)
                 os.replace(tmp, path)
             except BaseException:
                 try:

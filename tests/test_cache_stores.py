@@ -22,6 +22,7 @@ import dataclasses
 import errno
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import tempfile
@@ -97,6 +98,53 @@ def test_local_store_evicts_corrupt_entry(tmp_path):
     assert not os.path.exists(path)
     assert store.stats.get("errors") == 1
     assert store.stats.get("evictions") == 1
+
+
+def _prefixed(magic=b"repro-cache", schema=None, key=KEY_A):
+    from repro.ir.fingerprint import SCHEMA_VERSION
+
+    schema = SCHEMA_VERSION if schema is None else schema
+    return struct.pack(">11sH64s", magic, schema, key.encode())
+
+
+BAD_PREFIXES = {
+    "wrong magic": _prefixed(magic=b"other-cache"),
+    "wrong schema": _prefixed(schema=7),
+    "wrong key": _prefixed(key=KEY_B),
+    "truncated prefix": _prefixed()[:40],
+}
+
+
+@pytest.mark.parametrize("kind", ["results", "memos"])
+@pytest.mark.parametrize("case", sorted(BAD_PREFIXES))
+def test_a_bad_prefix_is_an_error_an_eviction_and_a_miss(tmp_path, case, kind):
+    store = LocalStore(str(tmp_path))
+    assert store.put(kind, KEY_A, b"payload")
+    path = store.path(kind, KEY_A)
+    with open(path, "rb") as f:
+        assert f.read() == _prefixed() + b"payload"  # the layout, byte for byte
+    with open(path, "wb") as f:
+        f.write(BAD_PREFIXES[case] + (b"payload" if case != "truncated prefix" else b""))
+    assert store.get(kind, KEY_A) is None
+    assert not os.path.exists(path)
+    assert store.stats.get("errors") == 1 and store.stats.get("evictions") == 1
+    assert store.stats.get("misses") == 1 and store.stats.get("hits") == 0
+
+
+def test_a_head_read_stops_after_the_head(tmp_path):
+    store = LocalStore(str(tmp_path))
+    head = struct.pack(">I", 5) + b"[1,2]"
+    assert store.put("results", KEY_A, head + b"\xff" * 100_000)
+    assert store.get_head("results", KEY_A) == head
+    assert store.get_head("results", KEY_B) is None
+    assert store.stats.get("head_gets") == 2 and store.stats.get("gets") == 0
+    # a payload shorter than its head says comes back short, not padded
+    assert store.put("results", KEY_C, struct.pack(">I", 50) + b"[1")
+    assert store.get_head("results", KEY_C) == struct.pack(">I", 50) + b"[1"
+    with open(store.path("results", KEY_A), "r+b") as f:
+        f.write(b"x")  # a bad prefix: an error and an eviction, as for get
+    assert store.get_head("results", KEY_A) is None
+    assert store.stats.get("errors") == 1 and store.stats.get("evictions") == 1
 
 
 def test_local_store_gc_ttl_and_lru(tmp_path):

@@ -109,6 +109,83 @@ def test_report_to_wire_caps_spans():
     assert wire["truncated"] == 15
 
 
+def _deep_report(report):
+    """Spans five deep under one root, counting at every level."""
+    with obs.collect(report, trace=True):
+        with obs.span("root", workload="demo"):
+            for _ in range(2):
+                with obs.span("pass"):
+                    obs.count("c.pass")
+                    with obs.span("step", group="G1"):
+                        with obs.span("leaf"):
+                            obs.count("c.leaf", 2)
+                            obs.annotate(noticed="if folding leaked it")
+                            with obs.span("leaf"):
+                                obs.count("c.leaf")
+    return report
+
+
+def test_wire_rows_fold_below_their_depth(monkeypatch):
+    monkeypatch.setattr(distributed, "FOLD_DEPTH", 1)
+    rows = _deep_report(distributed.WireRows("daemon"))
+    wire = json.loads(json.dumps(rows.payload()))
+    assert wire["schema"] == distributed.ROWS_SCHEMA
+    assert validate_wire_spans(wire) == []
+    events = wire_to_events(wire)
+    assert [e.name for e in events] == ["root", "pass", "pass"]  # entry order
+    root = events[0]
+    assert root.attrs == {"workload": "demo"}
+    for e in events[1:]:
+        assert e.parent == root.id and e.attrs == {}
+        assert e.counters["c.pass"] == 1 and e.counters["c.leaf"] == 3
+        assert e.counters["fold.step.calls"] == 1 and e.counters["fold.leaf.calls"] == 2
+        assert 0 <= e.counters["fold.leaf.us"] <= e.counters["fold.step.us"] <= e.duration * 1e6 + 1
+    # the aggregates are a plain collector's: every span, every count
+    plain = _deep_report(obs.CompileReport(record_events=True))
+    assert rows.counters == plain.counters
+    assert {k: v.calls for k, v in rows.spans.items()} == {
+        k: v.calls for k, v in plain.spans.items()
+    }
+    # a full-detail collector on the same thread keeps every span for both
+    both = distributed.WireRows("daemon")
+    with obs.collect(trace=True) as detail:
+        _deep_report(both)
+    assert len(detail.events) == len(plain.events) == 9
+    assert len(both.payload()["id"]) == 9
+
+
+def test_wire_rows_stitch_like_span_objects():
+    report = _traced_report()
+    rows = distributed.WireRows("daemon")
+    for e in report.events:
+        rows.add_event(e)
+    wire = json.loads(json.dumps(rows.payload()))
+    assert validate_wire_spans(wire) == []
+    by_name = {e.name: e for e in wire_to_events(wire)}
+    assert by_name["inner"].parent == by_name["outer"].id
+    assert by_name["inner"].counters == {"presburger.memo.hit": 2, "other.counter": 1}
+    assert by_name["outer"].attrs == {"phase": "demo"}
+    obj = stitch([wire], new_trace_id())
+    assert validate_chrome_trace(obj) == []
+    assert obj["otherData"]["spans"] == 2
+
+
+def test_validate_wire_rows_checks_what_stitching_reads():
+    rows = distributed.WireRows("daemon")
+    for e in _traced_report().events:
+        rows.add_event(e)
+    good = json.loads(json.dumps(rows.payload()))
+    assert validate_wire_spans(good) == []
+    for key, value in (
+        ("id", None), ("start_us", [0.5, 0]), ("parent", ["x", None]),
+        ("name", [0, 99]), ("tid", [0]), ("names", [1, 2]),
+        ("attrs", [[5, {}]]), ("c", [[0, 0]]), ("wall_t0", "now"),
+    ):
+        assert validate_wire_spans(dict(good, **{key: value})) != [], key
+    for key in ("dur_us", "names"):
+        assert validate_wire_spans({k: v for k, v in good.items() if k != key}) != [], key
+
+
 def test_stitch_produces_valid_chrome_trace():
     report = _traced_report()
     trace_id = new_trace_id()
@@ -225,6 +302,7 @@ def _config(tmp_path, **kw):
 
 def _request_span(out):
     """The daemon's ``serve.request`` span from a traced reply."""
+    assert out["trace"]["schema"] == distributed.ROWS_SCHEMA
     assert validate_wire_spans(out["trace"]) == []
     events = wire_to_events(out["trace"])
     return events, next(e for e in events if e.name == "serve.request")

@@ -49,9 +49,8 @@ def test_fingerprint_is_content_addressed():
 
 
 def test_fingerprints_are_the_ones_caches_already_hold():
-    """Digests as of schema 7.  Schema 6's were recorded before
-    ``fingerprint_program`` moved to ``repro.ir.fingerprint``; spelled with
-    that salt, the same canonical forms still hash to them, so the bump
+    """Digests as of schema 8.  Schema 7's and schema 6's, spelled with
+    their salts, still come out of the same canonical forms, so each bump
     moved the salt and nothing else: a key that moves orphans every entry."""
     from repro.ir.fingerprint import canonical_program, digest_of
     from repro.service.fingerprint import canonical_request
@@ -59,14 +58,19 @@ def test_fingerprints_are_the_ones_caches_already_hold():
 
     harris = get_workload("harris", 512)
     assert fingerprint_program(harris) == (
-        "c0b86f5e689df2b7f193d5f8afbb81dddbb057014f56005761808f5cd3972aeb"
+        "0ae47047a70b2fe8eeb2c5b1e8d2846ed3fe3532f08c3bd400bec04f05d479e9"
     )
     assert fingerprint_request(harris, "cpu", (32, 256), "smartfuse") == (
+        "052f9e4f2a6399d8eace148003d6126fbbc33648238d6b86249bb36ca6ad3479"
+    )
+    request = canonical_request(harris, "cpu", (32, 256), "smartfuse")
+    v7 = digest_of({"salt": "repro-compile-v7", "program": canonical_program(harris)})
+    assert v7 == "c0b86f5e689df2b7f193d5f8afbb81dddbb057014f56005761808f5cd3972aeb"
+    assert digest_of(dict(request, salt="repro-compile-v7", program=v7)) == (
         "c4686ceba24b7ee794f2c952958377b0cb6ac4d564b19c35404f43491616a407"
     )
     v6 = digest_of({"salt": "repro-compile-v6", "program": canonical_program(harris)})
     assert v6 == "c83b4a7f93ee5037e77a1acf22b877e2a6830ccd1b1bc4116fbdc11573bd96ee"
-    request = canonical_request(harris, "cpu", (32, 256), "smartfuse")
     assert digest_of(dict(request, salt="repro-compile-v6", program=v6)) == (
         "5cc2de615d8a3a4f58193cc9a9c593167b7338db38fbd31abea665ac859bc67e"
     )

@@ -363,3 +363,116 @@ def test_a_bad_header_is_an_error_an_eviction_and_a_miss(tmp_path, kind):
     assert memory.get_summary(key) == summary
     assert memory.stats.errors == 1 and memory.stats.memory_evictions == 1
     assert memory.stats.disk_hits == 1 and memory.stats.memory_hits == 0
+
+
+# -- the start-up half: pickled once per program, shared once decoded --------
+
+
+def test_a_decoded_entry_keeps_the_identities_its_result_had(tmp_path):
+    program, _cold_sweep, _cache, _counted, keys = _cold(tmp_path, SMALL, 64)
+    reader = CompileCache(cache_dir=str(tmp_path))
+    for key in keys.values():
+        reader.get(key)
+    hits = [reader._mem[key].obj for key in keys.values()]  # the decoded instances
+    for hit in hits:
+        assert hit.tree is hit.scheduled.tree
+        members = {id(g) for g in hit.scheduled.groups}
+        extensions = [e for e in hit.mixed.entries if e not in hit.mixed.tiling_entries()]
+        assert all(id(e.group) in members for e in hit.mixed.entries)
+        assert all(id(e.target) in members for e in extensions)
+        found = [e for t in hit.mixed.tiling_entries() for e in hit.mixed.extensions_of(t.group)]
+        assert len(found) == len(extensions) > 0
+    first = hits[0]
+    domains = {id(s.domain) for s in first.program.statements}
+    tree_domains = [s for n in _domain_nodes(first.tree) for s in n.domain.sets.values()]
+    assert tree_domains and {id(s) for s in tree_domains} <= domains
+    for hit in hits[1:]:
+        assert hit.program is first.program and hit.scheduled.program is first.program
+        assert hit.scheduled.groups is first.scheduled.groups
+        assert hit.scheduled.deps is first.scheduled.deps
+    assert first.program is not program  # decoded, not the writer's object
+
+
+def _domain_nodes(tree):
+    from repro.schedule import DomainNode
+
+    return [n for n in tree.walk() if isinstance(n, DomainNode)]
+
+
+def test_a_cold_sweep_pickles_its_program_once(tmp_path, monkeypatch):
+    from repro.ir import Program
+
+    pickled = []
+    real = Program.__getstate__
+
+    def counting(self):
+        pickled.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Program, "__getstate__", counting)
+    program = get_workload("conv2d", 256)
+    tuned, _counted = _sweep(program, CompileCache(cache_dir=str(tmp_path)))
+    assert len(tuned.evaluations) == 25
+    assert pickled == [program.name]
+
+
+class _Ref:
+    """Pickles as ``SharedRef(*args)``."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        from repro.core.pipeline import SharedRef
+
+        return SharedRef, self.args
+
+
+@pytest.mark.parametrize(
+    "ref,startup",
+    [
+        (("bogus", 0), True),
+        (("groups", 10_000), True),
+        (("deps", -1), True),
+        (("program", 0), True),
+        (("domains", 64), True),
+        (("program", None), False),  # no start-up half: outside a decode
+    ],
+    ids=["unknown-kind", "out-of-range", "negative", "program-index", "no-such-domain",
+         "outside"],
+)
+def test_a_bad_shared_reference_is_a_miss_and_an_eviction(tmp_path, ref, startup):
+    program, _cold_sweep, cache, _counted, keys = _cold(tmp_path, SMALL, 64)
+    key = keys[(16, 16)]
+    store = LocalStore(str(tmp_path))
+    good = store.get("results", key)
+    (size,) = struct.unpack_from(">I", good)
+    (shared,) = struct.unpack_from(">I", good, 4 + size)
+    head = good[: 4 + size]
+    shared_half = good[4 + size : 8 + size + shared] if startup else struct.pack(">I", 0)
+    bad = head + shared_half + pickle.dumps({"result": _Ref(*ref)})
+    assert store.delete("results", key) and store.put("results", key, bad)
+
+    reader = CompileCache(cache_dir=str(tmp_path))
+    assert reader.get(key) is None
+    assert reader.stats.errors == 1 and reader.stats.disk_evictions == 1
+    assert reader.stats.misses == 1 and key not in reader
+
+    # the memory tier: evicted, and nothing left to fall back on
+    memory = CompileCache(cache_dir=str(tmp_path / "m"), persistent=False)
+    memory.put(key, cache.get(key))
+    memory._mem[key].blob = bad
+    assert memory.get(key) is None
+    assert memory.stats.errors == 1 and memory.stats.memory_evictions == 1
+
+
+def test_a_shared_reference_resolves_only_inside_a_decode():
+    from repro.core.pipeline import SharedRef
+
+    with pytest.raises(pickle.UnpicklingError):
+        SharedRef("program")
+    program = get_workload("conv2d", 64)
+    with SharedRef.resolving((program, [], [])):
+        assert SharedRef("program") is program
+    with pytest.raises(pickle.UnpicklingError):
+        SharedRef("program")

@@ -88,7 +88,9 @@ def test_hits_decode_once_and_canonicalise_once(tmp_path, decodes, monkeypatch):
             for _ in range(20)
         ]
     assert cache.stats.memory_hits == 20 and cache.stats.misses == 1
-    assert len(decodes) == 1  # the tier's own instance, on the first hit
+    # the tier's own instance, on the first hit: its program's start-up
+    # half, then the candidate half
+    assert len(decodes) == 2
     assert report.counters["service.cache.decode"] == 1
     assert canonical == [id(program)]
     assert len({id(h.tree) for h in hits} | {id(first.tree)}) == 21
@@ -103,7 +105,7 @@ def test_disk_warm_process_decodes_each_entry_once(tmp_path, decodes):
     for _ in range(5):
         cached_optimize(program, _options("conv2d", reader))
     assert reader.stats.disk_hits == 1 and reader.stats.memory_hits == 4
-    assert len(decodes) == 1
+    assert len(decodes) == 2  # the start-up half and the candidate half, once
 
 
 def test_values_without_fresh_are_decoded_per_hit(tmp_path, decodes):
@@ -275,7 +277,8 @@ def test_memory_tier_copies_share_the_summary_and_not_the_tree(tmp_path, decodes
             for _ in range(2)
         )
         assert analyze_optimized(a) == analyze_optimized(b) == analyze_optimized(miss.result)
-    assert len(decodes) == 1 and cache.stats.memory_hits == 2
+    # one decode of the entry: its start-up half and its candidate half
+    assert len(decodes) == 2 and cache.stats.memory_hits == 2
     assert "machine.analyze.computed" not in report.counters
     assert a.work_summary is b.work_summary is cache._mem[request.fingerprint].obj.work_summary
     assert a.work_summary == miss.result.work_summary

@@ -137,11 +137,14 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     is the traced path's additive work measured directly where it is
     deterministic:
 
-    * ``report_to_wire`` on the request's actual traced span report,
+    * recording the request's actual spans into a
+      :class:`~repro.obs.distributed.WireRows` collector and building its
+      payload, less recording them into the plain collector every
+      untraced request opens too (:func:`_replay`: every row's span with
+      its attributes and counters, every folded span as often as its row
+      counts it),
     * JSON-encoding the span payload into the response,
-    * JSON-decoding it again client-side,
-    * recording overhead inside the compile (spans/frame counters),
-      bounded by the per-call no-op costs times the observed call volume.
+    * JSON-decoding it again client-side.
     """
     import json
     import tempfile
@@ -186,40 +189,27 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
     plain = _median(times["plain"])
 
     # Deterministic additive cost of the traced path, against the real
-    # payload this workload produces: recording its rows and building the
-    # payload, the reply's JSON encoding and the client's decoding.
+    # payload this workload produces: recording its spans into rows and
+    # building the payload, the reply's JSON encoding and the client's
+    # decoding.
     events = distributed.wire_to_events(payload)
-
-    def record_rows():
-        rows = distributed.WireRows("daemon")
-        for e in events:
-            rows.add_event(e)
-        return rows.payload()
-
-    t_wire = _best_of(record_rows, 50)
+    if _rows(_replay(events)) != _rows(payload):
+        raise RuntimeError("the replay does not record the request's rows")
+    folded = sum(
+        n for _, i, n in payload["c"] if _folded_span(payload["counter_names"][i])
+    )
+    t_record = max(
+        0.0,
+        _best_of(lambda: _replay(events), 50)
+        - _best_of(lambda: _replay(events, traced=False), 50),
+    )
     encoded = json.dumps({"ok": True, "trace": payload})
     t_encode = _best_of(lambda: json.dumps({"ok": True, "trace": payload}), 50)
     t_decode = _best_of(lambda: json.loads(encoded), 50)
-    # In-compile recording: per-call no-op costs times this request's span
-    # volume (a span with a row is one frame push and one record, a folded
-    # span one frame push and two counter bumps on the span it folds
-    # into), plus the per-span counter attributions it carried.
-    counter_names = payload["counter_names"]
-    folded = sum(n for _, i, n in payload["c"]
-                 if counter_names[i].startswith("fold.") and counter_names[i].endswith(".calls"))
-    n_counter_updates = sum(
-        1 for _, i, _ in payload["c"] if not counter_names[i].startswith("fold.")
-    )
-    c_span, c_count = noop_cost(_span_noop, 2000), noop_cost(_count_noop, 2000)
-    t_record = (
-        len(events) * c_span * 2
-        + folded * (c_span + 2 * c_count)
-        + n_counter_updates * c_count
-    )
-    traced_est = t_wire + t_encode + t_decode + t_record
+    traced_est = t_record + t_encode + t_decode
     print(
-        f"  wire {t_wire * 1e3:.3f} ms, encode {t_encode * 1e3:.3f} ms, decode "
-        f"{t_decode * 1e3:.3f} ms, record {t_record * 1e3:.3f} ms "
+        f"  record {t_record * 1e3:.3f} ms, encode {t_encode * 1e3:.3f} ms, "
+        f"decode {t_decode * 1e3:.3f} ms "
         f"({len(events)} rows, {folded} folded spans)"
     )
 
@@ -237,6 +227,58 @@ def run_serve_bench(workload: str, size: int, requests: int, repeats: int):
         "traced_overhead_ratio": traced_est / plain,
         "budget": OVERHEAD_BUDGET,
     }
+
+
+def _folded_span(counter: str):
+    """The span name a ``fold.<name>.calls`` counter counts, else ``None``."""
+    if counter.startswith("fold.") and counter.endswith(".calls"):
+        return counter[len("fold."):-len(".calls")]
+    return None
+
+
+def _rows(payload):
+    """A payload's rows as ``(name, counters)`` pairs in row order, without
+    the clock's ``fold.<name>.us`` counters."""
+    names, counter_names = payload["names"], payload["counter_names"]
+    counters = [{} for _ in payload["name"]]
+    for row, i, n in payload["c"]:
+        if not (counter_names[i].startswith("fold.") and counter_names[i].endswith(".us")):
+            counters[row][counter_names[i]] = n
+    return [(names[i], c) for i, c in zip(payload["name"], counters)]
+
+
+def _replay(events, traced=True):
+    """Record ``events``, a traced request's rows, the way the daemon
+    does, through ``obs.span`` and ``obs.count``: each row's span with its
+    attributes, and inside it each span the row folded, as often as the
+    row counts it, and each of its counters bumped one at a time.  Traced,
+    into a fresh ``WireRows`` under ``collect(trace=True)``, returning its
+    payload; else into the plain collector of an untraced request."""
+    from repro.obs import distributed
+
+    children = {}
+    for e in sorted(events, key=lambda e: e.start):
+        children.setdefault(e.parent, []).append(e)
+
+    def record(e):
+        with obs.span(e.name, **e.attrs):
+            for counter, n in e.counters.items():
+                name = _folded_span(counter)
+                if name is not None:
+                    for _ in range(n):
+                        with obs.span(name):
+                            pass
+                elif not counter.startswith("fold."):
+                    for _ in range(n):
+                        obs.count(counter)
+            for child in children.get(e.id, ()):
+                record(child)
+
+    rows = distributed.WireRows("daemon") if traced else None
+    with obs.collect(rows, trace=traced):
+        for root in children.get(None, ()):
+            record(root)
+    return rows.payload() if traced else None
 
 
 def _median(values):

@@ -60,6 +60,11 @@ class OptimizeResult:
     ``cost_policy`` names how the machine model costs this schedule:
     ``"exact"``, the paper's, for every result :func:`optimize` builds;
     :mod:`repro.baselines` sets the comparators' own.
+
+    :meth:`fusion_summary` is derived once per result and kept in a
+    holder that every :meth:`fresh` view shares, like ``work_summary``;
+    unlike it, the holder is never pickled, so an entry's bytes do not
+    depend on whether a summary was asked for.
     """
 
     program: Program
@@ -71,6 +76,9 @@ class OptimizeResult:
     compile_seconds: float
     work_summary: List[dict] = field(default_factory=list)
     cost_policy: str = "exact"
+
+    def __post_init__(self):
+        self._fusion: list = []
 
     @property
     def clusters(self) -> List[List[FusionGroup]]:
@@ -93,22 +101,29 @@ class OptimizeResult:
         to do so."""
         return _FreshView.of(self)
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_fusion", None)
+        return state
+
     def __setstate__(self, state):
         # An entry pickled before ``work_summary`` existed loads as uncosted,
         # and one pickled before ``cost_policy`` existed is one of ours.
         self.__dict__.update(state)
         self.__dict__.setdefault("work_summary", [])
         self.__dict__.setdefault("cost_policy", "exact")
+        self._fusion = []
 
     def fusion_summary(self) -> List[List[str]]:
-        """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``."""
-        out = []
-        for cluster in self.clusters:
-            stmts: List[str] = []
-            for g in cluster:
-                stmts.extend(g.statements)
-            out.append(sorted(stmts, key=self.program.statement_index))
-        return out
+        """Statement-level fusion result, e.g. ``[[S0, S1, S2, S3]]``: new
+        lists on every call, built from the summary the first call kept."""
+        if not self._fusion:
+            index = self.program.statement_index
+            self._fusion.append(tuple(
+                tuple(sorted((s for g in cluster for s in g.statements), key=index))
+                for cluster in self.clusters
+            ))
+        return [list(stmts) for stmts in self._fusion[0]]
 
 
 class _FreshView(OptimizeResult):

@@ -145,11 +145,16 @@ class MixedSchedules:
         )
 
     def fused_groups(self) -> List[List[FusionGroup]]:
-        """The fusion groups Algorithm 1 implies (one per tiling entry)."""
-        out = []
-        for t in self.tiling_entries():
-            out.append([t.group] + [e.group for e in self.extensions_of(t.group)])
-        return out
+        """The fusion groups Algorithm 1 implies (one per tiling entry): its
+        group, then the groups of the extensions that target it, in entry
+        order."""
+        tilings, extensions = [], {}
+        for e in self.entries:
+            if isinstance(e, TilingScheduleEntry):
+                tilings.append(e.group)
+            elif isinstance(e, ExtensionScheduleEntry):
+                extensions.setdefault(id(e.target), []).append(e.group)
+        return [[g, *extensions.get(id(g), ())] for g in tilings]
 
 
 def construct_tile_shapes(

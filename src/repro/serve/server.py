@@ -71,6 +71,13 @@ from typing import Dict, Optional, Tuple
 from .. import obs
 from ..obs import MetricsRegistry, distributed
 from ..obs.events import EventLog
+from ..options import CompileOptions
+from ..scheduler import HEURISTICS
+from ..scheduler.autotune import autotune_tile_sizes
+from ..service import fingerprint
+from ..service.cache import default_cache_dir, resolve_cache
+from ..service.driver import CompileRequest, compile_batch
+from ..workloads import build_workload, default_tile_sizes, is_workload
 from . import protocol
 from .singleflight import SingleFlight
 
@@ -80,8 +87,6 @@ LATENCY_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 1000
 
 def default_socket_path() -> str:
     """Default unix-socket path, next to the default compile cache."""
-    from ..service.cache import default_cache_dir
-
     return os.path.join(default_cache_dir(), "serve.sock")
 
 
@@ -166,23 +171,26 @@ class CompileServer:
         if config.cache is None:
             self.cache = None
         else:
-            from ..service.cache import resolve_cache
-
             self.cache = resolve_cache(config.cache)
         self.registry = MetricsRegistry()
         self.events = EventLog(path=config.events_path)
         bodies = {
-            "compile": partial(self._compile, cache=self.cache),
+            "compile": partial(
+                self._compile, options=CompileOptions(mode="serial", cache=self.cache)
+            ),
             "autotune": self._autotune,
         }
         self._work_fns = {
             verb: partial(self._work, body) for verb, body in bodies.items()
         }
         self._work_fns.update(work_fns or {})
-        # What the built-in compile of a memory-tier hit reads, on the loop.
-        self._memory_tier = None
+        # What the built-in compile of a memory-tier hit reads, on the loop:
+        # the options are the same for every hit, so they are built once.
+        self._memory_options = None
         if self.cache is not None and "compile" not in (work_fns or {}):
-            self._memory_tier = _MemoryTier(self.cache)
+            self._memory_options = CompileOptions(
+                mode="serial", cache=_MemoryTier(self.cache)
+            )
         self._flight = SingleFlight()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._servers = []
@@ -428,9 +436,6 @@ class CompileServer:
     def _normalize(self, method: str, params: dict) -> Dict[str, object]:
         """The verb's params with every default filled in, minus the trace
         id — what the work fn sees and the flight key is made of."""
-        from ..scheduler import HEURISTICS
-        from ..workloads import default_tile_sizes, is_workload
-
         norm = protocol.fill_defaults(method, params)
         norm.pop("trace", None)
         if not is_workload(norm["workload"]):
@@ -569,13 +574,17 @@ class CompileServer:
         to the single-flight and the pool: any other verb, an injected
         compile, a key the memory tier lacks, and one it lost before the
         read (a worker's ``put`` evicted it).  So the loop never compiles
-        and never reads the store."""
-        if method != "compile" or self._memory_tier is None:
-            return None
-        from ..service.fingerprint import fingerprint_request
-        from ..workloads import build_workload
+        and never reads the store.
 
-        key = fingerprint_request(
+        What never changes between two hits of one key is not redone: the
+        key is a lookup in ``fingerprint_request``'s memo (the program's
+        digest is memoized on the program), the compile options were built
+        with the server, and the reply's ``fusion`` is the summary the
+        cache's own instance derived on the first hit and shares with
+        every view it hands out."""
+        if method != "compile" or self._memory_options is None:
+            return None
+        key = fingerprint.fingerprint_request(
             build_workload(norm["workload"], norm["size"]),
             norm["target"],
             norm["tile_sizes"],
@@ -583,7 +592,7 @@ class CompileServer:
         )
         if not self.cache.in_memory(key):
             return None
-        body = partial(self._compile, cache=self._memory_tier, fingerprint=key)
+        body = partial(self._compile, options=self._memory_options, key=key)
         try:
             return self._call_traced(partial(self._work, body), norm, trace_id)
         except _Cold:
@@ -653,8 +662,6 @@ class CompileServer:
         verb's ``body(norm, program)``, time it.  A body that raises
         answers ``<verb>-error`` rather than taking the request down; only
         :class:`_Cold` passes, back to :meth:`_answer_hit`."""
-        from ..workloads import build_workload
-
         t0 = perf_counter()
         with obs.collect() if report is None else nullcontext(report) as report:
             program = build_workload(norm["workload"], norm["size"])
@@ -674,25 +681,20 @@ class CompileServer:
         }
         return summary, report
 
-    def _compile(self, norm: dict, program, cache, fingerprint=None) -> dict:
-        """One compile through the batch driver, which sees ``cache``: the
-        shared thread-safe cache on a worker, where a warm fingerprint
-        never compiles and a fresh result is stored for every later
-        request (and process); its :class:`_MemoryTier` on the loop, with
-        the ``fingerprint`` :meth:`_answer_hit` already computed."""
-        from ..options import CompileOptions
-        from ..service.driver import CompileRequest, compile_batch
-
+    def _compile(self, norm: dict, program, options, key=None) -> dict:
+        """One compile through the batch driver, whose ``options`` hold
+        the cache it sees: the shared thread-safe cache on a worker, where
+        a warm fingerprint never compiles and a fresh result is stored for
+        every later request (and process); its :class:`_MemoryTier` on the
+        loop, with the ``key`` :meth:`_answer_hit` already computed."""
         request = CompileRequest(
             program,
             target=norm["target"],
             tile_sizes=norm["tile_sizes"],
             startup=norm["startup"],
-            _fingerprint=fingerprint,
+            _fingerprint=key,
         )
-        (outcome,) = compile_batch(
-            [request], options=CompileOptions(mode="serial", cache=cache)
-        )
+        (outcome,) = compile_batch([request], options=options)
         summary = {
             "target": norm["target"],
             "startup": norm["startup"],
@@ -711,9 +713,6 @@ class CompileServer:
 
     def _autotune(self, norm: dict, program) -> dict:
         """Tile-size search against the machine model."""
-        from ..options import CompileOptions
-        from ..scheduler.autotune import autotune_tile_sizes
-
         tuned = autotune_tile_sizes(
             program,
             threads=norm["threads"],

@@ -28,9 +28,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core import optimize
 from ..ir import Program
+from ..options import CompileOptions, resolve_options
 from .. import obs
-from .cache import CompileCache
+from .cache import CompileCache, default_cache
 from .fingerprint import fingerprint_program, fingerprint_request
 
 #: Dispatch strategies for :func:`compile_batch`.
@@ -158,9 +160,6 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     thread, pool thread or worker process), so the entry ``compile_batch``
     stores already carries its ``work_summary`` and no later hit analyses.
     """
-    from ..core import optimize
-    from ..options import CompileOptions
-
     try:
         result = optimize(
             request.program,
@@ -377,8 +376,6 @@ def compile_batch(
     ``mode``/``jobs``/``cache`` — in one validated bundle (``None`` uses
     the defaults: auto dispatch, cpu-count workers, no cache).
     """
-    from ..options import resolve_options
-
     opts = resolve_options(options)
     mode, max_workers, cache = opts.mode, opts.jobs, opts.cache
     with obs.span("compile_batch", mode=mode, requests=len(requests)):
@@ -447,10 +444,6 @@ def cached_optimize(
     :class:`repro.CompileOptions` (``target``/``tile_sizes``/``startup``/
     ``cache``), passed positionally or as ``options=``.
     """
-    from ..core import optimize
-    from ..options import resolve_options
-    from .cache import default_cache
-
     opts = resolve_options(options)
     cache = opts.cache if opts.cache is not None else default_cache()
     key = fingerprint_request(program, opts.target, opts.tile_sizes, opts.startup)

@@ -224,3 +224,80 @@ def test_pruned_feasibility_agrees_with_brute_force(bset):
     # bounded box an integer witness forces rational feasibility.
     if has_integer_point:
         assert feasible
+
+
+# ---------------------------------------------------------------------------
+# soundness where the search is weakest: equalities with coefficients 2-5,
+# a free parameter and dims bounded by nothing but those equalities.
+
+BOX_DIMS = ("u0", "u1")
+IMAGE_DIMS = ("x0", "x1")
+PARAM_RANGE = range(-3, 4)  # the parameter values brute force tries
+COEFFS = st.sampled_from([-5, -4, -3, -2, 0, 2, 3, 4, 5])
+
+
+@st.composite
+def box_images(draw):
+    """A small box over ``u`` and its image under an integer affine map:
+    ``c_j * x_j == sum_i a_ji * u_i + b_j * N + d_j`` with ``c_j`` in 2-5,
+    plus up to two extra inequalities over every symbol.  The ``x`` have
+    no bounds of their own and ``N`` none at all, so each point of the set
+    is a box point and an ``N`` for which every ``x_j`` comes out whole."""
+    n_box = draw(st.integers(1, 2))
+    n_image = draw(st.integers(1, 2))
+    box = {}
+    cons = []
+    for u in BOX_DIMS[:n_box]:
+        lo = draw(st.integers(-2, 1))
+        box[u] = range(lo, lo + draw(st.integers(0, 3)) + 1)
+        cons += [Constraint.ge(LinExpr.var(u), lo), Constraint.le(LinExpr.var(u), box[u][-1])]
+    image = []
+    for x in IMAGE_DIMS[:n_image]:
+        c = draw(st.integers(2, 5))
+        rhs = LinExpr({u: draw(COEFFS) for u in box} | {"N": draw(COEFFS)},
+                      draw(st.integers(-3, 3)))
+        image.append((x, c, rhs))
+        cons.append(Constraint.eq(LinExpr({x: c}) - rhs))
+    syms = list(box) + [x for x, _, _ in image] + ["N"]
+    for _ in range(draw(st.integers(0, 2))):
+        expr = LinExpr({s: draw(st.integers(-3, 3)) for s in syms}, draw(st.integers(-6, 6)))
+        cons.append(Constraint.ge(expr))
+    space = SetSpace("I", tuple(box) + tuple(x for x, _, _ in image), ("N",))
+    return BasicSet(space, cons), box, image
+
+
+def _image_points(bset, box, image):
+    """Brute force over the box and ``PARAM_RANGE``: the set's points there."""
+    for values in itertools.product(*box.values()):
+        for n in PARAM_RANGE:
+            point = dict(zip(box, values), N=n)
+            for x, c, rhs in image:
+                q, r = divmod(rhs.eval(point), c)
+                if r:
+                    break
+                point[x] = q
+            else:
+                if bset.contains(point):
+                    yield point
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_images())
+def test_emptiness_and_sample_are_sound_on_box_images(drawn):
+    """"Empty" only when brute force finds no point, and a sample is a
+    member.  An undecided search is allowed: it claims neither."""
+    from repro.presburger import FeasibilityUndecided, memo
+
+    bset, box, image = drawn
+    witness = next(_image_points(bset, box, image), None)
+    memo.clear_all()
+    if bset.is_empty():
+        assert witness is None, f"{bset} holds {witness}"
+    try:
+        point = bset.sample()
+    except FeasibilityUndecided:
+        return
+    if point is None:
+        assert witness is None, f"{bset} holds {witness}"
+    else:
+        assert bset.contains(point), f"{point} is not in {bset}"

@@ -275,6 +275,45 @@ def test_a_memory_hit_hashes_once_and_opens_no_flight(tmp_path, monkeypatch):
     assert counters["serve.cache_hits"] == 1 and counters["serve.compiles"] == 1
 
 
+def test_a_hot_hit_redoes_no_work_that_never_changes(tmp_path, monkeypatch):
+    """After the first hit of a key, every later hit hashes nothing (its
+    key is a memo lookup), derives no fusion clusters (the cache's own
+    instance keeps its summary) and builds no compile options on the
+    loop.  Counts, not clocks: each of these came back on every hit."""
+    from repro import CompileOptions
+    from repro.core.tile_shapes import MixedSchedules
+    from repro.ir import fingerprint as ir_fingerprint
+    from repro.service import fingerprint
+
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread().name))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ir_fingerprint, "digest_of")
+    counting(fingerprint, "digest_of")
+    counting(MixedSchedules, "fused_groups")
+    counting(CompileOptions, "__post_init__")
+    config = _config(tmp_path)
+    with ServerThread(config):
+        with ServeClient(socket_path=config.socket_path) as c:
+            cold = c.compile("conv2d", size=16)
+            del calls[:]
+            first = c.compile("conv2d", size=16)
+            assert [name for name, _ in calls].count("fused_groups") == 1
+            del calls[:]
+            hot = [c.compile("conv2d", size=16) for _ in range(50)]
+    assert sorted(set(calls)) == []
+    assert first["from_cache"] is True and first["fusion"] == cold["fusion"]
+    assert all(reply == dict(first, compile_ms=reply["compile_ms"]) for reply in hot)
+
+
 #: A traced hit's daemon spans, recorded at the parent, where every hit
 #: ran on the worker pool: ``(name, parent's name, attribute names,
 #: counters)`` of the first and the second hit of one key.

@@ -87,6 +87,50 @@ def test_fingerprint_sensitivity():
     assert fingerprint_request(bigger, "cpu", (16, 16)) != base
 
 
+def test_the_request_memo_is_keyed_by_value():
+    """``fingerprint_request`` keeps its digests in a bounded memo keyed
+    by value; every answer is the digest of the canonical request, however
+    the target and the tile sizes are spelled, and a spec that differs in
+    one field, even ``8`` for ``8.0``, is another key."""
+    import dataclasses
+
+    from repro.core.tile_shapes import TARGETS
+    from repro.ir.fingerprint import digest_of
+    from repro.scheduler import HEURISTICS
+    from repro.service.fingerprint import (
+        REQUEST_DIGESTS,
+        _request_digest,
+        canonical_request,
+    )
+
+    p = build_conv()
+    for name, spec in TARGETS.items():
+        for tiles in ([16, 8], (16, 8), None):
+            for startup in HEURISTICS:
+                want = digest_of(canonical_request(p, name, tiles, startup))
+                for target in (name, spec):
+                    for _ in range(2):  # the miss, then the memo's answer
+                        assert fingerprint_request(p, target, tiles, startup) == want
+    cpu = TARGETS["cpu"]
+    base = fingerprint_request(p, cpu, (16, 16))
+    for changed in (
+        dataclasses.replace(cpu, name="cpu2"),
+        dataclasses.replace(cpu, m_cap=2),
+        dataclasses.replace(cpu, min_m=0),
+        dataclasses.replace(cpu, max_recompute=8),
+        dataclasses.replace(cpu, max_recompute_ratio=2.5),
+        dataclasses.replace(cpu, scratch_bytes=cpu.scratch_bytes + 1),
+    ):
+        got = fingerprint_request(p, changed, (16, 16))
+        assert got != base
+        assert got == digest_of(canonical_request(p, changed, (16, 16)))
+    # Values the key cannot tell from equal ones of another type bypass it.
+    assert fingerprint_request(p, "cpu", (True, 16)) == digest_of(
+        canonical_request(p, "cpu", (True, 16))
+    ) != fingerprint_request(p, "cpu", (1, 16))
+    assert _request_digest.cache_info().maxsize == REQUEST_DIGESTS
+
+
 def test_fingerprint_unknown_target_does_not_raise():
     p = build_conv()
     fp = fingerprint_request(p, "bogus", (16, 16))

@@ -289,6 +289,36 @@ def test_memory_tier_copies_share_the_summary_and_not_the_tree(tmp_path, decodes
     )
 
 
+def test_the_fusion_summary_is_derived_once_and_never_pickled(monkeypatch):
+    """A view's first ``fusion_summary()`` is kept where the result and
+    every other view find it, each call hands out new lists, and the
+    entry's bytes are the same before and after the summary was asked."""
+    from repro.core.tile_shapes import MixedSchedules
+
+    program = build_workload("harris", 64)
+    result = optimize(program, _options("harris"))
+    cache = CompileCache(persistent=False)
+    before = cache._encode(result)
+    calls = []
+    real = MixedSchedules.fused_groups
+    monkeypatch.setattr(
+        MixedSchedules, "fused_groups", lambda self: calls.append(1) or real(self)
+    )
+    first, second = result.fresh(), result.fresh()
+    summary = first.fusion_summary()
+    assert summary == second.fusion_summary() == result.fusion_summary()
+    assert summary == [
+        sorted((s for g in c for s in g.statements), key=program.statement_index)
+        for c in real(result.mixed)
+    ]
+    assert len(calls) == 1
+    summary[0].append("mutated")
+    assert "mutated" not in result.fusion_summary()[0]
+    assert cache._encode(result) == before
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.fusion_summary() == result.fusion_summary() and len(calls) == 2
+
+
 def test_pickled_cache_ships_encoded_entries_only(tmp_path):
     cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
     program = build_workload("conv2d", 24)

@@ -387,20 +387,18 @@ def _print_client_compile(out) -> None:
 def _client_compile_traced(client, args, params) -> int:
     """One traced compile RPC, stitched into a Perfetto-loadable file.
 
-    The client lane comes from a local tracing collector around the RPC;
+    The client lane is recorded as ``repro-spans/2`` rows around the RPC;
     the daemon lane rides back in the result's ``trace`` field.
     """
     import json
 
-    from .obs.distributed import (
-        new_trace_id, report_to_wire, stitch, validate_wire_spans,
-    )
+    from .obs.distributed import WireRows, new_trace_id, stitch, validate_wire_spans
 
     trace_id = new_trace_id()
-    with obs.collect(trace=True) as report:
+    with obs.collect(WireRows("client"), trace=True) as rows:
         with obs.span("client.request", workload=args.workload, trace_id=trace_id):
             out = client.compile(args.workload, trace=trace_id, **params)
-    streams = [report_to_wire(report, "client")]
+    streams = [rows.payload()]
     daemon = out.get("trace")
     if daemon and validate_wire_spans(daemon):
         daemon = None

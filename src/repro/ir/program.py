@@ -136,10 +136,6 @@ class Program:
     def written_tensors(self) -> AbstractSet[str]:
         return self._index().writers.keys()
 
-    def total_instances(self, params: Optional[Mapping[str, int]] = None) -> int:
-        params = dict(self.params, **(params or {}))
-        return sum(s.domain.count_points(params) for s in self.statements)
-
     def __repr__(self):
         return (
             f"Program({self.name}, {len(self.statements)} statements, "

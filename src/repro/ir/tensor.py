@@ -47,9 +47,6 @@ class Tensor:
             total *= e
         return total
 
-    def size_bytes(self, params: Mapping[str, int]) -> int:
-        return self.size_elems(params) * np.dtype(self.dtype).itemsize
-
     def __getitem__(self, indices) -> Load:
         if not isinstance(indices, tuple):
             indices = (indices,)

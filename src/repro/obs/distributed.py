@@ -5,9 +5,9 @@ this package makes.  The client mints a trace id (:func:`new_trace_id`)
 and sends it as the request's ``trace`` field; the daemon records its
 ``serve.request`` span tree under that id straight into column-wise
 ``repro-spans/2`` rows (:class:`WireRows`) and returns them in the reply;
-the client checks the payload (:func:`validate_wire_spans`: it is outside
-input) and :func:`stitch` puts both lanes (the client's own is a
-``repro-spans/1`` list of span objects, :func:`report_to_wire`) onto one
+the client records its own lane into the same rows, checks the daemon's
+payload (:func:`validate_wire_spans`: it is outside input, and any other
+schema is an error) and :func:`stitch` puts both lanes onto one
 wall-clock timeline as one Perfetto-loadable Chrome trace.
 """
 
@@ -20,9 +20,7 @@ from typing import Dict, List, Mapping, Sequence
 from .export import TRACE_SCHEMA, _entry_order, chrome_lane, plain_attrs
 from .trace import CompileReport, SpanEvent
 
-#: Schema tag of a span stream as a list of span objects (:func:`report_to_wire`).
-WIRE_SCHEMA = "repro-spans/1"
-#: Schema tag of the column-wise span rows a daemon reply carries (:class:`WireRows`).
+#: Schema tag of the column-wise span rows a lane is sent as (:class:`WireRows`).
 ROWS_SCHEMA = "repro-spans/2"
 #: Cap on spans serialized into one wire payload (mirrors ``MAX_EVENTS``:
 #: a runaway trace must not blow up an RPC response).
@@ -51,52 +49,6 @@ def _wall_anchor(report: CompileReport) -> float:
     needs.
     """
     return time() - (perf_counter() - report.epoch)
-
-
-def report_to_wire(
-    report: CompileReport, service: str, limit: int = MAX_WIRE_SPANS
-) -> Dict[str, object]:
-    """The report's span events as one JSON-serializable stream.
-
-    The wire form is size-conscious because a traced request ships it
-    back through the daemon response: timestamps are rounded to
-    nanoseconds (sub-ns float digits are timer noise), thread ids are
-    compacted to small per-payload lane indices, and per-span counters —
-    whose dotted names repeat across hundreds of spans — are
-    dictionary-encoded as ``[name_index, value]`` pairs against the
-    payload-level ``counter_names`` table.
-    """
-    events = _entry_order(report.events)
-    counter_names: Dict[str, int] = {}
-    tids: Dict[int, int] = {}
-    spans: List[Dict[str, object]] = []
-    for e in events[:limit]:
-        entry: Dict[str, object] = {
-            "id": e.id,
-            "parent": e.parent,
-            "name": e.name,
-            "start": round(e.start, 9),
-            "dur": round(e.duration, 9),
-            "tid": tids.setdefault(e.tid, len(tids)),
-            "attrs": plain_attrs(e.attrs),
-        }
-        if e.counters:
-            entry["c"] = [
-                [counter_names.setdefault(k, len(counter_names)), n]
-                for k, n in e.counters.items()
-            ]
-        spans.append(entry)
-    payload: Dict[str, object] = {
-        "schema": WIRE_SCHEMA,
-        "service": service,
-        "wall_t0": _wall_anchor(report),
-        "spans": spans,
-        "dropped": report.dropped_events,
-        "truncated": max(0, len(events) - limit),
-    }
-    if counter_names:
-        payload["counter_names"] = list(counter_names)
-    return payload
 
 
 class WireRows(CompileReport):
@@ -183,33 +135,9 @@ class WireRows(CompileReport):
         }
 
 
-def _span_counters(
-    span: Mapping[str, object], counter_names: Sequence[str]
-) -> Dict[str, int]:
-    """Decode one wire span's ``[name_index, value]`` counter pairs."""
-    out: Dict[str, int] = {}
-    for idx, n in span.get("c", []):
-        idx = int(idx)
-        if 0 <= idx < len(counter_names):
-            out[str(counter_names[idx])] = int(n)
-    return out
-
-
-#: What :func:`stitch` and :func:`wire_to_events` read from a wire payload
-#: and from each of its spans: (required fields, fields checked if present).
-_WIRE_FIELDS = ({"wall_t0": (int, float), "spans": list},
-                {"dropped": int, "truncated": int, "counter_names": list})
-_SPAN_FIELDS = ({"id": int, "name": str, "start": (int, float), "dur": (int, float)},
-                {"parent": (int, type(None)), "tid": int, "attrs": dict, "c": list})
-
-
-def _field_errors(obj: Mapping[str, object], where: str, fields) -> List[str]:
-    required, optional = fields
-    return [f"{where}{k}: missing or mistyped" for k, t in {**required, **optional}.items()
-            if (k in required or k in obj) and not isinstance(obj.get(k), t)]
-
-
-#: The same for a ``repro-spans/2`` payload; each column holds one value per row.
+#: What :func:`stitch` and :func:`wire_to_events` read from a ``repro-spans/2``
+#: payload, as (required fields, fields checked if present); each column
+#: holds one value per row.
 _ROWS_FIELDS = ({"wall_t0": (int, float), "names": list, "id": list, "parent": list,
                  "name": list, "start_us": list, "dur_us": list, "tid": list},
                 {"attrs": list, "c": list, "counter_names": list, "dropped": int,
@@ -227,8 +155,16 @@ def _is_row_entry(entry, n_rows: int, types) -> bool:
     )
 
 
-def _rows_errors(payload: Mapping[str, object]) -> List[str]:
-    errors = _field_errors(payload, "", _ROWS_FIELDS)
+def validate_wire_spans(payload: object) -> List[str]:
+    """Errors in a ``repro-spans/2`` payload (empty list = valid), so one
+    that passes cannot crash :func:`stitch` or :func:`wire_to_events`."""
+    if not isinstance(payload, Mapping):
+        return ["spans payload: expected object"]
+    if payload.get("schema") != ROWS_SCHEMA:
+        return [f"schema: expected {ROWS_SCHEMA!r}"]
+    required, optional = _ROWS_FIELDS
+    errors = [f"{k}: missing or mistyped" for k, t in {**required, **optional}.items()
+              if (k in required or k in payload) and not isinstance(payload.get(k), t)]
     if errors:
         return errors
     n_rows = len(payload["id"])
@@ -250,31 +186,9 @@ def _rows_errors(payload: Mapping[str, object]) -> List[str]:
     return errors
 
 
-def validate_wire_spans(payload: object) -> List[str]:
-    """Errors in a ``repro-spans/1`` or ``/2`` payload (empty list =
-    valid), so one that passes cannot crash :func:`stitch` or
-    :func:`wire_to_events`."""
-    if not isinstance(payload, Mapping):
-        return ["spans payload: expected object"]
-    if payload.get("schema") == ROWS_SCHEMA:
-        return _rows_errors(payload)
-    errors = _field_errors(payload, "", _WIRE_FIELDS)
-    spans = payload.get("spans")
-    for i, s in enumerate(spans if isinstance(spans, list) else ()):
-        if not isinstance(s, Mapping):
-            errors.append(f"spans[{i}]: expected object")
-            continue
-        errors += _field_errors(s, f"spans[{i}].", _SPAN_FIELDS)
-        pairs = s.get("c")
-        if isinstance(pairs, list) and not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
-            for p in pairs
-        ):
-            errors.append(f"spans[{i}].c: expected [index, count] int pairs")
-    return errors
-
-
-def _rows_to_events(payload: Mapping[str, object]) -> List[SpanEvent]:
+def wire_to_events(payload: Mapping[str, object]) -> List[SpanEvent]:
+    """A ``repro-spans/2`` payload's rows back into :class:`SpanEvent`
+    objects (ids kept as-is), in entry order."""
     names, counter_names = payload["names"], payload.get("counter_names", [])
     attrs = {row: dict(a) for row, a in payload.get("attrs", [])}
     counters: Dict[int, Dict[str, int]] = {}
@@ -289,30 +203,6 @@ def _rows_to_events(payload: Mapping[str, object]) -> List[SpanEvent]:
                   counters=counters.get(row, {}))
         for row, (id, parent, name, start, dur, tid) in enumerate(columns)
     ])
-
-
-def wire_to_events(payload: Mapping[str, object]) -> List[SpanEvent]:
-    """Wire spans back into :class:`SpanEvent` objects (ids kept as-is):
-    a ``repro-spans/1`` payload's in its order, a ``/2`` payload's rows in
-    entry order."""
-    if payload.get("schema") == ROWS_SCHEMA:
-        return _rows_to_events(payload)
-    counter_names = payload.get("counter_names", [])
-    out: List[SpanEvent] = []
-    for s in payload.get("spans", []):
-        out.append(
-            SpanEvent(
-                id=int(s["id"]),
-                parent=None if s.get("parent") is None else int(s["parent"]),
-                name=str(s["name"]),
-                start=float(s["start"]),
-                duration=float(s["dur"]),
-                tid=int(s.get("tid", 0)),
-                attrs=dict(s.get("attrs", {})),
-                counters=_span_counters(s, counter_names),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +251,8 @@ __all__ = [
     "FOLD_DEPTH",
     "MAX_WIRE_SPANS",
     "ROWS_SCHEMA",
-    "WIRE_SCHEMA",
     "WireRows",
     "new_trace_id",
-    "report_to_wire",
     "stitch",
     "validate_wire_spans",
     "wire_to_events",

@@ -159,11 +159,6 @@ class ProfileNode:
     def self_seconds(self) -> float:
         return max(0.0, self.total - sum(c.total for c in self.children.values()))
 
-    def walk_depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(c.walk_depth() for c in self.children.values())
-
 
 def profile_tree(report: CompileReport) -> List[ProfileNode]:
     """Aggregate the report's events into per-path profile roots.

@@ -3,8 +3,8 @@
 The registry is the *aggregation* side of the observability layer: spans
 and counters stream into per-collection :class:`~repro.obs.trace.CompileReport`
 objects (one per compile, one per batch worker), and a
-:class:`MetricsRegistry` folds any number of reports — from this process,
-from batch worker threads, or unpickled from worker processes — into one
+:class:`MetricsRegistry` folds any number of reports — from any thread of
+this process, or unpickled from worker processes — into one
 coherent set of metrics with a stable JSON snapshot schema.
 
 Snapshots are plain dicts (``schema`` ``repro-metrics/1``) so they can be
@@ -194,20 +194,6 @@ class MetricsRegistry:
                 clone = Histogram(h.bounds)
                 clone.merge(h)
                 self.histograms[name] = clone
-            else:
-                mine.merge(h)
-
-    def merge_snapshot(self, snap: Mapping[str, object]) -> None:
-        """Merge a :meth:`snapshot` dict (e.g. from a worker process)."""
-        for name, n in snap.get("counters", {}).items():
-            self.inc(name, int(n))
-        for name, v in snap.get("gauges", {}).items():
-            self.gauges[name] = float(v)
-        for name, d in snap.get("histograms", {}).items():
-            h = Histogram.from_dict(d)
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = h
             else:
                 mine.merge(h)
 

@@ -141,16 +141,16 @@ class CompileReport:
     def merge(
         self,
         other: "CompileReport",
+        at: float,
         parent: Optional[int] = None,
-        at: Optional[float] = None,
     ) -> None:
-        """Fold another report (a batch worker's) into this one.
+        """Fold another report (a batch worker process's) into this one.
 
         Foreign events get fresh ids (ids are only unique per process — a
         worker process restarts the counter), their roots are re-parented
-        under ``parent``, and their times are rebased: by the epoch
-        difference for same-process reports, or so the earliest foreign
-        event lands at perf_counter time ``at`` for cross-process reports.
+        under ``parent``, and their times are rebased so the earliest
+        foreign event lands at perf_counter time ``at``: a worker's clock
+        is not comparable to ours.
         """
         for name, stat in other.spans.items():
             mine = self.spans.setdefault(name, SpanStat())
@@ -167,10 +167,7 @@ class CompileReport:
         self.dropped_events += other.dropped_events
         if not other.events:
             return
-        if at is None:
-            offset = other.epoch - self.epoch
-        else:
-            offset = (at - self.epoch) - min(e.start for e in other.events)
+        offset = (at - self.epoch) - min(e.start for e in other.events)
         remap = {e.id: next(_ids) for e in other.events}
         for e in other.events:
             self.add_event(
@@ -187,9 +184,6 @@ class CompileReport:
             )
 
     # -- views -------------------------------------------------------------
-
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.spans.values())
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -481,19 +475,17 @@ def annotate(**attrs) -> None:
         frames[-1].attrs.update(attrs)
 
 
-def merge_report(
-    report: CompileReport, at: Optional[float] = None
-) -> None:
+def merge_report(report: CompileReport, at: float) -> None:
     """Fold a worker's report into every collector active on this thread.
 
-    Used by the batch driver: worker threads/processes collect their own
-    reports (thread-local stacks do not cross workers) and the driver
-    merges them back, re-parenting the worker's root spans under the
-    driver's currently open span.
+    Used by the batch driver: worker processes collect their own reports
+    (collector stacks do not cross processes) and the driver merges them
+    back, re-parenting the worker's root spans under the driver's
+    currently open span and rebasing their times onto ``at``.
     """
     stack = getattr(_state, "stack", None)
     if not stack:
         return
     parent = current_span_id()
     for r in stack:
-        r.merge(report, parent=parent, at=at)
+        r.merge(report, at=at, parent=parent)

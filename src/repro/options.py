@@ -6,7 +6,7 @@
 validation (or none).  :class:`CompileOptions` is the single configuration
 path: construct it once, pass it everywhere, and every entry point sees the
 same resolved :class:`~repro.core.tile_shapes.TargetSpec`, coerced tile-size
-tuple and checked dispatch mode.
+tuple and checked dispatch mode (``"auto"`` or ``"serial"``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,13 @@ class CompileOptions:
     coerced to a tuple of positive ints.  ``startup`` picks the start-up
     fusion heuristic.  ``mode``/``jobs``/``cache`` configure the batch
     driver: dispatch strategy, worker count and an optional
-    :class:`~repro.service.CompileCache`.  ``cache`` also accepts a
-    string, :class:`os.PathLike` or mapping: ``"default"`` for the
-    process-wide cache, a bare name for a named cache under the default
-    cache directory, a directory path, or a ``{"local": ...}`` mapping
-    (all resolved via :func:`~repro.service.cache.resolve_cache`).
+    :class:`~repro.service.CompileCache`.  ``mode`` is ``"auto"`` (a
+    batch with two or more to compile runs on a process pool) or
+    ``"serial"`` (the caller's thread).  ``cache`` also accepts a string
+    or :class:`os.PathLike`: ``"default"`` for the process-wide cache, a
+    bare name for a named cache under the default cache directory, or a
+    directory path (all resolved via
+    :func:`~repro.service.cache.resolve_cache`).
     """
 
     target: Union[str, object] = "cpu"
@@ -77,14 +79,10 @@ class CompileOptions:
                 raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
             object.__setattr__(self, "jobs", jobs)
 
-        if isinstance(self.cache, (str, os.PathLike, Mapping)):
+        if isinstance(self.cache, (str, os.PathLike)):
             from .service.cache import resolve_cache
 
             object.__setattr__(self, "cache", resolve_cache(self.cache))
-
-    @property
-    def target_name(self) -> str:
-        return self.target.name
 
     def replace(self, **changes) -> "CompileOptions":
         """A copy with the given fields changed (and re-validated)."""

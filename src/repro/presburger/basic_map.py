@@ -65,10 +65,6 @@ class BasicMap:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def universe(space: MapSpace) -> "BasicMap":
-        return BasicMap(space, ())
-
-    @staticmethod
     def from_exprs(
         in_name: str,
         in_dims: Sequence[str],
@@ -220,12 +216,6 @@ class BasicMap:
             [c.rename(mapping) for c in self.constraints],
         )
         return _RENAME_MEMO.put(key, result)
-
-    def with_names(self, in_name: str, out_name: str) -> "BasicMap":
-        return BasicMap(
-            MapSpace(in_name, self.space.in_dims, out_name, self.space.out_dims, self.space.params),
-            self.constraints,
-        )
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> "BasicMap":
         return BasicMap(self.space, self.constraints + tuple(constraints))

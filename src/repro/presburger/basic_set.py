@@ -69,10 +69,6 @@ class BasicSet:
         return self
 
     @staticmethod
-    def universe(space: SetSpace) -> "BasicSet":
-        return BasicSet(space, ())
-
-    @staticmethod
     def empty(space: SetSpace) -> "BasicSet":
         return BasicSet(space, (Constraint(LinExpr({}, -1), GE),))
 
@@ -164,11 +160,6 @@ class BasicSet:
         return BasicSet(
             self.space.rename_dims(dict(mapping)),
             [c.rename(mapping) for c in self.constraints],
-        )
-
-    def with_name(self, name: str) -> "BasicSet":
-        return BasicSet(
-            SetSpace(name, self.space.dims, self.space.params), self.constraints
         )
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> "BasicSet":

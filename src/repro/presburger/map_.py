@@ -54,10 +54,6 @@ class Map:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_basic(bmap: BasicMap) -> "Map":
-        return Map(bmap.space, [bmap])
-
-    @staticmethod
     def empty(space: MapSpace) -> "Map":
         return Map(space, [])
 
@@ -226,12 +222,6 @@ class Map:
         return Map(
             self.space.rename_dims(dict(mapping)),
             [p.rename_dims(mapping) for p in self.pieces],
-        )
-
-    def with_names(self, in_name: str, out_name: str) -> "Map":
-        return Map(
-            MapSpace(in_name, self.space.in_dims, out_name, self.space.out_dims, self.space.params),
-            [p.with_names(in_name, out_name) for p in self.pieces],
         )
 
     def dedupe(self) -> "Map":

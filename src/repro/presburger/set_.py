@@ -53,16 +53,8 @@ class Set:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_basic(bset: BasicSet) -> "Set":
-        return Set(bset.space, [bset])
-
-    @staticmethod
     def empty(space: SetSpace) -> "Set":
         return Set(space, [])
-
-    @staticmethod
-    def universe(space: SetSpace) -> "Set":
-        return Set(space, [BasicSet.universe(space)])
 
     # -- queries -----------------------------------------------------------
 
@@ -274,12 +266,6 @@ class Set:
         return Set(
             self.space.rename_dims(dict(mapping)),
             [p.rename_dims(mapping) for p in self.pieces],
-        )
-
-    def with_name(self, name: str) -> "Set":
-        return Set(
-            SetSpace(name, self.space.dims, self.space.params),
-            [p.with_name(name) for p in self.pieces],
         )
 
     def simplify(self) -> "Set":

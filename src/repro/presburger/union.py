@@ -115,9 +115,6 @@ class UnionSet:
     def coalesce(self) -> "UnionSet":
         return UnionSet({n: s.coalesce() for n, s in self.sets.items()})
 
-    def drop_empty(self) -> "UnionSet":
-        return UnionSet({n: s for n, s in self.sets.items() if not s.is_empty()})
-
     def fix_params(self, binding: Mapping[str, int]) -> "UnionSet":
         return UnionSet({n: s.fix_params(binding) for n, s in self.sets.items()})
 
@@ -289,9 +286,6 @@ class UnionMap:
 
     def coalesce(self) -> "UnionMap":
         return UnionMap({k: m.coalesce() for k, m in self.maps.items()})
-
-    def drop_empty(self) -> "UnionMap":
-        return UnionMap({k: m for k, m in self.maps.items() if not m.is_empty()})
 
     def fix_params(self, binding: Mapping[str, int]) -> "UnionMap":
         return UnionMap({k: m.fix_params(binding) for k, m in self.maps.items()})

@@ -17,7 +17,8 @@ result entry starts with the machine model's answer for it, as a JSON
 header in front of the pickled result, and a candidate the cache answers
 that way is costed from the header alone.  A repeated sweep therefore
 compiles, analyses and unpickles nothing; only the candidates the cache
-cannot answer go to the batch driver.
+cannot answer go to the batch driver, which compiles them on the caller's
+thread or, under ``auto`` dispatch, on a process pool.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def autotune_tile_sizes(
 
     Candidates are evaluated through the batch-compile driver
     (:func:`repro.service.compile_batch`): ``mode`` picks the dispatch
-    strategy (``"serial"`` by default, ``"auto"``/``"process"``/
-    ``"thread"`` fan out over ``jobs`` workers) and an optional ``cache``
-    (a :class:`repro.service.CompileCache`) reuses compile results across
+    strategy (``"serial"`` by default; ``"auto"`` fans out over ``jobs``
+    worker processes) and an optional ``cache`` (a
+    :class:`repro.service.CompileCache`) reuses compile results across
     candidates, runs and processes.  The cost model is deterministic, so
-    every mode returns bit-identical ``best_sizes``/``best_time``.
+    both modes return bit-identical ``best_sizes``/``best_time``.
 
     A :class:`repro.CompileOptions` supplies ``target``/``startup``/
     ``mode``/``jobs``/``cache`` in one validated bundle (its

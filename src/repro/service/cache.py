@@ -80,7 +80,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..core.pipeline import OptimizeResult, SharedRef
@@ -744,15 +744,12 @@ def _spec_dir(path: str) -> str:
 
 
 def resolve_cache(spec) -> CompileCache:
-    """A :class:`CompileCache` from a string/path/mapping spelling.
+    """A :class:`CompileCache` from a string or path spelling.
 
     * ``"default"`` — the process-wide :func:`default_cache`;
     * a bare name (no path separator, no ``~``) — a named cache under
       ``<default_cache_dir()>/named/<name>`` so ad-hoc caches never
       collide with the default cache's own entries;
-    * a mapping — ``{"local": ..., "gc_max_bytes": ..., "gc_max_age":
-      ..., "max_entries": ..., "max_bytes": ...}``, ``local`` any of the
-      spellings here;
     * anything else — an explicit directory path (``~`` expanded).  A
       URL (``://``) or a ``tiered:`` spelling is a ``ValueError``.
 
@@ -760,10 +757,6 @@ def resolve_cache(spec) -> CompileCache:
     """
     if isinstance(spec, CompileCache):
         return spec
-    if isinstance(spec, Mapping):
-        kwargs = dict(spec)
-        local = kwargs.pop("local", "default")
-        return CompileCache(cache_dir=_spec_dir(os.fspath(local)), **kwargs)
     path = os.fspath(spec)
     if path == "default":
         return default_cache()

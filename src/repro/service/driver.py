@@ -3,10 +3,11 @@
 ``compile_batch`` takes N :class:`CompileRequest`\\ s and returns N
 :class:`CompileOutcome`\\ s in the same order.  Identical requests (same
 content fingerprint) are compiled once; cached fingerprints are served
-without compiling at all; the rest fan out over ``concurrent.futures``
-(process pool by default, with thread and serial fallbacks).  A request
-that fails records its error string in its outcome — one infeasible
-tiling never aborts the other N-1.
+without compiling at all; the rest run serially on the caller's thread
+or, under ``auto`` dispatch with two or more to compile, on a process
+pool (a pool that cannot start or fails falls back to the serial run).
+A request that fails records its error string in its outcome — one
+infeasible tiling never aborts the other N-1.
 
 Requests that *do* compile start warm when the cache has a spilled memo
 snapshot for their program (keyed by program fingerprint): the snapshot is
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,7 @@ from .cache import CompileCache, default_cache
 from .fingerprint import fingerprint_program, fingerprint_request
 
 #: Dispatch strategies for :func:`compile_batch`.
-MODES = ("auto", "process", "thread", "serial")
+MODES = ("auto", "serial")
 
 
 def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
@@ -87,7 +88,7 @@ def _batch_program_fps(requests: Sequence["CompileRequest"]) -> List[str]:
 def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
     """Warm the process memo tables for every program in the batch with
     one batched snapshot read instead of a ``get_memos`` each."""
-    if cache is None or not requests:
+    if cache is None:
         return
     from ..presburger import memo
 
@@ -100,7 +101,7 @@ def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
 
 
 def _spill_batch_memos(requests, cache: Optional[CompileCache]) -> None:
-    if cache is None or not requests:
+    if cache is None:
         return
     for fp in _batch_program_fps(requests):
         spill_program_memos(cache, fp)
@@ -156,8 +157,8 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     """Compile one request in-process; error strings match the serial
     autotuner's ``f"{type}: {exc}"`` format exactly.
 
-    A sweep candidate is also costed here, wherever "here" runs (driver
-    thread, pool thread or worker process), so the entry ``compile_batch``
+    A sweep candidate is also costed here, wherever "here" runs (the
+    caller's thread or a worker process), so the entry ``compile_batch``
     stores already carries its ``work_summary`` and no later hit analyses.
     """
     try:
@@ -265,95 +266,71 @@ def _abort_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+def _in_processes(
+    requests: List[CompileRequest],
+    max_workers: Optional[int],
+    cache: Optional[CompileCache],
+) -> Optional[List[Tuple[Optional[object], Optional[str]]]]:
+    """Compile ``requests`` on a process pool, preserving order; ``None``
+    when the pool cannot start or fails with an ordinary exception.
+
+    Worker spans and counters come back in per-worker reports (collector
+    stacks are process-local) and are merged into the driver's active
+    collectors here, so batch reports account for work done off the
+    driver's process.  A KeyboardInterrupt aborts the pool and propagates.
+    """
+    observe, trace = obs.active(), obs.tracing()
+    try:
+        memo_spec = _memo_spec(cache)
+        payloads = [pickle.dumps((r, memo_spec, observe, trace)) for r in requests]
+        t0 = time.perf_counter()
+        pool = ProcessPoolExecutor(
+            max_workers=max_workers or _default_workers(len(requests))
+        )
+    except Exception:
+        # An unpicklable program or a sandboxed interpreter (no
+        # fork/semaphores).
+        return None
+    try:
+        futures = [pool.submit(_worker, p) for p in payloads]
+        raw = [f.result() for f in futures]
+    except BaseException as exc:
+        # A KeyboardInterrupt (or any dispatch failure) must not wait on —
+        # or orphan — the in-flight workers.
+        _abort_pool(pool)
+        if not isinstance(exc, Exception):
+            raise
+        return None
+    pool.shutdown()
+    results = []
+    for b in raw:
+        result, error, report = pickle.loads(b)
+        if report is not None:
+            # Worker-process perf_counter epochs are not comparable to
+            # ours: rebase onto the dispatch start.
+            obs.merge_report(report, at=t0)
+            obs.count("driver.worker_reports_merged")
+        results.append((result, error))
+    return results
+
+
 def _dispatch(
     requests: List[CompileRequest],
     mode: str,
     max_workers: Optional[int],
     cache: Optional[CompileCache] = None,
 ) -> List[Tuple[Optional[object], Optional[str]]]:
-    """Compile ``requests`` (already deduplicated), preserving order.
-
-    Worker spans and counters land in per-worker reports (collector
-    stacks are thread- and process-local) which are merged back into the
-    driver's active collectors here, so batch reports account for work
-    done off the driver thread.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown dispatch mode {mode!r}; expected one of {MODES}")
+    """Compile ``requests`` (already deduplicated), preserving order: on a
+    process pool under ``auto`` with two or more, else — or when the pool
+    gives up — serially on this thread, where collectors already see every
+    span directly."""
+    if mode == "auto" and len(requests) > 1:
+        results = _in_processes(requests, max_workers, cache)
+        if results is not None:
+            return results
     memo_cache = _memo_cache(cache)
-    if mode == "serial" or len(requests) <= 1:
-        # Serial runs on the driver thread where collectors already see
-        # every span directly — no side report to merge.
-        _load_batch_memos(requests, memo_cache)
-        results = [_run_request(r) for r in requests]
-        _spill_batch_memos(requests, memo_cache)
-        return results
-
-    observe, trace = obs.active(), obs.tracing()
-    workers = max_workers or _default_workers(len(requests))
-    if mode in ("auto", "process"):
-        try:
-            memo_spec = _memo_spec(cache)
-            payloads = [
-                pickle.dumps((r, memo_spec, observe, trace))
-                for r in requests
-            ]
-            t0 = time.perf_counter()
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except Exception:
-            if mode == "process":
-                raise
-            payloads = None
-            # auto: an unpicklable program or a sandboxed interpreter
-            # (no fork/semaphores) degrades to threads below.
-        if payloads is not None:
-            try:
-                futures = [pool.submit(_worker, p) for p in payloads]
-                raw = [f.result() for f in futures]
-            except BaseException as exc:
-                # A KeyboardInterrupt (or any dispatch failure) must not
-                # wait on — or orphan — the in-flight workers.
-                _abort_pool(pool)
-                if mode == "process" or not isinstance(exc, Exception):
-                    raise
-                # auto + ordinary failure: degrade to threads below.
-            else:
-                pool.shutdown()
-                results = []
-                for b in raw:
-                    result, error, report = pickle.loads(b)
-                    if report is not None:
-                        # Worker-process perf_counter epochs are not
-                        # comparable to ours: rebase onto the dispatch start.
-                        obs.merge_report(report, at=t0)
-                        obs.count("driver.worker_reports_merged")
-                    results.append((result, error))
-                return results
-    # Threads share the process-wide memo tables: load once, spill once.
     _load_batch_memos(requests, memo_cache)
-
-    def _threaded(request: CompileRequest):
-        if not observe:
-            return _run_request(request) + (None,)
-        with obs.collect(trace=trace) as report:
-            with obs.span("compile_worker", fingerprint=request.fingerprint[:12]):
-                result, error = _run_request(request)
-        return result, error, report
-
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            triples = list(pool.map(_threaded, requests))
-    except Exception:
-        if mode == "thread":
-            raise
-        triples = [_run_request(r) + (None,) for r in requests]
-    results = []
-    for result, error, report in triples:
-        if report is not None:
-            # Same process, same clock: no rebase needed.
-            obs.merge_report(report)
-            obs.count("driver.worker_reports_merged")
-        results.append((result, error))
+    results = [_run_request(r) for r in requests]
     _spill_batch_memos(requests, memo_cache)
     return results
 
@@ -403,14 +380,17 @@ def compile_batch(
             outcomes[i].request for fp, i in unique.items() if fp not in cached
         ]
 
-        t0 = time.perf_counter()
-        compiled = dict(
-            zip(
-                (r.fingerprint for r in to_compile),
-                _dispatch(to_compile, mode, max_workers, cache),
+        compiled = {}
+        elapsed = 0.0
+        if to_compile:
+            t0 = time.perf_counter()
+            compiled = dict(
+                zip(
+                    (r.fingerprint for r in to_compile),
+                    _dispatch(to_compile, mode, max_workers, cache),
+                )
             )
-        )
-        elapsed = time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
 
         for fp, (result, error) in compiled.items():
             if cache is not None and error is None:

@@ -239,20 +239,19 @@ def test_cache_info_uses_running_counters_not_walks(tmp_path, monkeypatch):
     assert info["disk_bytes"] > first["disk_bytes"]
 
 def test_resolve_cache_fabric_specs(tmp_path):
-    mapped = resolve_cache({"local": str(tmp_path / "m"), "max_entries": 4})
-    assert mapped.cache_dir == str(tmp_path / "m")
-    assert mapped.max_entries == 4
+    built = CompileCache(cache_dir=str(tmp_path / "m"), max_entries=4)
+    assert resolve_cache(built) is built
+    assert built.max_entries == 4
     assert resolve_cache(str(tmp_path / "d")).spec == str(tmp_path / "d")
 
     # A URL or a tiered spelling names no directory: refused, and no
     # directory called ``http:`` appears in the working directory.
-    for spec in ("http://127.0.0.1:9", "tiered:a|http://127.0.0.1:9",
-                 {"local": "http://127.0.0.1:9"}):
+    for spec in ("http://127.0.0.1:9", "tiered:a|http://127.0.0.1:9"):
         with pytest.raises(ValueError):
             resolve_cache(spec)
     assert not os.path.exists("http:")
 
-    options = CompileOptions(cache={"local": str(tmp_path / "o")})
+    options = CompileOptions(cache=str(tmp_path / "o"))
     assert isinstance(options.cache, CompileCache)
     assert options.cache.cache_dir == str(tmp_path / "o")
 

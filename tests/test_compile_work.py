@@ -8,6 +8,7 @@ inputs; a bound that trips means repeated (quadratic) work came back.
 """
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.api import (
@@ -21,6 +22,7 @@ from repro.codegen.printer import print_tree
 from repro.core import post_fusion
 from repro.deps import memory_deps
 from repro.ir import Statement
+from repro.machine import analyze_optimized, cpu_time
 from repro.presburger import (
     BasicMap,
     Constraint,
@@ -32,6 +34,7 @@ from repro.presburger import (
 )
 from repro.scheduler import parallelism, schedule_program
 from repro.scheduler.autotune import autotune_tile_sizes
+from repro.service.driver import CompileRequest, compile_batch
 
 #: ``bench/workloads/cold_compile.py::PROGRAMS`` (bench/ is not importable
 #: from here): every program family the optimizer handles, 1-99 statements.
@@ -245,20 +248,28 @@ def test_a_sweep_derives_its_relations_once():
 
 
 def test_candidates_compiled_on_threads_share_the_derivations_safely():
-    """Thread-mode candidates derive the shared chain concurrently; with a
-    short switch interval any lost or reordered step would change a cost."""
+    """Candidates compiled on eight threads at once, as the daemon's worker
+    pool compiles them, derive the shared chain concurrently; with a short
+    switch interval any lost or reordered step would change a cost."""
     program = get_workload("harris", 512)
     grid = (8, 16, 32, 64, 128)
     memo.clear_all()
     serial = autotune_tile_sizes(program, CompileOptions(mode="serial"), candidates=grid)
+
+    def cost(sizes):
+        request = CompileRequest(program, tile_sizes=sizes, tag="autotune")
+        (outcome,) = compile_batch([request], CompileOptions(mode="serial"))
+        if not outcome.ok:
+            return sizes, outcome.error
+        return sizes, cpu_time(analyze_optimized(outcome.result), 32)
+
     memo.clear_all()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = autotune_tile_sizes(
-            program, CompileOptions(mode="thread", jobs=8), candidates=grid
-        )
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = dict(pool.map(cost, [(a, b) for a in grid for b in grid]))
     finally:
         sys.setswitchinterval(interval)
-    assert threaded.evaluations == serial.evaluations
-    assert threaded.failures == serial.failures
+    assert {k: v for k, v in threaded.items() if isinstance(v, float)} == serial.evaluations
+    assert {k: v for k, v in threaded.items() if isinstance(v, str)} == serial.failures

@@ -16,8 +16,8 @@ import pytest
 from repro import obs
 from repro.obs import distributed
 from repro.obs.distributed import (
+    WireRows,
     new_trace_id,
-    report_to_wire,
     stitch,
     validate_wire_spans,
     wire_to_events,
@@ -72,8 +72,8 @@ def test_context_header_rejects_garbage():
 # -- wire spans ------------------------------------------------------------
 
 
-def _traced_report():
-    with obs.collect(trace=True) as report:
+def _traced_report(report=None):
+    with obs.collect(report, trace=True) as report:
         with obs.span("outer", phase="demo"):
             obs.count("presburger.memo.hit", 3)
             with obs.span("inner"):
@@ -82,11 +82,13 @@ def _traced_report():
     return report
 
 
-def test_report_to_wire_round_trip():
-    report = _traced_report()
-    wire = json.loads(json.dumps(report_to_wire(report, "daemon")))
-    assert wire["schema"] == distributed.WIRE_SCHEMA
-    assert wire["service"] == "daemon"
+def test_wire_rows_round_trip():
+    # What the client does with its own lane: record rows live, send them.
+    rows = _traced_report(WireRows("client"))
+    wire = json.loads(json.dumps(rows.payload()))
+    assert wire["schema"] == distributed.ROWS_SCHEMA
+    assert wire["service"] == "client"
+    assert validate_wire_spans(wire) == []
     events = wire_to_events(wire)
     by_name = {e.name: e for e in events}
     assert by_name["inner"].parent == by_name["outer"].id
@@ -96,17 +98,20 @@ def test_report_to_wire_round_trip():
     }
     assert by_name["outer"].counters == {"presburger.memo.hit": 3}
     # Compact thread ids: small lane indices, not OS thread idents.
-    assert all(s["tid"] < 8 for s in wire["spans"])
+    assert all(tid < 8 for tid in wire["tid"])
 
 
-def test_report_to_wire_caps_spans():
-    with obs.collect(trace=True) as report:
+def test_wire_rows_count_truncated_spans(monkeypatch):
+    monkeypatch.setattr(distributed, "MAX_WIRE_SPANS", 5)
+    with obs.collect(WireRows("daemon"), trace=True) as rows:
         for i in range(20):
             with obs.span(f"s{i}"):
                 pass
-    wire = report_to_wire(report, "daemon", limit=5)
-    assert len(wire["spans"]) == 5
+    wire = rows.payload()
+    assert len(wire["id"]) == 5
     assert wire["truncated"] == 15
+    assert validate_wire_spans(wire) == []
+    assert stitch([wire], new_trace_id())["otherData"]["dropped_events"] == 15
 
 
 def _deep_report(report):
@@ -187,9 +192,9 @@ def test_validate_wire_rows_checks_what_stitching_reads():
 
 
 def test_stitch_produces_valid_chrome_trace():
-    report = _traced_report()
+    rows = _traced_report(WireRows("client"))
     trace_id = new_trace_id()
-    obj = stitch([report_to_wire(report, "client")], trace_id)
+    obj = stitch([rows.payload()], trace_id)
     assert validate_chrome_trace(obj) == []
     xs = [e for e in obj["traceEvents"] if e.get("ph") == "X"]
     assert xs and all(e["args"]["trace_id"] == trace_id for e in xs)
@@ -201,13 +206,15 @@ def test_stitch_produces_valid_chrome_trace():
 
 def test_stitch_rebases_streams_onto_shared_timeline():
     mk = lambda t0, name: {
-        "schema": distributed.WIRE_SCHEMA,
+        "schema": distributed.ROWS_SCHEMA,
         "service": name,
         "wall_t0": t0,
-        "spans": [{"id": 1, "parent": None, "name": "work",
-                   "start": 0.0, "dur": 0.5, "tid": 0, "attrs": {}}],
+        "names": ["work"],
+        "id": [1], "parent": [None], "name": [0],
+        "start_us": [0], "dur_us": [500000], "tid": [0],
         "dropped": 0, "truncated": 0,
     }
+    assert validate_wire_spans(mk(100.0, "a")) == []
     obj = stitch([mk(100.0, "a"), mk(101.0, "b")], "f" * 32)
     xs = sorted(
         (e for e in obj["traceEvents"] if e.get("ph") == "X"),
@@ -401,13 +408,8 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
 
     prog = conv2d.build({"H": 24, "W": 24, "KH": 3, "KW": 3})
     reqs = [CompileRequest(prog, tile_sizes=(t, t)) for t in (4, 8)]
-    try:
-        with obs.collect(trace=True) as report:
-            outs = compile_batch(
-                reqs, options=CompileOptions(mode="process", jobs=2)
-            )
-    except (OSError, PermissionError) as exc:  # pragma: no cover
-        pytest.skip(f"no process pool in this sandbox: {exc}")
+    with obs.collect(trace=True) as report:
+        outs = compile_batch(reqs, options=CompileOptions(mode="auto", jobs=2))
     assert all(o.ok for o in outs)
     assert report.counters.get("driver.worker_reports_merged") == 2
     by_id = {e.id: e for e in report.events}
@@ -423,18 +425,24 @@ def test_process_worker_spans_reparent_under_request(tmp_path):
 # -- the daemon's span payload ------------------------------------------
 
 
+def _span_objects_payload():
+    """The retired ``repro-spans/1`` form: a list of span objects."""
+    return {
+        "schema": "repro-spans/1", "service": "daemon", "wall_t0": 1.0,
+        "spans": [{"id": 1, "parent": None, "name": "serve.request",
+                   "start": 0.0, "dur": 0.5, "tid": 0, "attrs": {}}],
+        "dropped": 0, "truncated": 0,
+    }
+
+
 def test_validate_wire_spans_checks_what_stitching_reads():
-    good = json.loads(json.dumps(report_to_wire(_traced_report(), "daemon")))
+    good = json.loads(json.dumps(_traced_report(WireRows("daemon")).payload()))
     assert validate_wire_spans(good) == []
     assert validate_wire_spans([]) != []
-    assert validate_wire_spans(dict(good, wall_t0="now")) != []
-    assert validate_wire_spans(dict(good, spans=None)) != []
-    span = good["spans"][0]
-    for key in ("id", "name", "start", "dur"):
-        broken = {k: v for k, v in span.items() if k != key}
-        assert validate_wire_spans(dict(good, spans=[broken])) != [], key
-    for key, value in (("tid", None), ("attrs", []), ("parent", "x"), ("c", [[0]])):
-        assert validate_wire_spans(dict(good, spans=[dict(span, **{key: value})])) != [], key
+    # Rows are the only span format: any other schema, or none, is an error.
+    assert validate_wire_spans(_span_objects_payload()) != []
+    assert validate_wire_spans({k: v for k, v in good.items() if k != "schema"}) != []
+    assert validate_wire_spans(dict(good, schema="repro-spans/3")) != []
 
 
 def test_client_trace_drops_a_malformed_daemon_payload(tmp_path, capsys):
@@ -454,6 +462,27 @@ def test_client_trace_drops_a_malformed_daemon_payload(tmp_path, capsys):
     with open(out_path) as f:
         obj = json.load(f)
     assert validate_chrome_trace(obj) == [] and obj["otherData"]["services"] == ["client"]
+
+
+def test_client_trace_drops_a_span_objects_daemon_payload(tmp_path, capsys):
+    from types import SimpleNamespace
+
+    from repro.__main__ import _client_compile_traced
+
+    class FakeClient:
+        def compile(self, workload, trace, **params):
+            return {"workload": workload, "fingerprint": "f" * 64, "compile_ms": 1.0,
+                    "from_cache": True, "trace": _span_objects_payload()}
+
+    out_path = str(tmp_path / "stitched.json")
+    args = SimpleNamespace(workload="conv2d", trace_out=out_path)
+    assert _client_compile_traced(FakeClient(), args, {}) == 0
+    assert "daemon returned no span payload" in capsys.readouterr().err
+    with open(out_path) as f:
+        obj = json.load(f)
+    assert validate_chrome_trace(obj) == []
+    assert obj["otherData"]["services"] == ["client"]
+    assert obj["otherData"]["spans"] == 1  # the client's own request span
 
 
 def test_client_trace_says_a_deduped_request_gets_no_daemon_spans(tmp_path, capsys):

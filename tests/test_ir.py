@@ -144,10 +144,6 @@ class TestProgram:
         assert doms["S0"].count_points(prog.params) == 36
         assert doms["S2"].count_points(prog.params) == 16 * 9
 
-    def test_total_instances(self):
-        prog = conv2d.build({"H": 6, "W": 6})
-        assert prog.total_instances() == 36 + 16 + 144 + 16
-
     def test_builder_rejects_non_iterator_dims(self):
         b = ProgramBuilder("p", params={"N": 4})
         A = b.tensor("A", ("N",))

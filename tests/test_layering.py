@@ -8,7 +8,8 @@ here instead of growing a cycle.
 ``COMPILER_ORDER`` does the same inside the compiler half, and
 ``test_no_block_is_spelled_twice`` keeps a block of code from being written
 out a second time there.  ``test_every_public_def_has_a_reader`` keeps a
-public function or class that only its own test reads out of ``src/repro``.
+public function or class that only its own test reads out of ``src/repro``,
+and ``test_every_public_method_has_a_reader`` does the same for methods.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ KEEP = {
     "presburger/parse.py:parse_union_set": "the text form test inputs are written in",
     "codegen/cbackend.py:compiler_available": "the skip guard of the tests that run gcc",
     "service/cache.py:reset_default_cache": "resets process-wide state between tests",
+}
+
+#: Public methods that nothing under ``READERS`` names, as
+#: ``file:Class.name -> why``.
+KEEP_METHODS = {
+    "service/store.py:_RestrictedUnpickler.find_class": "pickle calls it",
+    "machine/cost.py:ProgramWork.total_ops": "a tool test_cost_internals checks the model with",
 }
 
 
@@ -185,19 +193,10 @@ def _py_files(root):
                 yield os.path.join(dirpath, name)
 
 
-def unread_public_defs(package, readers):
-    """``file:name`` (relative to ``package``) of every public top-level
-    function or class under ``package`` that no file under ``readers``
-    names, outside the def itself and the ``__init__`` imports that
-    re-export it."""
-    defs = []
-    for path in _py_files(package):
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
-                defs.append((path, node))
-    read = defaultdict(set)  # name -> {(path, line)} where it is named
+def _names_read(readers):
+    """name -> ``{(path, line)}`` where a file under ``readers`` names it,
+    leaving out the ``__init__`` imports that re-export a def."""
+    read = defaultdict(set)
     for root in readers:
         for path in _py_files(root):
             reexports = os.path.basename(path) == "__init__.py"
@@ -214,13 +213,54 @@ def unread_public_defs(package, readers):
                     continue
                 for name in names:
                     read[name].add((path, node.lineno))
+    return read
+
+
+def _unread(package, readers, defs):
+    """``file:label`` of each ``(path, label, node)`` in ``defs`` whose name
+    is named nowhere under ``readers`` outside the def itself."""
+    read = _names_read(readers)
     unread = []
-    for path, node in defs:
+    for path, label, node in defs:
         body = range(node.lineno, node.end_lineno + 1)
         if all(p == path and n in body for p, n in read[node.name]):
             rel = os.path.relpath(path, package).replace(os.sep, "/")
-            unread.append(f"{rel}:{node.name}")
+            unread.append(f"{rel}:{label}")
     return unread
+
+
+def _parsed(package):
+    for path in _py_files(package):
+        with open(path, encoding="utf-8") as f:
+            yield path, ast.parse(f.read(), path)
+
+
+def unread_public_defs(package, readers):
+    """``file:name`` (relative to ``package``) of every public top-level
+    function or class under ``package`` that no file under ``readers``
+    names, outside the def itself and the ``__init__`` imports that
+    re-export it."""
+    defs = [
+        (path, node.name, node)
+        for path, tree in _parsed(package)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
+    ]
+    return _unread(package, readers, defs)
+
+
+def unread_public_methods(package, readers):
+    """``file:Class.name`` of every public method of a class under
+    ``package`` that no file under ``readers`` names outside its own body."""
+    defs = [
+        (path, f"{cls.name}.{node.name}", node)
+        for path, tree in _parsed(package)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_"
+    ]
+    return _unread(package, readers, defs)
 
 
 def test_every_public_def_has_a_reader():
@@ -233,6 +273,17 @@ def test_every_public_def_has_a_reader():
     assert not bad, "public defs nothing reads:\n" + "\n".join(bad)
     # The allowlist is exact: a kept def that gained a reader leaves it.
     assert set(unread) == set(KEEP)
+
+
+def test_every_public_method_has_a_reader():
+    """A public method nothing reads is dead code, unless something outside
+    the package calls it (``KEEP_METHODS``)."""
+    package = os.path.join(SRC, "repro")
+    readers = [os.path.join(ROOT, r) for r in READERS]
+    unread = unread_public_methods(package, readers)
+    bad = sorted(set(unread) - set(KEEP_METHODS))
+    assert not bad, "public methods nothing reads:\n" + "\n".join(bad)
+    assert set(unread) == set(KEEP_METHODS)
 
 
 def test_an_unread_def_is_reported(tmp_path):
@@ -252,3 +303,19 @@ def test_an_unread_def_is_reported(tmp_path):
     unread = unread_public_defs(str(package), [str(package)])
     assert sorted(set(unread) - set(keep)) == ["mod.py:unread"]
     assert set(keep) <= set(unread)
+
+
+def test_an_unread_method_is_reported(tmp_path):
+    """The method scan on a class of a read, a recursive, a private and a
+    dunder method: only the one that names itself alone is reported."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self._hidden()\n\n"
+        "    def _hidden(self):\n        return 0\n\n"
+        "    def read(self):\n        return 1\n\n"
+        "    def depth(self):\n        return self.depth()\n\n\n"
+        "VALUE = Box().read()\n"
+    )
+    assert unread_public_methods(str(package), [str(package)]) == ["mod.py:Box.depth"]

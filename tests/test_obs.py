@@ -136,7 +136,7 @@ class TestMergeReport:
                     pass
         with collect(trace=True) as driver:
             with obs.span("dispatch"):
-                obs.merge_report(worker)
+                obs.merge_report(worker, at=time.perf_counter())
         by_name = {e.name: e for e in driver.events}
         assert by_name["work"].parent == by_name["dispatch"].id
         assert by_name["sub"].parent == by_name["work"].id
@@ -165,7 +165,7 @@ class TestMergeReport:
         worker.set_gauge("g", 1.5)
         with collect() as driver:
             obs.count("n", 1)
-            obs.merge_report(worker)
+            obs.merge_report(worker, at=time.perf_counter())
         assert driver.counters["n"] == 4
         assert driver.histograms["h"].count == 1
         assert driver.gauges["g"] == 1.5
@@ -316,9 +316,9 @@ class TestPipelineTrace:
         prog = conv2d.build({"H": 24, "W": 24, "KH": 3, "KW": 3})
         reqs = [CompileRequest(prog, tile_sizes=(t, t)) for t in (4, 8)]
         with collect(trace=True) as report:
-            outs = compile_batch(reqs, options=CompileOptions(mode="thread", jobs=2))
+            outs = compile_batch(reqs, options=CompileOptions(mode="auto", jobs=2))
         assert all(o.ok for o in outs)
-        # Worker-thread spans made it back into the driver's report...
+        # Worker-process spans made it back into the driver's report...
         assert report.counters.get("driver.worker_reports_merged") == 2
         assert report.spans["optimize"].calls == 2
         # ...and their events hang under the driver's compile_batch span.

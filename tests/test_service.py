@@ -269,18 +269,16 @@ def test_compile_batch_uses_cache(tmp_path):
     assert cache.stats.hits == 1
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_compile_batch_parallel_modes(mode):
+def _three_requests():
     p = build_conv()
-    requests = [
+    return [
         CompileRequest(p, tile_sizes=(16, 16)),
         CompileRequest(p, tile_sizes=(8, 8)),
         CompileRequest(p, target="bogus"),
     ]
-    try:
-        outcomes = compile_batch(requests, options=CompileOptions(mode=mode, jobs=2))
-    except OSError:
-        pytest.skip(f"{mode} pool unavailable in this environment")
+
+
+def _assert_same_outcomes(outcomes, requests):
     serial = compile_batch(requests, options=CompileOptions(mode="serial"))
     for got, want in zip(outcomes, serial):
         assert got.ok == want.ok
@@ -290,9 +288,54 @@ def test_compile_batch_parallel_modes(mode):
             assert got.error == want.error
 
 
+@pytest.mark.parametrize("mode", ["auto"])
+def test_compile_batch_parallel_modes(mode):
+    requests = _three_requests()
+    outcomes = compile_batch(requests, options=CompileOptions(mode=mode, jobs=2))
+    _assert_same_outcomes(outcomes, requests)
+
+
 def test_compile_batch_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        compile_batch([], options=CompileOptions(mode="warp"))
+    # A batch runs serially or over a process pool: the thread and
+    # forced-process modes are gone.
+    for mode in ("warp", "thread", "process"):
+        with pytest.raises(ValueError):
+            compile_batch([], options=CompileOptions(mode=mode))
+
+
+def test_a_pool_that_cannot_start_falls_back_to_the_serial_run(monkeypatch):
+    from repro.service import driver
+
+    def no_pool(max_workers=None):
+        raise OSError("no semaphores here")
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", no_pool)
+    requests = _three_requests()
+    with obs.collect() as report:
+        outcomes = compile_batch(requests, options=CompileOptions(mode="auto", jobs=2))
+    _assert_same_outcomes(outcomes, requests)
+    # compiled on this thread: the two good requests' spans are seen
+    # directly, no worker report is merged
+    assert report.spans["optimize"].calls == 2
+    assert "driver.worker_reports_merged" not in report.counters
+
+
+def test_an_all_hit_batch_dispatches_nothing(tmp_path, monkeypatch):
+    from repro.service import driver
+
+    cache = CompileCache(cache_dir=str(tmp_path))
+    requests = [CompileRequest(build_conv(), tile_sizes=(16, 16))] * 2
+    compile_batch(requests, options=CompileOptions(mode="serial", cache=cache))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an all-hit batch reached the dispatch path")
+
+    for name in ("_dispatch", "_load_batch_memos", "_spill_batch_memos",
+                 "load_program_memos", "spill_program_memos"):
+        monkeypatch.setattr(driver, name, boom)
+    for mode in ("serial", "auto"):
+        outcomes = compile_batch(requests, options=CompileOptions(mode=mode, cache=cache))
+        assert all(o.ok and o.from_cache for o in outcomes)
 
 
 # -- autotune through the driver -------------------------------------------
@@ -451,15 +494,15 @@ def test_compile_batch_process_interrupt_aborts_pool(monkeypatch):
         CompileRequest(build_conv(24, 24)),
     ]
     with pytest.raises(KeyboardInterrupt):
-        compile_batch(requests, options=CompileOptions(mode="process"))
+        compile_batch(requests, options=CompileOptions(mode="auto"))
     assert ("shutdown", False, True) in events  # cancel_futures, no wait
     assert ("terminate", 101) in events and ("terminate", 102) in events
     assert ("join", 101) in events and ("join", 102) in events
 
 
 def test_compile_batch_auto_mode_degrades_but_reraises_interrupt(monkeypatch):
-    """auto mode falls back to threads on ordinary pool failures, but a
-    KeyboardInterrupt still aborts the pool and propagates."""
+    """auto mode falls back to the serial run on ordinary pool failures,
+    but a KeyboardInterrupt still aborts the pool and propagates."""
     from repro.service import driver
 
     class FakeFuture:

@@ -82,7 +82,7 @@ def test_a_cold_sweep_counts_every_tile_image_in_closed_form():
     assert "footprint.count.enumerated" not in counted
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+@pytest.mark.parametrize("mode", ["serial", "auto"])
 def test_every_dispatch_mode_stores_entries_that_carry_the_summary(tmp_path, mode):
     program = get_workload("harris", 64)
     reference = _sweep(program, None, SMALL)[0]

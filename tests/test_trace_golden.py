@@ -8,11 +8,10 @@ fixed span ids, times, attributes and counters, serialized with
 files re-runs this test unmodified; one that is meant to move them
 re-records ``AT_PARENT`` with ``golden_rows()`` at its parent first.
 
-``ROWS_AT_PARENT`` is the second table: the daemon lane sent as
-``repro-spans/2`` column-wise rows (:func:`_rows_streams`) stitches to the
-file the parent of that wire form wrote for the same spans sent as
-``repro-spans/1`` objects (:func:`_rows_streams_as_objects`, times in
-whole microseconds, as rows carry them).
+``ROWS_AT_PARENT`` is the stitched file: both lanes sent as
+``repro-spans/2`` column-wise rows (:func:`_rows_streams`) stitch to the
+file the parent of that wire form wrote for the same spans sent as span
+objects (times in whole microseconds, as rows carry them).
 """
 
 import hashlib
@@ -23,7 +22,6 @@ from repro.obs.distributed import stitch
 
 AT_PARENT = {
     "chrome_trace": "54a51800c4c58c2b0f326ac8870d4590b7db0db98d575ae3bb7021239358af24",
-    "stitch": "e995ec7efee6c22448f7d32b7287740ea911c5830a341ab9891a30588982fe02",
 }
 
 ROWS_AT_PARENT = {
@@ -53,43 +51,26 @@ def _report() -> CompileReport:
     return report
 
 
-def _streams():
+def _rows_streams():
+    """A client lane of one row, and a daemon lane of column-wise rows in
+    exit order, one of them carrying what was folded into it."""
     client = {
-        "schema": "repro-spans/1",
+        "schema": "repro-spans/2",
         "service": "client",
         "wall_t0": 1700000000.25,
-        "spans": [
-            {"id": 1, "parent": None, "name": "client.request", "start": 0.001,
-             "dur": 0.0875, "tid": 0, "attrs": {"workload": "conv2d"}},
-        ],
+        "names": ["client.request"],
+        "id": [1],
+        "parent": [None],
+        "name": [0],
+        "start_us": [1000],
+        "dur_us": [87500],
+        "tid": [0],
+        "attrs": [[0, {"workload": "conv2d"}]],
+        "c": [],
+        "counter_names": [],
         "dropped": 0,
         "truncated": 0,
     }
-    daemon = {
-        "schema": "repro-spans/1",
-        "service": "daemon",
-        "wall_t0": 1700000000.2578125,
-        "spans": [
-            {"id": 1, "parent": None, "name": "serve.request", "start": 0.0,
-             "dur": 0.0625, "tid": 0, "attrs": {"workload": "conv2d"},
-             "c": [[0, 4]]},
-            {"id": 2, "parent": 1, "name": "optimize", "start": 0.0078125,
-             "dur": 0.03125, "tid": 1, "attrs": {"fused": 3, "ok": False},
-             "c": [[0, 1], [1, 6]]},
-            {"id": 3, "parent": 2, "name": "codegen", "start": 0.015625,
-             "dur": 0.0, "tid": 1, "attrs": {}},
-        ],
-        "counter_names": ["presburger.memo.hit", "presburger.fm_eliminate"],
-        "dropped": 1,
-        "truncated": 3,
-    }
-    return [client, daemon]
-
-
-def _rows_streams():
-    """``_streams()``'s client, and a daemon lane of column-wise rows in
-    exit order, one of them carrying what was folded into it."""
-    client, _daemon = _streams()
     daemon = {
         "schema": "repro-spans/2",
         "service": "daemon",
@@ -111,31 +92,6 @@ def _rows_streams():
     return [client, daemon]
 
 
-def _rows_streams_as_objects():
-    """The same spans as ``repro-spans/1`` objects, in entry order."""
-    client, _daemon = _streams()
-    daemon = {
-        "schema": "repro-spans/1",
-        "service": "daemon",
-        "wall_t0": 1700000000.2578125,
-        "spans": [
-            {"id": 1, "parent": None, "name": "serve.request", "start": 0.0,
-             "dur": 0.0625, "tid": 0, "attrs": {"workload": "conv2d"},
-             "c": [[0, 4]]},
-            {"id": 2, "parent": 1, "name": "optimize", "start": 0.007812,
-             "dur": 0.03125, "tid": 1, "attrs": {"fused": 3, "ok": False},
-             "c": [[0, 1], [1, 6], [2, 40], [3, 1250]]},
-            {"id": 3, "parent": 2, "name": "codegen", "start": 0.015625,
-             "dur": 0.0, "tid": 1, "attrs": {}},
-        ],
-        "counter_names": ["presburger.memo.hit", "presburger.fm_eliminate",
-                          "fold.fuse_space.calls", "fold.fuse_space.us"],
-        "dropped": 1,
-        "truncated": 3,
-    }
-    return [client, daemon]
-
-
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -144,7 +100,6 @@ def golden_rows():
     """The rows of ``AT_PARENT``, computed by the code under test."""
     texts = {
         "chrome_trace": json.dumps(chrome_trace(_report()), sort_keys=True),
-        "stitch": json.dumps(stitch(_streams(), TRACE_ID), sort_keys=True),
     }
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
 
@@ -155,4 +110,3 @@ def test_chrome_files_are_the_parents():
 
 def test_rows_stitch_to_the_parents_file():
     assert _digest(stitch(_rows_streams(), TRACE_ID)) == ROWS_AT_PARENT["stitch"]
-    assert _digest(stitch(_rows_streams_as_objects(), TRACE_ID)) == ROWS_AT_PARENT["stitch"]

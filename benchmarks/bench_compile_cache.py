@@ -1,12 +1,10 @@
-"""Compilation-service benchmark: cold vs. warm compiles, serial vs.
-parallel autotuning, and cross-process memo warm-starts.
+"""Compilation-service benchmark: cold vs. warm compiles and autotuning,
+and cross-process memo warm-starts.
 
 The service layer's claim is that a second structurally identical compile
-is (nearly) free and that tile-size tuning parallelises across the batch
-driver.  This benchmark measures both: per-workload cold compile time
-against a warm ``cached_optimize`` hit (memory tier and disk tier), and
-autotune wall time through the serial vs. process-pool driver, cold and
-with a warm cache.
+is (nearly) free.  This benchmark measures it twice: per-workload cold
+compile time against a warm ``cached_optimize`` hit (memory tier and disk
+tier), and autotune wall time cold against a repeat with a warm cache.
 
 It also measures the *memo spill* layer: a fresh process whose result
 cache is empty but whose presburger memo tables warm-start from the
@@ -188,12 +186,6 @@ def measure_autotune():
     serial = autotune_tile_sizes(prog, candidates=TUNE_CANDIDATES, dims=2)
     serial_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    parallel = autotune_tile_sizes(prog, options=CompileOptions(mode="auto", jobs=4), candidates=TUNE_CANDIDATES, dims=2)
-    parallel_s = time.perf_counter() - t0
-    assert parallel.best_sizes == serial.best_sizes
-    assert parallel.best_time == serial.best_time
-
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = CompileCache(cache_dir=cache_dir)
         autotune_tile_sizes(prog, options=CompileOptions(cache=cache, mode="serial"), candidates=TUNE_CANDIDATES, dims=2)
@@ -206,9 +198,7 @@ def measure_autotune():
         "workload": "conv2d-128",
         "candidates": len(serial.evaluations) + len(serial.failures),
         "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
         "warm_cache_seconds": warm_s,
-        "parallel_speedup": serial_s / parallel_s if parallel_s else float("inf"),
         "warm_speedup": serial_s / warm_s if warm_s else float("inf"),
         "best_sizes": list(serial.best_sizes),
     }
@@ -217,9 +207,7 @@ def measure_autotune():
             raw["workload"],
             raw["candidates"],
             f"{serial_s:.2f}",
-            f"{parallel_s:.2f}",
             f"{warm_s:.2f}",
-            f"{raw['parallel_speedup']:.1f}x",
             f"{raw['warm_speedup']:.1f}x",
         ]
     ]
@@ -235,9 +223,8 @@ def run(quick: bool = False):
     )
     tune_rows, tune_raw = measure_autotune()
     print_table(
-        "Autotune wall time (s): serial vs. parallel driver",
-        ["workload", "tilings", "serial", "parallel", "warm cache",
-         "par speedup", "warm speedup"],
+        "Autotune wall time (s): cold vs. warm cache",
+        ["workload", "tilings", "cold", "warm cache", "warm speedup"],
         tune_rows,
     )
     workloads = QUICK_WARM_START_WORKLOADS if quick else WARM_START_WORKLOADS

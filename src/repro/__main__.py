@@ -9,8 +9,7 @@ Subcommands:
 * ``time <workload>`` — predicted execution times of every strategy the
   paper compares (``repro.baselines.strategies``) on the modeled machines;
 * ``tune <workload>`` — exhaustive tile-size auto-tuning against the
-  machine model (``--jobs N`` fans candidates out over the batch-compile
-  driver; the compile cache makes a repeated sweep all hits);
+  machine model (the compile cache makes a repeated sweep all hits);
 * ``trace <workload> -o trace.json`` — compile under a tracing collector
   and export the hierarchical span events as Chrome trace-event JSON
   (loadable in Perfetto / ``chrome://tracing``) or JSONL;
@@ -231,8 +230,6 @@ def cmd_tune(args) -> int:
     candidates = tuple(args.candidates) if args.candidates else (8, 32, 128)
     options = CompileOptions(
         target=args.target,
-        mode="auto" if args.jobs else "serial",
-        jobs=args.jobs,
         cache=None if args.no_cache else default_cache(),
     )
     result = autotune_tile_sizes(
@@ -780,12 +777,6 @@ def main(argv=None) -> int:
             p.add_argument("--threads", type=int, default=32)
         if name == "tune":
             p.add_argument("--candidates", type=int, nargs="+", default=None)
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=None,
-                help="evaluate candidates in parallel over N workers",
-            )
         if name in ("optimize", "tune"):
             p.add_argument(
                 "--no-cache",

@@ -3,7 +3,7 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
 
 * :mod:`trace` — hierarchical spans with parent/child links and
   attributes, counters, gauges, histograms, per-compile
-  :class:`CompileReport` objects and cross-worker merging;
+  :class:`CompileReport` objects;
 * :mod:`metrics` — the process-level :class:`MetricsRegistry` with a
   stable JSON snapshot schema, merge and run-to-run diff;
 * :mod:`export` — Chrome trace-event JSON / JSONL exporters and the
@@ -36,9 +36,7 @@ from .trace import (
     annotate,
     collect,
     count,
-    current_span_id,
     gauge,
-    merge_report,
     observe,
     span,
     tracing,
@@ -80,13 +78,11 @@ __all__ = [
     "chrome_trace",
     "collect",
     "count",
-    "current_span_id",
     "diff_snapshots",
     "format_diff",
     "format_profile",
     "gauge",
     "jsonl_lines",
-    "merge_report",
     "observe",
     "profile_tree",
     "span",

@@ -73,7 +73,7 @@ class WireRows(CompileReport):
     and each ``splice_extension``.  A reader of the trace loses those
     spans' own start times, nesting, attributes and errors, and keeps how
     often each ran, for how long in total, and every counter.  Events
-    merged from a worker (:meth:`add_event`) each get a row.
+    handed to :meth:`add_event` each get a row.
 
     The aggregates of a :class:`CompileReport` (spans, counters,
     histograms, gauges) are kept as usual, so the report absorbs into a

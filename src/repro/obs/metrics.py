@@ -2,10 +2,9 @@
 
 The registry is the *aggregation* side of the observability layer: spans
 and counters stream into per-collection :class:`~repro.obs.trace.CompileReport`
-objects (one per compile, one per batch worker), and a
-:class:`MetricsRegistry` folds any number of reports — from any thread of
-this process, or unpickled from worker processes — into one
-coherent set of metrics with a stable JSON snapshot schema.
+objects (one per compile), and a :class:`MetricsRegistry` folds any
+number of reports — from any thread of this process — into one coherent
+set of metrics with a stable JSON snapshot schema.
 
 Snapshots are plain dicts (``schema`` ``repro-metrics/1``) so they can be
 written next to benchmark results and diffed run-to-run (``repro stats

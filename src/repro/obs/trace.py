@@ -85,8 +85,7 @@ class CompileReport:
     max_events: int = MAX_EVENTS
     dropped_events: int = 0
     #: perf_counter value event ``start`` offsets are relative to.  Only
-    #: meaningful within the recording process; cross-process merges rebase
-    #: via :meth:`merge`'s ``at`` argument.
+    #: meaningful within the recording process.
     epoch: float = field(default_factory=perf_counter)
     #: The deepest span (the number of traced spans open around it) that
     #: gets its own event; a deeper one is folded into the span open at
@@ -135,53 +134,6 @@ class CompileReport:
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
-
-    # -- aggregation across workers ---------------------------------------
-
-    def merge(
-        self,
-        other: "CompileReport",
-        at: float,
-        parent: Optional[int] = None,
-    ) -> None:
-        """Fold another report (a batch worker process's) into this one.
-
-        Foreign events get fresh ids (ids are only unique per process — a
-        worker process restarts the counter), their roots are re-parented
-        under ``parent``, and their times are rebased so the earliest
-        foreign event lands at perf_counter time ``at``: a worker's clock
-        is not comparable to ours.
-        """
-        for name, stat in other.spans.items():
-            mine = self.spans.setdefault(name, SpanStat())
-            mine.calls += stat.calls
-            mine.seconds += stat.seconds
-        for name, n in other.counters.items():
-            self.add_count(name, n)
-        self.gauges.update(other.gauges)
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram(h.bounds)
-            mine.merge(h)
-        self.dropped_events += other.dropped_events
-        if not other.events:
-            return
-        offset = (at - self.epoch) - min(e.start for e in other.events)
-        remap = {e.id: next(_ids) for e in other.events}
-        for e in other.events:
-            self.add_event(
-                SpanEvent(
-                    id=remap[e.id],
-                    parent=remap.get(e.parent, parent) if e.parent is not None else parent,
-                    name=e.name,
-                    start=e.start + offset,
-                    duration=e.duration,
-                    tid=e.tid,
-                    attrs=dict(e.attrs),
-                    counters=dict(e.counters),
-                )
-            )
 
     # -- views -------------------------------------------------------------
 
@@ -249,8 +201,7 @@ class CompileReport:
 
 
 _state = threading.local()
-#: Process-wide event id source (GIL-atomic); worker-process ids are
-#: remapped through it on merge so ids stay unique per trace.
+#: Process-wide event id source (GIL-atomic).
 _ids = itertools.count(1)
 
 
@@ -303,12 +254,6 @@ def tracing() -> bool:
     """True when at least one collector records span events on this thread."""
     stack = getattr(_state, "stack", None)
     return bool(stack) and any(r.record_events for r in stack)
-
-
-def current_span_id() -> Optional[int]:
-    """Id of the innermost open traced span on this thread, or ``None``."""
-    frames = getattr(_state, "frames", None)
-    return frames[-1].id if frames else None
 
 
 @contextmanager
@@ -473,19 +418,3 @@ def annotate(**attrs) -> None:
     frames = getattr(_state, "frames", None)
     if frames:
         frames[-1].attrs.update(attrs)
-
-
-def merge_report(report: CompileReport, at: float) -> None:
-    """Fold a worker's report into every collector active on this thread.
-
-    Used by the batch driver: worker processes collect their own reports
-    (collector stacks do not cross processes) and the driver merges them
-    back, re-parenting the worker's root spans under the driver's
-    currently open span and rebasing their times onto ``at``.
-    """
-    stack = getattr(_state, "stack", None)
-    if not stack:
-        return
-    parent = current_span_id()
-    for r in stack:
-        r.merge(report, at=at, parent=parent)

@@ -6,7 +6,7 @@
 validation (or none).  :class:`CompileOptions` is the single configuration
 path: construct it once, pass it everywhere, and every entry point sees the
 same resolved :class:`~repro.core.tile_shapes.TargetSpec`, coerced tile-size
-tuple and checked dispatch mode (``"auto"`` or ``"serial"``).
+tuple and checked dispatch mode (``"serial"``, the only one).
 """
 
 from __future__ import annotations
@@ -25,22 +25,23 @@ class CompileOptions:
     :class:`~repro.core.tile_shapes.TargetSpec` and is normalized to the
     spec.  ``tile_sizes`` applies to the live-out spaces only and is
     coerced to a tuple of positive ints.  ``startup`` picks the start-up
-    fusion heuristic.  ``mode``/``jobs``/``cache`` configure the batch
-    driver: dispatch strategy, worker count and an optional
-    :class:`~repro.service.CompileCache`.  ``mode`` is ``"auto"`` (a
-    batch with two or more to compile runs on a process pool) or
-    ``"serial"`` (the caller's thread).  ``cache`` also accepts a string
-    or :class:`os.PathLike`: ``"default"`` for the process-wide cache, a
-    bare name for a named cache under the default cache directory, or a
-    directory path (all resolved via
-    :func:`~repro.service.cache.resolve_cache`).
+    fusion heuristic.  ``mode``/``cache`` configure the batch driver:
+    dispatch strategy and an optional
+    :class:`~repro.service.CompileCache`.  ``mode`` is ``"serial"``: a
+    batch compiles on the caller's thread.  ``cache`` also accepts a
+    string or :class:`os.PathLike`: ``"default"`` for the process-wide
+    cache, a bare name for a named cache under the default cache
+    directory, or a directory path (all resolved via
+    :func:`~repro.service.cache.resolve_cache`).  Any other ``cache``
+    that lacks what the driver reads of one (``get`` and
+    ``persistent``: a CompileCache, or the server's view of its memory
+    tier) is a :class:`TypeError`.
     """
 
     target: Union[str, object] = "cpu"
     tile_sizes: Optional[Sequence[int]] = None
     startup: str = "smartfuse"
-    mode: str = "auto"
-    jobs: Optional[int] = None
+    mode: str = "serial"
     cache: Optional[object] = None
 
     def __post_init__(self):
@@ -73,16 +74,16 @@ class CompileOptions:
             raise ValueError(
                 f"unknown dispatch mode {self.mode!r}; choose from {MODES}"
             )
-        if self.jobs is not None:
-            jobs = int(self.jobs)
-            if jobs < 1:
-                raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
-            object.__setattr__(self, "jobs", jobs)
-
         if isinstance(self.cache, (str, os.PathLike)):
             from .service.cache import resolve_cache
 
             object.__setattr__(self, "cache", resolve_cache(self.cache))
+        elif self.cache is not None and not (
+            hasattr(self.cache, "persistent") and callable(getattr(self.cache, "get", None))
+        ):
+            raise TypeError(
+                f"cache must be a CompileCache, a name or a path, got {self.cache!r}"
+            )
 
     def replace(self, **changes) -> "CompileOptions":
         """A copy with the given fields changed (and re-validated)."""

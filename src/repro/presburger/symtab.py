@@ -8,7 +8,7 @@ dict rebuilding, and structural hashing never touches strings.
 
 Ids are process-local and monotonically increasing; they never leak into
 pickles (``LinExpr`` serialises by name), so results stay portable across
-the batch driver's worker processes.
+processes that share a cache directory.
 """
 
 from __future__ import annotations

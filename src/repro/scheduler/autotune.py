@@ -18,7 +18,7 @@ header in front of the pickled result, and a candidate the cache answers
 that way is costed from the header alone.  A repeated sweep therefore
 compiles, analyses and unpickles nothing; only the candidates the cache
 cannot answer go to the batch driver, which compiles them on the caller's
-thread or, under ``auto`` dispatch, on a process pool.
+thread, where they share one symbolic analysis through the memo tables.
 """
 
 from __future__ import annotations
@@ -95,28 +95,20 @@ def autotune_tile_sizes(
     dimension instead.
 
     Candidates are evaluated through the batch-compile driver
-    (:func:`repro.service.compile_batch`): ``mode`` picks the dispatch
-    strategy (``"serial"`` by default; ``"auto"`` fans out over ``jobs``
-    worker processes) and an optional ``cache`` (a
-    :class:`repro.service.CompileCache`) reuses compile results across
-    candidates, runs and processes.  The cost model is deterministic, so
-    both modes return bit-identical ``best_sizes``/``best_time``.
+    (:func:`repro.service.compile_batch`) on the caller's thread; an
+    optional ``cache`` (a :class:`repro.service.CompileCache`) reuses
+    compile results across candidates, runs and processes.
 
     A :class:`repro.CompileOptions` supplies ``target``/``startup``/
-    ``mode``/``jobs``/``cache`` in one validated bundle (its
-    ``tile_sizes`` field is ignored — tile sizes are what is being
-    searched).  ``None`` tunes for the cpu target with serial dispatch —
-    a sweep's requests are tiny and fork cost dominates, so the
-    no-options default stays ``"serial"`` rather than ``CompileOptions``'
-    ``"auto"``.  The tuner-specific knobs (``threads``, ``candidates``,
-    ``dims``, ``max_extent``) remain keyword arguments here: they
-    configure the search, not the compiles.
+    ``cache`` in one validated bundle (its ``tile_sizes`` field is
+    ignored — tile sizes are what is being searched).  ``None`` tunes for
+    the cpu target.  The tuner-specific knobs (``threads``,
+    ``candidates``, ``dims``, ``max_extent``) remain keyword arguments
+    here: they configure the search, not the compiles.
     """
     from ..options import resolve_options
 
     opts = resolve_options(options)
-    if options is None:
-        opts = opts.replace(mode="serial")
 
     if max_extent is not None:
         bounds = [max_extent] * dims

@@ -6,7 +6,7 @@ Turns the one-shot ``repro.core.optimize`` pass into a reusable service:
 * :mod:`cache` — the two-tier result cache (LRU memory over one store);
 * :mod:`store` — that store: one sharded directory, shared by every
   process given the same one;
-* :mod:`driver` — deduplicating, parallel batch-compile driver.
+* :mod:`driver` — deduplicating, caching batch-compile driver.
 
 Names load lazily on first attribute access: the compiler reaches
 :mod:`fingerprint` on every compile, and that must not drag the cache,

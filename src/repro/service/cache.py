@@ -343,34 +343,6 @@ class CompileCache:
             self.cache_dir, gc_max_bytes=self.gc_max_bytes, gc_max_age=self.gc_max_age
         )
 
-    def __getstate__(self):
-        """Ships the memory tier as encoded entries only: the other side
-        decodes its own instances."""
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_mem"] = OrderedDict(
-                (key, _Entry(entry.blob)) for key, entry in self._mem.items()
-            )
-        del state["_lock"]
-        # The store holds a lock; rebuild it from the fields on the other
-        # side.  The start-up halves are this process's (un)pickles.
-        del state["store"], state["_halves"], state["_decoded"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.store = self._build_store()
-        self._lock = threading.RLock()
-        self._halves = OrderedDict()
-        self._decoded = OrderedDict()
-
-    @property
-    def spec(self) -> Optional[str]:
-        """A flat string :func:`resolve_cache` turns back into an
-        equivalent cache in another process, or ``None`` when the cache
-        is memory-only."""
-        return None if self.store is None else self.cache_dir
-
     # -- lookup ------------------------------------------------------------
 
     def _decode(self, blob: bytes, kind: str):

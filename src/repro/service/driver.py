@@ -1,20 +1,19 @@
-"""Batch-compile driver: dedupe, cache, fan out, never kill the batch.
+"""Batch-compile driver: dedupe, cache, compile, never kill the batch.
 
 ``compile_batch`` takes N :class:`CompileRequest`\\ s and returns N
 :class:`CompileOutcome`\\ s in the same order.  Identical requests (same
 content fingerprint) are compiled once; cached fingerprints are served
-without compiling at all; the rest run serially on the caller's thread
-or, under ``auto`` dispatch with two or more to compile, on a process
-pool (a pool that cannot start or fails falls back to the serial run).
-A request that fails records its error string in its outcome — one
-infeasible tiling never aborts the other N-1.
+without compiling at all; the rest run serially on the caller's thread,
+where they share this process's memo tables (a sweep's candidates reuse
+one symbolic analysis).  A request that fails records its error string in
+its outcome — one infeasible tiling never aborts the other N-1.
 
 Requests that *do* compile start warm when the cache has a spilled memo
 snapshot for their program (keyed by program fingerprint): the snapshot is
-loaded into the presburger memo tables before compiling — in the worker
-process itself under the process pool, which opens the cache's directory
-again — and the (now larger) hot set is spilled back afterwards.  Compiles are byte-deterministic, so entries
-produced by any process are interchangeable.
+loaded into the presburger memo tables before compiling, and the (now
+larger) hot set is spilled back afterwards.  Compiles are
+byte-deterministic, so entries produced by any process are
+interchangeable.
 
 ``cached_optimize`` is the single-request convenience wrapper the CLI
 uses: a memoized drop-in for :func:`repro.core.optimize`.
@@ -22,10 +21,7 @@ uses: a memoized drop-in for :func:`repro.core.optimize`.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +33,7 @@ from .cache import CompileCache, default_cache
 from .fingerprint import fingerprint_program, fingerprint_request
 
 #: Dispatch strategies for :func:`compile_batch`.
-MODES = ("auto", "serial")
+MODES = ("serial",)
 
 
 def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
@@ -46,14 +42,6 @@ def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
     if cache is None or not cache.persistent:
         return None
     return cache
-
-
-def _memo_spec(cache: Optional[CompileCache]) -> Optional[str]:
-    """A flat spec string a worker *process* rebuilds the memo cache
-    from (see :attr:`CompileCache.spec`); ``None`` disables the worker's
-    round-trip."""
-    memo_cache = _memo_cache(cache)
-    return None if memo_cache is None else memo_cache.spec
 
 
 def load_program_memos(cache: CompileCache, program_fp: str) -> int:
@@ -157,8 +145,7 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     """Compile one request in-process; error strings match the serial
     autotuner's ``f"{type}: {exc}"`` format exactly.
 
-    A sweep candidate is also costed here, wherever "here" runs (the
-    caller's thread or a worker process), so the entry ``compile_batch``
+    A sweep candidate is also costed here, so the entry ``compile_batch``
     stores already carries its ``work_summary`` and no later hit analyses.
     """
     try:
@@ -184,150 +171,12 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     return result, None
 
 
-#: Per-worker-process memo cache, keyed by spec: pool workers handle many
-#: tasks, and one cache per spec keeps its store's running counters.
-_worker_memo_cache: Optional[Tuple[str, CompileCache]] = None
-
-
-def _worker_cache_for(memo_spec: str) -> CompileCache:
-    global _worker_memo_cache
-    if _worker_memo_cache is None or _worker_memo_cache[0] != memo_spec:
-        from .cache import resolve_cache
-
-        _worker_memo_cache = (memo_spec, resolve_cache(memo_spec))
-    return _worker_memo_cache[1]
-
-
-def _worker_body(request: CompileRequest, memo_spec: Optional[str]):
-    """One worker's compile, including its memo warm-start round-trip."""
-    if memo_spec is not None:
-        cache = _worker_cache_for(memo_spec)
-        program_fp = fingerprint_program(request.program)
-        load_program_memos(cache, program_fp)
-        result, error = _run_request(request)
-        if error is None:
-            spill_program_memos(cache, program_fp)
-    else:
-        result, error = _run_request(request)
-    return result, error
-
-
-def _worker(payload: bytes) -> bytes:
-    """Process-pool entry point: pickled ``(request, memo_spec, observe,
-    trace)`` in, pickled ``(result, error, report)`` out.  The worker is a
-    fresh process with empty memo tables — exactly where the disk spill
-    pays off — so it rebuilds the memo cache from its spec, loads its
-    program's snapshot itself and spills the result back.
-
-    Collector stacks are per-thread and per-process, so a worker's spans
-    and counters would silently vanish; when the driver is being observed
-    the worker collects its own :class:`~repro.obs.CompileReport` (with
-    span events when the driver is tracing) under one ``compile_worker``
-    span and ships it back; the driver merges it under its own open span.
-    """
-    request, memo_spec, observe, trace = pickle.loads(payload)
-    if observe:
-        with obs.collect(trace=trace) as report:
-            with obs.span("compile_worker", fingerprint=request.fingerprint[:12]):
-                result, error = _worker_body(request, memo_spec)
-    else:
-        report = None
-        result, error = _worker_body(request, memo_spec)
-    return pickle.dumps((result, error, report))
-
-
-def _default_workers(n_tasks: int) -> int:
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
-def _abort_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a process pool down *now*, without waiting for its compiles.
-
-    ``ProcessPoolExecutor.__exit__`` joins every worker, so a
-    KeyboardInterrupt mid-batch would hang until the slowest compile
-    finishes (or leak workers if the driver is killed).  Instead: cancel
-    everything still queued, terminate the live worker processes, and
-    reap them with a bounded join so no zombies linger.
-    """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in list(procs):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    for proc in list(procs):
-        try:
-            proc.join(timeout=1.0)
-        except Exception:
-            pass
-
-
-def _in_processes(
-    requests: List[CompileRequest],
-    max_workers: Optional[int],
-    cache: Optional[CompileCache],
-) -> Optional[List[Tuple[Optional[object], Optional[str]]]]:
-    """Compile ``requests`` on a process pool, preserving order; ``None``
-    when the pool cannot start or fails with an ordinary exception.
-
-    Worker spans and counters come back in per-worker reports (collector
-    stacks are process-local) and are merged into the driver's active
-    collectors here, so batch reports account for work done off the
-    driver's process.  A KeyboardInterrupt aborts the pool and propagates.
-    """
-    observe, trace = obs.active(), obs.tracing()
-    try:
-        memo_spec = _memo_spec(cache)
-        payloads = [pickle.dumps((r, memo_spec, observe, trace)) for r in requests]
-        t0 = time.perf_counter()
-        pool = ProcessPoolExecutor(
-            max_workers=max_workers or _default_workers(len(requests))
-        )
-    except Exception:
-        # An unpicklable program or a sandboxed interpreter (no
-        # fork/semaphores).
-        return None
-    try:
-        futures = [pool.submit(_worker, p) for p in payloads]
-        raw = [f.result() for f in futures]
-    except BaseException as exc:
-        # A KeyboardInterrupt (or any dispatch failure) must not wait on —
-        # or orphan — the in-flight workers.
-        _abort_pool(pool)
-        if not isinstance(exc, Exception):
-            raise
-        return None
-    pool.shutdown()
-    results = []
-    for b in raw:
-        result, error, report = pickle.loads(b)
-        if report is not None:
-            # Worker-process perf_counter epochs are not comparable to
-            # ours: rebase onto the dispatch start.
-            obs.merge_report(report, at=t0)
-            obs.count("driver.worker_reports_merged")
-        results.append((result, error))
-    return results
-
-
 def _dispatch(
     requests: List[CompileRequest],
-    mode: str,
-    max_workers: Optional[int],
-    cache: Optional[CompileCache] = None,
+    cache: Optional[CompileCache],
 ) -> List[Tuple[Optional[object], Optional[str]]]:
-    """Compile ``requests`` (already deduplicated), preserving order: on a
-    process pool under ``auto`` with two or more, else — or when the pool
-    gives up — serially on this thread, where collectors already see every
-    span directly."""
-    if mode == "auto" and len(requests) > 1:
-        results = _in_processes(requests, max_workers, cache)
-        if results is not None:
-            return results
+    """Compile ``requests`` (already deduplicated) on this thread,
+    preserving order, between one batched memo load and one spill."""
     memo_cache = _memo_cache(cache)
     _load_batch_memos(requests, memo_cache)
     results = [_run_request(r) for r in requests]
@@ -350,12 +199,12 @@ def compile_batch(
     stored for the next batch (or process).
 
     A :class:`repro.CompileOptions` supplies the driver knobs —
-    ``mode``/``jobs``/``cache`` — in one validated bundle (``None`` uses
-    the defaults: auto dispatch, cpu-count workers, no cache).
+    ``mode``/``cache`` — in one validated bundle (``None`` uses the
+    defaults: serial dispatch, no cache).
     """
     opts = resolve_options(options)
-    mode, max_workers, cache = opts.mode, opts.jobs, opts.cache
-    with obs.span("compile_batch", mode=mode, requests=len(requests)):
+    cache = opts.cache
+    with obs.span("compile_batch", mode=opts.mode, requests=len(requests)):
         outcomes: List[CompileOutcome] = [
             CompileOutcome(request=r, fingerprint=r.fingerprint) for r in requests
         ]
@@ -387,7 +236,7 @@ def compile_batch(
             compiled = dict(
                 zip(
                     (r.fingerprint for r in to_compile),
-                    _dispatch(to_compile, mode, max_workers, cache),
+                    _dispatch(to_compile, cache),
                 )
             )
             elapsed = time.perf_counter() - t0

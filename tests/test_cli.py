@@ -109,17 +109,6 @@ def test_tune(cache_dir, capsys):
     assert "searched" in out
 
 
-def test_tune_parallel_jobs(cache_dir, capsys):
-    rc = main(
-        [
-            "tune", "conv2d", "--size", "32",
-            "--candidates", "8", "16", "--jobs", "2",
-        ]
-    )
-    assert rc == 0
-    assert "best tile sizes:" in capsys.readouterr().out
-
-
 def test_cache_info_and_clear(cache_dir, capsys):
     assert main(["optimize", "conv2d", "--size", "32", "--tile", "8", "8"]) == 0
     capsys.readouterr()

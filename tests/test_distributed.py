@@ -399,29 +399,6 @@ def test_daemon_logging_to_a_full_disk_serves_and_reports(tmp_path):
     assert gauges["serve.events.write_errors"] == 3
 
 
-# -- batch workers re-parent under the request span ------------------------
-
-
-def test_process_worker_spans_reparent_under_request(tmp_path):
-    from repro.api import CompileOptions, CompileRequest, compile_batch
-    from repro.pipelines import conv2d
-
-    prog = conv2d.build({"H": 24, "W": 24, "KH": 3, "KW": 3})
-    reqs = [CompileRequest(prog, tile_sizes=(t, t)) for t in (4, 8)]
-    with obs.collect(trace=True) as report:
-        outs = compile_batch(reqs, options=CompileOptions(mode="auto", jobs=2))
-    assert all(o.ok for o in outs)
-    assert report.counters.get("driver.worker_reports_merged") == 2
-    by_id = {e.id: e for e in report.events}
-    batch = next(e for e in report.events if e.name == "compile_batch")
-    workers = [e for e in report.events if e.name == "compile_worker"]
-    assert len(workers) == 2
-    for w in workers:
-        # Re-parented under the driver's batch span.
-        assert w.parent == batch.id
-        assert w.parent in by_id
-
-
 # -- the daemon's span payload ------------------------------------------
 
 

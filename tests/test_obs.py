@@ -127,50 +127,6 @@ class TestSpans:
         assert report.spans["s"].calls == 5  # aggregates are uncapped
 
 
-class TestMergeReport:
-    def test_merge_renumbers_and_reparents(self):
-        worker = CompileReport(record_events=True)
-        with collect(report=worker, trace=True):
-            with obs.span("work"):
-                with obs.span("sub"):
-                    pass
-        with collect(trace=True) as driver:
-            with obs.span("dispatch"):
-                obs.merge_report(worker, at=time.perf_counter())
-        by_name = {e.name: e for e in driver.events}
-        assert by_name["work"].parent == by_name["dispatch"].id
-        assert by_name["sub"].parent == by_name["work"].id
-        ids = [e.id for e in driver.events]
-        assert len(ids) == len(set(ids))
-
-    def test_merge_rebases_cross_process_times(self):
-        worker = CompileReport(record_events=True)
-        with collect(report=worker, trace=True):
-            with obs.span("work"):
-                pass
-        # Pretend the worker's clock is wildly different.
-        for e in worker.events:
-            e.start += 1e6
-        with collect(trace=True) as driver:
-            at = time.perf_counter()
-            obs.merge_report(worker, at=at)
-        (event,) = driver.events
-        # Rebased onto the driver's epoch: starts near `at`, not at 1e6.
-        assert 0 <= event.start < 10
-
-    def test_merge_aggregates_counters_and_histograms(self):
-        worker = CompileReport()
-        worker.add_count("n", 3)
-        worker.observe("h", 5, buckets=(1, 10))
-        worker.set_gauge("g", 1.5)
-        with collect() as driver:
-            obs.count("n", 1)
-            obs.merge_report(worker, at=time.perf_counter())
-        assert driver.counters["n"] == 4
-        assert driver.histograms["h"].count == 1
-        assert driver.gauges["g"] == 1.5
-
-
 class TestHistogram:
     def test_bucketing(self):
         h = Histogram((1, 2, 4))
@@ -308,29 +264,6 @@ class TestPipelineTrace:
         names = {e.name for e in report.events}
         # Every pipeline stage shows up in the trace.
         assert {"optimize", "scheduler", "tile_shapes", "footprint"} <= names
-
-    def test_batch_worker_reports_aggregate(self):
-        from repro.api import CompileRequest, compile_batch
-        from repro.pipelines import conv2d
-
-        prog = conv2d.build({"H": 24, "W": 24, "KH": 3, "KW": 3})
-        reqs = [CompileRequest(prog, tile_sizes=(t, t)) for t in (4, 8)]
-        with collect(trace=True) as report:
-            outs = compile_batch(reqs, options=CompileOptions(mode="auto", jobs=2))
-        assert all(o.ok for o in outs)
-        # Worker-process spans made it back into the driver's report...
-        assert report.counters.get("driver.worker_reports_merged") == 2
-        assert report.spans["optimize"].calls == 2
-        # ...and their events hang under the driver's compile_batch span.
-        by_id = {e.id: e for e in report.events}
-        batch = next(e for e in report.events if e.name == "compile_batch")
-        workers = [e for e in report.events if e.name == "compile_worker"]
-        assert len(workers) == 2
-        assert all(w.parent == batch.id for w in workers)
-        for e in report.events:
-            if e.parent is not None:
-                assert e.parent in by_id
-
 
 class TestPackage:
     def test_instrument_shim_is_gone(self):

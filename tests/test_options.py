@@ -49,8 +49,8 @@ class TestValidation:
             CompileOptions(startup="nofuse")
         with pytest.raises(ValueError, match="mode"):
             CompileOptions(mode="warp")
-        with pytest.raises(ValueError, match="jobs"):
-            CompileOptions(jobs=0)
+        with pytest.raises(TypeError):
+            CompileOptions(jobs=2)
 
     def test_replace_revalidates(self):
         o = CompileOptions(tile_sizes=(8, 8))
@@ -105,6 +105,12 @@ class TestCacheSpelling:
         monkeypatch.setenv("HOME", str(tmp_path))
         o = CompileOptions(cache="~/caches/x")
         assert o.cache.cache_dir == str(tmp_path / "caches" / "x")
+
+    def test_a_cache_that_is_none_of_the_spellings_is_refused_on_construction(self, tmp_path):
+        # refused where it is passed, not at the first batch that reads it
+        for bad in ({"local": str(tmp_path)}, 3):
+            with pytest.raises(TypeError, match="cache"):
+                CompileOptions(cache=bad)
 
     def test_cached_optimize_with_path_cache(self, tmp_path):
         p = build_conv()

@@ -4,7 +4,7 @@ Covers the acceptance criteria of the service subsystem: content
 addressing (structurally identical programs share a cache key), the
 two-tier cache (memory hits, disk round-trips across processes,
 corruption eviction), the deduplicating batch driver (error isolation,
-bit-identical parity with the serial autotuner) and pass instrumentation.
+cache reuse) and pass instrumentation.
 """
 
 import os
@@ -17,7 +17,7 @@ import pytest
 
 from repro import CompileOptions, obs
 from repro.core import optimize
-from repro.pipelines import conv2d, polybench
+from repro.pipelines import conv2d
 from repro.scheduler.autotune import autotune_tile_sizes
 from repro.service import (
     CompileCache,
@@ -269,55 +269,12 @@ def test_compile_batch_uses_cache(tmp_path):
     assert cache.stats.hits == 1
 
 
-def _three_requests():
-    p = build_conv()
-    return [
-        CompileRequest(p, tile_sizes=(16, 16)),
-        CompileRequest(p, tile_sizes=(8, 8)),
-        CompileRequest(p, target="bogus"),
-    ]
-
-
-def _assert_same_outcomes(outcomes, requests):
-    serial = compile_batch(requests, options=CompileOptions(mode="serial"))
-    for got, want in zip(outcomes, serial):
-        assert got.ok == want.ok
-        if got.ok:
-            assert got.result.fusion_summary() == want.result.fusion_summary()
-        else:
-            assert got.error == want.error
-
-
-@pytest.mark.parametrize("mode", ["auto"])
-def test_compile_batch_parallel_modes(mode):
-    requests = _three_requests()
-    outcomes = compile_batch(requests, options=CompileOptions(mode=mode, jobs=2))
-    _assert_same_outcomes(outcomes, requests)
-
-
 def test_compile_batch_rejects_unknown_mode():
-    # A batch runs serially or over a process pool: the thread and
-    # forced-process modes are gone.
-    for mode in ("warp", "thread", "process"):
+    # A batch runs serially on the caller's thread: the thread, process
+    # and process-pool modes are gone.
+    for mode in ("warp", "thread", "process", "auto"):
         with pytest.raises(ValueError):
             compile_batch([], options=CompileOptions(mode=mode))
-
-
-def test_a_pool_that_cannot_start_falls_back_to_the_serial_run(monkeypatch):
-    from repro.service import driver
-
-    def no_pool(max_workers=None):
-        raise OSError("no semaphores here")
-
-    monkeypatch.setattr(driver, "ProcessPoolExecutor", no_pool)
-    requests = _three_requests()
-    with obs.collect() as report:
-        outcomes = compile_batch(requests, options=CompileOptions(mode="auto", jobs=2))
-    _assert_same_outcomes(outcomes, requests)
-    # compiled on this thread: the two good requests' spans are seen
-    # directly, no worker report is merged
-    assert report.spans["optimize"].calls == 2
-    assert "driver.worker_reports_merged" not in report.counters
 
 
 def test_an_all_hit_batch_dispatches_nothing(tmp_path, monkeypatch):
@@ -333,28 +290,11 @@ def test_an_all_hit_batch_dispatches_nothing(tmp_path, monkeypatch):
     for name in ("_dispatch", "_load_batch_memos", "_spill_batch_memos",
                  "load_program_memos", "spill_program_memos"):
         monkeypatch.setattr(driver, name, boom)
-    for mode in ("serial", "auto"):
-        outcomes = compile_batch(requests, options=CompileOptions(mode=mode, cache=cache))
-        assert all(o.ok and o.from_cache for o in outcomes)
+    outcomes = compile_batch(requests, options=CompileOptions(mode="serial", cache=cache))
+    assert all(o.ok and o.from_cache for o in outcomes)
 
 
 # -- autotune through the driver -------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "builder, candidates",
-    [
-        (lambda: build_conv(64, 64), (8, 16, 32)),
-        (lambda: polybench.BUILDERS["atax"](128), (8, 16)),
-    ],
-)
-def test_autotune_parallel_matches_serial(builder, candidates):
-    serial = autotune_tile_sizes(builder(), candidates=candidates, dims=2)
-    parallel = autotune_tile_sizes(builder(), options=CompileOptions(mode="auto", jobs=2), candidates=candidates, dims=2)
-    assert parallel.best_sizes == serial.best_sizes
-    assert parallel.best_time == serial.best_time
-    assert parallel.evaluations == serial.evaluations
-    assert parallel.failures == serial.failures
 
 
 def test_autotune_warm_cache_reuses_results(tmp_path):
@@ -418,7 +358,7 @@ def test_optimize_result_pickle_round_trip():
     assert clone.tree.pretty() == result.tree.pretty()
 
 
-# -- thread safety and interrupt handling ----------------------------------
+# -- thread safety ---------------------------------------------------------
 
 
 def test_cache_memory_tier_is_thread_safe(tmp_path):
@@ -455,74 +395,3 @@ def test_cache_memory_tier_is_thread_safe(tmp_path):
     info = cache.info()
     assert info["memory_entries"] <= 8
     assert stats.memory_evictions > 0  # 24 keys through an 8-slot LRU
-
-
-def test_compile_batch_process_interrupt_aborts_pool(monkeypatch):
-    """A KeyboardInterrupt mid-batch must terminate the worker pool and
-    re-raise — not hang joining workers or orphan them."""
-    from repro.service import driver
-
-    events = []
-
-    class FakeProcess:
-        def __init__(self, pid):
-            self.pid = pid
-
-        def terminate(self):
-            events.append(("terminate", self.pid))
-
-        def join(self, timeout=None):
-            events.append(("join", self.pid))
-
-    class FakeFuture:
-        def result(self):
-            raise KeyboardInterrupt
-
-    class FakePool:
-        def __init__(self, max_workers=None):
-            self._processes = {pid: FakeProcess(pid) for pid in (101, 102)}
-
-        def submit(self, fn, payload):
-            return FakeFuture()
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            events.append(("shutdown", wait, cancel_futures))
-
-    monkeypatch.setattr(driver, "ProcessPoolExecutor", FakePool)
-    requests = [
-        CompileRequest(build_conv(16, 16)),
-        CompileRequest(build_conv(24, 24)),
-    ]
-    with pytest.raises(KeyboardInterrupt):
-        compile_batch(requests, options=CompileOptions(mode="auto"))
-    assert ("shutdown", False, True) in events  # cancel_futures, no wait
-    assert ("terminate", 101) in events and ("terminate", 102) in events
-    assert ("join", 101) in events and ("join", 102) in events
-
-
-def test_compile_batch_auto_mode_degrades_but_reraises_interrupt(monkeypatch):
-    """auto mode falls back to the serial run on ordinary pool failures,
-    but a KeyboardInterrupt still aborts the pool and propagates."""
-    from repro.service import driver
-
-    class FakeFuture:
-        def result(self):
-            raise KeyboardInterrupt
-
-    class FakePool:
-        def __init__(self, max_workers=None):
-            self._processes = {}
-
-        def submit(self, fn, payload):
-            return FakeFuture()
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(driver, "ProcessPoolExecutor", FakePool)
-    requests = [
-        CompileRequest(build_conv(16, 16)),
-        CompileRequest(build_conv(24, 24)),
-    ]
-    with pytest.raises(KeyboardInterrupt):
-        compile_batch(requests, options=CompileOptions(mode="auto"))

@@ -18,7 +18,7 @@ from repro.core import optimize
 from repro.machine import analyze_optimized, cost
 from repro.scheduler.autotune import autotune_tile_sizes
 from repro.service.cache import BLOB_GLOBALS, CompileCache
-from repro.service.driver import CompileRequest, compile_batch
+from repro.service.driver import MODES, CompileRequest, compile_batch
 from repro.service.store import LocalStore
 from repro.workloads import get_workload
 
@@ -28,7 +28,7 @@ SMALL = (8, 16, 32)
 
 def _sweep(program, cache, candidates=GRID, mode="serial"):
     """One sweep and the counters it moved."""
-    opts = CompileOptions(mode=mode, jobs=2 if mode != "serial" else None, cache=cache)
+    opts = CompileOptions(mode=mode, cache=cache)
     with obs.collect() as report:
         tuned = autotune_tile_sizes(program, opts, candidates=candidates)
     return tuned, report.counters
@@ -82,13 +82,13 @@ def test_a_cold_sweep_counts_every_tile_image_in_closed_form():
     assert "footprint.count.enumerated" not in counted
 
 
-@pytest.mark.parametrize("mode", ["serial", "auto"])
+@pytest.mark.parametrize("mode", MODES)
 def test_every_dispatch_mode_stores_entries_that_carry_the_summary(tmp_path, mode):
     program = get_workload("harris", 64)
     reference = _sweep(program, None, SMALL)[0]
     cache = CompileCache(cache_dir=str(tmp_path))
     cold, counted = _sweep(program, cache, SMALL, mode)
-    assert counted["machine.analyze.computed"] == 9  # in the workers, merged back
+    assert counted["machine.analyze.computed"] == 9  # by the driver, before the put
     warm, counted = _sweep(program, CompileCache(cache_dir=str(tmp_path)), SMALL, mode)
     assert "machine.analyze.computed" not in counted
     assert _answers(cold) == _answers(warm) == _answers(reference)

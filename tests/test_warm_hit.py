@@ -319,21 +319,6 @@ def test_the_fusion_summary_is_derived_once_and_never_pickled(monkeypatch):
     assert clone.fusion_summary() == result.fusion_summary() and len(calls) == 2
 
 
-def test_pickled_cache_ships_encoded_entries_only(tmp_path):
-    cache = CompileCache(cache_dir=str(tmp_path), persistent=False)
-    program = build_workload("conv2d", 24)
-    cached_optimize(program, _options("conv2d", cache))
-    hit = cached_optimize(program, _options("conv2d", cache))
-    assert cache._mem and all(e.obj is not None for e in cache._mem.values())
-    clone = pickle.loads(pickle.dumps(cache))
-    assert [e.blob for e in clone._mem.values()] == [e.blob for e in cache._mem.values()]
-    assert all(e.obj is None for e in clone._mem.values())
-    assert all(e.obj is not None for e in cache._mem.values())  # original untouched
-    there = cached_optimize(program, _options("conv2d", clone))
-    assert clone.stats.memory_hits == cache.stats.memory_hits + 1
-    assert print_tree(there.tree, program) == print_tree(hit.tree, program)
-
-
 # -- keys and names --------------------------------------------------------
 
 

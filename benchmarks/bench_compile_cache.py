@@ -8,9 +8,11 @@ tier), and autotune wall time cold against a repeat with a warm cache.
 
 It also measures the *memo spill* layer: a fresh process whose result
 cache is empty but whose presburger memo tables warm-start from the
-snapshot a previous process spilled through the disk cache.  Both runs
-recompile from scratch — only the memo state differs — and the schedule
-trees must hash identically (compiles are byte-deterministic).  Results
+snapshot a previous process spilled through the disk cache.  Each run is
+one ``cached_optimize`` (what a fresh ``repro optimize`` does), the one
+entry point that loads and spills snapshots; a batch never does.  Both
+runs recompile from scratch — only the memo state differs — and the
+schedule trees must hash identically (compiles are byte-deterministic).  Results
 land in ``benchmarks/results/compile_cache.json`` (a quick run's in the
 git-ignored ``benchmarks/results/quick/``).
 """
@@ -58,28 +60,27 @@ WARM_START_WORKLOADS = [
 
 QUICK_WARM_START_WORKLOADS = [("harris", 512), ("atax", 256), ("conv2d", 128)]
 
-#: Subprocess payload: one ``compile_batch`` in a genuinely fresh process.
-#: The result store is cleared first, so the compile always runs; whether
-#: the memo tables warm-start depends only on what an earlier process
-#: spilled into ``cache_dir``.
+#: Subprocess payload: one ``cached_optimize`` in a genuinely fresh
+#: process.  The result store is cleared first, so the compile always runs;
+#: whether the memo tables warm-start depends only on what an earlier
+#: process spilled into ``cache_dir``.
 _CHILD = """
 import hashlib, json, sys, time
 from repro.api import CompileOptions, default_tile_sizes, get_workload
 from repro.codegen import print_tree
 from repro.presburger import memo
-from repro.service import CompileCache, CompileRequest, compile_batch
+from repro.service import CompileCache, cached_optimize
 
 name, size, cache_dir = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 prog = get_workload(name, size)
 cache = CompileCache(cache_dir=cache_dir)
 cache.clear(results=True, memos=False)
-request = CompileRequest(prog, "cpu", default_tile_sizes(name))
+options = CompileOptions(target="cpu", tile_sizes=default_tile_sizes(name), cache=cache)
 t0 = time.perf_counter()
-(outcome,) = compile_batch([request], options=CompileOptions(mode="serial", cache=cache))
+result = cached_optimize(prog, options)
 elapsed = time.perf_counter() - t0
-assert outcome.ok, outcome.error
 stats = memo.stats()
-tree = print_tree(outcome.result.tree, prog)
+tree = print_tree(result.tree, prog)
 json.dump({
     "seconds": elapsed,
     "warm_hits": sum(v["warm_hits"] for v in stats.values()),
@@ -230,7 +231,7 @@ def run(quick: bool = False):
     workloads = QUICK_WARM_START_WORKLOADS if quick else WARM_START_WORKLOADS
     warm_rows, warm_raw = measure_warm_start(workloads)
     print_table(
-        "Cross-process memo warm-start (compile_batch, fresh process, ms)",
+        "Cross-process memo warm-start (cached_optimize, fresh process, ms)",
         ["benchmark", "cold", "warm-started", "warm hits", "speedup"],
         warm_rows,
     )

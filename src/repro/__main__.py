@@ -12,7 +12,7 @@ Subcommands:
   machine model (the compile cache makes a repeated sweep all hits);
 * ``trace <workload> -o trace.json`` — compile under a tracing collector
   and export the hierarchical span events as Chrome trace-event JSON
-  (loadable in Perfetto / ``chrome://tracing``) or JSONL;
+  (loadable in Perfetto / ``chrome://tracing``);
 * ``profile <workload>`` — the same compile, rendered as a span tree with
   self/total time per pass;
 * ``stats diff A.json B.json`` — compare two metric snapshots
@@ -149,12 +149,8 @@ def _emit_c(result, prog) -> None:
 
 def cmd_trace(args) -> int:
     prog, report, wall = _traced_compile(args)
-    obs.write_trace(report, args.output, format=args.format)
-    depth = (
-        obs.trace_nesting_depth(obs.chrome_trace(report))
-        if args.format == "chrome"
-        else "-"
-    )
+    obs.write_trace(report, args.output)
+    depth = obs.trace_nesting_depth(obs.chrome_trace(report))
     dropped = f", {report.dropped_events} dropped" if report.dropped_events else ""
     print(
         f"{prog.name}: {len(report.events)} spans{dropped} "
@@ -285,24 +281,9 @@ def cmd_cache(args) -> int:
           f"({info['disk_bytes'] / 1024:.1f} KiB)")
     print(f"memo snapshots: {info['memo_entries']} "
           f"({info['memo_bytes'] / 1024:.1f} KiB)")
-    print(f"memory entries: {info['memory_entries']} "
-          f"({info['memory_bytes'] / 1024:.1f} KiB)")
     if info.get("gc_max_bytes") is not None or info.get("gc_max_age") is not None:
         print(f"gc budget:      max_bytes={info['gc_max_bytes']} "
               f"max_age={info['gc_max_age']}")
-    stats = info["stats"]
-    print(f"session stats:  {stats['memory_hits']} memory hits, "
-          f"{stats['disk_hits']} disk hits, {stats['misses']} misses, "
-          f"{stats['stores']} stores")
-    print(f"memo stats:     {stats['memo_hits']} snapshot hits, "
-          f"{stats['memo_misses']} misses, {stats['memo_stores']} stores")
-    for tier, tstats in info.get("tiers", {}).items():
-        print(f"tier {tier:<9}  {tstats.get('hits', 0)} hits, "
-              f"{tstats.get('misses', 0)} misses, "
-              f"{tstats.get('puts', 0)} puts "
-              f"({tstats.get('put_skips', 0)} skipped), "
-              f"get {tstats.get('get_ms_mean', 0.0):.2f}ms avg, "
-              f"put {tstats.get('put_ms_mean', 0.0):.2f}ms avg")
     return 0
 
 
@@ -760,13 +741,6 @@ def main(argv=None) -> int:
             p.add_argument(
                 "-o", "--output", default="trace.json",
                 help="output file (default trace.json)",
-            )
-            p.add_argument(
-                "--format",
-                choices=["chrome", "jsonl"],
-                default="chrome",
-                help="chrome: Perfetto-loadable trace-event JSON; "
-                "jsonl: one structured event per line",
             )
         if name == "profile":
             p.add_argument("--top", type=int, default=8,

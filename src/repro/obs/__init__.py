@@ -6,13 +6,14 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
   :class:`CompileReport` objects;
 * :mod:`metrics` — the process-level :class:`MetricsRegistry` with a
   stable JSON snapshot schema, merge and run-to-run diff;
-* :mod:`export` — Chrome trace-event JSON / JSONL exporters and the
+* :mod:`export` — the Chrome trace-event JSON exporter and the
   profile-tree view;
 * :mod:`schema` — validators for every exported artifact (used by the CI
   ``serve-smoke`` job);
 * :mod:`distributed` — the one cross-process trace: a daemon request's
   spans handed back to the client that asked, stitched with its own;
-* :mod:`events` — the daemon's bounded lifecycle event log.
+* :mod:`events` — the daemon's bounded lifecycle event log, the one
+  ``repro-events/1`` (:data:`JSONL_SCHEMA`) file.
 
 Only the stdlib is imported here, so the lowest layers of the package
 (``repro.presburger``) instrument themselves without import cycles.
@@ -42,22 +43,19 @@ from .trace import (
     tracing,
 )
 from .export import (
-    JSONL_SCHEMA,
     TRACE_SCHEMA,
     ProfileNode,
     chrome_trace,
     format_profile,
-    jsonl_lines,
     profile_tree,
     write_trace,
 )
 from .schema import (
     trace_nesting_depth,
     validate_chrome_trace,
-    validate_jsonl,
     validate_metrics_snapshot,
 )
-from .events import EventLog, validate_event_log
+from .events import JSONL_SCHEMA, EventLog, validate_event_log
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -82,7 +80,6 @@ __all__ = [
     "format_diff",
     "format_profile",
     "gauge",
-    "jsonl_lines",
     "observe",
     "profile_tree",
     "span",
@@ -90,7 +87,6 @@ __all__ = [
     "tracing",
     "validate_chrome_trace",
     "validate_event_log",
-    "validate_jsonl",
     "validate_metrics_snapshot",
     "write_trace",
 ]

@@ -20,7 +20,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from .export import JSONL_SCHEMA
+#: Schema tag of every event-log record.
+JSONL_SCHEMA = "repro-events/1"
 
 #: Accepted event severities, lowest to highest.
 LEVELS = ("debug", "info", "warn", "error")

@@ -3,9 +3,8 @@
 Turns a traced :class:`~repro.obs.trace.CompileReport` into:
 
 * **Chrome trace-event JSON** (:func:`chrome_trace`) — complete-event
-  (``"ph": "X"``) records loadable in Perfetto / ``chrome://tracing``;
-* **JSONL** (:func:`jsonl_lines`) — one structured event per line with a
-  leading meta record and a trailing metrics snapshot, for log pipelines;
+  (``"ph": "X"``) records loadable in Perfetto / ``chrome://tracing``,
+  the one trace file format;
 * a **profile tree** (:func:`profile_tree` / :func:`format_profile`) —
   spans aggregated by call path with self/total time, the ``repro
   profile`` view.
@@ -19,9 +18,8 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from .trace import CompileReport, SpanEvent
 
-#: Schema tags checked by :mod:`repro.obs.schema`.
+#: Schema tag of an exported trace.
 TRACE_SCHEMA = "repro-trace/1"
-JSONL_SCHEMA = "repro-events/1"
 
 
 def _entry_order(events: List[SpanEvent]) -> List[SpanEvent]:
@@ -91,54 +89,11 @@ def chrome_trace(report: CompileReport, pid: int = 1) -> Dict[str, object]:
     }
 
 
-def jsonl_lines(report: CompileReport) -> List[str]:
-    """The report as JSONL: meta line, span lines, metrics line."""
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "schema": JSONL_SCHEMA,
-                "spans": len(report.events),
-                "dropped_events": report.dropped_events,
-            },
-            sort_keys=True,
-        )
-    ]
-    for e in _entry_order(report.events):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "id": e.id,
-                    "parent": e.parent,
-                    "name": e.name,
-                    "start": e.start,
-                    "dur": e.duration,
-                    "tid": e.tid,
-                    "attrs": _args(e),
-                    "counters": dict(e.counters),
-                },
-                sort_keys=True,
-            )
-        )
-    lines.append(
-        json.dumps({"type": "metrics", **report.to_metrics()}, sort_keys=True)
-    )
-    return lines
-
-
-def write_trace(report: CompileReport, path: str, format: str = "chrome") -> None:
-    """Serialize the report's trace to ``path`` (``chrome`` or ``jsonl``)."""
-    if format == "chrome":
-        with open(path, "w") as f:
-            json.dump(chrome_trace(report), f, indent=1, sort_keys=True)
-            f.write("\n")
-    elif format == "jsonl":
-        with open(path, "w") as f:
-            for line in jsonl_lines(report):
-                f.write(line + "\n")
-    else:
-        raise ValueError(f"unknown trace format {format!r}; use 'chrome' or 'jsonl'")
+def write_trace(report: CompileReport, path: str) -> None:
+    """Serialize the report's trace to ``path`` as Chrome trace-event JSON."""
+    with open(path, "w") as f:
+        json.dump(chrome_trace(report), f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

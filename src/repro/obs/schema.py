@@ -1,10 +1,10 @@
-"""Schema validation for exported traces and metric snapshots.
+"""Schema validation for exported traces (Chrome trace-event JSON, the
+one trace file format), metric snapshots and the daemon's event log.
 
 Hand-rolled (no jsonschema dependency) validators returning error lists,
 plus a tiny CLI for CI smoke jobs::
 
     python -m repro.obs.schema chrome  trace.json
-    python -m repro.obs.schema jsonl   events.jsonl
     python -m repro.obs.schema metrics snapshot.json
     python -m repro.obs.schema events  daemon-events.jsonl
 
@@ -17,7 +17,6 @@ import json
 import sys
 from typing import Dict, List, Mapping
 
-from .export import JSONL_SCHEMA
 from .metrics import SNAPSHOT_SCHEMA
 
 _NUM = (int, float)
@@ -123,59 +122,14 @@ def validate_metrics_snapshot(obj: object) -> List[str]:
     return errors
 
 
-def validate_jsonl(lines: List[str]) -> List[str]:
-    """Errors in a JSONL event log (empty list = valid)."""
-    errors: List[str] = []
-    if not lines:
-        return ["empty event log"]
-    records = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append((i, json.loads(line)))
-        except ValueError as exc:
-            errors.append(f"line {i + 1}: not JSON ({exc})")
-    if errors:
-        return errors
-    if not records or records[0][1].get("type") != "meta":
-        errors.append("first record must be the meta header")
-    elif records[0][1].get("schema") != JSONL_SCHEMA:
-        errors.append(f"meta schema is {records[0][1].get('schema')!r}")
-    n_spans = 0
-    seen_ids = set()
-    for i, rec in records:
-        t = rec.get("type")
-        if t == "span":
-            n_spans += 1
-            for k in ("id", "name", "start", "dur"):
-                if k not in rec:
-                    errors.append(f"line {i + 1}: span missing {k}")
-            seen_ids.add(rec.get("id"))
-            parent = rec.get("parent")
-            if parent is not None and parent not in seen_ids:
-                errors.append(f"line {i + 1}: parent {parent} not seen before child")
-        elif t == "metrics":
-            errors.extend(
-                f"metrics line: {e}" for e in validate_metrics_snapshot(rec)
-            )
-        elif t != "meta":
-            errors.append(f"line {i + 1}: unknown record type {t!r}")
-    if n_spans == 0:
-        errors.append("no span records")
-    return errors
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 2 or argv[0] not in ("chrome", "jsonl", "metrics", "events"):
+    if len(argv) != 2 or argv[0] not in ("chrome", "metrics", "events"):
         print(__doc__, file=sys.stderr)
         return 2
     kind, path = argv
     with open(path) as f:
-        if kind == "jsonl":
-            errors = validate_jsonl(f.read().splitlines())
-        elif kind == "events":
+        if kind == "events":
             from .events import validate_event_log
 
             errors = validate_event_log(f.read().splitlines())

@@ -16,7 +16,7 @@ Two listening levels exist:
 * ``collect(trace=True)`` — additionally record every span entry as a
   :class:`SpanEvent` with parent/child links, per-span attributes and
   per-span counter deltas.  Event streams export as Chrome trace-event
-  JSON or JSONL via :mod:`repro.obs.export`.
+  JSON via :mod:`repro.obs.export`.
 
 This module imports only the stdlib and :mod:`repro.obs.metrics`, so the
 lowest layers (``repro.presburger``) can use it without an import cycle.
@@ -155,15 +155,6 @@ class CompileReport:
             out["events"] = len(self.events)
             out["dropped_events"] = self.dropped_events
         return out
-
-    def to_metrics(self, **meta) -> Dict[str, object]:
-        """This report as a ``repro-metrics/1`` snapshot dict."""
-        from .metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        reg.absorb_report(self)
-        reg.meta.update(meta)
-        return reg.snapshot()
 
     def format(self, indent: str = "  ") -> str:
         """A human-readable multi-line rendering for ``--stats``."""

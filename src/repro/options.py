@@ -6,13 +6,17 @@
 validation (or none).  :class:`CompileOptions` is the single configuration
 path: construct it once, pass it everywhere, and every entry point sees the
 same resolved :class:`~repro.core.tile_shapes.TargetSpec`, coerced tile-size
-tuple and checked dispatch mode (``"serial"``, the only one).
+tuple and checked dispatch mode (``"serial"``, the only one).  The batch
+driver reads a cache through ``get`` and stores through ``put`` and asks it
+for nothing else, so a non-string ``cache`` is checked for a callable
+``get``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -33,9 +37,9 @@ class CompileOptions:
     cache, a bare name for a named cache under the default cache
     directory, or a directory path (all resolved via
     :func:`~repro.service.cache.resolve_cache`).  Any other ``cache``
-    that lacks what the driver reads of one (``get`` and
-    ``persistent``: a CompileCache, or the server's view of its memory
-    tier) is a :class:`TypeError`.
+    without what the driver reads of one first, a callable ``get`` (a
+    CompileCache, or the server's view of its memory tier), is a
+    :class:`TypeError`, and so is a mapping, whose ``get`` is no cache's.
     """
 
     target: Union[str, object] = "cpu"
@@ -78,8 +82,8 @@ class CompileOptions:
             from .service.cache import resolve_cache
 
             object.__setattr__(self, "cache", resolve_cache(self.cache))
-        elif self.cache is not None and not (
-            hasattr(self.cache, "persistent") and callable(getattr(self.cache, "get", None))
+        elif self.cache is not None and (
+            isinstance(self.cache, Mapping) or not callable(getattr(self.cache, "get", None))
         ):
             raise TypeError(
                 f"cache must be a CompileCache, a name or a path, got {self.cache!r}"

@@ -33,7 +33,10 @@ Architecture (single event loop + bounded worker pool for misses):
   compiles, ``autotune``, injected work fns) runs on a bounded
   ``ThreadPoolExecutor`` and routes through ``compile_batch(mode="serial",
   cache=...)``, so every request shares the in-process LRU, the disk
-  store and the process-wide memo tables.
+  store and the process-wide memo tables.  The memo tables stay in this
+  process: the daemon never loads or spills a memo snapshot, since what a
+  snapshot would warm is already resident after the first compile of a
+  program.
 * **Limits** — per-client (per-connection) concurrency caps answer
   ``overloaded`` instead of queueing unboundedly; per-request timeouts
   answer ``timeout`` (the compile keeps running server-side and lands in
@@ -144,8 +147,6 @@ class _MemoryTier:
     memory tier of ``cache`` and nothing below it.  A miss raises
     :class:`_Cold` instead of answering ``None``, so the batch never
     compiles, reads the store or stores."""
-
-    persistent = False  # no store to spill memo tables to
 
     def __init__(self, cache):
         self._cache = cache

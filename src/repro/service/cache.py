@@ -54,7 +54,8 @@ Next to the results the store keeps ``memos``: spilled presburger
 memo-table snapshots (:func:`repro.presburger.memo.snapshot`) keyed by
 *program* fingerprint, so a fresh process compiling the same program
 starts with the hot ``apply_range``/``tile_footprint`` entries already
-resident.  ``get_memos_many`` reads a whole batch's snapshots in one call.
+resident.  Only :func:`~repro.service.driver.cached_optimize` reads and
+writes them (``get_memos``/``put_memos``), one program at a time.
 
 Each event has one counter: the store counts what happens inside it in
 its own :class:`~repro.service.store.TierStats`, :class:`CacheStats` only
@@ -80,7 +81,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.pipeline import OptimizeResult, SharedRef
@@ -566,22 +567,6 @@ class CompileCache:
             else:
                 self.stats.memo_hits += 1
         return value
-
-    def get_memos_many(self, keys: Iterable[str]) -> Dict[str, object]:
-        """Batched :meth:`get_memos`: every snapshot the store has for
-        ``keys``.  Used by ``compile_batch`` and the serve daemon to warm
-        a whole batch's programs at once."""
-        keys = list(dict.fromkeys(keys))
-        out: Dict[str, object] = {}
-        for key in keys if self.store is not None else ():
-            blob = self.store.get("memos", key)
-            value = None if blob is None else self._decode_stored("memos", key, blob)
-            if value is not None:
-                out[key] = value
-        with self._lock:
-            self.stats.memo_hits += len(out)
-            self.stats.memo_misses += len(keys) - len(out)
-        return out
 
     def put_memos(self, key: str, snapshot) -> None:
         """Persist a memo snapshot under ``key``; empty snapshots are

@@ -6,17 +6,18 @@ content fingerprint) are compiled once; cached fingerprints are served
 without compiling at all; the rest run serially on the caller's thread,
 where they share this process's memo tables (a sweep's candidates reuse
 one symbolic analysis).  A request that fails records its error string in
-its outcome — one infeasible tiling never aborts the other N-1.
-
-Requests that *do* compile start warm when the cache has a spilled memo
-snapshot for their program (keyed by program fingerprint): the snapshot is
-loaded into the presburger memo tables before compiling, and the (now
-larger) hot set is spilled back afterwards.  Compiles are
-byte-deterministic, so entries produced by any process are
-interchangeable.
+its outcome — one infeasible tiling never aborts the other N-1.  A batch
+reads its cache through ``get`` and stores through ``put``, nothing else:
+it runs in processes that already hold their memo tables (the daemon's
+workers, a tuner's sweep), so it neither loads nor spills memo snapshots.
 
 ``cached_optimize`` is the single-request convenience wrapper the CLI
-uses: a memoized drop-in for :func:`repro.core.optimize`.
+uses: a memoized drop-in for :func:`repro.core.optimize`.  It is the one
+entry point that runs in a fresh process per compile, so on a miss it
+warm-starts the memo tables from the snapshot the cache holds for the
+program (keyed by program fingerprint) and spills the (now larger) hot
+set back afterwards.  Compiles are byte-deterministic, so entries
+produced by any process are interchangeable.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ from .fingerprint import fingerprint_program, fingerprint_request
 
 #: Dispatch strategies for :func:`compile_batch`.
 MODES = ("serial",)
-
-
-def _memo_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """The cache to spill memos through, or ``None`` when there is nowhere
-    durable to spill to (no cache, or a memory-only one)."""
-    if cache is None or not cache.persistent:
-        return None
-    return cache
 
 
 def load_program_memos(cache: CompileCache, program_fp: str) -> int:
@@ -67,32 +60,6 @@ def spill_program_memos(cache: CompileCache, program_fp: str) -> None:
     if snap:
         cache.put_memos(program_fp, snap)
         obs.count("driver.memo_spills")
-
-
-def _batch_program_fps(requests: Sequence["CompileRequest"]) -> List[str]:
-    return list(dict.fromkeys(fingerprint_program(r.program) for r in requests))
-
-
-def _load_batch_memos(requests, cache: Optional[CompileCache]) -> None:
-    """Warm the process memo tables for every program in the batch with
-    one batched snapshot read instead of a ``get_memos`` each."""
-    if cache is None:
-        return
-    from ..presburger import memo
-
-    snaps = cache.get_memos_many(_batch_program_fps(requests))
-    for snap in snaps.values():
-        loaded = memo.load_snapshot(snap)
-        if loaded:
-            obs.count("driver.memo_entries_loaded", loaded)
-            obs.count("driver.memo_warm_starts")
-
-
-def _spill_batch_memos(requests, cache: Optional[CompileCache]) -> None:
-    if cache is None:
-        return
-    for fp in _batch_program_fps(requests):
-        spill_program_memos(cache, fp)
 
 
 @dataclass
@@ -171,19 +138,6 @@ def _run_request(request: CompileRequest) -> Tuple[Optional[object], Optional[st
     return result, None
 
 
-def _dispatch(
-    requests: List[CompileRequest],
-    cache: Optional[CompileCache],
-) -> List[Tuple[Optional[object], Optional[str]]]:
-    """Compile ``requests`` (already deduplicated) on this thread,
-    preserving order, between one batched memo load and one spill."""
-    memo_cache = _memo_cache(cache)
-    _load_batch_memos(requests, memo_cache)
-    results = [_run_request(r) for r in requests]
-    _spill_batch_memos(requests, memo_cache)
-    return results
-
-
 def compile_batch(
     requests: Sequence[CompileRequest],
     options=None,
@@ -229,17 +183,9 @@ def compile_batch(
             outcomes[i].request for fp, i in unique.items() if fp not in cached
         ]
 
-        compiled = {}
-        elapsed = 0.0
-        if to_compile:
-            t0 = time.perf_counter()
-            compiled = dict(
-                zip(
-                    (r.fingerprint for r in to_compile),
-                    _dispatch(to_compile, cache),
-                )
-            )
-            elapsed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        compiled = {r.fingerprint: _run_request(r) for r in to_compile}
+        elapsed = time.perf_counter() - t0
 
         for fp, (result, error) in compiled.items():
             if cache is not None and error is None:
@@ -278,12 +224,12 @@ def cached_optimize(
     key = fingerprint_request(program, opts.target, opts.tile_sizes, opts.startup)
     result = cache.get(key)
     if result is None:
-        memo_cache = _memo_cache(cache)
-        program_fp = fingerprint_program(program) if memo_cache else None
-        if memo_cache is not None:
-            load_program_memos(memo_cache, program_fp)
+        # A memory-only cache has nowhere durable to spill to.
+        program_fp = fingerprint_program(program) if cache.persistent else None
+        if program_fp is not None:
+            load_program_memos(cache, program_fp)
         result = optimize(program, options=opts.replace(cache=None))
         cache.put(key, result)
-        if memo_cache is not None:
-            spill_program_memos(memo_cache, program_fp)
+        if program_fp is not None:
+            spill_program_memos(cache, program_fp)
     return result

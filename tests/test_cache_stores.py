@@ -6,7 +6,7 @@ Covers the store end to end:
   skip, O(1) running counters, TTL + mtime-LRU garbage collection, and
   the GC budget read from the environment in the flags' spelling;
 * ``CompileCache`` over the store — put skips read from the store's own
-  counters, batched ``get_memos_many``, pickling across processes, and
+  counters, memo snapshots read back through a second cache, and
   spec resolution (names, directories, mappings; URLs refused);
 * one counter per event — a scripted session pins every policy and store
   counter per step;
@@ -198,14 +198,14 @@ def test_gc_budget_env_vars_take_the_flags_spelling(monkeypatch):
 # -- CompileCache over the store -------------------------------------------
 
 
-def test_tiered_cache_memos_round_trip_batched(tmp_path):
+def test_memos_round_trip_through_a_second_cache(tmp_path):
     a = CompileCache(cache_dir=str(tmp_path / "a"))
     a.put_memos(KEY_A, {"table": [1, 2]})
     a.put_memos(KEY_B, {"table": [3]})
 
     b = CompileCache(cache_dir=str(tmp_path / "a"))
-    got = b.get_memos_many([KEY_A, KEY_B, KEY_C])
-    assert got == {KEY_A: {"table": [1, 2]}, KEY_B: {"table": [3]}}
+    got = {key: b.get_memos(key) for key in (KEY_A, KEY_B, KEY_C)}
+    assert got == {KEY_A: {"table": [1, 2]}, KEY_B: {"table": [3]}, KEY_C: None}
     assert b.stats.memo_hits == 2
     assert b.stats.memo_misses == 1
 
@@ -468,7 +468,7 @@ def _session_local(tmp_path):
     assert b.get(KEY_B) is None
     yield "os.system payload", b
     b.put_memos(KEY_C, {"m": 1})
-    assert b.get_memos_many([KEY_C, "12" * 32]) == {KEY_C: {"m": 1}}
+    assert b.get_memos(KEY_C) == {"m": 1} and b.get_memos("12" * 32) is None
     yield "memos hit+miss", b
     b.close()
 

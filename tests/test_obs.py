@@ -20,11 +20,9 @@ from repro.obs import (
     diff_snapshots,
     format_diff,
     format_profile,
-    jsonl_lines,
     profile_tree,
     trace_nesting_depth,
     validate_chrome_trace,
-    validate_jsonl,
     validate_metrics_snapshot,
     write_trace,
 )
@@ -219,18 +217,6 @@ class TestExport:
         obj = chrome_trace(self._traced_report())
         names = [e["name"] for e in obj["traceEvents"] if e["ph"] == "X"]
         assert names.index("root") < names.index("leaf")
-
-    def test_jsonl_valid(self, tmp_path):
-        report = self._traced_report()
-        lines = jsonl_lines(report)
-        assert validate_jsonl(lines) == []
-        path = tmp_path / "t.jsonl"
-        write_trace(report, str(path), format="jsonl")
-        assert validate_jsonl(path.read_text().splitlines()) == []
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_trace(self._traced_report(), str(tmp_path / "x"), format="xml")
 
     def test_profile_tree_math(self):
         with collect(trace=True) as report:

@@ -285,13 +285,49 @@ def test_an_all_hit_batch_dispatches_nothing(tmp_path, monkeypatch):
     compile_batch(requests, options=CompileOptions(mode="serial", cache=cache))
 
     def boom(*args, **kwargs):
-        raise AssertionError("an all-hit batch reached the dispatch path")
+        raise AssertionError("an all-hit batch reached the compile path")
 
-    for name in ("_dispatch", "_load_batch_memos", "_spill_batch_memos",
-                 "load_program_memos", "spill_program_memos"):
+    for name in ("_run_request", "load_program_memos", "spill_program_memos"):
         monkeypatch.setattr(driver, name, boom)
     outcomes = compile_batch(requests, options=CompileOptions(mode="serial", cache=cache))
     assert all(o.ok and o.from_cache for o in outcomes)
+
+
+def memo_files(cache_dir):
+    """The memo snapshot files under ``cache_dir``."""
+    return [f for _, _, files in os.walk(os.path.join(cache_dir, "memos")) for f in files]
+
+
+def spy_on_memo_io(monkeypatch):
+    """Record every ``get_memos``/``put_memos`` call on any cache, then
+    let it run."""
+    calls = []
+    for name in ("get_memos", "put_memos"):
+        real = getattr(CompileCache, name)
+
+        def spy(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(CompileCache, name, spy)
+    return calls
+
+
+def test_a_batch_reads_and_writes_no_memo_snapshot(tmp_path, monkeypatch):
+    # A batch runs where the memo tables already live (the daemon's
+    # workers, a tuner's sweep): it compiles its misses without loading
+    # or spilling a snapshot, even through a cache with a store.
+    calls = spy_on_memo_io(monkeypatch)
+    cache = CompileCache(cache_dir=str(tmp_path))
+    requests = [
+        CompileRequest(build_conv(), tile_sizes=(16, 16)),
+        CompileRequest(build_conv(), tile_sizes=(8, 8), tag="autotune"),
+    ]
+    outcomes = compile_batch(requests, options=CompileOptions(mode="serial", cache=cache))
+    assert all(o.ok and not o.from_cache for o in outcomes)
+    assert cache.stats.stores == 2
+    assert calls == []
+    assert memo_files(tmp_path) == []
 
 
 # -- autotune through the driver -------------------------------------------

@@ -39,6 +39,7 @@ from typing import Optional
 
 from . import obs
 from .codegen import print_tree
+from .obs.schema import trace_nesting_depth, validate_metrics_snapshot
 from .baselines import strategies
 from .core import optimize
 from .machine import analyze_optimized, cpu_time, gpu_time
@@ -150,7 +151,7 @@ def _emit_c(result, prog) -> None:
 def cmd_trace(args) -> int:
     prog, report, wall = _traced_compile(args)
     obs.write_trace(report, args.output)
-    depth = obs.trace_nesting_depth(obs.chrome_trace(report))
+    depth = trace_nesting_depth(obs.chrome_trace(report))
     dropped = f", {report.dropped_events} dropped" if report.dropped_events else ""
     print(
         f"{prog.name}: {len(report.events)} spans{dropped} "
@@ -178,7 +179,7 @@ def cmd_stats(args) -> int:
     for path in (args.a, args.b):
         with open(path) as f:
             snap = json.load(f)
-        errors = obs.validate_metrics_snapshot(snap)
+        errors = validate_metrics_snapshot(snap)
         if errors:
             for e in errors:
                 print(f"{path}: {e}", file=sys.stderr)

@@ -9,7 +9,8 @@ layer instruments itself through (``obs.span`` / ``obs.count`` / ...):
 * :mod:`export` — the Chrome trace-event JSON exporter and the
   profile-tree view;
 * :mod:`schema` — validators for every exported artifact (used by the CI
-  ``serve-smoke`` job);
+  ``serve-smoke`` job), imported from :mod:`repro.obs.schema` itself, so
+  that ``python -m repro.obs.schema`` runs a module no import has loaded;
 * :mod:`distributed` — the one cross-process trace: a daemon request's
   spans handed back to the client that asked, stitched with its own;
 * :mod:`events` — the daemon's bounded lifecycle event log, the one
@@ -50,11 +51,6 @@ from .export import (
     profile_tree,
     write_trace,
 )
-from .schema import (
-    trace_nesting_depth,
-    validate_chrome_trace,
-    validate_metrics_snapshot,
-)
 from .events import JSONL_SCHEMA, EventLog, validate_event_log
 
 __all__ = [
@@ -83,10 +79,7 @@ __all__ = [
     "observe",
     "profile_tree",
     "span",
-    "trace_nesting_depth",
     "tracing",
-    "validate_chrome_trace",
     "validate_event_log",
-    "validate_metrics_snapshot",
     "write_trace",
 ]

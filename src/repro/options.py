@@ -6,17 +6,15 @@
 validation (or none).  :class:`CompileOptions` is the single configuration
 path: construct it once, pass it everywhere, and every entry point sees the
 same resolved :class:`~repro.core.tile_shapes.TargetSpec`, coerced tile-size
-tuple and checked dispatch mode (``"serial"``, the only one).  The batch
-driver reads a cache through ``get`` and stores through ``put`` and asks it
-for nothing else, so a non-string ``cache`` is checked for a callable
-``get``.
+tuple and checked dispatch mode (``"serial"``, the only one).  A ``cache``
+is a :class:`~repro.service.CompileCache` once constructed: every other
+spelling is resolved, or refused, by
+:func:`~repro.service.cache.resolve_cache`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -36,10 +34,8 @@ class CompileOptions:
     string or :class:`os.PathLike`: ``"default"`` for the process-wide
     cache, a bare name for a named cache under the default cache
     directory, or a directory path (all resolved via
-    :func:`~repro.service.cache.resolve_cache`).  Any other ``cache``
-    without what the driver reads of one first, a callable ``get`` (a
-    CompileCache, or the server's view of its memory tier), is a
-    :class:`TypeError`, and so is a mapping, whose ``get`` is no cache's.
+    :func:`~repro.service.cache.resolve_cache`).  Anything else is a
+    :class:`TypeError`.
     """
 
     target: Union[str, object] = "cpu"
@@ -78,16 +74,10 @@ class CompileOptions:
             raise ValueError(
                 f"unknown dispatch mode {self.mode!r}; choose from {MODES}"
             )
-        if isinstance(self.cache, (str, os.PathLike)):
+        if self.cache is not None:
             from .service.cache import resolve_cache
 
             object.__setattr__(self, "cache", resolve_cache(self.cache))
-        elif self.cache is not None and (
-            isinstance(self.cache, Mapping) or not callable(getattr(self.cache, "get", None))
-        ):
-            raise TypeError(
-                f"cache must be a CompileCache, a name or a path, got {self.cache!r}"
-            )
 
     def replace(self, **changes) -> "CompileOptions":
         """A copy with the given fields changed (and re-validated)."""

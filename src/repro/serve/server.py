@@ -1,7 +1,7 @@
 """The compile server: a long-lived asyncio daemon over the batch driver.
 
 Every piece the daemon composes already exists in the library —
-content-addressed fingerprints, the (now thread-safe) two-tier
+content-addressed fingerprints, the thread-safe
 :class:`~repro.service.CompileCache`, the deduplicating
 :func:`~repro.service.compile_batch` driver, presburger memo tables and
 the :class:`~repro.obs.MetricsRegistry` — what the server adds is *state
@@ -24,11 +24,11 @@ Architecture (single event loop + bounded worker pool for misses):
   fingerprint the cache's memory tier holds is a lookup that copies no
   schedule tree (the reply never reads one), cheaper than the hop to a
   worker thread and than a single-flight round trip, so the request is
-  answered on the event loop before it reaches the single-flight, through
-  the same work fn with a cache that reads the memory tier only.  If the
-  entry went in between (a worker's ``put`` evicted it), the request
-  takes the flight to the pool: the loop never compiles and never reads
-  the disk store.
+  answered on the event loop before it reaches the single-flight: one
+  ``CompileCache.get_memory`` read, no batch.  If the entry went in
+  between (a worker's ``put`` evicted it), the read answers ``None`` and
+  the request takes the flight to the pool: the loop never compiles and
+  never reads the disk store.
 * **Worker pool** — everything else (memory misses, disk-tier reads,
   compiles, ``autotune``, injected work fns) runs on a bounded
   ``ThreadPoolExecutor`` and routes through ``compile_batch(mode="serial",
@@ -53,7 +53,8 @@ The registry and all bookkeeping are touched only on the event-loop
 thread; the work fn hands its per-request
 :class:`~repro.obs.CompileReport` back for absorption, so no metric
 needs a lock.  Collectors are thread-local, so a hit run on the loop
-records the same counters and span tree as one run on a worker.
+records its own counters (the first hit's ``service.cache.decode``) and
+nothing of a worker's.
 """
 
 from __future__ import annotations
@@ -138,24 +139,22 @@ class ServeConfig:
             raise ValueError("timeouts must be positive")
 
 
-class _Cold(Exception):
-    """The memory tier lost a key between the check and the read."""
-
-
-class _MemoryTier:
-    """The cache as ``compile_batch`` sees it on the event loop: the
-    memory tier of ``cache`` and nothing below it.  A miss raises
-    :class:`_Cold` instead of answering ``None``, so the batch never
-    compiles, reads the store or stores."""
-
-    def __init__(self, cache):
-        self._cache = cache
-
-    def get(self, key: str):
-        value = self._cache.get_memory(key)
-        if value is None:
-            raise _Cold(key)
-        return value
+def _reply(norm: dict, key: str, result, from_cache: bool, error=None) -> dict:
+    """A compile's reply fields, for a memory-tier hit on the loop and for
+    the pool's batch alike."""
+    reply = {
+        "target": norm["target"],
+        "startup": norm["startup"],
+        "fingerprint": key,
+        "from_cache": from_cache,
+        "error": error,
+    }
+    if error is None:
+        reply["tile_sizes"] = (
+            list(result.tile_sizes) if result.tile_sizes is not None else None
+        )
+        reply["fusion"] = result.fusion_summary()
+    return reply
 
 
 class CompileServer:
@@ -185,13 +184,10 @@ class CompileServer:
             verb: partial(self._work, body) for verb, body in bodies.items()
         }
         self._work_fns.update(work_fns or {})
-        # What the built-in compile of a memory-tier hit reads, on the loop:
-        # the options are the same for every hit, so they are built once.
-        self._memory_options = None
-        if self.cache is not None and "compile" not in (work_fns or {}):
-            self._memory_options = CompileOptions(
-                mode="serial", cache=_MemoryTier(self.cache)
-            )
+        # Only the built-in compile answers memory-tier hits on the loop.
+        self._hits_on_loop = self.cache is not None and "compile" not in (
+            work_fns or {}
+        )
         self._flight = SingleFlight()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._servers = []
@@ -568,22 +564,20 @@ class CompileServer:
         reads ``.tree``), cheaper than the hop to a worker.
 
         The check builds the workload (``build_workload`` keeps recent
-        programs) and fingerprints it here, once: the key becomes the
-        request's fingerprint in :meth:`_compile`.  The hit runs the same
-        ``_work``/``_compile``/``compile_batch`` path as the pool, so a
-        traced hit's span tree is the pool's.  ``None`` sends the request
-        to the single-flight and the pool: any other verb, an injected
-        compile, a key the memory tier lacks, and one it lost before the
-        read (a worker's ``put`` evicted it).  So the loop never compiles
-        and never reads the store.
+        programs) and fingerprints it here, once.  The hit reads
+        ``CompileCache.get_memory`` under the same ``_work`` collector as
+        the pool, so its decode counts reach the registry.  ``None`` sends
+        the request to the single-flight and the pool: any other verb, an
+        injected compile, a key the memory tier lacks, and one it lost
+        before the read (a worker's ``put`` evicted it).  So the loop
+        never compiles and never reads the store.
 
         What never changes between two hits of one key is not redone: the
         key is a lookup in ``fingerprint_request``'s memo (the program's
-        digest is memoized on the program), the compile options were built
-        with the server, and the reply's ``fusion`` is the summary the
-        cache's own instance derived on the first hit and shares with
-        every view it hands out."""
-        if method != "compile" or self._memory_options is None:
+        digest is memoized on the program), and the reply's ``fusion`` is
+        the summary the cache's own instance derived on the first hit and
+        shares with every view it hands out."""
+        if method != "compile" or not self._hits_on_loop:
             return None
         key = fingerprint.fingerprint_request(
             build_workload(norm["workload"], norm["size"]),
@@ -593,11 +587,13 @@ class CompileServer:
         )
         if not self.cache.in_memory(key):
             return None
-        body = partial(self._compile, options=self._memory_options, key=key)
-        try:
-            return self._call_traced(partial(self._work, body), norm, trace_id)
-        except _Cold:
-            return None
+
+        def read(norm, program):
+            result = self.cache.get_memory(key)
+            return None if result is None else _reply(norm, key, result, True)
+
+        done = self._call_traced(partial(self._work, read), norm, trace_id)
+        return None if done[0] is None else done
 
     def _call_traced(self, fn, norm: dict, trace_id):
         """Run ``fn`` (on a worker thread, or on the loop for a hit) under
@@ -641,14 +637,14 @@ class CompileServer:
         for name, value in self.events.stats().items():
             self.registry.set_gauge(f"serve.events.{name}", value)
         if self.cache is not None:
-            # Policy and per-tier counters become ``serve.cache.<name>`` and
-            # ``serve.cache.tier.<tier>.<name>`` gauges, latency histograms
-            # land in the registry under the tier prefix.
+            # Policy and store counters become ``serve.cache.<name>`` and
+            # ``serve.cache.tier.local.<name>`` gauges; the store's latency
+            # histograms land in the registry under the same prefix.
             for name, value in self.cache.counters().items():
                 self.registry.set_gauge(f"serve.cache.{name}", value)
-            for tier, tstats in self.cache.tier_metrics():
-                for name, hist in tstats.histograms().items():
-                    self.registry.histograms[f"serve.cache.tier.{tier}.{name}"] = hist
+            if self.cache.store is not None:
+                for name, hist in self.cache.store.stats.histograms().items():
+                    self.registry.histograms[f"serve.cache.tier.local.{name}"] = hist
         return self.registry.snapshot()
 
     def _shutdown(self) -> dict:
@@ -661,17 +657,18 @@ class CompileServer:
         """The built-in work fn of every verb: open a collector (or reuse
         ``report``, see ``_call_traced``), build the workload, run the
         verb's ``body(norm, program)``, time it.  A body that raises
-        answers ``<verb>-error`` rather than taking the request down; only
-        :class:`_Cold` passes, back to :meth:`_answer_hit`."""
+        answers ``<verb>-error`` rather than taking the request down; one
+        that answers ``None`` (a memory-tier read that lost its key) is
+        passed back as ``(None, report)``."""
         t0 = perf_counter()
         with obs.collect() if report is None else nullcontext(report) as report:
             program = build_workload(norm["workload"], norm["size"])
             try:
                 summary = body(norm, program)
-            except _Cold:
-                raise
             except Exception as exc:
                 summary = {"error": f"{type(exc).__name__}: {exc}"}
+        if summary is None:
+            return None, report
         summary = {
             "workload": norm["workload"],
             "size": norm["size"],
@@ -682,35 +679,20 @@ class CompileServer:
         }
         return summary, report
 
-    def _compile(self, norm: dict, program, options, key=None) -> dict:
-        """One compile through the batch driver, whose ``options`` hold
-        the cache it sees: the shared thread-safe cache on a worker, where
-        a warm fingerprint never compiles and a fresh result is stored for
-        every later request (and process); its :class:`_MemoryTier` on the
-        loop, with the ``key`` :meth:`_answer_hit` already computed."""
+    def _compile(self, norm: dict, program, options) -> dict:
+        """One compile through the batch driver and the shared thread-safe
+        cache its ``options`` hold: a warm fingerprint never compiles, and
+        a fresh result is stored for every later request (and process)."""
         request = CompileRequest(
             program,
             target=norm["target"],
             tile_sizes=norm["tile_sizes"],
             startup=norm["startup"],
-            _fingerprint=key,
         )
         (outcome,) = compile_batch([request], options=options)
-        summary = {
-            "target": norm["target"],
-            "startup": norm["startup"],
-            "fingerprint": outcome.fingerprint,
-            "from_cache": outcome.from_cache,
-            "error": outcome.error,
-        }
-        if outcome.ok:
-            summary["tile_sizes"] = (
-                list(outcome.result.tile_sizes)
-                if outcome.result.tile_sizes is not None
-                else None
-            )
-            summary["fusion"] = outcome.result.fusion_summary()
-        return summary
+        return _reply(
+            norm, outcome.fingerprint, outcome.result, outcome.from_cache, outcome.error
+        )
 
     def _autotune(self, norm: dict, program) -> dict:
         """Tile-size search against the machine model."""

@@ -59,7 +59,12 @@ writes them (``get_memos``/``put_memos``), one program at a time.
 
 Each event has one counter: the store counts what happens inside it in
 its own :class:`~repro.service.store.TierStats`, :class:`CacheStats` only
-what the policy decides, and :meth:`CompileCache.counters` shows both.
+what the policy decides, and :meth:`CompileCache.counters` shows both
+(the store's as ``tier.local.<name>``); :meth:`CompileCache.info`
+describes the entries, not the counters.
+
+:class:`CompileCache` is the only cache there is: ``CompileOptions`` and
+the daemon take one, or a spelling :func:`resolve_cache` turns into one.
 
 A single :class:`CompileCache` instance is safe to share across threads:
 the memory tier (the LRU ``OrderedDict`` and its byte accounting) and
@@ -81,7 +86,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import obs
 from ..core.pipeline import OptimizeResult, SharedRef
@@ -94,7 +99,6 @@ from .store import (
     HEAD_LEN,
     GCReport,
     LocalStore,
-    TierStats,
     default_gc_budget,
     restricted_loads,
 )
@@ -289,7 +293,7 @@ class CacheStats:
     policy could not decode or encode, and ``disk_evictions`` the store
     entries it deleted for that reason.  The store's own counters and
     latency histograms live on its
-    :class:`~repro.service.store.TierStats` (``tier_metrics()``).
+    :class:`~repro.service.store.TierStats` (``store.stats``).
     """
 
     memory_hits: int = 0
@@ -620,19 +624,15 @@ class CompileCache:
     def close(self) -> None:
         """Nothing to release: the store holds no handle between calls."""
 
-    def tier_metrics(self) -> List[Tuple[str, TierStats]]:
-        """The store's ``(tier name, stats)`` pair; none when memory-only."""
-        return [] if self.store is None else [(self.store.tier, self.store.stats)]
-
     def counters(self) -> Dict[str, float]:
         """Every count of this cache in one flat view: the policy's own
         (:class:`CacheStats`) under their bare names, the store's as
         ``tier.local.<name>``."""
         with self._lock:
             out: Dict[str, float] = asdict(self.stats)
-        for tier, tstats in self.tier_metrics():
-            for name, value in tstats.counters().items():
-                out[f"tier.{tier}.{name}"] = value
+        if self.store is not None:
+            for name, value in self.store.stats.counters().items():
+                out[f"tier.local.{name}"] = value
         return out
 
     def info(self) -> Dict[str, object]:
@@ -643,8 +643,7 @@ class CompileCache:
         with self._lock:
             memory_entries = len(self._mem)
             memory_bytes = self._mem_bytes
-            stats = asdict(self.stats)
-        info: Dict[str, object] = {
+        return {
             "cache_dir": self.cache_dir,
             "schema_version": SCHEMA_VERSION,
             "disk_entries": sinfo.get("entries", 0),
@@ -655,12 +654,7 @@ class CompileCache:
             "memory_bytes": memory_bytes,
             "gc_max_bytes": self.gc_max_bytes,
             "gc_max_age": self.gc_max_age,
-            "stats": stats,
-            "tiers": {
-                tier: tstats.as_dict() for tier, tstats in self.tier_metrics()
-            },
         }
-        return info
 
 
 _default: Optional[Tuple[str, CompileCache]] = None
@@ -710,10 +704,15 @@ def resolve_cache(spec) -> CompileCache:
     * anything else — an explicit directory path (``~`` expanded).  A
       URL (``://``) or a ``tiered:`` spelling is a ``ValueError``.
 
-    :class:`CompileCache` instances pass through unchanged.
+    :class:`CompileCache` instances pass through unchanged; anything that
+    is none of these is a ``TypeError``.
     """
     if isinstance(spec, CompileCache):
         return spec
+    if not isinstance(spec, (str, os.PathLike)):
+        raise TypeError(
+            f"cache must be a CompileCache, a name or a path, got {spec!r}"
+        )
     path = os.fspath(spec)
     if path == "default":
         return default_cache()

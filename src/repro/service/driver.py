@@ -7,8 +7,9 @@ without compiling at all; the rest run serially on the caller's thread,
 where they share this process's memo tables (a sweep's candidates reuse
 one symbolic analysis).  A request that fails records its error string in
 its outcome — one infeasible tiling never aborts the other N-1.  A batch
-reads its cache through ``get`` and stores through ``put``, nothing else:
-it runs in processes that already hold their memo tables (the daemon's
+reads its :class:`~repro.service.CompileCache` (the only cache
+``CompileOptions`` holds) through ``get`` and stores through ``put``: it
+runs in processes that already hold their memo tables (the daemon's
 workers, a tuner's sweep), so it neither loads nor spills memo snapshots.
 
 ``cached_optimize`` is the single-request convenience wrapper the CLI
@@ -22,8 +23,9 @@ produced by any process are interchangeable.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import optimize
@@ -71,19 +73,16 @@ class CompileRequest:
     tile_sizes: Optional[Tuple[int, ...]] = None
     startup: str = "smartfuse"
     tag: Optional[str] = None
-    _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tile_sizes is not None:
             self.tile_sizes = tuple(self.tile_sizes)
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint_request(
-                self.program, self.target, self.tile_sizes, self.startup
-            )
-        return self._fingerprint
+        return fingerprint_request(
+            self.program, self.target, self.tile_sizes, self.startup
+        )
 
     @property
     def is_candidate(self) -> bool:

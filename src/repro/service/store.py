@@ -37,8 +37,10 @@ only ever observe whole entries.  On top of that:
   from ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_AGE`` with the
   parsers ``repro cache gc --max-bytes/--max-age`` use.
 
-The store counts what happens inside it in its :class:`TierStats` and
-never raises out of ``get``/``put``/``delete`` for I/O or data errors.
+The store counts what happens inside it in its :class:`TierStats`
+(``CompileCache.counters`` names them ``tier.local.<name>``) and never
+raises out of ``get``/``put``/``delete`` for I/O or data errors;
+``info()`` describes the directory, not the counters.
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ class EntryInfo(NamedTuple):
 class TierStats:
     """Thread-safe store counters and get/put latency histograms.
 
-    ``counters``/``histograms`` snapshot into plain dicts for ``cache
-    info`` and the serve daemon's ``repro-metrics/1`` endpoint.
+    ``counters``/``histograms`` snapshot into plain dicts for
+    ``CompileCache.counters`` and the serve daemon's ``repro-metrics/1``
+    endpoint.
     """
 
     def __init__(self):
@@ -214,13 +217,6 @@ class TierStats:
                 "put_ms": Histogram.from_dict(self.put_ms.as_dict()),
             }
 
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = dict(self.counters())
-        with self._lock:
-            out["get_ms_mean"] = self.get_ms.mean
-            out["put_ms_mean"] = self.put_ms.mean
-        return out
-
 
 @dataclass
 class GCReport:
@@ -245,9 +241,6 @@ class LocalStore:
     """Durable sharded directory store (see module docstring).  Keys are
     content-addressed fingerprints (hex strings, >= 4 chars); payloads
     are opaque bytes.  Thread-safe."""
-
-    #: The tier name its counters carry: ``tier.local.<name>``.
-    tier = "local"
 
     def __init__(
         self,
@@ -436,7 +429,6 @@ class LocalStore:
     def info(self) -> Dict[str, object]:
         counts, sizes = self._counters()
         return {
-            "tier": self.tier,
             "directory": self.directory,
             "schema_version": SCHEMA_VERSION,
             "entries": counts["results"],
@@ -445,7 +437,6 @@ class LocalStore:
             "memo_bytes": sizes["memos"],
             "gc_max_bytes": self.gc_max_bytes,
             "gc_max_age": self.gc_max_age,
-            "stats": self.stats.as_dict(),
         }
 
     # -- garbage collection --------------------------------------------------

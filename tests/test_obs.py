@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -21,10 +24,12 @@ from repro.obs import (
     format_diff,
     format_profile,
     profile_tree,
+    write_trace,
+)
+from repro.obs.schema import (
     trace_nesting_depth,
     validate_chrome_trace,
     validate_metrics_snapshot,
-    write_trace,
 )
 
 
@@ -193,6 +198,21 @@ class TestMetrics:
         bad_hist = self._snapshot()
         bad_hist["histograms"]["h"]["counts"] = [1]
         assert validate_metrics_snapshot(bad_hist) != []
+
+    def test_the_schema_module_checks_a_file_without_a_warning(self, tmp_path):
+        # ``python -m repro.obs.schema`` is what CI runs on every artifact;
+        # a package import that loads the module first makes runpy warn.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self._snapshot()))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.obs.schema", "metrics", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestExport:

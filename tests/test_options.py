@@ -108,7 +108,11 @@ class TestCacheSpelling:
 
     def test_a_cache_that_is_none_of_the_spellings_is_refused_on_construction(self, tmp_path):
         # refused where it is passed, not at the first batch that reads it
-        for bad in ({"local": str(tmp_path)}, 3):
+        class LooksLikeACache:
+            def get(self, key):
+                return None
+
+        for bad in ({"local": str(tmp_path)}, 3, LooksLikeACache()):
             with pytest.raises(TypeError, match="cache"):
                 CompileOptions(cache=bad)
 

@@ -12,8 +12,10 @@ is an augmented integer set over ``(key dims..., statement dims...)``:
   relation's constraints, so their instances are exactly the per-tile
   images of relation (6), recomputation included.
 
-Executing the program is then: enumerate every stream, tag each instance
-with its key, sort, and run the statement bodies in key order.  This is
+Executing the program is then: enumerate every stream with
+:func:`repro.presburger.fm.lex_points` (tile dims step over tile origins),
+tag each instance with its key, sort, and run the statement bodies in key
+order.  This is
 semantically the code PPCG would emit from the same tree — loops are just
 an ordering device — and is what the correctness tests compare against the
 naive program order.
@@ -32,7 +34,7 @@ import numpy as np
 
 from ..ir import Program, REDUCE, Statement, TensorStore
 from ..presburger import Constraint
-from ..presburger.fm import eliminate_symbols, eval_bounds, symbol_bounds
+from ..presburger.fm import Unbounded, lex_points
 from ..schedule import DomainNode
 from .nest import Leaf, Loop, Nest, Seq, scan
 
@@ -89,51 +91,17 @@ def build_streams(
 
 def _enumerate_stream(stream: Stream) -> Iterator[Tuple[tuple, Dict[str, int]]]:
     """Yield ``(key, env)`` for every instance of the stream, in lex order."""
-    dims = stream.all_dims()
-    cons = stream.constraints
-    # Elimination tower: towers[i] involves dims[:i] only.
-    towers: List[List[Constraint]] = [None] * (len(dims) + 1)  # type: ignore
-    towers[len(dims)] = list(cons)
-    for i in range(len(dims) - 1, -1, -1):
-        towers[i] = eliminate_symbols(towers[i + 1], [dims[i]])
-    for c in towers[0]:
-        if c.is_trivially_false():
-            return
-    levels = [symbol_bounds(towers[i + 1], dim) for i, dim in enumerate(dims)]
-
-    binding: Dict[str, int] = {}
-    n_aug = len(stream.aug_dims)
-
-    def key_of() -> tuple:
-        out = []
-        for kind, val in stream.key_template:
-            if kind == "const":
-                out.append(val)
-            else:
-                out.append(binding[val])
-        return tuple(out)
-
-    def walk(i: int) -> Iterator[Tuple[tuple, Dict[str, int]]]:
-        if i == len(dims):
-            if all(c.satisfied_by(binding) for c in cons):
-                env = {d: binding[d] for d in stream.stmt.dims}
-                yield key_of(), env
-            return
-        dim = dims[i]
-        lo, hi = eval_bounds(levels[i], binding)
-        if lo is None or hi is None:
-            raise ExecutionError(
-                f"unbounded dimension {dim} while executing {stream.stmt.name}"
+    try:
+        for point in lex_points(stream.constraints, stream.all_dims(), stream.steps):
+            key = tuple(
+                val if kind == "const" else point[val]
+                for kind, val in stream.key_template
             )
-        step = stream.steps.get(dim, 1) if i < n_aug else 1
-        if step != 1:
-            lo = (lo // step) * step  # align tile origins to the global grid
-        for val in range(lo, hi + 1, step):
-            binding[dim] = val
-            yield from walk(i + 1)
-        binding.pop(dim, None)
-
-    yield from walk(0)
+            yield key, {d: point[d] for d in stream.stmt.dims}
+    except Unbounded as e:
+        raise ExecutionError(
+            f"unbounded dimension {e.args[0]} while executing {stream.stmt.name}"
+        ) from None
 
 
 def ordered_events(

@@ -15,11 +15,13 @@ violation rather than as silently wrong numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..codegen.interp import ordered_events
 from ..deps import Dependence, memory_deps
 from ..ir import Program
+from ..presburger.enumerate import enumerate_points
 from ..schedule import DomainNode
 
 
@@ -96,7 +98,7 @@ def validate_tree(
         pairs = 0
         for m in dep.relation.fix_params(params).pieces:
             wrapped = m.wrap()
-            for point in _bounded_points(wrapped, max_pairs_per_dep - pairs):
+            for point in islice(enumerate_points(wrapped), max_pairs_per_dep - pairs):
                 pairs += 1
                 src_inst = tuple(
                     point[d] for d in m.space.in_dims
@@ -131,13 +133,3 @@ def validate_tree(
         report.checked_pairs += pairs
     return report
 
-
-def _bounded_points(bset, limit: int):
-    from ..presburger.enumerate import enumerate_points
-
-    count = 0
-    for p in enumerate_points(bset):
-        yield p
-        count += 1
-        if count >= limit:
-            return

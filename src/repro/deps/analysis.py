@@ -218,7 +218,7 @@ def row_distance(
         projected = eliminate_symbols(cons, all_dims)
         if any(c.is_trivially_false() for c in projected):
             continue
-        plo, phi, _ = bounds_for_symbol(projected, "__delta", {})
+        plo, phi = bounds_for_symbol(projected, "__delta", {})
         if plo is not None and phi is not None and plo > phi:
             continue
         nonempty = True

@@ -78,7 +78,9 @@ class BasicSet:
         return any(c.is_trivially_false() for c in self.constraints)
 
     def is_empty(self) -> bool:
-        """Exact integer emptiness (falls back to rational when undecided)."""
+        """Integer emptiness: whether :meth:`sample` finds no point.  A
+        search that gives up (:class:`FeasibilityUndecided`) reads as
+        non-empty, the sound side for every caller."""
         if self._empty is not None:
             return self._empty
         # Emptiness depends on the constraints alone, so structurally equal
@@ -86,21 +88,19 @@ class BasicSet:
         key = self.constraints
         result = _EMPTY_MEMO.get(key)
         if result is memo.MISS:
-            if self.is_obviously_empty():
-                result = True
-            else:
-                try:
-                    result = find_integer_point(list(self.constraints)) is None
-                except FeasibilityUndecided:
-                    # Rational feasibility is an over-approximation: non-empty.
-                    result = False
+            try:
+                result = self.is_obviously_empty() or self.sample() is None
+            except FeasibilityUndecided:
+                result = False
             _EMPTY_MEMO.put(key, result)
         object.__setattr__(self, "_empty", result)
         return result
 
     def sample(self) -> Optional[Dict[str, int]]:
-        """An integer point (dims and any free params), or None if empty."""
-        return find_integer_point(list(self.constraints), list(self.space.dims) + list(self.space.params))
+        """An integer point (the dims and params the constraints mention),
+        or None if empty; raises :class:`FeasibilityUndecided` where the
+        search gives up."""
+        return find_integer_point(list(self.constraints))
 
     def contains(self, point: Mapping[str, int]) -> bool:
         return all(c.satisfied_by(point) for c in self.constraints)
@@ -215,8 +215,7 @@ class BasicSet:
             # the pruning eliminator (identical rational set, smaller
             # constraint lists) is safe here.
             proj = eliminate_symbols_for_bounds(list(fixed.constraints), others)
-            lo, hi, _ = bounds_for_symbol(proj, dim, {})
-            box[dim] = (lo, hi)
+            box[dim] = bounds_for_symbol(proj, dim, {})
         _BOX_MEMO.put(key, box)
         return dict(box)
 

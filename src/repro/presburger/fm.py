@@ -7,8 +7,12 @@ FM elimination is exact over the rationals.  Over the integers it is exact
 whenever the eliminated symbol has a unit coefficient in every lower or every
 upper bound — which holds for all constraint systems this package builds
 (loop bounds, tile containment with constant tile sizes, stencil footprints).
-Integer feasibility is decided exactly for bounded systems by FM-guided
-backtracking search.
+
+Every lexicographic walk over integer points climbs one :func:`lex_tower`
+(level ``i`` bounds symbol ``i`` once the later symbols are projected out):
+:func:`lex_points` enumerates for counting and the interpreter, and
+:func:`find_integer_point` descends to the first point, which decides
+integer feasibility exactly for bounded systems.
 
 Two families of fast paths keep the hot loop cheap:
 
@@ -27,7 +31,7 @@ Two families of fast paths keep the hot loop cheap:
 from __future__ import annotations
 
 from math import ceil, floor, gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import memo
 from .constraint import EQ, GE, Constraint
@@ -378,53 +382,93 @@ def eval_bounds(
 
 def bounds_for_symbol(
     constraints: Sequence[Constraint], sym: str, binding: Dict[str, int]
-) -> Tuple[Optional[int], Optional[int], bool]:
-    """Integer bounds for ``sym`` under ``binding`` of all other symbols.
+) -> Tuple[Optional[int], Optional[int]]:
+    """Integer bounds ``(lower, upper)`` for ``sym`` under ``binding`` of all
+    other symbols; ``None`` means unbounded on that side."""
+    return eval_bounds(symbol_bounds(constraints, sym), binding)
 
-    Returns ``(lower, upper, exact)``; ``None`` means unbounded on that side.
-    ``exact`` is False when equality constraints pin the value inconsistently.
-    """
-    lo, hi = eval_bounds(symbol_bounds(constraints, sym), binding)
-    return lo, hi, True
+
+# -- the lexicographic scan ------------------------------------------------
+
+
+class Unbounded(ValueError):
+    """Raised by :func:`lex_points` with the symbol of a level open on
+    either side as its one argument."""
+
+
+def lex_tower(
+    constraints: Sequence[Constraint], syms: Sequence[str]
+) -> Optional[List[tuple]]:
+    """The Fourier–Motzkin tower of ``constraints`` over ``syms``: level
+    ``i`` is the :func:`symbol_bounds` of ``syms[i]`` once ``syms[i+1:]``
+    are eliminated, so it evaluates under a binding of ``syms[:i]`` alone.
+    ``None`` as soon as some projection is trivially false: no rational
+    point, hence no integer one."""
+    cur = list(constraints)
+    levels = []
+    for sym in reversed(syms):
+        if any(c.is_trivially_false() for c in cur):
+            return None
+        levels.append(symbol_bounds(cur, sym))
+        cur = eliminate_symbol(cur, sym)
+    if any(c.is_trivially_false() for c in cur):
+        return None
+    return levels[::-1]
+
+
+def lex_points(
+    constraints: Sequence[Constraint],
+    syms: Sequence[str],
+    steps: Optional[Mapping[str, int]] = None,
+) -> Iterator[Dict[str, int]]:
+    """Every integer point of ``constraints`` over ``syms`` (all the symbols
+    they mention) in lexicographic order, each a fresh dict checked against
+    ``constraints``, since the :func:`lex_tower` bounds may over-approximate.
+    A symbol in ``steps`` starts at its lower bound rounded down to a
+    multiple of its step and advances by the step (tile origins on the
+    global grid)."""
+    levels = lex_tower(constraints, syms)
+    if levels is None:
+        return
+    steps = steps or {}
+    binding: Dict[str, int] = {}
+
+    def walk(i: int) -> Iterator[Dict[str, int]]:
+        if i == len(syms):
+            if all(c.satisfied_by(binding) for c in constraints):
+                yield dict(binding)
+            return
+        sym = syms[i]
+        lo, hi = eval_bounds(levels[i], binding)
+        if lo is None or hi is None:
+            raise Unbounded(sym)
+        step = steps.get(sym, 1)
+        for val in range(lo - lo % step, hi + 1, step):
+            binding[sym] = val
+            yield from walk(i + 1)
+        binding.pop(sym, None)
+
+    yield from walk(0)
 
 
 def find_integer_point(
     constraints: Sequence[Constraint],
-    syms: Optional[Sequence[str]] = None,
     max_steps: int = 50000,
     max_range: int = 4096,
 ) -> Optional[Dict[str, int]]:
-    """Search for an integer solution; ``None`` when provably none exists.
-
-    Raises :class:`FeasibilityUndecided` if the search budget is exhausted
-    (unbounded or enormous systems), and when a search that found nothing
-    tried only part of some level: an unbounded symbol is tried at 0 alone
-    and a range wider than ``max_range`` (or open on one side) is clipped,
-    so a miss there proves nothing (``presburger.integer_sample.undecided``).
+    """The first integer point down the :func:`lex_tower` of the symbols in
+    the order the constraints mention them; ``None`` when provably none
+    exists.  An unbounded symbol is tried at 0 alone and a range wider than
+    ``max_range`` (or open on one side) is clipped, so a miss there proves
+    nothing: it raises :class:`FeasibilityUndecided`
+    (``presburger.integer_sample.undecided``), as does exhausting ``max_steps``.
     """
     obs.count("presburger.integer_sample")
     cur = _dedupe(constraints)
-    for c in cur:
-        if c.is_trivially_false():
-            return None
-    if syms is None:
-        syms = constraint_symbols(cur)
-    syms = [s for s in syms if any(c.coeff(s) for c in cur)]
-    if not syms:
-        return {}
-
-    # Build the elimination tower: towers[i] involves only syms[:i].  A
-    # trivially-false constraint surfacing anywhere (in particular in
-    # towers[0], the full projection) proves rational infeasibility.
-    towers: List[List[Constraint]] = [None] * (len(syms) + 1)  # type: ignore
-    towers[len(syms)] = cur
-    for i in range(len(syms) - 1, -1, -1):
-        towers[i] = eliminate_symbol(towers[i + 1], syms[i])
-        for c in towers[i]:
-            if c.is_trivially_false():
-                return None
-
-    levels = [symbol_bounds(towers[i + 1], sym) for i, sym in enumerate(syms)]
+    syms = constraint_symbols(cur)
+    levels = lex_tower(cur, syms)
+    if levels is None:
+        return None
     steps = 0
     clipped = False  # some level was guessed at 0 or cut to max_range
 

@@ -16,9 +16,10 @@ workers, a tuner's sweep), so it neither loads nor spills memo snapshots.
 uses: a memoized drop-in for :func:`repro.core.optimize`.  It is the one
 entry point that runs in a fresh process per compile, so on a miss it
 warm-starts the memo tables from the snapshot the cache holds for the
-program (keyed by program fingerprint) and spills the (now larger) hot
-set back afterwards.  Compiles are byte-deterministic, so entries
-produced by any process are interchangeable.
+program (keyed by program fingerprint), and spills its tables as that
+snapshot when the store holds none yet: a stored snapshot is never
+rewritten.  Compiles are byte-deterministic, so entries produced by any
+process are interchangeable.
 """
 
 from __future__ import annotations
@@ -223,12 +224,13 @@ def cached_optimize(
     key = fingerprint_request(program, opts.target, opts.tile_sizes, opts.startup)
     result = cache.get(key)
     if result is None:
-        # A memory-only cache has nowhere durable to spill to.
+        # A memory-only cache has nowhere durable to spill to, and the
+        # store skips a snapshot it already holds: pickle only the first.
         program_fp = fingerprint_program(program) if cache.persistent else None
         if program_fp is not None:
             load_program_memos(cache, program_fp)
         result = optimize(program, options=opts.replace(cache=None))
         cache.put(key, result)
-        if program_fp is not None:
+        if program_fp is not None and not cache.store.contains("memos", program_fp):
             spill_program_memos(cache, program_fp)
     return result

@@ -12,9 +12,12 @@ from repro.presburger.fm import (
     find_integer_point,
     implied_by_intervals,
     interval_bounds,
+    lex_points,
+    lex_tower,
     prune_implied_by_intervals,
     prune_redundant,
     rational_feasible,
+    Unbounded,
 )
 
 
@@ -187,29 +190,57 @@ class TestASearchThatClippedIsUndecided:
         assert "presburger.integer_sample.undecided" not in report.counters
 
 
+class TestLexScan:
+    def test_points_in_lex_order_checked_against_the_system(self):
+        # 2y == x: the tower ranges y over [0, 2] for each x, the check
+        # keeps the whole ones.
+        cons = [ge(V("x")), le(V("x"), 4), eq(V("x") - V("y") * 2)]
+        pts = [(p["x"], p["y"]) for p in lex_points(cons, ["x", "y"])]
+        assert pts == [(0, 0), (2, 1), (4, 2)]
+
+    def test_a_step_aligns_the_origin_to_its_grid(self):
+        # Tile origin t of 5 <= x <= 12 with t <= x < t + 4: the tower
+        # ranges t over [2, 12], stepping by 4 from 0, and the origins
+        # that hold an x are those of the grid.
+        cons = [ge(V("x"), 5), le(V("x"), 12), ge(V("x") - V("t")), ge(V("t") + 3 - V("x"))]
+        pts = list(lex_points(cons, ["t", "x"], {"t": 4}))
+        assert [(p["t"], p["x"]) for p in pts][:4] == [(4, 5), (4, 6), (4, 7), (8, 8)]
+        assert sorted({p["t"] for p in pts}) == [4, 8, 12] and len(pts) == 8
+
+    def test_a_false_projection_ends_the_tower(self):
+        cons = [ge(V("x") - V("y"), 1), ge(V("y") - V("x"))]
+        assert lex_tower(cons, ["x", "y"]) is None
+        assert list(lex_points(cons, ["x", "y"])) == []
+
+    def test_an_open_level_is_named(self):
+        with pytest.raises(Unbounded) as info:
+            list(lex_points([ge(V("x")), le(V("x"), 2), ge(V("y") - V("x"))], ["x", "y"]))
+        assert info.value.args == ("y",)
+
+
 class TestBoundsForSymbol:
     def test_two_sided(self):
         cons = [ge(V("x"), 1), le(V("x"), 9)]
-        assert bounds_for_symbol(cons, "x", {}) == (1, 9, True)
+        assert bounds_for_symbol(cons, "x", {}) == (1, 9)
 
     def test_with_binding(self):
         cons = [ge(V("x") - V("y")), le(V("x"), 9)]
-        lo, hi, _ = bounds_for_symbol(cons, "x", {"y": 4})
+        lo, hi = bounds_for_symbol(cons, "x", {"y": 4})
         assert (lo, hi) == (4, 9)
 
     def test_ceil_floor_rounding(self):
         # 3x >= 4  ->  x >= 2 (ceil)   ;   3x <= 8  ->  x <= 2 (floor)
         cons = [ge(V("x") * 3, 4), le(V("x") * 3, 8)]
-        lo, hi, _ = bounds_for_symbol(cons, "x", {})
+        lo, hi = bounds_for_symbol(cons, "x", {})
         assert (lo, hi) == (2, 2)
 
     def test_equality_pins(self):
         cons = [eq(V("x") - 7)]
-        lo, hi, _ = bounds_for_symbol(cons, "x", {})
+        lo, hi = bounds_for_symbol(cons, "x", {})
         assert (lo, hi) == (7, 7)
 
     def test_unbounded_sides(self):
-        lo, hi, _ = bounds_for_symbol([ge(V("x"), 3)], "x", {})
+        lo, hi = bounds_for_symbol([ge(V("x"), 3)], "x", {})
         assert lo == 3 and hi is None
 
 

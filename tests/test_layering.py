@@ -7,9 +7,11 @@ must be one of the edges listed in ``ALLOWED`` — so a new upward edge fails
 here instead of growing a cycle.
 ``COMPILER_ORDER`` does the same inside the compiler half, and
 ``test_no_block_is_spelled_twice`` keeps a block of code from being written
-out a second time there.  ``test_every_public_def_has_a_reader`` keeps a
-public function or class that only its own test reads out of ``src/repro``,
-and ``test_every_public_method_has_a_reader`` does the same for methods.
+out a second time there, and ``test_codegen_walks_points_through_the_one_scan``
+keeps the interpreter from building a second Fourier–Motzkin tower.
+``test_every_public_def_has_a_reader`` keeps a public function or class
+that only its own test reads out of ``src/repro``, and
+``test_every_public_method_has_a_reader`` does the same for methods.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ COMPILER_ALLOWED = {
 #: Blocks that are still written twice under ``LOWER``, as ``files -> windows``:
 #: none since the specialize memo preambles went.
 SPELLED_TWICE = {}
+
+#: The names each ``codegen/`` module takes from ``repro.presburger.fm``.
+#: A walk over integer points is ``lex_points``, so none takes the pieces
+#: of a tower (``TOWER``) to build its own.  ``promotion.py`` eliminates
+#: one dim at a time to test that a projection is exact: no walk.
+FROM_FM = {
+    "codegen/cbackend.py": {"projected_bounds"},
+    "codegen/interp.py": {"Unbounded", "lex_points"},
+    "codegen/printer.py": {"projected_bounds"},
+    "codegen/promotion.py": {
+        "eliminate_symbols", "implied_by_intervals", "interval_bounds",
+        "projected_bounds", "rational_feasible",
+    },
+}
+TOWER = {"eliminate_symbol", "eliminate_symbols", "symbol_bounds", "eval_bounds"}
 
 #: Where a public def of ``src/repro`` must be read from.
 READERS = ("src", "benchmarks", "bench", "examples")
@@ -148,6 +165,17 @@ def test_the_machine_model_takes_only_the_buffers_from_codegen():
     tile is defined; what is promoted is ``codegen``'s to say."""
     edges = list(_edges(("machine",), lambda _layer, package: package == "codegen"))
     assert edges == [("machine/cost.py", "repro.codegen.promotion", "promoted_buffers")]
+
+
+def test_codegen_walks_points_through_the_one_scan():
+    found = defaultdict(set)
+    for _layer, path, rel in _files(("codegen",)):
+        package = "repro." + os.path.dirname(rel).replace("/", ".")
+        for module, name in _imports(path, package):
+            if module == "repro.presburger.fm" or (module, name) == ("repro.presburger", "fm"):
+                found[rel].add(name or module)
+    assert dict(found) == FROM_FM
+    assert not TOWER & FROM_FM["codegen/interp.py"]
 
 
 def _significant(path):

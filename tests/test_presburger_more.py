@@ -138,9 +138,13 @@ class TestEnumeration:
         assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_unbounded_raises(self):
-        s = parse_set("{ S[i] : i >= 0 }")
-        with pytest.raises(EnumerationError):
-            list(enumerate_points(s.pieces[0]))
+        for text, dim in [
+            ("{ S[i] : i >= 0 }", "i"),
+            ("{ S[i, j] : 0 <= i < 3 and j >= i }", "j"),
+        ]:
+            s = parse_set(text)
+            with pytest.raises(EnumerationError, match=f"dimension {dim} of"):
+                list(enumerate_points(s.pieces[0]))
 
     def test_params_required(self):
         s = parse_set("[N] -> { S[i] : 0 <= i < N }")
@@ -155,3 +159,4 @@ class TestEnumeration:
     def test_triangular_domain(self):
         s = parse_set("{ S[i, j] : 0 <= i < 4 and i <= j < 4 }")
         assert s.count_points() == 10
+

@@ -301,3 +301,55 @@ def test_emptiness_and_sample_are_sound_on_box_images(drawn):
         assert witness is None, f"{bset} holds {witness}"
     else:
         assert bset.contains(point), f"{point} is not in {bset}"
+
+
+def assert_one_search(bset):
+    """``is_empty`` is whether ``sample`` finds no point, and a search that
+    gives up reads as non-empty."""
+    from repro.presburger import FeasibilityUndecided
+
+    try:
+        point = bset.sample()
+    except FeasibilityUndecided:
+        assert not bset.is_empty(), bset
+        return
+    assert (point is None) == bset.is_empty(), bset
+    assert point is None or bset.contains(point), (bset, point)
+
+
+def test_emptiness_and_sample_agree_where_two_orders_disagreed():
+    # Empty: x0 is whole only for N and u1 of one parity, x1 only for
+    # them of opposite parity.  A search over the dims first proves it,
+    # one in constraint order gives up.
+    from repro.presburger import parse_set
+
+    s = parse_set(
+        "[N] -> { I[u0, u1, x0, x1] : 1 <= u0 <= 2 and -2 <= u1 <= 1 and "
+        "2*x0 = 3*N + 2*u0 - 5*u1 - 2 and 4*x1 = 3*N + 2*u0 + 5*u1 - 3 }"
+    )
+    assert_one_search(s.pieces[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_images())
+def test_emptiness_and_sample_agree_on_box_images(drawn):
+    from repro.presburger import memo
+
+    memo.clear_all()
+    assert_one_search(drawn[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_images())
+def test_enumeration_is_brute_force_on_box_images(drawn):
+    """For each ``N``, ``enumerate_points`` yields exactly the brute-force
+    points, in lexicographic dim order, non-unit coefficients and all."""
+    from repro.presburger import enumerate_points
+
+    bset, box, image = drawn
+    dims = bset.space.dims
+    brute = list(_image_points(bset, box, image))
+    for n in PARAM_RANGE:
+        expected = sorted(tuple(p[d] for d in dims) for p in brute if p["N"] == n)
+        got = [tuple(p[d] for d in dims) for p in enumerate_points(bset, {"N": n})]
+        assert got == expected, (bset, n)

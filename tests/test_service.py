@@ -330,6 +330,19 @@ def test_a_batch_reads_and_writes_no_memo_snapshot(tmp_path, monkeypatch):
     assert memo_files(tmp_path) == []
 
 
+def test_only_a_programs_first_miss_spills_its_memo_snapshot(tmp_path, monkeypatch):
+    # The store never rewrites a snapshot it holds, so a later miss of the
+    # same program (another tiling) loads it and pickles nothing.
+    calls = spy_on_memo_io(monkeypatch)
+    cache = CompileCache(cache_dir=str(tmp_path))
+    cached_optimize(build_conv(), CompileOptions(tile_sizes=(16, 16), cache=cache))
+    assert calls == ["get_memos", "put_memos"]
+    del calls[:]
+    cached_optimize(build_conv(), CompileOptions(tile_sizes=(8, 8), cache=cache))
+    assert calls == ["get_memos"]
+    assert cache.stats.stores == 2 and len(memo_files(tmp_path)) == 1
+
+
 # -- autotune through the driver -------------------------------------------
 
 

@@ -29,26 +29,23 @@ Subcommands:
 * ``client compile|tune|stats|health|shutdown`` — talk to a running
   server (``client stats --json`` emits the raw ``repro-metrics/1``
   snapshot).
+
+The verbs are one table, :data:`VERBS`, and each imports what it runs:
+``repro client`` loads only :mod:`repro.serve.client` and its protocol,
+``repro serve`` the server, and a compiler verb the passes it calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional
-
-from . import obs
-from .codegen import print_tree
-from .obs.schema import trace_nesting_depth, validate_metrics_snapshot
-from .baselines import strategies
-from .core import optimize
-from .machine import analyze_optimized, cpu_time, gpu_time
-from .options import CompileOptions
-from .pipelines import IMAGE_PIPELINES, mixed, polybench
-from .workloads import UnknownWorkloadError, build_workload, default_tile_sizes
 
 
 def _build_workload(name: str, size: Optional[int]):
+    from .workloads import UnknownWorkloadError, build_workload
+
     try:
         return build_workload(name, size)
     except UnknownWorkloadError:
@@ -58,10 +55,21 @@ def _build_workload(name: str, size: Optional[int]):
 
 
 def _default_tiles(name: str):
+    from .workloads import default_tile_sizes
+
     return default_tile_sizes(name)
 
 
+def _program_and_tiles(args):
+    """The workload ``args`` names and its tile sizes (``--tile``, else the
+    workload's defaults)."""
+    prog = _build_workload(args.workload, args.size)
+    return prog, tuple(args.tile) if args.tile else _default_tiles(args.workload)
+
+
 def cmd_list(_args) -> int:
+    from .pipelines import IMAGE_PIPELINES, mixed, polybench
+
     print("image pipelines: " + ", ".join(sorted(IMAGE_PIPELINES)))
     print("polybench:       " + ", ".join(sorted(polybench.BUILDERS)))
     print("other:           conv2d, conv_bn, equake")
@@ -70,10 +78,12 @@ def cmd_list(_args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import obs
+    from .core import optimize
+    from .options import CompileOptions
     from .service import cached_optimize, default_cache
 
-    prog = _build_workload(args.workload, args.size)
-    tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
+    prog, tiles = _program_and_tiles(args)
     cache = None if args.no_cache else default_cache()
     options = CompileOptions(target=args.target, tile_sizes=tiles, cache=cache)
     with obs.collect(trace=bool(args.trace)) as report:
@@ -112,8 +122,12 @@ def _traced_compile(args):
     """
     from time import perf_counter
 
-    prog = _build_workload(args.workload, args.size)
-    tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
+    from . import obs
+    from .codegen import print_tree
+    from .core import optimize
+    from .options import CompileOptions
+
+    prog, tiles = _program_and_tiles(args)
     style = "cuda" if args.target == "gpu" else "openmp"
     t0 = perf_counter()
     with obs.collect(trace=True) as report:
@@ -137,6 +151,7 @@ def _emit_c(result, prog) -> None:
     guards and bounds it elided, which tensors got per-tile buffers and
     why the others did not.  Only the cpu target has such a backend; when
     it refuses a program (a tensor of extent 0) the reason goes to stderr."""
+    from . import obs
     from .codegen.cbackend import CBackendError, generate_c
 
     if result.target.name != "cpu":
@@ -149,6 +164,9 @@ def _emit_c(result, prog) -> None:
 
 
 def cmd_trace(args) -> int:
+    from . import obs
+    from .obs.schema import trace_nesting_depth
+
     prog, report, wall = _traced_compile(args)
     obs.write_trace(report, args.output)
     depth = trace_nesting_depth(obs.chrome_trace(report))
@@ -161,6 +179,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from . import obs
+
     prog, report, wall = _traced_compile(args)
     roots = obs.profile_tree(report)
     print(f"{prog.name} compile profile ({args.target}):")
@@ -174,6 +194,9 @@ def cmd_profile(args) -> int:
 
 def cmd_stats(args) -> int:
     import json
+
+    from . import obs
+    from .obs.schema import validate_metrics_snapshot
 
     snaps = []
     for path in (args.a, args.b):
@@ -191,8 +214,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_code(args) -> int:
-    prog = _build_workload(args.workload, args.size)
-    tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
+    from .codegen import print_tree
+    from .core import optimize
+    from .options import CompileOptions
+
+    prog, tiles = _program_and_tiles(args)
     result = optimize(prog, CompileOptions(target=args.target, tile_sizes=tiles))
     style = "cuda" if args.target == "gpu" else "openmp"
     if args.target == "gpu":
@@ -204,8 +230,11 @@ def cmd_code(args) -> int:
 
 
 def cmd_time(args) -> int:
-    prog = _build_workload(args.workload, args.size)
-    tiles = tuple(args.tile) if args.tile else _default_tiles(args.workload)
+    from .baselines import strategies
+    from .machine import analyze_optimized, cpu_time, gpu_time
+    from .options import CompileOptions
+
+    prog, tiles = _program_and_tiles(args)
     options = CompileOptions(target=args.target, tile_sizes=tiles)
     threads = f" ({args.threads} threads)" if args.target == "cpu" else ""
     print(f"{prog.name} on modeled {args.target}{threads}:")
@@ -220,6 +249,7 @@ def cmd_time(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from .options import CompileOptions
     from .scheduler.autotune import autotune_tile_sizes
     from .service import default_cache
 
@@ -329,17 +359,12 @@ def cmd_serve(args) -> int:
     return 0
 
 
-#: ``repro client`` subcommand -> the wire verb it sends.
-_CLIENT_VERBS = {"compile": "compile", "tune": "autotune"}
-
-
-def _client_work(client, args) -> int:
-    """Send one work verb: every flag generated from the verb's row of
-    ``protocol.PARAMS`` (see ``main``) becomes a param; unset ones are
-    left to the server's defaults."""
+def _client_work(verb: str, show, client, args) -> int:
+    """Send one work verb and ``show`` its reply: every flag generated
+    from the verb's row of ``protocol.PARAMS`` (:func:`_work_args`) becomes
+    a param; unset ones are left to the server's defaults."""
     from .serve import protocol
 
-    verb = _CLIENT_VERBS[args.client_command]
     params = {
         name: getattr(args, name)
         for name in protocol.PARAMS[verb]
@@ -348,7 +373,7 @@ def _client_work(client, args) -> int:
     if getattr(args, "trace_out", None):
         return _client_compile_traced(client, args, params)
     out = client.work(verb, args.workload, **params)
-    _CLIENT_PRINTERS[verb](out)
+    show(out)
     return 0
 
 
@@ -371,6 +396,7 @@ def _client_compile_traced(client, args, params) -> int:
     """
     import json
 
+    from . import obs
     from .obs.distributed import WireRows, new_trace_id, stitch, validate_wire_spans
 
     trace_id = new_trace_id()
@@ -412,12 +438,6 @@ def _print_client_tune(out) -> None:
           f"({out['best_time_ms']:.3f} ms modeled)")
 
 
-_CLIENT_PRINTERS = {
-    "compile": _print_client_compile,
-    "autotune": _print_client_tune,
-}
-
-
 def _client_stats(client, args) -> int:
     import json
 
@@ -440,6 +460,8 @@ def _format_top_frame(prev, cur) -> str:
     rates from the counter deltas over the daemon's own uptime between
     them, latency quantiles and gauges from ``cur``, then every metric
     that changed between the two."""
+    from . import obs
+
     counters, gauges = cur.get("counters", {}), cur.get("gauges", {})
     before = prev.get("counters", {})
 
@@ -543,143 +565,123 @@ def cmd_top(args) -> int:
     return _call_server(args, _top, timeout=30.0)
 
 
-def cmd_client(args) -> int:
-    handlers = {
-        **dict.fromkeys(_CLIENT_VERBS, _client_work),
-        "stats": _client_stats,
-        "health": _client_health,
-        "shutdown": _client_shutdown,
-    }
-    return _call_server(args, handlers[args.client_command], args.timeout)
+def _client(handler):
+    """The run of a ``client`` sub-verb: ``handler(client, args)`` on a
+    connection to the server the ``client`` flags name."""
+    return lambda args: _call_server(args, handler, args.timeout)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Post-tiling fusion (MICRO 2020 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- arguments, one function per verb that takes any -------------------------
 
-    sub.add_parser("list", help="list workloads").set_defaults(fn=cmd_list)
 
-    cache_p = sub.add_parser(
-        "cache", help="inspect, clear or garbage-collect the compile cache"
-    )
-    cache_p.add_argument("action", choices=["info", "clear", "gc"])
-    cache_p.add_argument(
+def _cache_args(p) -> None:
+    p.add_argument("action", choices=["info", "clear", "gc"])
+    p.add_argument(
         "--what",
         choices=["all", "results", "memos"],
         default="all",
         help="which store `clear` empties: compile results, spilled memo "
         "snapshots, or both (default)",
     )
-    cache_p.add_argument(
+    p.add_argument(
         "--cache", default="default",
         help="cache to operate on: 'default', a named cache or a directory",
     )
-    cache_p.add_argument(
+    p.add_argument(
         "--max-bytes", default=None, metavar="SIZE",
         help="`gc` byte budget, e.g. 500M or 2G (mtime-LRU eviction; "
         "default $REPRO_CACHE_MAX_BYTES)",
     )
-    cache_p.add_argument(
+    p.add_argument(
         "--max-age", default=None, metavar="AGE",
         help="`gc` TTL, e.g. 7d or 3600 (seconds; "
         "default $REPRO_CACHE_MAX_AGE)",
     )
-    cache_p.add_argument("--dry-run", action="store_true",
-                         help="`gc`: report what would be removed, remove nothing")
-    cache_p.set_defaults(fn=cmd_cache)
+    p.add_argument("--dry-run", action="store_true",
+                   help="`gc`: report what would be removed, remove nothing")
 
-    stats_p = sub.add_parser(
-        "stats", help="work with exported metric snapshots"
-    )
-    stats_sub = stats_p.add_subparsers(dest="stats_command", required=True)
-    diff_p = stats_sub.add_parser(
-        "diff", help="compare two repro-metrics/1 snapshots"
-    )
-    diff_p.add_argument("a", help="baseline snapshot (JSON)")
-    diff_p.add_argument("b", help="current snapshot (JSON)")
-    diff_p.add_argument(
+
+def _diff_args(p) -> None:
+    p.add_argument("a", help="baseline snapshot (JSON)")
+    p.add_argument("b", help="current snapshot (JSON)")
+    p.add_argument(
         "--all",
         action="store_true",
         help="show unchanged metrics too",
     )
-    diff_p.set_defaults(fn=cmd_stats)
 
-    serve_p = sub.add_parser(
-        "serve", help="run the long-lived compile server"
-    )
-    serve_p.add_argument(
+
+def _serve_args(p) -> None:
+    p.add_argument(
         "--socket", default=None,
         help="unix socket path (default <cache dir>/serve.sock "
         "when no --host is given)",
     )
-    serve_p.add_argument("--host", default=None, help="also listen on TCP")
-    serve_p.add_argument(
+    p.add_argument("--host", default=None, help="also listen on TCP")
+    p.add_argument(
         "--port", type=int, default=0,
         help="TCP port (0 picks a free one; printed at startup)",
     )
-    serve_p.add_argument("--workers", type=int, default=2,
-                         help="compile worker threads")
-    serve_p.add_argument(
+    p.add_argument("--workers", type=int, default=2,
+                   help="compile worker threads")
+    p.add_argument(
         "--client-limit", type=int, default=8,
         help="max in-flight requests per connection",
     )
-    serve_p.add_argument("--timeout", type=float, default=300.0,
-                         help="per-request timeout in seconds")
-    serve_p.add_argument("--drain-timeout", type=float, default=10.0,
-                         help="seconds to wait for in-flight work at shutdown")
-    serve_p.add_argument(
+    p.add_argument("--timeout", type=float, default=300.0,
+                   help="per-request timeout in seconds")
+    p.add_argument("--drain-timeout", type=float, default=10.0,
+                   help="seconds to wait for in-flight work at shutdown")
+    p.add_argument(
         "--cache", default="default",
         help="compile cache: 'default', a named cache or a directory "
         "(daemons given the same directory share warm state)",
     )
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="serve without a result cache")
-    serve_p.add_argument(
+    p.add_argument("--no-cache", action="store_true",
+                   help="serve without a result cache")
+    p.add_argument(
         "--events-log", default=None, metavar="PATH",
         help="append structured lifecycle events to this JSONL file "
         "(a traced request's records carry its trace id)",
     )
-    serve_p.set_defaults(fn=cmd_serve)
 
-    top_p = sub.add_parser(
-        "top", help="live daemon telemetry dashboard (polls `stats`)"
-    )
-    top_p.add_argument("--socket", default=None,
-                       help="unix socket path of the server")
-    top_p.add_argument("--host", default=None, help="server TCP host")
-    top_p.add_argument("--port", type=int, default=None, help="server TCP port")
-    top_p.add_argument(
+
+def _server_args(p) -> None:
+    """Which running server ``top`` and ``client`` talk to."""
+    p.add_argument("--socket", default=None,
+                   help="unix socket path of the server")
+    p.add_argument("--host", default=None, help="server TCP host")
+    p.add_argument("--port", type=int, default=None, help="server TCP port")
+
+
+def _top_args(p) -> None:
+    _server_args(p)
+    p.add_argument(
         "--interval", type=float, default=1.0,
         help="seconds between the two snapshots of a frame (default 1)",
     )
-    top_p.add_argument("--once", action="store_true",
-                       help="print one frame and exit (CI-friendly)")
-    top_p.add_argument("--frames", type=int, default=None,
-                       help="exit after N frames")
-    top_p.set_defaults(fn=cmd_top)
+    p.add_argument("--once", action="store_true",
+                   help="print one frame and exit (CI-friendly)")
+    p.add_argument("--frames", type=int, default=None,
+                   help="exit after N frames")
 
-    client_p = sub.add_parser(
-        "client", help="talk to a running compile server"
-    )
-    client_p.add_argument("--socket", default=None,
-                          help="unix socket path of the server")
-    client_p.add_argument("--host", default=None, help="server TCP host")
-    client_p.add_argument("--port", type=int, default=None, help="server TCP port")
-    client_p.add_argument(
+
+def _client_args(p) -> None:
+    _server_args(p)
+    p.add_argument(
         "--wait", type=float, default=None, metavar="SECONDS",
         help="wait up to SECONDS for the server to answer health first",
     )
-    client_p.add_argument("--timeout", type=float, default=600.0,
-                          help="socket timeout in seconds")
-    client_sub = client_p.add_subparsers(dest="client_command", required=True)
+    p.add_argument("--timeout", type=float, default=600.0,
+                   help="socket timeout in seconds")
+
+
+def _work_args(verb: str, p) -> None:
+    """One flag per param of the verb's row in ``protocol.PARAMS``, spelled
+    from the param's checker; ``--<param>`` unless renamed here, and none
+    for a param the CLI never offered."""
     from .serve import protocol
 
-    # One flag per param of the verb's row in ``protocol.PARAMS``, spelled
-    # from the param's checker; ``--<param>`` unless renamed here, and
-    # ``None`` for a param the CLI never offered.
     flag_kwargs = {
         protocol.POS_INT: {"type": int},
         protocol.POS_INTS: {"type": int, "nargs": "+"},
@@ -687,79 +689,138 @@ def main(argv=None) -> int:
         protocol.TARGET: {"choices": protocol.TARGETS},
     }
     flag_names = {"tile_sizes": "--tile", "dims": None}
-    for command, verb in _CLIENT_VERBS.items():
-        vp = client_sub.add_parser(command)
-        vp.add_argument("workload")
-        for name, (check, _default) in protocol.PARAMS[verb].items():
-            flag = flag_names.get(name, "--" + name.replace("_", "-"))
-            if flag and check in flag_kwargs:
-                vp.add_argument(
-                    flag, dest=name, default=None, **flag_kwargs[check]
-                )
-        if command == "compile":
-            vp.add_argument(
-                "--trace", dest="trace_out", nargs="?",
-                const="stitched-trace.json", default=None, metavar="OUT.json",
-                help="trace the request end to end and write one stitched "
-                "Perfetto-loadable file (client + daemon lanes)",
-            )
-    stats_cp = client_sub.add_parser("stats")
-    stats_cp.add_argument(
+    p.add_argument("workload")
+    for name, (check, _default) in protocol.PARAMS[verb].items():
+        flag = flag_names.get(name, "--" + name.replace("_", "-"))
+        if flag and check in flag_kwargs:
+            p.add_argument(flag, dest=name, default=None, **flag_kwargs[check])
+
+
+def _client_compile_args(p) -> None:
+    _work_args("compile", p)
+    p.add_argument(
+        "--trace", dest="trace_out", nargs="?",
+        const="stitched-trace.json", default=None, metavar="OUT.json",
+        help="trace the request end to end and write one stitched "
+        "Perfetto-loadable file (client + daemon lanes)",
+    )
+
+
+def _client_stats_args(p) -> None:
+    p.add_argument(
         "--json", action="store_true",
         help="emit the raw repro-metrics/1 snapshot",
     )
-    client_sub.add_parser("health")
-    client_sub.add_parser("shutdown")
-    client_p.set_defaults(fn=cmd_client)
 
-    for name, fn in (
-        ("optimize", cmd_optimize),
-        ("code", cmd_code),
-        ("time", cmd_time),
-        ("tune", cmd_tune),
-        ("trace", cmd_trace),
-        ("profile", cmd_profile),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("workload")
-        p.add_argument("--size", type=int, default=None)
-        p.add_argument("--tile", type=int, nargs="+", default=None)
-        p.add_argument("--target", choices=["cpu", "gpu", "npu"], default="cpu")
-        if name == "optimize":
-            p.add_argument("--tree", action="store_true", help="print the schedule tree")
-            p.add_argument(
-                "--stats",
-                action="store_true",
-                help="print per-pass timings, counters and cache hit/miss counts",
-            )
-            p.add_argument(
-                "--trace",
-                metavar="PATH",
-                default=None,
-                help="also record a hierarchical trace and write it to PATH",
-            )
-        if name == "trace":
-            p.add_argument(
-                "-o", "--output", default="trace.json",
-                help="output file (default trace.json)",
-            )
-        if name == "profile":
-            p.add_argument("--top", type=int, default=8,
-                           help="children shown per level")
-            p.add_argument("--depth", type=int, default=6,
-                           help="maximum tree depth shown")
-        if name in ("time", "tune"):
-            p.add_argument("--threads", type=int, default=32)
-        if name == "tune":
-            p.add_argument("--candidates", type=int, nargs="+", default=None)
-        if name in ("optimize", "tune"):
-            p.add_argument(
-                "--no-cache",
-                action="store_true",
-                help="bypass the compile cache",
-            )
-        p.set_defaults(fn=fn)
 
+def _workload_args(p) -> None:
+    p.add_argument("workload")
+    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--tile", type=int, nargs="+", default=None)
+    p.add_argument("--target", choices=["cpu", "gpu", "npu"], default="cpu")
+
+
+def _no_cache_arg(p) -> None:
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the compile cache",
+    )
+
+
+def _optimize_args(p) -> None:
+    _workload_args(p)
+    p.add_argument("--tree", action="store_true", help="print the schedule tree")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print per-pass timings, counters and cache hit/miss counts",
+    )
+    p.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="also record a hierarchical trace and write it to PATH",
+    )
+    _no_cache_arg(p)
+
+
+def _time_args(p) -> None:
+    _workload_args(p)
+    p.add_argument("--threads", type=int, default=32)
+
+
+def _tune_args(p) -> None:
+    _time_args(p)
+    p.add_argument("--candidates", type=int, nargs="+", default=None)
+    _no_cache_arg(p)
+
+
+def _trace_args(p) -> None:
+    _workload_args(p)
+    p.add_argument(
+        "-o", "--output", default="trace.json",
+        help="output file (default trace.json)",
+    )
+
+
+def _profile_args(p) -> None:
+    _workload_args(p)
+    p.add_argument("--top", type=int, default=8,
+                   help="children shown per level")
+    p.add_argument("--depth", type=int, default=6,
+                   help="maximum tree depth shown")
+
+
+#: Every verb, in ``--help`` order: ``"verb"`` or ``"verb sub-verb"`` ->
+#: ``(help, add its arguments, run)``.  A verb whose run is ``None`` only
+#: groups sub-verbs.  A run imports what it runs, so ``repro client`` loads
+#: the client and the wire protocol and never the compiler.
+VERBS = {
+    "list": ("list workloads", None, cmd_list),
+    "cache": (
+        "inspect, clear or garbage-collect the compile cache", _cache_args, cmd_cache,
+    ),
+    "stats": ("work with exported metric snapshots", None, None),
+    "stats diff": ("compare two repro-metrics/1 snapshots", _diff_args, cmd_stats),
+    "serve": ("run the long-lived compile server", _serve_args, cmd_serve),
+    "top": ("live daemon telemetry dashboard (polls `stats`)", _top_args, cmd_top),
+    "client": ("talk to a running compile server", _client_args, None),
+    "client compile": (
+        None, _client_compile_args,
+        _client(partial(_client_work, "compile", _print_client_compile)),
+    ),
+    "client tune": (
+        None, partial(_work_args, "autotune"),
+        _client(partial(_client_work, "autotune", _print_client_tune)),
+    ),
+    "client stats": (None, _client_stats_args, _client(_client_stats)),
+    "client health": (None, None, _client(_client_health)),
+    "client shutdown": (None, None, _client(_client_shutdown)),
+    "optimize": (None, _optimize_args, cmd_optimize),
+    "code": (None, _workload_args, cmd_code),
+    "time": (None, _time_args, cmd_time),
+    "tune": (None, _tune_args, cmd_tune),
+    "trace": (None, _trace_args, cmd_trace),
+    "profile": (None, _profile_args, cmd_profile),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Post-tiling fusion (MICRO 2020 reproduction)",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (text, add_args, run) in VERBS.items():
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, **({"help": text} if text else {}))
+        if add_args:
+            add_args(p)
+        if run is None:
+            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            p.set_defaults(fn=run)
     args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -1,5 +1,8 @@
 """Executable backend: interprets schedule trees over NumPy tensors.
 
+Only :func:`make_store` and the store it fills import numpy, so a process
+that reads :func:`ordered_events` (the validator) loads none.
+
 The interpreter flattens the tree's executable loop nest
 (:func:`repro.codegen.nest.scan`) into per-statement *streams*.  A stream
 is an augmented integer set over ``(key dims..., statement dims...)``:
@@ -29,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from ..ir import Program, REDUCE, Statement, TensorStore
 from ..presburger import Constraint
@@ -180,6 +181,8 @@ def make_store(
     seed: int = 0,
 ) -> TensorStore:
     """A store with deterministic contents for inputs and in-place tensors."""
+    import numpy as np
+
     params = dict(program.params, **(params or {}))
     store = TensorStore(program.tensors, params)
     rng = np.random.default_rng(seed)

@@ -18,8 +18,6 @@ import json
 import weakref
 from typing import Dict, List
 
-import numpy as np
-
 from ..presburger import Set
 from .program import Program
 from .statement import Statement
@@ -66,11 +64,21 @@ def canonical_statement(stmt: Statement) -> Dict[str, object]:
     }
 
 
+def _dtype_str(dtype) -> str:
+    """numpy's ``dtype.str`` of ``dtype``: ``"<f8"`` for the default
+    ``"float64"`` and for ``np.float64``, which need no numpy to spell."""
+    if dtype == "float64" or getattr(dtype, "__name__", None) == "float64":
+        return "<f8"
+    import numpy as np
+
+    return np.dtype(dtype).str
+
+
 def canonical_tensor(t: Tensor) -> Dict[str, object]:
     return {
         "name": t.name,
         "shape": [str(s) for s in t.shape],
-        "dtype": np.dtype(t.dtype).str,
+        "dtype": _dtype_str(t.dtype),
     }
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..presburger import LinExpr, Set, UnionMap, UnionSet, parse_set
 from .expr import Load, as_expr
 from .statement import ASSIGN, REDUCE, Statement
@@ -155,7 +153,7 @@ class ProgramBuilder:
 
     # -- declarations --------------------------------------------------------
 
-    def tensor(self, name: str, shape: Sequence, dtype=np.float64) -> Tensor:
+    def tensor(self, name: str, shape: Sequence, dtype="float64") -> Tensor:
         if name in self._tensors:
             raise ValueError(f"tensor {name!r} already declared")
         t = Tensor(name, shape, dtype)

@@ -1,13 +1,20 @@
-"""Tensors: named multi-dimensional arrays with possibly-symbolic shapes."""
+"""Tensors: named multi-dimensional arrays with possibly-symbolic shapes.
+
+A :class:`Tensor` is pure description: its dtype is a name numpy
+understands (``"float64"`` by default), and the compiler reads no more of
+it than that.  Only :class:`TensorStore`, which the interpreter and the C
+backend fill, holds arrays, so numpy is imported where one is allocated.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple, Union
 
 from ..presburger import LinExpr
 from .expr import Load
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ShapeEntry = Union[int, str, LinExpr]
 
@@ -23,7 +30,7 @@ class Tensor:
 
     __slots__ = ("name", "shape", "dtype")
 
-    def __init__(self, name: str, shape: Sequence[ShapeEntry], dtype=np.float64):
+    def __init__(self, name: str, shape: Sequence[ShapeEntry], dtype="float64"):
         self.name = name
         self.shape = tuple(LinExpr.coerce(s) for s in shape)
         self.dtype = dtype
@@ -69,6 +76,8 @@ class _ZeroedOnDemand(dict):
         self.tensors = tensors
 
     def __missing__(self, name: str) -> np.ndarray:
+        import numpy as np
+
         array = self[name] = np.zeros(self.shapes[name], dtype=self.tensors[name].dtype)
         return array
 

@@ -14,13 +14,14 @@ metrics registry hot, deduplicates identical in-flight requests
   and a background-thread harness (:class:`ServerThread`);
 * :mod:`client` — the blocking :class:`ServeClient` library.
 
-``protocol`` is imported eagerly (tiny; stdlib plus ``repro.obs``); the server and
+``protocol`` is imported eagerly (tiny; the stdlib only); the server and
 client load lazily on first attribute access so ``import repro.serve``
 stays cheap.
 """
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from . import protocol
 from .protocol import PROTOCOL
 
@@ -37,30 +38,8 @@ __all__ = [
     "wait_for_server",
 ]
 
-_LAZY = {
-    "CompileServer": ("server", "CompileServer"),
-    "ServeConfig": ("server", "ServeConfig"),
-    "ServerThread": ("server", "ServerThread"),
-    "default_socket_path": ("server", "default_socket_path"),
-    "ServeClient": ("client", "ServeClient"),
-    "ServeError": ("client", "ServeError"),
-    "wait_for_server": ("client", "wait_for_server"),
-    "SingleFlight": ("singleflight", "SingleFlight"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".server": ("CompileServer", "ServeConfig", "ServerThread", "default_socket_path"),
+    ".client": ("ServeClient", "ServeError", "wait_for_server"),
+    ".singleflight": ("SingleFlight",),
+})

@@ -15,6 +15,8 @@ the store and the driver (which imports the compiler) in with it.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
+
 __all__ = [
     "CacheStats",
     "CompileCache",
@@ -33,37 +35,15 @@ __all__ = [
     "spill_program_memos",
 ]
 
-_LAZY = {
-    "CacheStats": ("cache", "CacheStats"),
-    "CompileCache": ("cache", "CompileCache"),
-    "default_cache": ("cache", "default_cache"),
-    "default_cache_dir": ("cache", "default_cache_dir"),
-    "reset_default_cache": ("cache", "reset_default_cache"),
-    "resolve_cache": ("cache", "resolve_cache"),
-    "LocalStore": ("store", "LocalStore"),
-    "CompileOutcome": ("driver", "CompileOutcome"),
-    "CompileRequest": ("driver", "CompileRequest"),
-    "cached_optimize": ("driver", "cached_optimize"),
-    "compile_batch": ("driver", "compile_batch"),
-    "load_program_memos": ("driver", "load_program_memos"),
-    "spill_program_memos": ("driver", "spill_program_memos"),
-    "fingerprint_program": ("fingerprint", "fingerprint_program"),
-    "fingerprint_request": ("fingerprint", "fingerprint_request"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": (
+        "CacheStats", "CompileCache", "default_cache", "default_cache_dir",
+        "reset_default_cache", "resolve_cache",
+    ),
+    ".store": ("LocalStore",),
+    ".driver": (
+        "CompileOutcome", "CompileRequest", "cached_optimize", "compile_batch",
+        "load_program_memos", "spill_program_memos",
+    ),
+    ".fingerprint": ("fingerprint_program", "fingerprint_request"),
+})

@@ -104,10 +104,12 @@ from .store import (
 )
 
 #: What a result or memo blob may name: the compiler's own value classes.
+#: A tensor's dtype is a string, so no entry names a numpy class; an entry
+#: written when it was ``numpy.float64`` is an error, an eviction and a miss.
 BLOB_GLOBALS = tuple(
     f"repro.{pkg}."
     for pkg in ("presburger", "ir", "deps", "schedule", "scheduler", "core")
-) + ("numpy.float64.", "numpy.dtype.")
+)
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -159,9 +159,10 @@ def restricted_loads(blob: bytes, allowed: Tuple[str, ...] = ()):
 
     A global resolves only if it is a class, defined in the module the
     blob names, whose dotted name starts with one of ``allowed`` (each
-    ending in ``"."``: ``"repro.ir."`` admits a package, ``"numpy.dtype."``
-    one class).  Anything else raises before it is called, so a hostile
-    blob fails to decode like a truncated one and runs nothing.
+    ending in ``"."``: ``"repro.ir."`` admits a package,
+    ``"repro.ir.tensor.Tensor."`` one class).  Anything else raises before
+    it is called, so a hostile blob fails to decode like a truncated one
+    and runs nothing.
     """
     return _RestrictedUnpickler(io.BytesIO(blob), allowed).load()
 

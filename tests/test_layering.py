@@ -12,6 +12,9 @@ keeps the interpreter from building a second Fourier–Motzkin tower.
 ``test_every_public_def_has_a_reader`` keeps a public function or class
 that only its own test reads out of ``src/repro``, and
 ``test_every_public_method_has_a_reader`` does the same for methods.
+The checks at the end import in a fresh interpreter and read
+``sys.modules``: the package root and the client load no compiler, and
+nothing but the interpreter's store loads numpy.
 """
 
 from __future__ import annotations
@@ -347,3 +350,88 @@ def test_an_unread_method_is_reported(tmp_path):
         "VALUE = Box().read()\n"
     )
     assert unread_public_methods(str(package), [str(package)]) == ["mod.py:Box.depth"]
+
+
+# -- what a process imports --------------------------------------------------
+
+
+def _run(code: str) -> str:
+    """``code``'s stdout, run in a fresh interpreter against ``src``."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = "import sys; print(sorted({'numpy', 'repro.core'} & set(sys.modules)))"
+
+
+def test_the_package_root_and_the_client_load_no_compiler():
+    for module in ("repro", "repro.serve.client", "repro.serve.protocol"):
+        assert _run(f"import {module}; {LOADED}") == "[]\n", module
+
+
+def test_compiling_tuning_costing_and_printing_load_no_numpy(tmp_path):
+    out = _run(
+        "from repro.api import (CompileCache, CompileOptions, autotune_tile_sizes,\n"
+        "    cached_optimize, get_workload)\n"
+        "from repro.codegen import print_tree\n"
+        "from repro.machine import analyze_optimized\n"
+        "program = get_workload('harris', 64)\n"
+        f"cache = CompileCache({str(tmp_path)!r})\n"
+        "autotune_tile_sizes(program, candidates=(8, 16),\n"
+        "                    options=CompileOptions(cache=cache))\n"
+        "result = cached_optimize(program, CompileOptions(tile_sizes=(8, 8), cache=cache))\n"
+        "analyze_optimized(result)\n"
+        "print_tree(result.tree, program)\n"
+        "import sys; print('numpy' in sys.modules)\n"
+    )
+    assert out == "False\n"
+
+
+def test_the_interpreter_loads_numpy_when_it_makes_a_store():
+    out = _run(
+        "import sys\n"
+        "from repro import CompileOptions, optimize\n"
+        "from repro.codegen import execute_naive, make_store, run_program\n"
+        "from repro.workloads import get_workload\n"
+        "program = get_workload('harris', 16)\n"
+        "result = optimize(program, CompileOptions(tile_sizes=(8, 8)))\n"
+        "print('numpy' in sys.modules)\n"
+        "naive = make_store(program)\n"
+        "print('numpy' in sys.modules)\n"
+        "execute_naive(program, naive)\n"
+        "store, _counts = run_program(program, result.tree)\n"
+        "print(all((store[t] == naive[t]).all() for t in program.liveout))\n"
+    )
+    assert out == "False\nTrue\nTrue\n"
+
+
+def test_every_lazy_reexport_resolves_and_is_listed():
+    out = _run(
+        "import repro, repro.codegen\n"
+        "for package in (repro, repro.codegen):\n"
+        "    listed = set(dir(package))\n"
+        "    for name in package.__all__:\n"
+        "        assert name in listed and getattr(package, name) is not None, name\n"
+        "print('ok')\n"
+    )
+    assert out == "ok\n"
+
+
+def test_a_numpy_dtype_and_the_default_fingerprint_alike():
+    out = _run(
+        "import numpy as np\n"
+        "from repro.ir import Tensor\n"
+        "from repro.ir.fingerprint import canonical_tensor\n"
+        "default, numpy = Tensor('A', ('N',)), Tensor('A', ('N',), dtype=np.float64)\n"
+        "print(canonical_tensor(default) == canonical_tensor(numpy),\n"
+        "      canonical_tensor(default)['dtype'],\n"
+        "      canonical_tensor(Tensor('A', ('N',), dtype=np.float32))['dtype'])\n"
+    )
+    assert out == "True <f8 <f4\n"

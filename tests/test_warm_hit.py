@@ -444,3 +444,33 @@ def test_envelope_may_name_no_global_and_stale_schema_is_evicted(tmp_path):
         assert counters["tier.local.errors"] == 1 and counters["tier.local.evictions"] == 1
         assert not os.path.exists(path)
     assert not (tmp_path / "pwned").exists()
+
+
+
+def test_an_entry_that_names_numpy_is_evicted_and_recompiled_under_its_key(tmp_path):
+    import numpy as np
+
+    from repro.pipelines import conv2d
+
+    old, new = (conv2d.build({"H": 16, "W": 16}) for _ in range(2))
+    for tensor in old.tensors.values():
+        tensor.dtype = np.float64  # what every tensor held before dtypes were strings
+    key = fingerprint_request(new, "cpu", (8, 8), "smartfuse")
+    assert fingerprint_request(old, "cpu", (8, 8), "smartfuse") == key
+
+    cached_optimize(old, CompileOptions(tile_sizes=(8, 8), cache=CompileCache(str(tmp_path))))
+    path = LocalStore(str(tmp_path)).path("results", key)
+    with open(path, "rb") as f:
+        assert b"numpy" in f.read()  # the start-up half pickles np.float64
+
+    cache = CompileCache(str(tmp_path))
+    result = cached_optimize(new, CompileOptions(tile_sizes=(8, 8), cache=cache))
+    counters = cache.counters()
+    assert counters["errors"] == 1 and counters["disk_evictions"] == 1
+    assert counters["misses"] == 1 and counters["stores"] == 1
+    with open(path, "rb") as f:
+        assert b"numpy" not in f.read()
+
+    warm = CompileCache(str(tmp_path))
+    assert _views(warm.get(key)) == _views(result)
+    assert warm.counters()["disk_hits"] == 1 and warm.counters()["errors"] == 0
